@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint fmt-check test race alloc-check cover bench bench-smoke bench-baseline bench-compare audit-smoke faults-smoke sinkd-smoke figures examples fuzz clean
+.PHONY: all check build vet lint fmt-check test race alloc-check cover bench bench-smoke benchmark-smoke audit-smoke faults-smoke sinkd-smoke figures examples fuzz clean
 
 all: build test
 
@@ -55,24 +55,14 @@ bench:
 bench-smoke:
 	$(GO) run ./cmd/kenbench -all -quick -parallel 8
 
-# bench-baseline records the three layer throughput yardsticks as
-# BENCH_{core,engine,stream}.json at the repo root: the core DjC2 replay
-# (epochs/sec), the Fig 9 cell suite on a cold engine (cells/sec) and the
-# framed source→replica loop (frames/sec). Setup — trace generation,
-# model fits, clique selection — is excluded from the stopwatch. CI
-# uploads the three files as an artifact so regressions are comparable
-# across runs.
-bench-baseline:
-	$(GO) run ./cmd/kenbench -baseline-out . -test 600
-	$(GO) run ./cmd/kenswarm -selfhost -tenants 16 -steps 200 -baseline-out .
-
-# bench-compare re-times the kenbench layer yardsticks against the
-# committed BENCH_{core,engine,stream}.json and fails on a >15%
-# throughput regression, writing the diff to bench-compare.json. CI runs
-# it non-blocking (shared runners jitter) and uploads the report; run it
-# locally before committing anything hot-path adjacent.
-bench-compare:
-	$(GO) run ./cmd/kenbench -baseline-compare . -compare-out bench-compare.json -test 600
+# benchmark-smoke runs the repository benchmark (BENCHMARK.json,
+# benchmark/README.md) at 1/20 size in under 15 s with every correctness
+# check on: the figure-output hash, ε at every audited epoch and ingest
+# tenants bit-identical to their reference replicas. It reads /proc, so
+# Linux only. Timings at this size mean nothing; `go run ./benchmark -seed 1`
+# is the measurement.
+benchmark-smoke:
+	$(GO) run ./benchmark -smoke
 
 # sinkd-smoke proves the multi-tenant daemon end to end with real
 # processes: kensinkd pinned to one deployment, three concurrent kensource

@@ -27,6 +27,7 @@ import (
 	"ken/internal/mc"
 	"ken/internal/model"
 	"ken/internal/network"
+	"ken/internal/protocol"
 	"ken/internal/simnet"
 	"ken/internal/stream"
 	"ken/internal/trace"
@@ -148,37 +149,49 @@ func gardenClique(b *testing.B, k, steps int) (*model.LinearGaussian, [][]float6
 	return mdl, cols[100:], eps
 }
 
+// replayReported runs the Ken loop over rows on a fresh replica of mdl and
+// returns the number of values reported.
+func replayReported(b *testing.B, mdl model.Model, rows [][]float64, eps []float64) int {
+	b.Helper()
+	replica, err := protocol.New(mdl.Clone(), nil, eps)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sent := 0
+	for _, row := range rows {
+		n, err := replica.Advance(row)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sent += n
+	}
+	return sent
+}
+
 // BenchmarkAblationSubsetSearch compares the greedy minimal-report search
 // with exhaustive subset enumeration on a 5-attribute clique (§3.2 step
 // 4(a)).
 func BenchmarkAblationSubsetSearch(b *testing.B) {
 	mdl, test, eps := gardenClique(b, 5, 300)
+	one := &cliques.Partition{Cliques: []cliques.Clique{{Members: []int{0, 1, 2, 3, 4}}}}
 	for _, mode := range []struct {
 		name       string
 		exhaustive bool
 	}{{"greedy", false}, {"exhaustive", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m := mdl.Clone()
-				sent := 0
-				for _, row := range test {
-					m.Step()
-					var obs map[int]float64
-					var err error
-					if mode.exhaustive {
-						obs, err = model.ChooseReportExhaustive(m, row, eps)
-					} else {
-						obs, err = model.ChooseReportGreedy(m, row, eps)
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := m.Condition(obs); err != nil {
-						b.Fatal(err)
-					}
-					sent += len(obs)
+				s, err := core.NewKen(core.KenConfig{
+					Partition: one, Train: test, Eps: eps, Exhaustive: mode.exhaustive,
+					ModelFactory: func([][]float64) (model.Model, error) { return mdl.Clone(), nil },
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(sent)/float64(len(test)*5), "frac-reported")
+				res, err := core.Run(context.Background(), s, test, core.RunOptions{Eps: eps})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(res.FractionReported(), "frac-reported")
 			}
 		})
 	}
@@ -285,20 +298,21 @@ func BenchmarkAblationConditioning(b *testing.B) {
 	dims := []int{4, 8, 16}
 	for _, n := range dims {
 		g := randomGaussian(b, rng, n)
-		obs := map[int]float64{}
-		for i := 0; i < n/2; i++ {
-			obs[i] = rng.NormFloat64()
+		idx := make([]int, n/2)
+		vals := make([]float64, n/2)
+		for i := range idx {
+			idx[i], vals[i] = i, rng.NormFloat64()
 		}
 		b.Run("cholesky/n="+strconv.Itoa(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := g.Condition(obs); err != nil {
+				if _, _, err := g.Condition(idx, vals); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run("inverse/n="+strconv.Itoa(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := conditionViaInverse(g, obs); err != nil {
+				if err := conditionViaInverse(g, idx, vals); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -306,8 +320,8 @@ func BenchmarkAblationConditioning(b *testing.B) {
 	}
 }
 
-// scratchSearchModel hides model.IncrementalConditioner, forcing
-// ChooseReportGreedy onto the from-scratch MeanGiven reference path.
+// scratchSearchModel hides model.IncrementalConditioner, forcing the
+// kernel's search onto the from-scratch MeanGiven reference path.
 type scratchSearchModel struct{ model.Model }
 
 // BenchmarkAblationIncrementalSearch compares the greedy report search
@@ -329,8 +343,13 @@ func BenchmarkAblationIncrementalSearch(b *testing.B) {
 			m    model.Model
 		}{{"incremental", mdl}, {"scratch", scratchSearchModel{mdl}}} {
 			b.Run(arm.name+"/k="+strconv.Itoa(k), func(b *testing.B) {
+				// The search is read-only, so both arms share the model.
+				replica, err := protocol.New(arm.m, nil, eps)
+				if err != nil {
+					b.Fatal(err)
+				}
 				for i := 0; i < b.N; i++ {
-					obs, err := model.ChooseReportGreedy(arm.m, truth, eps)
+					obs, _, err := replica.Choose(truth, nil)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -367,22 +386,16 @@ func randomGaussian(b *testing.B, rng *rand.Rand, n int) *gauss.Gaussian {
 }
 
 // conditionViaInverse is the naive ablation arm: μ_a|b via an explicit
-// Σ_bb⁻¹.
-func conditionViaInverse(g *gauss.Gaussian, obs map[int]float64) error {
+// Σ_bb⁻¹ (the Cholesky factor solved against the identity).
+func conditionViaInverse(g *gauss.Gaussian, obsIdx []int, vals []float64) error {
 	n := g.Dim()
-	obsIdx := make([]int, 0, len(obs))
-	for i := range obs {
-		obsIdx = append(obsIdx, i)
-	}
 	keep := make([]int, 0, n-len(obsIdx))
-	inObs := map[int]bool{}
-	for _, i := range obsIdx {
-		inObs[i] = true
-	}
-	for i := 0; i < n; i++ {
-		if !inObs[i] {
-			keep = append(keep, i)
+	for i, next := 0, 0; i < n; i++ {
+		if next < len(obsIdx) && obsIdx[next] == i {
+			next++
+			continue
 		}
+		keep = append(keep, i)
 	}
 	cov := g.Cov()
 	mean := g.Mean()
@@ -392,13 +405,13 @@ func conditionViaInverse(g *gauss.Gaussian, obs map[int]float64) error {
 	if err != nil {
 		return err
 	}
-	inv, err := ch.Inverse()
+	inv, err := ch.Solve(mat.Identity(len(obsIdx)))
 	if err != nil {
 		return err
 	}
 	delta := make([]float64, len(obsIdx))
 	for k, i := range obsIdx {
-		delta[k] = obs[i] - mean[i]
+		delta[k] = vals[k] - mean[i]
 	}
 	w, err := inv.MulVec(delta)
 	if err != nil {
@@ -497,19 +510,7 @@ func BenchmarkAblationSwitchingModel(b *testing.B) {
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m := arm.mdl.Clone()
-				sent := 0
-				for _, row := range test {
-					m.Step()
-					obs, err := model.ChooseReportGreedy(m, row, eps)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := m.Condition(obs); err != nil {
-						b.Fatal(err)
-					}
-					sent += len(obs)
-				}
+				sent := replayReported(b, arm.mdl, test, eps)
 				b.ReportMetric(float64(sent)/float64(len(test)*2), "frac-reported")
 			}
 		})
@@ -572,19 +573,7 @@ func BenchmarkAblationAdaptiveRefit(b *testing.B) {
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m := arm.mdl.Clone()
-				sent := 0
-				for _, row := range test {
-					m.Step()
-					obs, err := model.ChooseReportGreedy(m, row, eps)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := m.Condition(obs); err != nil {
-						b.Fatal(err)
-					}
-					sent += len(obs)
-				}
+				sent := replayReported(b, arm.mdl, test, eps)
 				b.ReportMetric(float64(sent)/float64(len(test)*2), "frac-reported")
 			}
 		})

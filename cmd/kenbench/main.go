@@ -68,9 +68,6 @@ func main() {
 	test := flag.Int("test", 1500, "test steps (hours); the paper uses 5000")
 	parallel := flag.Int("parallel", 0, "worker pool width for experiment cells (0 = GOMAXPROCS, 1 = sequential)")
 	metricsOut := flag.String("metrics-out", "", "write a final metrics snapshot JSON to this file ('-' for stdout)")
-	baselineOut := flag.String("baseline-out", "", "measure the layer throughput yardsticks and write BENCH_{core,engine,stream}.json into this directory")
-	baselineCompare := flag.String("baseline-compare", "", "re-measure the layer yardsticks and diff against the committed BENCH_*.json in this directory; exits non-zero on a >15% throughput regression")
-	compareOut := flag.String("compare-out", "", "with -baseline-compare, also write the comparison report JSON to this file")
 	var of obs.CmdFlags
 	of.Register(flag.CommandLine)
 	flag.Parse()
@@ -94,8 +91,8 @@ func main() {
 	}
 	cfg.Obs = ob
 
-	if !*all && *fig == 0 && *baselineOut == "" && *baselineCompare == "" {
-		fmt.Fprintln(os.Stderr, "kenbench: pass -fig N, -all, -baseline-out DIR or -baseline-compare DIR")
+	if !*all && *fig == 0 {
+		fmt.Fprintln(os.Stderr, "kenbench: pass -fig N or -all")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -140,23 +137,9 @@ func main() {
 		}
 		fmt.Printf("(figure %d regenerated in %v)\n\n", r.num, elapsed.Round(time.Millisecond))
 	}
-	if !ran && (*all || *fig != 0) {
+	if !ran {
 		fmt.Fprintf(os.Stderr, "kenbench: unknown figure %d (have 7-17)\n", *fig)
 		os.Exit(2)
-	}
-	if *baselineOut != "" {
-		if err := runBaselines(ctx, *baselineOut, cfg); err != nil {
-			slog.Error("baseline run failed", "err", err)
-			cleanup()
-			os.Exit(1)
-		}
-	}
-	if *baselineCompare != "" {
-		if err := runBaselineCompare(ctx, *baselineCompare, *compareOut, cfg); err != nil {
-			slog.Error("baseline compare failed", "err", err)
-			cleanup()
-			os.Exit(1)
-		}
 	}
 	if *metricsOut != "" {
 		if err := writeSnapshot(*metricsOut, reg); err != nil {

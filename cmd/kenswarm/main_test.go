@@ -2,9 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -13,11 +10,9 @@ import (
 // an in-process daemon, concurrent tenants over two specs, and the
 // bit-identical + ±ε verification pass.
 func TestSwarmSelfhostVerify(t *testing.T) {
-	dir := t.TempDir()
 	var out, errw bytes.Buffer
 	code := run([]string{
-		"-selfhost", "-tenants", "6", "-specs", "2", "-steps", "40",
-		"-verify", "-baseline-out", dir,
+		"-selfhost", "-tenants", "6", "-specs", "2", "-steps", "40", "-verify",
 	}, &out, &errw)
 	if code != 0 {
 		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, out.String(), errw.String())
@@ -25,20 +20,8 @@ func TestSwarmSelfhostVerify(t *testing.T) {
 	if !strings.Contains(out.String(), "kenswarm: verified 6 tenants") {
 		t.Fatalf("verification line missing:\n%s", out.String())
 	}
-
-	raw, err := os.ReadFile(filepath.Join(dir, "BENCH_sinkd.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b sinkdBaseline
-	if err := json.Unmarshal(raw, &b); err != nil {
-		t.Fatal(err)
-	}
-	if b.Benchmark != "sinkd" || b.Unit != "frames/sec" {
-		t.Fatalf("baseline header: %+v", b)
-	}
-	if b.PerSec <= 0 || b.SessionsPerSec <= 0 || b.Count != 6*40 {
-		t.Fatalf("baseline figures: %+v", b)
+	if !strings.Contains(out.String(), "6 tenants × 40 steps over 2 specs") {
+		t.Fatalf("throughput line missing:\n%s", out.String())
 	}
 }
 

@@ -105,7 +105,7 @@ func run() error {
 		// Ken pushes arrive whenever the source's predictions miss; here
 		// nodes 0 and 2 reported on the final hours before the query.
 		if i >= now-2 {
-			if err := warm.Condition(map[int]float64{0: test[i][0], 2: test[i][2]}); err != nil {
+			if err := warm.Condition([]int{0, 2}, []float64{test[i][0], test[i][2]}); err != nil {
 				return err
 			}
 		}

@@ -12,6 +12,7 @@ import (
 	"ken/internal/mc"
 	"ken/internal/model"
 	"ken/internal/network"
+	"ken/internal/protocol"
 	"ken/internal/simnet"
 	"ken/internal/stream"
 	"ken/internal/trace"
@@ -223,17 +224,17 @@ func extAdaptive(ctx context.Context, eng *engine.Engine, cfg Config) ([][]strin
 // replayFraction runs the Ken source loop and returns the reported
 // fraction.
 func replayFraction(m model.Model, rows [][]float64, eps []float64) (float64, error) {
+	replica, err := protocol.New(m, nil, eps)
+	if err != nil {
+		return 0, err
+	}
 	sent := 0
 	for _, row := range rows {
-		m.Step()
-		obs, err := model.ChooseReportGreedy(m, row, eps)
+		reported, err := replica.Advance(row)
 		if err != nil {
 			return 0, err
 		}
-		if err := m.Condition(obs); err != nil {
-			return 0, err
-		}
-		sent += len(obs)
+		sent += reported
 	}
 	return float64(sent) / float64(len(rows)*len(eps)), nil
 }

@@ -2,6 +2,7 @@ package cliques
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -337,8 +338,8 @@ func TestMCEvaluatorCachingAndDeterminism(t *testing.T) {
 	if _, err := eval.M([]int{9}); err == nil {
 		t.Fatal("expected error for out-of-range attribute")
 	}
-	if _, err := eval.M(nil); err == nil {
-		t.Fatal("expected error for empty clique")
+	if _, err := eval.M(nil); !errors.Is(err, ErrEmptyClique) {
+		t.Fatalf("empty clique: err = %v, want ErrEmptyClique", err)
 	}
 }
 
@@ -483,23 +484,18 @@ func TestExhaustiveMatchesBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Random deterministic oracle: m grows sublinearly with clique
-		// size, scaled per lowest member, memoised for consistency.
-		memo := map[string]float64{}
+		// size, scaled per member. Pure, because Exhaustive evaluates
+		// cliques from several goroutines.
 		scale := make([]float64, n)
 		for i := range scale {
 			scale[i] = 0.2 + rng.Float64()*0.6
 		}
 		eval := FuncEvaluator(func(clique []int) (float64, error) {
-			key := cliqueKey(clique)
-			if v, ok := memo[key]; ok {
-				return v, nil
-			}
 			m := 0.0
 			for _, i := range clique {
 				m += scale[i]
 			}
 			m *= 0.5 + 0.5/float64(len(clique)) // correlation discount
-			memo[key] = m
 			return m, nil
 		})
 		maxSize := 2 + rng.Intn(2)

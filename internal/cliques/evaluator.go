@@ -7,6 +7,7 @@ import (
 
 	"ken/internal/mc"
 	"ken/internal/model"
+	"ken/internal/protocol"
 )
 
 // MCEvaluator estimates m_C by fitting a LinearGaussian model to the
@@ -53,6 +54,9 @@ func NewMCEvaluator(train [][]float64, eps []float64, fitCfg model.FitConfig, mc
 
 // M implements Evaluator.
 func (e *MCEvaluator) M(clique []int) (float64, error) {
+	if len(clique) == 0 {
+		return 0, ErrEmptyClique
+	}
 	key := cliqueKey(clique)
 	e.mu.Lock()
 	if v, ok := e.cache[key]; ok {
@@ -61,9 +65,9 @@ func (e *MCEvaluator) M(clique []int) (float64, error) {
 	}
 	e.mu.Unlock()
 
-	cols, eps, err := e.project(clique)
+	cols, eps, err := protocol.Project(e.train, e.eps, clique)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("cliques: %w", err)
 	}
 	mdl, err := model.FitLinearGaussian(cols, e.fitCfg)
 	if err != nil {
@@ -83,30 +87,6 @@ func (e *MCEvaluator) M(clique []int) (float64, error) {
 	e.cache[key] = m
 	e.mu.Unlock()
 	return m, nil
-}
-
-// project extracts the clique's columns and bounds.
-func (e *MCEvaluator) project(clique []int) ([][]float64, []float64, error) {
-	if len(clique) == 0 {
-		return nil, nil, ErrEmptyClique
-	}
-	n := len(e.train[0])
-	eps := make([]float64, len(clique))
-	for k, i := range clique {
-		if i < 0 || i >= n {
-			return nil, nil, fmt.Errorf("cliques: attribute %d out of range %d", i, n)
-		}
-		eps[k] = e.eps[i]
-	}
-	cols := make([][]float64, len(e.train))
-	for t, row := range e.train {
-		r := make([]float64, len(clique))
-		for k, i := range clique {
-			r[k] = row[i]
-		}
-		cols[t] = r
-	}
-	return cols, eps, nil
 }
 
 // CacheSize returns the number of cached clique estimates (for tests and

@@ -39,6 +39,12 @@ type Average struct {
 
 var _ Scheme = (*Average)(nil)
 
+// The per-node pair model's two variables, as observation index sets.
+var (
+	pairOwn = []int{0} // the node's own reading x_i(t)
+	pairAvg = []int{1} // the lagged network average X̄(t−1)
+)
+
 // NewAverage fits the per-node (X_i, lagged X̄) models from training data.
 // top may be nil for topology-independent accounting.
 func NewAverage(train [][]float64, eps []float64, fitCfg model.FitConfig, top *network.Topology) (*Average, error) {
@@ -114,21 +120,21 @@ func (a *Average) Step(truth []float64) ([]float64, StepStats, error) {
 		a.sink[i].Step()
 		// Both replicas know the average disseminated last round.
 		if a.primed {
-			obs := map[int]float64{1: a.prevAvg}
-			if err := a.src[i].Condition(obs); err != nil {
+			avg := []float64{a.prevAvg}
+			if err := a.src[i].Condition(pairAvg, avg); err != nil {
 				return nil, StepStats{}, err
 			}
-			if err := a.sink[i].Condition(obs); err != nil {
+			if err := a.sink[i].Condition(pairAvg, avg); err != nil {
 				return nil, StepStats{}, err
 			}
 		}
 		mean := a.src[i].Mean()
 		if d := mean[0] - truth[i]; d > a.eps[i] || d < -a.eps[i] {
-			obs := map[int]float64{0: truth[i]}
-			if err := a.src[i].Condition(obs); err != nil {
+			own := []float64{truth[i]}
+			if err := a.src[i].Condition(pairOwn, own); err != nil {
 				return nil, StepStats{}, err
 			}
-			if err := a.sink[i].Condition(obs); err != nil {
+			if err := a.sink[i].Condition(pairOwn, own); err != nil {
 				return nil, StepStats{}, err
 			}
 			st.ValuesReported++

@@ -35,9 +35,10 @@ type Scheme interface {
 type StepStats struct {
 	// ValuesReported counts attribute values delivered to the sink.
 	ValuesReported int
-	// Reported lists the global attribute indices transmitted this step
-	// (unordered). Event-detection consumers use it to see exactly which
-	// nodes spoke up.
+	// Reported lists the global attribute indices transmitted this step,
+	// clique by clique in partition order and ascending within a clique —
+	// the same list every run. Event-detection consumers use it to see
+	// exactly which nodes spoke up.
 	Reported []int
 	// IntraCost is the intra-source communication cost (collecting clique
 	// members at roots, or aggregation/dissemination for the Average model).

@@ -2,20 +2,15 @@ package core
 
 import (
 	"context"
-	"sort"
+	"reflect"
 	"testing"
 
 	"ken/internal/model"
 )
 
 // scratchModel hides model.IncrementalConditioner so the greedy report
-// search runs on the from-scratch MeanGiven reference path, while keeping
-// MeanWriter visible so the suppressed-epoch fast path stays identical.
+// search runs on the from-scratch MeanGiven reference path.
 type scratchModel struct{ model.Model }
-
-func (s scratchModel) MeanInto(dst []float64) error {
-	return s.Model.(model.MeanWriter).MeanInto(dst)
-}
 
 func (s scratchModel) Clone() model.Model { return scratchModel{s.Model.Clone()} }
 
@@ -23,7 +18,7 @@ func (s scratchModel) Clone() model.Model { return scratchModel{s.Model.Clone()}
 // produce bitwise-identical sink answers whether or not the incremental
 // conditioning evaluator engages: the evaluator is a source-side search
 // accelerator, never a semantics change. This is the scheme-level version
-// of model.TestChooseReportGreedyIncrementalMatchesScratch.
+// of protocol.TestChooseIncrementalMatchesScratch.
 func TestKenIncrementalSearchMatchesScratch(t *testing.T) {
 	const n = 6
 	train, test, _ := gardenData(t, n, 100, 60)
@@ -69,14 +64,8 @@ func TestKenIncrementalSearchMatchesScratch(t *testing.T) {
 		if fs.ValuesReported != ss.ValuesReported {
 			t.Fatalf("step %d: incremental reported %d values, scratch %d", step, fs.ValuesReported, ss.ValuesReported)
 		}
-		fr := append([]int(nil), fs.Reported...)
-		sr := append([]int(nil), ss.Reported...)
-		sort.Ints(fr)
-		sort.Ints(sr)
-		for i := range fr {
-			if fr[i] != sr[i] {
-				t.Fatalf("step %d: incremental reported %v, scratch %v", step, fr, sr)
-			}
+		if !reflect.DeepEqual(fs.Reported, ss.Reported) {
+			t.Fatalf("step %d: incremental reported %v, scratch %v", step, fs.Reported, ss.Reported)
 		}
 		for i := range fe {
 			if fe[i] != se[i] {

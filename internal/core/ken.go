@@ -1,16 +1,17 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"ken/internal/cliques"
 	"ken/internal/model"
 	"ken/internal/network"
 	"ken/internal/obs"
+	"ken/internal/protocol"
 )
 
 // ProbConfig enables probabilistic reporting (§6 "Probabilistic
@@ -65,22 +66,13 @@ type KenConfig struct {
 	Obs *obs.Observer
 }
 
-// kenClique is one clique's runtime state: the two replicated models.
+// kenClique is one clique's runtime state: the source and sink replicas of
+// its protocol kernel.
 type kenClique struct {
-	members []int // global attribute indices, sorted
-	root    int
-	src     model.Model
-	sink    model.Model
-	eps     []float64 // clique-local bounds
-	intra   float64   // per-step collection cost at the root
-
-	// srcW/sinkW are the models' allocation-free mean writers, nil when a
-	// model family does not provide one; local and meanBuf are per-clique
-	// step scratch, reused across epochs.
-	srcW    model.MeanWriter
-	sinkW   model.MeanWriter
-	local   []float64
-	meanBuf []float64
+	root  int
+	src   *protocol.Kernel
+	sink  *protocol.Kernel
+	intra float64 // per-step collection cost at the root
 }
 
 // Ken is the paper's architecture: replicated dynamic probabilistic models
@@ -163,27 +155,16 @@ func NewKen(cfg KenConfig) (*Ken, error) {
 		}
 		k.rng = rand.New(rand.NewSource(cfg.Prob.Seed))
 	}
-	factory := cfg.ModelFactory
-	if factory == nil {
-		factory = func(train [][]float64) (model.Model, error) {
+	fit := cfg.ModelFactory
+	if fit == nil {
+		fit = func(train [][]float64) (model.Model, error) {
 			return model.FitLinearGaussian(train, cfg.FitCfg)
 		}
 	}
 	for _, c := range cfg.Partition.Cliques {
-		cols := projectColumns(cfg.Train, c.Members)
-		mdl, err := factory(cols)
+		proto, err := protocol.Fit(cfg.Train, cfg.Eps, c.Members, fit)
 		if err != nil {
-			return nil, fmt.Errorf("core: fitting clique %v: %w", c.Members, err)
-		}
-		if mdl == nil || mdl.Dim() != len(c.Members) {
-			return nil, fmt.Errorf("core: model factory returned wrong dimension for clique %v", c.Members)
-		}
-		eps := make([]float64, len(c.Members))
-		for i, g := range c.Members {
-			if cfg.Eps[g] <= 0 {
-				return nil, fmt.Errorf("core: non-positive epsilon %v for attribute %d", cfg.Eps[g], g)
-			}
-			eps[i] = cfg.Eps[g]
+			return nil, fmt.Errorf("core: %w", err)
 		}
 		intra := 0.0
 		if cfg.Topology != nil {
@@ -191,38 +172,10 @@ func NewKen(cfg KenConfig) (*Ken, error) {
 				intra += cfg.Topology.Comm(g, c.Root)
 			}
 		}
-		src := mdl.Clone()
-		sink := mdl.Clone()
-		srcW, _ := src.(model.MeanWriter)
-		sinkW, _ := sink.(model.MeanWriter)
-		k.cliques = append(k.cliques, kenClique{
-			members: append([]int(nil), c.Members...),
-			root:    c.Root,
-			src:     src,
-			sink:    sink,
-			eps:     eps,
-			intra:   intra,
-			srcW:    srcW,
-			sinkW:   sinkW,
-			local:   make([]float64, len(c.Members)),
-			meanBuf: make([]float64, len(c.Members)),
-		})
+		k.cliques = append(k.cliques, kenClique{root: c.Root, src: proto.Clone(), sink: proto.Clone(), intra: intra})
 	}
 	k.estBuf = make([]float64, n)
 	return k, nil
-}
-
-// projectColumns extracts the member columns of the full matrix.
-func projectColumns(rows [][]float64, members []int) [][]float64 {
-	out := make([][]float64, len(rows))
-	for t, row := range rows {
-		r := make([]float64, len(members))
-		for i, g := range members {
-			r[i] = row[g]
-		}
-		out[t] = r
-	}
-	return out
 }
 
 // Name implements Scheme.
@@ -239,26 +192,38 @@ func (k *Ken) Partition() *cliques.Partition { return k.part }
 // next Step nest under the replay driver's epoch span.
 func (k *Ken) BeginEpoch(sp *obs.Span) { k.span = sp }
 
-// Step implements Scheme: for every clique, advance both replicas, let the
-// source choose the minimal report set, deliver it, and read the sink's
-// answer (§3.2). On models implementing model.IncrementalConditioner
-// (LinearGaussian does), the greedy report search runs against the model's
-// cached incremental conditioning evaluator — O(m²) per search round via a
-// growing Cholesky factor instead of a from-scratch refactorization — with
-// transparent fallback to the reference MeanGiven path when the cache goes
-// stale or a pivot degenerates. The evaluator is source-side and read-only,
-// so sink replicas transition identically whether or not it engages.
+// Step implements Scheme: Ken over a perfect channel — every report the
+// source chooses reaches the sink as is. See step.
+//
+//ken:hotpath the per-epoch replay loop
+func (k *Ken) Step(truth []float64) ([]float64, StepStats, error) {
+	return k.step(truth, nil)
+}
+
+// step is the Disjoint-Cliques epoch (§3.2), once for every channel: check
+// the readings — the epoch's only finiteness scan, before the channel's
+// schedule or any replica moves — then per clique advance both replicas, let
+// the source choose its report (every reading on a heartbeat epoch), commit
+// the source to what it sent and the sink to what the channel delivers, and
+// read the sink's answer. The replicas' moves are the protocol kernel's; the
+// channel is perfect for Ken (lossy == nil) and LossyKen's heartbeat schedule
+// and Bernoulli loss otherwise.
 //
 // The returned estimate slice is reused across calls — callers that retain
-// it past the next Step must copy (Run does). A fully-suppressed epoch on
-// MeanWriter models with tracing off runs allocation-free; see
-// TestAllocBudgetKenReplay.
+// it past the next step must copy (Run does). Epochs allocate only what
+// they hand back or trace: StepStats.Reported on reporting epochs and the
+// events of a traced run (TestAllocBudgetKenReplay pins suppressed epochs
+// at zero).
 //
-//ken:hotpath the per-epoch replay loop; suppressed epochs allocate nothing
-func (k *Ken) Step(truth []float64) ([]float64, StepStats, error) {
+//ken:hotpath the per-epoch replay loop
+func (k *Ken) step(truth []float64, lossy *LossyKen) ([]float64, StepStats, error) {
 	if len(truth) != k.n {
 		return nil, StepStats{}, fmt.Errorf("core: truth dim %d, want %d", len(truth), k.n)
 	}
+	if err := protocol.CheckReadings(truth); err != nil {
+		return nil, StepStats{}, err
+	}
+	heartbeat := lossy != nil && lossy.beginEpoch()
 	var start time.Time
 	if k.stepObserved {
 		start = time.Now()
@@ -267,69 +232,58 @@ func (k *Ken) Step(truth []float64) ([]float64, StepStats, error) {
 	var st StepStats
 	for ci := range k.cliques {
 		c := &k.cliques[ci]
-		local := c.local
-		for i, g := range c.members {
-			local[i] = truth[g]
-		}
-		c.src.Step()
-		c.sink.Step()
+		c.src.Predict()
+		c.sink.Predict()
 
 		// Capture the sink replica's prediction before conditioning — the
-		// "what the sink would have believed" side of the audit triple.
+		// "what the sink would have believed" side of the audit triple
+		// (under loss, its possibly stale view).
 		var pred []float64
 		if k.tracer != nil {
 			//lint:ignore hotalloc tracing epochs capture the pre-conditioning prediction; the untraced path never reaches this
 			pred = append([]float64(nil), c.sink.Mean()...)
 		}
 
-		// Fast path: when the source prediction already satisfies every
-		// bound, all report policies return the empty set — greedy and
-		// exhaustive accept the empty subset, probabilistic flips no coin
-		// (so the rng stream is untouched) — and the policy search with its
-		// allocations can be skipped. Exhaustive keeps its dimension guard:
-		// oversized cliques must keep failing deterministically.
-		var rep map[int]float64
-		fast := c.srcW != nil && !(k.exhaustive && len(c.members) > 20) &&
-			c.srcW.MeanInto(c.meanBuf) == nil &&
-			model.WithinBounds(c.meanBuf, local, c.eps)
-		if !fast {
-			var err error
-			rep, err = k.chooseReport(c, local)
-			if err != nil {
-				return nil, StepStats{}, err
-			}
+		var idx []int
+		var vals []float64
+		var err error
+		if heartbeat {
+			idx, vals, err = c.src.Full(truth, nil)
+		} else {
+			idx, vals, err = k.choose(c, truth)
 		}
-		if err := c.src.Condition(rep); err != nil {
+		if err != nil {
 			return nil, StepStats{}, err
 		}
-		if err := c.sink.Condition(rep); err != nil {
+		// The source believes everything it sent; the sink only what arrives.
+		if err := c.src.Commit(idx, vals); err != nil {
+			return nil, StepStats{}, err
+		}
+		dIdx, dVals := idx, vals
+		var lost []int
+		if lossy != nil && !heartbeat {
+			dIdx, dVals, lost = lossy.lose(c, idx, vals)
+		}
+		if err := c.sink.Commit(dIdx, dVals); err != nil {
 			return nil, StepStats{}, err
 		}
 
-		st.ValuesReported += len(rep)
-		for i := range rep {
-			//lint:ignore hotalloc report epochs accumulate the reported-attribute list; suppressed epochs never enter this loop
-			st.Reported = append(st.Reported, c.members[i])
+		st.ValuesReported += len(idx)
+		members := c.src.Members()
+		for _, i := range idx {
+			//lint:ignore hotalloc the reported-attribute list is handed to the caller, who may keep it; suppressed epochs never enter this loop
+			st.Reported = append(st.Reported, members[i])
 		}
 		st.IntraCost += c.intra
-		st.Bytes += obs.WireBytesPerValue * len(rep)
+		st.Bytes += obs.WireBytesPerValue * len(idx)
 		if k.top == nil {
-			st.SinkCost += float64(len(rep))
+			st.SinkCost += float64(len(idx))
 		} else {
-			st.SinkCost += float64(len(rep)) * k.top.CommToBase(c.root)
+			st.SinkCost += float64(len(idx)) * k.top.CommToBase(c.root)
 		}
 		//lint:ignore hotalloc counter increments are allocation-free; the allocating trace branch inside is guarded by tracer == nil
-		k.observeClique(ci, c, rep, rep, pred)
-		if c.sinkW != nil && c.sinkW.MeanInto(c.meanBuf) == nil {
-			for i, g := range c.members {
-				est[g] = c.meanBuf[i]
-			}
-		} else {
-			mean := c.sink.Mean()
-			for i, g := range c.members {
-				est[g] = mean[i]
-			}
-		}
+		k.observeClique(ci, c, idx, vals, dIdx, dVals, lost, pred)
+		c.sink.Scatter(est)
 	}
 	k.stepN++
 	if k.stepObserved {
@@ -342,45 +296,36 @@ func (k *Ken) Step(truth []float64) ([]float64, StepStats, error) {
 // tracer. Counter handles are nil-safe; the trace branch, which allocates
 // the attr and payload slices, is guarded so the unobserved path allocates
 // nothing. pred is the sink replica's prediction captured before
-// conditioning; delivered is the subset of reported that actually reached
-// the sink (identical to reported in the lossless scheme, possibly smaller
-// under the lossy wrapper). When a replay epoch span is active the report
-// becomes a child span and the sink apply its grandchild, giving the
-// auditor the report → apply causal chain; otherwise events are emitted
-// unspanned as before. The report span (nil when no report went out or no
-// epoch span is active) is returned so callers can parent loss events to it.
-func (k *Ken) observeClique(ci int, c *kenClique, reported, delivered map[int]float64, pred []float64) *obs.Span {
-	k.mValues.Add(int64(len(reported)))
-	k.mSuppressed.Add(int64(len(c.members) - len(reported)))
-	if len(reported) > 0 {
+// conditioning; (dIdx, dVals) is the part of the report (idx, vals) that
+// actually reached the sink (all of it in the lossless scheme) and lost the
+// global attributes that did not. When a replay epoch span is active the
+// report becomes a child span and the sink apply and any loss its
+// grandchildren, giving the auditor the report → apply causal chain;
+// otherwise events are emitted unspanned.
+func (k *Ken) observeClique(ci int, c *kenClique, idx []int, vals []float64, dIdx []int, dVals []float64, lost []int, pred []float64) {
+	members, eps := c.src.Members(), c.src.Eps()
+	k.mValues.Add(int64(len(idx)))
+	k.mSuppressed.Add(int64(len(members) - len(idx)))
+	if len(idx) > 0 {
 		k.mReportMsgs.Inc()
 	}
 	if k.tracer == nil {
-		return nil
+		return
 	}
 	var rs *obs.Span
-	if len(reported) > 0 {
-		attrs := make([]int, 0, len(reported))
-		values := make([]float64, 0, len(reported))
-		epsR := make([]float64, 0, len(reported))
-		var preds []float64
-		if pred != nil {
-			preds = make([]float64, 0, len(reported))
-		}
-		for _, i := range sortedReportKeys(reported) {
-			attrs = append(attrs, c.members[i])
-			values = append(values, reported[i])
-			epsR = append(epsR, c.eps[i])
-			if pred != nil {
-				preds = append(preds, pred[i])
-			}
+	if len(idx) > 0 {
+		values := append([]float64(nil), vals...)
+		epsR := make([]float64, len(idx))
+		preds := make([]float64, len(idx))
+		for j, i := range idx {
+			epsR[j], preds[j] = eps[i], pred[i]
 		}
 		ev := obs.Event{
 			Type: obs.EvReport, Step: k.stepN, Clique: ci, Node: c.root,
-			Attrs: attrs, Values: values,
+			Attrs: globalAttrs(members, idx), Values: values,
 			Payload: &obs.Payload{
 				Predicted: preds, Observed: values, Eps: epsR,
-				Bytes: obs.WireBytesPerValue * len(attrs),
+				Bytes: obs.WireBytesPerValue * len(idx),
 			},
 		}
 		if k.span.Active() {
@@ -390,41 +335,52 @@ func (k *Ken) observeClique(ci int, c *kenClique, reported, delivered map[int]fl
 			k.tracer.Emit(ev)
 		}
 	}
-	if len(reported) < len(c.members) {
-		supp := make([]int, 0, len(c.members)-len(reported))
-		for i, g := range c.members {
-			if _, ok := reported[i]; !ok {
-				supp = append(supp, g)
+	if len(idx) < len(members) {
+		supp := make([]int, 0, len(members)-len(idx))
+		next := 0
+		for i, g := range members {
+			if next < len(idx) && idx[next] == i {
+				next++
+				continue
 			}
+			supp = append(supp, g)
 		}
-		ev := obs.Event{
+		k.emit(k.span, obs.Event{
 			Type: obs.EvSuppress, Step: k.stepN, Clique: ci, Node: c.root,
 			Attrs: supp,
-		}
-		if k.span.Active() {
-			k.span.Emit(ev)
-		} else {
-			k.tracer.Emit(ev)
-		}
+		})
 	}
-	if len(delivered) > 0 {
-		attrs := make([]int, 0, len(delivered))
-		values := make([]float64, 0, len(delivered))
-		for _, i := range sortedReportKeys(delivered) {
-			attrs = append(attrs, c.members[i])
-			values = append(values, delivered[i])
-		}
-		ev := obs.Event{
+	if len(dIdx) > 0 {
+		k.emit(rs.Child(), obs.Event{
 			Type: obs.EvApply, Step: k.stepN, Clique: ci, Node: -1,
-			Attrs: attrs, Values: values, N: len(attrs),
-		}
-		if rs.Active() {
-			rs.Child().Emit(ev)
-		} else {
-			k.tracer.Emit(ev)
-		}
+			Attrs: globalAttrs(members, dIdx), Values: append([]float64(nil), dVals...), N: len(dIdx),
+		})
 	}
-	return rs
+	if len(lost) > 0 {
+		k.emit(rs.Child(), obs.Event{
+			Type: obs.EvDrop, Step: k.stepN, Clique: ci, Node: c.root,
+			Attrs: lost, Detail: "loss",
+		})
+	}
+}
+
+// globalAttrs maps a report's clique-local indices to global attributes.
+func globalAttrs(members, idx []int) []int {
+	out := make([]int, len(idx))
+	for j, i := range idx {
+		out[j] = members[i]
+	}
+	return out
+}
+
+// emit sends ev through sp when it is an active span and through the bare
+// tracer otherwise.
+func (k *Ken) emit(sp *obs.Span, ev obs.Event) {
+	if sp.Active() {
+		sp.Emit(ev)
+	} else {
+		k.tracer.Emit(ev)
+	}
 }
 
 // emitResync traces a heartbeat re-synchronisation (lossy wrapper).
@@ -432,59 +388,92 @@ func (k *Ken) emitResync(step int64) {
 	if k.tracer == nil {
 		return
 	}
-	ev := obs.Event{Type: obs.EvResync, Step: step, Clique: -1, Node: -1}
-	if k.span.Active() {
-		k.span.Emit(ev)
-	} else {
-		k.tracer.Emit(ev)
-	}
+	k.emit(k.span, obs.Event{Type: obs.EvResync, Step: step, Clique: -1, Node: -1})
 }
 
-// sortedReportKeys iterates a report set deterministically for tracing.
-func sortedReportKeys(m map[int]float64) []int {
-	out := make([]int, 0, len(m))
-	for i := range m {
-		out = append(out, i)
+// choose runs the configured report policy on the clique's source replica:
+// the kernel's greedy search by default, §6's probabilistic relaxation or
+// the exact subset enumeration (ablation) when configured. All return the
+// report as a sorted pair of local indices and readings.
+func (k *Ken) choose(c *kenClique, truth []float64) ([]int, []float64, error) {
+	switch {
+	case k.prob != nil:
+		return k.chooseProbabilistic(c, truth)
+	case k.exhaustive:
+		return chooseExhaustive(c.src, truth)
 	}
-	sort.Ints(out)
-	return out
-}
-
-// chooseReport runs the configured report-set policy on the source model.
-// The greedy default engages the model's incremental conditioning
-// evaluator when available (see model.ChooseReportGreedy); the exhaustive
-// and probabilistic policies use the reference paths.
-func (k *Ken) chooseReport(c *kenClique, local []float64) (map[int]float64, error) {
-	if k.prob != nil {
-		return k.chooseProbabilistic(c, local)
-	}
-	if k.exhaustive {
-		return model.ChooseReportExhaustive(c.src, local, c.eps)
-	}
-	return model.ChooseReportGreedy(c.src, local, c.eps)
+	return c.src.Choose(truth, nil)
 }
 
 // chooseProbabilistic implements §6's relaxed step function: attributes
 // within bounds are never reported; violating attributes flip a coin whose
 // success probability rises with the violation ratio, so small overshoots
-// are sometimes suppressed while gross ones almost always go out.
-func (k *Ken) chooseProbabilistic(c *kenClique, local []float64) (map[int]float64, error) {
-	mean := c.src.Mean()
-	obs := map[int]float64{}
+// are sometimes suppressed while gross ones almost always go out. Coins are
+// flipped in ascending attribute order.
+func (k *Ken) chooseProbabilistic(c *kenClique, truth []float64) ([]int, []float64, error) {
+	mean, local, eps := c.src.Mean(), c.src.Gather(truth), c.src.Eps()
+	var idx []int
+	var vals []float64
 	for i := range local {
-		ratio := math.Abs(mean[i]-local[i]) / c.eps[i]
+		ratio := math.Abs(mean[i]-local[i]) / eps[i]
 		if ratio <= 1 {
 			continue
 		}
 		p := 1 - math.Exp(-k.prob.Steepness*(ratio-1))
 		k.mProbFlips.Inc()
 		if k.rng.Float64() < p {
-			obs[i] = local[i]
+			idx = append(idx, i)
+			vals = append(vals, local[i])
 		} else {
 			// A bound violation survived the coin flip unreported — the
 			// stochastic relaxation §6 trades for extra savings.
 			k.mProbSuppress.Inc()
 		}
 	}
-	return obs, nil
+	return idx, vals, nil
+}
+
+// chooseExhaustive finds the smallest report (the first in index order among
+// equals) that restores ε-accuracy, by enumerating subsets in order of
+// increasing size against the model's from-scratch MeanGiven. Exponential in
+// the clique size; for small cliques and for validating the greedy search.
+func chooseExhaustive(src *protocol.Kernel, truth []float64) ([]int, []float64, error) {
+	m, local, eps := src.Model(), src.Gather(truth), src.Eps()
+	n := len(local)
+	if n > 20 {
+		return nil, nil, fmt.Errorf("core: exhaustive subset search infeasible for dim %d", n)
+	}
+	for size := 0; size <= n; size++ {
+		idx := make([]int, size)
+		vals := make([]float64, size)
+		for i := range idx {
+			idx[i] = i
+		}
+		for {
+			for j, i := range idx {
+				vals[j] = local[i]
+			}
+			mean, err := m.MeanGiven(idx, vals)
+			if err != nil {
+				return nil, nil, err
+			}
+			if model.WithinBounds(mean, local, eps) {
+				return idx, vals, nil
+			}
+			// Next combination in lexicographic order.
+			i := size - 1
+			for i >= 0 && idx[i] == n-size+i {
+				i--
+			}
+			if i < 0 {
+				break
+			}
+			idx[i]++
+			for j := i + 1; j < size; j++ {
+				idx[j] = idx[j-1] + 1
+			}
+		}
+	}
+	// Unreachable: the full set always satisfies the bounds.
+	return nil, nil, errors.New("core: no satisfying subset found")
 }

@@ -1,0 +1,292 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"math"
+	"math/bits"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"ken/internal/cliques"
+	"ken/internal/gauss"
+	"ken/internal/model"
+	"ken/internal/protocol"
+)
+
+// blockPartition covers 0..n-1 with consecutive cliques of at most k.
+func blockPartition(n, k int) *cliques.Partition {
+	p := &cliques.Partition{}
+	for lo := 0; lo < n; lo += k {
+		var members []int
+		for g := lo; g < n && g < lo+k; g++ {
+			members = append(members, g)
+		}
+		p.Cliques = append(p.Cliques, cliques.Clique{Members: members, Root: lo})
+	}
+	return p
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestLossyKenWithoutLossIsKen: LossyKen is Ken's loop with a delivery
+// policy, so with nothing lost and no heartbeats the two are one scheme —
+// the same report sets in the same order and bitwise the same estimates,
+// whichever report policy (greedy or exhaustive) the configuration names.
+func TestLossyKenWithoutLossIsKen(t *testing.T) {
+	gTrain, gTest, gEps := gardenData(t, 10, 100, 300)
+	lTrain, lTest, lEps := labData(t, 49, 100, 200)
+	for name, d := range map[string]struct {
+		part        *cliques.Partition
+		train, test [][]float64
+		eps         []float64
+		exhaustive  bool
+	}{
+		"garden pairs":          {pairPartition(10), gTrain, gTest, gEps, false},
+		"lab k=8":               {blockPartition(49, 8), lTrain, lTest, lEps, false},
+		"garden k=4 exhaustive": {blockPartition(10, 4), gTrain, gTest, gEps, true},
+	} {
+		cfg := KenConfig{Partition: d.part, Train: d.train, Eps: d.eps, FitCfg: model.FitConfig{Period: 24}, Exhaustive: d.exhaustive}
+		ken, err := NewKen(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lossy, err := NewLossyKen(cfg, LossyConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reported := 0
+		for step, row := range d.test {
+			ke, ks, err := ken.Step(row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			le, ls, err := lossy.Step(row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ks, ls) {
+				t.Fatalf("%s step %d: Ken stats %+v, lossless LossyKen %+v", name, step, ks, ls)
+			}
+			if !sameBits(ke, le) {
+				t.Fatalf("%s step %d: estimates differ in bits", name, step)
+			}
+			reported += ks.ValuesReported
+		}
+		if reported == 0 {
+			t.Fatalf("%s: nothing reported — the comparison never saw a report", name)
+		}
+	}
+}
+
+// TestRunReportedAttrsAreDeterministic: two runs of one configuration list
+// the reported attributes in the same order — clique by clique, ascending
+// within a clique — where map iteration used to shuffle them.
+func TestRunReportedAttrsAreDeterministic(t *testing.T) {
+	train, test, eps := labData(t, 49, 100, 300)
+	run := func() *Result {
+		s, err := NewKen(KenConfig{Partition: blockPartition(49, 8), Train: train, Eps: eps, FitCfg: model.FitConfig{Period: 24}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(context.Background(), s, test, RunOptions{Eps: eps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a, b := run(), run()
+	if !reflect.DeepEqual(a.ReportedAttrs, b.ReportedAttrs) {
+		t.Fatal("two identical runs listed their reported attributes in different orders")
+	}
+	multi := 0
+	for step, attrs := range a.ReportedAttrs {
+		for j := 1; j < len(attrs); j++ {
+			if attrs[j] <= attrs[j-1] {
+				t.Fatalf("step %d: reported %v, want ascending (consecutive cliques)", step, attrs)
+			}
+			multi++
+		}
+	}
+	if multi == 0 {
+		t.Fatal("no step reported two values — ordering was never exercised")
+	}
+}
+
+// TestStepRejectsNonFiniteReadingBeforeMoving: a NaN or Inf reading is a
+// typed error from Ken and LossyKen — on ordinary and heartbeat epochs —
+// and the scheme carries on exactly as if the bad epoch had never been
+// offered: nothing stepped, no counter moved. A NaN compares false against
+// every bound, so it used to be suppressed silently (or, on a heartbeat,
+// to fail after the earlier cliques had committed).
+func TestStepRejectsNonFiniteReadingBeforeMoving(t *testing.T) {
+	train, test, eps := gardenData(t, 6, 100, 40)
+	cfg := KenConfig{Partition: pairPartition(6), Train: train, Eps: eps, FitCfg: model.FitConfig{Period: 24}}
+	build := map[string]func() Scheme{
+		"Ken": func() Scheme {
+			s, err := NewKen(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
+		"LossyKen": func() Scheme {
+			s, err := NewLossyKen(cfg, LossyConfig{LossRate: 0.3, HeartbeatEvery: 4, Seed: 9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
+	}
+	for name, mk := range build {
+		got, ref := mk(), mk()
+		for step, row := range test {
+			// Offer a poisoned copy of every epoch first — step 3, 7, … are
+			// LossyKen's heartbeats. The bad value sits in the last clique.
+			bad := append([]float64(nil), row...)
+			bad[5] = math.NaN()
+			if step%2 == 1 {
+				bad[5] = math.Inf(-1)
+			}
+			if _, _, err := got.Step(bad); !errors.Is(err, gauss.ErrNotFinite) {
+				t.Fatalf("%s step %d: err = %v, want gauss.ErrNotFinite", name, step, err)
+			}
+			ge, gs, err := got.Step(row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			re, rs, err := ref.Step(row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gs, rs) || !sameBits(ge, re) {
+				t.Fatalf("%s step %d: a rejected epoch changed what followed", name, step)
+			}
+		}
+		if l, ok := got.(*LossyKen); ok {
+			r := ref.(*LossyKen)
+			if l.Heartbeats != r.Heartbeats || l.LostMessages != r.LostMessages || l.Heartbeats == 0 {
+				t.Fatalf("counters moved on rejected epochs: %d/%d heartbeats, %d/%d lost",
+					l.Heartbeats, r.Heartbeats, l.LostMessages, r.LostMessages)
+			}
+		}
+	}
+}
+
+// TestChooseExhaustiveMatchesOrBeatsGreedy checks the subset enumeration
+// step by step on a 4-attribute clique: its report restores ε under the
+// model's from-scratch MeanGiven, is never larger than the greedy search's
+// (which must restore ε too), and is truly minimal — no smaller subset, tried
+// here by bitmask rather than by the enumeration's own combination stepping,
+// satisfies the bounds.
+func TestChooseExhaustiveMatchesOrBeatsGreedy(t *testing.T) {
+	const n = 4
+	train, _, eps := gardenData(t, n, 180, 1)
+	proto, err := protocol.Fit(train, eps, []int{0, 1, 2, 3}, func(cols [][]float64) (model.Model, error) {
+		return model.FitLinearGaussian(cols, model.FitConfig{Period: 24})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	restores := func(k *protocol.Kernel, truth []float64, idx []int, vals []float64) bool {
+		mean, err := k.Model().MeanGiven(idx, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return model.WithinBounds(mean, truth, eps)
+	}
+	rng := rand.New(rand.NewSource(5))
+	sizes := map[int]int{}
+	beat := 0
+	for trial := 0; trial < 60; trial++ {
+		proto.Predict()
+		truth := append([]float64(nil), proto.Mean()...)
+		for i := range truth {
+			truth[i] += rng.NormFloat64() * 0.6
+		}
+		// One kernel state, two searches on clones of it.
+		gk, ek := proto.Clone(), proto.Clone()
+		gIdx, gVals, err := gk.Choose(truth, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eIdx, eVals, err := chooseExhaustive(ek, truth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(eIdx) > len(gIdx) {
+			t.Fatalf("trial %d: exhaustive reports %v, greedy only %v", trial, eIdx, gIdx)
+		}
+		if !restores(proto, truth, gIdx, gVals) {
+			t.Fatalf("trial %d: greedy report %v does not restore ε", trial, gIdx)
+		}
+		if !restores(proto, truth, eIdx, eVals) {
+			t.Fatalf("trial %d: exhaustive report %v does not restore ε", trial, eIdx)
+		}
+		for j, i := range eIdx {
+			if (j > 0 && i <= eIdx[j-1]) || eVals[j] != truth[i] {
+				t.Fatalf("trial %d: exhaustive report %v %v is not a sorted pair of readings", trial, eIdx, eVals)
+			}
+		}
+		for mask := 0; mask < 1<<n; mask++ {
+			if bits.OnesCount(uint(mask)) >= len(eIdx) {
+				continue
+			}
+			var idx []int
+			var vals []float64
+			for i := 0; i < n; i++ {
+				if mask&(1<<i) != 0 {
+					idx, vals = append(idx, i), append(vals, truth[i])
+				}
+			}
+			if restores(proto, truth, idx, vals) {
+				t.Fatalf("trial %d: exhaustive reports %v but the smaller %v already restores ε", trial, eIdx, idx)
+			}
+		}
+		sizes[len(eIdx)]++
+		if len(eIdx) < len(gIdx) {
+			beat++
+		}
+		// Carry on from the greedy report so later trials start off-prior.
+		if err := proto.Commit(gIdx, gVals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sizes[1] == 0 || sizes[2] == 0 || sizes[3]+sizes[4] == 0 {
+		t.Fatalf("report sizes %v: the enumeration was not exercised at every size", sizes)
+	}
+	t.Logf("exhaustive report sizes %v; strictly smaller than greedy in %d trials", sizes, beat)
+}
+
+// TestExhaustiveRefusesLargeCliques: past 20 attributes the enumeration is
+// infeasible and says so instead of starting. Reaching the guard through
+// both schemes also shows LossyKen runs the wrapped Ken's report policy.
+func TestExhaustiveRefusesLargeCliques(t *testing.T) {
+	train, test, eps := labData(t, 49, 100, 1)
+	cfg := KenConfig{Partition: blockPartition(49, 25), Train: train, Eps: eps, FitCfg: model.FitConfig{Period: 24}, Exhaustive: true}
+	ken, err := NewKen(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lossy, err := NewLossyKen(cfg, LossyConfig{LossRate: 0.2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]Scheme{"Ken": ken, "LossyKen": lossy} {
+		if _, _, err := s.Step(test[0]); err == nil || !strings.Contains(err.Error(), "infeasible") {
+			t.Fatalf("%s: err = %v, want the exhaustive search to refuse a 25-clique", name, err)
+		}
+	}
+}

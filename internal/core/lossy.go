@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"ken/internal/cliques"
-	"ken/internal/model"
 	"ken/internal/obs"
 )
 
@@ -25,15 +24,26 @@ type LossyConfig struct {
 	Seed int64
 }
 
-// LossyKen runs the Ken protocol over an unreliable channel. The source
-// conditions its replica on everything it sends (it cannot know what was
-// lost); the sink conditions only on what arrives, so the replicas diverge
-// until the next heartbeat. Run's audit counts the resulting ε violations.
+// LossyKen runs the Ken protocol over an unreliable channel: Ken's epoch
+// loop with a delivery policy that drops report values by a seeded coin and
+// ships every reading, reliably, on heartbeat epochs. The source conditions
+// its replica on everything it sends (it cannot know what was lost); the
+// sink conditions only on what arrives, so the replicas diverge until the
+// next heartbeat. Run's audit counts the resulting ε violations.
+//
+// The report itself is chosen by the wrapped Ken's policy, so
+// KenConfig.Exhaustive applies here too. NewLossyKen refuses KenConfig.Prob:
+// the two relaxations are not combined.
 type LossyKen struct {
 	ken  *Ken
 	cfg  LossyConfig
 	rng  *rand.Rand
 	step int
+
+	// dIdx/dVals hold the delivered part of one clique's report between
+	// lose and the sink's commit.
+	dIdx  []int
+	dVals []float64
 
 	// Heartbeats counts heartbeat rounds issued.
 	Heartbeats int
@@ -59,9 +69,11 @@ func NewLossyKen(kcfg KenConfig, lcfg LossyConfig) (*LossyKen, error) {
 		return nil, err
 	}
 	return &LossyKen{
-		ken: k,
-		cfg: lcfg,
-		rng: rand.New(rand.NewSource(lcfg.Seed)),
+		ken:   k,
+		cfg:   lcfg,
+		rng:   rand.New(rand.NewSource(lcfg.Seed)),
+		dIdx:  make([]int, 0, k.part.MaxCliqueSize()),
+		dVals: make([]float64, 0, k.part.MaxCliqueSize()),
 	}, nil
 }
 
@@ -78,108 +90,54 @@ func (l *LossyKen) Partition() *cliques.Partition { return l.ken.Partition() }
 // epoch span to the wrapped scheme.
 func (l *LossyKen) BeginEpoch(sp *obs.Span) { l.ken.BeginEpoch(sp) }
 
-// Step implements Scheme.
+// Step implements Scheme: one epoch of Ken's loop over the lossy channel.
+// The report policy is the wrapped Ken's — greedy, or the exact enumeration
+// when KenConfig.Exhaustive is set.
 func (l *LossyKen) Step(truth []float64) ([]float64, StepStats, error) {
-	k := l.ken
-	if len(truth) != k.n {
-		return nil, StepStats{}, fmt.Errorf("core: truth dim %d, want %d", len(truth), k.n)
-	}
+	return l.ken.step(truth, l)
+}
+
+// beginEpoch advances the heartbeat schedule for an epoch whose readings
+// Ken's step has accepted and reports whether it is a heartbeat. Heartbeats
+// carry every clique value and are delivered reliably (acked end-to-end);
+// every other epoch's reports pass through lose.
+func (l *LossyKen) beginEpoch() (heartbeat bool) {
 	l.step++
-	heartbeat := l.cfg.HeartbeatEvery > 0 && l.step%l.cfg.HeartbeatEvery == 0
-	if heartbeat {
-		l.Heartbeats++
-		k.mHeartbeats.Inc()
-		k.emitResync(int64(l.step))
+	if l.cfg.HeartbeatEvery == 0 || l.step%l.cfg.HeartbeatEvery != 0 {
+		return false
 	}
+	l.Heartbeats++
+	l.ken.mHeartbeats.Inc()
+	l.ken.emitResync(int64(l.step))
+	return true
+}
 
-	est := make([]float64, k.n)
-	var st StepStats
-	for ci := range k.cliques {
-		c := &k.cliques[ci]
-		local := make([]float64, len(c.members))
-		for i, g := range c.members {
-			local[i] = truth[g]
-		}
-		c.src.Step()
-		c.sink.Step()
-
-		// Capture the sink replica's prediction before conditioning — under
-		// loss the replicas diverge, so this is the sink's (possibly stale)
-		// view the auditor compares against ground truth.
-		var pred []float64
-		if k.tracer != nil {
-			pred = append([]float64(nil), c.sink.Mean()...)
-		}
-
-		var rep map[int]float64
-		var err error
-		if heartbeat {
-			// Heartbeats carry every clique value and are delivered
-			// reliably (acked end-to-end).
-			rep = make(map[int]float64, len(local))
-			for i, v := range local {
-				rep[i] = v
-			}
-		} else {
-			rep, err = model.ChooseReportGreedy(c.src, local, c.eps)
-			if err != nil {
-				return nil, StepStats{}, err
-			}
-		}
-
-		// The source believes everything it sent.
-		if err := c.src.Condition(rep); err != nil {
-			return nil, StepStats{}, err
-		}
-		// The sink receives each value subject to loss (heartbeats exempt).
-		// Loss coins are flipped in sorted attribute order so a fixed seed
-		// reproduces the same loss pattern run after run.
-		delivered := rep
-		var lost []int
-		if !heartbeat && l.cfg.LossRate > 0 {
-			delivered = make(map[int]float64, len(rep))
-			for _, i := range sortedReportKeys(rep) {
-				if l.rng.Float64() < l.cfg.LossRate {
-					l.LostMessages++
-					k.mLostReports.Inc()
-					lost = append(lost, c.members[i])
-					continue
-				}
-				delivered[i] = rep[i]
-			}
-		}
-		if err := c.sink.Condition(delivered); err != nil {
-			return nil, StepStats{}, err
-		}
-
-		st.ValuesReported += len(rep)
-		for i := range rep {
-			st.Reported = append(st.Reported, c.members[i])
-		}
-		rs := k.observeClique(ci, c, rep, delivered, pred)
-		if len(lost) > 0 && k.tracer != nil {
-			ev := obs.Event{
-				Type: obs.EvDrop, Step: k.stepN, Clique: ci, Node: c.root,
-				Attrs: lost, Detail: "loss",
-			}
-			if rs.Active() {
-				rs.Child().Emit(ev)
-			} else {
-				k.tracer.Emit(ev)
-			}
-		}
-		st.IntraCost += c.intra
-		st.Bytes += obs.WireBytesPerValue * len(rep)
-		if k.top == nil {
-			st.SinkCost += float64(len(rep))
-		} else {
-			st.SinkCost += float64(len(rep)) * k.top.CommToBase(c.root)
-		}
-		mean := c.sink.Mean()
-		for i, g := range c.members {
-			est[g] = mean[i]
-		}
+// lose is the Bernoulli channel's effect on one clique's report: what of
+// (idx, vals) reaches the sink, and which global attributes were lost on the
+// way. Each reported value is dropped independently with LossRate; coins are
+// flipped in ascending attribute order so a fixed seed reproduces the same
+// loss pattern run after run, and none is flipped on a lossless channel.
+// The lost list feeds the trace's drop event and is only built for one.
+//
+//ken:hotpath filters into the wrapper's delivery buffers
+func (l *LossyKen) lose(c *kenClique, idx []int, vals []float64) ([]int, []float64, []int) {
+	if l.cfg.LossRate == 0 {
+		return idx, vals, nil
 	}
-	k.stepN++
-	return est, st, nil
+	dIdx, dVals := l.dIdx[:0], l.dVals[:0]
+	var lost []int
+	for j, i := range idx {
+		if l.rng.Float64() < l.cfg.LossRate {
+			l.LostMessages++
+			l.ken.mLostReports.Inc()
+			if l.ken.tracer != nil {
+				//lint:ignore hotalloc traced epochs hand the lost attributes to the drop event; the untraced path never reaches this
+				lost = append(lost, c.src.Members()[i])
+			}
+			continue
+		}
+		dIdx = append(dIdx, i)
+		dVals = append(dVals, vals[j])
+	}
+	return dIdx, dVals, lost
 }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"ken/internal/mat"
 )
@@ -131,28 +130,49 @@ func (g *Gaussian) Marginal(idx []int) (*Gaussian, error) {
 	}, nil
 }
 
+// checkObserved validates an observation set against dimension n: one
+// value per index, indices strictly increasing and in range, values finite.
+// Conditioning is irreversible, so every entry point runs it before any
+// state is touched.
+func checkObserved(idx []int, vals []float64, n int) error {
+	if len(vals) != len(idx) {
+		return fmt.Errorf("gauss: %d observed indices, %d values", len(idx), len(vals))
+	}
+	prev := -1
+	for k, i := range idx {
+		if i < 0 || i >= n {
+			return fmt.Errorf("gauss: condition index %d out of range %d", i, n)
+		}
+		if i <= prev {
+			return fmt.Errorf("gauss: observed indices not strictly increasing at %d", i)
+		}
+		prev = i
+		if v := vals[k]; math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: value %v for attribute %d", ErrNotFinite, v, i)
+		}
+	}
+	return nil
+}
+
 // Condition returns the conditional distribution of the remaining variables
-// given the observations obs (variable index → observed value). This is the
-// model update both Ken replicas apply when a subset of values is reported
-// (paper §3.2, source step 4 / sink step 2).
+// given that variable idx[k] is observed at vals[k] (idx strictly
+// increasing). This is the model update both Ken replicas apply when a
+// subset of values is reported (paper §3.2, source step 4 / sink step 2);
+// the in-place ObserveExact is the hot-path form, this from-scratch batch
+// form is the reference the hypothesis search falls back to.
 //
 // The returned keep slice lists, in order, the original indices of the
 // variables of the conditional distribution. If every variable is observed,
 // Condition returns (nil, nil, nil): the posterior is a point mass.
-func (g *Gaussian) Condition(obs map[int]float64) (cond *Gaussian, keep []int, err error) {
+func (g *Gaussian) Condition(idx []int, vals []float64) (cond *Gaussian, keep []int, err error) {
 	n := g.Dim()
-	if len(obs) == 0 {
+	if err := checkObserved(idx, vals, n); err != nil {
+		return nil, nil, err
+	}
+	if len(idx) == 0 {
 		return g.Clone(), identityIndex(n), nil
 	}
-	obsIdx := make([]int, 0, len(obs))
-	for i := range obs {
-		if i < 0 || i >= n {
-			return nil, nil, fmt.Errorf("gauss: condition index %d out of range %d", i, n)
-		}
-		obsIdx = append(obsIdx, i)
-	}
-	sort.Ints(obsIdx)
-	keep = complementIndex(n, obsIdx)
+	keep = complementIndex(n, idx)
 	if len(keep) == 0 {
 		return nil, nil, nil
 	}
@@ -161,17 +181,17 @@ func (g *Gaussian) Condition(obs map[int]float64) (cond *Gaussian, keep []int, e
 	// μ_a|b = μ_a + Σ_ab Σ_bb⁻¹ (x_b − μ_b)
 	// Σ_a|b = Σ_aa − Σ_ab Σ_bb⁻¹ Σ_ba
 	sigAA := g.cov.Submatrix(keep, keep)
-	sigAB := g.cov.Submatrix(keep, obsIdx)
-	sigBB := g.cov.Submatrix(obsIdx, obsIdx)
+	sigAB := g.cov.Submatrix(keep, idx)
+	sigBB := g.cov.Submatrix(idx, idx)
 
 	chBB, err := mat.NewCholesky(sigBB)
 	if err != nil {
 		return nil, nil, fmt.Errorf("gauss: observed block not PD: %w", err)
 	}
 	// delta = x_b − μ_b
-	delta := make([]float64, len(obsIdx))
-	for k, i := range obsIdx {
-		delta[k] = obs[i] - g.mean[i]
+	delta := make([]float64, len(idx))
+	for k, i := range idx {
+		delta[k] = vals[k] - g.mean[i]
 	}
 	w, err := chBB.SolveVec(delta) // Σ_bb⁻¹ δ
 	if err != nil {
@@ -204,22 +224,18 @@ func (g *Gaussian) Condition(obs map[int]float64) (cond *Gaussian, keep []int, e
 // positions take their observed values, unobserved positions take their
 // conditional expectations. This is the sink's post-report answer vector and
 // the quantity the source checks against ε.
-func (g *Gaussian) ConditionalMean(obs map[int]float64) ([]float64, error) {
-	n := g.Dim()
-	out := make([]float64, n)
-	cond, keep, err := g.Condition(obs)
+func (g *Gaussian) ConditionalMean(idx []int, vals []float64) ([]float64, error) {
+	cond, keep, err := g.Condition(idx, vals)
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		if v, ok := obs[i]; ok {
-			out[i] = v
-		}
+	out := make([]float64, g.Dim())
+	for k, i := range idx {
+		out[i] = vals[k]
 	}
 	if cond != nil {
-		cm := cond.Mean()
 		for k, i := range keep {
-			out[i] = cm[k]
+			out[i] = cond.mean[k]
 		}
 	}
 	return out, nil
@@ -242,16 +258,6 @@ func (g *Gaussian) Sample(rng *rand.Rand) ([]float64, error) {
 	return mat.AddVec(g.mean, lz), nil
 }
 
-// Entropy returns the differential entropy in nats.
-func (g *Gaussian) Entropy() (float64, error) {
-	ch, err := mat.NewCholesky(g.cov)
-	if err != nil {
-		return 0, err
-	}
-	n := float64(g.Dim())
-	return 0.5*ch.LogDet() + 0.5*n*(1+math.Log(2*math.Pi)), nil
-}
-
 func identityIndex(n int) []int {
 	out := make([]int, n)
 	for i := range out {
@@ -272,114 +278,4 @@ func complementIndex(n int, sortedIdx []int) []int {
 		out = append(out, i)
 	}
 	return out
-}
-
-// KL returns the Kullback–Leibler divergence D(g‖other) in nats:
-//
-//	½ [ tr(Σ₂⁻¹Σ₁) + (μ₂−μ₁)ᵀΣ₂⁻¹(μ₂−μ₁) − n + ln(|Σ₂|/|Σ₁|) ]
-//
-// A drift monitor can compare a refit model's state against the deployed
-// one to decide whether re-synchronising parameters is worth the traffic.
-func (g *Gaussian) KL(other *Gaussian) (float64, error) {
-	n := g.Dim()
-	if other.Dim() != n {
-		return 0, fmt.Errorf("gauss: KL dims %d vs %d", n, other.Dim())
-	}
-	ch1, err := mat.NewCholesky(g.cov)
-	if err != nil {
-		return 0, fmt.Errorf("gauss: first covariance not PD: %w", err)
-	}
-	ch2, err := mat.NewCholesky(other.cov)
-	if err != nil {
-		return 0, fmt.Errorf("gauss: second covariance not PD: %w", err)
-	}
-	// tr(Σ₂⁻¹Σ₁) via solves.
-	solved, err := ch2.Solve(g.cov)
-	if err != nil {
-		return 0, err
-	}
-	tr := 0.0
-	for i := 0; i < n; i++ {
-		tr += solved.At(i, i)
-	}
-	d := mat.SubVec(other.mean, g.mean)
-	w, err := ch2.SolveVec(d)
-	if err != nil {
-		return 0, err
-	}
-	quad := mat.Dot(d, w)
-	return 0.5 * (tr + quad - float64(n) + ch2.LogDet() - ch1.LogDet()), nil
-}
-
-// ConditionNoisy is Condition for imperfect observations: each reported
-// value is modelled as the true attribute plus independent zero-mean
-// Gaussian noise with the given variance (ADC quantisation, sensor noise).
-// Exact conditioning is the special case of zero noise variances. Unlike
-// Condition, observed attributes retain posterior uncertainty, so the
-// full-dimensional posterior over all n variables is returned.
-//
-// This is the measurement update of a Kalman filter: with H selecting the
-// observed block and R the diagonal noise covariance,
-//
-//	K = Σ Hᵀ (H Σ Hᵀ + R)⁻¹,  μ ← μ + K(z − Hμ),  Σ ← Σ − K H Σ.
-func (g *Gaussian) ConditionNoisy(obs map[int]float64, noiseVar map[int]float64) (*Gaussian, error) {
-	n := g.Dim()
-	if len(obs) == 0 {
-		return g.Clone(), nil
-	}
-	obsIdx := make([]int, 0, len(obs))
-	for i := range obs {
-		if i < 0 || i >= n {
-			return nil, fmt.Errorf("gauss: condition index %d out of range %d", i, n)
-		}
-		obsIdx = append(obsIdx, i)
-	}
-	sort.Ints(obsIdx)
-	for i, v := range noiseVar {
-		if _, ok := obs[i]; !ok {
-			return nil, fmt.Errorf("gauss: noise variance for unobserved attribute %d", i)
-		}
-		if v < 0 {
-			return nil, fmt.Errorf("gauss: negative noise variance %v for attribute %d", v, i)
-		}
-	}
-
-	all := identityIndex(n)
-	sigAll := g.cov.Submatrix(all, obsIdx) // Σ Hᵀ, n×m
-	sigBB := g.cov.Submatrix(obsIdx, obsIdx)
-	for k, i := range obsIdx {
-		sigBB.Add(k, k, noiseVar[i])
-	}
-	ch, err := mat.NewCholesky(sigBB)
-	if err != nil {
-		return nil, fmt.Errorf("gauss: innovation covariance not PD: %w", err)
-	}
-	delta := make([]float64, len(obsIdx))
-	for k, i := range obsIdx {
-		delta[k] = obs[i] - g.mean[i]
-	}
-	w, err := ch.SolveVec(delta)
-	if err != nil {
-		return nil, err
-	}
-	adj, err := sigAll.MulVec(w)
-	if err != nil {
-		return nil, err
-	}
-	mean := mat.AddVec(g.mean, adj)
-
-	solved, err := ch.Solve(sigAll.T()) // (HΣHᵀ+R)⁻¹ H Σ, m×n
-	if err != nil {
-		return nil, err
-	}
-	corr, err := sigAll.Mul(solved) // ΣHᵀ(HΣHᵀ+R)⁻¹HΣ, n×n
-	if err != nil {
-		return nil, err
-	}
-	cov, err := g.cov.SubMat(corr)
-	if err != nil {
-		return nil, err
-	}
-	cov.Symmetrize()
-	return New(mean, cov)
 }

@@ -1,8 +1,10 @@
 package gauss
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -111,7 +113,7 @@ func TestConditionBivariate(t *testing.T) {
 	// X1 | X2 = x ~ N(μ1 + ρ(x − μ2), 1 − ρ²).
 	rho := 0.8
 	g := corr2D(10, 20, rho)
-	cond, keep, err := g.Condition(map[int]float64{1: 22})
+	cond, keep, err := g.Condition([]int{1}, []float64{22})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +132,7 @@ func TestConditionBivariate(t *testing.T) {
 
 func TestConditionNoObservations(t *testing.T) {
 	g := corr2D(1, 2, 0.5)
-	cond, keep, err := g.Condition(nil)
+	cond, keep, err := g.Condition(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +146,7 @@ func TestConditionNoObservations(t *testing.T) {
 
 func TestConditionAllObserved(t *testing.T) {
 	g := corr2D(1, 2, 0.5)
-	cond, keep, err := g.Condition(map[int]float64{0: 1.5, 1: 2.5})
+	cond, keep, err := g.Condition([]int{0, 1}, []float64{1.5, 2.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,15 +157,24 @@ func TestConditionAllObserved(t *testing.T) {
 
 func TestConditionOutOfRange(t *testing.T) {
 	g := std2D()
-	if _, _, err := g.Condition(map[int]float64{7: 1}); err == nil {
+	if _, _, err := g.Condition([]int{7}, []float64{1}); err == nil {
 		t.Fatal("expected error for out-of-range observation index")
+	}
+	if _, _, err := g.Condition([]int{1, 0}, []float64{1, 2}); err == nil {
+		t.Fatal("expected error for unsorted observation indices")
+	}
+	if _, _, err := g.Condition([]int{0, 0}, []float64{1, 2}); err == nil {
+		t.Fatal("expected error for a duplicate observation index")
+	}
+	if _, _, err := g.Condition([]int{0}, []float64{math.NaN()}); !errors.Is(err, ErrNotFinite) {
+		t.Fatalf("NaN observation: err = %v, want ErrNotFinite", err)
 	}
 }
 
 func TestConditionIndependentUnchanged(t *testing.T) {
 	// With zero correlation, conditioning must not move the other variable.
 	g := corr2D(5, 6, 0)
-	cond, _, err := g.Condition(map[int]float64{1: 100})
+	cond, _, err := g.Condition([]int{1}, []float64{100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +189,7 @@ func TestConditionIndependentUnchanged(t *testing.T) {
 func TestConditionalMean(t *testing.T) {
 	rho := 0.5
 	g := corr2D(0, 0, rho)
-	cm, err := g.ConditionalMean(map[int]float64{0: 2})
+	cm, err := g.ConditionalMean([]int{0}, []float64{2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +203,7 @@ func TestConditionalMean(t *testing.T) {
 
 func TestConditionalMeanAllObserved(t *testing.T) {
 	g := std2D()
-	cm, err := g.ConditionalMean(map[int]float64{0: 7, 1: 8})
+	cm, err := g.ConditionalMean([]int{0, 1}, []float64{7, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,18 +241,6 @@ func TestSampleMoments(t *testing.T) {
 	}
 	if c := sumXY / N; math.Abs(c-0.7) > 0.05 {
 		t.Fatalf("sample cov = %v, want ~0.7", c)
-	}
-}
-
-func TestEntropy(t *testing.T) {
-	g := MustNew([]float64{0}, mat.Diag([]float64{1}))
-	h, err := g.Entropy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0.5 * math.Log(2*math.Pi*math.E)
-	if math.Abs(h-want) > 1e-12 {
-		t.Fatalf("Entropy = %v, want %v", h, want)
 	}
 }
 
@@ -350,12 +349,13 @@ func TestQuickConditioningShrinksVariance(t *testing.T) {
 		}
 		// Observe a random non-empty strict subset.
 		k := 1 + r.Intn(n-1)
-		perm := r.Perm(n)
-		obs := map[int]float64{}
-		for _, i := range perm[:k] {
-			obs[i] = r.NormFloat64() * 10
+		idx := r.Perm(n)[:k]
+		sort.Ints(idx)
+		vals := make([]float64, k)
+		for j := range vals {
+			vals[j] = r.NormFloat64() * 10
 		}
-		cond, keep, err := g.Condition(obs)
+		cond, keep, err := g.Condition(idx, vals)
 		if err != nil {
 			return false
 		}
@@ -396,7 +396,7 @@ func TestQuickMarginalConditionConsistency(t *testing.T) {
 		}
 		obsVal := r.NormFloat64() * 3
 		// Condition full joint on X_{n-1}, then look at variable 0.
-		condFull, keep, err := g.Condition(map[int]float64{n - 1: obsVal})
+		condFull, keep, err := g.Condition([]int{n - 1}, []float64{obsVal})
 		if err != nil {
 			return false
 		}
@@ -411,7 +411,7 @@ func TestQuickMarginalConditionConsistency(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		condMarg, _, err := marg.Condition(map[int]float64{1: obsVal})
+		condMarg, _, err := marg.Condition([]int{1}, []float64{obsVal})
 		if err != nil {
 			return false
 		}
@@ -445,112 +445,5 @@ func TestEstimateRecoversParameters(t *testing.T) {
 	}
 	if c := est.Cov(); math.Abs(c.At(0, 1)+0.6) > 0.08 {
 		t.Fatalf("estimated corr = %v", c.At(0, 1))
-	}
-}
-
-func TestKLProperties(t *testing.T) {
-	g1 := corr2D(0, 0, 0.5)
-	g2 := corr2D(1, -1, 0.2)
-	// Self-divergence is zero.
-	if d, err := g1.KL(g1); err != nil || math.Abs(d) > 1e-10 {
-		t.Fatalf("KL(g,g) = %v, %v", d, err)
-	}
-	// Non-negative and asymmetric in general.
-	d12, err := g1.KL(g2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d21, err := g2.KL(g1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d12 <= 0 || d21 <= 0 {
-		t.Fatalf("KL must be positive for distinct Gaussians: %v, %v", d12, d21)
-	}
-	// Closed-form check for 1-D: D(N(0,1)‖N(m,1)) = m²/2.
-	a := MustNew([]float64{0}, mat.Diag([]float64{1}))
-	b := MustNew([]float64{2}, mat.Diag([]float64{1}))
-	d, err := a.KL(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d-2) > 1e-10 {
-		t.Fatalf("KL = %v, want 2", d)
-	}
-	// Dimension mismatch.
-	if _, err := a.KL(g1); err == nil {
-		t.Fatal("expected dim error")
-	}
-}
-
-func TestConditionNoisyZeroNoiseMatchesExact(t *testing.T) {
-	g := corr2D(10, 20, 0.8)
-	noisy, err := g.ConditionNoisy(map[int]float64{1: 22}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, keep, err := g.Condition(map[int]float64{1: 22})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if keep[0] != 0 {
-		t.Fatal("unexpected keep")
-	}
-	if math.Abs(noisy.Mean()[0]-exact.Mean()[0]) > 1e-9 {
-		t.Fatalf("noiseless update mean %v vs exact %v", noisy.Mean()[0], exact.Mean()[0])
-	}
-	if math.Abs(noisy.Var(0)-exact.Var(0)) > 1e-9 {
-		t.Fatalf("noiseless update var %v vs exact %v", noisy.Var(0), exact.Var(0))
-	}
-	// The observed attribute collapses to the observation.
-	if math.Abs(noisy.Mean()[1]-22) > 1e-9 || noisy.Var(1) > 1e-9 {
-		t.Fatalf("observed attribute not collapsed: mean %v var %v", noisy.Mean()[1], noisy.Var(1))
-	}
-}
-
-func TestConditionNoisyLargeNoiseBarelyMoves(t *testing.T) {
-	g := corr2D(10, 20, 0.8)
-	noisy, err := g.ConditionNoisy(map[int]float64{1: 30}, map[int]float64{1: 1e6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(noisy.Mean()[1]-20) > 0.01 {
-		t.Fatalf("huge-noise observation moved the mean to %v", noisy.Mean()[1])
-	}
-	if noisy.Var(1) < 0.99 {
-		t.Fatalf("huge-noise observation removed variance: %v", noisy.Var(1))
-	}
-}
-
-func TestConditionNoisyInterpolates(t *testing.T) {
-	// Standard 1-D Kalman: prior N(0,1), observation 2 with R=1 → posterior
-	// mean 1, variance 0.5.
-	g := MustNew([]float64{0}, mat.Diag([]float64{1}))
-	post, err := g.ConditionNoisy(map[int]float64{0: 2}, map[int]float64{0: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(post.Mean()[0]-1) > 1e-10 {
-		t.Fatalf("posterior mean %v, want 1", post.Mean()[0])
-	}
-	if math.Abs(post.Var(0)-0.5) > 1e-10 {
-		t.Fatalf("posterior var %v, want 0.5", post.Var(0))
-	}
-}
-
-func TestConditionNoisyValidation(t *testing.T) {
-	g := std2D()
-	if _, err := g.ConditionNoisy(map[int]float64{9: 1}, nil); err == nil {
-		t.Fatal("expected error for out-of-range index")
-	}
-	if _, err := g.ConditionNoisy(map[int]float64{0: 1}, map[int]float64{1: 1}); err == nil {
-		t.Fatal("expected error for noise on unobserved attribute")
-	}
-	if _, err := g.ConditionNoisy(map[int]float64{0: 1}, map[int]float64{0: -1}); err == nil {
-		t.Fatal("expected error for negative noise variance")
-	}
-	same, err := g.ConditionNoisy(nil, nil)
-	if err != nil || !same.Cov().Equal(g.Cov(), 0) {
-		t.Fatal("empty observation should clone")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -273,7 +274,8 @@ func TestQuickCondEvaluatorMatchesConditionalMean(t *testing.T) {
 		if err := g.CondReset(ws); err != nil {
 			return false
 		}
-		obs := map[int]float64{}
+		var idx []int
+		var vals []float64
 		order := r.Perm(n)[:1+r.Intn(n-1)]
 		dst := make([]float64, n)
 		covBefore := g.Cov()
@@ -282,11 +284,14 @@ func TestQuickCondEvaluatorMatchesConditionalMean(t *testing.T) {
 			if err := g.CondAdd(i, v, ws); err != nil {
 				return false
 			}
-			obs[i] = v
+			// Keep the reference's observed set in index order.
+			at := sort.SearchInts(idx, i)
+			idx = append(idx[:at], append([]int{i}, idx[at:]...)...)
+			vals = append(vals[:at], append([]float64{v}, vals[at:]...)...)
 			if err := g.CondMeanInto(dst, ws); err != nil {
 				return false
 			}
-			want, err := g.ConditionalMean(obs)
+			want, err := g.ConditionalMean(idx, vals)
 			if err != nil {
 				return false
 			}

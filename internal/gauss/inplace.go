@@ -146,25 +146,10 @@ func (g *Gaussian) ObserveExact(idx []int, vals []float64, ws *Workspace) error 
 	if ws.n != n {
 		return fmt.Errorf("gauss: workspace dim %d, distribution dim %d", ws.n, n)
 	}
+	if err := checkObserved(idx, vals, n); err != nil {
+		return err
+	}
 	m := len(idx)
-	if len(vals) != m {
-		return fmt.Errorf("gauss: ObserveExact has %d indices, %d values", m, len(vals))
-	}
-	prev := -1
-	for _, i := range idx {
-		if i < 0 || i >= n {
-			return fmt.Errorf("gauss: condition index %d out of range %d", i, n)
-		}
-		if i <= prev {
-			return fmt.Errorf("gauss: ObserveExact indices not strictly increasing at %d", i)
-		}
-		prev = i
-	}
-	for k, v := range vals {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w: value %v for attribute %d", ErrNotFinite, v, idx[k])
-		}
-	}
 	if m == 0 {
 		return nil
 	}

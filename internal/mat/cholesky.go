@@ -227,11 +227,6 @@ func (c *Cholesky) backSolve(b []float64) {
 	}
 }
 
-// Inverse returns A⁻¹ as a new matrix.
-func (c *Cholesky) Inverse() (*Dense, error) {
-	return c.Solve(Identity(c.n))
-}
-
 // LogDet returns log|A| = 2·Σ log L_ii.
 func (c *Cholesky) LogDet() float64 {
 	s := 0.0

@@ -106,14 +106,3 @@ func Select(a []float64, idx []int) []float64 {
 	}
 	return out
 }
-
-// Outer returns the outer product a·bᵀ.
-func Outer(a, b []float64) *Dense {
-	out := NewDense(len(a), len(b))
-	for i, ai := range a {
-		for j, bj := range b {
-			out.data[i*out.cols+j] = ai * bj
-		}
-	}
-	return out
-}

@@ -16,6 +16,7 @@ import (
 	"math/rand"
 
 	"ken/internal/model"
+	"ken/internal/protocol"
 )
 
 // Config controls the Monte Carlo estimate.
@@ -79,26 +80,27 @@ func simulate(m model.Sampler, eps []float64, horizon int, rng *rand.Rand) (int,
 	if !ok {
 		return 0, ErrNoSampler
 	}
+	replica, err := protocol.New(belief, nil, eps)
+	if err != nil {
+		return 0, err
+	}
 	truth, err := belief.SampleState(rng)
 	if err != nil {
 		return 0, err
 	}
 	sent := 0
 	for t := 0; t < horizon; t++ {
-		// Draw tomorrow's truth from today's, then advance the belief.
+		// Draw tomorrow's truth from today's, then advance the belief
+		// through one protocol epoch against it.
 		next, err := belief.SampleNext(truth, rng)
 		if err != nil {
 			return 0, err
 		}
-		belief.Step()
-		obs, err := model.ChooseReportGreedy(belief, next, eps)
+		reported, err := replica.Advance(next)
 		if err != nil {
 			return 0, err
 		}
-		if err := belief.Condition(obs); err != nil {
-			return 0, err
-		}
-		sent += len(obs)
+		sent += reported
 		truth = next
 	}
 	return sent, nil

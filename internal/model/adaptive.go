@@ -111,12 +111,11 @@ func (a *Adaptive) refit() {
 	}
 	refitted.clock = clock
 	// Carry the belief state over: same mean, fresh-fit residual frame.
-	cur := a.inner.Mean()
-	obs := make(map[int]float64, len(cur))
-	for i, v := range cur {
-		obs[i] = v
+	all := make([]int, refitted.n)
+	for i := range all {
+		all[i] = i
 	}
-	if err := refitted.Condition(obs); err != nil {
+	if err := refitted.Condition(all, a.inner.Mean()); err != nil {
 		return
 	}
 	a.inner = refitted
@@ -125,14 +124,17 @@ func (a *Adaptive) refit() {
 // Mean implements Model.
 func (a *Adaptive) Mean() []float64 { return a.inner.Mean() }
 
+// MeanInto implements MeanWriter.
+func (a *Adaptive) MeanInto(dst []float64) error { return a.inner.MeanInto(dst) }
+
 // MeanGiven implements Model.
-func (a *Adaptive) MeanGiven(obs map[int]float64) ([]float64, error) {
-	return a.inner.MeanGiven(obs)
+func (a *Adaptive) MeanGiven(idx []int, vals []float64) ([]float64, error) {
+	return a.inner.MeanGiven(idx, vals)
 }
 
 // Condition implements Model.
-func (a *Adaptive) Condition(obs map[int]float64) error {
-	return a.inner.Condition(obs)
+func (a *Adaptive) Condition(idx []int, vals []float64) error {
+	return a.inner.Condition(idx, vals)
 }
 
 // Clone implements Model.

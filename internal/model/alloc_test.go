@@ -18,7 +18,7 @@ func TestAllocBudgetLinearGaussian(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := make([]float64, lg.Dim())
-	obs := map[int]float64{0: 20.25}
+	idx, vals := []int{0}, []float64{20.25}
 
 	budget := func(name string, want float64, f func()) {
 		t.Helper()
@@ -36,7 +36,7 @@ func TestAllocBudgetLinearGaussian(t *testing.T) {
 	// first — exactly the per-epoch predict/condition cycle of §3.
 	budget("Step+Condition", 0, func() {
 		lg.Step()
-		if err := lg.Condition(obs); err != nil {
+		if err := lg.Condition(idx, vals); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -77,27 +77,30 @@ func (c *Constant) Mean() []float64 {
 	return out
 }
 
+// MeanInto implements MeanWriter.
+func (c *Constant) MeanInto(dst []float64) error { return copyMean(dst, c.mean) }
+
 // MeanGiven implements Model: observed attributes take their observed
 // values; the constant model carries no cross-attribute correlation, so
 // other predictions are unchanged.
-func (c *Constant) MeanGiven(obs map[int]float64) ([]float64, error) {
-	if err := checkObs(obs, c.Dim()); err != nil {
+func (c *Constant) MeanGiven(idx []int, vals []float64) ([]float64, error) {
+	if err := checkObs(idx, vals, c.Dim()); err != nil {
 		return nil, err
 	}
 	out := c.Mean()
-	for i, v := range obs {
-		out[i] = v
+	for k, i := range idx {
+		out[i] = vals[k]
 	}
 	return out, nil
 }
 
 // Condition implements Model.
-func (c *Constant) Condition(obs map[int]float64) error {
-	if err := checkObs(obs, c.Dim()); err != nil {
+func (c *Constant) Condition(idx []int, vals []float64) error {
+	if err := checkObs(idx, vals, c.Dim()); err != nil {
 		return err
 	}
-	for i, v := range obs {
-		c.mean[i] = v
+	for k, i := range idx {
+		c.mean[i] = vals[k]
 	}
 	return nil
 }

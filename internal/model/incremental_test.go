@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"ken/internal/trace"
@@ -26,58 +27,6 @@ func gardenCols(t *testing.T, steps, n int) [][]float64 {
 	return out
 }
 
-// hideIC wraps a model so only the plain Model interface is visible,
-// forcing ChooseReportGreedy onto the from-scratch MeanGiven path.
-type hideIC struct{ Model }
-
-// The greedy search through the cached incremental evaluator must choose
-// the same report sets as the from-scratch reference path on real replayed
-// data — the selection rule is identical and the evaluation paths agree to
-// ~1e-12, far below any realistic violation-ratio tie.
-func TestChooseReportGreedyIncrementalMatchesScratch(t *testing.T) {
-	const n = 6
-	data := gardenCols(t, 160, n)
-	lg, err := FitLinearGaussian(data[:100], FitConfig{Period: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eps := make([]float64, n)
-	for i := range eps {
-		eps[i] = 0.35
-	}
-	reports, nonEmpty := 0, 0
-	for step := 100; step < 160; step++ {
-		lg.Step()
-		truth := data[step]
-		fast, err := ChooseReportGreedy(lg, truth, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		slow, err := ChooseReportGreedy(hideIC{lg}, truth, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(fast) != len(slow) {
-			t.Fatalf("step %d: incremental chose %v, scratch chose %v", step, fast, slow)
-		}
-		for i, v := range fast {
-			if sv, ok := slow[i]; !ok || sv != v {
-				t.Fatalf("step %d: incremental chose %v, scratch chose %v", step, fast, slow)
-			}
-		}
-		if err := lg.Condition(fast); err != nil {
-			t.Fatal(err)
-		}
-		reports++
-		if len(fast) > 0 {
-			nonEmpty++
-		}
-	}
-	if nonEmpty == 0 {
-		t.Fatalf("no report across %d epochs — the search was never exercised; tighten eps", reports)
-	}
-}
-
 // The model-level evaluator must match MeanGiven for the same growing
 // observed set without mutating the model.
 func TestLinearGaussianCondEvaluatorMatchesMeanGiven(t *testing.T) {
@@ -92,7 +41,8 @@ func TestLinearGaussianCondEvaluatorMatchesMeanGiven(t *testing.T) {
 	if err := lg.CondReset(); err != nil {
 		t.Fatal(err)
 	}
-	obs := map[int]float64{}
+	var idx []int
+	var vals []float64
 	dst := make([]float64, n)
 	rng := rand.New(rand.NewSource(9))
 	for _, i := range []int{3, 0, 4} {
@@ -100,11 +50,14 @@ func TestLinearGaussianCondEvaluatorMatchesMeanGiven(t *testing.T) {
 		if err := lg.CondAdd(i, v); err != nil {
 			t.Fatal(err)
 		}
-		obs[i] = v
+		// The reference takes its observed set in index order.
+		at := sort.SearchInts(idx, i)
+		idx = append(idx[:at], append([]int{i}, idx[at:]...)...)
+		vals = append(vals[:at], append([]float64{v}, vals[at:]...)...)
 		if err := lg.CondMeanInto(dst); err != nil {
 			t.Fatal(err)
 		}
-		want, err := lg.MeanGiven(obs)
+		want, err := lg.MeanGiven(idx, vals)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,8 +77,8 @@ func TestLinearGaussianCondEvaluatorMatchesMeanGiven(t *testing.T) {
 
 // Generation must tick on Step and Condition (state mutations) and stay
 // put across read-only evaluations; a mutation mid-evaluation makes the
-// evaluator refuse rather than answer stale, and the greedy search still
-// succeeds by re-seeding.
+// evaluator refuse rather than answer stale (the kernel's search then
+// re-seeds it: protocol.TestChooseRecoversFromStaleEvaluator).
 func TestLinearGaussianGenerationAndStaleness(t *testing.T) {
 	const n = 4
 	data := gardenCols(t, 120, n)
@@ -138,13 +91,13 @@ func TestLinearGaussianGenerationAndStaleness(t *testing.T) {
 	if lg.Generation() != g0+1 {
 		t.Fatalf("generation after Step = %d, want %d", lg.Generation(), g0+1)
 	}
-	if err := lg.Condition(map[int]float64{1: 20}); err != nil {
+	if err := lg.Condition([]int{1}, []float64{20}); err != nil {
 		t.Fatal(err)
 	}
 	if lg.Generation() != g0+2 {
 		t.Fatalf("generation after Condition = %d, want %d", lg.Generation(), g0+2)
 	}
-	if _, err := lg.MeanGiven(map[int]float64{0: 19}); err != nil {
+	if _, err := lg.MeanGiven([]int{0}, []float64{19}); err != nil {
 		t.Fatal(err)
 	}
 	if err := lg.CondReset(); err != nil {
@@ -161,11 +114,5 @@ func TestLinearGaussianGenerationAndStaleness(t *testing.T) {
 	dst := make([]float64, n)
 	if err := lg.CondMeanInto(dst); err == nil {
 		t.Fatal("CondMeanInto answered from a stale cache after Step")
-	}
-	// The public search path recovers transparently (CondReset re-seeds).
-	truth := data[102]
-	eps := []float64{0.01, 0.01, 0.01, 0.01}
-	if _, err := ChooseReportGreedy(lg, truth, eps); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -96,26 +96,29 @@ func (l *Linear) Mean() []float64 {
 	return out
 }
 
+// MeanInto implements MeanWriter.
+func (l *Linear) MeanInto(dst []float64) error { return copyMean(dst, l.mean) }
+
 // MeanGiven implements Model. Attributes are independent under this model,
 // so conditioning only pins the observed ones.
-func (l *Linear) MeanGiven(obs map[int]float64) ([]float64, error) {
-	if err := checkObs(obs, l.Dim()); err != nil {
+func (l *Linear) MeanGiven(idx []int, vals []float64) ([]float64, error) {
+	if err := checkObs(idx, vals, l.Dim()); err != nil {
 		return nil, err
 	}
 	out := l.Mean()
-	for i, v := range obs {
-		out[i] = v
+	for k, i := range idx {
+		out[i] = vals[k]
 	}
 	return out, nil
 }
 
 // Condition implements Model.
-func (l *Linear) Condition(obs map[int]float64) error {
-	if err := checkObs(obs, l.Dim()); err != nil {
+func (l *Linear) Condition(idx []int, vals []float64) error {
+	if err := checkObs(idx, vals, l.Dim()); err != nil {
 		return err
 	}
-	for i, v := range obs {
-		l.mean[i] = v
+	for k, i := range idx {
+		l.mean[i] = vals[k]
 	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"ken/internal/gauss"
 	"ken/internal/mat"
@@ -38,7 +37,6 @@ type LinearGaussian struct {
 	// shared between clones: replicas mutate their own scratch while
 	// updating, and sharing would break replica independence.
 	ws      *gauss.Workspace
-	idxBuf  []int
 	valsBuf []float64
 }
 
@@ -139,7 +137,6 @@ func FitLinearGaussian(data [][]float64, cfg FitConfig) (*LinearGaussian, error)
 		clock:   T - 1,
 		state:   state,
 		ws:      gauss.NewWorkspace(n),
-		idxBuf:  make([]int, 0, n),
 		valsBuf: make([]float64, 0, n),
 	}, nil
 }
@@ -288,30 +285,22 @@ func (lg *LinearGaussian) MeanInto(dst []float64) error {
 // seasonal shift does not affect it).
 func (lg *LinearGaussian) Cov() *mat.Dense { return lg.state.Cov() }
 
-// toResidual converts absolute observations to residual space.
-func (lg *LinearGaussian) toResidual(obs map[int]float64) (map[int]float64, error) {
-	if err := checkObs(obs, lg.n); err != nil {
+// MeanGiven implements Model using Gaussian conditioning without mutation:
+// the from-scratch reference the cached evaluator below is checked against.
+func (lg *LinearGaussian) MeanGiven(idx []int, vals []float64) ([]float64, error) {
+	if err := checkRange(idx, vals, lg.n); err != nil {
 		return nil, err
 	}
 	p := lg.phaseMean()
-	out := make(map[int]float64, len(obs))
-	for i, v := range obs {
-		out[i] = v - p[i]
+	res := make([]float64, len(vals))
+	for k, i := range idx {
+		res[k] = vals[k] - p[i]
 	}
-	return out, nil
-}
-
-// MeanGiven implements Model using Gaussian conditioning without mutation.
-func (lg *LinearGaussian) MeanGiven(obs map[int]float64) ([]float64, error) {
-	robs, err := lg.toResidual(obs)
+	cm, err := lg.state.ConditionalMean(idx, res)
 	if err != nil {
 		return nil, err
 	}
-	cm, err := lg.state.ConditionalMean(robs)
-	if err != nil {
-		return nil, err
-	}
-	return mat.AddVec(cm, lg.phaseMean()), nil
+	return mat.AddVec(cm, p), nil
 }
 
 // Generation returns the model's state mutation counter (bumped by Step
@@ -348,7 +337,7 @@ func (lg *LinearGaussian) CondAdd(i int, v float64) error {
 }
 
 // CondMeanInto implements IncrementalConditioner: the same answer as
-// MeanGiven on the equivalent map (to numerical tolerance), without
+// MeanGiven on the equivalent pair (to numerical tolerance), without
 // mutating the model and without refactorizing.
 //
 //ken:hotpath answers from the cached factorization
@@ -366,28 +355,22 @@ func (lg *LinearGaussian) CondMeanInto(dst []float64) error {
 // Condition implements Model: collapse the belief on the observed values.
 // Observed attributes become exact (zero variance) until the next Step
 // re-inflates uncertainty through Q. The update runs in place against the
-// instance scratch; results are bit-identical with the old
-// condition-then-re-embed sequence (see gauss.Gaussian.ObserveExact).
+// instance scratch (see gauss.Gaussian.ObserveExact).
 //
 //ken:hotpath conditioning reuses the instance scratch buffers
-func (lg *LinearGaussian) Condition(obs map[int]float64) error {
-	if len(obs) == 0 {
+func (lg *LinearGaussian) Condition(idx []int, vals []float64) error {
+	if len(idx) == 0 && len(vals) == 0 {
 		return nil
 	}
-	if err := checkObs(obs, lg.n); err != nil {
+	if err := checkRange(idx, vals, lg.n); err != nil {
 		return err
 	}
-	idx := lg.idxBuf[:0]
-	for i := range obs {
-		idx = append(idx, i)
-	}
-	sort.Ints(idx)
 	p := lg.phaseMean()
-	vals := lg.valsBuf[:0]
-	for _, i := range idx {
-		vals = append(vals, obs[i]-p[i])
+	res := lg.valsBuf[:len(vals)]
+	for k, i := range idx {
+		res[k] = vals[k] - p[i]
 	}
-	return lg.state.ObserveExact(idx, vals, lg.ws)
+	return lg.state.ObserveExact(idx, res, lg.ws)
 }
 
 // Clone implements Model. The learned parameters (A, Q, profile) are
@@ -398,7 +381,6 @@ func (lg *LinearGaussian) Clone() Model {
 	cp := *lg
 	cp.state = lg.state.Clone()
 	cp.ws = gauss.NewWorkspace(lg.n)
-	cp.idxBuf = make([]int, 0, lg.n)
 	cp.valsBuf = make([]float64, 0, lg.n)
 	return &cp
 }

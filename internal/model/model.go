@@ -22,11 +22,20 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"ken/internal/gauss"
 )
 
 // Model is a replicated dynamic probabilistic model over a fixed set of
 // attributes (clique-local indexing).
+//
+// Observations travel as a sorted pair: idx lists the observed attribute
+// indices, strictly increasing, and vals[k] is the value observed for
+// idx[k]. Every family accumulates over the pair in index order, so two
+// replicas handed the same report perform the same floating-point
+// operations in the same order and stay bitwise identical.
 type Model interface {
+	MeanWriter
 	// Dim returns the number of attributes the model covers.
 	Dim() int
 	// Step advances the model one time step through its transition.
@@ -34,18 +43,17 @@ type Model interface {
 	// Mean returns the current expected values — the sink's answer vector.
 	Mean() []float64
 	// MeanGiven returns the expected values after hypothetically observing
-	// obs (attribute index → value), without mutating the model.
-	MeanGiven(obs map[int]float64) ([]float64, error)
+	// (idx, vals), without mutating the model.
+	MeanGiven(idx []int, vals []float64) ([]float64, error)
 	// Condition permanently incorporates the observations.
-	Condition(obs map[int]float64) error
+	Condition(idx []int, vals []float64) error
 	// Clone returns an independent deep copy.
 	Clone() Model
 }
 
-// MeanWriter is implemented by models whose mean can be read without
-// allocating. MeanInto writes the same values Mean returns into dst
-// (which must have length Dim()); hot replay loops use it with a reused
-// buffer to keep suppressed epochs allocation-free.
+// MeanWriter is the allocation-free read of a model's mean: MeanInto writes
+// the values Mean returns into dst (which must have length Dim()). Every
+// Model provides it; hot loops use it with a reused buffer.
 type MeanWriter interface {
 	MeanInto(dst []float64) error
 }
@@ -61,9 +69,9 @@ type Sampler interface {
 }
 
 // IncrementalConditioner is implemented by models that can answer the
-// greedy report search's "what if I also reported x_i?" questions
-// incrementally: the hypothetical observed set grows by one attribute per
-// round, and the model keeps the conditioning factorization cached between
+// greedy report search's "what if I also reported x_i?" questions (see
+// internal/protocol) incrementally: the hypothetical observed set grows by
+// one attribute per round, and the model keeps the conditioning factorization cached between
 // rounds instead of refactorizing from scratch on every evaluation
 // (O(m²) per round instead of O(m³) plus allocations).
 //
@@ -82,7 +90,7 @@ type IncrementalConditioner interface {
 	// CondMeanInto writes the full-length conditional mean given the
 	// current hypothetical set into dst (length Dim()): observed positions
 	// take their hypothesised values, the rest their conditional
-	// expectations — the same answer as MeanGiven on the equivalent map,
+	// expectations — the same answer as MeanGiven on the equivalent pair,
 	// to numerical tolerance.
 	CondMeanInto(dst []float64) error
 }
@@ -91,222 +99,57 @@ type IncrementalConditioner interface {
 // dimensionality for the model.
 var ErrDim = errors.New("model: dimension mismatch")
 
-// checkObs validates observation indices against dim.
-func checkObs(obs map[int]float64, dim int) error {
-	for i, v := range obs {
+// checkRange validates the shape of an observation pair against dim: one
+// value per index, at most dim of them, every index in range. It is all LinearGaussian needs
+// before handing the pair to gauss, which checks order and finiteness itself
+// before it touches any state.
+func checkRange(idx []int, vals []float64, dim int) error {
+	if len(vals) != len(idx) || len(idx) > dim {
+		return fmt.Errorf("%w: %d observed indices, %d values, %d attributes", ErrDim, len(idx), len(vals), dim)
+	}
+	for _, i := range idx {
 		if i < 0 || i >= dim {
 			return fmt.Errorf("%w: observation index %d out of range %d", ErrDim, i, dim)
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("model: observation %d is not finite: %v", i, v)
 		}
 	}
 	return nil
 }
 
-// ChooseReportGreedy finds a small attribute subset whose values, when
-// reported, make every prediction ε-accurate (source step 4(a), §3.2).
-// It greedily adds the attribute with the largest normalised violation
-// |X̂_i − x_i|/ε_i until all predictions are within bounds. Reporting every
-// attribute always satisfies the bounds, so the loop terminates in at most
-// Dim() rounds. The returned map is empty when the unconditioned prediction
-// is already accurate.
-func ChooseReportGreedy(m Model, truth, eps []float64) (map[int]float64, error) {
-	n := m.Dim()
-	if len(truth) != n || len(eps) != n {
-		return nil, fmt.Errorf("%w: truth %d, eps %d, model %d", ErrDim, len(truth), len(eps), n)
+// checkObs validates an observation pair against dim: checkRange, plus
+// indices strictly increasing and values finite.
+func checkObs(idx []int, vals []float64, dim int) error {
+	if err := checkRange(idx, vals, dim); err != nil {
+		return err
 	}
-	// The first round of the search scans every attribute, so a
-	// non-positive ε is always a definitive error regardless of which
-	// evaluation path answers the rounds.
-	for i := range eps {
-		if eps[i] <= 0 {
-			return nil, fmt.Errorf("model: non-positive epsilon %v for attribute %d", eps[i], i)
+	prev := -1
+	for k, i := range idx {
+		if i <= prev {
+			return fmt.Errorf("model: observation indices not strictly increasing at %d", i)
+		}
+		prev = i
+		if v := vals[k]; math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: observation %d is %v", gauss.ErrNotFinite, i, v)
 		}
 	}
-	if ic, isIC := m.(IncrementalConditioner); isIC {
-		if obs, ok := chooseReportIncremental(ic, truth, eps); ok {
-			return obs, nil
-		}
-		// Evaluator declined (stale cache, degenerate pivot with no jitter
-		// ladder, …): the from-scratch search below is the reference path.
-	}
-	obs := map[int]float64{}
-	for len(obs) < n {
-		mean, err := m.MeanGiven(obs)
-		if err != nil {
-			return nil, err
-		}
-		worst, worstRatio := -1, 1.0
-		for i := 0; i < n; i++ {
-			if _, ok := obs[i]; ok {
-				continue
-			}
-			if r := math.Abs(mean[i]-truth[i]) / eps[i]; r > worstRatio {
-				worst, worstRatio = i, r
-			}
-		}
-		if worst < 0 {
-			return obs, nil
-		}
-		obs[worst] = truth[worst]
-	}
-	return obs, nil
+	return nil
 }
 
-// chooseReportIncremental runs the greedy search against a model's cached
-// incremental conditioning evaluator: identical selection rule (largest
-// normalised violation, strict improvement over ratio 1), but each round
-// grows the cached factorization by one attribute instead of
-// reconditioning from scratch. Returns ok=false when the evaluator cannot
-// answer — the caller then reruns on the reference MeanGiven path.
-func chooseReportIncremental(ic IncrementalConditioner, truth, eps []float64) (map[int]float64, bool) {
-	n := ic.Dim()
-	if err := ic.CondReset(); err != nil {
-		return nil, false
+// copyMean is the MeanInto of families whose state is the mean itself.
+func copyMean(dst, mean []float64) error {
+	if len(dst) != len(mean) {
+		return fmt.Errorf("%w: MeanInto dst %d, model %d", ErrDim, len(dst), len(mean))
 	}
-	mean := make([]float64, n)
-	obs := map[int]float64{}
-	for len(obs) < n {
-		if err := ic.CondMeanInto(mean); err != nil {
-			return nil, false
-		}
-		worst, worstRatio := -1, 1.0
-		for i := 0; i < n; i++ {
-			if _, ok := obs[i]; ok {
-				continue
-			}
-			if r := math.Abs(mean[i]-truth[i]) / eps[i]; r > worstRatio {
-				worst, worstRatio = i, r
-			}
-		}
-		if worst < 0 {
-			return obs, true
-		}
-		if err := ic.CondAdd(worst, truth[worst]); err != nil {
-			return nil, false
-		}
-		obs[worst] = truth[worst]
-	}
-	return obs, true
+	copy(dst, mean)
+	return nil
 }
 
-// ChooseReportGreedyPartial is ChooseReportGreedy under partial
-// observability: truth is known only for the attributes present in the
-// avail map (clique members whose readings reached the root — others may
-// be dead or their collection messages lost). Only available attributes
-// are checked against ε and eligible for reporting; unavailable ones are
-// left to the model.
-func ChooseReportGreedyPartial(m Model, avail map[int]float64, eps []float64) (map[int]float64, error) {
-	n := m.Dim()
-	if len(eps) != n {
-		return nil, fmt.Errorf("%w: eps %d, model %d", ErrDim, len(eps), n)
-	}
-	if err := checkObs(avail, n); err != nil {
-		return nil, err
-	}
-	obs := map[int]float64{}
-	for len(obs) < len(avail) {
-		mean, err := m.MeanGiven(obs)
-		if err != nil {
-			return nil, err
-		}
-		worst, worstRatio := -1, 1.0
-		for i, v := range avail {
-			if _, ok := obs[i]; ok {
-				continue
-			}
-			if eps[i] <= 0 {
-				return nil, fmt.Errorf("model: non-positive epsilon %v for attribute %d", eps[i], i)
-			}
-			if r := math.Abs(mean[i]-v) / eps[i]; r > worstRatio {
-				worst, worstRatio = i, r
-			}
-		}
-		if worst < 0 {
-			return obs, nil
-		}
-		obs[worst] = avail[worst]
-	}
-	return obs, nil
-}
-
-// ChooseReportExhaustive finds the smallest subset (breaking ties by the
-// first found in index order) whose reporting restores ε-accuracy, by
-// enumerating subsets in order of increasing size. Exponential in Dim();
-// intended for small cliques and for validating the greedy heuristic.
-func ChooseReportExhaustive(m Model, truth, eps []float64) (map[int]float64, error) {
-	n := m.Dim()
-	if len(truth) != n || len(eps) != n {
-		return nil, fmt.Errorf("%w: truth %d, eps %d, model %d", ErrDim, len(truth), len(eps), n)
-	}
-	if n > 20 {
-		return nil, fmt.Errorf("model: exhaustive subset search infeasible for dim %d", n)
-	}
-	for i := range eps {
-		if eps[i] <= 0 {
-			return nil, fmt.Errorf("model: non-positive epsilon %v for attribute %d", eps[i], i)
-		}
-	}
-	for size := 0; size <= n; size++ {
-		found, err := searchSubsets(m, truth, eps, size)
-		if err != nil {
-			return nil, err
-		}
-		if found != nil {
-			return found, nil
-		}
-	}
-	// Unreachable: the full set always satisfies the bounds.
-	return nil, errors.New("model: no satisfying subset found")
-}
-
-// searchSubsets tries every subset of exactly the given size.
-func searchSubsets(m Model, truth, eps []float64, size int) (map[int]float64, error) {
-	n := m.Dim()
-	idx := make([]int, size)
-	for i := range idx {
-		idx[i] = i
-	}
-	for {
-		obs := make(map[int]float64, size)
-		for _, i := range idx {
-			obs[i] = truth[i]
-		}
-		mean, err := m.MeanGiven(obs)
-		if err != nil {
-			return nil, err
-		}
-		if withinBounds(mean, truth, eps) {
-			return obs, nil
-		}
-		// Next combination in lexicographic order.
-		i := size - 1
-		for i >= 0 && idx[i] == n-size+i {
-			i--
-		}
-		if i < 0 {
-			return nil, nil
-		}
-		idx[i]++
-		for j := i + 1; j < size; j++ {
-			idx[j] = idx[j-1] + 1
-		}
-	}
-}
-
-// withinBounds reports whether every |mean_i − truth_i| ≤ eps_i.
-func withinBounds(mean, truth, eps []float64) bool {
+// WithinBounds reports whether every |mean_i − truth_i| ≤ eps_i — the
+// ε-accuracy check of Ken's output guarantee.
+func WithinBounds(mean, truth, eps []float64) bool {
 	for i := range mean {
 		if math.Abs(mean[i]-truth[i]) > eps[i] {
 			return false
 		}
 	}
 	return true
-}
-
-// WithinBounds exposes the ε-accuracy check for callers that audit Ken's
-// output guarantee.
-func WithinBounds(mean, truth, eps []float64) bool {
-	return withinBounds(mean, truth, eps)
 }

@@ -1,10 +1,12 @@
 package model
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
+	"ken/internal/gauss"
 	"ken/internal/trace"
 )
 
@@ -20,13 +22,13 @@ func TestConstantBasics(t *testing.T) {
 	if m := c.Mean(); m[0] != 1 || m[1] != 2 {
 		t.Fatalf("constant model moved: %v", m)
 	}
-	if err := c.Condition(map[int]float64{1: 7}); err != nil {
+	if err := c.Condition([]int{1}, []float64{7}); err != nil {
 		t.Fatal(err)
 	}
 	if m := c.Mean(); m[1] != 7 || m[0] != 1 {
 		t.Fatalf("condition wrong: %v", m)
 	}
-	mg, err := c.MeanGiven(map[int]float64{0: 9})
+	mg, err := c.MeanGiven([]int{0}, []float64{9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +49,24 @@ func TestConstantValidation(t *testing.T) {
 		t.Fatal("expected error for SD length mismatch")
 	}
 	c, _ := NewConstant([]float64{1}, []float64{1})
-	if err := c.Condition(map[int]float64{5: 1}); err == nil {
+	if err := c.Condition([]int{5}, []float64{1}); err == nil {
 		t.Fatal("expected error for out-of-range observation")
 	}
-	if err := c.Condition(map[int]float64{0: math.NaN()}); err == nil {
-		t.Fatal("expected error for NaN observation")
+	if err := c.Condition([]int{0}, []float64{math.NaN()}); !errors.Is(err, gauss.ErrNotFinite) {
+		t.Fatalf("NaN observation: err = %v, want gauss.ErrNotFinite", err)
+	}
+	two, _ := NewConstant([]float64{1, 2}, []float64{1, 1})
+	if err := two.Condition([]int{1, 0}, []float64{3, 4}); err == nil {
+		t.Fatal("expected error for unsorted observation indices")
+	}
+	if err := two.Condition([]int{1, 1}, []float64{3, 4}); err == nil {
+		t.Fatal("expected error for a duplicate observation index")
+	}
+	if err := two.Condition([]int{0, 1}, []float64{3}); err == nil {
+		t.Fatal("expected error for an index/value length mismatch")
+	}
+	if m := two.Mean(); m[0] != 1 || m[1] != 2 {
+		t.Fatalf("rejected observations mutated the model: %v", m)
 	}
 }
 
@@ -76,7 +91,7 @@ func TestFitConstant(t *testing.T) {
 func TestConstantClone(t *testing.T) {
 	c, _ := NewConstant([]float64{1}, []float64{0.5})
 	cl := c.Clone()
-	if err := cl.Condition(map[int]float64{0: 42}); err != nil {
+	if err := cl.Condition([]int{0}, []float64{42}); err != nil {
 		t.Fatal(err)
 	}
 	if c.Mean()[0] != 1 {
@@ -148,7 +163,7 @@ func TestLinearStepAndCondition(t *testing.T) {
 	if m := l.Mean(); m[0] != 6 {
 		t.Fatalf("step mean = %v, want 0.5*10+1 = 6", m)
 	}
-	if err := l.Condition(map[int]float64{0: 4}); err != nil {
+	if err := l.Condition([]int{0}, []float64{4}); err != nil {
 		t.Fatal(err)
 	}
 	l.Step()
@@ -207,6 +222,63 @@ func TestFitLinearGaussianValidation(t *testing.T) {
 	}
 }
 
+// TestLinearGaussianRejectsBadObservationsUnchanged: LinearGaussian checks
+// only the pair's shape itself and leaves order and finiteness to gauss, so
+// every malformed pair must still be refused — by MeanGiven and by Condition
+// — with the belief left bit for bit where it was.
+func TestLinearGaussianRejectsBadObservationsUnchanged(t *testing.T) {
+	data := garden2Cols(t, 120)
+	lg, err := FitLinearGaussian(data[:100], FitConfig{Period: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg.Step()
+	before := lg.Mean()
+	ref := lg.Clone() // never sees the rejects
+	for name, bad := range map[string]struct {
+		idx    []int
+		vals   []float64
+		target error
+	}{
+		"out of range":    {[]int{2}, []float64{1}, ErrDim},
+		"negative index":  {[]int{-1}, []float64{1}, ErrDim},
+		"length mismatch": {[]int{0, 1}, []float64{1}, ErrDim},
+		"over-long":       {[]int{0, 0, 0}, []float64{1, 1, 1}, ErrDim},
+		"unsorted":        {[]int{1, 0}, []float64{1, 2}, nil},
+		"duplicate":       {[]int{1, 1}, []float64{1, 2}, nil},
+		"NaN":             {[]int{1}, []float64{math.NaN()}, gauss.ErrNotFinite},
+		"Inf":             {[]int{0, 1}, []float64{1, math.Inf(1)}, gauss.ErrNotFinite},
+	} {
+		_, mgErr := lg.MeanGiven(bad.idx, bad.vals)
+		cErr := lg.Condition(bad.idx, bad.vals)
+		for _, err := range []error{mgErr, cErr} {
+			if err == nil || (bad.target != nil && !errors.Is(err, bad.target)) {
+				t.Fatalf("%s: err = %v, want %v", name, err, bad.target)
+			}
+		}
+		after := lg.Mean()
+		for i := range before {
+			if math.Float64bits(after[i]) != math.Float64bits(before[i]) {
+				t.Fatalf("%s: a rejected observation moved the mean", name)
+			}
+		}
+	}
+	// The covariance did not move either: one report and one step later the
+	// model still agrees with the clone in every bit.
+	for _, m := range []Model{lg, ref} {
+		if err := m.Condition([]int{1}, []float64{before[1] + 2}); err != nil {
+			t.Fatalf("valid observation after the rejects: %v", err)
+		}
+		m.Step()
+	}
+	got, want := lg.Mean(), ref.Mean()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("after the rejects the model left lock-step: %v vs %v", got, want)
+		}
+	}
+}
+
 func TestLinearGaussianReplicaLockstep(t *testing.T) {
 	// The replicated-model invariant: two clones stepped and conditioned
 	// identically give identical predictions forever.
@@ -221,14 +293,15 @@ func TestLinearGaussianReplicaLockstep(t *testing.T) {
 	for step := 0; step < 20; step++ {
 		src.Step()
 		sink.Step()
-		obs := map[int]float64{}
+		var idx []int
+		var vals []float64
 		if rng.Intn(2) == 0 {
-			obs[rng.Intn(2)] = 20 + rng.NormFloat64()
+			idx, vals = []int{rng.Intn(2)}, []float64{20 + rng.NormFloat64()}
 		}
-		if err := src.Condition(obs); err != nil {
+		if err := src.Condition(idx, vals); err != nil {
 			t.Fatal(err)
 		}
-		if err := sink.Condition(obs); err != nil {
+		if err := sink.Condition(idx, vals); err != nil {
 			t.Fatal(err)
 		}
 		a, b := src.Mean(), sink.Mean()
@@ -250,7 +323,7 @@ func TestLinearGaussianConditionExactAndCorrelated(t *testing.T) {
 	m.Step()
 	before := m.Mean()
 	obsVal := before[0] + 2 // report a value 2 degrees above prediction
-	if err := m.Condition(map[int]float64{0: obsVal}); err != nil {
+	if err := m.Condition([]int{0}, []float64{obsVal}); err != nil {
 		t.Fatal(err)
 	}
 	after := m.Mean()
@@ -353,120 +426,6 @@ func TestSeasonalProfileFallback(t *testing.T) {
 	}
 }
 
-func TestChooseReportGreedyEmptyWhenAccurate(t *testing.T) {
-	c, _ := NewConstant([]float64{1, 2}, []float64{0, 0})
-	obs, err := ChooseReportGreedy(c, []float64{1.1, 2.1}, []float64{0.5, 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(obs) != 0 {
-		t.Fatalf("report = %v, want empty", obs)
-	}
-}
-
-func TestChooseReportGreedyIndependent(t *testing.T) {
-	c, _ := NewConstant([]float64{0, 0, 0}, []float64{0, 0, 0})
-	truth := []float64{5, 0.1, -3}
-	eps := []float64{0.5, 0.5, 0.5}
-	obs, err := ChooseReportGreedy(c, truth, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Independent model: exactly the two violating attributes.
-	if len(obs) != 2 {
-		t.Fatalf("report = %v, want 2 attributes", obs)
-	}
-	if _, ok := obs[0]; !ok {
-		t.Fatal("attribute 0 should be reported")
-	}
-	if _, ok := obs[2]; !ok {
-		t.Fatal("attribute 2 should be reported")
-	}
-}
-
-func TestChooseReportUsesCorrelation(t *testing.T) {
-	// Strongly correlated pair where both predictions are off by the same
-	// shared shift: reporting one attribute should fix both (the paper's
-	// Figure 2 walk-through).
-	data := garden2Cols(t, 200)
-	lg, err := FitLinearGaussian(data[:180], FitConfig{Period: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := lg.Clone()
-	m.Step()
-	mean := m.Mean()
-	truth := []float64{mean[0] + 1.2, mean[1] + 1.2}
-	eps := []float64{0.5, 0.5}
-	obs, err := ChooseReportGreedy(m, truth, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(obs) != 1 {
-		t.Fatalf("report = %v, want a single attribute via spatial correlation", obs)
-	}
-	// And the guarantee holds after conditioning.
-	if err := m.Condition(obs); err != nil {
-		t.Fatal(err)
-	}
-	if !WithinBounds(m.Mean(), truth, eps) {
-		t.Fatal("post-report predictions violate ε")
-	}
-}
-
-func TestChooseReportExhaustiveMatchesOrBeatsGreedy(t *testing.T) {
-	data := garden2Cols(t, 200)
-	lg, err := FitLinearGaussian(data[:180], FitConfig{Period: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 20; trial++ {
-		m := lg.Clone()
-		m.Step()
-		mean := m.Mean()
-		truth := []float64{mean[0] + rng.NormFloat64()*1.5, mean[1] + rng.NormFloat64()*1.5}
-		eps := []float64{0.5, 0.5}
-		g, err := ChooseReportGreedy(m, truth, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := ChooseReportExhaustive(m, truth, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(e) > len(g) {
-			t.Fatalf("exhaustive (%d) worse than greedy (%d)", len(e), len(g))
-		}
-		// Both must satisfy the bound.
-		for _, obs := range []map[int]float64{g, e} {
-			mm, err := m.MeanGiven(obs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !WithinBounds(mm, truth, eps) {
-				t.Fatalf("report set %v does not restore accuracy", obs)
-			}
-		}
-	}
-}
-
-func TestChooseReportValidation(t *testing.T) {
-	c, _ := NewConstant([]float64{0}, []float64{0})
-	if _, err := ChooseReportGreedy(c, []float64{1, 2}, []float64{1}); err == nil {
-		t.Fatal("expected dim error")
-	}
-	if _, err := ChooseReportGreedy(c, []float64{9}, []float64{0}); err == nil {
-		t.Fatal("expected error for zero epsilon")
-	}
-	if _, err := ChooseReportExhaustive(c, []float64{9}, []float64{-1}); err == nil {
-		t.Fatal("expected error for negative epsilon")
-	}
-	if _, err := ChooseReportExhaustive(c, []float64{1, 2}, []float64{1}); err == nil {
-		t.Fatal("expected dim error")
-	}
-}
-
 func TestDiagonalAFit(t *testing.T) {
 	data := garden2Cols(t, 150)
 	lg, err := FitLinearGaussian(data[:120], FitConfig{Period: 24, DiagonalA: true})
@@ -480,114 +439,5 @@ func TestDiagonalAFit(t *testing.T) {
 	// Diagonal entries should be a plausible AR coefficient.
 	if a := lg.a.At(0, 0); a < 0 || a > 1.2 {
 		t.Fatalf("AR coefficient = %v", a)
-	}
-}
-
-func TestChooseReportGreedyPartial(t *testing.T) {
-	c, _ := NewConstant([]float64{0, 0, 0}, []float64{0, 0, 0})
-	eps := []float64{0.5, 0.5, 0.5}
-	// Attribute 0 violates but is unavailable; attribute 2 violates and is
-	// available: only 2 can be reported.
-	avail := map[int]float64{1: 0.1, 2: 5}
-	obs, err := ChooseReportGreedyPartial(c, avail, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(obs) != 1 {
-		t.Fatalf("obs = %v, want only attribute 2", obs)
-	}
-	if _, ok := obs[2]; !ok {
-		t.Fatalf("obs = %v, want attribute 2", obs)
-	}
-	// No available attributes: nothing to send.
-	obs, err = ChooseReportGreedyPartial(c, nil, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(obs) != 0 {
-		t.Fatalf("obs = %v, want empty", obs)
-	}
-	// Validation.
-	if _, err := ChooseReportGreedyPartial(c, map[int]float64{9: 1}, eps); err == nil {
-		t.Fatal("expected error for out-of-range availability")
-	}
-	if _, err := ChooseReportGreedyPartial(c, map[int]float64{0: 5}, []float64{0, 1, 1}); err == nil {
-		t.Fatal("expected error for zero epsilon")
-	}
-	if _, err := ChooseReportGreedyPartial(c, avail, []float64{1}); err == nil {
-		t.Fatal("expected error for eps dim mismatch")
-	}
-}
-
-func TestChooseReportGreedyPartialMatchesFullWhenAllAvailable(t *testing.T) {
-	data := garden2Cols(t, 200)
-	lg, err := FitLinearGaussian(data[:180], FitConfig{Period: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 10; trial++ {
-		m := lg.Clone()
-		m.Step()
-		mean := m.Mean()
-		truth := []float64{mean[0] + rng.NormFloat64(), mean[1] + rng.NormFloat64()}
-		eps := []float64{0.5, 0.5}
-		full, err := ChooseReportGreedy(m, truth, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		avail := map[int]float64{0: truth[0], 1: truth[1]}
-		part, err := ChooseReportGreedyPartial(m, avail, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(full) != len(part) {
-			t.Fatalf("partial (%v) and full (%v) disagree with all attrs available", part, full)
-		}
-	}
-}
-
-// TestLinearGaussianLongRunStability: a thousand predict/condition cycles
-// must not blow up numerically — means stay finite and physically
-// plausible, covariance diagonals stay non-negative.
-func TestLinearGaussianLongRunStability(t *testing.T) {
-	tr, err := trace.GenerateGarden(87, 1200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := tr.Rows(trace.Temperature)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cols := make([][]float64, len(rows))
-	for i, r := range rows {
-		cols[i] = r[:5]
-	}
-	lg, err := FitLinearGaussian(cols[:100], FitConfig{Period: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := lg.Clone().(*LinearGaussian)
-	eps := []float64{0.5, 0.5, 0.5, 0.5, 0.5}
-	for step, row := range cols[100:] {
-		m.Step()
-		obs, err := ChooseReportGreedy(m, row, eps)
-		if err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		if err := m.Condition(obs); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		for i, v := range m.Mean() {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < -50 || v > 80 {
-				t.Fatalf("step %d: mean[%d] = %v diverged", step, i, v)
-			}
-		}
-		cov := m.Cov()
-		for i := 0; i < 5; i++ {
-			if cov.At(i, i) < -1e-9 {
-				t.Fatalf("step %d: negative variance %v", step, cov.At(i, i))
-			}
-		}
 	}
 }

@@ -80,7 +80,6 @@ func (lg *LinearGaussian) UnmarshalJSON(data []byte) error {
 	lg.clock = w.Clock
 	lg.state = state
 	lg.ws = gauss.NewWorkspace(w.N)
-	lg.idxBuf = make([]int, 0, w.N)
 	lg.valsBuf = make([]float64, 0, w.N)
 	return nil
 }

@@ -14,7 +14,7 @@ func TestLinearGaussianJSONRoundTrip(t *testing.T) {
 	}
 	// Advance and condition so the state is non-trivial.
 	lg.Step()
-	if err := lg.Condition(map[int]float64{0: 17.5}); err != nil {
+	if err := lg.Condition([]int{0}, []float64{17.5}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -32,11 +32,11 @@ func TestLinearGaussianJSONRoundTrip(t *testing.T) {
 	for step := 0; step < 10; step++ {
 		a.Step()
 		b.Step()
-		obs := map[int]float64{step % 2: 16 + float64(step)*0.1}
-		if err := a.Condition(obs); err != nil {
+		idx, vals := []int{step % 2}, []float64{16 + float64(step)*0.1}
+		if err := a.Condition(idx, vals); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.Condition(obs); err != nil {
+		if err := b.Condition(idx, vals); err != nil {
 			t.Fatal(err)
 		}
 		ma, mb := a.Mean(), b.Mean()
@@ -86,11 +86,11 @@ func TestSwitchingJSONRoundTrip(t *testing.T) {
 	for step := 0; step < 15; step++ {
 		a.Step()
 		b.Step()
-		obs := map[int]float64{step % 2: 18 + float64(step%5)}
-		if err := a.Condition(obs); err != nil {
+		idx, vals := []int{step % 2}, []float64{18 + float64(step%5)}
+		if err := a.Condition(idx, vals); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.Condition(obs); err != nil {
+		if err := b.Condition(idx, vals); err != nil {
 			t.Fatal(err)
 		}
 		ma, mb := a.Mean(), b.Mean()

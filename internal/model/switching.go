@@ -274,15 +274,33 @@ func (s *Switching) Mean() []float64 {
 	return mat.AddVec(s.base.Mean(), s.expectedOffset())
 }
 
+// MeanInto implements MeanWriter: the base mean plus the expected regime
+// offset, accumulated per attribute in regime order exactly as Mean does.
+func (s *Switching) MeanInto(dst []float64) error {
+	if err := s.base.MeanInto(dst); err != nil {
+		return err
+	}
+	for i := range dst {
+		off := 0.0
+		for r, pr := range s.probs {
+			off += pr * s.offsets[r][i]
+		}
+		dst[i] += off
+	}
+	return nil
+}
+
 // posteriorGiven reweights the regime posterior by the likelihood of the
-// observations under each regime (diagonal approximation).
-func (s *Switching) posteriorGiven(obs map[int]float64) []float64 {
+// observations under each regime (diagonal approximation). The
+// log-likelihood sums run over the observation pair in index order, so
+// replicas conditioned on the same report agree to the last bit.
+func (s *Switching) posteriorGiven(idx []int, vals []float64) []float64 {
 	baseMean := s.base.Mean()
 	post := make([]float64, len(s.probs))
 	for r, pr := range s.probs {
 		ll := 0.0
-		for i, v := range obs {
-			d := (v - baseMean[i] - s.offsets[r][i]) / s.obsSD[i]
+		for k, i := range idx {
+			d := (vals[k] - baseMean[i] - s.offsets[r][i]) / s.obsSD[i]
 			ll -= 0.5 * d * d
 		}
 		post[r] = pr * math.Exp(ll)
@@ -293,24 +311,24 @@ func (s *Switching) posteriorGiven(obs map[int]float64) []float64 {
 
 // MeanGiven implements Model: a posterior-weighted mixture of per-regime
 // conditional means.
-func (s *Switching) MeanGiven(obs map[int]float64) ([]float64, error) {
-	if err := checkObs(obs, s.Dim()); err != nil {
+func (s *Switching) MeanGiven(idx []int, vals []float64) ([]float64, error) {
+	if err := checkObs(idx, vals, s.Dim()); err != nil {
 		return nil, err
 	}
-	if len(obs) == 0 {
+	if len(idx) == 0 {
 		return s.Mean(), nil
 	}
-	post := s.posteriorGiven(obs)
+	post := s.posteriorGiven(idx, vals)
 	out := make([]float64, s.Dim())
+	shifted := make([]float64, len(vals))
 	for r, pr := range post {
 		if pr == 0 {
 			continue
 		}
-		shifted := make(map[int]float64, len(obs))
-		for i, v := range obs {
-			shifted[i] = v - s.offsets[r][i]
+		for k, i := range idx {
+			shifted[k] = vals[k] - s.offsets[r][i]
 		}
-		cm, err := s.base.MeanGiven(shifted)
+		cm, err := s.base.MeanGiven(idx, shifted)
 		if err != nil {
 			return nil, err
 		}
@@ -319,8 +337,8 @@ func (s *Switching) MeanGiven(obs map[int]float64) ([]float64, error) {
 		}
 	}
 	// Observed attributes are exact regardless of the regime mixture.
-	for i, v := range obs {
-		out[i] = v
+	for k, i := range idx {
+		out[i] = vals[k]
 	}
 	return out, nil
 }
@@ -328,20 +346,20 @@ func (s *Switching) MeanGiven(obs map[int]float64) ([]float64, error) {
 // Condition implements Model: update the regime posterior from the
 // observations, then condition the base on the observations with the
 // expected offset removed (moment-matching collapse of the mixture).
-func (s *Switching) Condition(obs map[int]float64) error {
-	if err := checkObs(obs, s.Dim()); err != nil {
+func (s *Switching) Condition(idx []int, vals []float64) error {
+	if err := checkObs(idx, vals, s.Dim()); err != nil {
 		return err
 	}
-	if len(obs) == 0 {
+	if len(idx) == 0 {
 		return nil
 	}
-	s.probs = s.posteriorGiven(obs)
+	s.probs = s.posteriorGiven(idx, vals)
 	off := s.expectedOffset()
-	shifted := make(map[int]float64, len(obs))
-	for i, v := range obs {
-		shifted[i] = v - off[i]
+	shifted := make([]float64, len(vals))
+	for k, i := range idx {
+		shifted[k] = vals[k] - off[i]
 	}
-	return s.base.Condition(shifted)
+	return s.base.Condition(idx, shifted)
 }
 
 // Clone implements Model.

@@ -1,0 +1,444 @@
+package protocol
+
+import (
+	"errors"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"ken/internal/alloctest"
+	"ken/internal/gauss"
+	"ken/internal/model"
+	"ken/internal/trace"
+)
+
+// gardenCols extracts the first n temperature columns of the garden trace.
+func gardenCols(t *testing.T, steps, n int) [][]float64 {
+	t.Helper()
+	tr, err := trace.GenerateGarden(31, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := tr.Rows(trace.Temperature)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([][]float64, len(rows))
+	for i, r := range rows {
+		out[i] = append([]float64(nil), r[:n]...)
+	}
+	return out
+}
+
+func gardenModel(t *testing.T, data [][]float64, train int) *model.LinearGaussian {
+	t.Helper()
+	lg, err := model.FitLinearGaussian(data[:train], model.FitConfig{Period: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lg
+}
+
+func constantKernel(t *testing.T, initial, eps []float64) *Kernel {
+	t.Helper()
+	c, err := model.NewConstant(initial, make([]float64, len(initial)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := New(c, nil, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
+func uniform(n int, v float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}
+
+// hideIC wraps a model so only the plain Model interface is visible,
+// forcing the search onto the from-scratch MeanGiven path.
+type hideIC struct{ model.Model }
+
+func TestChooseEmptyWhenAccurate(t *testing.T) {
+	k := constantKernel(t, []float64{1, 2}, []float64{0.5, 0.5})
+	idx, vals, err := k.Choose([]float64{1.1, 2.1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(idx) != 0 || len(vals) != 0 {
+		t.Fatalf("report = %v %v, want empty", idx, vals)
+	}
+}
+
+func TestChooseIndependentReportsExactlyTheViolators(t *testing.T) {
+	k := constantKernel(t, []float64{0, 0, 0}, uniform(3, 0.5))
+	idx, vals, err := k.Choose([]float64{5, 0.1, -3}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The larger miss (attribute 0) is picked first; the pair still comes
+	// back sorted by index.
+	if !reflect.DeepEqual(idx, []int{0, 2}) || !reflect.DeepEqual(vals, []float64{5, -3}) {
+		t.Fatalf("report = %v %v, want [0 2] [5 -3]", idx, vals)
+	}
+	// The buffers are reused: a second search starts clean.
+	idx, _, err = k.Choose([]float64{0, 9, 0}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(idx, []int{1}) {
+		t.Fatalf("second report = %v, want [1]", idx)
+	}
+}
+
+func TestChooseUsesCorrelation(t *testing.T) {
+	// Strongly correlated pair where both predictions are off by the same
+	// shared shift: reporting one attribute should fix both (the paper's
+	// Figure 2 walk-through).
+	data := gardenCols(t, 200, 2)
+	eps := []float64{0.5, 0.5}
+	k, err := New(gardenModel(t, data, 180), nil, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.Predict()
+	mean := k.Mean()
+	truth := []float64{mean[0] + 1.2, mean[1] + 1.2}
+	idx, vals, err := k.Choose(truth, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(idx) != 1 {
+		t.Fatalf("report = %v, want a single attribute via spatial correlation", idx)
+	}
+	// And the guarantee holds after conditioning.
+	if err := k.Commit(idx, vals); err != nil {
+		t.Fatal(err)
+	}
+	if !model.WithinBounds(k.Mean(), truth, eps) {
+		t.Fatal("post-report predictions violate ε")
+	}
+}
+
+func TestChooseAmongCandidates(t *testing.T) {
+	k := constantKernel(t, []float64{0, 0, 0}, uniform(3, 0.5))
+	// Attribute 0 violates but its reading never reached the root;
+	// attribute 2 violates and did: only 2 can be reported.
+	idx, vals, err := k.Choose([]float64{7, 0.1, 5}, []int{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(idx, []int{2}) || vals[0] != 5 {
+		t.Fatalf("report = %v %v, want only attribute 2", idx, vals)
+	}
+	// No candidates: nothing to send, whatever the readings.
+	idx, _, err = k.Choose([]float64{7, 7, 7}, []int{})
+	if err != nil || len(idx) != 0 {
+		t.Fatalf("no candidates: report = %v, err = %v", idx, err)
+	}
+	for _, bad := range [][]int{{3}, {-1}, {2, 1}, {1, 1}} {
+		if _, _, err := k.Choose([]float64{0, 0, 0}, bad); err == nil {
+			t.Fatalf("candidates %v accepted", bad)
+		}
+	}
+	if _, _, err := k.Choose([]float64{0, 0}, nil); err == nil {
+		t.Fatal("short reading vector accepted")
+	}
+}
+
+// With every attribute a candidate, the partial search is the full search.
+func TestChooseAmongAllMatchesChoose(t *testing.T) {
+	data := gardenCols(t, 200, 2)
+	k, err := New(gardenModel(t, data, 180), nil, []float64{0.5, 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 10; trial++ {
+		k.Predict()
+		mean := k.Mean()
+		truth := []float64{mean[0] + rng.NormFloat64(), mean[1] + rng.NormFloat64()}
+		idx, _, err := k.Choose(truth, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := append([]int(nil), idx...)
+		part, _, err := k.Choose(truth, []int{0, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(full, append([]int(nil), part...)) {
+			t.Fatalf("candidates [0 1] chose %v, nil chose %v", part, full)
+		}
+	}
+}
+
+// The greedy search through the cached incremental evaluator must choose
+// the same report sets as the from-scratch reference path on real replayed
+// data — the selection rule is identical and the evaluation paths agree to
+// ~1e-12, far below any realistic violation-ratio tie.
+func TestChooseIncrementalMatchesScratch(t *testing.T) {
+	const n = 6
+	data := gardenCols(t, 160, n)
+	lg := gardenModel(t, data, 100)
+	eps := uniform(n, 0.35)
+	fast, err := New(lg, nil, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The search is read-only, so the reference can run on the same model.
+	slow, err := New(hideIC{lg}, nil, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonEmpty, multi := 0, 0
+	for step := 100; step < 160; step++ {
+		fast.Predict()
+		fi, fv, err := fast.Choose(data[step], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		si, sv, err := slow.Choose(data[step], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fi, si) || !reflect.DeepEqual(fv, sv) {
+			t.Fatalf("step %d: incremental chose %v %v, scratch chose %v %v", step, fi, fv, si, sv)
+		}
+		if err := fast.Commit(fi, fv); err != nil {
+			t.Fatal(err)
+		}
+		if len(fi) > 0 {
+			nonEmpty++
+		}
+		if len(fi) > 1 {
+			multi++
+		}
+	}
+	if nonEmpty == 0 || multi == 0 {
+		t.Fatalf("%d reporting epochs, %d with several values — the search was never exercised; tighten eps", nonEmpty, multi)
+	}
+}
+
+// A model mutated behind the kernel's back leaves the evaluator stale; the
+// next search re-seeds it and answers.
+func TestChooseRecoversFromStaleEvaluator(t *testing.T) {
+	const n = 4
+	data := gardenCols(t, 120, n)
+	lg := gardenModel(t, data, 100)
+	k, err := New(lg, nil, uniform(n, 0.01))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.Predict()
+	if _, _, err := k.Choose(data[100], nil); err != nil {
+		t.Fatal(err)
+	}
+	lg.Step()
+	idx, _, err := k.Choose(data[101], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(idx) == 0 {
+		t.Fatal("tight ε produced no report")
+	}
+}
+
+func TestFullReportsEveryCandidate(t *testing.T) {
+	k := constantKernel(t, []float64{0, 0, 0}, uniform(3, 0.5))
+	idx, vals, err := k.Full([]float64{1, 2, 3}, nil)
+	if err != nil || !reflect.DeepEqual(idx, []int{0, 1, 2}) || !reflect.DeepEqual(vals, []float64{1, 2, 3}) {
+		t.Fatalf("Full(nil) = %v %v, %v", idx, vals, err)
+	}
+	idx, vals, err = k.Full([]float64{1, 2, 3}, []int{0, 2})
+	if err != nil || !reflect.DeepEqual(idx, []int{0, 2}) || !reflect.DeepEqual(vals, []float64{1, 3}) {
+		t.Fatalf("Full([0 2]) = %v %v, %v", idx, vals, err)
+	}
+}
+
+// TestCheckReadings: the epoch-entry scan is the readings' only finiteness
+// check (Choose and Full trust it), so it must catch NaN and both infinities
+// wherever they sit.
+func TestCheckReadings(t *testing.T) {
+	if err := CheckReadings([]float64{1, -2, 0}); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for at := 0; at < 3; at++ {
+			truth := []float64{1, 2, 3}
+			truth[at] = bad
+			if err := CheckReadings(truth); !errors.Is(err, gauss.ErrNotFinite) {
+				t.Fatalf("%v at %d: err = %v, want gauss.ErrNotFinite", bad, at, err)
+			}
+		}
+	}
+}
+
+func TestNewValidation(t *testing.T) {
+	c, _ := model.NewConstant([]float64{0, 0}, []float64{0, 0})
+	cases := map[string]struct {
+		members []int
+		eps     []float64
+	}{
+		"eps length":        {nil, []float64{1}},
+		"zero eps":          {nil, []float64{1, 0}},
+		"NaN eps":           {nil, []float64{1, math.NaN()}},
+		"members length":    {[]int{0}, []float64{1, 1}},
+		"unsorted members":  {[]int{3, 1}, []float64{1, 1}},
+		"duplicate members": {[]int{2, 2}, []float64{1, 1}},
+		"negative member":   {[]int{-1, 2}, []float64{1, 1}},
+	}
+	for name, tc := range cases {
+		if _, err := New(c, tc.members, tc.eps); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, err := New(nil, nil, nil); err == nil {
+		t.Error("nil model accepted")
+	}
+}
+
+func TestFitProjectsGathersAndScatters(t *testing.T) {
+	data := gardenCols(t, 120, 5)
+	eps := []float64{0.1, 0.2, 0.3, 0.4, 0.5}
+	fit := func(cols [][]float64) (model.Model, error) {
+		return model.FitLinearGaussian(cols, model.FitConfig{Period: 24})
+	}
+	k, err := Fit(data[:100], eps, []int{1, 3}, fit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(k.Eps(), []float64{0.2, 0.4}) || !reflect.DeepEqual(k.Members(), []int{1, 3}) {
+		t.Fatalf("eps %v members %v", k.Eps(), k.Members())
+	}
+	// The same model as fitting the projected columns by hand.
+	cols := make([][]float64, 100)
+	for i, r := range data[:100] {
+		cols[i] = []float64{r[1], r[3]}
+	}
+	want := gardenModel(t, cols, 100).Mean()
+	if got := k.Model().Mean(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fitted mean %v, want %v", got, want)
+	}
+	if got := k.Gather([]float64{10, 11, 12, 13, 14}); !reflect.DeepEqual(got, []float64{11, 13}) {
+		t.Fatalf("Gather = %v", got)
+	}
+	est := uniform(5, -1)
+	k.Scatter(est)
+	if est[0] != -1 || est[2] != -1 || est[4] != -1 || est[1] != want[0] || est[3] != want[1] {
+		t.Fatalf("Scatter wrote %v", est)
+	}
+	// A clique listed out of order is the same clique: attributes are taken
+	// ascending, so wire order maps onto ascending local indices.
+	rev, err := Fit(data[:100], eps, []int{3, 1}, fit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rev.Members(), []int{1, 3}) || !reflect.DeepEqual(rev.Model().Mean(), want) {
+		t.Fatalf("Fit([3 1]): members %v mean %v, want [1 3] %v", rev.Members(), rev.Model().Mean(), want)
+	}
+	// A clone is independent and starts in the same state.
+	cl := k.Clone()
+	cl.Predict()
+	if reflect.DeepEqual(cl.Model().Mean(), k.Model().Mean()) {
+		t.Fatal("stepping the clone moved the original")
+	}
+
+	if _, err := Fit(data[:100], eps, []int{1, 7}, fit); err == nil {
+		t.Fatal("out-of-range member accepted")
+	}
+	if _, err := Fit(data[:100], eps, nil, fit); err == nil {
+		t.Fatal("empty clique accepted")
+	}
+	if _, err := Fit(data[:100], eps[:4], []int{1, 3}, fit); err == nil {
+		t.Fatal("training rows wider than the bound vector accepted")
+	}
+	wrongDim := func([][]float64) (model.Model, error) { return model.NewConstant([]float64{0}, []float64{0}) }
+	if _, err := Fit(data[:100], eps, []int{1, 3}, wrongDim); err == nil {
+		t.Fatal("model of the wrong dimension accepted")
+	}
+}
+
+// Advance is the whole epoch on a lone replica: after it the model is
+// ε-accurate on the readings it was shown, and a non-finite reading is
+// rejected before the model moves.
+func TestAdvance(t *testing.T) {
+	const n = 3
+	data := gardenCols(t, 160, n)
+	lg := gardenModel(t, data, 100)
+	eps := uniform(n, 0.3)
+	k, err := New(lg, nil, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := 0
+	for _, row := range data[100:] {
+		reported, err := k.Advance(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent += reported
+		if !model.WithinBounds(k.Mean(), row, eps) {
+			t.Fatal("prediction misses ε after Advance")
+		}
+	}
+	if sent == 0 || sent == n*60 {
+		t.Fatalf("reported %d of %d values: the loop neither suppressed nor reported", sent, n*60)
+	}
+	clock, before := lg.Clock(), lg.Mean()
+	if _, err := k.Advance([]float64{20, math.NaN(), 20}); !errors.Is(err, gauss.ErrNotFinite) {
+		t.Fatalf("NaN reading: err = %v, want gauss.ErrNotFinite", err)
+	}
+	if lg.Clock() != clock || !reflect.DeepEqual(lg.Mean(), before) {
+		t.Fatal("a rejected epoch moved the model")
+	}
+}
+
+// TestAllocBudgetKernel pins a whole epoch of the kernel on a
+// LinearGaussian clique at zero heap allocations, on suppressed epochs
+// (wide ε: one mean read) and on reporting ones (tight ε: every candidate
+// misses, so the evaluator search runs to the end and Commit conditions on
+// all of them — the whole clique, or half of it when only half is
+// available) — the committed budget table in docs/LINT.md.
+func TestAllocBudgetKernel(t *testing.T) {
+	if alloctest.RaceEnabled {
+		t.Skip("alloc budgets are not meaningful under -race")
+	}
+	const n = 4
+	data := gardenCols(t, 400, n)
+	for name, tc := range map[string]struct {
+		eps      float64
+		cand     []int
+		reported int
+	}{
+		"suppressed":       {1e6, nil, 0},
+		"reporting":        {1e-9, nil, n},
+		"reporting (half)": {1e-9, []int{0, 2}, 2},
+	} {
+		k, err := New(gardenModel(t, data, 100), nil, uniform(n, tc.eps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := 100
+		allocs := testing.AllocsPerRun(200, func() {
+			k.Predict()
+			idx, vals, err := k.Choose(data[step], tc.cand)
+			if err != nil || len(idx) != tc.reported {
+				t.Fatalf("%s: report %v, err %v", name, idx, err)
+			}
+			if err := k.Commit(idx, vals); err != nil {
+				t.Fatal(err)
+			}
+			step++
+		})
+		if allocs != 0 {
+			t.Errorf("%s epoch: %v allocs, budget 0", name, allocs)
+		}
+	}
+}

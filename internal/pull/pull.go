@@ -123,8 +123,9 @@ func New(m *model.LinearGaussian, top *network.Topology) (*Engine, error) {
 func (e *Engine) Step() { e.m.Step() }
 
 // Condition folds externally learned values (e.g. Ken pushes in a combined
-// push/pull deployment) into the replica.
-func (e *Engine) Condition(obs map[int]float64) error { return e.m.Condition(obs) }
+// push/pull deployment) into the replica: attribute idx[k] (strictly
+// increasing) was observed at vals[k].
+func (e *Engine) Condition(idx []int, vals []float64) error { return e.m.Condition(idx, vals) }
 
 // Model exposes the underlying replica (read-only use expected).
 func (e *Engine) Model() *model.LinearGaussian { return e.m }
@@ -197,7 +198,7 @@ func (e *Engine) Query(q ValueQuery, src Source) (*Answer, error) {
 		if err != nil {
 			return nil, fmt.Errorf("pull: acquiring attribute %d: %w", worst, err)
 		}
-		if err := e.m.Condition(map[int]float64{worst: v}); err != nil {
+		if err := e.m.Condition([]int{worst}, []float64{v}); err != nil {
 			return nil, err
 		}
 		acquired[worst] = true
@@ -306,7 +307,7 @@ func (e *Engine) QueryAverage(q AvgQuery, src Source) (*AvgAnswer, error) {
 		if err != nil {
 			return nil, fmt.Errorf("pull: acquiring attribute %d: %w", best, err)
 		}
-		if err := e.m.Condition(map[int]float64{best: v}); err != nil {
+		if err := e.m.Condition([]int{best}, []float64{v}); err != nil {
 			return nil, err
 		}
 		acquired[best] = true

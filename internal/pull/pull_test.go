@@ -224,7 +224,7 @@ func TestCombinedPushPull(t *testing.T) {
 		warm.Step()
 		// The warm replica receives a Ken push of node 0 every few hours.
 		if i%4 == 0 {
-			if err := warm.Condition(map[int]float64{0: test[i][0]}); err != nil {
+			if err := warm.Condition([]int{0}, []float64{test[i][0]}); err != nil {
 				t.Fatal(err)
 			}
 		}

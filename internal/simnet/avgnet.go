@@ -37,6 +37,12 @@ type DistributedAverage struct {
 
 var _ Program = (*DistributedAverage)(nil)
 
+// The per-node pair model's two variables, as observation index sets.
+var (
+	pairOwn = []int{0} // the node's own reading x_i(t)
+	pairAvg = []int{1} // the last disseminated average
+)
+
 // NewDistributedAverage fits the per-node models and builds the tree.
 func NewDistributedAverage(net *Network, train [][]float64, eps []float64, fitCfg model.FitConfig) (*DistributedAverage, error) {
 	if net == nil {
@@ -183,10 +189,10 @@ func (d *DistributedAverage) Epoch(truth []float64) (EpochResult, error) {
 		// sink replica conditions on what it disseminated. These agree
 		// unless the node is orphaned — in which case its reports stopped
 		// flowing anyway and divergence shows up as violations.
-		if err := d.src[i].Condition(map[int]float64{1: d.lastAvg[i]}); err != nil {
+		if err := d.src[i].Condition(pairAvg, []float64{d.lastAvg[i]}); err != nil {
 			return EpochResult{}, err
 		}
-		if err := d.sink[i].Condition(map[int]float64{1: d.prevAvg}); err != nil {
+		if err := d.sink[i].Condition(pairAvg, []float64{d.prevAvg}); err != nil {
 			return EpochResult{}, err
 		}
 		if d.net.Alive(i) {
@@ -206,7 +212,7 @@ func (d *DistributedAverage) Epoch(truth []float64) (EpochResult, error) {
 					})
 				}
 				if d.net.SendSpan(Message{From: i, To: base, Attrs: []int{i}, Values: []float64{truth[i]}}, rs) {
-					if err := d.sink[i].Condition(map[int]float64{0: truth[i]}); err != nil {
+					if err := d.sink[i].Condition(pairOwn, []float64{truth[i]}); err != nil {
 						return EpochResult{}, err
 					}
 					res.ValuesDelivered++
@@ -217,7 +223,7 @@ func (d *DistributedAverage) Epoch(truth []float64) (EpochResult, error) {
 				}
 				// The node assumes delivery (no acks): its own replica
 				// conditions regardless.
-				if err := d.src[i].Condition(map[int]float64{0: truth[i]}); err != nil {
+				if err := d.src[i].Condition(pairOwn, []float64{truth[i]}); err != nil {
 					return EpochResult{}, err
 				}
 			}

@@ -3,12 +3,12 @@ package simnet
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"ken/internal/cliques"
 	"ken/internal/core"
 	"ken/internal/model"
 	"ken/internal/obs"
+	"ken/internal/protocol"
 )
 
 // Program is a distributed data-collection protocol executing over the
@@ -64,7 +64,10 @@ type KenNetConfig struct {
 // Unlike core.Ken — which scores an idealised protocol — DistributedKen
 // inherits the network's failure modes: collection messages from dying
 // members leave the root partially informed, lost reports desynchronise
-// the replicas, and dead roots silence whole cliques.
+// the replicas, and dead roots silence whole cliques. It is the protocol
+// kernel's packet-radio delivery policy: the root's candidate set is
+// whatever its members' unicasts delivered, and the sink commits whatever
+// of the report SendReliable gets through.
 type DistributedKen struct {
 	net   *Network
 	eps   []float64
@@ -75,12 +78,16 @@ type DistributedKen struct {
 }
 
 type distClique struct {
-	members []int
-	root    int
-	src     model.Model // executes at the clique root
-	sink    model.Model // executes at the base station
-	eps     []float64
-	det     *core.FailureDetector // at the base; nil when detection is off
+	root int
+	src  *protocol.Kernel      // executes at the clique root
+	sink *protocol.Kernel      // executes at the base station
+	det  *core.FailureDetector // at the base; nil when detection is off
+
+	// Epoch scratch: the local attributes whose readings reached the root,
+	// and the part of the report that reached the base.
+	avail []int
+	dIdx  []int
+	dVals []float64
 }
 
 var _ Program = (*DistributedKen)(nil)
@@ -118,32 +125,19 @@ func NewDistributedKenConfig(net *Network, part *cliques.Partition, train [][]fl
 		return nil, fmt.Errorf("simnet: failure alpha %v outside [0,1)", cfg.FailureAlpha)
 	}
 	d := &DistributedKen{net: net, eps: append([]float64(nil), eps...), n: n, cfg: cfg}
+	fit := func(cols [][]float64) (model.Model, error) { return model.FitLinearGaussian(cols, fitCfg) }
 	for _, c := range part.Cliques {
-		cols := make([][]float64, len(train))
-		for t, row := range train {
-			r := make([]float64, len(c.Members))
-			for i, g := range c.Members {
-				r[i] = row[g]
-			}
-			cols[t] = r
-		}
-		mdl, err := model.FitLinearGaussian(cols, fitCfg)
+		proto, err := protocol.Fit(train, eps, c.Members, fit)
 		if err != nil {
-			return nil, fmt.Errorf("simnet: fitting clique %v: %w", c.Members, err)
+			return nil, fmt.Errorf("simnet: %w", err)
 		}
-		le := make([]float64, len(c.Members))
-		for i, g := range c.Members {
-			le[i] = eps[g]
-		}
+		k := len(c.Members)
 		dc := distClique{
-			members: append([]int(nil), c.Members...),
-			root:    c.Root,
-			src:     mdl.Clone(),
-			sink:    mdl.Clone(),
-			eps:     le,
+			root: c.Root, src: proto.Clone(), sink: proto.Clone(),
+			avail: make([]int, 0, k), dIdx: make([]int, 0, k), dVals: make([]float64, 0, k),
 		}
 		if cfg.FailureAlpha > 0 {
-			det, err := core.NewFailureDetector(reportRate(mdl, cols, le, cfg.HeartbeatEvery), cfg.FailureAlpha)
+			det, err := core.NewFailureDetector(reportRate(proto, train, cfg.HeartbeatEvery), cfg.FailureAlpha)
 			if err != nil {
 				return nil, fmt.Errorf("simnet: failure detector for clique %v: %w", c.Members, err)
 			}
@@ -156,29 +150,21 @@ func NewDistributedKenConfig(net *Network, part *cliques.Partition, train [][]fl
 }
 
 // reportRate estimates a clique's per-epoch report probability by
-// replaying the training rows through a clone of the fitted model and
+// replaying the training rows through a clone of the fitted replica and
 // counting epochs with a non-empty minimal report set — the m_C the
 // failure detector needs (§6). Heartbeats guarantee a report at least
 // every hb epochs, so they floor the rate; the result is clamped away
 // from {0,1} to keep the detector's log-probabilities finite.
-func reportRate(m model.Model, rows [][]float64, eps []float64, hb int) float64 {
-	clone := m.Clone()
+func reportRate(proto *protocol.Kernel, rows [][]float64, hb int) float64 {
+	clone := proto.Clone()
 	reports := 0
 	for _, row := range rows {
-		clone.Step()
-		avail := make(map[int]float64, len(row))
-		for i, v := range row {
-			avail[i] = v
-		}
-		sent, err := model.ChooseReportGreedyPartial(clone, avail, eps)
+		sent, err := clone.Advance(row)
 		if err != nil {
 			break // fall through to the clamped estimate so far
 		}
-		if len(sent) > 0 {
+		if sent > 0 {
 			reports++
-		}
-		if err := clone.Condition(sent); err != nil {
-			break
 		}
 	}
 	rate := 0.0
@@ -201,6 +187,9 @@ func (d *DistributedKen) Epoch(truth []float64) (EpochResult, error) {
 	if len(truth) != d.n {
 		return EpochResult{}, fmt.Errorf("simnet: truth dim %d, want %d", len(truth), d.n)
 	}
+	if err := protocol.CheckReadings(truth); err != nil {
+		return EpochResult{}, err
+	}
 	sp := d.net.BeginEpoch()
 	d.epoch++
 	heartbeat := d.cfg.HeartbeatEvery > 0 && d.epoch%d.cfg.HeartbeatEvery == 0
@@ -214,71 +203,69 @@ func (d *DistributedKen) Epoch(truth []float64) (EpochResult, error) {
 	reportBytes := 0
 	for ci := range d.cl {
 		c := &d.cl[ci]
+		members, eps := c.src.Members(), c.src.Eps()
 		// Phase 1 — intra-source collection: each live member ships its
 		// reading to the clique root (the root's own reading is local).
 		// Members cannot know whether the root is still alive, so they
 		// transmit regardless, burning Tx energy; the message dies at a
 		// dead receiver.
-		avail := map[int]float64{}
+		avail := c.avail[:0]
 		rootAlive := d.net.Alive(c.root)
-		for i, g := range c.members {
+		for i, g := range members {
 			if g == c.root {
 				if rootAlive {
-					avail[i] = truth[g]
+					avail = append(avail, i)
 				}
 				continue
 			}
-			ok := d.net.SendReliable(Message{From: g, To: c.root, Attrs: []int{g}, Values: []float64{truth[g]}}, sp)
-			if ok {
-				avail[i] = truth[g]
+			if d.net.SendReliable(Message{From: g, To: c.root, Attrs: []int{g}, Values: []float64{truth[g]}}, sp) {
+				avail = append(avail, i)
 			}
 		}
 
 		// Phase 2 — inference at the root and minimal reporting. Both
 		// replicas advance even when the root is dead: the sink keeps
 		// predicting from the model (that is the point of Ken).
-		c.src.Step()
-		c.sink.Step()
+		c.src.Predict()
+		c.sink.Predict()
 		var pred []float64
 		if sp.Active() {
 			pred = append([]float64(nil), c.sink.Mean()...)
 		}
-		var sent map[int]float64
+		var idx []int
+		var vals []float64
 		if rootAlive && len(avail) > 0 {
+			var err error
 			if heartbeat {
 				// Heartbeat: ship everything the root collected, not the
 				// minimal set — a full resync of the sink replica (§6).
-				sent = avail
+				idx, vals, err = c.src.Full(truth, avail)
 			} else {
-				var err error
-				sent, err = model.ChooseReportGreedyPartial(c.src, avail, c.eps)
-				if err != nil {
-					return EpochResult{}, err
-				}
+				idx, vals, err = c.src.Choose(truth, avail)
+			}
+			if err != nil {
+				return EpochResult{}, err
 			}
 		}
 		// The source believes what it transmitted (it cannot observe
 		// loss); the sink conditions on what actually arrived.
-		if err := c.src.Condition(sent); err != nil {
+		if err := c.src.Commit(idx, vals); err != nil {
 			return EpochResult{}, err
 		}
 		// The report is a child span of the epoch; its unicasts (and any
 		// loss along the way) trace as grandchildren, so the auditor can
 		// tell a silent divergence from an explained one.
-		reportBytes += obs.WireBytesPerValue * len(sent)
+		reportBytes += obs.WireBytesPerValue * len(idx)
 		var rs *obs.Span
-		if sp.Active() && len(sent) > 0 {
+		if sp.Active() && len(idx) > 0 {
 			rs = sp.Child()
-			attrs := make([]int, 0, len(sent))
-			values := make([]float64, 0, len(sent))
-			preds := make([]float64, 0, len(sent))
-			epsR := make([]float64, 0, len(sent))
-			for _, i := range sortedKeys(sent) {
-				attrs = append(attrs, c.members[i])
-				values = append(values, sent[i])
-				preds = append(preds, pred[i])
-				epsR = append(epsR, c.eps[i])
+			attrs := make([]int, len(idx))
+			preds := make([]float64, len(idx))
+			epsR := make([]float64, len(idx))
+			for j, i := range idx {
+				attrs[j], preds[j], epsR[j] = members[i], pred[i], eps[i]
 			}
+			values := append([]float64(nil), vals...)
 			rs.Emit(obs.Event{
 				Type: obs.EvReport, Step: int64(d.net.stats.Epochs), Clique: ci, Node: c.root,
 				Attrs: attrs, Values: values,
@@ -288,27 +275,26 @@ func (d *DistributedKen) Epoch(truth []float64) (EpochResult, error) {
 				},
 			})
 		}
-		delivered := map[int]float64{}
-		for _, i := range sortedKeys(sent) {
-			g := c.members[i]
-			if d.net.SendReliable(Message{From: c.root, To: d.net.Base(), Attrs: []int{g}, Values: []float64{sent[i]}}, rs) {
-				delivered[i] = sent[i]
+		dIdx, dVals := c.dIdx[:0], c.dVals[:0]
+		for j, i := range idx {
+			g := members[i]
+			if d.net.SendReliable(Message{From: c.root, To: d.net.Base(), Attrs: []int{g}, Values: []float64{vals[j]}}, rs) {
+				dIdx = append(dIdx, i)
+				dVals = append(dVals, vals[j])
 			}
 		}
-		if err := c.sink.Condition(delivered); err != nil {
+		if err := c.sink.Commit(dIdx, dVals); err != nil {
 			return EpochResult{}, err
 		}
-		res.ValuesDelivered += len(delivered)
-		if rs.Active() && len(delivered) > 0 {
-			attrs := make([]int, 0, len(delivered))
-			values := make([]float64, 0, len(delivered))
-			for _, i := range sortedKeys(delivered) {
-				attrs = append(attrs, c.members[i])
-				values = append(values, delivered[i])
+		res.ValuesDelivered += len(dIdx)
+		if rs.Active() && len(dIdx) > 0 {
+			attrs := make([]int, len(dIdx))
+			for j, i := range dIdx {
+				attrs[j] = members[i]
 			}
 			rs.Child().Emit(obs.Event{
 				Type: obs.EvApply, Step: int64(d.net.stats.Epochs), Clique: ci, Node: d.net.Base(),
-				Attrs: attrs, Values: values, N: len(attrs),
+				Attrs: attrs, Values: append([]float64(nil), dVals...), N: len(attrs),
 			})
 		}
 
@@ -318,18 +304,18 @@ func (d *DistributedKen) Epoch(truth []float64) (EpochResult, error) {
 		// flagged stale instead of being passed off as live data.
 		suspected := false
 		if c.det != nil {
-			suspected = c.det.Observe(len(delivered) > 0)
+			suspected = c.det.Observe(len(dIdx) > 0)
 			if suspected {
 				res.SuspectedCliques++
 			}
 		}
-		mean := c.sink.Mean()
-		for i, g := range c.members {
-			res.Estimates[g] = mean[i]
+		for i, est := range c.sink.Mean() {
+			g := members[i]
+			res.Estimates[g] = est
 			if suspected {
 				res.Stale[g] = true
 			}
-			if diff := mean[i] - truth[g]; diff > d.eps[g] || diff < -d.eps[g] {
+			if diff := est - truth[g]; diff > d.eps[g] || diff < -d.eps[g] {
 				res.Violations++
 			}
 		}
@@ -346,16 +332,6 @@ func (d *DistributedKen) Epoch(truth []float64) (EpochResult, error) {
 		})
 	}
 	return res, nil
-}
-
-// sortedKeys iterates a report set deterministically.
-func sortedKeys(m map[int]float64) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // DistributedTinyDB is the exact-collection node program: every live node

@@ -1,11 +1,14 @@
 package simnet
 
 import (
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"ken/internal/cliques"
 	"ken/internal/core"
+	"ken/internal/gauss"
 	"ken/internal/model"
 	"ken/internal/network"
 	"ken/internal/trace"
@@ -477,8 +480,8 @@ func TestDistributedAverageFixedCostHurtsLifetime(t *testing.T) {
 
 // TestDistributedKenMatchesCoreEngine: on a loss-free network the
 // packet-level program runs the identical protocol to the idealised
-// core.Ken scheme — same models, same reports, same estimates, step for
-// step. This ties the two engines together exactly.
+// core.Ken scheme — the same kernel under a different delivery policy — so
+// the reports and the estimates agree step for step, to the last bit.
 func TestDistributedKenMatchesCoreEngine(t *testing.T) {
 	net, train, test, eps := gardenNet(t, DefaultRadio(), 15, false)
 	part := pairsPartition(11)
@@ -509,11 +512,50 @@ func TestDistributedKenMatchesCoreEngine(t *testing.T) {
 				step, dres.ValuesDelivered, ist.ValuesReported)
 		}
 		for i := range iest {
-			if diff := dres.Estimates[i] - iest[i]; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("step %d attr %d: estimates diverged %v vs %v",
+			if math.Float64bits(dres.Estimates[i]) != math.Float64bits(iest[i]) {
+				t.Fatalf("step %d attr %d: estimates differ in bits: %v vs %v",
 					step, i, dres.Estimates[i], iest[i])
 			}
 		}
+	}
+}
+
+// TestDistributedKenRejectsNonFiniteReadingBeforeMoving: a NaN reading is a
+// typed error before the epoch begins — no message sent, no energy spent,
+// no replica stepped — and the program carries on in lock-step with one
+// that never saw it.
+func TestDistributedKenRejectsNonFiniteReadingBeforeMoving(t *testing.T) {
+	build := func() (*Network, *DistributedKen, [][]float64) {
+		net, train, test, eps := gardenNet(t, DefaultRadio(), 15, false)
+		prog, err := NewDistributedKenConfig(net, pairsPartition(11), train, eps,
+			model.FitConfig{Period: 24}, KenNetConfig{HeartbeatEvery: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net, prog, test
+	}
+	gotNet, got, test := build()
+	refNet, ref, _ := build()
+	for step, row := range test[:40] {
+		bad := append([]float64(nil), row...)
+		bad[10] = math.NaN() // the last clique
+		if _, err := got.Epoch(bad); !errors.Is(err, gauss.ErrNotFinite) {
+			t.Fatalf("step %d: err = %v, want gauss.ErrNotFinite", step, err)
+		}
+		g, err := got.Epoch(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := ref.Epoch(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(g, r) {
+			t.Fatalf("step %d: a rejected epoch changed what followed", step)
+		}
+	}
+	if gotNet.Stats() != refNet.Stats() {
+		t.Fatalf("rejected epochs touched the network: %+v vs %+v", gotNet.Stats(), refNet.Stats())
 	}
 }
 

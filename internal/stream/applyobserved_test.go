@@ -83,34 +83,43 @@ func TestApplyObservedFlagsWildValue(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetApplyObserved extends the stream budget to the measured
-// apply path: a reporting single-attribute frame, with stats collection
-// on, must still apply without allocating.
+// TestAllocBudgetApplyObserved extends the stream budget to reporting
+// frames on the measured apply path: with ε so tight that every clique
+// reports every value every step, validating, routing, measuring and
+// conditioning a frame must still allocate nothing.
 func TestAllocBudgetApplyObserved(t *testing.T) {
 	if alloctest.RaceEnabled {
 		t.Skip("alloc budgets are not meaningful under -race")
 	}
 	cfg, test := testConfig(t)
+	for i := range cfg.Eps {
+		cfg.Eps[i] = 1e-6
+	}
+	src, err := NewSource(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rep, err := NewReplica(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st ApplyStats
-	var step uint64
-	v := test[0][0]
-	f := wire.Frame{Attrs: []int{0}, Values: []float64{v}}
-	// Warm up once so byAttr/obsScratch maps reach steady-state capacity.
-	f.Step = step
-	if err := rep.ApplyObserved(f, &st); err != nil {
-		t.Fatal(err)
-	}
-	step++
-	if got := testing.AllocsPerRun(100, func() {
-		f.Step = step
-		if err := rep.ApplyObserved(f, &st); err != nil {
+	const runs = 100
+	frames := make([]wire.Frame, runs+1) // AllocsPerRun warms up once
+	for i := range frames {
+		if frames[i], err = src.Collect(test[i]); err != nil {
 			t.Fatal(err)
 		}
-		step++
+		if len(frames[i].Attrs) != len(cfg.Eps) {
+			t.Fatalf("frame %d carries %d of %d values — budget premise broken", i, len(frames[i].Attrs), len(cfg.Eps))
+		}
+	}
+	var st ApplyStats
+	next := 0
+	if got := testing.AllocsPerRun(runs, func() {
+		if err := rep.ApplyObserved(frames[next], &st); err != nil {
+			t.Fatal(err)
+		}
+		next++
 	}); got != 0 {
 		t.Errorf("reporting ApplyObserved: %v allocs/op, budget 0", got)
 	}

@@ -1,9 +1,11 @@
 package stream
 
 import (
+	"reflect"
 	"testing"
 
 	"ken/internal/model"
+	"ken/internal/protocol"
 )
 
 // scratchStreamModel hides model.IncrementalConditioner so the greedy
@@ -30,37 +32,24 @@ func TestStreamLockStepScratch(t *testing.T) {
 	}
 	res := src.Resolution()
 
-	// Rebuild the per-clique models exactly as build does (FitLinearGaussian
-	// is deterministic), but wrapped so only the Model interface is visible.
-	type simClique struct {
-		members []int
-		mdl     model.Model
-		eps     []float64 // effective (ε − resolution/2), as on the wire
-	}
+	// Rebuild the per-clique replicas exactly as build does
+	// (FitLinearGaussian is deterministic), but wrapped so only the Model
+	// interface is visible to the kernel's search.
 	n := len(cfg.Train[0])
-	var sim []simClique
+	eff := make([]float64, n)
+	for g, e := range cfg.Eps {
+		eff[g] = e - res/2 // as on the wire
+	}
+	var sim []*protocol.Kernel
 	for _, c := range cfg.Partition.Cliques {
-		cols := make([][]float64, len(cfg.Train))
-		for ti, row := range cfg.Train {
-			r := make([]float64, len(c.Members))
-			for i, g := range c.Members {
-				r[i] = row[g]
-			}
-			cols[ti] = r
-		}
-		m, err := model.FitLinearGaussian(cols, cfg.FitCfg)
+		k, err := protocol.Fit(cfg.Train, eff, c.Members, func(cols [][]float64) (model.Model, error) {
+			m, err := model.FitLinearGaussian(cols, cfg.FitCfg)
+			return scratchStreamModel{m}, err
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		eff := make([]float64, len(c.Members))
-		for i, g := range c.Members {
-			eff[i] = cfg.Eps[g] - res/2
-		}
-		sim = append(sim, simClique{
-			members: append([]int(nil), c.Members...),
-			mdl:     scratchStreamModel{m.Clone()},
-			eps:     eff,
-		})
+		sim = append(sim, k)
 	}
 
 	est := make([]float64, n)
@@ -74,45 +63,29 @@ func TestStreamLockStepScratch(t *testing.T) {
 		if err := rep.ApplyObserved(frame, &st); err != nil {
 			t.Fatal(err)
 		}
-		frameObs := make(map[int]float64, len(frame.Attrs))
-		for k, a := range frame.Attrs {
-			frameObs[a] = frame.Values[k]
-		}
-		simReported := 0
-		for ci := range sim {
-			c := &sim[ci]
-			c.mdl.Step()
-			local := make([]float64, len(c.members))
-			for i, g := range c.members {
-				local[i] = truth[g]
-			}
-			obs, err := model.ChooseReportGreedy(c.mdl, local, c.eps)
+		// The scratch simulation rebuilds the frame: clique by clique,
+		// ascending within a clique, values on the wire grid.
+		var attrs []int
+		var values []float64
+		for _, c := range sim {
+			c.Predict()
+			idx, vals, err := c.Choose(truth, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			quant := make(map[int]float64, len(obs))
-			for i, v := range obs {
-				qv := quantize(v, res)
-				quant[i] = qv
-				fv, ok := frameObs[c.members[i]]
-				if !ok || fv != qv {
-					t.Fatalf("step %d: scratch search reported attr %d = %v, frame carried %v (present %v)",
-						step, c.members[i], qv, fv, ok)
-				}
+			for j, i := range idx {
+				vals[j] = quantize(vals[j], res)
+				attrs = append(attrs, c.Members()[i])
+				values = append(values, vals[j])
 			}
-			simReported += len(quant)
-			if len(quant) > 0 {
-				if err := c.mdl.Condition(quant); err != nil {
-					t.Fatal(err)
-				}
+			if err := c.Commit(idx, vals); err != nil {
+				t.Fatal(err)
 			}
-			mean := c.mdl.Mean()
-			for i, g := range c.members {
-				est[g] = mean[i]
-			}
+			c.Scatter(est)
 		}
-		if simReported != len(frame.Attrs) {
-			t.Fatalf("step %d: frame carried %d values, scratch search chose %d", step, len(frame.Attrs), simReported)
+		if !reflect.DeepEqual(attrs, frame.Attrs) || !reflect.DeepEqual(values, frame.Values) {
+			t.Fatalf("step %d: frame carried %v = %v, scratch search chose %v = %v",
+				step, frame.Attrs, frame.Values, attrs, values)
 		}
 		got := rep.Estimates()
 		for g := range got {

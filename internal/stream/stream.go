@@ -13,13 +13,15 @@
 // bit-exact lock-step, and it runs the protocol at ε − resolution/2 so the
 // end-to-end guarantee remains ±ε.
 //
-// The source's greedy report search runs through the model's cached
-// incremental conditioning evaluator when available (see
-// model.IncrementalConditioner). The evaluator is read-only and exists
-// only on the source side of the search; both replicas still mutate
-// exclusively through Step and Condition on identical inputs, so the
-// bit-exact lock-step invariant is untouched — TestStreamLockStepScratch
-// pins this against a model with the evaluator hidden.
+// Both endpoints drive the per-clique protocol kernel (internal/protocol);
+// this package is its framed-wire delivery policy. The Source quantizes
+// each chosen report in place before committing it and appends it to the
+// frame clique by clique, ascending within a clique; the Replica validates
+// a whole frame before any model moves and routes its attributes to their
+// cliques through a table built once. The kernel's report search is
+// read-only and runs on the source alone, so both replicas mutate only
+// through Predict and Commit on identical inputs — TestStreamLockStepScratch
+// pins the lock-step against a model with the cached evaluator hidden.
 package stream
 
 import (
@@ -31,8 +33,10 @@ import (
 	"sync"
 
 	"ken/internal/cliques"
+	"ken/internal/gauss"
 	"ken/internal/model"
 	"ken/internal/obs"
+	"ken/internal/protocol"
 	"ken/internal/wire"
 )
 
@@ -58,25 +62,9 @@ type Config struct {
 	HeartbeatEvery int
 }
 
-// endpoints share per-clique bookkeeping.
-type cliqueState struct {
-	members []int
-	mdl     model.Model
-	eps     []float64 // effective (ε − resolution/2)
-
-	// mw is mdl's allocation-free mean writer (nil when unsupported);
-	// local/meanBuf/obsScratch are per-clique step scratch, reused across
-	// frames. Sources and replicas never share a cliqueState, and both run
-	// their protocol loops serialized (the Replica under its mutex), so the
-	// scratch needs no locking of its own.
-	mw         model.MeanWriter
-	local      []float64
-	meanBuf    []float64
-	obsScratch map[int]float64
-}
-
-// build fits the per-clique models once and validates the config.
-func build(cfg Config) ([]cliqueState, float64, error) {
+// build fits one protocol kernel per clique — the models run at the
+// effective bound ε − resolution/2 — and validates the config.
+func build(cfg Config) ([]*protocol.Kernel, float64, error) {
 	if cfg.Partition == nil {
 		return nil, 0, errors.New("stream: config needs a partition")
 	}
@@ -104,43 +92,26 @@ func build(cfg Config) ([]cliqueState, float64, error) {
 	if res/2 >= minEps {
 		return nil, 0, fmt.Errorf("stream: resolution %v too coarse for ε %v", res, minEps)
 	}
-	var states []cliqueState
-	for _, c := range cfg.Partition.Cliques {
-		cols := make([][]float64, len(cfg.Train))
-		for t, row := range cfg.Train {
-			r := make([]float64, len(c.Members))
-			for i, g := range c.Members {
-				r[i] = row[g]
-			}
-			cols[t] = r
-		}
-		mdl, err := model.FitLinearGaussian(cols, cfg.FitCfg)
-		if err != nil {
-			return nil, 0, fmt.Errorf("stream: fitting clique %v: %w", c.Members, err)
-		}
-		eps := make([]float64, len(c.Members))
-		for i, g := range c.Members {
-			eps[i] = cfg.Eps[g] - res/2
-		}
-		cl := mdl.Clone()
-		mw, _ := cl.(model.MeanWriter)
-		states = append(states, cliqueState{
-			members:    append([]int(nil), c.Members...),
-			mdl:        cl,
-			eps:        eps,
-			mw:         mw,
-			local:      make([]float64, len(c.Members)),
-			meanBuf:    make([]float64, len(c.Members)),
-			obsScratch: make(map[int]float64, len(c.Members)),
-		})
+	eff := make([]float64, n)
+	for i, e := range cfg.Eps {
+		eff[i] = e - res/2
 	}
-	return states, res, nil
+	fit := func(cols [][]float64) (model.Model, error) { return model.FitLinearGaussian(cols, cfg.FitCfg) }
+	cl := make([]*protocol.Kernel, 0, len(cfg.Partition.Cliques))
+	for _, c := range cfg.Partition.Cliques {
+		k, err := protocol.Fit(cfg.Train, eff, c.Members, fit)
+		if err != nil {
+			return nil, 0, fmt.Errorf("stream: %w", err)
+		}
+		cl = append(cl, k)
+	}
+	return cl, res, nil
 }
 
 // Source is the sensor-network endpoint: it consumes ground-truth rows and
 // emits wire frames.
 type Source struct {
-	cl      []cliqueState
+	cl      []*protocol.Kernel
 	res     float64
 	n       int
 	step    uint64
@@ -181,10 +152,16 @@ func quantize(v, res float64) float64 {
 // Collect advances one sampling step: runs the source protocol on the
 // fresh readings and returns the frame to transmit (possibly with zero
 // reports — the frame itself carries the step so the sink's clock stays
-// aligned even without data).
+// aligned even without data). Attributes appear clique by clique in
+// partition order, ascending within a clique. A reading that is NaN or ±Inf
+// is rejected (wrapping gauss.ErrNotFinite) before anything moves. Untraced,
+// an epoch allocates only the frame it hands back.
 func (s *Source) Collect(truth []float64) (wire.Frame, error) {
 	if len(truth) != s.n {
 		return wire.Frame{}, fmt.Errorf("stream: truth dim %d, want %d", len(truth), s.n)
+	}
+	if err := protocol.CheckReadings(truth); err != nil {
+		return wire.Frame{}, err
 	}
 	sp := s.tracer.StartEpoch(obs.Event{Step: int64(s.step), Clique: -1, Node: -1, Detail: "stream"})
 	frame := wire.Frame{Step: s.step}
@@ -194,46 +171,30 @@ func (s *Source) Collect(truth []float64) (wire.Frame, error) {
 		frame.Special = wire.KindHeartbeat
 		s.sinceHB = 0
 	}
-	for ci := range s.cl {
-		c := &s.cl[ci]
-		c.mdl.Step()
-		local := c.local
-		for i, g := range c.members {
-			local[i] = truth[g]
-		}
-		var obs map[int]float64
+	for _, c := range s.cl {
+		c.Predict()
+		var idx []int
+		var vals []float64
+		var err error
 		if heartbeat {
-			obs = make(map[int]float64, len(local))
-			for i, v := range local {
-				obs[i] = v
-			}
+			idx, vals, err = c.Full(truth, nil)
 		} else {
-			// Fast path: a prediction already within every bound makes the
-			// greedy search return the empty set — skip it (and its
-			// allocations) outright. Suppressed steps then touch only the
-			// reused clique scratch.
-			if c.mw != nil && c.mw.MeanInto(c.meanBuf) == nil &&
-				model.WithinBounds(c.meanBuf, local, c.eps) {
-				continue
-			}
-			var err error
-			obs, err = model.ChooseReportGreedy(c.mdl, local, c.eps)
-			if err != nil {
-				return wire.Frame{}, err
-			}
+			idx, vals, err = c.Choose(truth, nil)
 		}
-		if len(obs) == 0 {
+		if err != nil {
+			return wire.Frame{}, err
+		}
+		if len(idx) == 0 {
 			continue
 		}
 		// Quantize, transmit, and condition on exactly what was sent.
-		quant := make(map[int]float64, len(obs))
-		for i, v := range obs {
-			qv := quantize(v, s.res)
-			quant[i] = qv
-			frame.Attrs = append(frame.Attrs, c.members[i])
-			frame.Values = append(frame.Values, qv)
+		members := c.Members()
+		for j, i := range idx {
+			vals[j] = quantize(vals[j], s.res)
+			frame.Attrs = append(frame.Attrs, members[i])
+			frame.Values = append(frame.Values, vals[j])
 		}
-		if err := c.mdl.Condition(quant); err != nil {
+		if err := c.Commit(idx, vals); err != nil {
 			return wire.Frame{}, err
 		}
 	}
@@ -270,15 +231,18 @@ func (s *Source) Resolution() float64 { return s.res }
 // estimates. Safe for concurrent Apply/Estimates.
 type Replica struct {
 	mu   sync.Mutex
-	cl   []cliqueState
+	cl   []*protocol.Kernel
 	res  float64
 	n    int
 	eps  []float64 // end-to-end per-attribute bounds (from the config)
 	next uint64    // expected next frame step
 	// Frames counts applied frames; Heartbeats counts heartbeat frames.
 	frames, heartbeats int
-	// byAttr is Apply's reused frame-index scratch, guarded by mu.
-	byAttr map[int]float64
+	// route maps a global attribute to its clique and its index there;
+	// reports is each clique's share of the frame being applied — Apply's
+	// scratch, guarded by mu.
+	route   []route
+	reports []report
 
 	// Observability handles (nil and no-op until Instrument is called).
 	tracer      *obs.Tracer
@@ -301,15 +265,32 @@ func (r *Replica) Instrument(ob *obs.Observer) {
 	r.gStep = reg.Gauge("stream_replica_step")
 }
 
+// route places one global attribute: clique index and local index within it.
+type route struct{ clique, local int }
+
+// report is one clique's observation pair, local indices ascending.
+type report struct {
+	idx  []int
+	vals []float64
+}
+
 // NewReplica builds the sink endpoint.
 func NewReplica(cfg Config) (*Replica, error) {
 	cl, res, err := build(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Replica{cl: cl, res: res, n: len(cfg.Eps),
-		eps:    append([]float64(nil), cfg.Eps...),
-		byAttr: make(map[int]float64, len(cfg.Eps))}, nil
+	r := &Replica{cl: cl, res: res, n: len(cfg.Eps),
+		eps:     append([]float64(nil), cfg.Eps...),
+		route:   make([]route, len(cfg.Eps)),
+		reports: make([]report, len(cl))}
+	for ci, c := range cl {
+		for li, g := range c.Members() {
+			r.route[g] = route{ci, li}
+		}
+		r.reports[ci] = report{make([]int, 0, c.Dim()), make([]float64, 0, c.Dim())}
+	}
+	return r, nil
 }
 
 // Resolution returns the negotiated wire resolution.
@@ -343,7 +324,7 @@ type ApplyStats struct {
 // The frame is not retained: its slices are read synchronously (the trace
 // event, too, is marshalled before Emit returns), so callers may reuse the
 // frame's backing arrays for the next read (Serve does, via
-// wire.DecodeInto). Steady-state empty frames apply without allocating.
+// wire.DecodeInto). Frames apply without allocating.
 //
 //ken:hotpath the sink's per-frame apply loop
 func (r *Replica) Apply(f wire.Frame) error {
@@ -358,6 +339,14 @@ func (r *Replica) Apply(f wire.Frame) error {
 // overwritten; the measurement reuses the cliques' mean scratch and
 // allocates nothing.
 //
+// The whole frame is validated before the first model moves: its step, one
+// value per attribute, every attribute in range, every value finite
+// (wrapping gauss.ErrNotFinite), and each clique's attributes strictly
+// increasing in frame order — which both Collect's clique-major frames and
+// wire's globally ascending ones satisfy, and duplicates and hand-built
+// unsorted frames do not. A rejected frame leaves the replica exactly as it
+// was.
+//
 //ken:hotpath the sink's per-frame apply loop (measured form)
 func (r *Replica) ApplyObserved(f wire.Frame, st *ApplyStats) error {
 	r.mu.Lock()
@@ -368,35 +357,41 @@ func (r *Replica) ApplyObserved(f wire.Frame, st *ApplyStats) error {
 	if f.Step != r.next {
 		return fmt.Errorf("stream: frame for step %d, expected %d", f.Step, r.next)
 	}
-	clear(r.byAttr)
-	for i, a := range f.Attrs {
+	if len(f.Values) != len(f.Attrs) {
+		return fmt.Errorf("stream: frame has %d attributes, %d values", len(f.Attrs), len(f.Values))
+	}
+	for ci := range r.reports {
+		o := &r.reports[ci]
+		o.idx, o.vals = o.idx[:0], o.vals[:0]
+	}
+	for j, a := range f.Attrs {
 		if a < 0 || a >= r.n {
 			return fmt.Errorf("stream: frame attribute %d out of range %d", a, r.n)
 		}
-		r.byAttr[a] = f.Values[i]
-	}
-	for ci := range r.cl {
-		c := &r.cl[ci]
-		c.mdl.Step()
-		clear(c.obsScratch)
-		if len(r.byAttr) > 0 {
-			for i, g := range c.members {
-				if v, ok := r.byAttr[g]; ok {
-					c.obsScratch[i] = v
-				}
-			}
+		if v := f.Values[j]; math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("stream: %w: frame value %v for attribute %d", gauss.ErrNotFinite, v, a)
 		}
-		if st != nil && len(c.obsScratch) > 0 && c.mw != nil && c.mw.MeanInto(c.meanBuf) == nil {
-			for i, g := range c.members {
-				v, ok := c.obsScratch[i]
-				if !ok {
-					continue
-				}
-				eps := r.eps[g]
+		at := r.route[a]
+		o := &r.reports[at.clique]
+		if m := len(o.idx); m > 0 && o.idx[m-1] >= at.local {
+			return fmt.Errorf("stream: frame attribute %d repeated or out of order within its clique", a)
+		}
+		// Capacity is the clique size and local indices strictly increase,
+		// so these appends never grow.
+		o.idx = append(o.idx, at.local)
+		o.vals = append(o.vals, f.Values[j])
+	}
+	for ci, c := range r.cl {
+		o := &r.reports[ci]
+		c.Predict()
+		if st != nil && len(o.idx) > 0 {
+			mean, members := c.Mean(), c.Members()
+			for j, i := range o.idx {
+				eps := r.eps[members[i]]
 				if eps <= 0 {
 					continue
 				}
-				dev := math.Abs(c.meanBuf[i]-v) / eps
+				dev := math.Abs(mean[i]-o.vals[j]) / eps
 				if dev > 1 {
 					st.Deviations++
 				}
@@ -405,7 +400,7 @@ func (r *Replica) ApplyObserved(f wire.Frame, st *ApplyStats) error {
 				}
 			}
 		}
-		if err := c.mdl.Condition(c.obsScratch); err != nil {
+		if err := c.Commit(o.idx, o.vals); err != nil {
 			return err
 		}
 	}
@@ -431,12 +426,8 @@ func (r *Replica) Estimates() []float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]float64, r.n)
-	for ci := range r.cl {
-		c := &r.cl[ci]
-		mean := c.mdl.Mean()
-		for i, g := range c.members {
-			out[g] = mean[i]
-		}
+	for _, c := range r.cl {
+		c.Scatter(out)
 	}
 	return out
 }
@@ -462,12 +453,8 @@ func (r *Replica) Answer() Answer {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]float64, r.n)
-	for ci := range r.cl {
-		c := &r.cl[ci]
-		mean := c.mdl.Mean()
-		for i, g := range c.members {
-			out[g] = mean[i]
-		}
+	for _, c := range r.cl {
+		c.Scatter(out)
 	}
 	return Answer{
 		Step:       r.frames,
