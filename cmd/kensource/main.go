@@ -114,13 +114,14 @@ func (o options) run(stdout io.Writer) error {
 		"partition", dep.Partition.String())
 
 	values := 0
+	var buf []byte // one encode buffer for the whole session
 	for _, row := range dep.Test {
 		f, err := src.Collect(row)
 		if err != nil {
 			return err
 		}
 		values += len(f.Attrs)
-		if err := stream.WriteFrame(conn, f, src.Resolution()); err != nil {
+		if buf, err = stream.WriteFrameBuf(conn, f, src.Resolution(), buf); err != nil {
 			// A mid-stream write failure is usually the sink shedding us:
 			// surface its typed reject when one is waiting.
 			if rej := pendingReject(conn); rej != nil {

@@ -253,12 +253,13 @@ func dialRetry(addr string, wait time.Duration) (net.Conn, error) {
 // reference replica when verifying, and surfaces a typed shed reject.
 func pump(conn net.Conn, tn *swarmTenant) (int, error) {
 	frames := 0
+	var buf []byte // one encode buffer for the whole session
 	for _, row := range tn.test {
 		f, err := tn.src.Collect(row)
 		if err != nil {
 			return frames, err
 		}
-		if err := stream.WriteFrame(conn, f, tn.src.Resolution()); err != nil {
+		if buf, err = stream.WriteFrameBuf(conn, f, tn.src.Resolution(), buf); err != nil {
 			if rej := pendingReject(conn); rej != nil {
 				return frames, fmt.Errorf("shed by the sink: %w", rej)
 			}

@@ -11,10 +11,11 @@ import (
 	"ken/internal/wire"
 )
 
-// TestAllocBudgetSinkdApply pins the daemon's per-frame apply — replica
-// conditioning, daemon counters and the SLO feed publish — at zero heap
-// allocations for steady-state empty frames, with the live monitor
-// attached. The monitor's sync interval is pushed out so its drain
+// TestAllocBudgetSinkdApply pins the daemon's per-frame apply — decoding
+// the queued body into the tenant's warmed frame, replica conditioning,
+// daemon counters and the SLO feed publish — at zero heap allocations for
+// reporting frames (every attribute reported every step), with the live
+// monitor attached. The monitor's sync interval is pushed out so its drain
 // goroutine (whose scratch growth is off the hot path by design) cannot
 // allocate mid-measurement: AllocsPerRun counts process-wide mallocs.
 func TestAllocBudgetSinkdApply(t *testing.T) {
@@ -23,7 +24,8 @@ func TestAllocBudgetSinkdApply(t *testing.T) {
 	}
 	d := New(Config{SLO: slo.Config{SyncEvery: time.Hour}})
 	defer d.Close()
-	dep, err := deploy.Build(deploy.Params{Dataset: "garden", Seed: 1, TestSteps: 1})
+	const runs = 100
+	dep, err := deploy.Build(deploy.Params{Dataset: "garden", Seed: 1, TestSteps: runs + 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,16 +35,35 @@ func TestAllocBudgetSinkdApply(t *testing.T) {
 	}
 	tn := &tenant{name: "alloc", mon: d.monitor, frames: make(chan queued, 4)}
 
-	var step uint64
-	if got := testing.AllocsPerRun(100, func() {
-		if err := d.applyFrame(tn, replica, queued{f: wire.Frame{Step: step}}); err != nil {
+	attrs := make([]int, len(dep.Test[0]))
+	for i := range attrs {
+		attrs[i] = i
+	}
+	bodies := make([][]byte, len(dep.Test))
+	for i, row := range dep.Test {
+		f := wire.Frame{Step: uint64(i), Attrs: attrs, Values: row}
+		if bodies[i], err = wire.Encode(f, replica.Resolution()); err != nil {
 			t.Fatal(err)
 		}
-		step++
+	}
+	// The first frame sizes the tenant's decode target; every later one of
+	// the same shape must fit it.
+	if err := d.applyFrame(tn, replica, queued{body: bodies[0]}); err != nil {
+		t.Fatal(err)
+	}
+	next := 1
+	if got := testing.AllocsPerRun(runs, func() {
+		if err := d.applyFrame(tn, replica, queued{body: bodies[next]}); err != nil {
+			t.Fatal(err)
+		}
+		next++
 	}); got != 0 {
 		t.Errorf("applyFrame with monitor attached: %v allocs/op, budget 0", got)
 	}
-	if st := d.monitor.FeedStats(); st.Published+st.Dropped < 100 {
-		t.Fatalf("feed saw %d events, want >= 100 — publishes not reaching the feed", st.Published+st.Dropped)
+	if len(tn.frame.Attrs) != len(attrs) {
+		t.Fatalf("decoded frame carries %d of %d values — budget premise broken", len(tn.frame.Attrs), len(attrs))
+	}
+	if st := d.monitor.FeedStats(); st.Published+st.Dropped < runs {
+		t.Fatalf("feed saw %d events, want >= %d — publishes not reaching the feed", st.Published+st.Dropped, runs)
 	}
 }

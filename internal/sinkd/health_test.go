@@ -97,8 +97,10 @@ func TestHealthEndpoint(t *testing.T) {
 	}
 
 	// A tenant that finishes cleanly stays benign: terminal, but not
-	// unhealthy, so the daemon keeps answering 200.
-	p := deploy.Params{Dataset: "garden", Seed: 2, TestSteps: 2}
+	// unhealthy, so the daemon keeps answering 200. One frame only: this
+	// daemon's one-frame budget and slowed applier would shed a second
+	// frame that arrived before the applier's first dequeue.
+	p := deploy.Params{Dataset: "garden", Seed: 2, TestSteps: 1}
 	if _, err := runTenant(addr, "clean", p); err != nil {
 		t.Fatal(err)
 	}

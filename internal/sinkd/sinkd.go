@@ -7,12 +7,16 @@
 // across tenants sharing a spec), and per-tenant goroutines apply the
 // report stream under a bounded frame budget — a tenant that outruns its
 // budget is shed with a typed wire.Reject frame instead of ever blocking
-// the accept loop or the other tenants. Live answers are served
+// the accept loop or the other tenants. The path from socket to replica
+// moves bytes, not objects: one buffered reader per connection, encoded
+// frame bodies in the queue, one decode in place at the applier (see
+// Daemon.stream). Live answers are served
 // thread-safely from the replicas (stream.Replica.Answer) through the
 // HTTP query API in http.go.
 package sinkd
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -33,8 +37,8 @@ type Config struct {
 	// MaxTenants caps concurrently registered tenants (default 1024);
 	// further HELLOs are rejected with wire.RejectOverloaded.
 	MaxTenants int
-	// FrameBudget bounds each tenant's queue of decoded-but-unapplied
-	// frames (default 256). A source that overruns it is shed with
+	// FrameBudget bounds each tenant's queue of read-but-unapplied frames
+	// (default 256). A source that overruns it is shed with
 	// wire.RejectSlowTenant.
 	FrameBudget int
 	// HandshakeTimeout bounds how long a connection may sit between
@@ -92,11 +96,17 @@ func (s TenantState) terminal() bool {
 	return s == StateClosed || s == StateShed || s == StateFailed
 }
 
-// queued is one decoded frame stamped at enqueue time, so the applier can
-// measure ingest→apply latency for the live SLO monitor.
+// readBufBytes sizes the one buffered reader a connection gets: a flooding
+// source's 80-byte frames arrive hundreds per read(2) instead of two
+// read(2) calls each.
+const readBufBytes = 64 << 10
+
+// queued is one frame as it came off the wire — the encoded body, exactly
+// its size — stamped at enqueue time, so the applier can measure
+// ingest→apply latency for the live SLO monitor.
 type queued struct {
-	f  wire.Frame
-	at int64 // UnixNano when the reader queued the frame
+	body []byte
+	at   int64 // UnixNano when the reader queued the frame
 }
 
 // tenant is one deployment session and its replica.
@@ -113,6 +123,9 @@ type tenant struct {
 	reg     *obs.Registry   // per-tenant stream_* metrics
 
 	frames chan queued
+	// frame is the applier's decode target, reused for every queued body;
+	// only the applier goroutine touches it.
+	frame wire.Frame
 }
 
 // lifecycleOf maps the session state machine onto the monitor's coarser
@@ -288,7 +301,10 @@ func (d *Daemon) handleConn(conn net.Conn) {
 
 	d.mSessions.Inc()
 	_ = conn.SetReadDeadline(time.Now().Add(d.cfg.HandshakeTimeout))
-	h, err := stream.ReadHello(conn)
+	// One buffered reader from the first byte: a source that sends HELLO
+	// and its frames in one segment strands nothing between two readers.
+	br := bufio.NewReaderSize(conn, readBufBytes)
+	h, err := stream.ReadHello(br)
 	if err != nil {
 		if errors.Is(err, wire.ErrVersionMismatch) {
 			d.reject(conn, wire.RejectVersion, "%v", err)
@@ -346,7 +362,7 @@ func (d *Daemon) handleConn(conn net.Conn) {
 	_ = conn.SetReadDeadline(time.Time{})
 	tn.setState(StateStreaming, "")
 	d.mAccepts.Inc()
-	d.stream(conn, tn, replica)
+	d.stream(conn, br, tn, replica)
 }
 
 // register reserves the tenant name (assigning one when empty). A name
@@ -421,41 +437,51 @@ func (d *Daemon) build(p deploy.Params) (*deploy.Deployment, error) {
 // replica until the reader closes the channel. It runs on its own
 // goroutine, registered with the daemon WaitGroup so Close() joins it
 // explicitly (not just transitively through the reader), and signals done
-// so the reader can also join it before returning.
+// so the reader can also join it before returning. The first body that
+// fails to decode or apply fails the tenant, naming the frame by its
+// position in the session; nothing after it is applied, and the connection
+// is closed so a reader parked on an idle socket ends too.
 //
 //ken:hotpath the sink daemon's per-tenant frame-apply loop
-func (d *Daemon) applyLoop(tn *tenant, replica *stream.Replica, done chan<- struct{}) {
+func (d *Daemon) applyLoop(conn net.Conn, tn *tenant, replica *stream.Replica, done chan<- struct{}) {
 	defer d.wg.Done()
 	defer close(done)
+	n := 0
 	for q := range tn.frames {
 		if err := d.applyFrame(tn, replica, q); err != nil {
 			//lint:ignore hotalloc the failure path formats the terminal state detail once, then the loop exits
-			tn.setState(StateFailed, fmt.Sprintf("applying frame %d: %v", q.f.Step, err))
+			tn.setState(StateFailed, fmt.Sprintf("applying frame %d: %v", n, err))
+			_ = conn.Close() // wakes the reader; handleConn's own Close is then a no-op
 			// Drain so the reader never blocks on a dead applier.
 			for range tn.frames {
 			}
 			return
 		}
+		n++
 	}
 }
 
-// applyFrame folds one queued frame into the replica, measuring pre-apply
-// ε deviations and publishing the apply event into the SLO feed. The feed
-// publish is bounded, non-blocking and allocation-free, so the apply path
-// keeps its 0-alloc budget (TestAllocBudgetSinkdApply) with the monitor
-// attached.
+// applyFrame decodes one queued body into the tenant's frame and folds it
+// into the replica, measuring pre-apply ε deviations and publishing the
+// apply event into the SLO feed. The decode reuses the frame's arrays and
+// the feed publish is bounded, non-blocking and allocation-free, so the
+// apply path keeps its 0-alloc budget (TestAllocBudgetSinkdApply) with the
+// monitor attached.
 //
-//ken:hotpath the sink daemon's per-frame apply
+//ken:hotpath the sink daemon's per-frame decode and apply
 func (d *Daemon) applyFrame(tn *tenant, replica *stream.Replica, q queued) error {
 	if d.cfg.ApplyDelay > 0 {
 		time.Sleep(d.cfg.ApplyDelay)
 	}
+	if err := wire.DecodeInto(&tn.frame, q.body, replica.Resolution()); err != nil {
+		return err
+	}
 	var st stream.ApplyStats
-	if err := replica.ApplyObserved(q.f, &st); err != nil {
+	if err := replica.ApplyObserved(tn.frame, &st); err != nil {
 		return err
 	}
 	d.mFrames.Inc()
-	d.mValues.Add(int64(len(q.f.Attrs)))
+	d.mValues.Add(int64(st.Values))
 	d.feed.Publish(slo.Event{
 		Tenant:        tn.name,
 		Kind:          slo.KindApply,
@@ -471,58 +497,86 @@ func (d *Daemon) applyFrame(tn *tenant, replica *stream.Replica, q queued) error
 	return nil
 }
 
-// stream is the per-tenant ingest loop: a reader goroutine decodes frames
-// off the socket and a separate applier folds them into the replica, so a
+// stream is the per-tenant ingest path: the reader (readLoop, on this
+// goroutine) splits length-prefixed bodies off the connection's buffered
+// reader and queues them still encoded; a separate applier decodes each
+// into the tenant's one reused frame and folds it into the replica, so a
 // long Gaussian conditioning never backs up into the kernel buffers of
 // other connections. The channel between them is the tenant's frame
-// budget: when it overflows, the tenant is shed with a typed reject
-// rather than blocking.
+// budget: when it overflows, the tenant is shed with a typed reject rather
+// than blocking. A queued frame costs its wire bytes plus a slice header —
+// about a fifth of what its decoded attrs/values would — and no more than
+// stream's frame-size limit whatever a hostile source claims, which bounds
+// a tenant's backlog at FrameBudget × that limit.
 //
-// The reader reuses one raw-body buffer across frames
-// (stream.ReadFrameBuf); the decoded frames queue in tn.frames, so their
-// Attrs/Values are freshly allocated per frame — only the undecoded body
-// is recycled.
-func (d *Daemon) stream(conn net.Conn, tn *tenant, replica *stream.Replica) {
+// Because frames are decoded where they are applied, a corrupt body fails
+// the tenant when the applier reaches it, not when the reader sees it; the
+// frames queued ahead of it are applied, none after it is. A clean EOF
+// therefore becomes StateClosed only once the applier has drained the
+// queue without failing.
+func (d *Daemon) stream(conn net.Conn, br *bufio.Reader, tn *tenant, replica *stream.Replica) {
 	applyDone := make(chan struct{})
 	d.wg.Add(1)
-	go d.applyLoop(tn, replica, applyDone)
+	go d.applyLoop(conn, tn, replica, applyDone)
 
-	var body []byte
-reader:
-	for {
-		var f wire.Frame
-		var err error
-		f, body, err = stream.ReadFrameBuf(conn, replica.Resolution(), body)
-		if err == io.EOF {
-			tn.setState(StateClosed, "")
-			break
-		}
-		if err != nil {
-			tn.setState(StateFailed, fmt.Sprintf("reading frame: %v", err))
-			break
-		}
-		if st, _ := tn.snapshot(); st.terminal() {
-			break // applier failed; stop reading
-		}
-		select {
-		case tn.frames <- queued{f: f, at: time.Now().UnixNano()}:
-		default:
-			d.mShed.Inc()
-			now := time.Now().UnixNano()
-			d.feed.Publish(slo.Event{
-				Tenant: tn.name, Kind: slo.KindShed, Step: f.Step,
-				EnqueuedNanos: now, AppliedNanos: now, QueueDepth: len(tn.frames),
-			})
-			tn.setState(StateShed, fmt.Sprintf(
-				"outran the %d-frame budget at step %d", d.cfg.FrameBudget, f.Step))
-			d.reject(conn, wire.RejectSlowTenant,
-				"shed: outran the %d-frame budget at step %d; reconnect to resume",
-				d.cfg.FrameBudget, f.Step)
-			break reader
-		}
+	overflow, err := d.readLoop(br, tn)
+	switch {
+	case overflow != nil:
+		d.shed(conn, tn, overflow, replica.Resolution())
+	case err != nil && err != io.EOF:
+		tn.setState(StateFailed, fmt.Sprintf("reading frame: %v", err))
 	}
 	close(tn.frames)
 	<-applyDone
+	if err == io.EOF {
+		tn.setState(StateClosed, "") // a no-op when the applier failed first
+	}
+}
+
+// readLoop queues the connection's frame bodies until the session ends: in
+// io.EOF at a frame boundary, in a read error, in the body that found the
+// queue full (returned as overflow), or — both results nil — because the
+// applier had already failed the tenant. It never decodes: a parse or an
+// append creeping in here would put per-frame work back on the goroutine
+// that has to keep up with the socket.
+//
+//ken:hotpath the sink daemon's per-connection reader: split, stamp, queue
+func (d *Daemon) readLoop(br *bufio.Reader, tn *tenant) (overflow []byte, err error) {
+	for {
+		body, err := stream.ReadBody(br)
+		if err != nil {
+			return nil, err
+		}
+		if st, _ := tn.snapshot(); st.terminal() {
+			return nil, nil
+		}
+		select {
+		case tn.frames <- queued{body: body, at: time.Now().UnixNano()}:
+		default:
+			return body, nil
+		}
+	}
+}
+
+// shed ends a session whose queue is full. It is the only place the reader
+// side decodes, and only to name the step the tenant was shed at.
+func (d *Daemon) shed(conn net.Conn, tn *tenant, body []byte, res float64) {
+	f, err := wire.Decode(body, res)
+	if err != nil {
+		tn.setState(StateFailed, fmt.Sprintf("reading frame: %v", err))
+		return
+	}
+	d.mShed.Inc()
+	now := time.Now().UnixNano()
+	d.feed.Publish(slo.Event{
+		Tenant: tn.name, Kind: slo.KindShed, Step: f.Step,
+		EnqueuedNanos: now, AppliedNanos: now, QueueDepth: len(tn.frames),
+	})
+	tn.setState(StateShed, fmt.Sprintf(
+		"outran the %d-frame budget at step %d", d.cfg.FrameBudget, f.Step))
+	d.reject(conn, wire.RejectSlowTenant,
+		"shed: outran the %d-frame budget at step %d; reconnect to resume",
+		d.cfg.FrameBudget, f.Step)
 }
 
 // TenantInfo is the /v1/tenants summary of one tenant.

@@ -25,6 +25,7 @@
 package stream
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -478,14 +479,12 @@ func (r *Replica) Heartbeats() int {
 	return r.heartbeats
 }
 
-// writeRaw length-prefixes and writes one encoded frame body.
-func writeRaw(w io.Writer, buf []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(buf)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("stream: write header: %w", err)
-	}
-	if _, err := w.Write(buf); err != nil {
+// writeRaw length-prefixes one encoded session-frame body and writes it
+// with a single Write (see WriteFrameBuf for why one).
+func writeRaw(w io.Writer, body []byte) error {
+	buf := make([]byte, 4, 4+len(body))
+	binary.BigEndian.PutUint32(buf, uint32(len(body)))
+	if _, err := w.Write(append(buf, body...)); err != nil {
 		return fmt.Errorf("stream: write frame: %w", err)
 	}
 	return nil
@@ -522,11 +521,57 @@ func readRawInto(rd io.Reader, buf []byte) ([]byte, error) {
 
 // WriteFrame length-prefixes and writes one encoded frame.
 func WriteFrame(w io.Writer, f wire.Frame, res float64) error {
-	buf, err := wire.Encode(f, res)
+	_, err := WriteFrameBuf(w, f, res, nil)
+	return err
+}
+
+// WriteFrameBuf is WriteFrame with a caller-owned buffer: the frame is
+// encoded behind its length prefix in buf's backing array and leaves in one
+// Write — on a TCP connection (Go sets TCP_NODELAY) every Write is a
+// syscall and a segment, so header and body travel together. The (possibly
+// grown) buffer is returned for the next call; a warmed one writes an
+// ascending frame without allocating.
+func WriteFrameBuf(w io.Writer, f wire.Frame, res float64, buf []byte) ([]byte, error) {
+	buf, err := wire.AppendEncode(append(buf[:0], 0, 0, 0, 0), f, res)
 	if err != nil {
-		return err
+		return buf, err
 	}
-	return writeRaw(w, buf)
+	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
+	if _, err := w.Write(buf); err != nil {
+		return buf, fmt.Errorf("stream: write frame: %w", err)
+	}
+	return buf, nil
+}
+
+// ReadBody reads one length-prefixed frame body off br into a new slice of
+// exactly the body's size, undecoded — what a reader that queues frames
+// for someone else to decode wants (internal/sinkd). The prefix is held to
+// maxFrameBytes before anything is allocated. io.EOF at a frame boundary is
+// returned as io.EOF; a partial frame is an unexpected-EOF error.
+//
+//ken:hotpath the daemon's per-frame read; the body is the one allocation
+func ReadBody(br *bufio.Reader) ([]byte, error) {
+	hdr, err := br.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) == 0 {
+			return nil, io.EOF
+		}
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("stream: read header: %w", err)
+	}
+	size := binary.BigEndian.Uint32(hdr)
+	if size > maxFrameBytes {
+		return nil, fmt.Errorf("stream: frame of %d bytes exceeds limit", size)
+	}
+	_, _ = br.Discard(4) // cannot fail: Peek just buffered these 4 bytes
+	//lint:ignore hotalloc the queued body: exactly the frame's size, owned by whoever dequeues it
+	body := make([]byte, size)
+	if _, err := io.ReadFull(br, body); err != nil {
+		return nil, fmt.Errorf("stream: read frame: %w", err)
+	}
+	return body, nil
 }
 
 // ReadFrame reads one length-prefixed frame. io.EOF at a frame boundary is
@@ -584,12 +629,13 @@ func (r *Replica) Serve(rd io.Reader) error {
 
 // Pump runs the source over the rows, writing one frame per row.
 func (s *Source) Pump(w io.Writer, rows [][]float64) error {
+	var buf []byte
 	for _, row := range rows {
 		f, err := s.Collect(row)
 		if err != nil {
 			return err
 		}
-		if err := WriteFrame(w, f, s.res); err != nil {
+		if buf, err = WriteFrameBuf(w, f, s.res, buf); err != nil {
 			return err
 		}
 	}

@@ -25,6 +25,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{Magic})
 	f.Add([]byte{Magic, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
+	f.Add(hostileCount)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame, err := Decode(data, 0.01)

@@ -18,11 +18,12 @@
 package wire
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Magic is the frame marker byte.
@@ -49,50 +50,78 @@ const (
 // ErrCorrupt is returned (wrapped) when a frame fails to parse.
 var ErrCorrupt = errors.New("wire: corrupt frame")
 
+// errCountOverrun is built once so that turning away a frame whose count
+// outruns its body — the cheapest way to ask a decoder for a large
+// allocation — allocates nothing at all.
+var errCountOverrun = fmt.Errorf("%w: count exceeds what the body can hold", ErrCorrupt)
+
 // Encode serialises the frame with the given value resolution. Attributes
 // are sorted ascending; attrs and values must have equal length.
 func Encode(f Frame, resolution float64) ([]byte, error) {
+	return AppendEncode(nil, f, resolution)
+}
+
+// AppendEncode is Encode appending to dst, so a sender reuses one buffer
+// across frames (a warmed buffer encodes without allocating). Attrs already
+// strictly ascending — what Source.Collect's single-clique frames and every
+// decoded frame are — encode straight from the frame; any other order takes
+// the sorting fallback. The bytes are the same either way. On error dst
+// comes back unextended.
+func AppendEncode(dst []byte, f Frame, resolution float64) ([]byte, error) {
 	if len(f.Attrs) != len(f.Values) {
-		return nil, fmt.Errorf("wire: %d attrs, %d values", len(f.Attrs), len(f.Values))
+		return dst, fmt.Errorf("wire: %d attrs, %d values", len(f.Attrs), len(f.Values))
 	}
 	if resolution <= 0 {
-		return nil, fmt.Errorf("wire: non-positive resolution %v", resolution)
+		return dst, fmt.Errorf("wire: non-positive resolution %v", resolution)
 	}
-	type pair struct {
-		attr int
-		val  float64
-	}
-	pairs := make([]pair, len(f.Attrs))
-	for i := range f.Attrs {
-		if f.Attrs[i] < 0 {
-			return nil, fmt.Errorf("wire: negative attribute %d", f.Attrs[i])
+	ascending := true
+	for i, a := range f.Attrs {
+		if a < 0 {
+			return dst, fmt.Errorf("wire: negative attribute %d", a)
 		}
 		if math.IsNaN(f.Values[i]) || math.IsInf(f.Values[i], 0) {
-			return nil, fmt.Errorf("wire: non-finite value %v", f.Values[i])
+			return dst, fmt.Errorf("wire: non-finite value %v", f.Values[i])
 		}
-		pairs[i] = pair{f.Attrs[i], f.Values[i]}
+		if i > 0 && a <= f.Attrs[i-1] {
+			ascending = false
+		}
 	}
-	sort.Slice(pairs, func(a, b int) bool { return pairs[a].attr < pairs[b].attr })
-	for i := 1; i < len(pairs); i++ {
-		if pairs[i].attr == pairs[i-1].attr {
-			return nil, fmt.Errorf("wire: duplicate attribute %d", pairs[i].attr)
+	// order[i] is the position of the i-th smallest attribute; nil means the
+	// frame is already in wire order.
+	var order []int
+	if !ascending {
+		order = make([]int, len(f.Attrs))
+		for i := range order {
+			order[i] = i
 		}
+		slices.SortFunc(order, func(a, b int) int { return cmp.Compare(f.Attrs[a], f.Attrs[b]) })
+		for i := 1; i < len(order); i++ {
+			if a := f.Attrs[order[i]]; a == f.Attrs[order[i-1]] {
+				return dst, fmt.Errorf("wire: duplicate attribute %d", a)
+			}
+		}
+	}
+	at := func(i int) int {
+		if order != nil {
+			return order[i]
+		}
+		return i
 	}
 
-	buf := make([]byte, 0, 4+3*len(pairs))
-	buf = append(buf, Magic, byte(f.Special))
-	buf = binary.AppendUvarint(buf, f.Step)
-	buf = binary.AppendUvarint(buf, uint64(len(pairs)))
+	dst = slices.Grow(dst, 4+3*len(f.Attrs)) // the usual size; longer frames grow by append
+	dst = append(dst, Magic, byte(f.Special))
+	dst = binary.AppendUvarint(dst, f.Step)
+	dst = binary.AppendUvarint(dst, uint64(len(f.Attrs)))
 	prev := 0
-	for _, p := range pairs {
-		buf = binary.AppendUvarint(buf, uint64(p.attr-prev))
-		prev = p.attr
+	for i := range f.Attrs {
+		a := f.Attrs[at(i)]
+		dst = binary.AppendUvarint(dst, uint64(a-prev))
+		prev = a
 	}
-	for _, p := range pairs {
-		q := int64(math.Round(p.val / resolution))
-		buf = binary.AppendVarint(buf, q)
+	for i := range f.Values {
+		dst = binary.AppendVarint(dst, int64(math.Round(f.Values[at(i)]/resolution)))
 	}
-	return buf, nil
+	return dst, nil
 }
 
 // Decode parses a frame encoded with the same resolution.
@@ -107,8 +136,11 @@ func Decode(buf []byte, resolution float64) (Frame, error) {
 // DecodeInto parses a frame encoded with the same resolution into f,
 // reusing f's Attrs and Values backing arrays when their capacity suffices
 // (they come back length-0 rather than nil for empty frames). A frame
-// whose pairs fit the existing capacity decodes without allocating. On
-// error f is left in an unspecified state.
+// whose pairs fit the existing capacity decodes without allocating; a
+// larger one sizes both arrays once, from its count — after the count has
+// been held against the body: every pair takes at least two bytes, so a
+// count the remaining bytes cannot hold is corrupt and allocates nothing.
+// On any other error f is left in an unspecified state.
 //
 //ken:hotpath decodes into the caller's frame, reusing its backing arrays
 func DecodeInto(f *Frame, buf []byte, resolution float64) error {
@@ -133,24 +165,19 @@ func DecodeInto(f *Frame, buf []byte, resolution float64) error {
 		return fmt.Errorf("%w: count", ErrCorrupt)
 	}
 	rest = rest[n:]
-	if count64 > 1<<20 {
-		return fmt.Errorf("%w: implausible count %d", ErrCorrupt, count64)
+	if count64 > uint64(len(rest))/2 {
+		return errCountOverrun
 	}
 	count := int(count64)
 	f.Step = step
 	f.Special = kind
-	attrs := f.Attrs[:0]
-	values := f.Values[:0]
-	f.Attrs = attrs
-	f.Values = values
-	if count == 0 {
-		if len(rest) != 0 {
-			return fmt.Errorf("%w: trailing bytes", ErrCorrupt)
-		}
-		return nil
+	if cap(f.Attrs) < count || cap(f.Values) < count {
+		//lint:ignore hotalloc a frame larger than any this Frame has held sizes both arrays once, from a count the body was just shown to hold
+		f.Attrs, f.Values = make([]int, count), make([]float64, count)
 	}
+	attrs, values := f.Attrs[:count], f.Values[:count]
 	prev := 0
-	for i := 0; i < count; i++ {
+	for i := range attrs {
 		d, n := binary.Uvarint(rest)
 		if n <= 0 {
 			return fmt.Errorf("%w: attr %d", ErrCorrupt, i)
@@ -162,20 +189,19 @@ func DecodeInto(f *Frame, buf []byte, resolution float64) error {
 		}
 		rest = rest[n:]
 		prev += int(d)
-		attrs = append(attrs, prev)
+		attrs[i] = prev
 	}
-	for i := 0; i < count; i++ {
+	for i := range values {
 		q, n := binary.Varint(rest)
 		if n <= 0 {
 			return fmt.Errorf("%w: value %d", ErrCorrupt, i)
 		}
 		rest = rest[n:]
-		values = append(values, float64(q)*resolution)
+		values[i] = float64(q) * resolution
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("%w: trailing bytes", ErrCorrupt)
 	}
-	f.Attrs = attrs
-	f.Values = values
+	f.Attrs, f.Values = attrs, values
 	return nil
 }

@@ -1,10 +1,16 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"ken/internal/alloctest"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -171,5 +177,130 @@ func TestQuickRoundTrip(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 100, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// hostileCount is a 7-byte frame whose count field claims 1<<20 pairs: the
+// cheapest request for a 16 MiB allocation a peer can send.
+var hostileCount = []byte{Magic, byte(KindReport), 0x00, 0x80, 0x80, 0x40, 0x01}
+
+// TestDecodeIntoHostileCount: a count the body cannot hold is corrupt, and
+// turning it away neither grows the caller's arrays nor allocates.
+func TestDecodeIntoHostileCount(t *testing.T) {
+	f := Frame{Attrs: make([]int, 0, 4), Values: make([]float64, 0, 4)}
+	if err := DecodeInto(&f, hostileCount, 0.01); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("got %v, want ErrCorrupt", err)
+	}
+	if cap(f.Attrs) != 4 || cap(f.Values) != 4 {
+		t.Fatalf("caps moved to %d/%d, want 4/4", cap(f.Attrs), cap(f.Values))
+	}
+	// The largest count a body can hold is half its remaining bytes: one
+	// under decodes, one over is turned away.
+	fits := []byte{Magic, 0, 0, 2, 1, 1, 2, 4}
+	if err := DecodeInto(&f, fits, 0.01); err != nil || len(f.Attrs) != 2 {
+		t.Fatalf("two pairs in four bytes: %v, %+v", err, f)
+	}
+	over := []byte{Magic, 0, 0, 3, 1, 1, 2, 4}
+	if err := DecodeInto(&f, over, 0.01); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("three pairs in four bytes: got %v, want ErrCorrupt", err)
+	}
+	if alloctest.RaceEnabled {
+		return // AllocsPerRun means nothing under -race
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if err := DecodeInto(&f, hostileCount, 0.01); err == nil {
+			t.Fatal("hostile count decoded")
+		}
+	}); got != 0 {
+		t.Errorf("rejecting a hostile count: %v allocs/op, want 0", got)
+	}
+}
+
+// referenceEncode is Encode as it stood before AppendEncode: copy the pairs,
+// sort them, emit. AppendEncode must produce these bytes whatever order the
+// attributes arrive in.
+func referenceEncode(f Frame, resolution float64) []byte {
+	type pair struct {
+		attr int
+		val  float64
+	}
+	pairs := make([]pair, len(f.Attrs))
+	for i := range f.Attrs {
+		pairs[i] = pair{f.Attrs[i], f.Values[i]}
+	}
+	sort.Slice(pairs, func(a, b int) bool { return pairs[a].attr < pairs[b].attr })
+	buf := []byte{Magic, byte(f.Special)}
+	buf = binary.AppendUvarint(buf, f.Step)
+	buf = binary.AppendUvarint(buf, uint64(len(pairs)))
+	prev := 0
+	for _, p := range pairs {
+		buf = binary.AppendUvarint(buf, uint64(p.attr-prev))
+		prev = p.attr
+	}
+	for _, p := range pairs {
+		buf = binary.AppendVarint(buf, int64(math.Round(p.val/resolution)))
+	}
+	return buf
+}
+
+// TestAppendEncodeMatchesEncode: ascending attrs (the no-copy path),
+// shuffled attrs (the sorting fallback) and Encode all emit the reference
+// bytes, and AppendEncode leaves what dst already held alone.
+func TestAppendEncodeMatchesEncode(t *testing.T) {
+	r := rand.New(rand.NewSource(14))
+	prefix := []byte("hdr!")
+	for trial := 0; trial < 500; trial++ {
+		n := r.Intn(40)
+		attrs := r.Perm(300)[:n]
+		sort.Ints(attrs)
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = (r.Float64() - 0.5) * 400
+		}
+		res := []float64{0.001, 0.01, 0.5}[r.Intn(3)]
+		asc := Frame{Step: uint64(r.Int63()), Special: Kind(r.Intn(2)), Attrs: attrs, Values: vals}
+		want := referenceEncode(asc, res)
+
+		shuffled := Frame{Step: asc.Step, Special: asc.Special,
+			Attrs: append([]int(nil), attrs...), Values: append([]float64(nil), vals...)}
+		r.Shuffle(n, func(i, j int) {
+			shuffled.Attrs[i], shuffled.Attrs[j] = shuffled.Attrs[j], shuffled.Attrs[i]
+			shuffled.Values[i], shuffled.Values[j] = shuffled.Values[j], shuffled.Values[i]
+		})
+		for name, f := range map[string]Frame{"ascending": asc, "shuffled": shuffled} {
+			got, err := Encode(f, res)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("trial %d, %s: Encode = %x (%v), want %x", trial, name, got, err, want)
+			}
+			got, err = AppendEncode(prefix[:len(prefix):len(prefix)], f, res)
+			if err != nil || !bytes.Equal(got[:4], prefix) || !bytes.Equal(got[4:], want) {
+				t.Fatalf("trial %d, %s: AppendEncode = %x (%v), want %x after %q", trial, name, got, err, want, prefix)
+			}
+		}
+	}
+	// A refused frame hands dst back as it was.
+	got, err := AppendEncode(prefix, Frame{Attrs: []int{2, 2}, Values: []float64{1, 1}}, 0.01)
+	if err == nil || !bytes.Equal(got, prefix) {
+		t.Fatalf("duplicate attribute: got %x, %v; want the untouched prefix and an error", got, err)
+	}
+}
+
+// TestAllocBudgetAppendEncode pins the sender's steady state: an ascending
+// frame encodes into a warmed buffer without allocating (docs/LINT.md).
+func TestAllocBudgetAppendEncode(t *testing.T) {
+	if alloctest.RaceEnabled {
+		t.Skip("alloc budgets are not meaningful under -race")
+	}
+	f := Frame{Step: 1 << 20, Attrs: []int{0, 3, 4, 17, 40}, Values: []float64{21.5, -4, 19.99, 0, 7}}
+	buf, err := AppendEncode(nil, f, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if buf, err = AppendEncode(buf[:0], f, 0.01); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("ascending AppendEncode into a warmed buffer: %v allocs/op, budget 0", got)
 	}
 }
