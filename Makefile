@@ -29,7 +29,7 @@ lint:
 	$(GO) run ./cmd/kenlint ./...
 
 fmt-check:
-	@out=$$(gofmt -l cmd internal examples); \
+	@out=$$(gofmt -l cmd internal examples benchmark bench_test.go); \
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 test:

@@ -661,6 +661,7 @@ func BenchmarkStreamThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	var buf bytes.Buffer
+	var body []byte
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		row := dep.Test[i%len(dep.Test)]
@@ -672,7 +673,8 @@ func BenchmarkStreamThroughput(b *testing.B) {
 		if err := stream.WriteFrame(&buf, f, src.Resolution()); err != nil {
 			b.Fatal(err)
 		}
-		got, err := stream.ReadFrame(&buf, sink.Resolution())
+		var got wire.Frame
+		got, body, err = stream.ReadFrameBuf(&buf, sink.Resolution(), body)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -150,13 +150,26 @@ func TestDaemonPin(t *testing.T) {
 		t.Fatalf("got %v, want spec-mismatch ErrSpecRejected", err)
 	}
 
+	// A future-version HELLO is typed as version skew on both ends — the
+	// daemon answers REJECT(version), the client surfaces
+	// ErrVersionMismatch — even when the spec it carries is the pinned one.
+	skew, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer skew.Close()
+	match := deploy.Params{Dataset: "garden", Seed: 1, TestSteps: 5}
+	_, err = stream.Handshake(skew, wire.Hello{Version: 9, Tenant: "v9", Spec: match.EncodeSpec()})
+	if !errors.Is(err, wire.ErrVersionMismatch) || !strings.Contains(err.Error(), "v9") {
+		t.Fatalf("got %v, want ErrVersionMismatch naming v9", err)
+	}
+
 	// The pinned spec itself — with a different step count — is admitted.
 	ok, err := net.Dial("tcp", addrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ok.Close()
-	match := deploy.Params{Dataset: "garden", Seed: 1, TestSteps: 5}
 	if _, err := stream.Handshake(ok, wire.Hello{Tenant: "good", Spec: match.EncodeSpec()}); err != nil {
 		t.Fatalf("pinned daemon rejected its own spec: %v", err)
 	}

@@ -5,7 +5,7 @@
 // frames/sec. With -verify it also proves zero cross-tenant divergence:
 // each tenant's /v1/query answer must be bit-identical to a local
 // single-tenant reference replica built from the same spec and fed the
-// same frames (the lock-step property a standalone kensim/kensink run at
+// same frames (the lock-step property a standalone `kensinkd -pin` run at
 // that spec computes), and within ±ε of the ground truth rows.
 //
 //	kenswarm -selfhost -tenants 64 -specs 4 -steps 200 -verify

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"ken/internal/model"
 	"ken/internal/network"
 	"ken/internal/obs"
+	"ken/internal/protocol"
 )
 
 // Average is the paper's Average model (Example 3.5, Figure 4): every step,
@@ -22,11 +24,8 @@ import (
 // therefore fit over the pair (X_i(t), X̄(t−1)) — its second variable IS the
 // lagged average, keeping conditioning exact.
 type Average struct {
-	n    int
-	src  []model.Model // per node, over [x_i(t), avg(t−1)]
-	sink []model.Model
-	eps  []float64
-	top  *network.Topology
+	nodes []AveragePair
+	top   *network.Topology
 	// aggCost is the fixed per-step cost of computing and disseminating the
 	// average (2 tree sweeps, O(n) messages). Zero under topology-free
 	// accounting, matching the paper's Fig 9/10 which plot reported values
@@ -34,46 +33,36 @@ type Average struct {
 	aggCost float64
 	// prevAvg is the last disseminated average.
 	prevAvg float64
-	primed  bool
 }
 
 var _ Scheme = (*Average)(nil)
 
-// The per-node pair model's two variables, as observation index sets.
+// AveragePair is one node of the Average model: the source and sink
+// replicas of its two-variable model over [x_i(t), X̄(t−1)], run through the
+// protocol kernel like any clique. The average's slot carries an infinite
+// bound, so it is never checked and never a candidate for the report.
+type AveragePair struct {
+	Src, Sink *protocol.Kernel
+	pair      [2]float64 // the readings vector Choose gathers from; only slot 0 is read
+}
+
+// The pair model's two variables, as observation index sets.
 var (
 	pairOwn = []int{0} // the node's own reading x_i(t)
 	pairAvg = []int{1} // the lagged network average X̄(t−1)
 )
 
-// NewAverage fits the per-node (X_i, lagged X̄) models from training data.
-// top may be nil for topology-independent accounting.
-func NewAverage(train [][]float64, eps []float64, fitCfg model.FitConfig, top *network.Topology) (*Average, error) {
+// FitAveragePairs fits every node's (X_i, lagged X̄) pair model from the
+// training rows and returns the replica pairs together with the last
+// training average, which primes the first test step. core.Average and
+// simnet.DistributedAverage both run on its result.
+func FitAveragePairs(train [][]float64, eps []float64, fitCfg model.FitConfig) ([]AveragePair, float64, error) {
 	if len(train) < 2 {
-		return nil, fmt.Errorf("core: Average needs at least 2 training rows, got %d", len(train))
+		return nil, 0, fmt.Errorf("core: Average needs at least 2 training rows, got %d", len(train))
 	}
 	n := len(train[0])
 	if len(eps) != n {
-		return nil, fmt.Errorf("core: eps dim %d, training dim %d", len(eps), n)
-	}
-	for i, e := range eps {
-		if e <= 0 {
-			return nil, fmt.Errorf("core: non-positive epsilon %v for attribute %d", e, i)
-		}
-	}
-	if top != nil && top.N() != n {
-		return nil, fmt.Errorf("core: topology has %d nodes, data has %d", top.N(), n)
-	}
-	a := &Average{
-		n:   n,
-		eps: append([]float64(nil), eps...),
-		top: top,
-	}
-	if top != nil {
-		tree, err := top.TreeMessageCost()
-		if err != nil {
-			return nil, err
-		}
-		a.aggCost = 2 * tree // one sweep up (aggregate), one down (disseminate)
+		return nil, 0, fmt.Errorf("core: eps dim %d, training dim %d", len(eps), n)
 	}
 	avg := make([]float64, len(train))
 	for t, row := range train {
@@ -83,7 +72,8 @@ func NewAverage(train [][]float64, eps []float64, fitCfg model.FitConfig, top *n
 		}
 		avg[t] = s / float64(n)
 	}
-	for i := 0; i < n; i++ {
+	nodes := make([]AveragePair, n)
+	for i := range nodes {
 		// Pair the reading at t with the average disseminated from t−1.
 		cols := make([][]float64, 0, len(train)-1)
 		for t := 1; t < len(train); t++ {
@@ -91,14 +81,57 @@ func NewAverage(train [][]float64, eps []float64, fitCfg model.FitConfig, top *n
 		}
 		mdl, err := model.FitLinearGaussian(cols, fitCfg)
 		if err != nil {
-			return nil, fmt.Errorf("core: fitting average model for node %d: %w", i, err)
+			return nil, 0, fmt.Errorf("core: fitting average model for node %d: %w", i, err)
 		}
-		a.src = append(a.src, mdl.Clone())
-		a.sink = append(a.sink, mdl.Clone())
+		proto, err := protocol.New(mdl, nil, []float64{eps[i], math.Inf(1)})
+		if err != nil {
+			return nil, 0, fmt.Errorf("core: average model for node %d: %w", i, err)
+		}
+		nodes[i] = AveragePair{Src: proto, Sink: proto.Clone()}
 	}
-	// The last training average primes the first test step.
-	a.prevAvg = avg[len(avg)-1]
-	a.primed = true
+	return nodes, avg[len(avg)-1], nil
+}
+
+// Predict advances both replicas one step and conditions each on the
+// average its side holds: what the node last received and what the base
+// last disseminated. They are the same number unless the node is cut off.
+func (p *AveragePair) Predict(nodeAvg, baseAvg float64) error {
+	p.Src.Predict()
+	p.Sink.Predict()
+	p.pair[1] = nodeAvg
+	if err := p.Src.Commit(pairAvg, p.pair[1:]); err != nil {
+		return err
+	}
+	p.pair[1] = baseAvg
+	return p.Sink.Commit(pairAvg, p.pair[1:])
+}
+
+// Choose is the node's decision: its own reading when the prediction given
+// the average misses it by more than ε, the empty report otherwise. The
+// returned pair is the source kernel's scratch (see protocol.Kernel.Choose).
+func (p *AveragePair) Choose(reading float64) (idx []int, vals []float64, err error) {
+	p.pair[0] = reading
+	return p.Src.Choose(p.pair[:], pairOwn)
+}
+
+// NewAverage fits the per-node (X_i, lagged X̄) models from training data.
+// top may be nil for topology-independent accounting.
+func NewAverage(train [][]float64, eps []float64, fitCfg model.FitConfig, top *network.Topology) (*Average, error) {
+	nodes, lastAvg, err := FitAveragePairs(train, eps, fitCfg)
+	if err != nil {
+		return nil, err
+	}
+	if top != nil && top.N() != len(nodes) {
+		return nil, fmt.Errorf("core: topology has %d nodes, data has %d", top.N(), len(nodes))
+	}
+	a := &Average{nodes: nodes, top: top, prevAvg: lastAvg}
+	if top != nil {
+		tree, err := top.TreeMessageCost()
+		if err != nil {
+			return nil, err
+		}
+		a.aggCost = 2 * tree // one sweep up (aggregate), one down (disseminate)
+	}
 	return a, nil
 }
 
@@ -106,37 +139,35 @@ func NewAverage(train [][]float64, eps []float64, fitCfg model.FitConfig, top *n
 func (a *Average) Name() string { return "Avg" }
 
 // Dim implements Scheme.
-func (a *Average) Dim() int { return a.n }
+func (a *Average) Dim() int { return len(a.nodes) }
 
 // Step implements Scheme.
 func (a *Average) Step(truth []float64) ([]float64, StepStats, error) {
-	if len(truth) != a.n {
-		return nil, StepStats{}, fmt.Errorf("core: truth dim %d, want %d", len(truth), a.n)
+	if len(truth) != len(a.nodes) {
+		return nil, StepStats{}, fmt.Errorf("core: truth dim %d, want %d", len(truth), len(a.nodes))
 	}
-	est := make([]float64, a.n)
+	if err := protocol.CheckReadings(truth); err != nil {
+		return nil, StepStats{}, err
+	}
+	est := make([]float64, len(a.nodes))
 	st := StepStats{IntraCost: a.aggCost}
-	for i := 0; i < a.n; i++ {
-		a.src[i].Step()
-		a.sink[i].Step()
+	for i := range a.nodes {
+		nd := &a.nodes[i]
 		// Both replicas know the average disseminated last round.
-		if a.primed {
-			avg := []float64{a.prevAvg}
-			if err := a.src[i].Condition(pairAvg, avg); err != nil {
-				return nil, StepStats{}, err
-			}
-			if err := a.sink[i].Condition(pairAvg, avg); err != nil {
-				return nil, StepStats{}, err
-			}
+		if err := nd.Predict(a.prevAvg, a.prevAvg); err != nil {
+			return nil, StepStats{}, err
 		}
-		mean := a.src[i].Mean()
-		if d := mean[0] - truth[i]; d > a.eps[i] || d < -a.eps[i] {
-			own := []float64{truth[i]}
-			if err := a.src[i].Condition(pairOwn, own); err != nil {
-				return nil, StepStats{}, err
-			}
-			if err := a.sink[i].Condition(pairOwn, own); err != nil {
-				return nil, StepStats{}, err
-			}
+		idx, vals, err := nd.Choose(truth[i])
+		if err != nil {
+			return nil, StepStats{}, err
+		}
+		if err := nd.Src.Commit(idx, vals); err != nil {
+			return nil, StepStats{}, err
+		}
+		if err := nd.Sink.Commit(idx, vals); err != nil {
+			return nil, StepStats{}, err
+		}
+		if len(idx) > 0 {
 			st.ValuesReported++
 			st.Reported = append(st.Reported, i)
 			if a.top == nil {
@@ -145,7 +176,7 @@ func (a *Average) Step(truth []float64) ([]float64, StepStats, error) {
 				st.SinkCost += a.top.CommToBase(i)
 			}
 		}
-		est[i] = a.sink[i].Mean()[0]
+		est[i] = nd.Sink.Mean()[0]
 	}
 	st.Bytes = obs.WireBytesPerValue * st.ValuesReported
 	// Aggregate this step's readings for dissemination next round.
@@ -153,7 +184,6 @@ func (a *Average) Step(truth []float64) ([]float64, StepStats, error) {
 	for _, v := range truth {
 		sum += v
 	}
-	a.prevAvg = sum / float64(a.n)
-	a.primed = true
+	a.prevAvg = sum / float64(len(a.nodes))
 	return est, st, nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"ken/internal/network"
 	"ken/internal/obs"
+	"ken/internal/protocol"
 )
 
 // TinyDB is the exact-collection baseline (§5.2): every node reports every
@@ -39,6 +40,9 @@ func (s *TinyDB) Dim() int { return s.n }
 func (s *TinyDB) Step(truth []float64) ([]float64, StepStats, error) {
 	if len(truth) != s.n {
 		return nil, StepStats{}, fmt.Errorf("core: truth dim %d, want %d", len(truth), s.n)
+	}
+	if err := protocol.CheckReadings(truth); err != nil {
+		return nil, StepStats{}, err
 	}
 	est := make([]float64, s.n)
 	copy(est, truth)
@@ -104,6 +108,9 @@ func (s *Cache) Dim() int { return s.n }
 func (s *Cache) Step(truth []float64) ([]float64, StepStats, error) {
 	if len(truth) != s.n {
 		return nil, StepStats{}, fmt.Errorf("core: truth dim %d, want %d", len(truth), s.n)
+	}
+	if err := protocol.CheckReadings(truth); err != nil {
+		return nil, StepStats{}, err
 	}
 	var st StepStats
 	for i, v := range truth {

@@ -126,62 +126,68 @@ func TestRunReportedAttrsAreDeterministic(t *testing.T) {
 }
 
 // TestStepRejectsNonFiniteReadingBeforeMoving: a NaN or Inf reading is a
-// typed error from Ken and LossyKen — on ordinary and heartbeat epochs —
-// and the scheme carries on exactly as if the bad epoch had never been
-// offered: nothing stepped, no counter moved. A NaN compares false against
-// every bound, so it used to be suppressed silently (or, on a heartbeat,
-// to fail after the earlier cliques had committed).
+// typed error from every scheme — Ken and LossyKen on ordinary and heartbeat
+// epochs, and the baselines that never touch the kernel — and the scheme
+// carries on exactly as if the bad epoch had never been offered: nothing
+// stepped, no cache or average poisoned, no counter moved. A NaN compares
+// false against every bound, so unchecked it is suppressed silently: Ken
+// used to fail on the next heartbeat after earlier cliques had committed,
+// Average served the node's stale prediction and then failed the NEXT epoch
+// on its poisoned average, ApC served its stale cached value as if it were
+// within ε, and TinyDB copied the NaN into the answer.
 func TestStepRejectsNonFiniteReadingBeforeMoving(t *testing.T) {
 	train, test, eps := gardenData(t, 6, 100, 40)
 	cfg := KenConfig{Partition: pairPartition(6), Train: train, Eps: eps, FitCfg: model.FitConfig{Period: 24}}
+	scheme := func(s Scheme, err error) Scheme {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
 	build := map[string]func() Scheme{
-		"Ken": func() Scheme {
-			s, err := NewKen(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		},
+		"Ken": func() Scheme { return scheme(NewKen(cfg)) },
 		"LossyKen": func() Scheme {
-			s, err := NewLossyKen(cfg, LossyConfig{LossRate: 0.3, HeartbeatEvery: 4, Seed: 9})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
+			return scheme(NewLossyKen(cfg, LossyConfig{LossRate: 0.3, HeartbeatEvery: 4, Seed: 9}))
 		},
+		"Avg":    func() Scheme { return scheme(NewAverage(train, eps, cfg.FitCfg, nil)) },
+		"ApC":    func() Scheme { return scheme(NewCache(eps, nil)) },
+		"TinyDB": func() Scheme { return scheme(NewTinyDB(len(eps), nil)) },
 	}
 	for name, mk := range build {
-		got, ref := mk(), mk()
-		for step, row := range test {
-			// Offer a poisoned copy of every epoch first — step 3, 7, … are
-			// LossyKen's heartbeats. The bad value sits in the last clique.
-			bad := append([]float64(nil), row...)
-			bad[5] = math.NaN()
-			if step%2 == 1 {
-				bad[5] = math.Inf(-1)
+		t.Run(name, func(t *testing.T) {
+			got, ref := mk(), mk()
+			for step, row := range test {
+				// Offer a poisoned copy of every epoch first — step 3, 7, … are
+				// LossyKen's heartbeats. The bad value sits in the last clique.
+				bad := append([]float64(nil), row...)
+				bad[5] = math.NaN()
+				if step%2 == 1 {
+					bad[5] = math.Inf(-1)
+				}
+				if _, _, err := got.Step(bad); !errors.Is(err, gauss.ErrNotFinite) {
+					t.Fatalf("%s step %d: err = %v, want gauss.ErrNotFinite", name, step, err)
+				}
+				ge, gs, err := got.Step(row)
+				if err != nil {
+					t.Fatal(err)
+				}
+				re, rs, err := ref.Step(row)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(gs, rs) || !sameBits(ge, re) {
+					t.Fatalf("%s step %d: a rejected epoch changed what followed", name, step)
+				}
 			}
-			if _, _, err := got.Step(bad); !errors.Is(err, gauss.ErrNotFinite) {
-				t.Fatalf("%s step %d: err = %v, want gauss.ErrNotFinite", name, step, err)
+			if l, ok := got.(*LossyKen); ok {
+				r := ref.(*LossyKen)
+				if l.Heartbeats != r.Heartbeats || l.LostMessages != r.LostMessages || l.Heartbeats == 0 {
+					t.Fatalf("counters moved on rejected epochs: %d/%d heartbeats, %d/%d lost",
+						l.Heartbeats, r.Heartbeats, l.LostMessages, r.LostMessages)
+				}
 			}
-			ge, gs, err := got.Step(row)
-			if err != nil {
-				t.Fatal(err)
-			}
-			re, rs, err := ref.Step(row)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(gs, rs) || !sameBits(ge, re) {
-				t.Fatalf("%s step %d: a rejected epoch changed what followed", name, step)
-			}
-		}
-		if l, ok := got.(*LossyKen); ok {
-			r := ref.(*LossyKen)
-			if l.Heartbeats != r.Heartbeats || l.LostMessages != r.LostMessages || l.Heartbeats == 0 {
-				t.Fatalf("counters moved on rejected epochs: %d/%d heartbeats, %d/%d lost",
-					l.Heartbeats, r.Heartbeats, l.LostMessages, r.LostMessages)
-			}
-		}
+		})
 	}
 }
 

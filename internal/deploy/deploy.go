@@ -1,7 +1,7 @@
 // Package deploy assembles ready-to-run Ken deployments from the synthetic
 // datasets: it generates the trace, fits and selects a Disjoint-Cliques
 // partition, and produces the shared endpoint configuration the streaming
-// binaries (kensource / kensink) need. Because every step is a
+// binaries (kensource, kensinkd -pin, kenswarm) need. Because every step is a
 // deterministic function of the flags, two independent processes built
 // from the same parameters end up with bit-identical replicas — the
 // property the replicated-model protocol depends on.

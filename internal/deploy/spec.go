@@ -27,9 +27,8 @@ const maxSpecSteps = 1 << 20
 
 // Register installs the shared deployment flag block — -dataset, -seed,
 // -train, -k and -eps — on fs, replacing the hand-copied per-binary sets.
-// Defaults match the historical kensink/kensource flags. TestSteps and
-// HeartbeatEvery stay per-binary flags: they shape the source's run, not
-// the replica both sides must agree on.
+// TestSteps and HeartbeatEvery stay per-binary flags: they shape the
+// source's run, not the replica both sides must agree on.
 func (p *Params) Register(fs *flag.FlagSet) {
 	fs.StringVar(&p.Dataset, "dataset", "garden", "deployment: garden or lab")
 	fs.Int64Var(&p.Seed, "seed", 1, "shared deployment seed")

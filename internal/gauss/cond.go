@@ -125,6 +125,3 @@ func (g *Gaussian) CondMeanInto(dst []float64, ws *Workspace) error {
 	}
 	return nil
 }
-
-// CondLen returns the size of the evaluator's current observed set.
-func (ws *Workspace) CondLen() int { return len(ws.evalIdx) }

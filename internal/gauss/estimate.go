@@ -73,52 +73,6 @@ func EstimateCov(data [][]float64, mean []float64, ridge float64) (*mat.Dense, e
 	return cov, nil
 }
 
-// Estimate fits a Gaussian to the rows of data with the given relative
-// ridge on the covariance diagonal.
-func Estimate(data [][]float64, ridge float64) (*Gaussian, error) {
-	mean, err := EstimateMean(data)
-	if err != nil {
-		return nil, err
-	}
-	cov, err := EstimateCov(data, mean, ridge)
-	if err != nil {
-		return nil, err
-	}
-	return New(mean, cov)
-}
-
-// CrossCov returns the n×m sample cross-covariance between paired rows of
-// x (dim n) and y (dim m): E[(x−μx)(y−μy)ᵀ]. Used to fit the lag-1
-// transition model from consecutive trace rows.
-func CrossCov(x, y [][]float64, muX, muY []float64) (*mat.Dense, error) {
-	if len(x) != len(y) {
-		return nil, fmt.Errorf("gauss: cross-cov sample counts %d vs %d", len(x), len(y))
-	}
-	if len(x) < 2 {
-		return nil, fmt.Errorf("gauss: need >= 2 samples for cross-covariance, got %d", len(x))
-	}
-	n, m := len(muX), len(muY)
-	out := mat.NewDense(n, m)
-	for t := range x {
-		if len(x[t]) != n || len(y[t]) != m {
-			return nil, fmt.Errorf("gauss: cross-cov row %d dims (%d,%d), want (%d,%d)", t, len(x[t]), len(y[t]), n, m)
-		}
-		for i := 0; i < n; i++ {
-			dx := x[t][i] - muX[i]
-			for j := 0; j < m; j++ {
-				out.Add(i, j, dx*(y[t][j]-muY[j]))
-			}
-		}
-	}
-	norm := 1 / float64(len(x)-1)
-	for i := 0; i < n; i++ {
-		for j := 0; j < m; j++ {
-			out.Set(i, j, out.At(i, j)*norm)
-		}
-	}
-	return out, nil
-}
-
 // isZero reports exact equality with zero. Degenerate-input guards are the
 // one place exact float comparison is right: any nonzero value, however
 // tiny, is a usable divisor, while a true zero means the computation is

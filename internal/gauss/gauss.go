@@ -1,7 +1,7 @@
 // Package gauss implements the multivariate Gaussian machinery at the heart
-// of Ken's dynamic probabilistic models (ICDE'06 §3.1): probability density
-// evaluation, marginalisation, conditioning on observed attribute subsets,
-// sampling, and parameter estimation from training traces.
+// of Ken's dynamic probabilistic models (ICDE'06 §3.1): the linear predict
+// step, conditioning on observed attribute subsets, sampling, and parameter
+// estimation from training traces.
 //
 // Conditioning is the operation Ken performs when the source transmits a
 // subset of observed values to the sink: both replicas update
@@ -76,58 +76,9 @@ func (g *Gaussian) Mean() []float64 {
 // Cov returns a copy of the covariance matrix.
 func (g *Gaussian) Cov() *mat.Dense { return g.cov.Clone() }
 
-// Var returns the marginal variance of variable i.
-func (g *Gaussian) Var(i int) float64 { return g.cov.At(i, i) }
-
 // Clone returns a deep copy.
 func (g *Gaussian) Clone() *Gaussian {
 	return &Gaussian{mean: g.Mean(), cov: g.cov.Clone()}
-}
-
-// LogPDF evaluates the log density at x.
-func (g *Gaussian) LogPDF(x []float64) (float64, error) {
-	n := g.Dim()
-	if len(x) != n {
-		return 0, fmt.Errorf("gauss: LogPDF input dim %d, want %d", len(x), n)
-	}
-	ch, err := mat.NewCholesky(g.cov)
-	if err != nil {
-		return 0, fmt.Errorf("gauss: covariance not PD: %w", err)
-	}
-	d := mat.SubVec(x, g.mean)
-	sol, err := ch.SolveVec(d)
-	if err != nil {
-		return 0, err
-	}
-	quad := mat.Dot(d, sol)
-	return -0.5 * (float64(n)*math.Log(2*math.Pi) + ch.LogDet() + quad), nil
-}
-
-// PDF evaluates the density at x.
-func (g *Gaussian) PDF(x []float64) (float64, error) {
-	lp, err := g.LogPDF(x)
-	if err != nil {
-		return 0, err
-	}
-	return math.Exp(lp), nil
-}
-
-// Marginal returns the marginal distribution of the variables at idx, in
-// that order. For Gaussians marginalisation is simply selection of the
-// corresponding mean entries and covariance block.
-func (g *Gaussian) Marginal(idx []int) (*Gaussian, error) {
-	if len(idx) == 0 {
-		return nil, ErrEmpty
-	}
-	for _, i := range idx {
-		if i < 0 || i >= g.Dim() {
-			return nil, fmt.Errorf("gauss: marginal index %d out of range %d", i, g.Dim())
-		}
-	}
-	return &Gaussian{
-		mean: mat.Select(g.mean, idx),
-		cov:  g.cov.Submatrix(idx, idx),
-	}, nil
 }
 
 // checkObserved validates an observation set against dimension n: one
@@ -212,12 +163,11 @@ func (g *Gaussian) Condition(idx []int, vals []float64) (cond *Gaussian, keep []
 	if err != nil {
 		return nil, nil, err
 	}
-	covCond, err := sigAA.SubMat(corr)
-	if err != nil {
+	if err := sigAA.SubInPlace(corr); err != nil { // sigAA is a fresh copy
 		return nil, nil, err
 	}
-	covCond.Symmetrize()
-	return &Gaussian{mean: muCond, cov: covCond}, keep, nil
+	sigAA.Symmetrize()
+	return &Gaussian{mean: muCond, cov: sigAA}, keep, nil
 }
 
 // ConditionalMean returns only the full-length conditional mean: observed

@@ -44,70 +44,6 @@ func TestMeanCovCopies(t *testing.T) {
 	}
 }
 
-func TestLogPDFStandardNormal(t *testing.T) {
-	g := MustNew([]float64{0}, mat.Identity(1))
-	lp, err := g.LogPDF([]float64{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := -0.5 * math.Log(2*math.Pi)
-	if math.Abs(lp-want) > 1e-12 {
-		t.Fatalf("LogPDF(0) = %v, want %v", lp, want)
-	}
-	p, err := g.PDF([]float64{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p-1/math.Sqrt(2*math.Pi)) > 1e-12 {
-		t.Fatalf("PDF(0) = %v", p)
-	}
-}
-
-func TestLogPDFQuadraticTerm(t *testing.T) {
-	g := MustNew([]float64{3}, mat.Diag([]float64{4}))
-	lp, err := g.LogPDF([]float64{5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// N(3, 4) at 5: -0.5(log 2π + log 4 + (2²)/4)
-	want := -0.5 * (math.Log(2*math.Pi) + math.Log(4) + 1)
-	if math.Abs(lp-want) > 1e-12 {
-		t.Fatalf("LogPDF = %v, want %v", lp, want)
-	}
-}
-
-func TestMarginal(t *testing.T) {
-	cov := mat.NewDenseFrom([][]float64{
-		{4, 1, 0},
-		{1, 9, 2},
-		{0, 2, 16},
-	})
-	g := MustNew([]float64{1, 2, 3}, cov)
-	m, err := g.Marginal([]int{2, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Dim() != 2 {
-		t.Fatalf("dim = %d, want 2", m.Dim())
-	}
-	if got := m.Mean(); got[0] != 3 || got[1] != 1 {
-		t.Fatalf("marginal mean = %v, want [3 1]", got)
-	}
-	if m.Var(0) != 16 || m.Var(1) != 4 || m.Cov().At(0, 1) != 0 {
-		t.Fatalf("marginal cov = %v", m.Cov())
-	}
-}
-
-func TestMarginalErrors(t *testing.T) {
-	g := std2D()
-	if _, err := g.Marginal(nil); err == nil {
-		t.Fatal("expected error for empty index set")
-	}
-	if _, err := g.Marginal([]int{5}); err == nil {
-		t.Fatal("expected error for out-of-range index")
-	}
-}
-
 func TestConditionBivariate(t *testing.T) {
 	// Classic result: for unit variances and correlation ρ,
 	// X1 | X2 = x ~ N(μ1 + ρ(x − μ2), 1 − ρ²).
@@ -125,7 +61,7 @@ func TestConditionBivariate(t *testing.T) {
 		t.Fatalf("conditional mean = %v, want %v", got, wantMean)
 	}
 	wantVar := 1 - rho*rho
-	if got := cond.Var(0); math.Abs(got-wantVar) > 1e-10 {
+	if got := cond.Cov().At(0, 0); math.Abs(got-wantVar) > 1e-10 {
 		t.Fatalf("conditional var = %v, want %v", got, wantVar)
 	}
 }
@@ -181,7 +117,7 @@ func TestConditionIndependentUnchanged(t *testing.T) {
 	if got := cond.Mean()[0]; math.Abs(got-5) > 1e-12 {
 		t.Fatalf("independent conditional mean moved: %v", got)
 	}
-	if got := cond.Var(0); math.Abs(got-1) > 1e-12 {
+	if got := cond.Cov().At(0, 0); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("independent conditional var changed: %v", got)
 	}
 }
@@ -244,6 +180,21 @@ func TestSampleMoments(t *testing.T) {
 	}
 }
 
+// estimate fits a Gaussian to the rows of data with the given relative
+// ridge, the way model.FitLinearGaussian does.
+func estimate(t *testing.T, data [][]float64, ridge float64) *Gaussian {
+	t.Helper()
+	mean, err := EstimateMean(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cov, err := EstimateCov(data, mean, ridge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return MustNew(mean, cov)
+}
+
 func TestEstimateMeanCov(t *testing.T) {
 	data := [][]float64{{1, 10}, {2, 20}, {3, 30}}
 	mean, err := EstimateMean(data)
@@ -282,43 +233,16 @@ func TestEstimateErrors(t *testing.T) {
 
 func TestEstimateRidgeRescuesDegenerate(t *testing.T) {
 	// Two perfectly correlated attributes: covariance is singular without
-	// ridge; Estimate with ridge must produce a usable Gaussian.
+	// ridge; EstimateCov with ridge must produce a usable Gaussian.
 	data := make([][]float64, 50)
 	rng := rand.New(rand.NewSource(12))
 	for t := range data {
 		v := rng.NormFloat64()
 		data[t] = []float64{v, v}
 	}
-	g, err := Estimate(data, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.LogPDF([]float64{0, 0}); err != nil {
+	g := estimate(t, data, 1e-6)
+	if _, err := g.Sample(rng); err != nil {
 		t.Fatalf("ridge-regularised Gaussian unusable: %v", err)
-	}
-}
-
-func TestCrossCov(t *testing.T) {
-	// y = 2x ⇒ cross-cov = 2·var(x).
-	x := [][]float64{{1}, {2}, {3}}
-	y := [][]float64{{2}, {4}, {6}}
-	muX, _ := EstimateMean(x)
-	muY, _ := EstimateMean(y)
-	cc, err := CrossCov(x, y, muX, muY)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(cc.At(0, 0)-2) > 1e-12 {
-		t.Fatalf("cross-cov = %v, want 2", cc.At(0, 0))
-	}
-}
-
-func TestCrossCovErrors(t *testing.T) {
-	if _, err := CrossCov([][]float64{{1}}, [][]float64{{1}, {2}}, []float64{0}, []float64{0}); err == nil {
-		t.Fatal("expected error on mismatched sample counts")
-	}
-	if _, err := CrossCov([][]float64{{1}}, [][]float64{{1}}, []float64{0}, []float64{0}); err == nil {
-		t.Fatal("expected error on too few samples")
 	}
 }
 
@@ -359,8 +283,9 @@ func TestQuickConditioningShrinksVariance(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		before, after := g.Cov(), cond.Cov()
 		for pos, i := range keep {
-			if cond.Var(pos) > g.Var(i)+1e-9 {
+			if after.At(pos, pos) > before.At(i, i)+1e-9 {
 				return false
 			}
 		}
@@ -372,8 +297,9 @@ func TestQuickConditioningShrinksVariance(t *testing.T) {
 	}
 }
 
-// Property: marginalising then conditioning equals conditioning then
-// marginalising for disjoint index sets (Gaussian consistency).
+// Property: marginalising (selecting the mean entries and covariance block)
+// then conditioning equals conditioning then marginalising for disjoint
+// index sets (Gaussian consistency).
 func TestQuickMarginalConditionConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	f := func(seed int64) bool {
@@ -407,7 +333,8 @@ func TestQuickMarginalConditionConsistency(t *testing.T) {
 			}
 		}
 		// Marginalise to {0, n-1}, then condition on X_{n-1}.
-		marg, err := g.Marginal([]int{0, n - 1})
+		pair := []int{0, n - 1}
+		marg, err := New(mat.Select(mean, pair), cov.Submatrix(pair, pair))
 		if err != nil {
 			return false
 		}
@@ -416,7 +343,7 @@ func TestQuickMarginalConditionConsistency(t *testing.T) {
 			return false
 		}
 		return math.Abs(condFull.Mean()[pos]-condMarg.Mean()[0]) < 1e-8 &&
-			math.Abs(condFull.Var(pos)-condMarg.Var(0)) < 1e-8
+			math.Abs(condFull.Cov().At(pos, pos)-condMarg.Cov().At(0, 0)) < 1e-8
 	}
 	cfg := &quick.Config{MaxCount: 60, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {
@@ -436,10 +363,7 @@ func TestEstimateRecoversParameters(t *testing.T) {
 		}
 		data[i] = x
 	}
-	est, err := Estimate(data, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	est := estimate(t, data, 0)
 	if m := est.Mean(); math.Abs(m[0]-1) > 0.08 || math.Abs(m[1]-2) > 0.08 {
 		t.Fatalf("estimated mean = %v", m)
 	}

@@ -90,10 +90,8 @@ func (g *Gaussian) MeanInto(dst []float64) error {
 
 // Predict pushes the belief through the linear transition in place:
 // μ ← A·μ, Σ ← A·Σ·Aᵀ + Q. aT must be the transpose of a (precomputed so
-// the hot path does not allocate it). Arithmetic is bit-identical with the
-// allocating sequence MulVec/Mul/Mul/AddMat/Symmetrize followed by New's
-// symmetrisation: Symmetrize is bitwise idempotent, so symmetrising once
-// here equals the old path's two passes.
+// the hot path does not allocate it). The covariance is symmetrised once at
+// the end; Symmetrize is bitwise idempotent.
 //
 //ken:hotpath the predict step runs against the workspace
 func (g *Gaussian) Predict(a, aT, q *mat.Dense, ws *Workspace) error {

@@ -7,9 +7,8 @@ import (
 
 // Cholesky is the lower-triangular factor L of a symmetric positive
 // definite matrix A = L·Lᵀ. It supports solves against vectors and
-// matrices, inversion, log-determinant, and rank-1 up/down-dates —
-// everything Gaussian conditioning needs without ever forming an
-// explicit inverse.
+// matrices and rank-1 up/down-dates — everything Gaussian conditioning
+// needs without ever forming an explicit inverse.
 type Cholesky struct {
 	n     int
 	l     *Dense    // lower triangular, upper part zero
@@ -17,14 +16,9 @@ type Cholesky struct {
 	valid bool      // false until a factorisation succeeds; failure poisons
 }
 
-// NewCholesky factorises the symmetric matrix a. Only the lower triangle of
-// a is read. If a is merely positive semi-definite (common for covariance
-// matrices of near-deterministic attributes), a tiny diagonal jitter
-// proportional to the matrix scale is added before failing outright.
+// NewCholesky factorises the symmetric matrix a: Factorize on a fresh
+// workspace of a's order.
 func NewCholesky(a *Dense) (*Cholesky, error) {
-	if a.rows != a.cols {
-		return nil, fmt.Errorf("%w: cholesky of %dx%d", ErrDimension, a.rows, a.cols)
-	}
 	c := NewCholeskyWorkspace(a.rows)
 	if err := c.Factorize(a); err != nil {
 		return nil, err
@@ -56,8 +50,10 @@ var errFactorInvalid = fmt.Errorf("%w: factorization invalid (failed or not yet 
 
 // Factorize refactorises c against the symmetric matrix a, reusing c's
 // backing storage; a must fit within the workspace's construction order.
-// The factorisation (jitter ladder included) is bit-identical with
-// NewCholesky's.
+// Only the lower triangle of a is read. If a is merely positive
+// semi-definite (common for covariance matrices of near-deterministic
+// attributes), a tiny diagonal jitter proportional to the matrix scale is
+// added before failing outright.
 //
 // A failed factorisation leaves the workspace invalid: the factor buffer
 // holds partial writes from the last jitter rung, so every solve returns
@@ -148,23 +144,16 @@ func (c *Cholesky) L() *Dense {
 	return c.l.Clone()
 }
 
-// SolveVec solves A·x = b and returns x.
+// SolveVec solves A·x = b and returns x: SolveVecInPlace on a copy of b.
 func (c *Cholesky) SolveVec(b []float64) ([]float64, error) {
-	if !c.valid {
-		return nil, errFactorInvalid
+	x := append([]float64(nil), b...)
+	if err := c.SolveVecInPlace(x); err != nil {
+		return nil, err
 	}
-	if len(b) != c.n {
-		return nil, fmt.Errorf("%w: solve len %d, want %d", ErrDimension, len(b), c.n)
-	}
-	y := make([]float64, c.n)
-	copy(y, b)
-	c.forwardSolve(y)
-	c.backSolve(y)
-	return y, nil
+	return x, nil
 }
 
-// SolveVecInPlace solves A·x = b, overwriting b with x. Bit-identical with
-// SolveVec.
+// SolveVecInPlace solves A·x = b, overwriting b with x.
 //
 //ken:hotpath solves in place against the caller's buffer
 func (c *Cholesky) SolveVecInPlace(b []float64) error {
@@ -226,18 +215,6 @@ func (c *Cholesky) backSolve(b []float64) {
 		b[i] = s / c.l.data[i*n+i]
 	}
 }
-
-// LogDet returns log|A| = 2·Σ log L_ii.
-func (c *Cholesky) LogDet() float64 {
-	s := 0.0
-	for i := 0; i < c.n; i++ {
-		s += math.Log(c.l.data[i*c.n+i])
-	}
-	return 2 * s
-}
-
-// Det returns |A|.
-func (c *Cholesky) Det() float64 { return math.Exp(c.LogDet()) }
 
 // MulLVec returns L·v, used to transform standard normal samples into
 // samples with covariance A.

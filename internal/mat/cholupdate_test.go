@@ -243,7 +243,7 @@ func TestCholeskyFactorizeFailureInvalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	ax, _ := good.MulVec(x)
-	if NormInf(SubVec(ax, []float64{1, 2})) > 1e-10 {
+	if maxAbs(SubVec(ax, []float64{1, 2})) > 1e-10 {
 		t.Fatal("solve after recovery inaccurate")
 	}
 }
@@ -310,46 +310,6 @@ func TestCholUpdateRejectsNonFinite(t *testing.T) {
 	}
 	if !ch.L().Equal(before, 0) {
 		t.Fatal("rejected update mutated the factor")
-	}
-}
-
-// The blocked multiply path must be bit-identical with the naive one: both
-// the allocating Mul (always naive) and small-operand MulInto accumulate
-// over k in ascending order, and the tiled path preserves that order.
-func TestMulIntoBlockedBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	shapes := []struct{ m, k, n int }{
-		{64, 64, 64},    // exactly at threshold, single full tile
-		{100, 100, 100}, // one full + one partial tile per axis
-		{65, 128, 97},   // uneven edges
-	}
-	for _, s := range shapes {
-		a := NewDense(s.m, s.k)
-		b := NewDense(s.k, s.n)
-		for i := 0; i < s.m; i++ {
-			for j := 0; j < s.k; j++ {
-				a.Set(i, j, rng.NormFloat64())
-			}
-		}
-		for i := 0; i < s.k; i++ {
-			for j := 0; j < s.n; j++ {
-				b.Set(i, j, rng.NormFloat64())
-			}
-		}
-		// Exercise the exact-zero skip inside tiles too.
-		a.Set(0, 0, 0)
-		a.Set(s.m-1, s.k-1, 0)
-		want, err := a.Mul(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := NewDense(s.m, s.n)
-		if err := got.MulInto(a, b); err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want, 0) {
-			t.Fatalf("blocked MulInto differs from Mul at %dx%dx%d", s.m, s.k, s.n)
-		}
 	}
 }
 

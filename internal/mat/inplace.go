@@ -2,13 +2,10 @@ package mat
 
 import "fmt"
 
-// In-place variants of the allocating Dense operations. Hot paths — the
-// per-epoch predict/condition cycle — run these against preallocated
-// workspaces so steady-state epochs stay allocation-free. Each variant
-// replicates its allocating counterpart's loop structure and operation
-// order exactly, so results are bit-identical with the cloning API; that
-// is what keeps Ken's replicated models in lock-step when one replica
-// runs the in-place path and the other the allocating one.
+// The in-place kernels. Hot paths — the per-epoch predict/condition cycle —
+// run these against preallocated workspaces so steady-state epochs stay
+// allocation-free; the allocating names in mat.go and cholesky.go are
+// shells over them.
 
 // reshape resizes m to rows×cols within its existing capacity without
 // touching element values; callers overwrite every element. It panics when
@@ -34,17 +31,9 @@ func (m *Dense) ReuseAs(rows, cols int) {
 	clear(m.data)
 }
 
-// mulBlock is the tile edge for the blocked multiply: a 64×64 float64
-// tile of b is 32 KiB, comfortably cache-resident while it is reused
-// across every row of a.
-const mulBlock = 64
-
 // MulInto computes a·b into dst, reshaping dst within its capacity. dst
-// must not alias either operand. Bit-identical with Mul, including the
-// exact-zero skip: the blocked path taken for large operands visits k in
-// the same ascending order per output element as the naive loop, so the
-// floating-point accumulation order — and therefore the result bits — are
-// unchanged.
+// must not alias either operand. Exact-zero entries of a are skipped: the
+// terms they would add are signed zeros.
 //
 //ken:hotpath multiplies into the preallocated destination
 func (dst *Dense) MulInto(a, b *Dense) error {
@@ -55,10 +44,6 @@ func (dst *Dense) MulInto(a, b *Dense) error {
 		return fmt.Errorf("%w: MulInto destination aliases an operand", ErrDimension)
 	}
 	dst.ReuseAs(a.rows, b.cols)
-	if a.rows >= mulBlock && a.cols >= mulBlock && b.cols >= mulBlock {
-		mulIntoBlocked(dst, a, b)
-		return nil
-	}
 	for i := 0; i < a.rows; i++ {
 		ai := a.data[i*a.cols : (i+1)*a.cols]
 		oi := dst.data[i*dst.cols : (i+1)*dst.cols]
@@ -73,44 +58,6 @@ func (dst *Dense) MulInto(a, b *Dense) error {
 		}
 	}
 	return nil
-}
-
-// mulIntoBlocked is the cache-tiled inner multiply for large operands. It
-// tiles b into mulBlock×mulBlock panels and reuses each panel across all
-// rows of a, bounding the streamed working set regardless of order. Per
-// output element the k-blocks run ascending and k ascends within each
-// block, so every dst entry accumulates over k in exactly the naive loop's
-// order: bit-identical output.
-//
-//ken:hotpath tiled multiply into the preallocated destination
-func mulIntoBlocked(dst, a, b *Dense) {
-	ar, ac, bc := a.rows, a.cols, b.cols
-	for jb := 0; jb < bc; jb += mulBlock {
-		jEnd := jb + mulBlock
-		if jEnd > bc {
-			jEnd = bc
-		}
-		for kb := 0; kb < ac; kb += mulBlock {
-			kEnd := kb + mulBlock
-			if kEnd > ac {
-				kEnd = ac
-			}
-			for i := 0; i < ar; i++ {
-				ai := a.data[i*ac+kb : i*ac+kEnd]
-				oi := dst.data[i*bc+jb : i*bc+jEnd]
-				for dk, aik := range ai {
-					if isZero(aik) {
-						continue
-					}
-					k := kb + dk
-					bk := b.data[k*bc+jb : k*bc+jEnd]
-					for j, bkj := range bk {
-						oi[j] += aik * bkj
-					}
-				}
-			}
-		}
-	}
 }
 
 // CopyFrom copies src into dst element-for-element, reshaping dst within
@@ -135,7 +82,7 @@ func (m *Dense) RowView(i int) []float64 {
 }
 
 // MulVecInto computes m·v into dst, which must have length m.Rows() and
-// must not alias v. Bit-identical with MulVec.
+// must not alias v.
 //
 //ken:hotpath multiplies into the caller's vector
 func (m *Dense) MulVecInto(dst, v []float64) error {
@@ -158,7 +105,7 @@ func (m *Dense) MulVecInto(dst, v []float64) error {
 
 // AddInto computes a + b into dst, reshaping dst within its capacity.
 // dst may alias a or b (every element is written exactly once from
-// already-read operands). Bit-identical with AddMat.
+// already-read operands).
 //
 //ken:hotpath adds into the preallocated destination
 func (dst *Dense) AddInto(a, b *Dense) error {
@@ -172,7 +119,7 @@ func (dst *Dense) AddInto(a, b *Dense) error {
 	return nil
 }
 
-// SubInPlace subtracts b from m element-wise. Bit-identical with SubMat.
+// SubInPlace subtracts b from m element-wise.
 //
 //ken:hotpath subtracts into the receiver
 func (m *Dense) SubInPlace(b *Dense) error {
@@ -187,7 +134,7 @@ func (m *Dense) SubInPlace(b *Dense) error {
 
 // SubmatrixInto extracts src restricted to the given row and column index
 // sets into dst, reshaping dst within its capacity. dst must not alias
-// src. Out-of-range indices panic, as with Submatrix.
+// src. Indices may repeat; out-of-range indices panic.
 //
 //ken:hotpath extracts into the preallocated destination
 func (dst *Dense) SubmatrixInto(src *Dense, rowIdx, colIdx []int) error {

@@ -1,12 +1,18 @@
 // Package mat provides the dense linear algebra needed by Ken's
-// probabilistic models: vectors, matrices, Cholesky factorisation,
-// triangular and general solves, inversion and determinants.
+// probabilistic models: vectors, matrices, Cholesky factorisation with
+// rank-1 up/down-dates, and triangular solves.
 //
 // The package is deliberately small and self-contained (stdlib only).
 // Matrices are row-major dense float64. Dimensions in Ken are tiny —
 // a clique rarely exceeds a dozen attributes — so the implementation
 // favours clarity and numerical robustness (symmetrisation, jitter on
 // near-singular Cholesky) over blocked performance tricks.
+//
+// Every numeric operation has one implementation, the in-place kernel
+// (inplace.go) that hot paths run against preallocated workspaces. The
+// allocating names that cold callers still want (Mul, MulVec, Submatrix,
+// Cholesky.SolveVec, NewCholesky) allocate the destination and call the
+// kernel, so the two spellings cannot drift apart.
 package mat
 
 import (
@@ -64,16 +70,6 @@ func Identity(n int) *Dense {
 	return m
 }
 
-// Diag returns a square matrix with d on the diagonal.
-func Diag(d []float64) *Dense {
-	n := len(d)
-	m := NewDense(n, n)
-	for i, v := range d {
-		m.data[i*n+i] = v
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Dense) Rows() int { return m.rows }
 
@@ -121,26 +117,6 @@ func (m *Dense) Row(i int) []float64 {
 	return out
 }
 
-// Col returns a copy of column j.
-func (m *Dense) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("mat: col %d out of range %d", j, m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
-// SetRow copies v into row i.
-func (m *Dense) SetRow(i int, v []float64) {
-	if len(v) != m.cols {
-		panic(fmt.Sprintf("mat: SetRow length %d, want %d", len(v), m.cols))
-	}
-	copy(m.data[i*m.cols:(i+1)*m.cols], v)
-}
-
 // T returns the transpose as a new matrix.
 func (m *Dense) T() *Dense {
 	out := NewDense(m.cols, m.rows)
@@ -152,74 +128,20 @@ func (m *Dense) T() *Dense {
 	return out
 }
 
-// Scale returns s·m as a new matrix.
-func (m *Dense) Scale(s float64) *Dense {
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] *= s
-	}
-	return out
-}
-
-// AddMat returns m + b as a new matrix.
-func (m *Dense) AddMat(b *Dense) (*Dense, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("%w: add %dx%d with %dx%d", ErrDimension, m.rows, m.cols, b.rows, b.cols)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] += b.data[i]
-	}
-	return out, nil
-}
-
-// SubMat returns m - b as a new matrix.
-func (m *Dense) SubMat(b *Dense) (*Dense, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("%w: sub %dx%d with %dx%d", ErrDimension, m.rows, m.cols, b.rows, b.cols)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] -= b.data[i]
-	}
-	return out, nil
-}
-
-// Mul returns m·b as a new matrix.
+// Mul returns m·b as a new matrix: MulInto on a fresh destination.
 func (m *Dense) Mul(b *Dense) (*Dense, error) {
-	if m.cols != b.rows {
-		return nil, fmt.Errorf("%w: mul %dx%d by %dx%d", ErrDimension, m.rows, m.cols, b.rows, b.cols)
-	}
 	out := NewDense(m.rows, b.cols)
-	for i := 0; i < m.rows; i++ {
-		mi := m.data[i*m.cols : (i+1)*m.cols]
-		oi := out.data[i*out.cols : (i+1)*out.cols]
-		for k, mik := range mi {
-			if isZero(mik) {
-				continue
-			}
-			bk := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bkj := range bk {
-				oi[j] += mik * bkj
-			}
-		}
+	if err := out.MulInto(m, b); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// MulVec returns m·v as a new vector.
+// MulVec returns m·v as a new vector: MulVecInto on a fresh destination.
 func (m *Dense) MulVec(v []float64) ([]float64, error) {
-	if m.cols != len(v) {
-		return nil, fmt.Errorf("%w: mulvec %dx%d by len %d", ErrDimension, m.rows, m.cols, len(v))
-	}
 	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		mi := m.data[i*m.cols : (i+1)*m.cols]
-		s := 0.0
-		for k, mik := range mi {
-			s += mik * v[k]
-		}
-		out[i] = s
+	if err := m.MulVecInto(out, v); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -228,11 +150,7 @@ func (m *Dense) MulVec(v []float64) ([]float64, error) {
 // sets, in the given order. Indices may repeat.
 func (m *Dense) Submatrix(rowIdx, colIdx []int) *Dense {
 	out := NewDense(len(rowIdx), len(colIdx))
-	for a, i := range rowIdx {
-		for b, j := range colIdx {
-			out.data[a*out.cols+b] = m.At(i, j)
-		}
-	}
+	_ = out.SubmatrixInto(m, rowIdx, colIdx) // errors only when dst aliases src; out is fresh
 	return out
 }
 

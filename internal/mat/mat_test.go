@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -71,13 +72,6 @@ func TestIdentity(t *testing.T) {
 	}
 }
 
-func TestDiag(t *testing.T) {
-	m := Diag([]float64{2, 3})
-	if m.At(0, 0) != 2 || m.At(1, 1) != 3 || m.At(0, 1) != 0 {
-		t.Fatalf("unexpected diag matrix: %v", m)
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	m := NewDenseFrom([][]float64{{1, 2}, {3, 4}})
 	c := m.Clone()
@@ -87,24 +81,12 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestRowColCopies(t *testing.T) {
+func TestRowCopies(t *testing.T) {
 	m := NewDenseFrom([][]float64{{1, 2}, {3, 4}})
 	r := m.Row(0)
 	r[0] = 99
 	if m.At(0, 0) != 1 {
 		t.Fatal("Row returned a view, want a copy")
-	}
-	c := m.Col(1)
-	if c[0] != 2 || c[1] != 4 {
-		t.Fatalf("Col(1) = %v, want [2 4]", c)
-	}
-}
-
-func TestSetRow(t *testing.T) {
-	m := NewDense(2, 3)
-	m.SetRow(1, []float64{7, 8, 9})
-	if m.At(1, 2) != 9 {
-		t.Fatalf("At(1,2) = %v, want 9", m.At(1, 2))
 	}
 }
 
@@ -151,25 +133,27 @@ func TestMulVec(t *testing.T) {
 	}
 }
 
-func TestAddSubScale(t *testing.T) {
+func TestAddIntoSubInPlace(t *testing.T) {
 	a := NewDenseFrom([][]float64{{1, 2}, {3, 4}})
 	b := Identity(2)
-	sum, err := a.AddMat(b)
-	if err != nil {
+	sum := NewDense(2, 2)
+	if err := sum.AddInto(a, b); err != nil {
 		t.Fatal(err)
 	}
 	if sum.At(0, 0) != 2 || sum.At(1, 1) != 5 {
 		t.Fatalf("sum = %v", sum)
 	}
-	diff, err := sum.SubMat(b)
-	if err != nil {
+	if err := sum.SubInPlace(b); err != nil {
 		t.Fatal(err)
 	}
-	if !diff.Equal(a, 1e-12) {
-		t.Fatalf("(a+I)-I = %v, want %v", diff, a)
+	if !sum.Equal(a, 0) {
+		t.Fatalf("(a+I)-I = %v, want %v", sum, a)
 	}
-	if s := a.Scale(2); s.At(1, 1) != 8 {
-		t.Fatalf("scale = %v", s)
+	if err := sum.AddInto(a, NewDense(2, 3)); !errors.Is(err, ErrDimension) {
+		t.Fatalf("AddInto shape mismatch err = %v, want ErrDimension", err)
+	}
+	if err := sum.SubInPlace(NewDense(3, 2)); !errors.Is(err, ErrDimension) {
+		t.Fatalf("SubInPlace shape mismatch err = %v, want ErrDimension", err)
 	}
 }
 
@@ -268,21 +252,6 @@ func TestCholeskySolveIdentity(t *testing.T) {
 	}
 }
 
-func TestCholeskyLogDet(t *testing.T) {
-	a := Diag([]float64{2, 3, 4})
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Log(24)
-	if got := ch.LogDet(); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("LogDet = %v, want %v", got, want)
-	}
-	if got := ch.Det(); math.Abs(got-24) > 1e-9 {
-		t.Fatalf("Det = %v, want 24", got)
-	}
-}
-
 func TestCholeskyNotPD(t *testing.T) {
 	a := NewDenseFrom([][]float64{{1, 0}, {0, -5}})
 	if _, err := NewCholesky(a); err == nil {
@@ -299,7 +268,7 @@ func TestCholeskyPSDJitter(t *testing.T) {
 }
 
 func TestCholeskyMulLVec(t *testing.T) {
-	a := Diag([]float64{4, 9})
+	a := NewDenseFrom([][]float64{{4, 0}, {0, 9}})
 	ch, err := NewCholesky(a)
 	if err != nil {
 		t.Fatal(err)
@@ -316,42 +285,24 @@ func TestCholeskyMulLVec(t *testing.T) {
 func TestVecHelpers(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{4, 5, 6}
-	if Dot(a, b) != 32 {
-		t.Fatalf("Dot = %v, want 32", Dot(a, b))
-	}
 	if s := AddVec(a, b); s[2] != 9 {
 		t.Fatalf("AddVec = %v", s)
 	}
 	if d := SubVec(b, a); d[0] != 3 {
 		t.Fatalf("SubVec = %v", d)
 	}
-	if s := ScaleVec(2, a); s[1] != 4 {
-		t.Fatalf("ScaleVec = %v", s)
-	}
-	if math.Abs(Norm2([]float64{3, 4})-5) > 1e-12 {
-		t.Fatal("Norm2(3,4) != 5")
-	}
-	if NormInf([]float64{-7, 2}) != 7 {
-		t.Fatal("NormInf != 7")
-	}
-	if Mean(a) != 2 {
-		t.Fatal("Mean != 2")
-	}
-	if v := Variance([]float64{1, 2, 3}); math.Abs(v-1) > 1e-12 {
-		t.Fatalf("Variance = %v, want 1", v)
-	}
 	if got := Select(b, []int{2, 0}); got[0] != 6 || got[1] != 4 {
 		t.Fatalf("Select = %v", got)
 	}
 }
 
-func TestVarianceDegenerate(t *testing.T) {
-	if Variance([]float64{5}) != 0 {
-		t.Fatal("Variance of singleton should be 0")
+// maxAbs returns the largest absolute element of v.
+func maxAbs(v []float64) float64 {
+	max := 0.0
+	for _, x := range v {
+		max = math.Max(max, math.Abs(x))
 	}
-	if Mean(nil) != 0 {
-		t.Fatal("Mean of empty should be 0")
-	}
+	return max
 }
 
 // Property: for random SPD A and random b, Cholesky solve satisfies A·x ≈ b.
@@ -374,7 +325,7 @@ func TestQuickCholeskySolveResidual(t *testing.T) {
 			return false
 		}
 		ax, _ := a.MulVec(x)
-		return NormInf(SubVec(ax, b)) < 1e-6*(1+NormInf(b))
+		return maxAbs(SubVec(ax, b)) < 1e-6*(1+maxAbs(b))
 	}
 	cfg := &quick.Config{MaxCount: 50, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {

@@ -124,6 +124,7 @@ func ExpectedStepsToMiss(m model.Sampler, eps float64, cfg Config) (float64, err
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	totalSteps := 0.0
+	mean := make([]float64, 1)
 	for run := 0; run < cfg.Trajectories; run++ {
 		belief, ok := m.Clone().(model.Sampler)
 		if !ok {
@@ -140,7 +141,10 @@ func ExpectedStepsToMiss(m model.Sampler, eps float64, cfg Config) (float64, err
 				return 0, err
 			}
 			belief.Step()
-			if d := belief.Mean()[0] - next[0]; d > eps || d < -eps {
+			if err := belief.MeanInto(mean); err != nil {
+				return 0, err
+			}
+			if d := mean[0] - next[0]; d > eps || d < -eps {
 				steps = t
 				break
 			}

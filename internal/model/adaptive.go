@@ -68,7 +68,7 @@ func (a *Adaptive) Dim() int { return a.inner.Dim() }
 // Step implements Model: record the previous step's post-conditioning mean
 // into the shared history, refit when due, then advance.
 func (a *Adaptive) Step() {
-	a.history = append(a.history, a.inner.Mean())
+	a.history = append(a.history, MeanOf(a.inner))
 	if len(a.history) > a.cfg.Window {
 		a.history = a.history[len(a.history)-a.cfg.Window:]
 	}
@@ -115,14 +115,11 @@ func (a *Adaptive) refit() {
 	for i := range all {
 		all[i] = i
 	}
-	if err := refitted.Condition(all, a.inner.Mean()); err != nil {
+	if err := refitted.Condition(all, MeanOf(a.inner)); err != nil {
 		return
 	}
 	a.inner = refitted
 }
-
-// Mean implements Model.
-func (a *Adaptive) Mean() []float64 { return a.inner.Mean() }
 
 // MeanInto implements MeanWriter.
 func (a *Adaptive) MeanInto(dst []float64) error { return a.inner.MeanInto(dst) }

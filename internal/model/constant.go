@@ -70,13 +70,6 @@ func (c *Constant) Dim() int { return len(c.mean) }
 // Step implements Model: the constant model's prediction does not change.
 func (c *Constant) Step() {}
 
-// Mean implements Model.
-func (c *Constant) Mean() []float64 {
-	out := make([]float64, len(c.mean))
-	copy(out, c.mean)
-	return out
-}
-
 // MeanInto implements MeanWriter.
 func (c *Constant) MeanInto(dst []float64) error { return copyMean(dst, c.mean) }
 
@@ -87,7 +80,7 @@ func (c *Constant) MeanGiven(idx []int, vals []float64) ([]float64, error) {
 	if err := checkObs(idx, vals, c.Dim()); err != nil {
 		return nil, err
 	}
-	out := c.Mean()
+	out := MeanOf(c)
 	for k, i := range idx {
 		out[i] = vals[k]
 	}
@@ -116,7 +109,7 @@ func (c *Constant) Clone() Model {
 
 // SampleState implements Sampler: the state is a point mass at the mean.
 func (c *Constant) SampleState(rng *rand.Rand) ([]float64, error) {
-	return c.Mean(), nil
+	return MeanOf(c), nil
 }
 
 // SampleNext implements Sampler: random-walk innovation.

@@ -37,7 +37,7 @@ func TestLinearGaussianCondEvaluatorMatchesMeanGiven(t *testing.T) {
 		t.Fatal(err)
 	}
 	lg.Step()
-	meanBefore := lg.Mean()
+	meanBefore := MeanOf(lg)
 	if err := lg.CondReset(); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestLinearGaussianCondEvaluatorMatchesMeanGiven(t *testing.T) {
 			}
 		}
 	}
-	after := lg.Mean()
+	after := MeanOf(lg)
 	for i := range after {
 		if after[i] != meanBefore[i] {
 			t.Fatal("evaluator mutated the model state")

@@ -89,13 +89,6 @@ func (l *Linear) Step() {
 	}
 }
 
-// Mean implements Model.
-func (l *Linear) Mean() []float64 {
-	out := make([]float64, len(l.mean))
-	copy(out, l.mean)
-	return out
-}
-
 // MeanInto implements MeanWriter.
 func (l *Linear) MeanInto(dst []float64) error { return copyMean(dst, l.mean) }
 
@@ -105,7 +98,7 @@ func (l *Linear) MeanGiven(idx []int, vals []float64) ([]float64, error) {
 	if err := checkObs(idx, vals, l.Dim()); err != nil {
 		return nil, err
 	}
-	out := l.Mean()
+	out := MeanOf(l)
 	for k, i := range idx {
 		out[i] = vals[k]
 	}
@@ -134,7 +127,7 @@ func (l *Linear) Clone() Model {
 
 // SampleState implements Sampler.
 func (l *Linear) SampleState(rng *rand.Rand) ([]float64, error) {
-	return l.Mean(), nil
+	return MeanOf(l), nil
 }
 
 // SampleNext implements Sampler.

@@ -245,8 +245,7 @@ func (lg *LinearGaussian) Dim() int { return lg.n }
 func (lg *LinearGaussian) Clock() int { return lg.clock }
 
 // Step implements Model: clock++, μ ← A·μ, Σ ← A·Σ·Aᵀ + Q. The update runs
-// in place against the instance workspace; results are bit-identical with
-// the allocating formulation (see gauss.Gaussian.Predict).
+// in place against the instance workspace (see gauss.Gaussian.Predict).
 //
 //ken:hotpath one predict per epoch; steady state allocates nothing
 func (lg *LinearGaussian) Step() {
@@ -261,13 +260,8 @@ func (lg *LinearGaussian) phaseMean() []float64 {
 	return lg.profile[lg.clock%lg.period]
 }
 
-// Mean implements Model.
-func (lg *LinearGaussian) Mean() []float64 {
-	return mat.AddVec(lg.state.Mean(), lg.phaseMean())
-}
-
-// MeanInto implements MeanWriter: Mean without the allocation. dst must
-// have length Dim().
+// MeanInto implements MeanWriter: the belief's residual mean plus the
+// seasonal profile. dst must have length Dim().
 //
 //ken:hotpath writes the mean into the caller's buffer
 func (lg *LinearGaussian) MeanInto(dst []float64) error {
@@ -389,7 +383,7 @@ func (lg *LinearGaussian) Clone() Model {
 // the seasonal mean. A point-mass belief (zero covariance) returns the mean.
 func (lg *LinearGaussian) SampleState(rng *rand.Rand) ([]float64, error) {
 	if lg.state.Cov().MaxAbs() == 0 {
-		return lg.Mean(), nil
+		return MeanOf(lg), nil
 	}
 	r, err := lg.state.Sample(rng)
 	if err != nil {

@@ -70,7 +70,7 @@ func TestAdaptiveReplicaLockstep(t *testing.T) {
 		if err := sink.Commit(idx, vals); err != nil {
 			t.Fatal(err)
 		}
-		ma, mb := src.Model().Mean(), sink.Model().Mean()
+		ma, mb := model.MeanOf(src.Model()), model.MeanOf(sink.Model())
 		for i := range ma {
 			if ma[i] != mb[i] {
 				t.Fatalf("adaptive replicas diverged: %v vs %v", ma, mb)
@@ -197,7 +197,7 @@ func TestLinearGaussianLongRunStability(t *testing.T) {
 		if _, err := k.Advance(row); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		for i, v := range m.Mean() {
+		for i, v := range model.MeanOf(m) {
 			if math.IsNaN(v) || math.IsInf(v, 0) || v < -50 || v > 80 {
 				t.Fatalf("step %d: mean[%d] = %v diverged", step, i, v)
 			}

@@ -40,8 +40,6 @@ type Model interface {
 	Dim() int
 	// Step advances the model one time step through its transition.
 	Step()
-	// Mean returns the current expected values — the sink's answer vector.
-	Mean() []float64
 	// MeanGiven returns the expected values after hypothetically observing
 	// (idx, vals), without mutating the model.
 	MeanGiven(idx []int, vals []float64) ([]float64, error)
@@ -51,11 +49,22 @@ type Model interface {
 	Clone() Model
 }
 
-// MeanWriter is the allocation-free read of a model's mean: MeanInto writes
-// the values Mean returns into dst (which must have length Dim()). Every
-// Model provides it; hot loops use it with a reused buffer.
+// MeanWriter is the one read of a model's mean: MeanInto writes the current
+// expected values — the sink's answer vector — into dst (which must have
+// length Dim()). Every Model provides it; hot loops use it with a reused
+// buffer and cold callers go through MeanOf.
 type MeanWriter interface {
 	MeanInto(dst []float64) error
+}
+
+// MeanOf returns m's current expected values in a fresh slice: MeanInto on
+// an allocated destination, for sampling, history and diagnostics.
+func MeanOf(m Model) []float64 {
+	out := make([]float64, m.Dim())
+	if err := m.MeanInto(out); err != nil {
+		panic(err) // out is sized to the model
+	}
+	return out
 }
 
 // Sampler is implemented by models that can generate synthetic data from

@@ -19,13 +19,13 @@ func TestConstantBasics(t *testing.T) {
 		t.Fatalf("dim = %d", c.Dim())
 	}
 	c.Step()
-	if m := c.Mean(); m[0] != 1 || m[1] != 2 {
+	if m := MeanOf(c); m[0] != 1 || m[1] != 2 {
 		t.Fatalf("constant model moved: %v", m)
 	}
 	if err := c.Condition([]int{1}, []float64{7}); err != nil {
 		t.Fatal(err)
 	}
-	if m := c.Mean(); m[1] != 7 || m[0] != 1 {
+	if m := MeanOf(c); m[1] != 7 || m[0] != 1 {
 		t.Fatalf("condition wrong: %v", m)
 	}
 	mg, err := c.MeanGiven([]int{0}, []float64{9})
@@ -36,7 +36,7 @@ func TestConstantBasics(t *testing.T) {
 		t.Fatalf("MeanGiven = %v", mg)
 	}
 	// MeanGiven must not mutate.
-	if m := c.Mean(); m[0] != 1 {
+	if m := MeanOf(c); m[0] != 1 {
 		t.Fatal("MeanGiven mutated the model")
 	}
 }
@@ -65,7 +65,7 @@ func TestConstantValidation(t *testing.T) {
 	if err := two.Condition([]int{0, 1}, []float64{3}); err == nil {
 		t.Fatal("expected error for an index/value length mismatch")
 	}
-	if m := two.Mean(); m[0] != 1 || m[1] != 2 {
+	if m := MeanOf(two); m[0] != 1 || m[1] != 2 {
 		t.Fatalf("rejected observations mutated the model: %v", m)
 	}
 }
@@ -76,7 +76,7 @@ func TestFitConstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := c.Mean(); m[0] != 3 {
+	if m := MeanOf(c); m[0] != 3 {
 		t.Fatalf("initial = %v, want last row 3", m)
 	}
 	// Steps are exactly +1 each: zero innovation variance around the mean step.
@@ -94,7 +94,7 @@ func TestConstantClone(t *testing.T) {
 	if err := cl.Condition([]int{0}, []float64{42}); err != nil {
 		t.Fatal(err)
 	}
-	if c.Mean()[0] != 1 {
+	if MeanOf(c)[0] != 1 {
 		t.Fatal("clone shares state")
 	}
 }
@@ -160,14 +160,14 @@ func TestLinearStepAndCondition(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Step()
-	if m := l.Mean(); m[0] != 6 {
+	if m := MeanOf(l); m[0] != 6 {
 		t.Fatalf("step mean = %v, want 0.5*10+1 = 6", m)
 	}
 	if err := l.Condition([]int{0}, []float64{4}); err != nil {
 		t.Fatal(err)
 	}
 	l.Step()
-	if m := l.Mean(); m[0] != 3 {
+	if m := MeanOf(l); m[0] != 3 {
 		t.Fatalf("mean = %v, want 0.5*4+1 = 3", m)
 	}
 }
@@ -179,7 +179,7 @@ func TestFitLinearDegenerateConstantSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Step()
-	if m := l.Mean(); m[0] != 5 {
+	if m := MeanOf(l); m[0] != 5 {
 		t.Fatalf("constant series should stay at 5, got %v", m)
 	}
 }
@@ -233,7 +233,7 @@ func TestLinearGaussianRejectsBadObservationsUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	lg.Step()
-	before := lg.Mean()
+	before := MeanOf(lg)
 	ref := lg.Clone() // never sees the rejects
 	for name, bad := range map[string]struct {
 		idx    []int
@@ -256,7 +256,7 @@ func TestLinearGaussianRejectsBadObservationsUnchanged(t *testing.T) {
 				t.Fatalf("%s: err = %v, want %v", name, err, bad.target)
 			}
 		}
-		after := lg.Mean()
+		after := MeanOf(lg)
 		for i := range before {
 			if math.Float64bits(after[i]) != math.Float64bits(before[i]) {
 				t.Fatalf("%s: a rejected observation moved the mean", name)
@@ -271,7 +271,7 @@ func TestLinearGaussianRejectsBadObservationsUnchanged(t *testing.T) {
 		}
 		m.Step()
 	}
-	got, want := lg.Mean(), ref.Mean()
+	got, want := MeanOf(lg), MeanOf(ref)
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("after the rejects the model left lock-step: %v vs %v", got, want)
@@ -304,7 +304,7 @@ func TestLinearGaussianReplicaLockstep(t *testing.T) {
 		if err := sink.Condition(idx, vals); err != nil {
 			t.Fatal(err)
 		}
-		a, b := src.Mean(), sink.Mean()
+		a, b := MeanOf(src), MeanOf(sink)
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("replicas diverged at step %d: %v vs %v", step, a, b)
@@ -321,12 +321,12 @@ func TestLinearGaussianConditionExactAndCorrelated(t *testing.T) {
 	}
 	m := lg.Clone().(*LinearGaussian)
 	m.Step()
-	before := m.Mean()
+	before := MeanOf(m)
 	obsVal := before[0] + 2 // report a value 2 degrees above prediction
 	if err := m.Condition([]int{0}, []float64{obsVal}); err != nil {
 		t.Fatal(err)
 	}
-	after := m.Mean()
+	after := MeanOf(m)
 	if math.Abs(after[0]-obsVal) > 1e-9 {
 		t.Fatalf("observed attribute not exact: %v vs %v", after[0], obsVal)
 	}
@@ -351,7 +351,7 @@ func TestLinearGaussianPredictsDiurnalCycle(t *testing.T) {
 	var count int
 	for _, row := range test {
 		m.Step()
-		mean := m.Mean()
+		mean := MeanOf(m)
 		for i := range row {
 			sumAbs += math.Abs(mean[i] - row[i])
 			count++

@@ -39,7 +39,7 @@ func TestLinearGaussianJSONRoundTrip(t *testing.T) {
 		if err := b.Condition(idx, vals); err != nil {
 			t.Fatal(err)
 		}
-		ma, mb := a.Mean(), b.Mean()
+		ma, mb := MeanOf(a), MeanOf(b)
 		for i := range ma {
 			if diff := ma[i] - mb[i]; diff > 1e-9 || diff < -1e-9 {
 				t.Fatalf("replicas diverged after reload at step %d: %v vs %v", step, ma, mb)
@@ -93,7 +93,7 @@ func TestSwitchingJSONRoundTrip(t *testing.T) {
 		if err := b.Condition(idx, vals); err != nil {
 			t.Fatal(err)
 		}
-		ma, mb := a.Mean(), b.Mean()
+		ma, mb := MeanOf(a), MeanOf(b)
 		for i := range ma {
 			if d := ma[i] - mb[i]; d > 1e-9 || d < -1e-9 {
 				t.Fatalf("switching replicas diverged after reload: %v vs %v", ma, mb)

@@ -3,8 +3,6 @@ package model
 import (
 	"fmt"
 	"math"
-
-	"ken/internal/mat"
 )
 
 // Switching is a richer model family from the paper's §6 ("Richer
@@ -269,13 +267,8 @@ func (s *Switching) expectedOffset() []float64 {
 	return out
 }
 
-// Mean implements Model.
-func (s *Switching) Mean() []float64 {
-	return mat.AddVec(s.base.Mean(), s.expectedOffset())
-}
-
 // MeanInto implements MeanWriter: the base mean plus the expected regime
-// offset, accumulated per attribute in regime order exactly as Mean does.
+// offset, accumulated per attribute in regime order.
 func (s *Switching) MeanInto(dst []float64) error {
 	if err := s.base.MeanInto(dst); err != nil {
 		return err
@@ -295,7 +288,7 @@ func (s *Switching) MeanInto(dst []float64) error {
 // log-likelihood sums run over the observation pair in index order, so
 // replicas conditioned on the same report agree to the last bit.
 func (s *Switching) posteriorGiven(idx []int, vals []float64) []float64 {
-	baseMean := s.base.Mean()
+	baseMean := MeanOf(s.base)
 	post := make([]float64, len(s.probs))
 	for r, pr := range s.probs {
 		ll := 0.0
@@ -316,7 +309,7 @@ func (s *Switching) MeanGiven(idx []int, vals []float64) ([]float64, error) {
 		return nil, err
 	}
 	if len(idx) == 0 {
-		return s.Mean(), nil
+		return MeanOf(s), nil
 	}
 	post := s.posteriorGiven(idx, vals)
 	out := make([]float64, s.Dim())

@@ -70,7 +70,7 @@ func TestSwitchingPosteriorTracksRegime(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		m.Step()
-		base := m.base.Mean()
+		base := MeanOf(m.base)
 		if err := m.Condition([]int{0}, []float64{base[0] + m.offsets[lowRegime][0]}); err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestSwitchingReplicaLockstep(t *testing.T) {
 		if err := sink.Condition(idx, vals); err != nil {
 			t.Fatal(err)
 		}
-		a, b := src.Mean(), sink.Mean()
+		a, b := MeanOf(src), MeanOf(sink)
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("replicas diverged at step %d: %v vs %v", step, a, b)
@@ -161,7 +161,7 @@ func TestSwitchingReplicasBitwiseLockStep(t *testing.T) {
 				t.Fatalf("step %d: regime posteriors differ in bits: %v vs %v", step, pa, pb)
 			}
 		}
-		ma, mb := a.Mean(), b.Mean()
+		ma, mb := MeanOf(a), MeanOf(b)
 		for i := range ma {
 			if math.Float64bits(ma[i]) != math.Float64bits(mb[i]) {
 				t.Fatalf("step %d: means differ in bits: %v vs %v", step, ma, mb)

@@ -322,8 +322,8 @@ func TestFitProjectsGathersAndScatters(t *testing.T) {
 	for i, r := range data[:100] {
 		cols[i] = []float64{r[1], r[3]}
 	}
-	want := gardenModel(t, cols, 100).Mean()
-	if got := k.Model().Mean(); !reflect.DeepEqual(got, want) {
+	want := model.MeanOf(gardenModel(t, cols, 100))
+	if got := model.MeanOf(k.Model()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("fitted mean %v, want %v", got, want)
 	}
 	if got := k.Gather([]float64{10, 11, 12, 13, 14}); !reflect.DeepEqual(got, []float64{11, 13}) {
@@ -340,13 +340,13 @@ func TestFitProjectsGathersAndScatters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rev.Members(), []int{1, 3}) || !reflect.DeepEqual(rev.Model().Mean(), want) {
-		t.Fatalf("Fit([3 1]): members %v mean %v, want [1 3] %v", rev.Members(), rev.Model().Mean(), want)
+	if !reflect.DeepEqual(rev.Members(), []int{1, 3}) || !reflect.DeepEqual(model.MeanOf(rev.Model()), want) {
+		t.Fatalf("Fit([3 1]): members %v mean %v, want [1 3] %v", rev.Members(), model.MeanOf(rev.Model()), want)
 	}
 	// A clone is independent and starts in the same state.
 	cl := k.Clone()
 	cl.Predict()
-	if reflect.DeepEqual(cl.Model().Mean(), k.Model().Mean()) {
+	if reflect.DeepEqual(model.MeanOf(cl.Model()), model.MeanOf(k.Model())) {
 		t.Fatal("stepping the clone moved the original")
 	}
 
@@ -391,11 +391,11 @@ func TestAdvance(t *testing.T) {
 	if sent == 0 || sent == n*60 {
 		t.Fatalf("reported %d of %d values: the loop neither suppressed nor reported", sent, n*60)
 	}
-	clock, before := lg.Clock(), lg.Mean()
+	clock, before := lg.Clock(), model.MeanOf(lg)
 	if _, err := k.Advance([]float64{20, math.NaN(), 20}); !errors.Is(err, gauss.ErrNotFinite) {
 		t.Fatalf("NaN reading: err = %v, want gauss.ErrNotFinite", err)
 	}
-	if lg.Clock() != clock || !reflect.DeepEqual(lg.Mean(), before) {
+	if lg.Clock() != clock || !reflect.DeepEqual(model.MeanOf(lg), before) {
 		t.Fatal("a rejected epoch moved the model")
 	}
 }

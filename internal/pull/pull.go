@@ -208,7 +208,7 @@ func (e *Engine) Query(q ValueQuery, src Source) (*Answer, error) {
 	}
 	e.hPerQuery.Observe(float64(len(ans.Acquired)))
 
-	mean := e.m.Mean()
+	mean := model.MeanOf(e.m)
 	cov := e.m.Cov()
 	ans.Values = make([]float64, len(q.Attrs))
 	ans.Confidence = make([]float64, len(q.Attrs))
@@ -317,7 +317,7 @@ func (e *Engine) QueryAverage(q AvgQuery, src Source) (*AvgAnswer, error) {
 	}
 	e.hPerQuery.Observe(float64(len(ans.Acquired)))
 
-	mean := e.m.Mean()
+	mean := model.MeanOf(e.m)
 	cov := e.m.Cov()
 	s := 0.0
 	for _, a := range q.Attrs {

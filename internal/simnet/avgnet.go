@@ -3,8 +3,10 @@ package simnet
 import (
 	"fmt"
 
+	"ken/internal/core"
 	"ken/internal/model"
 	"ken/internal/obs"
+	"ken/internal/protocol"
 )
 
 // DistributedAverage runs the paper's Average model (Example 3.5, Figure 4)
@@ -19,11 +21,10 @@ import (
 // reached the base), and dissemination does not cross dead nodes, so
 // orphaned nodes keep predicting with a stale average.
 type DistributedAverage struct {
-	net  *Network
-	n    int
-	eps  []float64
-	src  []model.Model // per node, over [x_i(t), avg(t−1)]
-	sink []model.Model
+	net   *Network
+	n     int
+	eps   []float64
+	nodes []core.AveragePair // per node, over [x_i(t), avg(t−1)]
 	// parent is the aggregation/dissemination tree.
 	parent   []int
 	children [][]int
@@ -31,32 +32,23 @@ type DistributedAverage struct {
 	// prevAvg is the base's last computed average; per-node lastAvg is what
 	// each node most recently received (stale for orphans).
 	prevAvg float64
-	primed  bool
 	lastAvg []float64
 }
 
 var _ Program = (*DistributedAverage)(nil)
-
-// The per-node pair model's two variables, as observation index sets.
-var (
-	pairOwn = []int{0} // the node's own reading x_i(t)
-	pairAvg = []int{1} // the last disseminated average
-)
 
 // NewDistributedAverage fits the per-node models and builds the tree.
 func NewDistributedAverage(net *Network, train [][]float64, eps []float64, fitCfg model.FitConfig) (*DistributedAverage, error) {
 	if net == nil {
 		return nil, fmt.Errorf("simnet: nil network")
 	}
-	if len(train) < 2 {
-		return nil, fmt.Errorf("simnet: need at least 2 training rows")
+	nodes, lastAvg, err := core.FitAveragePairs(train, eps, fitCfg)
+	if err != nil {
+		return nil, fmt.Errorf("simnet: %w", err)
 	}
-	n := len(train[0])
+	n := len(nodes)
 	if n != net.top.N() {
 		return nil, fmt.Errorf("simnet: training dim %d, network has %d nodes", n, net.top.N())
-	}
-	if len(eps) != n {
-		return nil, fmt.Errorf("simnet: eps dim %d, want %d", len(eps), n)
 	}
 	parent, err := net.top.RoutingTree()
 	if err != nil {
@@ -66,7 +58,9 @@ func NewDistributedAverage(net *Network, train [][]float64, eps []float64, fitCf
 		net:     net,
 		n:       n,
 		eps:     append([]float64(nil), eps...),
+		nodes:   nodes,
 		parent:  parent,
+		prevAvg: lastAvg,
 		lastAvg: make([]float64, n),
 	}
 	d.children = make([][]int, n+1) // index n = base
@@ -75,32 +69,9 @@ func NewDistributedAverage(net *Network, train [][]float64, eps []float64, fitCf
 	}
 	d.order = postOrder(d.children, net.top.Base())
 
-	// Training averages (lagged pairing, as in core.Average).
-	avg := make([]float64, len(train))
-	for t, row := range train {
-		s := 0.0
-		for _, v := range row {
-			s += v
-		}
-		avg[t] = s / float64(n)
-	}
-	for i := 0; i < n; i++ {
-		cols := make([][]float64, 0, len(train)-1)
-		for t := 1; t < len(train); t++ {
-			cols = append(cols, []float64{train[t][i], avg[t-1]})
-		}
-		mdl, err := model.FitLinearGaussian(cols, fitCfg)
-		if err != nil {
-			return nil, fmt.Errorf("simnet: fitting average model for node %d: %w", i, err)
-		}
-		d.src = append(d.src, mdl.Clone())
-		d.sink = append(d.sink, mdl.Clone())
-	}
-	d.prevAvg = avg[len(avg)-1]
 	for i := range d.lastAvg {
 		d.lastAvg[i] = d.prevAvg
 	}
-	d.primed = true
 	return d, nil
 }
 
@@ -127,6 +98,9 @@ func (d *DistributedAverage) Name() string { return "avg" }
 func (d *DistributedAverage) Epoch(truth []float64) (EpochResult, error) {
 	if len(truth) != d.n {
 		return EpochResult{}, fmt.Errorf("simnet: truth dim %d, want %d", len(truth), d.n)
+	}
+	if err := protocol.CheckReadings(truth); err != nil {
+		return EpochResult{}, err
 	}
 	sp := d.net.BeginEpoch()
 	res := EpochResult{Estimates: make([]float64, d.n)}
@@ -182,22 +156,25 @@ func (d *DistributedAverage) Epoch(truth []float64) (EpochResult, error) {
 
 	// Phase 3 — per-node prediction and reporting.
 	reportBytes := 0
-	for i := 0; i < d.n; i++ {
-		d.src[i].Step()
-		d.sink[i].Step()
+	for i := range d.nodes {
+		nd := &d.nodes[i]
 		// The node conditions on the average it actually holds; the base's
 		// sink replica conditions on what it disseminated. These agree
 		// unless the node is orphaned — in which case its reports stopped
 		// flowing anyway and divergence shows up as violations.
-		if err := d.src[i].Condition(pairAvg, []float64{d.lastAvg[i]}); err != nil {
-			return EpochResult{}, err
-		}
-		if err := d.sink[i].Condition(pairAvg, []float64{d.prevAvg}); err != nil {
+		if err := nd.Predict(d.lastAvg[i], d.prevAvg); err != nil {
 			return EpochResult{}, err
 		}
 		if d.net.Alive(i) {
-			mean := d.src[i].Mean()
-			if diff := mean[0] - truth[i]; diff > d.eps[i] || diff < -d.eps[i] {
+			var pred float64
+			if sp.Active() {
+				pred = nd.Src.Mean()[0]
+			}
+			idx, vals, err := nd.Choose(truth[i])
+			if err != nil {
+				return EpochResult{}, err
+			}
+			if len(idx) > 0 {
 				reportBytes += obs.WireBytesPerValue
 				var rs *obs.Span
 				if sp.Active() {
@@ -206,13 +183,13 @@ func (d *DistributedAverage) Epoch(truth []float64) (EpochResult, error) {
 						Type: obs.EvReport, Step: int64(d.net.stats.Epochs), Clique: -1, Node: i,
 						Attrs: []int{i}, Values: []float64{truth[i]},
 						Payload: &obs.Payload{
-							Predicted: []float64{mean[0]}, Observed: []float64{truth[i]},
+							Predicted: []float64{pred}, Observed: []float64{truth[i]},
 							Eps: []float64{d.eps[i]}, Bytes: obs.WireBytesPerValue,
 						},
 					})
 				}
 				if d.net.SendSpan(Message{From: i, To: base, Attrs: []int{i}, Values: []float64{truth[i]}}, rs) {
-					if err := d.sink[i].Condition(pairOwn, []float64{truth[i]}); err != nil {
+					if err := nd.Sink.Commit(idx, vals); err != nil {
 						return EpochResult{}, err
 					}
 					res.ValuesDelivered++
@@ -221,14 +198,14 @@ func (d *DistributedAverage) Epoch(truth []float64) (EpochResult, error) {
 						Attrs: []int{i}, Values: []float64{truth[i]}, N: 1,
 					})
 				}
-				// The node assumes delivery (no acks): its own replica
-				// conditions regardless.
-				if err := d.src[i].Condition(pairOwn, []float64{truth[i]}); err != nil {
-					return EpochResult{}, err
-				}
+			}
+			// The node assumes delivery (no acks): its own replica
+			// conditions regardless.
+			if err := nd.Src.Commit(idx, vals); err != nil {
+				return EpochResult{}, err
 			}
 		}
-		est := d.sink[i].Mean()[0]
+		est := nd.Sink.Mean()[0]
 		res.Estimates[i] = est
 		if diff := est - truth[i]; diff > d.eps[i] || diff < -d.eps[i] {
 			res.Violations++

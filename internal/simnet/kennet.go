@@ -372,6 +372,9 @@ func (d *DistributedTinyDB) Epoch(truth []float64) (EpochResult, error) {
 	if len(truth) != d.n {
 		return EpochResult{}, fmt.Errorf("simnet: truth dim %d, want %d", len(truth), d.n)
 	}
+	if err := protocol.CheckReadings(truth); err != nil {
+		return EpochResult{}, err
+	}
 	sp := d.net.BeginEpoch()
 	res := EpochResult{Estimates: make([]float64, d.n)}
 	for i := 0; i < d.n; i++ {

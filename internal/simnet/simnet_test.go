@@ -520,42 +520,58 @@ func TestDistributedKenMatchesCoreEngine(t *testing.T) {
 	}
 }
 
-// TestDistributedKenRejectsNonFiniteReadingBeforeMoving: a NaN reading is a
-// typed error before the epoch begins — no message sent, no energy spent,
-// no replica stepped — and the program carries on in lock-step with one
-// that never saw it.
-func TestDistributedKenRejectsNonFiniteReadingBeforeMoving(t *testing.T) {
-	build := func() (*Network, *DistributedKen, [][]float64) {
-		net, train, test, eps := gardenNet(t, DefaultRadio(), 15, false)
-		prog, err := NewDistributedKenConfig(net, pairsPartition(11), train, eps,
-			model.FitConfig{Period: 24}, KenNetConfig{HeartbeatEvery: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return net, prog, test
+// TestEpochRejectsNonFiniteReadingBeforeMoving: a NaN reading is a typed
+// error from every program before the epoch begins — no message sent, no
+// energy spent, no replica stepped, no average or last-delivered value
+// poisoned — and the program carries on in lock-step with one that never
+// saw it.
+func TestEpochRejectsNonFiniteReadingBeforeMoving(t *testing.T) {
+	fit := model.FitConfig{Period: 24}
+	programs := map[string]func(*Network, [][]float64, []float64) (Program, error){
+		"ken": func(net *Network, train [][]float64, eps []float64) (Program, error) {
+			return NewDistributedKenConfig(net, pairsPartition(11), train, eps, fit, KenNetConfig{HeartbeatEvery: 3})
+		},
+		"avg": func(net *Network, train [][]float64, eps []float64) (Program, error) {
+			return NewDistributedAverage(net, train, eps, fit)
+		},
+		"tinydb": func(net *Network, _ [][]float64, eps []float64) (Program, error) {
+			return NewDistributedTinyDB(net, eps)
+		},
 	}
-	gotNet, got, test := build()
-	refNet, ref, _ := build()
-	for step, row := range test[:40] {
-		bad := append([]float64(nil), row...)
-		bad[10] = math.NaN() // the last clique
-		if _, err := got.Epoch(bad); !errors.Is(err, gauss.ErrNotFinite) {
-			t.Fatalf("step %d: err = %v, want gauss.ErrNotFinite", step, err)
-		}
-		g, err := got.Epoch(row)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := ref.Epoch(row)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(g, r) {
-			t.Fatalf("step %d: a rejected epoch changed what followed", step)
-		}
-	}
-	if gotNet.Stats() != refNet.Stats() {
-		t.Fatalf("rejected epochs touched the network: %+v vs %+v", gotNet.Stats(), refNet.Stats())
+	for name, mk := range programs {
+		t.Run(name, func(t *testing.T) {
+			build := func() (*Network, Program, [][]float64) {
+				net, train, test, eps := gardenNet(t, DefaultRadio(), 15, false)
+				prog, err := mk(net, train, eps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return net, prog, test
+			}
+			gotNet, got, test := build()
+			refNet, ref, _ := build()
+			for step, row := range test[:40] {
+				bad := append([]float64(nil), row...)
+				bad[10] = math.NaN() // the last clique
+				if _, err := got.Epoch(bad); !errors.Is(err, gauss.ErrNotFinite) {
+					t.Fatalf("%s step %d: err = %v, want gauss.ErrNotFinite", name, step, err)
+				}
+				g, err := got.Epoch(row)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := ref.Epoch(row)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(g, r) {
+					t.Fatalf("%s step %d: a rejected epoch changed what followed", name, step)
+				}
+			}
+			if gotNet.Stats() != refNet.Stats() {
+				t.Fatalf("%s: rejected epochs touched the network: %+v vs %+v", name, gotNet.Stats(), refNet.Stats())
+			}
+		})
 	}
 }
 

@@ -74,7 +74,7 @@ func TestOneWritePerFrame(t *testing.T) {
 }
 
 // TestReadBody: bodies come back whole, exactly sized and undecoded; the
-// stream's ends and the size limit surface as ReadFrame's do.
+// stream's ends and the size limit surface as ReadFrameBuf's do.
 func TestReadBody(t *testing.T) {
 	var stream bytes.Buffer
 	frames := []wire.Frame{

@@ -95,7 +95,7 @@ func TestEndToEndGuaranteeOverBuffer(t *testing.T) {
 		if err := WriteFrame(&pipe, f, src.Resolution()); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadFrame(&pipe, sink.Resolution())
+		got, _, err := ReadFrameBuf(&pipe, sink.Resolution(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,24 +225,24 @@ func TestApplyRejectsOutOfOrderFrames(t *testing.T) {
 	}
 }
 
-func TestReadFrameErrors(t *testing.T) {
-	if _, err := ReadFrame(bytes.NewReader(nil), 0.01); err != io.EOF {
+func TestReadFrameBufErrors(t *testing.T) {
+	if _, _, err := ReadFrameBuf(bytes.NewReader(nil), 0.01, nil); err != io.EOF {
 		t.Fatalf("empty reader: got %v, want io.EOF", err)
 	}
 	// Partial header.
-	if _, err := ReadFrame(bytes.NewReader([]byte{0, 0}), 0.01); err == nil || err == io.EOF {
+	if _, _, err := ReadFrameBuf(bytes.NewReader([]byte{0, 0}), 0.01, nil); err == nil || err == io.EOF {
 		t.Fatalf("partial header: got %v", err)
 	}
 	// Oversized frame.
 	var buf bytes.Buffer
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := ReadFrame(&buf, 0.01); err == nil {
+	if _, _, err := ReadFrameBuf(&buf, 0.01, nil); err == nil {
 		t.Fatal("expected error for oversized frame")
 	}
 	// Truncated body.
 	buf.Reset()
 	buf.Write([]byte{0, 0, 0, 10, 1, 2})
-	if _, err := ReadFrame(&buf, 0.01); err == nil || err == io.EOF {
+	if _, _, err := ReadFrameBuf(&buf, 0.01, nil); err == nil || err == io.EOF {
 		t.Fatal("expected error for truncated body")
 	}
 }
