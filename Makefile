@@ -101,7 +101,9 @@ sinkd-smoke:
 	echo "sinkd-smoke: PASS (3 tenants verified bit-identical; mismatched spec rejected; health ok->degraded probed via kentop)"
 
 # audit-smoke proves the protocol invariants on real traces: a kensim lab
-# comparison and the quick benchmark suite at pool widths 1 and 8, each
+# comparison, the clean packet-level simulator (kennet's ken and avg
+# programs with nothing lost — faults-smoke only audits it at 20% loss) and
+# the quick benchmark suite at pool widths 1 and 8, each
 # replayed through kenaudit -strict (ε bound, no silent divergence, byte
 # accounting). The two kenbench audit reports must be byte-identical —
 # parallel scheduling may reorder trace lines but never the audited facts.
@@ -113,6 +115,10 @@ audit-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/kensim -dataset lab -scheme all -parallel 4 -test 300 -trace-out "$$tmp/kensim.jsonl" >/dev/null && \
 	$(GO) run ./cmd/kenaudit -trace "$$tmp/kensim.jsonl" -strict -q && \
+	$(GO) run ./cmd/kennet -program ken -steps 200 -trace-out "$$tmp/net-ken.jsonl" >/dev/null && \
+	$(GO) run ./cmd/kenaudit -trace "$$tmp/net-ken.jsonl" -strict -q && \
+	$(GO) run ./cmd/kennet -program avg -steps 200 -trace-out "$$tmp/net-avg.jsonl" >/dev/null && \
+	$(GO) run ./cmd/kenaudit -trace "$$tmp/net-avg.jsonl" -strict -q && \
 	$(GO) run ./cmd/kenbench -all -quick -parallel 1 -trace-out "$$tmp/seq.jsonl" >/dev/null && \
 	$(GO) run ./cmd/kenbench -all -quick -parallel 8 -trace-out "$$tmp/par.jsonl" >/dev/null && \
 	$(GO) run ./cmd/kenaudit -trace "$$tmp/seq.jsonl" -strict -q -json "$$tmp/seq.json" && \

@@ -23,7 +23,9 @@ import (
 	"strconv"
 	"strings"
 
+	"ken/internal/model"
 	"ken/internal/network"
+	"ken/internal/protocol"
 )
 
 // Evaluator estimates the data reduction factor m_C — the expected number
@@ -121,6 +123,34 @@ func (p *Partition) Validate(n int) error {
 		return fmt.Errorf("cliques: partition covers %d of %d attributes", count, n)
 	}
 	return nil
+}
+
+// Fit checks the partition against the training matrix and the bounds and
+// fits one protocol kernel per clique through fit, in partition order —
+// the replicas every endpoint of a deployment starts from — returning each
+// clique's root beside them.
+func (p *Partition) Fit(train [][]float64, eps []float64, fit func(cols [][]float64) (model.Model, error)) (kernels []*protocol.Kernel, roots []int, err error) {
+	if p == nil {
+		return nil, nil, errors.New("cliques: no partition")
+	}
+	if len(train) == 0 {
+		return nil, nil, errors.New("cliques: no training data")
+	}
+	n := len(train[0])
+	if len(eps) != n {
+		return nil, nil, fmt.Errorf("cliques: eps dim %d, training dim %d", len(eps), n)
+	}
+	if err := p.Validate(n); err != nil {
+		return nil, nil, err
+	}
+	for _, c := range p.Cliques {
+		k, err := protocol.Fit(train, eps, c.Members, fit)
+		if err != nil {
+			return nil, nil, err
+		}
+		kernels, roots = append(kernels, k), append(roots, c.Root)
+	}
+	return kernels, roots, nil
 }
 
 // String renders the partition compactly, e.g. "{0,1,2}@1 {3,4}@4".

@@ -41,56 +41,6 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// TestLossyKenWithoutLossIsKen: LossyKen is Ken's loop with a delivery
-// policy, so with nothing lost and no heartbeats the two are one scheme —
-// the same report sets in the same order and bitwise the same estimates,
-// whichever report policy (greedy or exhaustive) the configuration names.
-func TestLossyKenWithoutLossIsKen(t *testing.T) {
-	gTrain, gTest, gEps := gardenData(t, 10, 100, 300)
-	lTrain, lTest, lEps := labData(t, 49, 100, 200)
-	for name, d := range map[string]struct {
-		part        *cliques.Partition
-		train, test [][]float64
-		eps         []float64
-		exhaustive  bool
-	}{
-		"garden pairs":          {pairPartition(10), gTrain, gTest, gEps, false},
-		"lab k=8":               {blockPartition(49, 8), lTrain, lTest, lEps, false},
-		"garden k=4 exhaustive": {blockPartition(10, 4), gTrain, gTest, gEps, true},
-	} {
-		cfg := KenConfig{Partition: d.part, Train: d.train, Eps: d.eps, FitCfg: model.FitConfig{Period: 24}, Exhaustive: d.exhaustive}
-		ken, err := NewKen(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lossy, err := NewLossyKen(cfg, LossyConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		reported := 0
-		for step, row := range d.test {
-			ke, ks, err := ken.Step(row)
-			if err != nil {
-				t.Fatal(err)
-			}
-			le, ls, err := lossy.Step(row)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ks, ls) {
-				t.Fatalf("%s step %d: Ken stats %+v, lossless LossyKen %+v", name, step, ks, ls)
-			}
-			if !sameBits(ke, le) {
-				t.Fatalf("%s step %d: estimates differ in bits", name, step)
-			}
-			reported += ks.ValuesReported
-		}
-		if reported == 0 {
-			t.Fatalf("%s: nothing reported — the comparison never saw a report", name)
-		}
-	}
-}
-
 // TestRunReportedAttrsAreDeterministic: two runs of one configuration list
 // the reported attributes in the same order — clique by clique, ascending
 // within a clique — where map iteration used to shuffle them.
@@ -228,7 +178,7 @@ func TestChooseExhaustiveMatchesOrBeatsGreedy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eIdx, eVals, err := chooseExhaustive(ek, truth)
+		eIdx, eVals, err := chooseExhaustive(ek, truth, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -94,9 +94,8 @@ func TestLossyKenHeartbeatResyncsReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 	identical := func() bool {
-		for ci := range lk.ken.cliques {
-			c := &lk.ken.cliques[ci]
-			src, sink := c.src.Mean(), c.sink.Mean()
+		for ci := range lk.loop.Src {
+			src, sink := lk.loop.Src[ci].Mean(), lk.loop.Sink[ci].Mean()
 			for i := range src {
 				if math.Float64bits(src[i]) != math.Float64bits(sink[i]) {
 					return false
@@ -129,7 +128,9 @@ func TestLossyKenHeartbeatResyncsReplicas(t *testing.T) {
 // TestLossyKenCountersMatchTrace replays a traced lossy run and checks
 // the scheme's counters against the protocol trace: LostMessages equals
 // the values carried by EvDrop("loss") events, Heartbeats equals the
-// EvResync count.
+// EvResync count — and every resync carries the step of the epoch it is
+// emitted in, like the epoch's other events (it used to carry the heartbeat
+// schedule's one-based count, one past its epoch_start).
 func TestLossyKenCountersMatchTrace(t *testing.T) {
 	train, test, eps := gardenData(t, 4, 100, 80)
 	var buf bytes.Buffer
@@ -152,14 +153,20 @@ func TestLossyKenCountersMatchTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	lostValues, resyncs := 0, 0
+	epochStep := map[int64]int64{}
 	for _, e := range events {
 		switch e.Type {
+		case obs.EvEpochStart:
+			epochStep[e.Span] = e.Step
 		case obs.EvDrop:
 			if e.Detail == "loss" {
 				lostValues += len(e.Attrs)
 			}
 		case obs.EvResync:
 			resyncs++
+			if start, ok := epochStep[e.Epoch]; !ok || e.Step != start {
+				t.Fatalf("resync at step %d inside the epoch that started at step %d", e.Step, start)
+			}
 		}
 	}
 	if lk.LostMessages == 0 {

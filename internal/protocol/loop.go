@@ -1,0 +1,295 @@
+package protocol
+
+import (
+	"fmt"
+
+	"ken/internal/model"
+	"ken/internal/obs"
+)
+
+// Channel is everything that differs between Ken's deployments (§6): not the
+// epoch, only what reaches the clique roots and what reaches the sink. The
+// loop asks it three questions per epoch and never which channel it is:
+// Perfect is §3.2's, core.LossyKen flips seeded coins, simnet.DistributedKen
+// sends packets through a lossy radio, stream.Source quantises onto a wire
+// frame for a sink in another process.
+type Channel interface {
+	// Heartbeat opens an epoch whose readings have been accepted and reports
+	// whether it is a heartbeat: every reading a root holds is reported,
+	// whatever the prediction, to re-synchronise the replicas.
+	Heartbeat() bool
+	// Collect returns the local attributes of clique ci whose readings
+	// reached its root, strictly increasing — Kernel.Choose's candidate set:
+	// nil means all of them, empty and non-nil means none (a dead root).
+	Collect(ci int, truth []float64) []int
+	// Carry takes clique ci's report (empty ones too) to the sink and returns
+	// what arrived, a sorted pair that may alias the report. It may rewrite
+	// vals in place (quantisation): the source commits what Carry leaves
+	// there. A channel that traces its own traffic does so under the report's
+	// span; lost lists the global attributes of values it dropped without
+	// tracing them, for the loop to trace.
+	Carry(ci int, idx []int, vals []float64, under *obs.Span) (dIdx []int, dVals []float64, lost []int)
+}
+
+// Perfect is the channel of §3.2: every root hears every member, every
+// report arrives as sent, and no epoch is a heartbeat.
+type Perfect struct{}
+
+func (Perfect) Heartbeat() bool              { return false }
+func (Perfect) Collect(int, []float64) []int { return nil }
+func (Perfect) Carry(_ int, idx []int, vals []float64, _ *obs.Span) ([]int, []float64, []int) {
+	return idx, vals, nil
+}
+
+// Beat is the heartbeat schedule (§6) the lossy channels embed: every
+// Every-th epoch, counted from the first, is a heartbeat; 0 means never.
+type Beat struct {
+	Every      int
+	Heartbeats int // heartbeat epochs so far
+	epochs     int
+}
+
+// Heartbeat implements Channel.
+func (b *Beat) Heartbeat() bool {
+	b.epochs++
+	if b.Every <= 0 || b.epochs%b.Every != 0 {
+		return false
+	}
+	b.Heartbeats++
+	return true
+}
+
+// Policy picks a clique's report on an ordinary epoch, under Kernel.Choose's
+// contract — which is the default policy, (*Kernel).Choose.
+type Policy func(src *Kernel, truth []float64, cand []int) (idx []int, vals []float64, err error)
+
+// Mirror returns an independent replica of every kernel, in the same state:
+// the sink side of a deployment fitted once.
+func Mirror(src []*Kernel) []*Kernel {
+	sink := make([]*Kernel, len(src))
+	for i, k := range src {
+		sink[i] = k.Clone()
+	}
+	return sink
+}
+
+// Loop is the Ken epoch (§3.2), written once: per clique, hear what the
+// channel collected at the root, advance the replicas, let the source choose
+// its report (every reading it holds on a heartbeat), hand the report to the
+// channel, commit the source to what it sent and the sink to what arrived —
+// and trace each of those moves. Drivers fill the exported configuration,
+// call Check and then Epoch (or SourceEpoch) once per sampling period and
+// read the outcome; they make no kernel move of their own.
+type Loop struct {
+	// Src and Sink are each clique's replicas, in partition order. Sink is
+	// empty when the sink lives in another process (SourceEpoch only).
+	Src, Sink []*Kernel
+	// Roots is each clique's root node, for the trace.
+	Roots []int
+	// N is the number of attributes the cliques cover.
+	N       int
+	Channel Channel
+	Choose  Policy
+	// Tracer, when non-nil, receives the report/suppress/apply/drop/resync
+	// events; untraced epochs allocate nothing.
+	Tracer *obs.Tracer
+
+	// Sent is the size of each clique's report in the last epoch, and
+	// Reported the global attributes reported, clique by clique and ascending
+	// within one. Both are reused by the next epoch.
+	Sent, Reported []int
+
+	step int64
+	sp   *obs.Span
+	pick Policy // this epoch's: Choose, or (*Kernel).Full on a heartbeat
+	// d is the current clique's report after the channel: what arrived, what
+	// the channel dropped untraced, and the report's span.
+	d struct {
+		idx   []int
+		vals  []float64
+		lost  []int
+		under *obs.Span
+	}
+}
+
+// Check accepts or rejects an epoch's readings before anything moves: the
+// right count, and every one finite (CheckReadings).
+//
+//ken:hotpath one pass over the epoch's readings
+func (l *Loop) Check(truth []float64) error {
+	if len(truth) != l.N {
+		return fmt.Errorf("%w: %d readings, want %d", model.ErrDim, len(truth), l.N)
+	}
+	return CheckReadings(truth)
+}
+
+// Epoch runs one sampling period on both replicas of every clique, source
+// and delivery interleaved clique by clique. truth must have passed Check.
+// step labels the epoch's events and sp, when active, is the span they nest
+// under. An error leaves the cliques before the failing one advanced.
+//
+//ken:hotpath the per-epoch loop
+func (l *Loop) Epoch(step int64, sp *obs.Span, truth []float64) error {
+	l.begin(step, sp)
+	for ci, sink := range l.Sink {
+		sink.Predict()
+		//lint:ignore hotalloc the outcome slices stop growing at one entry per clique and per attribute; what else allocates is the trace, guarded by Tracer == nil
+		if err := l.source(ci, truth, sink); err != nil {
+			return err
+		}
+		if err := sink.Commit(l.d.idx, l.d.vals); err != nil {
+			return err
+		}
+		if l.Tracer != nil {
+			//lint:ignore hotalloc traced epochs only
+			l.traceArrival(ci)
+		}
+	}
+	return nil
+}
+
+// SourceEpoch is Epoch for a loop without sink replicas: the source half
+// alone, the channel's Carry being all the delivery there is.
+//
+//ken:hotpath the per-epoch loop, source side
+func (l *Loop) SourceEpoch(step int64, sp *obs.Span, truth []float64) error {
+	l.begin(step, sp)
+	for ci, src := range l.Src {
+		//lint:ignore hotalloc as in Epoch
+		if err := l.source(ci, truth, src); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Estimates scatters every sink replica's mean into the answer vector.
+//
+//ken:hotpath scatters through the kernels' scratch
+func (l *Loop) Estimates(est []float64) {
+	for _, sink := range l.Sink {
+		sink.Scatter(est)
+	}
+}
+
+// begin opens an epoch: resets the outcome and asks the channel whether it
+// is a heartbeat.
+func (l *Loop) begin(step int64, sp *obs.Span) {
+	l.step, l.sp = step, sp
+	l.Sent, l.Reported = l.Sent[:0], l.Reported[:0]
+	l.pick = l.Choose
+	if l.Channel.Heartbeat() {
+		l.pick = (*Kernel).Full
+		if l.Tracer != nil {
+			l.emit(sp, obs.Event{Type: obs.EvResync, Clique: -1, Node: -1})
+		}
+	}
+}
+
+// source is the source half for clique ci (§3.2 source steps 1–4), up to and
+// including the channel. view is the replica whose prediction the report is
+// traced against — what the sink would have answered without it: the sink's
+// own, already advanced, or the source's when the sink is out of reach.
+func (l *Loop) source(ci int, truth []float64, view *Kernel) error {
+	src := l.Src[ci]
+	cand := l.Channel.Collect(ci, truth)
+	src.Predict()
+	var pred []float64
+	if l.Tracer != nil {
+		pred = append([]float64(nil), view.Mean()...)
+	}
+	idx, vals, err := l.pick(src, truth, cand)
+	if err != nil {
+		return err
+	}
+	l.Sent = append(l.Sent, len(idx))
+	members := src.Members()
+	for _, i := range idx {
+		l.Reported = append(l.Reported, members[i])
+	}
+	l.d.under = nil
+	if l.Tracer != nil {
+		l.d.under = l.traceReport(ci, idx, vals, pred)
+	}
+	l.d.idx, l.d.vals, l.d.lost = l.Channel.Carry(ci, idx, vals, l.d.under)
+	// The source believes everything it sent; the sink only what arrived.
+	return src.Commit(idx, vals)
+}
+
+// traceReport emits clique ci's report event, as a child span of the epoch,
+// and the suppress event beside it, and returns the report's span: the sink
+// apply, the channel's own traffic and any loss trace under it, giving the
+// auditor the report → apply causal chain. Nil when nothing was reported.
+func (l *Loop) traceReport(ci int, idx []int, vals, pred []float64) *obs.Span {
+	members, eps := l.Src[ci].Members(), l.Src[ci].Eps()
+	var rs *obs.Span
+	if len(idx) > 0 {
+		epsR := make([]float64, len(idx))
+		preds := make([]float64, len(idx))
+		for j, i := range idx {
+			epsR[j], preds[j] = eps[i], pred[i]
+		}
+		rs = l.sp.Child()
+		l.emit(rs, obs.Event{
+			Type: obs.EvReport, Clique: ci, Node: l.Roots[ci],
+			Attrs: globalAttrs(members, idx), Values: vals,
+			Payload: &obs.Payload{
+				Predicted: preds, Observed: vals, Eps: epsR,
+				Bytes: obs.WireBytesPerValue * len(idx),
+			},
+		})
+	}
+	if len(idx) < len(members) {
+		supp := make([]int, 0, len(members)-len(idx))
+		next := 0
+		for i, g := range members {
+			if next < len(idx) && idx[next] == i {
+				next++
+				continue
+			}
+			supp = append(supp, g)
+		}
+		l.emit(l.sp, obs.Event{Type: obs.EvSuppress, Clique: ci, Node: l.Roots[ci], Attrs: supp})
+	}
+	return rs
+}
+
+// traceArrival emits, under the report's span, the sink's apply of what
+// arrived and the drop of what the channel lost without saying so itself.
+func (l *Loop) traceArrival(ci int) {
+	d := &l.d
+	if len(d.idx) > 0 {
+		l.emit(d.under.Child(), obs.Event{
+			Type: obs.EvApply, Clique: ci, Node: -1,
+			Attrs: globalAttrs(l.Src[ci].Members(), d.idx), Values: d.vals, N: len(d.idx),
+		})
+	}
+	if len(d.lost) > 0 {
+		l.emit(d.under.Child(), obs.Event{
+			Type: obs.EvDrop, Clique: ci, Node: l.Roots[ci],
+			Attrs: d.lost, Detail: "loss",
+		})
+	}
+}
+
+// globalAttrs maps a report's clique-local indices to global attributes.
+func globalAttrs(members, idx []int) []int {
+	out := make([]int, len(idx))
+	for j, i := range idx {
+		out[j] = members[i]
+	}
+	return out
+}
+
+// emit stamps the epoch's step on ev and sends it through sp when it is an
+// active span — a replay driver's epoch or a report under it — and through
+// the bare tracer otherwise. Either marshals ev before returning, so events
+// borrow the kernels' scratch.
+func (l *Loop) emit(sp *obs.Span, ev obs.Event) {
+	ev.Step = l.step
+	if sp.Active() {
+		sp.Emit(ev)
+	} else {
+		l.Tracer.Emit(ev)
+	}
+}

@@ -1,22 +1,15 @@
-// Package protocol is the one copy of Ken's per-clique loop (§3.2): predict,
-// check the prediction against ε, search for the smallest report that
-// restores accuracy, condition on what was reported. A Kernel is one replica
-// of one clique's model together with the scratch those four moves need;
-// source and sink each hold one and make the same moves on the same report,
-// which is all that keeps them in lock-step.
-//
-// What differs between deployments is only the delivery policy — what a
-// driver does with a chosen report before the sink commits it. core.Ken
-// delivers it as is, core.LossyKen drops values by a seeded coin and
-// heartbeats, simnet.DistributedKen sends it through a lossy radio from a
-// partially informed root, stream.Source quantizes it onto a wire frame that
-// stream.Replica applies. Those drivers keep that policy and nothing else;
-// mc, the bench replays and the failure-detector calibration advance a
-// single replica through Advance.
+// Package protocol is the one copy of Ken's protocol (§3.2): predict, check
+// the prediction against ε, search for the smallest report that restores
+// accuracy, condition on what was reported. A Kernel (this file) is one
+// replica of one clique's model with the scratch those four moves need; a
+// Loop (loop.go) is the epoch over a source and a sink kernel per clique,
+// which make the same moves on the same report — all that keeps them in
+// lock-step — with a Channel deciding what reaches the sink. mc, the bench
+// replays and the failure-detector calibration advance a lone replica
+// through Advance.
 //
 // Reports travel as the sorted pair the models take (see model.Model):
-// clique-local indices, strictly increasing, and one value per index. The
-// package imports nothing above model.
+// clique-local indices, strictly increasing, and one value per index.
 package protocol
 
 import (

@@ -64,30 +64,28 @@ type KenNetConfig struct {
 // Unlike core.Ken — which scores an idealised protocol — DistributedKen
 // inherits the network's failure modes: collection messages from dying
 // members leave the root partially informed, lost reports desynchronise
-// the replicas, and dead roots silence whole cliques. It is the protocol
-// kernel's packet-radio delivery policy: the root's candidate set is
-// whatever its members' unicasts delivered, and the sink commits whatever
-// of the report SendReliable gets through.
+// the replicas, and dead roots silence whole cliques. It is the same epoch
+// loop over the packet radio as its channel: the root's candidate set is
+// whatever its members' unicasts delivered, the sink commits whatever of the
+// report SendReliable gets through, and the base watches each clique's
+// arrivals with a failure detector.
 type DistributedKen struct {
-	net   *Network
-	eps   []float64
-	n     int
-	cl    []distClique
-	cfg   KenNetConfig
-	epoch int // local epoch counter scheduling heartbeats
-}
+	net  *Network
+	loop *protocol.Loop
+	eps  []float64
+	// Beat schedules the heartbeats (KenNetConfig.HeartbeatEvery) and is the
+	// channel's Heartbeat.
+	protocol.Beat
+	det []*core.FailureDetector // one per clique at the base; nil when detection is off
 
-type distClique struct {
-	root int
-	src  *protocol.Kernel      // executes at the clique root
-	sink *protocol.Kernel      // executes at the base station
-	det  *core.FailureDetector // at the base; nil when detection is off
-
-	// Epoch scratch: the local attributes whose readings reached the root,
-	// and the part of the report that reached the base.
-	avail []int
-	dIdx  []int
-	dVals []float64
+	// Epoch state: values that reached the base, the cliques the detectors
+	// suspect, and one clique's scratch — the local attributes whose readings
+	// reached the root and the part of the report that reached the base.
+	delivered int
+	suspected []bool
+	avail     []int
+	dIdx      []int
+	dVals     []float64
 }
 
 var _ Program = (*DistributedKen)(nil)
@@ -105,46 +103,38 @@ func NewDistributedKenConfig(net *Network, part *cliques.Partition, train [][]fl
 	if net == nil {
 		return nil, fmt.Errorf("simnet: nil network")
 	}
-	if len(train) == 0 {
-		return nil, fmt.Errorf("simnet: empty training data")
-	}
-	n := len(train[0])
-	if n != net.top.N() {
-		return nil, fmt.Errorf("simnet: training dim %d, network has %d nodes", n, net.top.N())
-	}
-	if len(eps) != n {
-		return nil, fmt.Errorf("simnet: eps dim %d, want %d", len(eps), n)
-	}
-	if err := part.Validate(n); err != nil {
-		return nil, err
-	}
 	if cfg.HeartbeatEvery < 0 {
 		return nil, fmt.Errorf("simnet: heartbeat interval %d must be >= 0", cfg.HeartbeatEvery)
 	}
 	if cfg.FailureAlpha < 0 || cfg.FailureAlpha >= 1 {
 		return nil, fmt.Errorf("simnet: failure alpha %v outside [0,1)", cfg.FailureAlpha)
 	}
-	d := &DistributedKen{net: net, eps: append([]float64(nil), eps...), n: n, cfg: cfg}
-	fit := func(cols [][]float64) (model.Model, error) { return model.FitLinearGaussian(cols, fitCfg) }
-	for _, c := range part.Cliques {
-		proto, err := protocol.Fit(train, eps, c.Members, fit)
-		if err != nil {
-			return nil, fmt.Errorf("simnet: %w", err)
-		}
-		k := len(c.Members)
-		dc := distClique{
-			root: c.Root, src: proto.Clone(), sink: proto.Clone(),
-			avail: make([]int, 0, k), dIdx: make([]int, 0, k), dVals: make([]float64, 0, k),
-		}
-		if cfg.FailureAlpha > 0 {
+	src, roots, err := part.Fit(train, eps, func(cols [][]float64) (model.Model, error) { return model.FitLinearGaussian(cols, fitCfg) })
+	if err != nil {
+		return nil, fmt.Errorf("simnet: %w", err)
+	}
+	n, k := len(eps), part.MaxCliqueSize()
+	if n != net.top.N() {
+		return nil, fmt.Errorf("simnet: training dim %d, network has %d nodes", n, net.top.N())
+	}
+	d := &DistributedKen{
+		net: net, eps: append([]float64(nil), eps...), Beat: protocol.Beat{Every: cfg.HeartbeatEvery},
+		suspected: make([]bool, len(src)),
+		avail:     make([]int, 0, k), dIdx: make([]int, 0, k), dVals: make([]float64, 0, k),
+	}
+	d.loop = &protocol.Loop{
+		Src: src, Sink: protocol.Mirror(src), Roots: roots, N: n,
+		Channel: d, Choose: (*protocol.Kernel).Choose, Tracer: net.tracer,
+	}
+	if cfg.FailureAlpha > 0 {
+		for ci, proto := range src {
 			det, err := core.NewFailureDetector(reportRate(proto, train, cfg.HeartbeatEvery), cfg.FailureAlpha)
 			if err != nil {
-				return nil, fmt.Errorf("simnet: failure detector for clique %v: %w", c.Members, err)
+				return nil, fmt.Errorf("simnet: failure detector for clique %v: %w", proto.Members(), err)
 			}
-			det.Instrument(net.tracer, len(d.cl), c.Root)
-			dc.det = det
+			det.Instrument(net.tracer, ci, roots[ci])
+			d.det = append(d.det, det)
 		}
-		d.cl = append(d.cl, dc)
 	}
 	return d, nil
 }
@@ -182,141 +172,79 @@ func reportRate(proto *protocol.Kernel, rows [][]float64, hb int) float64 {
 // Name implements Program.
 func (d *DistributedKen) Name() string { return "ken" }
 
-// Epoch implements Program.
-func (d *DistributedKen) Epoch(truth []float64) (EpochResult, error) {
-	if len(truth) != d.n {
-		return EpochResult{}, fmt.Errorf("simnet: truth dim %d, want %d", len(truth), d.n)
-	}
-	if err := protocol.CheckReadings(truth); err != nil {
-		return EpochResult{}, err
-	}
-	sp := d.net.BeginEpoch()
-	d.epoch++
-	heartbeat := d.cfg.HeartbeatEvery > 0 && d.epoch%d.cfg.HeartbeatEvery == 0
-	if heartbeat && sp.Active() {
-		sp.Emit(obs.Event{Type: obs.EvResync, Step: int64(d.net.stats.Epochs), Clique: -1, Node: -1})
-	}
-	res := EpochResult{Estimates: make([]float64, d.n)}
-	if d.cfg.FailureAlpha > 0 {
-		res.Stale = make([]bool, d.n)
-	}
-	reportBytes := 0
-	for ci := range d.cl {
-		c := &d.cl[ci]
-		members, eps := c.src.Members(), c.src.Eps()
-		// Phase 1 — intra-source collection: each live member ships its
-		// reading to the clique root (the root's own reading is local).
-		// Members cannot know whether the root is still alive, so they
-		// transmit regardless, burning Tx energy; the message dies at a
-		// dead receiver.
-		avail := c.avail[:0]
-		rootAlive := d.net.Alive(c.root)
-		for i, g := range members {
-			if g == c.root {
-				if rootAlive {
-					avail = append(avail, i)
-				}
-				continue
-			}
-			if d.net.SendReliable(Message{From: g, To: c.root, Attrs: []int{g}, Values: []float64{truth[g]}}, sp) {
+// Collect implements protocol.Channel, the intra-source phase: each live
+// member ships its reading to the clique root (the root's own reading is
+// local). Members cannot know whether the root is still alive, so they
+// transmit regardless, burning Tx energy; the message dies at a dead
+// receiver, and a dead root collects nothing — the empty, never nil, set.
+func (d *DistributedKen) Collect(ci int, truth []float64) []int {
+	root, sp := d.loop.Roots[ci], d.net.EpochSpan()
+	rootAlive := d.net.Alive(root)
+	avail := d.avail[:0]
+	for i, g := range d.loop.Src[ci].Members() {
+		if g == root {
+			if rootAlive {
 				avail = append(avail, i)
 			}
+			continue
 		}
+		if d.net.SendReliable(Message{From: g, To: root, Attrs: []int{g}, Values: []float64{truth[g]}}, sp) {
+			avail = append(avail, i)
+		}
+	}
+	return avail
+}
 
-		// Phase 2 — inference at the root and minimal reporting. Both
-		// replicas advance even when the root is dead: the sink keeps
-		// predicting from the model (that is the point of Ken).
-		c.src.Predict()
-		c.sink.Predict()
-		var pred []float64
-		if sp.Active() {
-			pred = append([]float64(nil), c.sink.Mean()...)
+// Carry implements protocol.Channel, the source-sink phase: the root
+// unicasts each report value to the base, the unicasts (and any loss along
+// the way) tracing under the report's span so the auditor can tell a silent
+// divergence from an explained one. The clique's failure detector watches
+// what arrives.
+func (d *DistributedKen) Carry(ci int, idx []int, vals []float64, under *obs.Span) ([]int, []float64, []int) {
+	root, members := d.loop.Roots[ci], d.loop.Src[ci].Members()
+	dIdx, dVals := d.dIdx[:0], d.dVals[:0]
+	for j, i := range idx {
+		if d.net.SendReliable(Message{From: root, To: d.net.Base(), Attrs: []int{members[i]}, Values: []float64{vals[j]}}, under) {
+			dIdx = append(dIdx, i)
+			dVals = append(dVals, vals[j])
 		}
-		var idx []int
-		var vals []float64
-		if rootAlive && len(avail) > 0 {
-			var err error
-			if heartbeat {
-				// Heartbeat: ship everything the root collected, not the
-				// minimal set — a full resync of the sink replica (§6).
-				idx, vals, err = c.src.Full(truth, avail)
-			} else {
-				idx, vals, err = c.src.Choose(truth, avail)
-			}
-			if err != nil {
-				return EpochResult{}, err
-			}
-		}
-		// The source believes what it transmitted (it cannot observe
-		// loss); the sink conditions on what actually arrived.
-		if err := c.src.Commit(idx, vals); err != nil {
-			return EpochResult{}, err
-		}
-		// The report is a child span of the epoch; its unicasts (and any
-		// loss along the way) trace as grandchildren, so the auditor can
-		// tell a silent divergence from an explained one.
-		reportBytes += obs.WireBytesPerValue * len(idx)
-		var rs *obs.Span
-		if sp.Active() && len(idx) > 0 {
-			rs = sp.Child()
-			attrs := make([]int, len(idx))
-			preds := make([]float64, len(idx))
-			epsR := make([]float64, len(idx))
-			for j, i := range idx {
-				attrs[j], preds[j], epsR[j] = members[i], pred[i], eps[i]
-			}
-			values := append([]float64(nil), vals...)
-			rs.Emit(obs.Event{
-				Type: obs.EvReport, Step: int64(d.net.stats.Epochs), Clique: ci, Node: c.root,
-				Attrs: attrs, Values: values,
-				Payload: &obs.Payload{
-					Predicted: preds, Observed: values, Eps: epsR,
-					Bytes: obs.WireBytesPerValue * len(attrs),
-				},
-			})
-		}
-		dIdx, dVals := c.dIdx[:0], c.dVals[:0]
-		for j, i := range idx {
-			g := members[i]
-			if d.net.SendReliable(Message{From: c.root, To: d.net.Base(), Attrs: []int{g}, Values: []float64{vals[j]}}, rs) {
-				dIdx = append(dIdx, i)
-				dVals = append(dVals, vals[j])
-			}
-		}
-		if err := c.sink.Commit(dIdx, dVals); err != nil {
-			return EpochResult{}, err
-		}
-		res.ValuesDelivered += len(dIdx)
-		if rs.Active() && len(dIdx) > 0 {
-			attrs := make([]int, len(dIdx))
-			for j, i := range dIdx {
-				attrs[j] = members[i]
-			}
-			rs.Child().Emit(obs.Event{
-				Type: obs.EvApply, Step: int64(d.net.stats.Epochs), Clique: ci, Node: d.net.Base(),
-				Attrs: attrs, Values: append([]float64(nil), dVals...), N: len(attrs),
-			})
-		}
+	}
+	d.delivered += len(dIdx)
+	if d.det != nil {
+		d.suspected[ci] = d.det[ci].Observe(len(dIdx) > 0)
+	}
+	return dIdx, dVals, nil
+}
 
-		// Phase 3 — the base answers from the sink replica. The per-clique
-		// failure detector watches report arrivals: a suspected clique's
-		// estimates are still served (the model is all the base has) but
-		// flagged stale instead of being passed off as live data.
-		suspected := false
-		if c.det != nil {
-			suspected = c.det.Observe(len(dIdx) > 0)
+// Epoch implements Program: one epoch of the protocol loop over the radio —
+// both replicas advance even when a root is dead, the sink keeps predicting
+// from the model (that is the point of Ken) — then the base's answer. A
+// suspected clique's estimates are still served (the model is all the base
+// has) but flagged stale instead of being passed off as live data.
+func (d *DistributedKen) Epoch(truth []float64) (EpochResult, error) {
+	if err := d.loop.Check(truth); err != nil {
+		return EpochResult{}, fmt.Errorf("simnet: %w", err)
+	}
+	sp := d.net.BeginEpoch()
+	d.delivered = 0
+	if err := d.loop.Epoch(int64(d.net.stats.Epochs), sp, truth); err != nil {
+		return EpochResult{}, err
+	}
+	res := EpochResult{Estimates: make([]float64, len(d.eps)), ValuesDelivered: d.delivered}
+	d.loop.Estimates(res.Estimates)
+	for g, est := range res.Estimates {
+		if diff := est - truth[g]; diff > d.eps[g] || diff < -d.eps[g] {
+			res.Violations++
+		}
+	}
+	if d.det != nil {
+		res.Stale = make([]bool, len(d.eps))
+		for ci, suspected := range d.suspected {
 			if suspected {
 				res.SuspectedCliques++
-			}
-		}
-		for i, est := range c.sink.Mean() {
-			g := members[i]
-			res.Estimates[g] = est
-			if suspected {
-				res.Stale[g] = true
-			}
-			if diff := est - truth[g]; diff > d.eps[g] || diff < -d.eps[g] {
-				res.Violations++
+				for _, g := range d.loop.Src[ci].Members() {
+					res.Stale[g] = true
+				}
 			}
 		}
 	}
@@ -325,7 +253,7 @@ func (d *DistributedKen) Epoch(truth []float64) (EpochResult, error) {
 			Step: int64(d.net.stats.Epochs), Clique: -1, Node: -1, N: res.ValuesDelivered,
 			Payload: &obs.Payload{
 				Predicted: res.Estimates, Observed: truth, Eps: d.eps,
-				Bytes:     reportBytes,
+				Bytes:     obs.WireBytesPerValue * len(d.loop.Reported),
 				LinkBytes: d.net.EpochLinkBytes(),
 				Retx:      d.net.EpochRetransmits(),
 			},

@@ -478,48 +478,6 @@ func TestDistributedAverageFixedCostHurtsLifetime(t *testing.T) {
 	}
 }
 
-// TestDistributedKenMatchesCoreEngine: on a loss-free network the
-// packet-level program runs the identical protocol to the idealised
-// core.Ken scheme — the same kernel under a different delivery policy — so
-// the reports and the estimates agree step for step, to the last bit.
-func TestDistributedKenMatchesCoreEngine(t *testing.T) {
-	net, train, test, eps := gardenNet(t, DefaultRadio(), 15, false)
-	part := pairsPartition(11)
-	prog, err := NewDistributedKen(net, part, train, eps, model.FitConfig{Period: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ideal, err := core.NewKen(core.KenConfig{
-		Partition: part,
-		Train:     train,
-		Eps:       eps,
-		FitCfg:    model.FitConfig{Period: 24},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for step, row := range test[:200] {
-		dres, err := prog.Epoch(row)
-		if err != nil {
-			t.Fatal(err)
-		}
-		iest, ist, err := ideal.Step(row)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dres.ValuesDelivered != ist.ValuesReported {
-			t.Fatalf("step %d: distributed delivered %d, core reported %d",
-				step, dres.ValuesDelivered, ist.ValuesReported)
-		}
-		for i := range iest {
-			if math.Float64bits(dres.Estimates[i]) != math.Float64bits(iest[i]) {
-				t.Fatalf("step %d attr %d: estimates differ in bits: %v vs %v",
-					step, i, dres.Estimates[i], iest[i])
-			}
-		}
-	}
-}
-
 // TestEpochRejectsNonFiniteReadingBeforeMoving: a NaN reading is a typed
 // error from every program before the epoch begins — no message sent, no
 // energy spent, no replica stepped, no average or last-delivered value

@@ -10,24 +10,22 @@
 //
 // Values travel quantized (wire.Frame); the Source conditions its own
 // replica on the quantized values it sends, so both replicas stay in
-// bit-exact lock-step, and it runs the protocol at ε − resolution/2 so the
-// end-to-end guarantee remains ±ε.
+// bit-exact lock-step, and it runs the protocol at ε − quantum/2, the
+// rounding a reported value may suffer (docs/PROTOCOL.md §5).
 //
-// Both endpoints drive the per-clique protocol kernel (internal/protocol);
-// this package is its framed-wire delivery policy. The Source quantizes
-// each chosen report in place before committing it and appends it to the
-// frame clique by clique, ascending within a clique; the Replica validates
-// a whole frame before any model moves and routes its attributes to their
-// cliques through a table built once. The kernel's report search is
-// read-only and runs on the source alone, so both replicas mutate only
-// through Predict and Commit on identical inputs — TestStreamLockStepScratch
-// pins the lock-step against a model with the cached evaluator hidden.
+// Both endpoints drive the per-clique protocol kernel (internal/protocol).
+// The Source is the protocol's epoch loop over the framed wire as its
+// channel; the Replica validates a whole frame before any model moves and
+// routes its attributes to their cliques through a table built once. The
+// kernel's report search is read-only and runs on the source alone, so both
+// replicas mutate only through Predict and Commit on identical inputs —
+// TestStreamLockStepScratch pins the lock-step against a model with the
+// cached evaluator hidden.
 package stream
 
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -45,8 +43,7 @@ import (
 const maxFrameBytes = 1 << 20
 
 // Config assembles both endpoints; the two sides must be built with
-// identical configurations (same training data, partition, bounds and
-// resolution).
+// identical configurations (same training data, partition and bounds).
 type Config struct {
 	// Partition assigns attributes to cliques.
 	Partition *cliques.Partition
@@ -56,80 +53,84 @@ type Config struct {
 	Eps []float64
 	// FitCfg controls model learning.
 	FitCfg model.FitConfig
-	// Resolution is the wire quantisation step (default: min ε / 100).
-	Resolution float64
 	// HeartbeatEvery, when positive, makes the source transmit a
 	// full-value heartbeat frame every so many steps (§6 robustness).
 	HeartbeatEvery int
 }
 
-// build fits one protocol kernel per clique — the models run at the
-// effective bound ε − resolution/2 — and validates the config.
-func build(cfg Config) ([]*protocol.Kernel, float64, error) {
-	if cfg.Partition == nil {
-		return nil, 0, errors.New("stream: config needs a partition")
-	}
-	if len(cfg.Train) == 0 {
-		return nil, 0, errors.New("stream: config needs training data")
-	}
-	n := len(cfg.Train[0])
-	if len(cfg.Eps) != n {
-		return nil, 0, fmt.Errorf("stream: eps dim %d, training dim %d", len(cfg.Eps), n)
-	}
-	if err := cfg.Partition.Validate(n); err != nil {
-		return nil, 0, err
-	}
-	res := cfg.Resolution
+// build validates the config and fits one protocol kernel per clique. The
+// wire quantum is min ε / 100 and the models run at the effective bound
+// ε − quantum/2 (docs/PROTOCOL.md §5 says what that does and does not cover).
+func build(cfg Config) (cl []*protocol.Kernel, roots []int, res float64, err error) {
 	minEps := math.Inf(1)
 	for i, e := range cfg.Eps {
 		if e <= 0 {
-			return nil, 0, fmt.Errorf("stream: non-positive epsilon %v for attribute %d", e, i)
+			return nil, nil, 0, fmt.Errorf("stream: non-positive epsilon %v for attribute %d", e, i)
 		}
 		minEps = math.Min(minEps, e)
 	}
-	if res <= 0 {
-		res = minEps / 100
-	}
-	if res/2 >= minEps {
-		return nil, 0, fmt.Errorf("stream: resolution %v too coarse for ε %v", res, minEps)
-	}
-	eff := make([]float64, n)
+	res = minEps / 100
+	eff := make([]float64, len(cfg.Eps))
 	for i, e := range cfg.Eps {
 		eff[i] = e - res/2
 	}
-	fit := func(cols [][]float64) (model.Model, error) { return model.FitLinearGaussian(cols, cfg.FitCfg) }
-	cl := make([]*protocol.Kernel, 0, len(cfg.Partition.Cliques))
-	for _, c := range cfg.Partition.Cliques {
-		k, err := protocol.Fit(cfg.Train, eff, c.Members, fit)
-		if err != nil {
-			return nil, 0, fmt.Errorf("stream: %w", err)
-		}
-		cl = append(cl, k)
+	cl, roots, err = cfg.Partition.Fit(cfg.Train, eff, func(cols [][]float64) (model.Model, error) {
+		return model.FitLinearGaussian(cols, cfg.FitCfg)
+	})
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("stream: %w", err)
 	}
-	return cl, res, nil
+	return cl, roots, res, nil
 }
 
 // Source is the sensor-network endpoint: it consumes ground-truth rows and
-// emits wire frames.
+// emits wire frames. It is the protocol's epoch loop, source half only, over
+// the framed wire as its channel.
 type Source struct {
-	cl      []*protocol.Kernel
-	res     float64
-	n       int
-	step    uint64
-	hbEvery int
-	sinceHB int
+	loop *protocol.Loop
+	ch   *framer
+	step uint64
 
 	// Observability handles (nil and no-op until Instrument is called).
-	tracer      *obs.Tracer
 	mFrames     *obs.Counter // stream_frames_sent_total
 	mValues     *obs.Counter // stream_values_sent_total
 	mHeartbeats *obs.Counter // stream_heartbeats_sent_total
 }
 
-// Instrument attaches metrics and heartbeat-resync tracing to the source
-// endpoint. A nil observer leaves it unobserved (the default).
+// framer is the wire channel: every root hears all its members, and a report
+// is quantised in place onto the frame under construction, clique by clique
+// — the reliable transport below delivers it whole to a sink this process
+// never sees. Heartbeat epochs mark the frame.
+type framer struct {
+	protocol.Beat
+	cl    []*protocol.Kernel // for each clique's global attributes
+	res   float64
+	frame wire.Frame
+}
+
+func (f *framer) Heartbeat() bool {
+	hb := f.Beat.Heartbeat()
+	if hb {
+		f.frame.Special = wire.KindHeartbeat
+	}
+	return hb
+}
+
+func (f *framer) Collect(int, []float64) []int { return nil }
+
+func (f *framer) Carry(ci int, idx []int, vals []float64, _ *obs.Span) ([]int, []float64, []int) {
+	for j, i := range idx {
+		vals[j] = quantize(vals[j], f.res)
+		f.frame.Attrs = append(f.frame.Attrs, f.cl[ci].Members()[i])
+		f.frame.Values = append(f.frame.Values, vals[j])
+	}
+	return idx, vals, nil
+}
+
+// Instrument attaches metrics and protocol tracing to the source endpoint.
+// A nil observer leaves it unobserved (the default).
 func (s *Source) Instrument(ob *obs.Observer) {
-	s.tracer = ob.Tracer()
+	s.loop.Tracer = ob.Tracer()
 	reg := ob.Registry()
 	s.mFrames = reg.Counter("stream_frames_sent_total")
 	s.mValues = reg.Counter("stream_values_sent_total")
@@ -138,11 +139,14 @@ func (s *Source) Instrument(ob *obs.Observer) {
 
 // NewSource builds the source endpoint.
 func NewSource(cfg Config) (*Source, error) {
-	cl, res, err := build(cfg)
+	cl, roots, res, err := build(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Source{cl: cl, res: res, n: len(cfg.Eps), hbEvery: cfg.HeartbeatEvery}, nil
+	ch := &framer{Beat: protocol.Beat{Every: cfg.HeartbeatEvery}, cl: cl, res: res}
+	return &Source{ch: ch, loop: &protocol.Loop{
+		Src: cl, Roots: roots, N: len(cfg.Eps), Channel: ch, Choose: (*protocol.Kernel).Choose,
+	}}, nil
 }
 
 // quantize snaps v onto the wire grid.
@@ -154,79 +158,35 @@ func quantize(v, res float64) float64 {
 // fresh readings and returns the frame to transmit (possibly with zero
 // reports — the frame itself carries the step so the sink's clock stays
 // aligned even without data). Attributes appear clique by clique in
-// partition order, ascending within a clique. A reading that is NaN or ±Inf
-// is rejected (wrapping gauss.ErrNotFinite) before anything moves. Untraced,
-// an epoch allocates only the frame it hands back.
+// partition order, ascending within a clique; the source has conditioned on
+// exactly the quantized values the frame carries. A reading that is NaN or
+// ±Inf is rejected (wrapping gauss.ErrNotFinite) before anything moves.
+// Untraced, an epoch allocates only the frame it hands back.
 func (s *Source) Collect(truth []float64) (wire.Frame, error) {
-	if len(truth) != s.n {
-		return wire.Frame{}, fmt.Errorf("stream: truth dim %d, want %d", len(truth), s.n)
+	if err := s.loop.Check(truth); err != nil {
+		return wire.Frame{}, fmt.Errorf("stream: %w", err)
 	}
-	if err := protocol.CheckReadings(truth); err != nil {
+	sp := s.loop.Tracer.StartEpoch(obs.Event{Step: int64(s.step), Clique: -1, Node: -1, Detail: "stream"})
+	s.ch.frame = wire.Frame{Step: s.step}
+	if err := s.loop.SourceEpoch(int64(s.step), sp, truth); err != nil {
 		return wire.Frame{}, err
 	}
-	sp := s.tracer.StartEpoch(obs.Event{Step: int64(s.step), Clique: -1, Node: -1, Detail: "stream"})
-	frame := wire.Frame{Step: s.step}
-	s.sinceHB++
-	heartbeat := s.hbEvery > 0 && s.sinceHB >= s.hbEvery
-	if heartbeat {
-		frame.Special = wire.KindHeartbeat
-		s.sinceHB = 0
-	}
-	for _, c := range s.cl {
-		c.Predict()
-		var idx []int
-		var vals []float64
-		var err error
-		if heartbeat {
-			idx, vals, err = c.Full(truth, nil)
-		} else {
-			idx, vals, err = c.Choose(truth, nil)
-		}
-		if err != nil {
-			return wire.Frame{}, err
-		}
-		if len(idx) == 0 {
-			continue
-		}
-		// Quantize, transmit, and condition on exactly what was sent.
-		members := c.Members()
-		for j, i := range idx {
-			vals[j] = quantize(vals[j], s.res)
-			frame.Attrs = append(frame.Attrs, members[i])
-			frame.Values = append(frame.Values, vals[j])
-		}
-		if err := c.Commit(idx, vals); err != nil {
-			return wire.Frame{}, err
-		}
-	}
+	frame := s.ch.frame
 	s.mFrames.Inc()
 	s.mValues.Add(int64(len(frame.Attrs)))
+	if frame.Special == wire.KindHeartbeat {
+		s.mHeartbeats.Inc()
+	}
 	if sp.Active() {
-		if len(frame.Attrs) > 0 {
-			sp.Child().Emit(obs.Event{
-				Type: obs.EvReport, Step: int64(s.step), Clique: -1, Node: -1,
-				Attrs: frame.Attrs, Values: frame.Values,
-				Payload: &obs.Payload{
-					Observed: frame.Values, Chunk: int(s.step),
-					Bytes: obs.WireBytesPerValue * len(frame.Attrs),
-				},
-			})
-		}
-		if heartbeat {
-			sp.Emit(obs.Event{Type: obs.EvResync, Step: int64(s.step), Clique: -1, Node: -1})
-		}
 		sp.EndEpoch(obs.Event{Step: int64(s.step), Clique: -1, Node: -1, N: len(frame.Attrs),
 			Payload: &obs.Payload{Bytes: obs.WireBytesPerValue * len(frame.Attrs)}})
-	}
-	if heartbeat {
-		s.mHeartbeats.Inc()
 	}
 	s.step++
 	return frame, nil
 }
 
 // Resolution returns the negotiated wire resolution.
-func (s *Source) Resolution() float64 { return s.res }
+func (s *Source) Resolution() float64 { return s.ch.res }
 
 // Replica is the base-station endpoint: it applies frames and serves
 // estimates. Safe for concurrent Apply/Estimates.
@@ -277,7 +237,7 @@ type report struct {
 
 // NewReplica builds the sink endpoint.
 func NewReplica(cfg Config) (*Replica, error) {
-	cl, res, err := build(cfg)
+	cl, _, res, err := build(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -630,7 +590,7 @@ func (s *Source) Pump(w io.Writer, rows [][]float64) error {
 		if err != nil {
 			return err
 		}
-		if buf, err = WriteFrameBuf(w, f, s.res, buf); err != nil {
+		if buf, err = WriteFrameBuf(w, f, s.ch.res, buf); err != nil {
 			return err
 		}
 	}

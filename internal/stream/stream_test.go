@@ -65,9 +65,10 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("expected error for eps mismatch")
 	}
 	bad = cfg
-	bad.Resolution = 2 // coarser than ε
+	bad.Eps = append([]float64(nil), cfg.Eps...)
+	bad.Eps[1] = 0
 	if _, err := NewSource(bad); err == nil {
-		t.Fatal("expected error for too-coarse resolution")
+		t.Fatal("expected error for a non-positive bound")
 	}
 }
 
