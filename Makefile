@@ -67,7 +67,9 @@ benchmark-smoke:
 # sinkd-smoke proves the multi-tenant daemon end to end with real
 # processes: kensinkd pinned to one deployment, three concurrent kensource
 # tenants streaming through the session handshake, the /v1/query answers
-# verified bit-identical to local reference replicas by kenswarm, a
+# verified bit-identical to local reference replicas by kenswarm (which
+# also requires each tenant's /v1/slo total_frames to equal the frames it
+# sent — the SLO window counts every applied frame exactly once), a
 # mismatched-spec client rejected with the typed "spec rejected" error,
 # and the live SLO monitor probed both ways — /v1/health healthy via
 # `kentop -once -fail-degraded` after the clean run, then degraded on a

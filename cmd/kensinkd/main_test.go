@@ -63,7 +63,7 @@ func streamTenant(t *testing.T, addr, name string, p deploy.Params) {
 	if _, err := stream.Handshake(conn, wire.Hello{Tenant: name, Spec: p.EncodeSpec()}); err != nil {
 		t.Fatal(err)
 	}
-	if err := src.Pump(conn, dep.Test); err != nil {
+	if err := src.Pump(conn, dep.Test, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"log/slog"
 	"net"
 	"os"
-	"time"
 
 	"ken/internal/deploy"
 	"ken/internal/obs"
@@ -114,41 +113,14 @@ func (o options) run(stdout io.Writer) error {
 		"partition", dep.Partition.String())
 
 	values := 0
-	var buf []byte // one encode buffer for the whole session
-	for _, row := range dep.Test {
-		f, err := src.Collect(row)
-		if err != nil {
-			return err
-		}
+	if err := src.Pump(conn, dep.Test, func(f wire.Frame) error {
 		values += len(f.Attrs)
-		if buf, err = stream.WriteFrameBuf(conn, f, src.Resolution(), buf); err != nil {
-			// A mid-stream write failure is usually the sink shedding us:
-			// surface its typed reject when one is waiting.
-			if rej := pendingReject(conn); rej != nil {
-				return fmt.Errorf("sink dropped the session: %w", rej)
-			}
-			return err
-		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	total := len(dep.Test) * dep.N
 	fmt.Fprintf(stdout, "kensource: tenant %s sent %d of %d values (%.1f%%)\n",
 		acc.Tenant, values, total, 100*float64(values)/float64(total))
 	return nil
-}
-
-// pendingReject drains a waiting session frame after a write error, so a
-// shed tenant reports the sink's typed reason instead of a raw EPIPE.
-func pendingReject(conn net.Conn) error {
-	if err := conn.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
-		return nil
-	}
-	for {
-		s, err := stream.ReadSession(conn)
-		if err != nil {
-			return nil
-		}
-		if s.Reject != nil {
-			return s.Reject.Err()
-		}
-	}
 }

@@ -6,7 +6,9 @@
 // each tenant's /v1/query answer must be bit-identical to a local
 // single-tenant reference replica built from the same spec and fed the
 // same frames (the lock-step property a standalone `kensinkd -pin` run at
-// that spec computes), and within ±ε of the ground truth rows.
+// that spec computes), and within ±ε of the ground truth rows — and that
+// the daemon's telemetry lost nothing: each tenant's /v1/slo total_frames
+// must equal the frames it sent.
 //
 //	kenswarm -selfhost -tenants 64 -specs 4 -steps 200 -verify
 //	kenswarm -connect 127.0.0.1:7070 -http http://127.0.0.1:7071 -tenants 16 -verify
@@ -28,6 +30,7 @@ import (
 	"ken/internal/deploy"
 	"ken/internal/obs"
 	"ken/internal/sinkd"
+	"ken/internal/slo"
 	"ken/internal/stream"
 	"ken/internal/wire"
 )
@@ -60,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.params.TestSteps, "steps", 120, "steps each tenant streams")
 	fs.IntVar(&o.params.HeartbeatEvery, "heartbeat", 24, "heartbeat frame interval (0 disables)")
 	fs.DurationVar(&o.wait, "wait", 5*time.Second, "retry window for the first connection (lets the daemon finish starting)")
-	fs.BoolVar(&o.verify, "verify", false, "after streaming, check every tenant's /v1/query answer bit-identical to a local reference replica and within ±ε of truth")
+	fs.BoolVar(&o.verify, "verify", false, "after streaming, check every tenant's /v1/query answer bit-identical to a local reference replica and within ±ε of truth, and its /v1/slo total_frames equal to the frames sent")
 	var logFlags obs.LogFlags
 	logFlags.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -78,14 +81,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// swarmTenant is one session: its spec, source endpoint, test rows and —
-// under -verify — the local reference replica fed the same frames.
+// swarmTenant is one session: its spec, source endpoint, test rows, the
+// frames it has sent and — under -verify — the local reference replica fed
+// the same frames.
 type swarmTenant struct {
 	name string
 	spec deploy.Params
 	src  *stream.Source
 	ref  *stream.Replica
 	test [][]float64
+	sent int
 }
 
 func (o options) run(stdout io.Writer) error {
@@ -193,18 +198,19 @@ func (o options) run(stdout io.Writer) error {
 	// mirroring each frame into its local reference replica when
 	// verifying.
 	start = time.Now()
-	frames := 0
 	for i, tn := range tenants {
 		go func(conn net.Conn, tn *swarmTenant) {
-			n, err := pump(conn, tn)
-			mu.Lock()
-			frames += n
-			mu.Unlock()
+			err := tn.src.Pump(conn, tn.test, func(f wire.Frame) error {
+				tn.sent++
+				if tn.ref == nil {
+					return nil
+				}
+				return tn.ref.Apply(f)
+			})
 			if err != nil {
-				errs <- fmt.Errorf("tenant %s: %w", tn.name, err)
-				return
+				err = fmt.Errorf("tenant %s: %w", tn.name, err)
 			}
-			errs <- nil
+			errs <- err
 		}(conns[i], tn)
 	}
 	for range tenants {
@@ -213,6 +219,10 @@ func (o options) run(stdout io.Writer) error {
 		}
 	}
 	streamSec := time.Since(start).Seconds()
+	frames := 0
+	for _, tn := range tenants {
+		frames += tn.sent
+	}
 	for i, c := range conns {
 		_ = c.Close() // half-close: daemon sees EOF, tenant turns "closed"
 		conns[i] = nil
@@ -249,66 +259,29 @@ func dialRetry(addr string, wait time.Duration) (net.Conn, error) {
 	}
 }
 
-// pump streams the tenant's test rows, mirroring frames into the local
-// reference replica when verifying, and surfaces a typed shed reject.
-func pump(conn net.Conn, tn *swarmTenant) (int, error) {
-	frames := 0
-	var buf []byte // one encode buffer for the whole session
-	for _, row := range tn.test {
-		f, err := tn.src.Collect(row)
-		if err != nil {
-			return frames, err
-		}
-		if buf, err = stream.WriteFrameBuf(conn, f, tn.src.Resolution(), buf); err != nil {
-			if rej := pendingReject(conn); rej != nil {
-				return frames, fmt.Errorf("shed by the sink: %w", rej)
-			}
-			return frames, err
-		}
-		if tn.ref != nil {
-			if err := tn.ref.Apply(f); err != nil {
-				return frames, err
-			}
-		}
-		frames++
-	}
-	return frames, nil
-}
-
-// pendingReject drains a waiting session frame after a write error, so a
-// shed tenant reports the sink's typed reason instead of a raw EPIPE.
-func pendingReject(conn net.Conn) error {
-	if err := conn.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
-		return nil
-	}
-	for {
-		s, err := stream.ReadSession(conn)
-		if err != nil {
-			return nil
-		}
-		if s.Reject != nil {
-			return s.Reject.Err()
-		}
-	}
-}
-
 // verifyAnswers fetches every tenant's /v1/query answer and requires it
 // bit-identical to the local reference replica (fed exactly the frames
-// the tenant sent) and within ±ε of the final ground-truth row.
+// the tenant sent) and within ±ε of the final ground-truth row, and its
+// /v1/slo window to have counted exactly the frames the tenant sent.
 func verifyAnswers(httpBase string, tenants []*swarmTenant) error {
 	client := &http.Client{Timeout: 10 * time.Second}
 	for _, tn := range tenants {
 		want := tn.ref.Answer()
 		// The daemon applies asynchronously: after the stream closes its
-		// applier may still be draining the frame queue, so poll until
-		// the step counts meet before comparing answers.
+		// applier may still be draining the frame queue (and folds a frame
+		// into the window just after the replica), so poll until both
+		// counts meet before comparing.
 		var resp sinkd.QueryResponse
+		var status slo.TenantStatus
 		deadline := time.Now().Add(10 * time.Second)
 		for {
 			if err := getJSON(client, fmt.Sprintf("%s/v1/query?tenant=%s", httpBase, tn.name), &resp); err != nil {
 				return fmt.Errorf("tenant %s: %w", tn.name, err)
 			}
-			if resp.Answer.Step >= want.Step || time.Now().After(deadline) {
+			if err := getJSON(client, fmt.Sprintf("%s/v1/slo?tenant=%s", httpBase, tn.name), &status); err != nil {
+				return fmt.Errorf("tenant %s: %w", tn.name, err)
+			}
+			if (resp.Answer.Step >= want.Step && status.Window.TotalFrames >= int64(tn.sent)) || time.Now().After(deadline) {
 				break
 			}
 			time.Sleep(20 * time.Millisecond)
@@ -316,6 +289,10 @@ func verifyAnswers(httpBase string, tenants []*swarmTenant) error {
 		if resp.Answer.Step != want.Step {
 			return fmt.Errorf("tenant %s: daemon applied %d frames, reference %d",
 				tn.name, resp.Answer.Step, want.Step)
+		}
+		if status.Window.TotalFrames != int64(tn.sent) {
+			return fmt.Errorf("tenant %s: /v1/slo counted %d frames, sent %d",
+				tn.name, status.Window.TotalFrames, tn.sent)
 		}
 		if len(resp.Answer.Estimates) != len(want.Estimates) {
 			return fmt.Errorf("tenant %s: answer dim %d, want %d",

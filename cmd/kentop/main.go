@@ -110,8 +110,8 @@ func (o options) fetch(ctx context.Context) (sinkd.HealthReport, error) {
 }
 
 func render(w io.Writer, base string, rep sinkd.HealthReport) {
-	fmt.Fprintf(w, "kentop · %s · status: %s · tenants: %d (%d unhealthy) · feed drops: %d\n\n",
-		base, rep.Status, len(rep.Tenants), rep.Unhealthy, rep.Feed.Dropped)
+	fmt.Fprintf(w, "kentop · %s · status: %s · tenants: %d (%d unhealthy)\n\n",
+		base, rep.Status, len(rep.Tenants), rep.Unhealthy)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "TENANT\tHEALTH\tSTATE\tSTEP\tVIOL%\tDEV\tSTALE\tP95MS\tQUEUE\tSHED\tREASONS")
 	for _, t := range rep.Tenants {

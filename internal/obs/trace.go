@@ -345,14 +345,6 @@ func (t *Tracer) StartEpoch(e Event) *Span {
 // sanctioned guard for skipping payload construction on the dark path.
 func (s *Span) Active() bool { return s != nil && s.t != nil }
 
-// EpochID returns the enclosing epoch span id (0 on nil).
-func (s *Span) EpochID() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.epoch
-}
-
 // ID returns this span's own id (0 on nil).
 func (s *Span) ID() int64 {
 	if s == nil {

@@ -2,27 +2,22 @@ package sinkd
 
 import (
 	"testing"
-	"time"
 
 	"ken/internal/alloctest"
 	"ken/internal/deploy"
-	"ken/internal/slo"
 	"ken/internal/stream"
 	"ken/internal/wire"
 )
 
 // TestAllocBudgetSinkdApply pins the daemon's per-frame apply — decoding
 // the queued body into the tenant's warmed frame, replica conditioning,
-// daemon counters and the SLO feed publish — at zero heap allocations for
-// reporting frames (every attribute reported every step), with the live
-// monitor attached. The monitor's sync interval is pushed out so its drain
-// goroutine (whose scratch growth is off the hot path by design) cannot
-// allocate mid-measurement: AllocsPerRun counts process-wide mallocs.
+// daemon counters and the fold into the tenant's SLO window — at zero heap
+// allocations for reporting frames (every attribute reported every step).
 func TestAllocBudgetSinkdApply(t *testing.T) {
 	if alloctest.RaceEnabled {
 		t.Skip("alloc budgets are not meaningful under -race")
 	}
-	d := New(Config{SLO: slo.Config{SyncEvery: time.Hour}})
+	d := New(Config{})
 	defer d.Close()
 	const runs = 100
 	dep, err := deploy.Build(deploy.Params{Dataset: "garden", Seed: 1, TestSteps: runs + 2})
@@ -33,7 +28,7 @@ func TestAllocBudgetSinkdApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn := &tenant{name: "alloc", mon: d.monitor, frames: make(chan queued, 4)}
+	tn := &tenant{name: "alloc", win: d.monitor.NewWindow(), frames: make(chan queued, 4)}
 
 	attrs := make([]int, len(dep.Test[0]))
 	for i := range attrs {
@@ -58,12 +53,13 @@ func TestAllocBudgetSinkdApply(t *testing.T) {
 		}
 		next++
 	}); got != 0 {
-		t.Errorf("applyFrame with monitor attached: %v allocs/op, budget 0", got)
+		t.Errorf("applyFrame: %v allocs/op, budget 0", got)
 	}
 	if len(tn.frame.Attrs) != len(attrs) {
 		t.Fatalf("decoded frame carries %d of %d values — budget premise broken", len(tn.frame.Attrs), len(attrs))
 	}
-	if st := d.monitor.FeedStats(); st.Published+st.Dropped < runs {
-		t.Fatalf("feed saw %d events, want >= %d — publishes not reaching the feed", st.Published+st.Dropped, runs)
+	if w := tn.win.Status(tn.name, string(StateStreaming)).Window; w.TotalFrames != runs+2 || w.Values != int64((runs+2)*len(attrs)) {
+		t.Fatalf("window counted %d frames and %d values, want %d and %d — applies not reaching the window",
+			w.TotalFrames, w.Values, runs+2, (runs+2)*len(attrs))
 	}
 }

@@ -139,8 +139,8 @@ func TestHealthEndpoint(t *testing.T) {
 	if !found {
 		t.Fatalf("shed reasons %v, want %q", shed.Reasons, slo.ReasonShed)
 	}
-	if rep.Feed.Published == 0 {
-		t.Fatal("feed stats report zero published events after applies and a shed")
+	if shed.Window.TotalSheds != 1 {
+		t.Fatalf("shed tenant's window counts %d sheds, want 1", shed.Window.TotalSheds)
 	}
 }
 
@@ -311,37 +311,40 @@ func TestRequestLogMiddleware(t *testing.T) {
 	}
 }
 
-// TestMonitorSeesApplies checks the feed → monitor plumbing end to end in
-// process: after a session the monitor's window carries the applied
-// frames, and sinkd's own registry mirrors the slo_* series.
+// TestMonitorSeesApplies checks the applier → window plumbing end to end
+// in process: after a session the tenant's window carries every applied
+// frame, and the daemon's registry carries the shared slo_* series.
 func TestMonitorSeesApplies(t *testing.T) {
 	d, addr := newDaemon(t, Config{})
 	const steps = 25
 	p := deploy.Params{Dataset: "garden", Seed: 3, TestSteps: steps, HeartbeatEvery: 10}
-	if _, err := runTenant(addr, "mon", p); err != nil {
+	ref, err := runTenant(addr, "mon", p)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := waitForStep(d, "mon", steps); err != nil {
-		t.Fatal(err)
+	// Closed means the applier has returned: every frame folded, the
+	// shared series flushed.
+	if st, detail := waitForState(d, "mon", StateClosed); st != StateClosed {
+		t.Fatalf("tenant state %s (%s), want closed", st, detail)
 	}
 	st, ok := d.SLO("mon")
 	if !ok {
-		t.Fatal("monitor does not know tenant mon")
+		t.Fatal("daemon does not know tenant mon")
 	}
-	if st.Window.TotalFrames != steps {
-		t.Fatalf("monitor frames=%d, want %d", st.Window.TotalFrames, steps)
+	if st.Window.TotalFrames != steps || st.Window.Values != int64(ref.Values()) {
+		t.Fatalf("window frames=%d values=%d, want %d and %d", st.Window.TotalFrames, st.Window.Values, steps, ref.Values())
 	}
 	if st.Window.Heartbeats == 0 {
-		t.Fatal("monitor saw no heartbeat frames despite HeartbeatEvery=10")
+		t.Fatal("window saw no heartbeat frames despite HeartbeatEvery=10")
 	}
 	if st.Window.LatencyP95 <= 0 {
 		t.Fatalf("latency p95=%v, want > 0", st.Window.LatencyP95)
 	}
 	snap := d.cfg.Obs.Registry().Snapshot()
-	if snap.Counters["slo_events_total"] < steps {
-		t.Fatalf("slo_events_total=%d, want >= %d", snap.Counters["slo_events_total"], steps)
+	if got := snap.Histograms["slo_apply_latency_seconds"].Count; got != steps {
+		t.Fatalf("slo_apply_latency_seconds count=%d, want %d", got, steps)
 	}
-	if errs := snap.Counters["slo_feed_dropped_total"]; errs != 0 {
-		t.Fatalf("slo_feed_dropped_total=%d, want 0", errs)
+	if got := snap.Counters["slo_eps_deviations_total"]; got != st.Window.Deviations || got == 0 {
+		t.Fatalf("slo_eps_deviations_total=%d, window deviations %d, want equal and > 0", got, st.Window.Deviations)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"ken/internal/deploy"
+	"ken/internal/slo"
 	"ken/internal/stream"
 	"ken/internal/wire"
 )
@@ -175,5 +176,10 @@ func TestCorruptBodyFailsAtTheApplier(t *testing.T) {
 	}
 	if got := d.mFrames.Value(); got != j {
 		t.Fatalf("sinkd_frames_total = %d, want %d: frames behind the corrupt one were applied", got, j)
+	}
+	// The SLO verdict is asked with the session's own state: failed is
+	// terminal and unhealthy, over a window of exactly the j applied frames.
+	if st, _ := d.SLO("torn"); st.Health != slo.HealthTerminal || !st.Unhealthy || st.Window.TotalFrames != j {
+		t.Fatalf("failed tenant's SLO status %+v, want terminal, unhealthy, %d frames", st, j)
 	}
 }

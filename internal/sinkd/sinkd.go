@@ -51,9 +51,9 @@ type Config struct {
 	Pin *deploy.Params
 	// Obs receives the daemon-wide metrics (sinkd_* series).
 	Obs *obs.Observer
-	// SLO polices the live monitor's health thresholds (internal/slo).
-	// The zero value takes the slo defaults; QueueCap is always overridden
-	// with FrameBudget and Obs with the daemon's observer.
+	// SLO sets the live monitor's health thresholds (internal/slo). The
+	// zero value takes the slo defaults; QueueCap is always overridden with
+	// FrameBudget and Obs with the daemon's observer.
 	SLO slo.Config
 
 	// ApplyDelay slows every frame apply. A fault-injection hook: tests
@@ -103,7 +103,7 @@ const readBufBytes = 64 << 10
 
 // queued is one frame as it came off the wire — the encoded body, exactly
 // its size — stamped at enqueue time, so the applier can measure
-// ingest→apply latency for the live SLO monitor.
+// ingest→apply latency for the tenant's SLO window.
 type queued struct {
 	body []byte
 	at   int64 // UnixNano when the reader queued the frame
@@ -114,13 +114,14 @@ type tenant struct {
 	name   string
 	params deploy.Params
 	remote string
-	mon    *slo.Monitor // the daemon's live monitor (nil-safe)
+	// win is this session's SLO window: the applier folds every applied
+	// frame into it, the HTTP handlers read it, under its own lock.
+	win *slo.Window
 
 	mu      sync.Mutex
 	state   TenantState
 	detail  string          // failure/shed reason
 	replica *stream.Replica // nil until built
-	reg     *obs.Registry   // per-tenant stream_* metrics
 
 	frames chan queued
 	// frame is the applier's decode target, reused for every queued body;
@@ -128,40 +129,29 @@ type tenant struct {
 	frame wire.Frame
 }
 
-// lifecycleOf maps the session state machine onto the monitor's coarser
-// lifecycle.
-func lifecycleOf(s TenantState) slo.Lifecycle {
-	switch s {
-	case StateClosed:
-		return slo.LifeClosed
-	case StateShed:
-		return slo.LifeShed
-	case StateFailed:
-		return slo.LifeFailed
-	default:
-		return slo.LifeActive
-	}
-}
-
 // setState advances the lifecycle; terminal states are sticky so a late
-// applier error cannot overwrite the shed/closed verdict. The live
-// monitor is notified after the tenant lock is released.
+// applier error cannot overwrite the shed/closed verdict.
 func (t *tenant) setState(s TenantState, detail string) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.state.terminal() {
-		t.mu.Unlock()
 		return
 	}
 	t.state = s
 	t.detail = detail
-	t.mu.Unlock()
-	t.mon.NoteLifecycle(t.name, lifecycleOf(s))
 }
 
 func (t *tenant) snapshot() (TenantState, string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.state, t.detail
+}
+
+// built returns the tenant's replica, nil while it is still being built.
+func (t *tenant) built() *stream.Replica {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.replica
 }
 
 // buildEntry single-flights one deploy.Build per replica key.
@@ -183,13 +173,12 @@ type Daemon struct {
 	closed  bool
 	wg      sync.WaitGroup
 
-	// Live SLO monitoring: appliers publish into feed (bounded,
-	// drop-counting), monitor consumes it on a joined goroutine.
+	// monitor holds the SLO thresholds and shared slo_* series; every
+	// admitted session gets its window from it.
 	monitor *slo.Monitor
-	feed    *slo.Feed
 
-	// Daemon-wide metrics (per-tenant stream_* series live in each
-	// tenant's own registry, served via the HTTP API).
+	// Daemon-wide metrics (the per-tenant stream_* numbers are the
+	// replica's own counts, served via the HTTP API).
 	mSessions *obs.Counter // sinkd_sessions_total
 	mAccepts  *obs.Counter // sinkd_sessions_accepted_total
 	mRejects  *obs.Counter // sinkd_sessions_rejected_total
@@ -200,6 +189,9 @@ type Daemon struct {
 	gTenants  *obs.Gauge   // sinkd_tenants_registered
 	mHTTP     *obs.Counter // sinkd_http_requests_total
 	tHTTP     *obs.Timer   // sinkd_http_request_seconds
+
+	// gUnhealthy (slo_tenants_unhealthy) is set where it is computed: Health.
+	gUnhealthy *obs.Gauge
 }
 
 // New assembles a daemon. Serve starts it; Close tears it down.
@@ -212,16 +204,14 @@ func New(cfg Config) *Daemon {
 	}
 	cfg.SLO.QueueCap = cfg.FrameBudget
 	cfg.SLO.Obs = cfg.Obs
-	monitor := slo.NewMonitor(cfg.SLO)
-	monitor.Start()
 	reg := cfg.Obs.Registry()
+	reg.Describe("slo_tenants_unhealthy", "tenants degraded, stale, shedding or failed at the last health evaluation")
 	return &Daemon{
 		cfg:       cfg,
 		tenants:   map[string]*tenant{},
 		builds:    map[string]*buildEntry{},
 		conns:     map[net.Conn]struct{}{},
-		monitor:   monitor,
-		feed:      monitor.Feed(),
+		monitor:   slo.NewMonitor(cfg.SLO),
 		mSessions: reg.Counter("sinkd_sessions_total"),
 		mAccepts:  reg.Counter("sinkd_sessions_accepted_total"),
 		mRejects:  reg.Counter("sinkd_sessions_rejected_total"),
@@ -232,6 +222,8 @@ func New(cfg Config) *Daemon {
 		gTenants:  reg.Gauge("sinkd_tenants_registered"),
 		mHTTP:     reg.Counter("sinkd_http_requests_total"),
 		tHTTP:     reg.Timer("sinkd_http_request_seconds"),
+
+		gUnhealthy: reg.Gauge("slo_tenants_unhealthy"),
 	}
 }
 
@@ -279,7 +271,6 @@ func (d *Daemon) Close() {
 		_ = c.Close()
 	}
 	d.wg.Wait()
-	d.monitor.Close()
 }
 
 // reject answers a handshake (or sheds a stream) with a typed REJECT and
@@ -350,7 +341,6 @@ func (d *Daemon) handleConn(conn net.Conn) {
 		d.reject(conn, wire.RejectBadSpec, "building replica: %v", err)
 		return
 	}
-	replica.Instrument(&obs.Observer{Reg: tn.reg})
 	tn.mu.Lock()
 	tn.replica = replica
 	tn.mu.Unlock()
@@ -367,7 +357,8 @@ func (d *Daemon) handleConn(conn net.Conn) {
 
 // register reserves the tenant name (assigning one when empty). A name
 // whose previous session already ended is replaced — reconnecting with a
-// fresh spec starts a fresh deployment; a live duplicate is rejected.
+// fresh spec starts a fresh deployment with a fresh SLO window; a live
+// duplicate is rejected.
 func (d *Daemon) register(name string, p deploy.Params, remote string) (*tenant, wire.RejectCode, string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -393,14 +384,12 @@ func (d *Daemon) register(name string, p deploy.Params, remote string) (*tenant,
 		name:   name,
 		params: p,
 		remote: remote,
-		mon:    d.monitor,
+		win:    d.monitor.NewWindow(),
 		state:  StateBuilding,
-		reg:    obs.NewRegistry(),
 		frames: make(chan queued, d.cfg.FrameBudget),
 	}
 	d.tenants[name] = tn
 	d.gTenants.Set(float64(len(d.tenants)))
-	d.monitor.Track(name)
 	return tn, 0, ""
 }
 
@@ -446,6 +435,7 @@ func (d *Daemon) build(p deploy.Params) (*deploy.Deployment, error) {
 func (d *Daemon) applyLoop(conn net.Conn, tn *tenant, replica *stream.Replica, done chan<- struct{}) {
 	defer d.wg.Done()
 	defer close(done)
+	defer tn.win.Flush()
 	n := 0
 	for q := range tn.frames {
 		if err := d.applyFrame(tn, replica, q); err != nil {
@@ -462,11 +452,12 @@ func (d *Daemon) applyLoop(conn net.Conn, tn *tenant, replica *stream.Replica, d
 }
 
 // applyFrame decodes one queued body into the tenant's frame and folds it
-// into the replica, measuring pre-apply ε deviations and publishing the
-// apply event into the SLO feed. The decode reuses the frame's arrays and
-// the feed publish is bounded, non-blocking and allocation-free, so the
-// apply path keeps its 0-alloc budget (TestAllocBudgetSinkdApply) with the
-// monitor attached.
+// into the replica, measuring pre-apply ε deviations, then folds what the
+// frame did (stream.ApplyStats, the one per-frame record) into the tenant's
+// SLO window. The decode reuses the frame's arrays and the window is fixed
+// size, so the apply path keeps its 0-alloc budget
+// (TestAllocBudgetSinkdApply); apart from the two sinkd_* counters it
+// writes nothing another tenant's applier writes.
 //
 //ken:hotpath the sink daemon's per-frame decode and apply
 func (d *Daemon) applyFrame(tn *tenant, replica *stream.Replica, q queued) error {
@@ -482,18 +473,7 @@ func (d *Daemon) applyFrame(tn *tenant, replica *stream.Replica, q queued) error
 	}
 	d.mFrames.Inc()
 	d.mValues.Add(int64(st.Values))
-	d.feed.Publish(slo.Event{
-		Tenant:        tn.name,
-		Kind:          slo.KindApply,
-		Step:          st.Step,
-		Values:        st.Values,
-		Heartbeat:     st.Heartbeat,
-		Deviations:    st.Deviations,
-		MaxDevEps:     st.MaxDevEps,
-		EnqueuedNanos: q.at,
-		AppliedNanos:  time.Now().UnixNano(),
-		QueueDepth:    len(tn.frames),
-	})
+	tn.win.Apply(&st, q.at, time.Now().UnixNano(), len(tn.frames))
 	return nil
 }
 
@@ -567,11 +547,7 @@ func (d *Daemon) shed(conn net.Conn, tn *tenant, body []byte, res float64) {
 		return
 	}
 	d.mShed.Inc()
-	now := time.Now().UnixNano()
-	d.feed.Publish(slo.Event{
-		Tenant: tn.name, Kind: slo.KindShed, Step: f.Step,
-		EnqueuedNanos: now, AppliedNanos: now, QueueDepth: len(tn.frames),
-	})
+	tn.win.Shed(time.Now().UnixNano())
 	tn.setState(StateShed, fmt.Sprintf(
 		"outran the %d-frame budget at step %d", d.cfg.FrameBudget, f.Step))
 	d.reject(conn, wire.RejectSlowTenant,
@@ -590,9 +566,9 @@ type TenantInfo struct {
 	Heartbeats int         `json:"heartbeats"`
 }
 
-// Tenants lists every registered tenant, sorted by name for deterministic
-// output.
-func (d *Daemon) Tenants() []TenantInfo {
+// sorted returns the registered tenants ordered by name, so every listing
+// is deterministic.
+func (d *Daemon) sorted() []*tenant {
 	d.mu.Lock()
 	tns := make([]*tenant, 0, len(d.tenants))
 	for _, t := range d.tenants {
@@ -600,6 +576,12 @@ func (d *Daemon) Tenants() []TenantInfo {
 	}
 	d.mu.Unlock()
 	sort.Slice(tns, func(i, j int) bool { return tns[i].name < tns[j].name })
+	return tns
+}
+
+// Tenants lists every registered tenant, sorted by name.
+func (d *Daemon) Tenants() []TenantInfo {
+	tns := d.sorted()
 	out := make([]TenantInfo, 0, len(tns))
 	for _, t := range tns {
 		st, detail := t.snapshot()
@@ -607,10 +589,7 @@ func (d *Daemon) Tenants() []TenantInfo {
 			Name: t.name, State: st, Detail: detail,
 			Spec: t.params.ReplicaKey(), Remote: t.remote,
 		}
-		t.mu.Lock()
-		replica := t.replica
-		t.mu.Unlock()
-		if replica != nil {
+		if replica := t.built(); replica != nil {
 			info.Step = replica.Steps()
 			info.Heartbeats = replica.Heartbeats()
 		}
@@ -633,33 +612,50 @@ func (d *Daemon) Answer(name string) (stream.Answer, bool) {
 	if !ok {
 		return stream.Answer{}, false
 	}
-	t.mu.Lock()
-	replica := t.replica
-	t.mu.Unlock()
+	replica := t.built()
 	if replica == nil {
 		return stream.Answer{}, false
 	}
 	return replica.Answer(), true
 }
 
-// Metrics snapshots the named tenant's per-tenant registry (the stream_*
-// series of its replica).
+// Metrics reports what the named tenant's replica has applied, as the
+// stream_* series (empty while the replica is still being built).
 func (d *Daemon) Metrics(name string) (obs.Snapshot, bool) {
 	t, ok := d.lookup(name)
 	if !ok {
 		return obs.Snapshot{}, false
 	}
-	return t.reg.Snapshot(), true
+	replica := t.built()
+	if replica == nil {
+		return obs.Snapshot{}, true
+	}
+	frames := replica.Steps()
+	return obs.Snapshot{
+		Counters: map[string]int64{
+			"stream_frames_applied_total":     int64(frames),
+			"stream_values_applied_total":     int64(replica.Values()),
+			"stream_heartbeats_applied_total": int64(replica.Heartbeats()),
+		},
+		// Frames arrive in step order from 0, so the newest applied step is
+		// the count less one.
+		Gauges: map[string]float64{"stream_replica_step": float64(max(frames-1, 0))},
+	}, true
 }
 
 // SLO returns the named tenant's live windowed SLO status.
 func (d *Daemon) SLO(name string) (slo.TenantStatus, bool) {
-	return d.monitor.Status(name)
+	t, ok := d.lookup(name)
+	if !ok {
+		return slo.TenantStatus{}, false
+	}
+	st, _ := t.snapshot()
+	return t.win.Status(name, string(st)), true
 }
 
 // HealthTenant is one tenant's entry in the health report: the session
-// state machine's view (state/detail) joined with the live monitor's
-// windowed verdict.
+// state machine's view (state/detail) joined with the verdict on its SLO
+// window.
 type HealthTenant struct {
 	Name    string          `json:"name"`
 	State   TenantState     `json:"state"`
@@ -677,37 +673,28 @@ type HealthReport struct {
 	Status    string         `json:"status"`
 	Unhealthy int            `json:"unhealthy"`
 	Tenants   []HealthTenant `json:"tenants"`
-	Feed      slo.FeedStats  `json:"feed"`
 }
 
-// Health evaluates every tenant against the live SLO window and folds the
-// verdicts into one daemon-level readiness answer.
+// Health evaluates every tenant against its SLO window and folds the
+// verdicts into one daemon-level readiness answer (and the
+// slo_tenants_unhealthy gauge).
 func (d *Daemon) Health() HealthReport {
-	infos := d.Tenants()
-	byName := make(map[string]slo.TenantStatus, len(infos))
-	for _, st := range d.monitor.StatusAll() {
-		byName[st.Tenant] = st
-	}
-	rep := HealthReport{Status: "ok", Feed: d.monitor.FeedStats()}
-	rep.Tenants = make([]HealthTenant, 0, len(infos))
-	for _, info := range infos {
-		st := byName[info.Name]
-		ht := HealthTenant{
-			Name: info.Name, State: info.State, Detail: info.Detail,
-			Health: st.Health, Reasons: st.Reasons, Window: st.Window,
-		}
-		if st.Health == "" {
-			// Registered but not yet tracked (a register/track race at
-			// admission): report it plainly rather than inventing a verdict.
-			ht.Health = slo.HealthOK
-		}
+	tns := d.sorted()
+	rep := HealthReport{Status: "ok", Tenants: make([]HealthTenant, 0, len(tns))}
+	for _, t := range tns {
+		state, detail := t.snapshot()
+		st := t.win.Status(t.name, string(state))
 		if st.Unhealthy {
 			rep.Unhealthy++
 		}
-		rep.Tenants = append(rep.Tenants, ht)
+		rep.Tenants = append(rep.Tenants, HealthTenant{
+			Name: t.name, State: state, Detail: detail,
+			Health: st.Health, Reasons: st.Reasons, Window: st.Window,
+		})
 	}
 	if rep.Unhealthy > 0 {
 		rep.Status = "degraded"
 	}
+	d.gUnhealthy.Set(float64(rep.Unhealthy))
 	return rep
 }

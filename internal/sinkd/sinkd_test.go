@@ -61,17 +61,8 @@ func runTenantWith(addr, name string, p deploy.Params, dep *deploy.Deployment) (
 	if _, err := stream.Handshake(conn, wire.Hello{Tenant: name, Spec: p.EncodeSpec()}); err != nil {
 		return nil, fmt.Errorf("tenant %s: %w", name, err)
 	}
-	for _, row := range dep.Test {
-		f, err := src.Collect(row)
-		if err != nil {
-			return nil, err
-		}
-		if err := stream.WriteFrame(conn, f, src.Resolution()); err != nil {
-			return nil, fmt.Errorf("tenant %s write: %w", name, err)
-		}
-		if err := ref.Apply(f); err != nil {
-			return nil, err
-		}
+	if err := src.Pump(conn, dep.Test, ref.Apply); err != nil {
+		return nil, fmt.Errorf("tenant %s: %w", name, err)
 	}
 	return ref, nil
 }

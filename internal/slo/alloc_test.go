@@ -4,35 +4,28 @@ import (
 	"testing"
 
 	"ken/internal/alloctest"
+	"ken/internal/stream"
 )
 
-// TestAllocBudgetFeedPublish pins Feed.Publish — the only slo entry point
-// on the frame-apply hot path — at zero heap allocations, on both the
-// buffered and the full-ring (drop) paths.
-func TestAllocBudgetFeedPublish(t *testing.T) {
+// TestAllocBudgetWindowApply pins Window.Apply — the only slo entry point
+// on the frame-apply hot path — at zero heap allocations, slot rotation
+// and its flush of the shared series included.
+func TestAllocBudgetWindowApply(t *testing.T) {
 	if alloctest.RaceEnabled {
 		t.Skip("alloc budgets are not meaningful under -race")
 	}
-	f := NewFeed(64)
-	ev := Event{Tenant: "t0", Kind: KindApply, Step: 1, Values: 3}
-
-	var scratch []Event
-	if got := testing.AllocsPerRun(100, func() {
-		f.Publish(ev)
-		scratch = f.DrainInto(scratch[:0])
+	m, clk := testMonitor(t, Config{})
+	win := m.NewWindow()
+	st := stream.ApplyStats{Values: 3, Deviations: 1, MaxDevEps: 1.5}
+	if got := testing.AllocsPerRun(200, func() {
+		st.Step++
+		clk.advance(window / numBuckets / 2) // every other frame opens a new slot
+		now := clk.t.UnixNano()
+		win.Apply(&st, now-1000, now, 1)
 	}); got != 0 {
-		t.Errorf("buffered Publish: %v allocs/op, budget 0", got)
+		t.Errorf("Window.Apply: %v allocs/op, budget 0", got)
 	}
-
-	for i := 0; i < 64; i++ {
-		f.Publish(ev) // fill the ring
-	}
-	if got := testing.AllocsPerRun(100, func() {
-		f.Publish(ev)
-	}); got != 0 {
-		t.Errorf("full-ring Publish (drop path): %v allocs/op, budget 0", got)
-	}
-	if st := f.Stats(); st.Dropped < 100 {
-		t.Fatalf("dropped=%d, want >=100 — drop path not exercised", st.Dropped)
+	if w := win.Status("t0", "streaming").Window; w.TotalFrames != 201 || w.Frames != 120 {
+		t.Fatalf("window counted %d frames (%d in the window), want 201 and 120 — rotation not exercised", w.TotalFrames, w.Frames)
 	}
 }

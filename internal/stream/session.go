@@ -8,6 +8,8 @@ package stream
 import (
 	"fmt"
 	"io"
+	"net"
+	"time"
 
 	"ken/internal/wire"
 )
@@ -97,4 +99,22 @@ func WriteReject(w io.Writer, r wire.Reject) error {
 		return err
 	}
 	return writeRaw(w, buf)
+}
+
+// pendingReject drains the session frames waiting on conn after a write
+// error and returns the sink's typed REJECT, or nil when none arrives within
+// two seconds — so a shed source reports the sink's reason, not a raw EPIPE.
+func pendingReject(conn net.Conn) error {
+	if err := conn.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+		return nil
+	}
+	for {
+		s, err := ReadSession(conn)
+		if err != nil {
+			return nil
+		}
+		if s.Reject != nil {
+			return s.Reject.Err()
+		}
+	}
 }

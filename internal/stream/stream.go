@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"sync"
 
 	"ken/internal/cliques"
@@ -197,33 +198,14 @@ type Replica struct {
 	n    int
 	eps  []float64 // end-to-end per-attribute bounds (from the config)
 	next uint64    // expected next frame step
-	// Frames counts applied frames; Heartbeats counts heartbeat frames.
-	frames, heartbeats int
+	// frames, values and heartbeats count what has been applied: frames,
+	// the reported values they carried, and the heartbeat frames among them.
+	frames, values, heartbeats int
 	// route maps a global attribute to its clique and its index there;
 	// reports is each clique's share of the frame being applied — Apply's
 	// scratch, guarded by mu.
 	route   []route
 	reports []report
-
-	// Observability handles (nil and no-op until Instrument is called).
-	tracer      *obs.Tracer
-	mFrames     *obs.Counter // stream_frames_applied_total
-	mValues     *obs.Counter // stream_values_applied_total
-	mHeartbeats *obs.Counter // stream_heartbeats_applied_total
-	gStep       *obs.Gauge   // stream_replica_step
-}
-
-// Instrument attaches metrics and sink-apply tracing to the sink endpoint.
-// A nil observer leaves it unobserved (the default).
-func (r *Replica) Instrument(ob *obs.Observer) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.tracer = ob.Tracer()
-	reg := ob.Registry()
-	r.mFrames = reg.Counter("stream_frames_applied_total")
-	r.mValues = reg.Counter("stream_values_applied_total")
-	r.mHeartbeats = reg.Counter("stream_heartbeats_applied_total")
-	r.gStep = reg.Gauge("stream_replica_step")
 }
 
 // route places one global attribute: clique index and local index within it.
@@ -282,9 +264,8 @@ type ApplyStats struct {
 // order; a gap means lost frames and is an error (the transport below is
 // reliable — for lossy transports see core.LossyKen and simnet).
 //
-// The frame is not retained: its slices are read synchronously (the trace
-// event, too, is marshalled before Emit returns), so callers may reuse the
-// frame's backing arrays for the next read (Serve does, via
+// The frame is not retained: its slices are read synchronously, so callers
+// may reuse the frame's backing arrays for the next read (Serve does, via
 // wire.DecodeInto). Frames apply without allocating.
 //
 //ken:hotpath the sink's per-frame apply loop
@@ -367,17 +348,9 @@ func (r *Replica) ApplyObserved(f wire.Frame, st *ApplyStats) error {
 	}
 	r.next++
 	r.frames++
-	r.mFrames.Inc()
-	r.mValues.Add(int64(len(f.Attrs)))
-	r.gStep.Set(float64(f.Step))
-	//lint:ignore hotalloc traced replicas marshal the apply event; the tracer handle is nil (a no-op) everywhere performance matters
-	r.tracer.Emit(obs.Event{
-		Type: obs.EvApply, Step: int64(f.Step), Clique: -1, Node: -1,
-		Attrs: f.Attrs, Values: f.Values, N: len(f.Attrs),
-	})
+	r.values += len(f.Attrs)
 	if f.Special == wire.KindHeartbeat {
 		r.heartbeats++
-		r.mHeartbeats.Inc()
 	}
 	return nil
 }
@@ -437,6 +410,13 @@ func (r *Replica) Heartbeats() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.heartbeats
+}
+
+// Values returns how many reported values the applied frames carried.
+func (r *Replica) Values() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.values
 }
 
 // writeRaw length-prefixes one encoded session-frame body and writes it
@@ -582,16 +562,29 @@ func (r *Replica) Serve(rd io.Reader) error {
 	}
 }
 
-// Pump runs the source over the rows, writing one frame per row.
-func (s *Source) Pump(w io.Writer, rows [][]float64) error {
-	var buf []byte
+// Pump is the source-side send loop: one frame per row, collected and
+// written to the sink in step order. each, when non-nil, sees every frame
+// after it has been written (a reference replica to mirror into, a tally to
+// keep); its error ends the pump. A write error mid-stream is usually the
+// sink shedding the session, so the typed REJECT waiting on the connection,
+// if there is one, is returned in its place.
+func (s *Source) Pump(conn net.Conn, rows [][]float64, each func(wire.Frame) error) error {
+	var buf []byte // one encode buffer for the whole session
 	for _, row := range rows {
 		f, err := s.Collect(row)
 		if err != nil {
 			return err
 		}
-		if buf, err = WriteFrameBuf(w, f, s.ch.res, buf); err != nil {
+		if buf, err = WriteFrameBuf(conn, f, s.ch.res, buf); err != nil {
+			if rej := pendingReject(conn); rej != nil {
+				return fmt.Errorf("stream: sink dropped the session: %w", rej)
+			}
 			return err
+		}
+		if each != nil {
+			if err := each(f); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

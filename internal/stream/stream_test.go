@@ -151,7 +151,7 @@ func TestEndToEndOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := src.Pump(conn, test); err != nil {
+	if err := src.Pump(conn, test, nil); err != nil {
 		t.Fatal(err)
 	}
 	conn.Close()

@@ -18,13 +18,6 @@ import (
 // sizing for generous payloads; a 16 MiB line is corruption, not data).
 const maxLine = 16 << 20
 
-// IsStore reports whether path is a segmented trace directory: an
-// existing directory holding at least one segment file.
-func IsStore(path string) bool {
-	segs, err := segmentFiles(path)
-	return err == nil && len(segs) > 0
-}
-
 // segmentFiles lists dir's segment file names in ordinal order, verifying
 // the names parse. Returns nil for a missing directory.
 func segmentFiles(dir string) ([]string, error) {
