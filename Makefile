@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint fmt-check test race alloc-check cover bench bench-smoke benchmark-smoke audit-smoke faults-smoke sinkd-smoke figures examples fuzz clean
+.PHONY: all check build vet lint fmt-check test race alloc-check cover bench benchmark-smoke audit-smoke faults-smoke sinkd-smoke figures examples fuzz clean
 
 all: build test
 
@@ -50,10 +50,6 @@ cover:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Fast end-to-end pass over every figure on the parallel engine.
-bench-smoke:
-	$(GO) run ./cmd/kenbench -all -quick -parallel 8
 
 # benchmark-smoke runs the repository benchmark (BENCHMARK.json,
 # benchmark/README.md) at 1/20 size in under 15 s with every correctness
@@ -103,7 +99,7 @@ sinkd-smoke:
 	echo "sinkd-smoke: PASS (3 tenants verified bit-identical; mismatched spec rejected; health ok->degraded probed via kentop)"
 
 # audit-smoke proves the protocol invariants on real traces: a kensim lab
-# comparison, the clean packet-level simulator (kennet's ken and avg
+# comparison, the clean packet-level simulator (kennet's ken, avg and tinydb
 # programs with nothing lost — faults-smoke only audits it at 20% loss) and
 # the quick benchmark suite at pool widths 1 and 8, each
 # replayed through kenaudit -strict (ε bound, no silent divergence, byte
@@ -121,6 +117,8 @@ audit-smoke:
 	$(GO) run ./cmd/kenaudit -trace "$$tmp/net-ken.jsonl" -strict -q && \
 	$(GO) run ./cmd/kennet -program avg -steps 200 -trace-out "$$tmp/net-avg.jsonl" >/dev/null && \
 	$(GO) run ./cmd/kenaudit -trace "$$tmp/net-avg.jsonl" -strict -q && \
+	$(GO) run ./cmd/kennet -program tinydb -steps 200 -trace-out "$$tmp/net-tinydb.jsonl" >/dev/null && \
+	$(GO) run ./cmd/kenaudit -trace "$$tmp/net-tinydb.jsonl" -strict -q && \
 	$(GO) run ./cmd/kenbench -all -quick -parallel 1 -trace-out "$$tmp/seq.jsonl" >/dev/null && \
 	$(GO) run ./cmd/kenbench -all -quick -parallel 8 -trace-out "$$tmp/par.jsonl" >/dev/null && \
 	$(GO) run ./cmd/kenaudit -trace "$$tmp/seq.jsonl" -strict -q -json "$$tmp/seq.json" && \

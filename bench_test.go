@@ -425,65 +425,11 @@ func conditionViaInverse(g *gauss.Gaussian, obsIdx []int, vals []float64) error 
 
 // --- Micro-benchmarks on the hot path ------------------------------------
 
-func BenchmarkLinearGaussianStep(b *testing.B) {
-	mdl, _, _ := gardenClique(b, 6, 150)
-	m := mdl.Clone()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Step()
-	}
-}
-
-func BenchmarkKenStepGarden(b *testing.B) {
-	tr, err := trace.GenerateGarden(5, 300)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rows, err := tr.Rows(trace.Temperature)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := tr.Deployment.N()
-	eps := make([]float64, n)
-	for i := range eps {
-		eps[i] = 0.5
-	}
-	p := &cliques.Partition{}
-	for i := 0; i+2 < n; i += 3 {
-		p.Cliques = append(p.Cliques, cliques.Clique{Members: []int{i, i + 1, i + 2}, Root: i})
-	}
-	for i := (n / 3) * 3; i < n; i++ {
-		p.Cliques = append(p.Cliques, cliques.Clique{Members: []int{i}, Root: i})
-	}
-	s, err := core.NewKen(core.KenConfig{
-		Partition: p, Train: rows[:100], Eps: eps,
-		FitCfg: model.FitConfig{Period: 24},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	test := rows[100:]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := s.Step(test[i%len(test)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkMCExpectedReports(b *testing.B) {
 	mdl, _, eps := gardenClique(b, 3, 150)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mc.ExpectedReports(mdl, eps, mc.Config{Trajectories: 8, Horizon: 48, Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTraceGenerateLab(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := trace.GenerateLab(int64(i), 500); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -583,38 +529,21 @@ func BenchmarkAblationAdaptiveRefit(b *testing.B) {
 // BenchmarkSimnetLifetime measures the distributed programs' network
 // lifetime (epochs until first node death) on a multi-hop chain.
 func BenchmarkSimnetLifetime(b *testing.B) {
-	tr, err := trace.GenerateGarden(21, 2300)
+	exp, err := trace.LoadExperiment("garden", 21, 100, 2200, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rows, err := tr.Rows(trace.Temperature)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := tr.Deployment.N()
-	train, test := rows[:100], rows[100:]
-	eps := make([]float64, n)
-	for i := range eps {
-		eps[i] = 0.5
-	}
-	links := make([]network.Link, 0, n)
-	for i := 0; i < n; i++ {
-		links = append(links, network.Link{U: i, V: i + 1, Cost: 1})
-	}
-	top, err := network.New(n, links)
+	n := len(exp.Eps)
+	top, err := network.Chain(n)
 	if err != nil {
 		b.Fatal(err)
 	}
 	radio := simnet.DefaultRadio()
 	radio.BatteryJ = 0.15
 	radio.IdlePerEpoch = 1e-5
-	part := &cliques.Partition{}
-	for i := 0; i < n; i += 2 {
-		if i+1 < n {
-			part.Cliques = append(part.Cliques, cliques.Clique{Members: []int{i, i + 1}, Root: i + 1})
-		} else {
-			part.Cliques = append(part.Cliques, cliques.Clique{Members: []int{i}, Root: i})
-		}
+	part, err := cliques.Runs(n, 2, cliques.RootLast)
+	if err != nil {
+		b.Fatal(err)
 	}
 	for _, name := range []string{"tinydb", "ken"} {
 		b.Run(name, func(b *testing.B) {
@@ -623,21 +552,17 @@ func BenchmarkSimnetLifetime(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				var prog simnet.Program
-				if name == "tinydb" {
-					prog, err = simnet.NewDistributedTinyDB(net, eps)
-				} else {
-					prog, err = simnet.NewDistributedKen(net, part, train, eps, model.FitConfig{Period: 24})
-				}
+				prog, err := simnet.NewProgram(name, net, part, exp.Train, exp.Eps, model.FitConfig{Period: 24}, simnet.KenNetConfig{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				death, _, err := simnet.RunLifetime(net, prog, test)
+				tot, err := simnet.Run(net, prog, exp.Test)
 				if err != nil {
 					b.Fatal(err)
 				}
+				death := tot.FirstDeath
 				if death < 0 {
-					death = len(test)
+					death = tot.Epochs
 				}
 				b.ReportMetric(float64(death), "epochs-to-first-death")
 			}
@@ -682,26 +607,5 @@ func BenchmarkStreamThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 		buf.Reset()
-	}
-}
-
-// BenchmarkWireEncodeDecode measures the frame codec alone.
-func BenchmarkWireEncodeDecode(b *testing.B) {
-	attrs := make([]int, 16)
-	vals := make([]float64, 16)
-	for i := range attrs {
-		attrs[i] = i * 3
-		vals[i] = 20 + float64(i)*0.37
-	}
-	f := wire.Frame{Step: 9999, Attrs: attrs, Values: vals}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf, err := wire.Encode(f, 0.005)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := wire.Decode(buf, 0.005); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -15,7 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log/slog"
+	"io"
 	"os"
 
 	"ken/internal/cliques"
@@ -27,188 +27,131 @@ import (
 )
 
 func main() {
-	program := flag.String("program", "ken", "node program: ken, tinydb or avg")
-	dataset := flag.String("dataset", "garden", "deployment: garden or lab")
-	topology := flag.String("topology", "chain", "topology: chain (multi-hop) or star (single-hop)")
-	seed := flag.Int64("seed", 1, "generator seed")
-	train := flag.Int("train", 100, "training steps (hours)")
-	steps := flag.Int("steps", 2160, "epochs to simulate")
-	battery := flag.Float64("battery", 0.35, "battery Joules per node")
-	loss := flag.Float64("loss", 0, "per-hop message loss probability")
-	k := flag.Int("k", 2, "clique size for the ken program (adjacent pairs when 2)")
-	arqRetries := flag.Int("arq-retries", 0, "ARQ retransmissions per message (0 = no acks, fire and forget)")
-	retryBudget := flag.Int("retry-budget", 0, "backoff slots spendable per epoch across all messages (0 = unlimited)")
-	heartbeat := flag.Int("heartbeat", 0, "full-value resync every N epochs for the ken program (0 = off)")
-	failureAlpha := flag.Float64("failure-alpha", 0, "per-clique failure detection level at the base (0 = off)")
-	var of obs.CmdFlags
-	of.Register(flag.CommandLine)
-	flag.Parse()
-
-	ob, cleanup, err := of.Setup()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "kennet: %v\n", err)
-		os.Exit(2)
-	}
-	err = run(runConfig{
-		program: *program, dataset: *dataset, topology: *topology,
-		seed: *seed, trainN: *train, steps: *steps,
-		battery: *battery, loss: *loss, k: *k,
-		arqRetries: *arqRetries, retryBudget: *retryBudget,
-		heartbeat: *heartbeat, failureAlpha: *failureAlpha,
-	}, ob)
-	cleanup()
-	if err != nil {
-		slog.Error("run failed", "err", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// runConfig bundles the simulation knobs so run stays readable.
-type runConfig struct {
+// options carries the parsed flags.
+type options struct {
 	program, dataset, topology string
 	seed                       int64
-	trainN, steps              int
+	train, steps               int
 	battery, loss              float64
 	k                          int
 	arqRetries, retryBudget    int
 	heartbeat                  int
 	failureAlpha               float64
+	ob                         *obs.Observer
 }
 
-func run(rc runConfig, ob *obs.Observer) error {
-	program, dataset, topology := rc.program, rc.dataset, rc.topology
-	seed, trainN, steps := rc.seed, rc.trainN, rc.steps
-	battery, loss, k := rc.battery, rc.loss, rc.k
-	var (
-		tr  *trace.Trace
-		err error
-	)
-	switch dataset {
-	case "garden":
-		tr, err = trace.GenerateGarden(seed, trainN+steps)
-	case "lab":
-		tr, err = trace.GenerateLab(seed, trainN+steps)
-	default:
-		return fmt.Errorf("unknown dataset %q", dataset)
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("kennet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var o options
+	fs.StringVar(&o.program, "program", "ken", "node program: ken, tinydb or avg")
+	fs.StringVar(&o.dataset, "dataset", "garden", "deployment: garden or lab")
+	fs.StringVar(&o.topology, "topology", "chain", "topology: chain (multi-hop) or star (single-hop)")
+	fs.Int64Var(&o.seed, "seed", 1, "generator seed")
+	fs.IntVar(&o.train, "train", 100, "training steps (hours)")
+	fs.IntVar(&o.steps, "steps", 2160, "epochs to simulate")
+	fs.Float64Var(&o.battery, "battery", 0.35, "battery Joules per node")
+	fs.Float64Var(&o.loss, "loss", 0, "per-hop message loss probability")
+	fs.IntVar(&o.k, "k", 2, "clique size for the ken program (adjacent pairs when 2)")
+	fs.IntVar(&o.arqRetries, "arq-retries", 0, "ARQ retransmissions per message (0 = no acks, fire and forget)")
+	fs.IntVar(&o.retryBudget, "retry-budget", 0, "backoff slots spendable per epoch across all messages (0 = unlimited)")
+	fs.IntVar(&o.heartbeat, "heartbeat", 0, "full-value resync every N epochs for the ken program (0 = off)")
+	fs.Float64Var(&o.failureAlpha, "failure-alpha", 0, "per-clique failure detection level at the base (0 = off)")
+	var of obs.CmdFlags
+	of.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
+	ob, cleanup, err := of.Setup()
 	if err != nil {
-		return err
+		fmt.Fprintf(stderr, "kennet: %v\n", err)
+		return 2
 	}
-	rows, err := tr.Rows(trace.Temperature)
+	o.ob = ob
+	err = o.run(stdout)
+	cleanup()
 	if err != nil {
-		return err
+		fmt.Fprintf(stderr, "kennet: %v\n", err)
+		return 1
 	}
-	n := tr.Deployment.N()
-	train, test := rows[:trainN], rows[trainN:]
-	eps := make([]float64, n)
-	for i := range eps {
-		eps[i] = trace.Temperature.DefaultEpsilon()
-	}
+	return 0
+}
 
-	var links []network.Link
-	switch topology {
-	case "chain":
-		for i := 0; i < n; i++ {
-			links = append(links, network.Link{U: i, V: i + 1, Cost: 1})
-		}
-	case "star":
-		for i := 0; i < n; i++ {
-			links = append(links, network.Link{U: i, V: n, Cost: 1})
-			for j := i + 1; j < n; j++ {
-				links = append(links, network.Link{U: i, V: j, Cost: 1})
-			}
-		}
-	default:
-		return fmt.Errorf("unknown topology %q", topology)
+func (o options) run(stdout io.Writer) error {
+	exp, err := trace.LoadExperiment(o.dataset, o.seed, o.train, o.steps, 0)
+	if err != nil {
+		return fmt.Errorf("-dataset %s -train %d -steps %d: %w", o.dataset, o.train, o.steps, err)
 	}
-	top, err := network.New(n, links)
+	n := len(exp.Eps)
+
+	var top *network.Topology
+	switch o.topology {
+	case "chain":
+		top, err = network.Chain(n)
+	case "star":
+		// Single-hop: every node one unit-cost link from the base and from
+		// every other node.
+		top, err = network.Uniform(n, 1, 1)
+	default:
+		return fmt.Errorf("unknown topology %q", o.topology)
+	}
 	if err != nil {
 		return err
 	}
 
 	radio := simnet.DefaultRadio()
-	radio.BatteryJ = battery
+	radio.BatteryJ = o.battery
 	radio.IdlePerEpoch = 2e-5
-	radio.LossRate = loss
-	radio.ARQ.MaxRetries = rc.arqRetries
-	radio.ARQ.RetryBudget = rc.retryBudget
-	net, err := simnet.New(top, radio, seed)
+	radio.LossRate = o.loss
+	radio.ARQ.MaxRetries = o.arqRetries
+	radio.ARQ.RetryBudget = o.retryBudget
+	net, err := simnet.New(top, radio, o.seed)
 	if err != nil {
 		return err
 	}
-	net.Instrument(ob)
+	net.Instrument(o.ob)
 
-	var prog simnet.Program
-	switch program {
-	case "tinydb":
-		prog, err = simnet.NewDistributedTinyDB(net, eps)
-	case "avg":
-		prog, err = simnet.NewDistributedAverage(net, train, eps, model.FitConfig{Period: 24})
-	case "ken":
-		part := &cliques.Partition{}
-		for i := 0; i < n; i += k {
-			hi := i + k
-			if hi > n {
-				hi = n
-			}
-			members := make([]int, 0, k)
-			for j := i; j < hi; j++ {
-				members = append(members, j)
-			}
-			// Root at the member nearest the base (highest index on the
-			// chain).
-			part.Cliques = append(part.Cliques, cliques.Clique{
-				Members: members, Root: members[len(members)-1]})
-		}
-		prog, err = simnet.NewDistributedKenConfig(net, part, train, eps, model.FitConfig{Period: 24},
-			simnet.KenNetConfig{HeartbeatEvery: rc.heartbeat, FailureAlpha: rc.failureAlpha})
-	default:
-		return fmt.Errorf("unknown program %q", program)
+	// Ken's cliques root at the member nearest the base (the highest index
+	// on the chain).
+	part, err := cliques.Runs(n, o.k, cliques.RootLast)
+	if err != nil {
+		return fmt.Errorf("-k %d: %w", o.k, err)
 	}
+	prog, err := simnet.NewProgram(o.program, net, part, exp.Train, exp.Eps, model.FitConfig{Period: 24},
+		simnet.KenNetConfig{HeartbeatEvery: o.heartbeat, FailureAlpha: o.failureAlpha})
 	if err != nil {
 		return err
 	}
-
-	delivered, violations, staleReadings := 0, 0, 0
-	firstDeath := -1
-	for t, row := range test {
-		res, err := prog.Epoch(row)
-		if err != nil {
-			return err
-		}
-		delivered += res.ValuesDelivered
-		violations += res.Violations
-		for _, s := range res.Stale {
-			if s {
-				staleReadings++
-			}
-		}
-		if firstDeath < 0 && net.AliveCount() < n {
-			firstDeath = t + 1
-		}
+	tot, err := simnet.Run(net, prog, exp.Test)
+	if err != nil {
+		return err
 	}
 	st := net.Stats()
+	readings := tot.Epochs * n
 
-	fmt.Printf("program        %s on %s/%s (%d nodes, %d epochs)\n", program, dataset, topology, n, len(test))
-	fmt.Printf("radio          battery %.3g J, loss %.0f%%\n", battery, 100*loss)
-	if firstDeath > 0 {
-		fmt.Printf("first death    epoch %d\n", firstDeath)
+	fmt.Fprintf(stdout, "program        %s on %s/%s (%d nodes, %d epochs)\n", o.program, o.dataset, o.topology, n, tot.Epochs)
+	fmt.Fprintf(stdout, "radio          battery %.3g J, loss %.0f%%\n", o.battery, 100*o.loss)
+	if tot.FirstDeath > 0 {
+		fmt.Fprintf(stdout, "first death    epoch %d\n", tot.FirstDeath)
 	} else {
-		fmt.Printf("first death    none (all %d nodes alive)\n", net.AliveCount())
+		fmt.Fprintf(stdout, "first death    none (all %d nodes alive)\n", net.AliveCount())
 	}
-	fmt.Printf("alive at end   %d/%d\n", net.AliveCount(), n)
-	fmt.Printf("values at base %d of %d (%.1f%%)\n", delivered, len(test)*n,
-		100*float64(delivered)/float64(len(test)*n))
-	fmt.Printf("stale answers  %d of %d readings (%.2f%%)\n", violations, len(test)*n,
-		100*float64(violations)/float64(len(test)*n))
-	fmt.Printf("link messages  %d (%d bytes, %d lost, %d unroutable)\n",
+	fmt.Fprintf(stdout, "alive at end   %d/%d\n", net.AliveCount(), n)
+	fmt.Fprintf(stdout, "values at base %d of %d (%.1f%%)\n", tot.Delivered, readings,
+		100*float64(tot.Delivered)/float64(readings))
+	fmt.Fprintf(stdout, "stale answers  %d of %d readings (%.2f%%)\n", tot.Violations, readings,
+		100*float64(tot.Violations)/float64(readings))
+	fmt.Fprintf(stdout, "link messages  %d (%d bytes, %d lost, %d unroutable)\n",
 		st.MessagesSent, st.BytesSent, st.DroppedLoss, st.DroppedNoPath)
-	if rc.arqRetries > 0 {
-		fmt.Printf("reliability    %d retransmissions, %d acks\n", st.Retransmits, st.Acks)
+	if o.arqRetries > 0 {
+		fmt.Fprintf(stdout, "reliability    %d retransmissions, %d acks\n", st.Retransmits, st.Acks)
 	}
-	if rc.failureAlpha > 0 {
-		fmt.Printf("suspected      %d readings flagged stale by the failure detector\n", staleReadings)
+	if o.failureAlpha > 0 {
+		fmt.Fprintf(stdout, "suspected      %d readings flagged stale by the failure detector\n", tot.StaleReadings)
 	}
-	fmt.Printf("energy spent   %.3f J across the network\n", st.EnergySpent)
+	fmt.Fprintf(stdout, "energy spent   %.3f J across the network\n", st.EnergySpent)
 	return nil
 }

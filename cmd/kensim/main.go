@@ -1,6 +1,6 @@
 // Command kensim runs a single Ken data-collection simulation: it generates
 // a deployment trace, fits models on the training prefix, resolves the
-// requested scheme through the core registry (selecting a Disjoint-Cliques
+// requested scheme through core.Build (selecting a Disjoint-Cliques
 // partition with Greedy-k where needed), replays it over the test window,
 // and reports savings, cost and the error guarantee.
 //
@@ -10,7 +10,7 @@
 //	kensim -dataset lab -scheme apc -test 2000
 //	kensim -dataset garden -scheme djc -k 2 -base 5     # topology-priced run
 //	kensim -dataset garden -scheme avg
-//	kensim -dataset garden -scheme djc4                 # registry name with k inline
+//	kensim -dataset garden -scheme djc4                 # k inline in the name
 //	kensim -dataset garden -scheme all -parallel 4      # side-by-side comparison
 package main
 
@@ -18,7 +18,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -34,128 +34,128 @@ import (
 )
 
 func main() {
-	dataset := flag.String("dataset", "garden", "deployment: garden or lab")
-	scheme := flag.String("scheme", "djc", "scheme name resolved via the core registry: tinydb, apc, avg, djc (uses -k), djc<k>, or all")
-	k := flag.Int("k", 3, "max clique size for the djc scheme")
-	seed := flag.Int64("seed", 1, "generator seed")
-	train := flag.Int("train", 100, "training steps (hours)")
-	test := flag.Int("test", 1500, "test steps (hours)")
-	base := flag.Float64("base", 0, "base-station cost multiplier; 0 = topology-independent accounting")
-	eps := flag.Float64("eps", 0, "error bound override; 0 = attribute default (0.5°C)")
-	loss := flag.Float64("loss", 0, "report loss probability (djc only; enables the §6 lossy mode)")
-	heartbeat := flag.Int("heartbeat", 0, "heartbeat interval in steps under -loss (0 = none)")
-	prob := flag.Float64("prob", 0, "probabilistic-reporting steepness (djc only; 0 = deterministic)")
-	parallel := flag.Int("parallel", 0, "worker pool width for -scheme all (0 = GOMAXPROCS, 1 = sequential)")
-	var of obs.CmdFlags
-	of.Register(flag.CommandLine)
-	flag.Parse()
-
-	ob, cleanup, err := of.Setup()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "kensim: %v\n", err)
-		os.Exit(2)
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, *dataset, *scheme, *k, *seed, *train, *test, *base, *eps, *loss, *heartbeat, *prob, *parallel, ob); err != nil {
-		slog.Error("run failed", "err", err)
-		cleanup()
-		os.Exit(1)
-	}
-	cleanup()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// specFor assembles the SchemeSpec that resolves name through the core
-// registry. "djc" (the flag default) becomes "djc<k>".
-func specFor(name string, k int, train [][]float64, eps []float64, seed int64, top *network.Topology, loss float64, heartbeat int, prob float64, ob *obs.Observer) core.SchemeSpec {
+// options carries the parsed flags.
+type options struct {
+	dataset, scheme string
+	k               int
+	seed            int64
+	train, test     int
+	base, eps       float64
+	loss            float64
+	heartbeat       int
+	prob            float64
+	parallel        int
+	ob              *obs.Observer
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("kensim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var o options
+	fs.StringVar(&o.dataset, "dataset", "garden", "deployment: garden or lab")
+	fs.StringVar(&o.scheme, "scheme", "djc", "scheme name resolved via core.Build: tinydb, apc, avg, djc (uses -k), djc<k>, or all")
+	fs.IntVar(&o.k, "k", 3, "max clique size for the djc scheme")
+	fs.Int64Var(&o.seed, "seed", 1, "generator seed")
+	fs.IntVar(&o.train, "train", 100, "training steps (hours)")
+	fs.IntVar(&o.test, "test", 1500, "test steps (hours)")
+	fs.Float64Var(&o.base, "base", 0, "base-station cost multiplier; 0 = topology-independent accounting")
+	fs.Float64Var(&o.eps, "eps", 0, "error bound override; 0 = attribute default (0.5°C)")
+	fs.Float64Var(&o.loss, "loss", 0, "report loss probability (djc only; enables the §6 lossy mode)")
+	fs.IntVar(&o.heartbeat, "heartbeat", 0, "heartbeat interval in steps under -loss (0 = none)")
+	fs.Float64Var(&o.prob, "prob", 0, "probabilistic-reporting steepness (djc only; 0 = deterministic)")
+	fs.IntVar(&o.parallel, "parallel", 0, "worker pool width for -scheme all (0 = GOMAXPROCS, 1 = sequential)")
+	var of obs.CmdFlags
+	of.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	ob, cleanup, err := of.Setup()
+	if err != nil {
+		fmt.Fprintf(stderr, "kensim: %v\n", err)
+		return 2
+	}
+	o.ob = ob
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	err = o.run(ctx, stdout)
+	cleanup()
+	if err != nil {
+		fmt.Fprintf(stderr, "kensim: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+// spec assembles the SchemeSpec core.Build resolves name from. "djc" (the
+// flag default) becomes "djc<k>".
+func (o options) spec(name string, exp trace.Experiment, top *network.Topology) core.SchemeSpec {
 	if name == "djc" {
-		name = fmt.Sprintf("djc%d", k)
+		name = fmt.Sprintf("djc%d", o.k)
 	}
 	spec := core.SchemeSpec{
 		Scheme:   name,
-		Eps:      eps,
-		Train:    train,
+		Eps:      exp.Eps,
+		Train:    exp.Train,
 		FitCfg:   model.FitConfig{Period: 24},
-		MC:       mc.Config{Seed: seed},
+		MC:       mc.Config{Seed: o.seed},
 		Metric:   cliques.MetricReduction,
 		Topology: top,
-		Obs:      ob,
+		Obs:      o.ob,
 	}
-	if prob > 0 {
-		spec.Prob = &core.ProbConfig{Steepness: prob, Seed: seed}
+	if o.prob > 0 {
+		spec.Prob = &core.ProbConfig{Steepness: o.prob, Seed: o.seed}
 	}
-	if loss > 0 {
-		spec.Lossy = &core.LossyConfig{LossRate: loss, HeartbeatEvery: heartbeat, Seed: seed}
+	if o.loss > 0 {
+		spec.Lossy = &core.LossyConfig{LossRate: o.loss, HeartbeatEvery: o.heartbeat, Seed: o.seed}
 	}
 	return spec
 }
 
-func run(ctx context.Context, dataset, scheme string, k int, seed int64, trainN, testN int, baseMult, epsOverride, loss float64, heartbeat int, prob float64, parallel int, ob *obs.Observer) error {
-	var (
-		tr  *trace.Trace
-		err error
-	)
-	switch dataset {
-	case "garden":
-		tr, err = trace.GenerateGarden(seed, trainN+testN)
-	case "lab":
-		tr, err = trace.GenerateLab(seed, trainN+testN)
-	default:
-		return fmt.Errorf("unknown dataset %q", dataset)
-	}
+func (o options) run(ctx context.Context, stdout io.Writer) error {
+	exp, err := trace.LoadExperiment(o.dataset, o.seed, o.train, o.test, o.eps)
 	if err != nil {
-		return err
+		return fmt.Errorf("-dataset %s -train %d -test %d: %w", o.dataset, o.train, o.test, err)
 	}
-	rows, err := tr.Rows(trace.Temperature)
-	if err != nil {
-		return err
-	}
-	n := tr.Deployment.N()
-	train, test := rows[:trainN], rows[trainN:]
-	eps := make([]float64, n)
-	for i := range eps {
-		eps[i] = trace.Temperature.DefaultEpsilon()
-		if epsOverride > 0 {
-			eps[i] = epsOverride
-		}
-	}
-
+	n := len(exp.Eps)
 	var top *network.Topology
-	if baseMult > 0 {
-		top, err = network.Uniform(n, 1, baseMult)
+	if o.base > 0 {
+		top, err = network.Uniform(n, 1, o.base)
 		if err != nil {
 			return err
 		}
 	}
 
-	if scheme == "all" {
-		return compareAll(ctx, train, test, eps, k, seed, top, parallel, ob)
+	if o.scheme == "all" {
+		return o.compareAll(ctx, stdout, exp, top)
 	}
 
-	s, err := core.Build(specFor(scheme, k, train, eps, seed, top, loss, heartbeat, prob, ob))
+	s, err := core.Build(o.spec(o.scheme, exp, top))
 	if err != nil {
 		return err
 	}
 	// Schemes selected through Greedy-k expose their partition.
 	if p, ok := s.(interface{ Partition() *cliques.Partition }); ok {
-		fmt.Printf("partition    %s\n", p.Partition())
+		fmt.Fprintf(stdout, "partition    %s\n", p.Partition())
 	}
 
-	res, err := core.Run(ctx, s, test, core.RunOptions{Eps: eps, Observer: ob})
+	res, err := core.Run(ctx, s, exp.Test, core.RunOptions{Eps: exp.Eps, Observer: o.ob})
 	if err != nil {
 		return err
 	}
 
-	fmt.Printf("dataset      %s (%d nodes)\n", dataset, n)
-	fmt.Printf("scheme       %s\n", res.Scheme)
-	fmt.Printf("test window  %d steps, ε=%.2g\n", res.Steps, eps[0])
-	fmt.Printf("reported     %d of %d values (%.1f%%)\n",
+	fmt.Fprintf(stdout, "dataset      %s (%d nodes)\n", o.dataset, n)
+	fmt.Fprintf(stdout, "scheme       %s\n", res.Scheme)
+	fmt.Fprintf(stdout, "test window  %d steps, ε=%.2g\n", res.Steps, exp.Eps[0])
+	fmt.Fprintf(stdout, "reported     %d of %d values (%.1f%%)\n",
 		res.ValuesReported, res.Steps*res.Dim, 100*res.FractionReported())
-	fmt.Printf("max |error|  %.4f\n", res.MaxAbsError)
-	fmt.Printf("mean |error| %.4f\n", res.MeanAbsError)
-	fmt.Printf("violations   %d\n", res.BoundViolations)
+	fmt.Fprintf(stdout, "max |error|  %.4f\n", res.MaxAbsError)
+	fmt.Fprintf(stdout, "mean |error| %.4f\n", res.MeanAbsError)
+	fmt.Fprintf(stdout, "violations   %d\n", res.BoundViolations)
 	if top != nil {
-		fmt.Printf("cost/step    intra %.2f + inter %.2f = %.2f\n",
+		fmt.Fprintf(stdout, "cost/step    intra %.2f + inter %.2f = %.2f\n",
 			res.IntraCost/float64(res.Steps), res.SinkCost/float64(res.Steps),
 			res.TotalCost()/float64(res.Steps))
 	}
@@ -167,19 +167,20 @@ func run(ctx context.Context, dataset, scheme string, k int, seed int64, trainN,
 // order regardless of the pool width). Cells share ob's trace sink; the
 // engine scopes each cell's events by item index, so the trace audits
 // identically whatever the pool width.
-func compareAll(ctx context.Context, train, test [][]float64, eps []float64, k int, seed int64, top *network.Topology, parallel int, ob *obs.Observer) error {
+func (o options) compareAll(ctx context.Context, stdout io.Writer, exp trace.Experiment, top *network.Topology) error {
 	names := []string{"tinydb", "apc", "avg"}
-	for kk := 1; kk <= k; kk++ {
+	for kk := 1; kk <= o.k; kk++ {
 		names = append(names, fmt.Sprintf("djc%d", kk))
 	}
-	eng := engine.New(engine.Options{Workers: parallel, Obs: ob})
+	o.loss, o.prob = 0, 0 // the comparison is of the deterministic, loss-free schemes
+	eng := engine.New(engine.Options{Workers: o.parallel, Obs: o.ob})
 	ctx = engine.WithScope(ctx, "compare")
 	lines, err := engine.Map(ctx, eng, names, func(ctx context.Context, _ int, name string) (string, error) {
-		s, err := core.Build(specFor(name, k, train, eps, seed, top, 0, 0, 0, ob))
+		s, err := core.Build(o.spec(name, exp, top))
 		if err != nil {
 			return "", fmt.Errorf("%s: %w", name, err)
 		}
-		res, err := core.Run(ctx, s, test, core.RunOptions{Eps: eps, Observer: ob, Scope: engine.Scope(ctx)})
+		res, err := core.Run(ctx, s, exp.Test, core.RunOptions{Eps: exp.Eps, Observer: o.ob, Scope: engine.Scope(ctx)})
 		if err != nil {
 			return "", fmt.Errorf("%s: %w", name, err)
 		}
@@ -193,13 +194,13 @@ func compareAll(ctx context.Context, train, test [][]float64, eps []float64, k i
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-8s %10s %10s %12s", "scheme", "reported", "max |err|", "violations")
+	fmt.Fprintf(stdout, "%-8s %10s %10s %12s", "scheme", "reported", "max |err|", "violations")
 	if top != nil {
-		fmt.Printf(" %12s", "cost/step")
+		fmt.Fprintf(stdout, " %12s", "cost/step")
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	for _, line := range lines {
-		fmt.Println(line)
+		fmt.Fprintln(stdout, line)
 	}
 	return nil
 }

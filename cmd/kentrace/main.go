@@ -13,6 +13,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -44,14 +45,9 @@ func main() {
 	}
 	defer cleanup()
 
-	var tr *trace.Trace
-	switch *dataset {
-	case "garden":
-		tr, err = trace.GenerateGarden(*seed, *steps)
-	case "lab":
-		tr, err = trace.GenerateLab(*seed, *steps)
-	default:
-		slog.Error("unknown dataset (garden or lab)", "dataset", *dataset)
+	tr, err := trace.GenerateNamed(*dataset, *seed, *steps)
+	if errors.Is(err, trace.ErrUnknownDataset) {
+		slog.Error("bad -dataset", "err", err)
 		os.Exit(2)
 	}
 	if err != nil {

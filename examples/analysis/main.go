@@ -74,25 +74,16 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	full, err := repaired.Rows(trace.Temperature)
+	exp, err := repaired.Experiment(trainHours, 0)
 	if err != nil {
 		return err
 	}
-	n := repaired.Deployment.N()
-	train, test := full[:trainHours], full[trainHours:]
-	eps := make([]float64, n)
-	for i := range eps {
-		eps[i] = 0.5
-	}
+	n, train, test, eps := len(exp.Eps), exp.Train, exp.Test, exp.Eps
 
 	// 3. Collect with Ken (adjacent pairs).
-	p := &cliques.Partition{}
-	for i := 0; i < n; i += 2 {
-		if i+1 < n {
-			p.Cliques = append(p.Cliques, cliques.Clique{Members: []int{i, i + 1}, Root: i})
-		} else {
-			p.Cliques = append(p.Cliques, cliques.Clique{Members: []int{i}, Root: i})
-		}
+	p, err := cliques.Runs(n, 2, cliques.RootFirst)
+	if err != nil {
+		return err
 	}
 	ken, err := core.NewKen(core.KenConfig{
 		Partition: p, Train: train, Eps: eps,

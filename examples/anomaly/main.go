@@ -48,22 +48,17 @@ func run() error {
 	if err := tr.InjectAnomaly(trace.Temperature, spikeNode, from, from+3, spikeSize); err != nil {
 		return err
 	}
-	rows, err := tr.Rows(trace.Temperature)
+	exp, err := tr.Experiment(trainHours, 0)
 	if err != nil {
 		return err
 	}
-	n := tr.Deployment.N()
-	train, test := rows[:trainHours], rows[trainHours:]
-	eps := make([]float64, n)
-	for i := range eps {
-		eps[i] = 0.5
-	}
+	n, train, test, eps := len(exp.Eps), exp.Train, exp.Test, exp.Eps
 
 	// Singleton cliques: each node is its own detector (typical for
 	// event-driven deployments where nodes must act autonomously).
-	p := &cliques.Partition{}
-	for i := 0; i < n; i++ {
-		p.Cliques = append(p.Cliques, cliques.Clique{Members: []int{i}, Root: i})
+	p, err := cliques.Runs(n, 1, cliques.RootFirst)
+	if err != nil {
+		return err
 	}
 	ken, err := core.NewKen(core.KenConfig{
 		Partition: p,

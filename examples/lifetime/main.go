@@ -34,29 +34,16 @@ func main() {
 }
 
 func run() error {
-	tr, err := trace.GenerateGarden(13, trainHours+testHours)
+	exp, err := trace.LoadExperiment("garden", 13, trainHours, testHours, 0)
 	if err != nil {
 		return err
 	}
-	rows, err := tr.Rows(trace.Temperature)
-	if err != nil {
-		return err
-	}
-	n := tr.Deployment.N()
-	train, test := rows[:trainHours], rows[trainHours:]
-	eps := make([]float64, n)
-	for i := range eps {
-		eps[i] = 0.5
-	}
+	n, train, test, eps := len(exp.Eps), exp.Train, exp.Test, exp.Eps
 
 	// A transect chain: node 10 sits next to the base station, node 0 is
 	// eleven hops out. Relays near the base carry everyone's traffic —
 	// the classic sensornet hotspot.
-	links := make([]network.Link, 0, n)
-	for i := 0; i < n; i++ {
-		links = append(links, network.Link{U: i, V: i + 1, Cost: 1})
-	}
-	top, err := network.New(n, links)
+	top, err := network.Chain(n)
 	if err != nil {
 		return err
 	}
@@ -69,13 +56,9 @@ func run() error {
 
 	// Ken's partition: adjacent pairs, rooted at the member closer to the
 	// base so intra traffic flows downhill.
-	part := &cliques.Partition{}
-	for i := 0; i < n; i += 2 {
-		if i+1 < n {
-			part.Cliques = append(part.Cliques, cliques.Clique{Members: []int{i, i + 1}, Root: i + 1})
-		} else {
-			part.Cliques = append(part.Cliques, cliques.Clique{Members: []int{i}, Root: i})
-		}
+	part, err := cliques.Runs(n, 2, cliques.RootLast)
+	if err != nil {
+		return err
 	}
 
 	fmt.Printf("garden transect, %d nodes, %d hourly epochs, battery %.2f J/node\n\n",
@@ -88,36 +71,21 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		var prog simnet.Program
-		switch name {
-		case "tinydb":
-			prog, err = simnet.NewDistributedTinyDB(net, eps)
-		case "ken":
-			prog, err = simnet.NewDistributedKen(net, part, train, eps, model.FitConfig{Period: 24})
-		}
+		prog, err := simnet.NewProgram(name, net, part, train, eps, model.FitConfig{Period: 24}, simnet.KenNetConfig{})
 		if err != nil {
 			return err
 		}
-		delivered, violations := 0, 0
-		firstDeath := -1
-		for t, row := range test {
-			res, err := prog.Epoch(row)
-			if err != nil {
-				return err
-			}
-			delivered += res.ValuesDelivered
-			violations += res.Violations
-			if firstDeath < 0 && net.AliveCount() < n {
-				firstDeath = t + 1
-			}
+		tot, err := simnet.Run(net, prog, test)
+		if err != nil {
+			return err
 		}
 		st := net.Stats()
 		death := "none"
-		if firstDeath > 0 {
-			death = fmt.Sprintf("epoch %d", firstDeath)
+		if tot.FirstDeath > 0 {
+			death = fmt.Sprintf("epoch %d", tot.FirstDeath)
 		}
 		fmt.Printf("%-8s %12s %9d/%d %12d %14d %12.2f %12d\n",
-			name, death, net.AliveCount(), n, delivered, st.MessagesSent, st.EnergySpent, violations)
+			name, death, net.AliveCount(), n, tot.Delivered, st.MessagesSent, st.EnergySpent, tot.Violations)
 	}
 	fmt.Println("\nKen's silence is energy: the hotspot relay survives the season that TinyDB kills it in")
 	return nil

@@ -35,28 +35,14 @@ func main() {
 }
 
 func run() error {
-	tr, err := trace.GenerateGarden(11, trainHours+testHours)
+	exp, err := trace.LoadExperiment("garden", 11, trainHours, testHours, 0)
 	if err != nil {
 		return err
 	}
-	rows, err := tr.Rows(trace.Temperature)
+	n, train, test, eps := len(exp.Eps), exp.Train, exp.Test, exp.Eps
+	p, err := cliques.Runs(n, 2, cliques.RootFirst)
 	if err != nil {
 		return err
-	}
-	n := tr.Deployment.N()
-	train, test := rows[:trainHours], rows[trainHours:]
-	eps := make([]float64, n)
-	for i := range eps {
-		eps[i] = 0.5
-	}
-	p := &cliques.Partition{}
-	for i := 0; i < n; i += 2 {
-		hi := i + 1
-		if hi >= n {
-			p.Cliques = append(p.Cliques, cliques.Clique{Members: []int{i}, Root: i})
-			continue
-		}
-		p.Cliques = append(p.Cliques, cliques.Clique{Members: []int{i, hi}, Root: i})
 	}
 	base := core.KenConfig{
 		Partition: p,

@@ -34,27 +34,14 @@ func main() {
 }
 
 func run() error {
-	tr, err := trace.GenerateGarden(17, trainHours+testHours)
+	exp, err := trace.LoadExperiment("garden", 17, trainHours, testHours, 0)
 	if err != nil {
 		return err
 	}
-	rows, err := tr.Rows(trace.Temperature)
+	n, train, test, eps := len(exp.Eps), exp.Train, exp.Test, exp.Eps
+	part, err := cliques.Runs(n, 2, cliques.RootFirst)
 	if err != nil {
 		return err
-	}
-	n := tr.Deployment.N()
-	train, test := rows[:trainHours], rows[trainHours:]
-	eps := make([]float64, n)
-	for i := range eps {
-		eps[i] = 0.5
-	}
-	part := &cliques.Partition{}
-	for i := 0; i < n; i += 2 {
-		if i+1 < n {
-			part.Cliques = append(part.Cliques, cliques.Clique{Members: []int{i, i + 1}, Root: i})
-		} else {
-			part.Cliques = append(part.Cliques, cliques.Clique{Members: []int{i}, Root: i})
-		}
 	}
 	cfg := stream.Config{
 		Partition:      part,

@@ -284,7 +284,7 @@ func runSimnetTraced(t *testing.T, radio simnet.Radio, seed int64, epochs int) [
 	var buf bytes.Buffer
 	ob := &obs.Observer{Reg: obs.NewRegistry(), Trace: obs.NewTracer(&buf)}
 	net.Instrument(ob)
-	prog, err := simnet.NewDistributedKen(net, pairPartition(len(eps)), train, eps, model.FitConfig{Period: 24})
+	prog, err := simnet.NewDistributedKenConfig(net, pairPartition(len(eps)), train, eps, model.FitConfig{Period: 24}, simnet.KenNetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -227,14 +227,7 @@ type dataset struct {
 func cachedTrace(eng *engine.Engine, name string, seed int64, steps int) (*trace.Trace, error) {
 	key := fmt.Sprintf("trace:%s:seed=%d:steps=%d", name, seed, steps)
 	return cacheGet(eng, key, func() (*trace.Trace, error) {
-		switch name {
-		case "garden":
-			return trace.GenerateGarden(seed, steps)
-		case "lab":
-			return trace.GenerateLab(seed, steps)
-		default:
-			return nil, fmt.Errorf("bench: unknown dataset %q", name)
-		}
+		return trace.GenerateNamed(name, seed, steps)
 	})
 }
 
@@ -258,22 +251,17 @@ func loadDataset(eng *engine.Engine, name string, cfg Config) (*dataset, error) 
 		if err != nil {
 			return nil, err
 		}
-		rows, err := tr.Rows(trace.Temperature)
+		exp, err := tr.Experiment(cfg.TrainSteps, 0)
 		if err != nil {
 			return nil, err
-		}
-		n := tr.Deployment.N()
-		eps := make([]float64, n)
-		for i := range eps {
-			eps[i] = trace.Temperature.DefaultEpsilon()
 		}
 		return &dataset{
 			name:  name,
 			key:   key,
 			dep:   tr.Deployment,
-			train: rows[:cfg.TrainSteps],
-			test:  rows[cfg.TrainSteps:],
-			eps:   eps,
+			train: exp.Train,
+			test:  exp.Test,
+			eps:   exp.Eps,
 			full:  tr,
 		}, nil
 	})

@@ -247,7 +247,10 @@ func extProbabilistic(ctx context.Context, eng *engine.Engine, cfg Config) ([][]
 	if err != nil {
 		return nil, err
 	}
-	part := pairPart(d.dep.N())
+	part, err := cliques.Runs(d.dep.N(), 2, cliques.RootFirst)
+	if err != nil {
+		return nil, err
+	}
 	var out [][]string
 	run := func(prob *core.ProbConfig, label string) error {
 		s, err := core.Build(core.SchemeSpec{
@@ -286,25 +289,12 @@ func extProbabilistic(ctx context.Context, eng *engine.Engine, cfg Config) ([][]
 
 // extLifetime runs the distributed programs on the packet simulator.
 func extLifetime(ctx context.Context, eng *engine.Engine, cfg Config) ([][]string, error) {
-	tr, err := cachedTrace(eng, "garden", cfg.Seed, cfg.TrainSteps+cfg.TestSteps)
+	d, err := loadDataset(eng, "garden", cfg)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := tr.Rows(trace.Temperature)
-	if err != nil {
-		return nil, err
-	}
-	n := tr.Deployment.N()
-	train, test := rows[:cfg.TrainSteps], rows[cfg.TrainSteps:]
-	eps := make([]float64, n)
-	for i := range eps {
-		eps[i] = 0.5
-	}
-	links := make([]network.Link, 0, n)
-	for i := 0; i < n; i++ {
-		links = append(links, network.Link{U: i, V: i + 1, Cost: 1})
-	}
-	top, err := network.New(n, links)
+	n := len(d.eps)
+	top, err := network.Chain(n)
 	if err != nil {
 		return nil, err
 	}
@@ -313,13 +303,9 @@ func extLifetime(ctx context.Context, eng *engine.Engine, cfg Config) ([][]strin
 	// window regardless of the configured test length.
 	radio.BatteryJ = float64(cfg.TestSteps) / 3 * 11 * 40 * radio.TxPerByte
 	radio.IdlePerEpoch = 1e-5
-	part := &cliques.Partition{}
-	for i := 0; i < n; i += 2 {
-		if i+1 < n {
-			part.Cliques = append(part.Cliques, cliques.Clique{Members: []int{i, i + 1}, Root: i + 1})
-		} else {
-			part.Cliques = append(part.Cliques, cliques.Clique{Members: []int{i}, Root: i})
-		}
+	part, err := cliques.Runs(n, 2, cliques.RootLast)
+	if err != nil {
+		return nil, err
 	}
 	var out [][]string
 	for _, name := range []string{"tinydb", "ken"} {
@@ -331,22 +317,17 @@ func extLifetime(ctx context.Context, eng *engine.Engine, cfg Config) ([][]strin
 		// separate open segments rather than one interleaved stream.
 		//lint:ignore obshandle two construction-time iterations, each instrumenting a fresh network
 		net.Instrument(cfg.Obs.Scoped(engine.Scope(ctx)).Scoped(name))
-		var prog simnet.Program
-		if name == "tinydb" {
-			prog, err = simnet.NewDistributedTinyDB(net, eps)
-		} else {
-			prog, err = simnet.NewDistributedKen(net, part, train, eps, model.FitConfig{Period: 24})
-		}
+		prog, err := simnet.NewProgram(name, net, part, d.train, d.eps, model.FitConfig{Period: 24}, simnet.KenNetConfig{})
 		if err != nil {
 			return nil, err
 		}
-		death, epochs, err := simnet.RunLifetime(net, prog, test)
+		tot, err := simnet.Run(net, prog, d.test)
 		if err != nil {
 			return nil, err
 		}
-		val := fmt.Sprintf("%d", death)
-		if death < 0 {
-			val = fmt.Sprintf(">%d", epochs)
+		val := fmt.Sprintf("%d", tot.FirstDeath)
+		if tot.FirstDeath < 0 {
+			val = fmt.Sprintf(">%d", tot.Epochs)
 		}
 		out = append(out, []string{"network lifetime (11-node chain)", name, "first death epoch", val})
 	}
@@ -355,22 +336,17 @@ func extLifetime(ctx context.Context, eng *engine.Engine, cfg Config) ([][]strin
 
 // extStreaming measures wire bytes through the source→sink pipeline.
 func extStreaming(ctx context.Context, eng *engine.Engine, cfg Config) ([][]string, error) {
-	tr, err := cachedTrace(eng, "garden", cfg.Seed, cfg.TrainSteps+cfg.TestSteps)
+	d, err := loadDataset(eng, "garden", cfg)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := tr.Rows(trace.Temperature)
+	n := len(d.eps)
+	part, err := cliques.Runs(n, 2, cliques.RootFirst)
 	if err != nil {
 		return nil, err
-	}
-	n := tr.Deployment.N()
-	train, test := rows[:cfg.TrainSteps], rows[cfg.TrainSteps:]
-	eps := make([]float64, n)
-	for i := range eps {
-		eps[i] = 0.5
 	}
 	scfg := stream.Config{
-		Partition: pairPart(n), Train: train, Eps: eps,
+		Partition: part, Train: d.train, Eps: d.eps,
 		FitCfg: model.FitConfig{Period: 24},
 	}
 	src, err := stream.NewSource(scfg)
@@ -382,7 +358,7 @@ func extStreaming(ctx context.Context, eng *engine.Engine, cfg Config) ([][]stri
 		return nil, err
 	}
 	var buf bytes.Buffer
-	for _, row := range test {
+	for _, row := range d.test {
 		f, err := src.Collect(row)
 		if err != nil {
 			return nil, err
@@ -395,7 +371,7 @@ func extStreaming(ctx context.Context, eng *engine.Engine, cfg Config) ([][]stri
 	if err := sink.Serve(&buf); err != nil {
 		return nil, err
 	}
-	naive := len(test) * n * 10
+	naive := len(d.test) * n * 10
 	return [][]string{
 		{"streaming wire bytes (garden)", "ken frames", "bytes", fmt.Sprintf("%d", wireBytes)},
 		{"streaming wire bytes (garden)", "naive 10 B/reading", "bytes", fmt.Sprintf("%d", naive)},

@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 
+	"ken/internal/cliques"
 	"ken/internal/engine"
 	"ken/internal/model"
 	"ken/internal/network"
 	"ken/internal/simnet"
-	"ken/internal/trace"
 )
 
 // Faults sweeps per-hop loss rate against the reliability layer on the
@@ -56,23 +56,18 @@ func Faults(ctx context.Context, eng *engine.Engine, cfg Config) (*Table, error)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := tr.Rows(trace.Temperature)
+	exp, err := tr.Experiment(cfg.TrainSteps, 0)
 	if err != nil {
 		return nil, err
 	}
-	n := tr.Deployment.N()
-	train, test := rows[:cfg.TrainSteps], rows[cfg.TrainSteps:]
-	eps := make([]float64, n)
-	for i := range eps {
-		eps[i] = trace.Temperature.DefaultEpsilon()
-	}
+	n := len(exp.Eps)
 	// Single-hop star: every node one link from the base, so the per-hop
 	// loss rate is exactly the per-message loss rate.
-	links := make([]network.Link, 0, n)
-	for i := 0; i < n; i++ {
-		links = append(links, network.Link{U: i, V: n, Cost: 1})
+	top, err := network.Star(n)
+	if err != nil {
+		return nil, err
 	}
-	top, err := network.New(n, links)
+	part, err := cliques.Runs(n, 2, cliques.RootFirst)
 	if err != nil {
 		return nil, err
 	}
@@ -88,25 +83,20 @@ func Faults(ctx context.Context, eng *engine.Engine, cfg Config) (*Table, error)
 		}
 		//lint:ignore obshandle resolved once per cell at construction
 		net.Instrument(cfg.Obs.Scoped(engine.Scope(ctx)).Scoped(label))
-		prog, err := simnet.NewDistributedKenConfig(net, pairPart(n), train, eps, model.FitConfig{Period: 24},
+		prog, err := simnet.NewDistributedKenConfig(net, part, exp.Train, exp.Eps, model.FitConfig{Period: 24},
 			simnet.KenNetConfig{HeartbeatEvery: c.v.hb})
 		if err != nil {
 			return nil, err
 		}
-		violations, delivered := 0, 0
-		for _, row := range test {
-			res, err := prog.Epoch(row)
-			if err != nil {
-				return nil, err
-			}
-			violations += res.Violations
-			delivered += res.ValuesDelivered
+		tot, err := simnet.Run(net, prog, exp.Test)
+		if err != nil {
+			return nil, err
 		}
 		return []string{
 			fmt.Sprintf("%.0f%%", c.loss*100), c.v.name,
-			fmt.Sprintf("%d", violations),
+			fmt.Sprintf("%d", tot.Violations),
 			fmt.Sprintf("%d", net.Stats().Retransmits),
-			fmt.Sprintf("%d", delivered),
+			fmt.Sprintf("%d", tot.Delivered),
 		}, nil
 	})
 	if err != nil {
@@ -114,7 +104,7 @@ func Faults(ctx context.Context, eng *engine.Engine, cfg Config) (*Table, error)
 	}
 	t.Rows = append(t.Rows, out...)
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("%d-node Lab star, %d epochs; ARQ acks charge energy both ways", n, len(test)),
+		fmt.Sprintf("%d-node Lab star, %d epochs; ARQ acks charge energy both ways", n, len(exp.Test)),
 		"violations: node-epochs where the base's estimate missed ε")
 	return t, nil
 }

@@ -39,19 +39,6 @@ func Sweeps(ctx context.Context, eng *engine.Engine, cfg Config) (*Table, error)
 	return t, nil
 }
 
-// pairPart builds adjacent pairs over n attributes.
-func pairPart(n int) *cliques.Partition {
-	p := &cliques.Partition{}
-	for i := 0; i < n; i += 2 {
-		if i+1 < n {
-			p.Cliques = append(p.Cliques, cliques.Clique{Members: []int{i, i + 1}, Root: i})
-		} else {
-			p.Cliques = append(p.Cliques, cliques.Clique{Members: []int{i}, Root: i})
-		}
-	}
-	return p
-}
-
 // runPair replays ApC and DjC2 on the rows at the given ε and seasonal
 // period, returning their reported fractions. Both replays trace into ob
 // under the cell's scope, so a sweep's trace segments audit per setting.
@@ -69,9 +56,13 @@ func runPair(ctx context.Context, ob *obs.Observer, train, test [][]float64, eps
 	if err != nil {
 		return 0, 0, err
 	}
+	part, err := cliques.Runs(n, 2, cliques.RootFirst)
+	if err != nil {
+		return 0, 0, err
+	}
 	ken, err := core.Build(core.SchemeSpec{
 		Scheme:    "Ken",
-		Partition: pairPart(n),
+		Partition: part,
 		Train:     train,
 		Eps:       eps,
 		FitCfg:    model.FitConfig{Period: period},

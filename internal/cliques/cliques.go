@@ -153,6 +153,39 @@ func (p *Partition) Fit(train [][]float64, eps []float64, fit func(cols [][]floa
 	return kernels, roots, nil
 }
 
+// RootEnd names the end of a run of adjacent attributes that hosts its root.
+type RootEnd bool
+
+const (
+	// RootFirst roots a run at its lowest member.
+	RootFirst RootEnd = false
+	// RootLast roots a run at its highest member — the one nearest the base
+	// on a network.Chain, so intra-clique traffic flows downhill.
+	RootLast RootEnd = true
+)
+
+// Runs partitions attributes 0..n-1 into runs of k adjacent indices (the
+// last run takes what is left), each rooted at the given end — the fixed
+// partition of the experiments that do not select one.
+func Runs(n, k int, root RootEnd) (*Partition, error) {
+	if n < 1 || k < 1 {
+		return nil, fmt.Errorf("cliques: runs of %d over %d attributes, both must be >= 1", k, n)
+	}
+	p := &Partition{}
+	for lo := 0; lo < n; lo += k {
+		hi := min(lo+k, n)
+		c := Clique{Members: make([]int, hi-lo), Root: lo}
+		for j := range c.Members {
+			c.Members[j] = lo + j
+		}
+		if root == RootLast {
+			c.Root = hi - 1
+		}
+		p.Cliques = append(p.Cliques, c)
+	}
+	return p, nil
+}
+
 // String renders the partition compactly, e.g. "{0,1,2}@1 {3,4}@4".
 func (p *Partition) String() string {
 	var sb strings.Builder

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -580,4 +581,84 @@ func TestGreedyParallelDeterminism(t *testing.T) {
 		}
 	}
 	_ = eval
+}
+
+// TestRuns pins the adjacent-run constructor against the hand-written loops
+// it replaced: pairs rooted first (the figure harness, the lossy/streaming
+// examples), runs of k rooted last (kennet, the lifetime experiments).
+func TestRuns(t *testing.T) {
+	for _, tc := range []struct {
+		k     int
+		first string
+		last  string
+	}{
+		{1, "{0}@0 {1}@1 {2}@2 {3}@3 {4}@4 {5}@5 {6}@6 {7}@7 {8}@8 {9}@9 {10}@10",
+			"{0}@0 {1}@1 {2}@2 {3}@3 {4}@4 {5}@5 {6}@6 {7}@7 {8}@8 {9}@9 {10}@10"},
+		{2, "{0,1}@0 {2,3}@2 {4,5}@4 {6,7}@6 {8,9}@8 {10}@10",
+			"{0,1}@1 {2,3}@3 {4,5}@5 {6,7}@7 {8,9}@9 {10}@10"},
+		{3, "{0,1,2}@0 {3,4,5}@3 {6,7,8}@6 {9,10}@9",
+			"{0,1,2}@2 {3,4,5}@5 {6,7,8}@8 {9,10}@10"},
+		{11, "{0,1,2,3,4,5,6,7,8,9,10}@0", "{0,1,2,3,4,5,6,7,8,9,10}@10"},
+		{12, "{0,1,2,3,4,5,6,7,8,9,10}@0", "{0,1,2,3,4,5,6,7,8,9,10}@10"},
+	} {
+		for end, want := range map[RootEnd]string{RootFirst: tc.first, RootLast: tc.last} {
+			p, err := Runs(11, tc.k, end)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.String() != want {
+				t.Fatalf("Runs(11, %d, last=%v) = %s, want %s", tc.k, end, p, want)
+			}
+			if err := p.Validate(11); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Nothing but members and roots is filled in.
+	p, _ := Runs(3, 2, RootLast)
+	if want := []Clique{{Members: []int{0, 1}, Root: 1}, {Members: []int{2}, Root: 2}}; !reflect.DeepEqual(p.Cliques, want) {
+		t.Fatalf("Runs(3, 2, RootLast) = %+v, want %+v", p.Cliques, want)
+	}
+	for _, bad := range [][2]int{{11, 0}, {11, -1}, {0, 2}} {
+		if _, err := Runs(bad[0], bad[1], RootFirst); err == nil {
+			t.Fatalf("Runs(%d, %d) accepted", bad[0], bad[1])
+		}
+	}
+}
+
+// TestGreedyFromTraining: the one-call selection is the evaluator, the
+// default ×5 uniform topology and Greedy composed — what core.Build and
+// deploy.Build each used to spell out.
+func TestGreedyFromTraining(t *testing.T) {
+	tr, err := trace.GenerateGarden(51, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := tr.Experiment(100, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fit, mcCfg := model.FitConfig{Period: 24}, mc.Config{Trajectories: 2, Horizon: 12, Seed: 1}
+	gcfg := GreedyConfig{K: 2, Metric: MetricReduction}
+	got, err := GreedyFromTraining(exp.Train, exp.Eps, fit, mcCfg, nil, gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval, err := NewMCEvaluator(exp.Train, exp.Eps, fit, mcCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Greedy(uniformTop(t, 11, 5), eval, gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("GreedyFromTraining = %s, composed by hand = %s", got, want)
+	}
+	if _, err := GreedyFromTraining(exp.Train, exp.Eps, fit, mcCfg, nil, GreedyConfig{K: 0}); err == nil {
+		t.Fatal("expected error for K = 0")
+	}
+	if _, err := GreedyFromTraining(nil, nil, fit, mcCfg, nil, gcfg); err == nil {
+		t.Fatal("expected error for empty training data")
+	}
 }

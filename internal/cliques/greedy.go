@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"ken/internal/mc"
+	"ken/internal/model"
 	"ken/internal/network"
 )
 
@@ -100,6 +102,23 @@ func Greedy(top *network.Topology, eval Evaluator, cfg GreedyConfig) (*Partition
 		}
 	}
 	return p, nil
+}
+
+// GreedyFromTraining selects a Greedy-k partition from training data alone:
+// m_C comes from Monte Carlo runs over models fitted to train, and a nil top
+// stands for the uniform topology with a ×5 base multiplier the paper's cost
+// study centres on.
+func GreedyFromTraining(train [][]float64, eps []float64, fitCfg model.FitConfig, mcCfg mc.Config, top *network.Topology, cfg GreedyConfig) (*Partition, error) {
+	eval, err := NewMCEvaluator(train, eps, fitCfg, mcCfg)
+	if err != nil {
+		return nil, err
+	}
+	if top == nil {
+		if top, err = network.Uniform(len(eps), 1, 5); err != nil {
+			return nil, err
+		}
+	}
+	return Greedy(top, eval, cfg)
 }
 
 // degeneratePairs reports whether all sensor pairs have (nearly) identical

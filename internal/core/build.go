@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"ken/internal/cliques"
 	"ken/internal/mc"
@@ -16,10 +14,10 @@ import (
 
 // SchemeSpec declaratively describes a collection scheme for Build: one
 // config struct instead of a different positional constructor per scheme.
-// Scheme selects the registered builder; the remaining fields are
-// interpreted by that builder and ignored otherwise.
+// Scheme selects the constructor; the remaining fields are interpreted by
+// that scheme and ignored otherwise.
 type SchemeSpec struct {
-	// Scheme is the registry name: "TinyDB", "ApproxCache", "Average",
+	// Scheme is the scheme's name: "TinyDB", "ApproxCache", "Average",
 	// "Ken", or "DjC<k>" (Ken with K = <k>). Matching is case-insensitive
 	// and the short aliases "apc", "cache", "avg" and "djc" are accepted.
 	Scheme string
@@ -77,38 +75,8 @@ func (s SchemeSpec) dim() int {
 	return 0
 }
 
-// Builder constructs a scheme from a spec.
-type Builder func(SchemeSpec) (Scheme, error)
-
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Builder{}
-)
-
-// RegisterScheme adds (or replaces) a named scheme builder. Names are
-// case-insensitive. The built-in schemes are registered at init; tests and
-// extensions may add their own families.
-func RegisterScheme(name string, b Builder) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	registry[strings.ToLower(name)] = b
-}
-
-// Schemes returns the sorted registered scheme names (lower-cased).
-func Schemes() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Build resolves spec.Scheme through the registry and constructs the
-// scheme. "DjC<k>" (any case) resolves to the Ken builder with K = <k> and
-// a matching display name.
+// Build constructs the scheme spec.Scheme names. "DjC<k>" (any case) is Ken
+// with K = <k> and a matching display name.
 func Build(spec SchemeSpec) (Scheme, error) {
 	name := strings.ToLower(strings.TrimSpace(spec.Scheme))
 	if k, ok := parseDjC(name); ok {
@@ -118,13 +86,18 @@ func Build(spec SchemeSpec) (Scheme, error) {
 		}
 		name = "ken"
 	}
-	registryMu.RLock()
-	b, ok := registry[name]
-	registryMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("core: unknown scheme %q (have %s)", spec.Scheme, strings.Join(Schemes(), ", "))
+	switch name {
+	case "tinydb":
+		return NewTinyDB(spec.dim(), spec.Topology)
+	case "approxcache", "apc", "cache":
+		return NewCache(spec.Eps, spec.Topology)
+	case "average", "avg":
+		return NewAverage(spec.Train, spec.Eps, spec.FitCfg, spec.Topology)
+	case "ken", "djc":
+		return buildKen(spec)
+	default:
+		return nil, fmt.Errorf("core: unknown scheme %q (have tinydb, approxcache, average, ken, djc<k>)", spec.Scheme)
 	}
-	return b(spec)
 }
 
 // parseDjC matches "djc<k>" with a positive integer k.
@@ -140,24 +113,6 @@ func parseDjC(name string) (int, bool) {
 	return k, true
 }
 
-func init() {
-	tinydb := func(s SchemeSpec) (Scheme, error) { return NewTinyDB(s.dim(), s.Topology) }
-	apc := func(s SchemeSpec) (Scheme, error) { return NewCache(s.Eps, s.Topology) }
-	avg := func(s SchemeSpec) (Scheme, error) { return NewAverage(s.Train, s.Eps, s.FitCfg, s.Topology) }
-	for _, n := range []string{"TinyDB"} {
-		RegisterScheme(n, tinydb)
-	}
-	for _, n := range []string{"ApproxCache", "ApC", "Cache"} {
-		RegisterScheme(n, apc)
-	}
-	for _, n := range []string{"Average", "Avg"} {
-		RegisterScheme(n, avg)
-	}
-	for _, n := range []string{"Ken", "DjC"} {
-		RegisterScheme(n, buildKen)
-	}
-}
-
 // buildKen assembles the Disjoint-Cliques scheme, selecting a Greedy-K
 // partition when the spec does not fix one.
 func buildKen(spec SchemeSpec) (Scheme, error) {
@@ -167,20 +122,8 @@ func buildKen(spec SchemeSpec) (Scheme, error) {
 		if k < 1 {
 			return nil, fmt.Errorf("core: Ken needs a Partition or K >= 1 for greedy selection")
 		}
-		eval, err := cliques.NewMCEvaluator(spec.Train, spec.Eps, spec.FitCfg, spec.MC)
-		if err != nil {
-			return nil, err
-		}
-		top := spec.Topology
-		if top == nil {
-			// Partition selection needs some topology; use the uniform
-			// ×5 the paper's cost study centres on.
-			top, err = network.Uniform(spec.dim(), 1, 5)
-			if err != nil {
-				return nil, err
-			}
-		}
-		part, err = cliques.Greedy(top, eval, cliques.GreedyConfig{
+		var err error
+		part, err = cliques.GreedyFromTraining(spec.Train, spec.Eps, spec.FitCfg, spec.MC, spec.Topology, cliques.GreedyConfig{
 			K:             k,
 			NeighborLimit: spec.NeighborLimit,
 			Metric:        spec.Metric,

@@ -13,7 +13,6 @@ import (
 	"ken/internal/cliques"
 	"ken/internal/mc"
 	"ken/internal/model"
-	"ken/internal/network"
 	"ken/internal/stream"
 	"ken/internal/trace"
 )
@@ -67,64 +66,27 @@ type Deployment struct {
 // Build assembles the deployment deterministically from the parameters.
 func Build(p Params) (*Deployment, error) {
 	p = p.withDefaults()
-	var (
-		tr  *trace.Trace
-		err error
-	)
-	steps := p.TrainSteps + p.TestSteps
-	switch p.Dataset {
-	case "garden":
-		tr, err = trace.GenerateGarden(p.Seed, steps)
-	case "lab":
-		tr, err = trace.GenerateLab(p.Seed, steps)
-	default:
-		return nil, fmt.Errorf("deploy: unknown dataset %q (garden or lab)", p.Dataset)
+	exp, err := trace.LoadExperiment(p.Dataset, p.Seed, p.TrainSteps, p.TestSteps, p.Epsilon)
+	if err != nil {
+		return nil, fmt.Errorf("deploy: %w", err)
 	}
+	fitCfg := model.FitConfig{Period: 24}
+	part, err := cliques.GreedyFromTraining(exp.Train, exp.Eps, fitCfg, mc.Config{Seed: p.Seed}, nil,
+		cliques.GreedyConfig{K: p.K, Metric: cliques.MetricReduction})
 	if err != nil {
 		return nil, err
 	}
-	rows, err := tr.Rows(trace.Temperature)
-	if err != nil {
-		return nil, err
-	}
-	n := tr.Deployment.N()
-	train, test := rows[:p.TrainSteps], rows[p.TrainSteps:]
-	eps := make([]float64, n)
-	for i := range eps {
-		eps[i] = trace.Temperature.DefaultEpsilon()
-		if p.Epsilon > 0 {
-			eps[i] = p.Epsilon
-		}
-	}
-
-	eval, err := cliques.NewMCEvaluator(train, eps, model.FitConfig{Period: 24},
-		mc.Config{Seed: p.Seed})
-	if err != nil {
-		return nil, err
-	}
-	top, err := network.Uniform(n, 1, 5)
-	if err != nil {
-		return nil, err
-	}
-	part, err := cliques.Greedy(top, eval, cliques.GreedyConfig{
-		K:      p.K,
-		Metric: cliques.MetricReduction,
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	return &Deployment{
 		Params:    p,
-		N:         n,
+		N:         len(exp.Eps),
 		Partition: part,
 		Config: stream.Config{
 			Partition:      part,
-			Train:          train,
-			Eps:            eps,
-			FitCfg:         model.FitConfig{Period: 24},
+			Train:          exp.Train,
+			Eps:            exp.Eps,
+			FitCfg:         fitCfg,
 			HeartbeatEvery: p.HeartbeatEvery,
 		},
-		Test: test,
+		Test: exp.Test,
 	}, nil
 }

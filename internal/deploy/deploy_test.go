@@ -1,9 +1,11 @@
 package deploy
 
 import (
+	"reflect"
 	"testing"
 
 	"ken/internal/stream"
+	"ken/internal/trace"
 )
 
 func TestBuildDefaults(t *testing.T) {
@@ -80,5 +82,30 @@ func TestBuildEpsilonOverride(t *testing.T) {
 		if e != 2.0 {
 			t.Fatalf("eps = %v, want override 2.0", e)
 		}
+	}
+}
+
+// TestBuildSplitMatchesHandSplit: the deployment's Train/Test/Eps are the
+// rows[:train] / rows[train:] / 0.5-per-node block Build used to write out,
+// now obtained from trace.LoadExperiment.
+func TestBuildSplitMatchesHandSplit(t *testing.T) {
+	dep, err := Build(Params{TestSteps: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.GenerateGarden(1, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := tr.Rows(trace.Temperature)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eps := make([]float64, 11)
+	for i := range eps {
+		eps[i] = 0.5
+	}
+	if !reflect.DeepEqual(dep.Config.Train, rows[:100]) || !reflect.DeepEqual(dep.Test, rows[100:]) || !reflect.DeepEqual(dep.Config.Eps, eps) {
+		t.Fatal("Build's split differs from the hand-written one")
 	}
 }

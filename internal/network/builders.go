@@ -25,6 +25,30 @@ func Uniform(n int, interCost, baseMultiplier float64) (*Topology, error) {
 	return New(n, links)
 }
 
+// Chain builds the multi-hop transect of the packet-level experiments:
+// unit-cost links 0–1–…–(n−1)–base, so node n−1 sits next to the base and
+// relays everyone's traffic.
+func Chain(n int) (*Topology, error) {
+	links := make([]Link, 0, n)
+	for i := 0; i < n; i++ {
+		links = append(links, Link{U: i, V: i + 1, Cost: 1})
+	}
+	return New(n, links)
+}
+
+// Star builds the single-hop topology whose only links are one unit-cost
+// link from every node to the base, so a per-hop loss rate is exactly the
+// per-message loss rate to the base (node-to-node traffic relays through
+// it). The single-hop topology that also links every pair of nodes
+// directly is Uniform(n, 1, 1).
+func Star(n int) (*Topology, error) {
+	links := make([]Link, 0, n)
+	for i := 0; i < n; i++ {
+		links = append(links, Link{U: i, V: n, Cost: 1})
+	}
+	return New(n, links)
+}
+
 // Geometric builds a topology from a deployment's node positions: nodes
 // within radius metres get a link whose cost is costPerMetre·distance
 // (minimum minCost), and the base station sits at (baseX, baseY) linked to

@@ -3,6 +3,8 @@ package network
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -348,5 +350,58 @@ func TestLogicalExpansion(t *testing.T) {
 	}
 	if _, err := Logical(phys, 2, 0); err == nil {
 		t.Fatal("expected error for zero same-node cost")
+	}
+}
+
+// TestChainAndStar pins the two packet-simulator topologies against the
+// link literals they replaced in kennet, the figure harness and the
+// lifetime example.
+func TestChainAndStar(t *testing.T) {
+	chain, err := Chain(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Link{{0, 1, 1}, {1, 2, 1}, {2, 3, 1}, {3, 4, 1}}; !reflect.DeepEqual(chain.Links(), want) {
+		t.Fatalf("Chain(4) links = %v, want %v", chain.Links(), want)
+	}
+	if chain.CommToBase(0) != 4 || chain.CommToBase(3) != 1 {
+		t.Fatalf("chain base costs %v, %v", chain.CommToBase(0), chain.CommToBase(3))
+	}
+	star, err := Star(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Link{{0, 4, 1}, {1, 4, 1}, {2, 4, 1}, {3, 4, 1}}; !reflect.DeepEqual(star.Links(), want) {
+		t.Fatalf("Star(4) links = %v, want %v", star.Links(), want)
+	}
+	if star.CommToBase(2) != 1 || star.Comm(0, 3) != 2 {
+		t.Fatalf("star costs %v to base, %v node to node", star.CommToBase(2), star.Comm(0, 3))
+	}
+	// kennet's single-hop "star" also links every pair of nodes directly:
+	// that one is Uniform(n, 1, 1), the same link set in another order.
+	mesh, err := Uniform(4, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var literal []Link
+	for i := 0; i < 4; i++ {
+		literal = append(literal, Link{U: i, V: 4, Cost: 1})
+		for j := i + 1; j < 4; j++ {
+			literal = append(literal, Link{U: i, V: j, Cost: 1})
+		}
+	}
+	byEnds := func(ls []Link) {
+		sort.Slice(ls, func(a, b int) bool { return ls[a].U*10+ls[a].V < ls[b].U*10+ls[b].V })
+	}
+	got := mesh.Links()
+	byEnds(got)
+	byEnds(literal)
+	if !reflect.DeepEqual(got, literal) {
+		t.Fatalf("Uniform(4,1,1) links = %v, kennet's star literal = %v", got, literal)
+	}
+	for _, build := range []func(int) (*Topology, error){Chain, Star} {
+		if _, err := build(0); err == nil {
+			t.Fatal("expected error for zero nodes")
+		}
 	}
 }

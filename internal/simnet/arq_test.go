@@ -82,7 +82,7 @@ func TestEnergySpentCappedAtTotalBattery(t *testing.T) {
 func TestDeadRootMembersStillTransmit(t *testing.T) {
 	radio := DefaultRadio()
 	net, train, test, eps := gardenNet(t, radio, 7, true)
-	prog, err := NewDistributedKen(net, pairsPartition(11), train, eps, model.FitConfig{Period: 24})
+	prog, err := NewDistributedKenConfig(net, pairsPartition(11), train, eps, model.FitConfig{Period: 24}, KenNetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

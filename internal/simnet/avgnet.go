@@ -6,7 +6,6 @@ import (
 	"ken/internal/core"
 	"ken/internal/model"
 	"ken/internal/obs"
-	"ken/internal/protocol"
 )
 
 // DistributedAverage runs the paper's Average model (Example 3.5, Figure 4)
@@ -96,13 +95,10 @@ func (d *DistributedAverage) Name() string { return "avg" }
 
 // Epoch implements Program.
 func (d *DistributedAverage) Epoch(truth []float64) (EpochResult, error) {
-	if len(truth) != d.n {
-		return EpochResult{}, fmt.Errorf("simnet: truth dim %d, want %d", len(truth), d.n)
-	}
-	if err := protocol.CheckReadings(truth); err != nil {
+	sp, err := d.net.openEpoch(truth)
+	if err != nil {
 		return EpochResult{}, err
 	}
-	sp := d.net.BeginEpoch()
 	res := EpochResult{Estimates: make([]float64, d.n)}
 
 	// Phase 1 — aggregate partial (sum, count) pairs up the tree. Each
@@ -205,21 +201,8 @@ func (d *DistributedAverage) Epoch(truth []float64) (EpochResult, error) {
 				return EpochResult{}, err
 			}
 		}
-		est := nd.Sink.Mean()[0]
-		res.Estimates[i] = est
-		if diff := est - truth[i]; diff > d.eps[i] || diff < -d.eps[i] {
-			res.Violations++
-		}
+		res.Estimates[i] = nd.Sink.Mean()[0]
 	}
-	if sp.Active() {
-		sp.EndEpoch(obs.Event{
-			Step: int64(d.net.stats.Epochs), Clique: -1, Node: -1, N: res.ValuesDelivered,
-			Payload: &obs.Payload{
-				Predicted: res.Estimates, Observed: truth, Eps: d.eps,
-				Bytes:     reportBytes,
-				LinkBytes: d.net.EpochLinkBytes(), Retx: d.net.EpochRetransmits(),
-			},
-		})
-	}
+	d.net.closeEpoch(sp, &res, truth, d.eps, reportBytes)
 	return res, nil
 }

@@ -99,7 +99,7 @@ func TestChannelContract(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if radio, err = NewDistributedKen(net, part, train, eps, fit); err != nil {
+				if radio, err = NewDistributedKenConfig(net, part, train, eps, fit, KenNetConfig{}); err != nil {
 					t.Fatal(err)
 				}
 			}

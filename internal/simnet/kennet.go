@@ -39,6 +39,56 @@ type EpochResult struct {
 	SuspectedCliques int
 }
 
+// NewProgram installs on net the node program the binaries' -program flags
+// name: "tinydb", "avg" or "ken". part and cfg concern ken alone, and
+// tinydb needs no training data either.
+func NewProgram(name string, net *Network, part *cliques.Partition, train [][]float64, eps []float64, fitCfg model.FitConfig, cfg KenNetConfig) (Program, error) {
+	switch name {
+	case "tinydb":
+		return NewDistributedTinyDB(net, eps)
+	case "avg":
+		return NewDistributedAverage(net, train, eps, fitCfg)
+	case "ken":
+		return NewDistributedKenConfig(net, part, train, eps, fitCfg, cfg)
+	default:
+		return nil, fmt.Errorf("simnet: unknown program %q (tinydb, avg or ken)", name)
+	}
+}
+
+// Totals is what Run tallies over a replay.
+type Totals struct {
+	Epochs        int // epochs executed
+	Delivered     int // values that reached the base
+	Violations    int // node-epochs whose estimate missed ε
+	StaleReadings int // node-epochs the failure detector flagged stale
+	FirstDeath    int // 1-based epoch of the first battery death, -1 when every node survived
+}
+
+// Run steps prog over the rows, one epoch each, on the network it was built
+// on and tallies the base station's outcomes. Use a fresh Network/Program
+// pair per run.
+func Run(net *Network, prog Program, rows [][]float64) (Totals, error) {
+	tot := Totals{FirstDeath: -1}
+	for _, row := range rows {
+		res, err := prog.Epoch(row)
+		if err != nil {
+			return tot, err
+		}
+		tot.Epochs++
+		tot.Delivered += res.ValuesDelivered
+		tot.Violations += res.Violations
+		for _, stale := range res.Stale {
+			if stale {
+				tot.StaleReadings++
+			}
+		}
+		if tot.FirstDeath < 0 && net.AliveCount() < net.top.N() {
+			tot.FirstDeath = tot.Epochs
+		}
+	}
+	return tot, nil
+}
+
 // KenNetConfig tunes DistributedKen's reliability layer. The zero value
 // reproduces the bare protocol (no heartbeats, no failure detection);
 // message-level ARQ is configured separately on the Radio.
@@ -90,15 +140,10 @@ type DistributedKen struct {
 
 var _ Program = (*DistributedKen)(nil)
 
-// NewDistributedKen fits per-clique models and installs the node programs
-// with the bare protocol (KenNetConfig zero value).
-func NewDistributedKen(net *Network, part *cliques.Partition, train [][]float64, eps []float64, fitCfg model.FitConfig) (*DistributedKen, error) {
-	return NewDistributedKenConfig(net, part, train, eps, fitCfg, KenNetConfig{})
-}
-
-// NewDistributedKenConfig is NewDistributedKen with an explicit
-// reliability configuration. Instrument the network before constructing
-// the program so the failure detectors share its tracer.
+// NewDistributedKenConfig fits per-clique models and installs the node
+// programs; the zero KenNetConfig is the bare protocol. Instrument the
+// network before constructing the program so the failure detectors share
+// its tracer.
 func NewDistributedKenConfig(net *Network, part *cliques.Partition, train [][]float64, eps []float64, fitCfg model.FitConfig, cfg KenNetConfig) (*DistributedKen, error) {
 	if net == nil {
 		return nil, fmt.Errorf("simnet: nil network")
@@ -222,21 +267,16 @@ func (d *DistributedKen) Carry(ci int, idx []int, vals []float64, under *obs.Spa
 // suspected clique's estimates are still served (the model is all the base
 // has) but flagged stale instead of being passed off as live data.
 func (d *DistributedKen) Epoch(truth []float64) (EpochResult, error) {
-	if err := d.loop.Check(truth); err != nil {
-		return EpochResult{}, fmt.Errorf("simnet: %w", err)
+	sp, err := d.net.openEpoch(truth)
+	if err != nil {
+		return EpochResult{}, err
 	}
-	sp := d.net.BeginEpoch()
 	d.delivered = 0
 	if err := d.loop.Epoch(int64(d.net.stats.Epochs), sp, truth); err != nil {
 		return EpochResult{}, err
 	}
 	res := EpochResult{Estimates: make([]float64, len(d.eps)), ValuesDelivered: d.delivered}
 	d.loop.Estimates(res.Estimates)
-	for g, est := range res.Estimates {
-		if diff := est - truth[g]; diff > d.eps[g] || diff < -d.eps[g] {
-			res.Violations++
-		}
-	}
 	if d.det != nil {
 		res.Stale = make([]bool, len(d.eps))
 		for ci, suspected := range d.suspected {
@@ -248,17 +288,7 @@ func (d *DistributedKen) Epoch(truth []float64) (EpochResult, error) {
 			}
 		}
 	}
-	if sp.Active() {
-		sp.EndEpoch(obs.Event{
-			Step: int64(d.net.stats.Epochs), Clique: -1, Node: -1, N: res.ValuesDelivered,
-			Payload: &obs.Payload{
-				Predicted: res.Estimates, Observed: truth, Eps: d.eps,
-				Bytes:     obs.WireBytesPerValue * len(d.loop.Reported),
-				LinkBytes: d.net.EpochLinkBytes(),
-				Retx:      d.net.EpochRetransmits(),
-			},
-		})
-	}
+	d.net.closeEpoch(sp, &res, truth, d.eps, obs.WireBytesPerValue*len(d.loop.Reported))
 	return res, nil
 }
 
@@ -297,13 +327,10 @@ func (d *DistributedTinyDB) Name() string { return "tinydb" }
 
 // Epoch implements Program.
 func (d *DistributedTinyDB) Epoch(truth []float64) (EpochResult, error) {
-	if len(truth) != d.n {
-		return EpochResult{}, fmt.Errorf("simnet: truth dim %d, want %d", len(truth), d.n)
-	}
-	if err := protocol.CheckReadings(truth); err != nil {
+	sp, err := d.net.openEpoch(truth)
+	if err != nil {
 		return EpochResult{}, err
 	}
-	sp := d.net.BeginEpoch()
 	res := EpochResult{Estimates: make([]float64, d.n)}
 	for i := 0; i < d.n; i++ {
 		if d.net.Alive(i) &&
@@ -313,40 +340,12 @@ func (d *DistributedTinyDB) Epoch(truth []float64) (EpochResult, error) {
 			res.ValuesDelivered++
 		}
 		res.Estimates[i] = d.last[i]
-		if !d.seen[i] {
-			res.Violations++
-			continue
-		}
-		if diff := d.last[i] - truth[i]; diff > d.eps[i] || diff < -d.eps[i] {
+		// A node never heard from is a miss even where its zero estimate
+		// happens to lie within ε of the truth.
+		if !d.seen[i] && math.Abs(truth[i]) <= d.eps[i] {
 			res.Violations++
 		}
 	}
-	if sp.Active() {
-		sp.EndEpoch(obs.Event{
-			Step: int64(d.net.stats.Epochs), Clique: -1, Node: -1, N: res.ValuesDelivered,
-			Payload: &obs.Payload{
-				Predicted: res.Estimates, Observed: truth, Eps: d.eps,
-				LinkBytes: d.net.EpochLinkBytes(), Retx: d.net.EpochRetransmits(),
-			},
-		})
-	}
+	d.net.closeEpoch(sp, &res, truth, d.eps, 0)
 	return res, nil
-}
-
-// RunLifetime drives a program over the trace rows until the network's
-// first node dies or the rows run out, then returns (epochs survived by
-// the full network, total epochs executed). Use fresh Network/Program
-// pairs per run.
-func RunLifetime(net *Network, prog Program, rows [][]float64) (firstDeath, epochs int, err error) {
-	firstDeath = -1
-	for t, row := range rows {
-		if _, err := prog.Epoch(row); err != nil {
-			return 0, 0, err
-		}
-		epochs++
-		if firstDeath < 0 && net.AliveCount() < net.top.N() {
-			firstDeath = t + 1
-		}
-	}
-	return firstDeath, epochs, nil
 }

@@ -26,6 +26,7 @@ import (
 
 	"ken/internal/network"
 	"ken/internal/obs"
+	"ken/internal/protocol"
 )
 
 // Radio holds the energy/cost parameters of the simulated radio and node.
@@ -240,6 +241,41 @@ func (s *Network) BeginEpoch() *obs.Span {
 		N: s.AliveCount(), Detail: "simnet",
 	})
 	return s.span
+}
+
+// openEpoch is the prologue of every program's Epoch: a row of the wrong
+// width or with a non-finite reading is rejected before anything moves
+// (protocol.CheckReadings says why), then the epoch begins.
+func (s *Network) openEpoch(truth []float64) (*obs.Span, error) {
+	if len(truth) != s.top.N() {
+		return nil, fmt.Errorf("simnet: truth dim %d, want %d", len(truth), s.top.N())
+	}
+	if err := protocol.CheckReadings(truth); err != nil {
+		return nil, fmt.Errorf("simnet: %w", err)
+	}
+	return s.BeginEpoch(), nil
+}
+
+// closeEpoch is the epilogue: it adds the estimates that missed ε to
+// res.Violations and ends the epoch span with the audit payload —
+// reportBytes is the epoch's protocol ledger, the radio ledger is the
+// network's own.
+func (s *Network) closeEpoch(sp *obs.Span, res *EpochResult, truth, eps []float64, reportBytes int) {
+	for g, est := range res.Estimates {
+		if diff := est - truth[g]; diff > eps[g] || diff < -eps[g] {
+			res.Violations++
+		}
+	}
+	if sp.Active() {
+		sp.EndEpoch(obs.Event{
+			Step: int64(s.stats.Epochs), Clique: -1, Node: -1, N: res.ValuesDelivered,
+			Payload: &obs.Payload{
+				Predicted: res.Estimates, Observed: truth, Eps: eps,
+				Bytes:     reportBytes,
+				LinkBytes: s.EpochLinkBytes(), Retx: s.EpochRetransmits(),
+			},
+		})
+	}
 }
 
 // EpochSpan returns the current epoch's span (nil when untraced or before

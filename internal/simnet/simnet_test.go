@@ -213,7 +213,7 @@ func pairsPartition(n int) *cliques.Partition {
 
 func TestDistributedKenCleanNetworkKeepsGuarantee(t *testing.T) {
 	net, train, test, eps := gardenNet(t, DefaultRadio(), 1, false)
-	prog, err := NewDistributedKen(net, pairsPartition(11), train, eps, model.FitConfig{Period: 24})
+	prog, err := NewDistributedKenConfig(net, pairsPartition(11), train, eps, model.FitConfig{Period: 24}, KenNetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestDistributedKenLossCausesTransientViolations(t *testing.T) {
 	radio := DefaultRadio()
 	radio.LossRate = 0.3
 	net, train, test, eps := gardenNet(t, radio, 2, false)
-	prog, err := NewDistributedKen(net, pairsPartition(11), train, eps, model.FitConfig{Period: 24})
+	prog, err := NewDistributedKenConfig(net, pairsPartition(11), train, eps, model.FitConfig{Period: 24}, KenNetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,20 +271,22 @@ func TestDistributedKenOutlivesTinyDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tinyDeath, _, err := RunLifetime(netT, tiny, test)
+	tinyTot, err := Run(netT, tiny, test)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tinyDeath := tinyTot.FirstDeath
 
 	netK, train2, test2, eps2 := gardenNet(t, radio, 3, true)
-	ken, err := NewDistributedKen(netK, pairsPartition(11), train2, eps2, model.FitConfig{Period: 24})
+	ken, err := NewDistributedKenConfig(netK, pairsPartition(11), train2, eps2, model.FitConfig{Period: 24}, KenNetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	kenDeath, _, err := RunLifetime(netK, ken, test2)
+	kenTot, err := Run(netK, ken, test2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	kenDeath := kenTot.FirstDeath
 	_ = train
 	if tinyDeath < 0 {
 		t.Fatal("TinyDB should exhaust the relay node within the window")
@@ -316,16 +318,16 @@ func TestDistributedTinyDBExactWhileAlive(t *testing.T) {
 
 func TestDistributedKenValidation(t *testing.T) {
 	net, train, _, eps := gardenNet(t, DefaultRadio(), 5, false)
-	if _, err := NewDistributedKen(nil, pairsPartition(11), train, eps, model.FitConfig{}); err == nil {
+	if _, err := NewDistributedKenConfig(nil, pairsPartition(11), train, eps, model.FitConfig{}, KenNetConfig{}); err == nil {
 		t.Fatal("expected error for nil network")
 	}
-	if _, err := NewDistributedKen(net, pairsPartition(11), nil, eps, model.FitConfig{}); err == nil {
+	if _, err := NewDistributedKenConfig(net, pairsPartition(11), nil, eps, model.FitConfig{}, KenNetConfig{}); err == nil {
 		t.Fatal("expected error for empty training data")
 	}
-	if _, err := NewDistributedKen(net, pairsPartition(3), train, eps, model.FitConfig{}); err == nil {
+	if _, err := NewDistributedKenConfig(net, pairsPartition(3), train, eps, model.FitConfig{}, KenNetConfig{}); err == nil {
 		t.Fatal("expected error for bad partition")
 	}
-	if _, err := NewDistributedKen(net, pairsPartition(11), train, eps[:3], model.FitConfig{}); err == nil {
+	if _, err := NewDistributedKenConfig(net, pairsPartition(11), train, eps[:3], model.FitConfig{}, KenNetConfig{}); err == nil {
 		t.Fatal("expected error for eps mismatch")
 	}
 	if _, err := NewDistributedTinyDB(net, eps[:2]); err == nil {
@@ -345,7 +347,7 @@ func TestMessageBytes(t *testing.T) {
 func TestEnergyConservation(t *testing.T) {
 	radio := DefaultRadio()
 	net, train, test, eps := gardenNet(t, radio, 8, true)
-	prog, err := NewDistributedKen(net, pairsPartition(11), train, eps, model.FitConfig{Period: 24})
+	prog, err := NewDistributedKenConfig(net, pairsPartition(11), train, eps, model.FitConfig{Period: 24}, KenNetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +373,7 @@ func TestEnergyConservation(t *testing.T) {
 func TestDeadRootSilencesCliqueButEpochContinues(t *testing.T) {
 	radio := DefaultRadio()
 	net, train, test, eps := gardenNet(t, radio, 9, false)
-	prog, err := NewDistributedKen(net, pairsPartition(11), train, eps, model.FitConfig{Period: 24})
+	prog, err := NewDistributedKenConfig(net, pairsPartition(11), train, eps, model.FitConfig{Period: 24}, KenNetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,20 +455,22 @@ func TestDistributedAverageFixedCostHurtsLifetime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	avgDeath, _, err := RunLifetime(netA, avg, test)
+	avgTot, err := Run(netA, avg, test)
 	if err != nil {
 		t.Fatal(err)
 	}
+	avgDeath := avgTot.FirstDeath
 
 	netK, train2, test2, eps2 := gardenNet(t, radio, 14, true)
-	ken, err := NewDistributedKen(netK, pairsPartition(11), train2, eps2, model.FitConfig{Period: 24})
+	ken, err := NewDistributedKenConfig(netK, pairsPartition(11), train2, eps2, model.FitConfig{Period: 24}, KenNetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	kenDeath, _, err := RunLifetime(netK, ken, test2)
+	kenTot, err := Run(netK, ken, test2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	kenDeath := kenTot.FirstDeath
 	if avgDeath < 0 {
 		avgDeath = len(test) + 1
 	}
@@ -566,5 +570,65 @@ func TestDistributedAverageMatchesCoreEngine(t *testing.T) {
 					step, i, dres.Estimates[i], iest[i])
 			}
 		}
+	}
+}
+
+// TestRunTotals: Run on a lossy, battery-limited garden chain equals a
+// hand-stepped Epoch loop field for field, for every program NewProgram
+// names — the loop kennet, the figure harness and the lifetime example each
+// used to write out.
+func TestRunTotals(t *testing.T) {
+	radio := DefaultRadio()
+	radio.BatteryJ = 0.004 // small enough that relays die inside the window
+	radio.IdlePerEpoch = 1e-5
+	radio.LossRate = 0.15
+	radio.ARQ.MaxRetries = 2
+	cfg := KenNetConfig{HeartbeatEvery: 10, FailureAlpha: 0.01}
+	for _, name := range []string{"tinydb", "avg", "ken"} {
+		build := func() (*Network, Program, [][]float64) {
+			net, train, test, eps := gardenNet(t, radio, 7, true)
+			prog, err := NewProgram(name, net, pairsPartition(11), train, eps, model.FitConfig{Period: 24}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return net, prog, test
+		}
+		net, prog, test := build()
+		got, err := Run(net, prog, test)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		net, prog, test = build()
+		want := Totals{FirstDeath: -1}
+		for step, row := range test {
+			res, err := prog.Epoch(row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Epochs++
+			want.Delivered += res.ValuesDelivered
+			want.Violations += res.Violations
+			for _, s := range res.Stale {
+				if s {
+					want.StaleReadings++
+				}
+			}
+			if want.FirstDeath < 0 && net.AliveCount() < 11 {
+				want.FirstDeath = step + 1
+			}
+		}
+		if got != want {
+			t.Fatalf("%s: Run = %+v, hand-stepped = %+v", name, got, want)
+		}
+		if got.Epochs != len(test) || got.FirstDeath < 0 || got.Violations == 0 || got.Delivered == 0 {
+			t.Fatalf("%s: window exercises too little: %+v", name, got)
+		}
+		if name == "ken" && got.StaleReadings == 0 {
+			t.Fatalf("ken: failure detector never flagged a reading: %+v", got)
+		}
+	}
+	if _, err := NewProgram("gossip", nil, nil, nil, nil, model.FitConfig{}, cfg); err == nil {
+		t.Fatal("expected error for an unknown program name")
 	}
 }

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -558,6 +560,64 @@ func TestFillGapsCleanMatrixUntouched(t *testing.T) {
 			if rows[i][j] != want[i][j] {
 				t.Fatal("clean matrix modified")
 			}
+		}
+	}
+}
+
+// TestExperimentSplit pins the shared evaluation setup against the block it
+// replaced in seven places: temperature rows, a training prefix, the rest
+// as the test window, the attribute's default ε per node unless overridden.
+func TestExperimentSplit(t *testing.T) {
+	tr, err := GenerateGarden(1, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := tr.Rows(Temperature)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := tr.Experiment(100, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(exp.Train) != 100 || len(exp.Test) != 50 || &exp.Train[0][0] != &rows[0][0] || &exp.Test[0][0] != &rows[100][0] {
+		t.Fatalf("split %d/%d does not share rows[:100]/rows[100:]", len(exp.Train), len(exp.Test))
+	}
+	if len(exp.Eps) != 11 {
+		t.Fatalf("eps has %d entries, want 11", len(exp.Eps))
+	}
+	for _, e := range exp.Eps {
+		if e != 0.5 {
+			t.Fatalf("default eps = %v, want 0.5", e)
+		}
+	}
+	over, err := tr.Experiment(100, 2)
+	if err != nil || over.Eps[10] != 2 {
+		t.Fatalf("eps override: %v, %v", over.Eps, err)
+	}
+	for _, bad := range []int{-5, 0, 150, 200} {
+		if _, err := tr.Experiment(bad, 0); !errors.Is(err, ErrSplit) {
+			t.Fatalf("Experiment(%d) on 150 rows: err = %v, want ErrSplit", bad, err)
+		}
+	}
+
+	loaded, err := LoadExperiment("garden", 1, 100, 50, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(loaded, exp) {
+		t.Fatal("LoadExperiment differs from generating and splitting by hand")
+	}
+	lab, err := LoadExperiment("lab", 1, 20, 5, 0)
+	if err != nil || len(lab.Eps) != 49 {
+		t.Fatalf("lab: %d nodes, %v", len(lab.Eps), err)
+	}
+	if _, err := LoadExperiment("mars", 1, 100, 50, 0); !errors.Is(err, ErrUnknownDataset) {
+		t.Fatalf("unknown dataset: err = %v", err)
+	}
+	for _, bad := range [][2]int{{-5, 1500}, {200, -150}, {100, 0}, {-5, 2}} {
+		if _, err := LoadExperiment("garden", 1, bad[0], bad[1], 0); err == nil {
+			t.Fatalf("LoadExperiment(train %d, test %d) accepted", bad[0], bad[1])
 		}
 	}
 }
