@@ -165,6 +165,7 @@ fuzz:
 	$(GO) test -fuzz 'FuzzDecode$$' -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeSession$$' -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzReadCSVMatrix -fuzztime 30s ./internal/trace/
+	$(GO) test -fuzz 'FuzzLinearGaussianSchedule$$' -fuzztime 30s ./internal/model/
 
 clean:
 	$(GO) clean -testcache

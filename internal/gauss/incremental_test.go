@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -392,5 +393,107 @@ func benchObserve(b *testing.B, scratch bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// beliefBits flattens a belief, mean then Σ, for bitwise comparison.
+func beliefBits(g *Gaussian) []uint64 {
+	var out []uint64
+	for _, v := range g.mean {
+		out = append(out, math.Float64bits(v))
+	}
+	for i := 0; i < g.cov.Rows(); i++ {
+		for _, v := range g.cov.Row(i) {
+			out = append(out, math.Float64bits(v))
+		}
+	}
+	return out
+}
+
+// Predict is its two halves, in either order, and each is the kernel
+// sequence written out here with the allocating mat operations. Only the
+// mean half counts as a mutation; the covariance half unbinds the evaluator.
+func TestPredictIsItsTwoHalves(t *testing.T) {
+	const n = 4
+	r := rand.New(rand.NewSource(77))
+	g := randomSPDGaussian(r, n)
+	q := randomSPDGaussian(r, n).cov
+	a := mat.NewDense(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			a.Set(i, j, r.NormFloat64()/2)
+		}
+	}
+	aT := a.T()
+
+	mu, _ := a.MulVec(g.mean)
+	as, _ := a.Mul(g.cov)
+	cov, _ := as.Mul(aT)
+	if err := cov.AddInto(cov, q); err != nil {
+		t.Fatal(err)
+	}
+	cov.Symmetrize()
+	want := beliefBits(&Gaussian{mean: mu, cov: cov})
+
+	whole, halves := g.Clone(), g.Clone()
+	ws := NewWorkspace(n)
+	if err := whole.Predict(a, aT, q, ws); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(beliefBits(whole), want) || ws.Generation() != 1 {
+		t.Fatalf("Predict differs from the written-out transition (generation %d)", ws.Generation())
+	}
+	ws = NewWorkspace(n)
+	if err := halves.PredictMean(a, ws); err != nil {
+		t.Fatal(err)
+	}
+	if err := halves.CondReset(ws); err != nil {
+		t.Fatal(err)
+	}
+	if err := halves.PredictCov(a, aT, q, ws); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(beliefBits(halves), want) || ws.Generation() != 1 {
+		t.Fatalf("PredictMean then PredictCov differs from Predict (generation %d)", ws.Generation())
+	}
+	if err := halves.CondAdd(0, 1, ws); !errors.Is(err, errCondStale) {
+		t.Fatalf("evaluator seeded before PredictCov answered %v, want stale", err)
+	}
+
+	// A Q of the wrong shape is refused with nothing moved.
+	before := beliefBits(whole)
+	if err := whole.Predict(a, aT, mat.NewDense(n-1, n-1), ws); err == nil {
+		t.Fatal("Predict took a Q of the wrong shape")
+	}
+	if !reflect.DeepEqual(beliefBits(whole), before) || ws.Generation() != 1 {
+		t.Fatal("a refused Predict moved the belief")
+	}
+}
+
+// Out of an all-zero Σ the transition is Symmetrize(0 + Q) — a −0 in Q comes
+// out +0 — and PredictCov with a nil A copies that image to the same bits.
+func TestPredictCovFromZero(t *testing.T) {
+	a := mat.NewDenseFrom([][]float64{{0.9, -0.3}, {0.2, 0.7}})
+	negZero := math.Copysign(0, -1)
+	q := mat.NewDenseFrom([][]float64{{0.5, negZero}, {negZero, 0.25}})
+	image := mat.NewDense(2, 2)
+	if err := image.AddInto(image, q); err != nil {
+		t.Fatal(err)
+	}
+	image.Symmetrize()
+
+	run, copied := MustNew([]float64{1, 2}, mat.NewDense(2, 2)), MustNew([]float64{1, 2}, mat.NewDense(2, 2))
+	ws := NewWorkspace(2)
+	if err := run.PredictCov(a, a.T(), q, ws); err != nil {
+		t.Fatal(err)
+	}
+	if err := copied.PredictCov(nil, nil, image, ws); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(beliefBits(run), beliefBits(copied)) {
+		t.Fatalf("zero Σ: the transition gives\n%v, the copy\n%v", run.cov, copied.cov)
+	}
+	if off := run.cov.At(0, 1); math.Float64bits(off) != 0 {
+		t.Fatalf("Σ[0][1] = %v (bits %#x), want +0", off, math.Float64bits(off))
 	}
 }

@@ -90,17 +90,50 @@ func (g *Gaussian) MeanInto(dst []float64) error {
 
 // Predict pushes the belief through the linear transition in place:
 // μ ← A·μ, Σ ← A·Σ·Aᵀ + Q. aT must be the transpose of a (precomputed so
-// the hot path does not allocate it). The covariance is symmetrised once at
-// the end; Symmetrize is bitwise idempotent.
+// the hot path does not allocate it). The covariance goes first: with Q
+// n×n it accepts only an n×n A, on which the mean half cannot fail, so an
+// error leaves the belief as it was.
 //
 //ken:hotpath the predict step runs against the workspace
 func (g *Gaussian) Predict(a, aT, q *mat.Dense, ws *Workspace) error {
-	n := len(g.mean)
-	if ws.n != n {
-		return fmt.Errorf("gauss: workspace dim %d, distribution dim %d", ws.n, n)
-	}
-	if err := a.MulVecInto(ws.mu, g.mean); err != nil {
+	if err := g.PredictCov(a, aT, q, ws); err != nil {
 		return err
+	}
+	return g.PredictMean(a, ws)
+}
+
+// PredictMean is the mean half of Predict, μ ← A·μ, and the half that
+// advances the generation: no transition can skip it, while a caller whose
+// readers want only the mean may owe the covariance half until something is
+// about to read Σ (model.LinearGaussian does).
+//
+//ken:hotpath the mean half of the predict step
+func (g *Gaussian) PredictMean(a *mat.Dense, ws *Workspace) error {
+	if err := a.MulVecInto(ws.mu, g.mean); err != nil { // holds a, μ and the workspace to one n
+		return err
+	}
+	copy(g.mean, ws.mu)
+	ws.gen++
+	return nil
+}
+
+// PredictCov is the covariance half of Predict: Σ ← A·Σ·Aᵀ + Q, symmetrised
+// once at the end (Symmetrize is bitwise idempotent). It leaves the
+// generation to PredictMean and unbinds the conditioning evaluator itself.
+// A nil a is the caller's word that Σ is all zeros and that q is already
+// Symmetrize(0 + Q): both products would be all +0 (MulInto accumulates
+// from +0), so Σ becomes a copy of q — the same bits without the multiplies.
+//
+//ken:hotpath the covariance half of the predict step
+func (g *Gaussian) PredictCov(a, aT, q *mat.Dense, ws *Workspace) error {
+	n := len(g.mean)
+	if ws.n != n || q.Rows() != n || q.Cols() != n {
+		return fmt.Errorf("gauss: workspace dim %d, Q %dx%d, distribution dim %d", ws.n, q.Rows(), q.Cols(), n)
+	}
+	ws.evalG = nil
+	if a == nil {
+		g.cov.CopyFrom(q)
+		return nil
 	}
 	if err := ws.cov.MulInto(a, g.cov); err != nil {
 		return err
@@ -111,9 +144,7 @@ func (g *Gaussian) Predict(a, aT, q *mat.Dense, ws *Workspace) error {
 	if err := g.cov.AddInto(ws.cov2, q); err != nil {
 		return err
 	}
-	copy(g.mean, ws.mu)
 	g.cov.Symmetrize()
-	ws.gen++
 	return nil
 }
 

@@ -6,3 +6,8 @@ var (
 	DriftData  = driftData
 	RegimeData = regimeData
 )
+
+// Debt reports the covariance transitions lg owes and whether its Σ is the
+// all-zero one whose next transition is a copy: what the differential tests
+// count settled, copied and dropped transitions from.
+func (lg *LinearGaussian) Debt() (owed int, zero bool) { return lg.owed, lg.zero }

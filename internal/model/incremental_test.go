@@ -10,7 +10,7 @@ import (
 )
 
 // gardenCols extracts the first n temperature columns of the garden trace.
-func gardenCols(t *testing.T, steps, n int) [][]float64 {
+func gardenCols(t testing.TB, steps, n int) [][]float64 {
 	t.Helper()
 	tr, err := trace.GenerateGarden(31, steps)
 	if err != nil {

@@ -31,7 +31,15 @@ type LinearGaussian struct {
 	profile [][]float64   // period × n seasonal means; shared, immutable
 	period  int
 	clock   int
-	state   *gauss.Gaussian // belief over the residual r(clock)
+	state   *gauss.Gaussian // belief over the residual r(clock); its Σ is owed transitions behind
+	q0      *mat.Dense      // Symmetrize(0 + Q), what one transition makes of a zero Σ; shared, immutable after fit
+
+	// Answers come from the mean alone, so Step runs μ ← A·μ and counts the
+	// covariance transition as owed; settle runs the owed ones before
+	// anything reads Σ. zero marks an all-+0 Σ (fresh fit, full report),
+	// whose next transition is a copy of q0.
+	owed int
+	zero bool
 
 	// Per-instance scratch for the in-place Step/Condition path. Never
 	// shared between clones: replicas mutate their own scratch while
@@ -132,6 +140,8 @@ func FitLinearGaussian(data [][]float64, cfg FitConfig) (*LinearGaussian, error)
 		a:       a,
 		aT:      a.T(),
 		q:       q,
+		q0:      zeroImage(q),
+		zero:    true,
 		profile: profile,
 		period:  period,
 		clock:   T - 1,
@@ -139,6 +149,17 @@ func FitLinearGaussian(data [][]float64, cfg FitConfig) (*LinearGaussian, error)
 		ws:      gauss.NewWorkspace(n),
 		valsBuf: make([]float64, 0, n),
 	}, nil
+}
+
+// zeroImage returns Symmetrize(0 + Q): bit for bit what Σ ← A·Σ·Aᵀ + Q makes
+// of an all-zero Σ (the products are all +0, and +0 + q turns a −0 into +0).
+func zeroImage(q *mat.Dense) *mat.Dense {
+	img := mat.NewDense(q.Rows(), q.Cols())
+	if err := img.AddInto(img, q); err != nil {
+		panic(err) // same shape by construction
+	}
+	img.Symmetrize()
+	return img
 }
 
 // seasonalProfile returns the per-phase mean rows and the effective period.
@@ -244,15 +265,39 @@ func (lg *LinearGaussian) Dim() int { return lg.n }
 // Clock returns the model's current time index (for testing phase math).
 func (lg *LinearGaussian) Clock() int { return lg.clock }
 
-// Step implements Model: clock++, μ ← A·μ, Σ ← A·Σ·Aᵀ + Q. The update runs
-// in place against the instance workspace (see gauss.Gaussian.Predict).
+// maxOwed bounds the covariance debt, and with it what one settling call
+// can cost a tenant that is never heard from.
+const maxOwed = 64
+
+// Step implements Model: clock++, μ ← A·μ in place against the instance
+// workspace, and one more covariance transition owed (see settle).
 //
-//ken:hotpath one predict per epoch; steady state allocates nothing
+//ken:hotpath one mean predict per epoch; steady state allocates nothing
 func (lg *LinearGaussian) Step() {
-	if err := lg.state.Predict(lg.a, lg.aT, lg.q, lg.ws); err != nil {
+	if err := lg.state.PredictMean(lg.a, lg.ws); err != nil {
 		panic(err) // dimensions fixed at construction
 	}
 	lg.clock++
+	if lg.owed++; lg.owed == maxOwed {
+		lg.settle()
+	}
+}
+
+// settle runs the owed Σ ← A·Σ·Aᵀ + Q transitions: the operations Step
+// deferred, in the order it deferred them, hence the same bits. Everything
+// that reads Σ calls it first.
+//
+//ken:hotpath the deferred covariance half of Step
+func (lg *LinearGaussian) settle() {
+	for ; lg.owed > 0; lg.owed-- {
+		a, aT, q := lg.a, lg.aT, lg.q
+		if lg.zero {
+			a, aT, q, lg.zero = nil, nil, lg.q0, false
+		}
+		if err := lg.state.PredictCov(a, aT, q, lg.ws); err != nil {
+			panic(err) // dimensions fixed at construction
+		}
+	}
 }
 
 // phaseMean returns the seasonal profile row for the current clock.
@@ -277,7 +322,10 @@ func (lg *LinearGaussian) MeanInto(dst []float64) error {
 
 // Cov returns the covariance of the current belief (residual scale; the
 // seasonal shift does not affect it).
-func (lg *LinearGaussian) Cov() *mat.Dense { return lg.state.Cov() }
+func (lg *LinearGaussian) Cov() *mat.Dense {
+	lg.settle()
+	return lg.state.Cov()
+}
 
 // MeanGiven implements Model using Gaussian conditioning without mutation:
 // the from-scratch reference the cached evaluator below is checked against.
@@ -285,6 +333,7 @@ func (lg *LinearGaussian) MeanGiven(idx []int, vals []float64) ([]float64, error
 	if err := checkRange(idx, vals, lg.n); err != nil {
 		return nil, err
 	}
+	lg.settle()
 	p := lg.phaseMean()
 	res := make([]float64, len(vals))
 	for k, i := range idx {
@@ -309,6 +358,7 @@ func (lg *LinearGaussian) Generation() uint64 { return lg.ws.Generation() }
 //
 //ken:hotpath resets the evaluator within the instance workspace
 func (lg *LinearGaussian) CondReset() error {
+	lg.settle()
 	return lg.state.CondReset(lg.ws)
 }
 
@@ -364,13 +414,25 @@ func (lg *LinearGaussian) Condition(idx []int, vals []float64) error {
 	for k, i := range idx {
 		res[k] = vals[k] - p[i]
 	}
-	return lg.state.ObserveExact(idx, res, lg.ws)
+	// A report of every attribute leaves the point mass whatever Σ was: it
+	// reads nothing, and once ObserveExact has accepted it the debt is
+	// dropped unrun. A refused one leaves it owed.
+	if len(idx) < lg.n {
+		lg.settle()
+	}
+	err := lg.state.ObserveExact(idx, res, lg.ws)
+	if err == nil && len(idx) == lg.n {
+		lg.owed, lg.zero = 0, true
+	}
+	return err
 }
 
 // Clone implements Model. The learned parameters (A, Q, profile) are
 // immutable after fitting and shared between clones; the belief state and
 // the update scratch are per-instance — a shared workspace would let one
-// replica's update corrupt the other's.
+// replica's update corrupt the other's. The clone inherits the covariance
+// debt unsettled: Clone writes nothing to its receiver, so concurrent
+// clones of one fitted model are safe.
 func (lg *LinearGaussian) Clone() Model {
 	cp := *lg
 	cp.state = lg.state.Clone()
@@ -382,6 +444,7 @@ func (lg *LinearGaussian) Clone() Model {
 // SampleState implements Sampler: draw the residual from the belief and add
 // the seasonal mean. A point-mass belief (zero covariance) returns the mean.
 func (lg *LinearGaussian) SampleState(rng *rand.Rand) ([]float64, error) {
+	lg.settle()
 	if lg.state.Cov().MaxAbs() == 0 {
 		return MeanOf(lg), nil
 	}

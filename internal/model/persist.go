@@ -26,8 +26,10 @@ type linearGaussianJSON struct {
 	StateCov  *mat.Dense  `json:"state_cov"`
 }
 
-// MarshalJSON implements json.Marshaler.
+// MarshalJSON implements json.Marshaler. The wire form carries Σ, not the
+// debt, so the owed transitions are settled first.
 func (lg *LinearGaussian) MarshalJSON() ([]byte, error) {
+	lg.settle()
 	return json.Marshal(linearGaussianJSON{
 		N:         lg.n,
 		A:         lg.a,
@@ -74,6 +76,8 @@ func (lg *LinearGaussian) UnmarshalJSON(data []byte) error {
 	lg.a = w.A
 	lg.aT = w.A.T()
 	lg.q = w.Q
+	lg.q0 = zeroImage(w.Q)
+	lg.owed, lg.zero = 0, w.StateCov.MaxAbs() == 0
 	lg.qChol = nil
 	lg.profile = w.Profile
 	lg.period = w.Period

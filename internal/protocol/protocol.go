@@ -259,6 +259,12 @@ func (k *Kernel) Choose(truth []float64, cand []int) (idx []int, vals []float64,
 	if first < 0 {
 		return k.idx, k.vals, nil
 	}
+	if len(cand) == 1 {
+		// The pick is the whole report on every path below; a singleton's
+		// search has nothing to ask the evaluator, or Σ.
+		k.insert(first)
+		return k.idx, k.vals, nil
+	}
 	if k.ic != nil && k.ic.CondReset() == nil {
 		if k.grow(cand, first, true) == nil {
 			return k.idx, k.vals, nil

@@ -184,20 +184,48 @@ func TestChooseAmongAllMatchesChoose(t *testing.T) {
 // data — the selection rule is identical and the evaluation paths agree to
 // ~1e-12, far below any realistic violation-ratio tie.
 func TestChooseIncrementalMatchesScratch(t *testing.T) {
-	const n = 6
+	nonEmpty, multi, _ := chooseBothWays(t, 6, 0.35)
+	if nonEmpty == 0 || multi == 0 {
+		t.Fatalf("%d reporting epochs, %d with several values — the search was never exercised; tighten eps", nonEmpty, multi)
+	}
+	// A singleton's only pick is its whole report: same answer both ways,
+	// and the evaluator (hence Σ) is never consulted.
+	nonEmpty, _, resets := chooseBothWays(t, 1, 0.05)
+	if nonEmpty == 0 || resets != 0 {
+		t.Fatalf("singleton: %d reporting epochs, %d evaluator resets, want some and none", nonEmpty, resets)
+	}
+}
+
+// countIC counts the searches that reach the model's evaluator.
+type countIC struct {
+	*model.LinearGaussian
+	resets int
+}
+
+func (c *countIC) CondReset() error {
+	c.resets++
+	return c.LinearGaussian.CondReset()
+}
+
+// chooseBothWays replays 60 garden epochs over the first n attributes,
+// choosing each report through the evaluator and from scratch, and fails on
+// the first difference. It returns how many epochs reported, how many
+// reported several values and how many searches reset the evaluator.
+func chooseBothWays(t *testing.T, n int, e float64) (nonEmpty, multi, resets int) {
+	t.Helper()
 	data := gardenCols(t, 160, n)
-	lg := gardenModel(t, data, 100)
-	eps := uniform(n, 0.35)
+	lg := &countIC{LinearGaussian: gardenModel(t, data, 100)}
+	eps := uniform(n, e)
 	fast, err := New(lg, nil, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The search is read-only, so the reference can run on the same model.
+	// The search leaves the belief as it was, so the reference can run on
+	// the same model.
 	slow, err := New(hideIC{lg}, nil, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nonEmpty, multi := 0, 0
 	for step := 100; step < 160; step++ {
 		fast.Predict()
 		fi, fv, err := fast.Choose(data[step], nil)
@@ -209,7 +237,7 @@ func TestChooseIncrementalMatchesScratch(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(fi, si) || !reflect.DeepEqual(fv, sv) {
-			t.Fatalf("step %d: incremental chose %v %v, scratch chose %v %v", step, fi, fv, si, sv)
+			t.Fatalf("n=%d step %d: incremental chose %v %v, scratch chose %v %v", n, step, fi, fv, si, sv)
 		}
 		if err := fast.Commit(fi, fv); err != nil {
 			t.Fatal(err)
@@ -221,9 +249,7 @@ func TestChooseIncrementalMatchesScratch(t *testing.T) {
 			multi++
 		}
 	}
-	if nonEmpty == 0 || multi == 0 {
-		t.Fatalf("%d reporting epochs, %d with several values — the search was never exercised; tighten eps", nonEmpty, multi)
-	}
+	return nonEmpty, multi, lg.resets
 }
 
 // A model mutated behind the kernel's back leaves the evaluator stale; the

@@ -160,6 +160,82 @@ func TestApplyRejectsBeforeMutating(t *testing.T) {
 	}
 }
 
+// beliefBits flattens every clique's belief, mean then Σ. Σ is read off a
+// clone, which settles its own copy of whatever covariance transitions the
+// replica's model still owes and leaves the replica's debt where it was.
+func beliefBits(t *testing.T, r *Replica) []uint64 {
+	t.Helper()
+	var out []uint64
+	for _, c := range r.cl {
+		lg := c.Model().Clone().(*model.LinearGaussian)
+		for _, v := range model.MeanOf(lg) {
+			out = append(out, math.Float64bits(v))
+		}
+		cov := lg.Cov()
+		for i := 0; i < cov.Rows(); i++ {
+			for _, v := range cov.Row(i) {
+				out = append(out, math.Float64bits(v))
+			}
+		}
+	}
+	return out
+}
+
+// TestApplyObservedRejectKeepsTheDebt: a replica's models owe their
+// covariance transitions until a partial report reads Σ. A frame refused
+// between two accepted ones — wrong step, a NaN inside a full-width report,
+// a duplicate attribute — must leave mean, Σ and that debt where they were:
+// after every accepted frame the replica is bitwise a twin that never saw
+// the refused ones, through suppressed runs, partial reports and heartbeats.
+func TestApplyObservedRejectKeepsTheDebt(t *testing.T) {
+	cfg, rows := labConfig(t, 2, 80)
+	cfg.HeartbeatEvery = 9
+	src, err := NewSource(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := NewReplica(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := NewReplica(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st ApplyStats
+	partial := 0
+	for step, row := range rows {
+		good, err := src.Collect(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, f := range map[string]wire.Frame{
+			"wrong step": {Step: good.Step + 1, Attrs: []int{0, 1}, Values: []float64{row[0], row[1]}},
+			"NaN":        {Step: good.Step, Attrs: []int{0, 1}, Values: []float64{row[0], math.NaN()}},
+			"duplicate":  {Step: good.Step, Attrs: []int{0, 1, 1}, Values: []float64{row[0], row[1], row[1]}},
+		} {
+			if err := rep.ApplyObserved(f, &st); err == nil {
+				t.Fatalf("step %d: %s frame applied", step, name)
+			}
+		}
+		if err := rep.ApplyObserved(good, &st); err != nil {
+			t.Fatalf("step %d: valid frame after rejects: %v", step, err)
+		}
+		if err := twin.Apply(good); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(beliefBits(t, rep), beliefBits(t, twin)) {
+			t.Fatalf("step %d: refused frames left the replica's beliefs unlike its twin's", step)
+		}
+		if n := len(good.Attrs); n > 0 && good.Special != wire.KindHeartbeat {
+			partial++
+		}
+	}
+	if partial == 0 {
+		t.Fatal("no ordinary report was applied — Σ was never read")
+	}
+}
+
 // TestApplyAcceptsWireOrder: the codec lists attributes in ascending global
 // order, Collect in clique-major order; with interleaved cliques the two
 // differ and both must apply, to the same answer.
