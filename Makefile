@@ -167,5 +167,8 @@ fuzz:
 	$(GO) test -fuzz FuzzReadCSVMatrix -fuzztime 30s ./internal/trace/
 	$(GO) test -fuzz 'FuzzLinearGaussianSchedule$$' -fuzztime 30s ./internal/model/
 
+# clean removes the test cache and exactly what .gitignore lists: root
+# binaries from a bare `go build ./cmd/<name>`, and the benchmark's outputs.
 clean:
 	$(GO) clean -testcache
+	rm -rf ken* benchmark/out .bench_build

@@ -10,13 +10,16 @@
 //	kentrace -dataset lab -attr humidity -steps 1000 > lab_hum.csv
 //	kentrace -dataset garden -summary
 //	kentrace -dataset lab -diagnose        # model-selection diagnostics
+//
+// -summary and -diagnose each replace the CSV and are rejected together;
+// -diagnose needs -steps of at least 48, two periods of its lag-24 statistics.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
+	"io"
 	"os"
 
 	"ken/internal/obs"
@@ -25,64 +28,96 @@ import (
 )
 
 func main() {
-	dataset := flag.String("dataset", "garden", "deployment: garden or lab")
-	attr := flag.String("attr", "temperature", "attribute: temperature, humidity or voltage")
-	steps := flag.Int("steps", 1000, "number of hourly steps to generate")
-	seed := flag.Int64("seed", 1, "generator seed")
-	summary := flag.Bool("summary", false, "print a summary instead of CSV")
-	diagnose := flag.Bool("diagnose", false, "print model-selection diagnostics instead of CSV")
-	var of obs.CmdFlags
-	of.Register(flag.CommandLine)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// diurnal is the period, in hourly steps, of the seasonal diagnostics;
+// SeasonalStrength needs two full periods.
+const diurnal = 24
+
+// options carries the parsed flags.
+type options struct {
+	dataset, attr     string
+	steps             int
+	seed              int64
+	summary, diagnose bool
+}
+
+// usageError marks a flag combination or value no run could satisfy: exit 2,
+// like a flag the parser rejects.
+type usageError struct{ error }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("kentrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var o options
+	fs.StringVar(&o.dataset, "dataset", "garden", "deployment: garden or lab")
+	fs.StringVar(&o.attr, "attr", "temperature", "attribute: temperature, humidity or voltage")
+	fs.IntVar(&o.steps, "steps", 1000, "number of hourly steps to generate")
+	fs.Int64Var(&o.seed, "seed", 1, "generator seed")
+	fs.BoolVar(&o.summary, "summary", false, "print a summary instead of CSV (not with -diagnose)")
+	fs.BoolVar(&o.diagnose, "diagnose", false, fmt.Sprintf("print model-selection diagnostics instead of CSV (needs -steps >= %d; not with -summary)", 2*diurnal))
+	var of obs.CmdFlags
+	of.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	// kentrace emits no protocol events of its own, but it carries the
 	// uniform observability flag block: -obs-addr serves generator metrics
 	// and -trace-out writes a valid (header-only) trace.
 	_, cleanup, err := of.Setup()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "kentrace: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "kentrace: %v\n", err)
+		return 2
 	}
-	defer cleanup()
+	err = o.run(stdout)
+	cleanup()
+	if err != nil {
+		fmt.Fprintf(stderr, "kentrace: %v\n", err)
+		if _, usage := err.(usageError); usage {
+			return 2
+		}
+		return 1
+	}
+	return 0
+}
 
-	tr, err := trace.GenerateNamed(*dataset, *seed, *steps)
+func (o options) run(stdout io.Writer) error {
+	if o.summary && o.diagnose {
+		return usageError{fmt.Errorf("-summary and -diagnose each replace the CSV; pass one")}
+	}
+	a, ok := attribute(o.attr)
+	if !ok {
+		return usageError{fmt.Errorf("-attr %s: unknown attribute (temperature, humidity or voltage)", o.attr)}
+	}
+	if o.diagnose && o.steps < 2*diurnal {
+		return fmt.Errorf("-steps %d: -diagnose needs at least %d steps (two %d-hour periods)", o.steps, 2*diurnal, diurnal)
+	}
+	tr, err := trace.GenerateNamed(o.dataset, o.seed, o.steps)
 	if errors.Is(err, trace.ErrUnknownDataset) {
-		slog.Error("bad -dataset", "err", err)
-		os.Exit(2)
+		return usageError{fmt.Errorf("-dataset %s: %w", o.dataset, err)}
 	}
 	if err != nil {
-		slog.Error("trace generation failed", "err", err)
-		os.Exit(1)
+		return fmt.Errorf("-steps %d: %w", o.steps, err)
 	}
+	switch {
+	case o.summary:
+		printSummary(stdout, tr)
+		return nil
+	case o.diagnose:
+		return printDiagnostics(stdout, tr, a)
+	}
+	return tr.WriteCSV(stdout, a)
+}
 
-	var a trace.Attribute
-	switch *attr {
-	case "temperature":
-		a = trace.Temperature
-	case "humidity":
-		a = trace.Humidity
-	case "voltage":
-		a = trace.Voltage
-	default:
-		slog.Error("unknown attribute", "attr", *attr)
-		os.Exit(2)
-	}
-
-	if *summary {
-		printSummary(tr)
-		return
-	}
-	if *diagnose {
-		if err := printDiagnostics(tr, a); err != nil {
-			slog.Error("diagnostics failed", "err", err)
-			os.Exit(1)
+// attribute resolves an -attr value.
+func attribute(name string) (trace.Attribute, bool) {
+	for _, a := range trace.Attributes {
+		if a.String() == name {
+			return a, true
 		}
-		return
 	}
-	if err := tr.WriteCSV(os.Stdout, a); err != nil {
-		slog.Error("CSV write failed", "err", err)
-		os.Exit(1)
-	}
+	return 0, false
 }
 
 // printDiagnostics reports the statistics Ken's model selection rests on:
@@ -90,13 +125,13 @@ func main() {
 // strength (favours diurnal profiles), one-step drift (predicts caching
 // performance) and the spatial correlation/distance relation (predicts the
 // payoff of larger cliques).
-func printDiagnostics(tr *trace.Trace, a trace.Attribute) error {
+func printDiagnostics(w io.Writer, tr *trace.Trace, a trace.Attribute) error {
 	rows, err := tr.Rows(a)
 	if err != nil {
 		return err
 	}
 	n := tr.Deployment.N()
-	fmt.Printf("diagnostics for %s/%v (%d nodes, %d steps)\n\n", tr.Deployment.Name, a, n, len(rows))
+	fmt.Fprintf(w, "diagnostics for %s/%v (%d nodes, %d steps)\n\n", tr.Deployment.Name, a, n, len(rows))
 
 	var ac1, seas, drift float64
 	for i := 0; i < n; i++ {
@@ -104,19 +139,25 @@ func printDiagnostics(tr *trace.Trace, a trace.Attribute) error {
 		if err != nil {
 			return err
 		}
-		if v, err := stats.Autocorrelation(col, 1); err == nil {
-			ac1 += v
+		// A statistic that cannot be computed fails the run: a dropped
+		// error would print as a made-up 0.000 in the mean.
+		a1, err := stats.Autocorrelation(col, 1)
+		if err != nil {
+			return fmt.Errorf("node %d: %w", i, err)
 		}
-		if v, err := stats.SeasonalStrength(col, 24); err == nil {
-			seas += v
+		ss, err := stats.SeasonalStrength(col, diurnal)
+		if err != nil {
+			return fmt.Errorf("node %d: %w", i, err)
 		}
-		if v, err := stats.MeanAbsDiff(col); err == nil {
-			drift += v
+		d, err := stats.MeanAbsDiff(col)
+		if err != nil {
+			return fmt.Errorf("node %d: %w", i, err)
 		}
+		ac1, seas, drift = ac1+a1, seas+ss, drift+d
 	}
-	fmt.Printf("mean lag-1 autocorrelation : %.3f (high ⇒ temporal models beat caching)\n", ac1/float64(n))
-	fmt.Printf("mean seasonal strength (24): %.3f (high ⇒ diurnal profile worth fitting)\n", seas/float64(n))
-	fmt.Printf("mean one-step |Δx|         : %.3f (caching reports ≈ min(1, this/ε))\n", drift/float64(n))
+	fmt.Fprintf(w, "mean lag-1 autocorrelation : %.3f (high ⇒ temporal models beat caching)\n", ac1/float64(n))
+	fmt.Fprintf(w, "mean seasonal strength (24): %.3f (high ⇒ diurnal profile worth fitting)\n", seas/float64(n))
+	fmt.Fprintf(w, "mean one-step |Δx|         : %.3f (caching reports ≈ min(1, this/ε))\n", drift/float64(n))
 
 	// Deseasonalise before correlating: the shared diurnal cycle would
 	// otherwise dominate and hide the distance-decaying component that
@@ -130,11 +171,11 @@ func printDiagnostics(tr *trace.Trace, a trace.Attribute) error {
 		if err != nil {
 			return err
 		}
-		var profile [24]float64
-		var count [24]int
+		var profile [diurnal]float64
+		var count [diurnal]int
 		for t, v := range col {
-			profile[t%24] += v
-			count[t%24]++
+			profile[t%diurnal] += v
+			count[t%diurnal]++
 		}
 		for h := range profile {
 			if count[h] > 0 {
@@ -142,7 +183,7 @@ func printDiagnostics(tr *trace.Trace, a trace.Attribute) error {
 			}
 		}
 		for t, v := range col {
-			res[t][i] = v - profile[t%24]
+			res[t][i] = v - profile[t%diurnal]
 		}
 	}
 	corr, err := stats.CorrelationMatrix(res)
@@ -167,18 +208,18 @@ func printDiagnostics(tr *trace.Trace, a trace.Attribute) error {
 			b.n++
 		}
 	}
-	fmt.Printf("\ndeseasonalised spatial correlation by distance (5 m buckets):\n")
+	fmt.Fprintf(w, "\ndeseasonalised spatial correlation by distance (5 m buckets):\n")
 	for d := 0; d < 20; d++ {
 		if b, ok := buckets[d]; ok {
-			fmt.Printf("  %2d-%2d m: %.3f  (%d pairs)\n", d*5, d*5+5, b.sum/float64(b.n), b.n)
+			fmt.Fprintf(w, "  %2d-%2d m: %.3f  (%d pairs)\n", d*5, d*5+5, b.sum/float64(b.n), b.n)
 		}
 	}
-	fmt.Printf("\nsteep decay ⇒ small local cliques suffice; flat ⇒ larger cliques keep paying\n")
+	fmt.Fprintf(w, "\nsteep decay ⇒ small local cliques suffice; flat ⇒ larger cliques keep paying\n")
 	return nil
 }
 
-func printSummary(tr *trace.Trace) {
-	fmt.Printf("deployment: %s (%d nodes), %d steps of %.0f minutes\n",
+func printSummary(w io.Writer, tr *trace.Trace) {
+	fmt.Fprintf(w, "deployment: %s (%d nodes), %d steps of %.0f minutes\n",
 		tr.Deployment.Name, tr.Deployment.N(), tr.Steps(), tr.StepMinutes)
 	for _, a := range trace.Attributes {
 		rows, err := tr.Rows(a)
@@ -198,7 +239,7 @@ func printSummary(tr *trace.Trace) {
 				count++
 			}
 		}
-		fmt.Printf("  %-12s min %8.3f  max %8.3f  mean %8.3f  (default ε %.2g)\n",
+		fmt.Fprintf(w, "  %-12s min %8.3f  max %8.3f  mean %8.3f  (default ε %.2g)\n",
 			a, min, max, sum/float64(count), a.DefaultEpsilon())
 	}
 }

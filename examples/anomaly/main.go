@@ -16,9 +16,9 @@ import (
 	"fmt"
 	"log"
 
+	"ken/examples/anomaly/events"
 	"ken/internal/cliques"
 	"ken/internal/core"
-	"ken/internal/events"
 	"ken/internal/mc"
 	"ken/internal/model"
 	"ken/internal/trace"

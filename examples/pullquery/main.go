@@ -15,8 +15,8 @@ import (
 	"fmt"
 	"log"
 
+	"ken/examples/pullquery/pull"
 	"ken/internal/model"
-	"ken/internal/pull"
 	"ken/internal/trace"
 )
 

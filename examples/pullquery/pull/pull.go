@@ -127,9 +127,6 @@ func (e *Engine) Step() { e.m.Step() }
 // increasing) was observed at vals[k].
 func (e *Engine) Condition(idx []int, vals []float64) error { return e.m.Condition(idx, vals) }
 
-// Model exposes the underlying replica (read-only use expected).
-func (e *Engine) Model() *model.LinearGaussian { return e.m }
-
 // confidence returns P(|X_i − μ_i| ≤ ε) under the marginal posterior.
 func confidence(variance, eps float64) float64 {
 	if variance <= 0 {

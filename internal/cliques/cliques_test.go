@@ -1,7 +1,7 @@
 package cliques
 
 import (
-	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -392,12 +392,15 @@ func TestPartitionJSONRoundTrip(t *testing.T) {
 		{Members: []int{0, 2}, Root: 1, M: 0.4, Intra: 2, Sink: 1.2},
 		{Members: []int{1}, Root: 1, M: 0.3, Intra: 0, Sink: 0.9},
 	}}
-	var buf bytes.Buffer
-	if err := SavePartition(&buf, p); err != nil {
+	buf, err := json.Marshal(p)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadPartition(&buf, 3)
-	if err != nil {
+	got := new(Partition)
+	if err := json.Unmarshal(buf, got); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Validate(3); err != nil {
 		t.Fatal(err)
 	}
 	if got.String() != p.String() {
@@ -408,18 +411,22 @@ func TestPartitionJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// A loaded partition is json.Unmarshal, which rejects what cannot be a
+// partition at all, then Validate against the attribute count.
 func TestLoadPartitionValidates(t *testing.T) {
-	if _, err := LoadPartition(strings.NewReader("junk"), 2); err == nil {
+	var p Partition
+	if err := json.Unmarshal([]byte("junk"), &p); err == nil {
 		t.Fatal("expected parse error")
 	}
 	// Valid JSON but wrong coverage.
-	in := `{"cliques":[{"members":[0],"root":0}]}`
-	if _, err := LoadPartition(strings.NewReader(in), 2); err == nil {
+	if err := json.Unmarshal([]byte(`{"cliques":[{"members":[0],"root":0}]}`), &p); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Validate(2); err == nil {
 		t.Fatal("expected coverage error")
 	}
 	// Empty clique.
-	in = `{"cliques":[{"members":[],"root":0}]}`
-	if _, err := LoadPartition(strings.NewReader(in), 0); err == nil {
+	if err := json.Unmarshal([]byte(`{"cliques":[{"members":[],"root":0}]}`), &p); err == nil {
 		t.Fatal("expected empty-clique error")
 	}
 }

@@ -3,7 +3,6 @@ package cliques
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 )
 
 // Partitions are planning artifacts computed once (model selection is the
@@ -50,22 +49,4 @@ func (p *Partition) UnmarshalJSON(data []byte) error {
 		})
 	}
 	return nil
-}
-
-// SavePartition writes the partition as JSON.
-func SavePartition(w io.Writer, p *Partition) error {
-	return json.NewEncoder(w).Encode(p)
-}
-
-// LoadPartition reads a partition written by SavePartition and validates
-// it against the expected attribute count.
-func LoadPartition(r io.Reader, n int) (*Partition, error) {
-	var p Partition
-	if err := json.NewDecoder(r).Decode(&p); err != nil {
-		return nil, fmt.Errorf("cliques: load: %w", err)
-	}
-	if err := p.Validate(n); err != nil {
-		return nil, err
-	}
-	return &p, nil
 }

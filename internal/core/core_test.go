@@ -9,6 +9,7 @@ import (
 
 	"ken/internal/cliques"
 	"ken/internal/model"
+	"ken/internal/model/modeltest"
 	"ken/internal/network"
 	"ken/internal/trace"
 )
@@ -614,6 +615,7 @@ func TestKenModelFactoryAdaptive(t *testing.T) {
 	// guarantee must survive.
 	train, test, eps := gardenData(t, 4, 100, 250)
 	s, err := NewKen(KenConfig{
+		Name:      "Ken-adaptive",
 		Partition: pairPartition(4),
 		Train:     train,
 		Eps:       eps,
@@ -639,6 +641,9 @@ func TestKenModelFactoryAdaptive(t *testing.T) {
 	if res.FractionReported() >= 1 {
 		t.Fatal("no savings")
 	}
+	if s.Name() != "Ken-adaptive" {
+		t.Fatalf("name = %q, want the configured one", s.Name())
+	}
 }
 
 func TestKenModelFactoryValidation(t *testing.T) {
@@ -649,42 +654,10 @@ func TestKenModelFactoryValidation(t *testing.T) {
 		Eps:       eps,
 		ModelFactory: func(cols [][]float64) (model.Model, error) {
 			// Wrong dimensionality: a 1-attribute model for a 2-clique.
-			return model.NewConstant([]float64{0}, []float64{1})
+			return modeltest.NewRandomWalk([]float64{0}, []float64{1}), nil
 		},
 	}); err == nil {
 		t.Fatal("expected error for wrong-dimension factory model")
-	}
-}
-
-func TestKenModelFactoryLinearIsJainEtAl(t *testing.T) {
-	// DjC1 with per-attribute Linear models is the single-node dual-model
-	// scheme of Jain et al. (§2) — plugged in through the factory, the
-	// guarantee still holds and savings remain substantial.
-	train, test, eps := gardenData(t, 4, 100, 250)
-	s, err := NewKen(KenConfig{
-		Name:      "Jain-dual",
-		Partition: singletonPartition(4),
-		Train:     train,
-		Eps:       eps,
-		ModelFactory: func(cols [][]float64) (model.Model, error) {
-			return model.FitLinear(cols)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(context.Background(), s, test, RunOptions{Eps: eps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BoundViolations != 0 {
-		t.Fatalf("linear-model Ken violated ε %d times", res.BoundViolations)
-	}
-	if fr := res.FractionReported(); fr >= 1 || fr <= 0.05 {
-		t.Fatalf("implausible savings %v", fr)
-	}
-	if s.Name() != "Jain-dual" {
-		t.Fatalf("name = %q", s.Name())
 	}
 }
 

@@ -105,52 +105,3 @@ func simulate(m model.Sampler, eps []float64, horizon int, rng *rand.Rand) (int,
 	}
 	return sent, nil
 }
-
-// ExpectedStepsToMiss estimates, for a single-attribute model, the expected
-// number of steps before the first prediction error — the quantity the
-// paper inverts to obtain the reduction factor of a size-1 clique. Runs
-// until the first miss or the horizon, whichever is sooner.
-func ExpectedStepsToMiss(m model.Sampler, eps float64, cfg Config) (float64, error) {
-	if m == nil {
-		return 0, ErrNoSampler
-	}
-	if m.Dim() != 1 {
-		return 0, fmt.Errorf("mc: ExpectedStepsToMiss needs a 1-attribute model, got %d", m.Dim())
-	}
-	if eps <= 0 {
-		return 0, fmt.Errorf("mc: non-positive epsilon %v", eps)
-	}
-	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	totalSteps := 0.0
-	mean := make([]float64, 1)
-	for run := 0; run < cfg.Trajectories; run++ {
-		belief, ok := m.Clone().(model.Sampler)
-		if !ok {
-			return 0, ErrNoSampler
-		}
-		truth, err := belief.SampleState(rng)
-		if err != nil {
-			return 0, err
-		}
-		steps := cfg.Horizon // censored at the horizon
-		for t := 1; t <= cfg.Horizon; t++ {
-			next, err := belief.SampleNext(truth, rng)
-			if err != nil {
-				return 0, err
-			}
-			belief.Step()
-			if err := belief.MeanInto(mean); err != nil {
-				return 0, err
-			}
-			if d := mean[0] - next[0]; d > eps || d < -eps {
-				steps = t
-				break
-			}
-			truth = next
-		}
-		totalSteps += float64(steps)
-	}
-	return totalSteps / float64(cfg.Trajectories), nil
-}

@@ -1,26 +1,21 @@
 package mc
 
 import (
-	"math"
 	"testing"
 
 	"ken/internal/model"
+	"ken/internal/model/modeltest"
 	"ken/internal/trace"
 )
 
-// noisyConstant returns a 1-attribute random-walk model with the given
-// per-step innovation SD.
-func noisyConstant(t *testing.T, sd float64) *model.Constant {
-	t.Helper()
-	c, err := model.NewConstant([]float64{0}, []float64{sd})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
+// noisyWalk returns a 1-attribute random-walk model with the given per-step
+// innovation SD.
+func noisyWalk(sd float64) *modeltest.RandomWalk {
+	return modeltest.NewRandomWalk([]float64{0}, []float64{sd})
 }
 
 func TestExpectedReportsValidation(t *testing.T) {
-	c := noisyConstant(t, 1)
+	c := noisyWalk(1)
 	if _, err := ExpectedReports(nil, []float64{1}, Config{}); err == nil {
 		t.Fatal("expected error for nil model")
 	}
@@ -33,7 +28,7 @@ func TestExpectedReportsValidation(t *testing.T) {
 }
 
 func TestExpectedReportsDeterministic(t *testing.T) {
-	c := noisyConstant(t, 1)
+	c := noisyWalk(1)
 	cfg := Config{Trajectories: 4, Horizon: 30, Seed: 7}
 	a, err := ExpectedReports(c, []float64{0.5}, cfg)
 	if err != nil {
@@ -50,7 +45,7 @@ func TestExpectedReportsDeterministic(t *testing.T) {
 
 func TestExpectedReportsMonotoneInEpsilon(t *testing.T) {
 	// A looser bound must never require more reports.
-	c := noisyConstant(t, 1)
+	c := noisyWalk(1)
 	cfg := Config{Trajectories: 16, Horizon: 60, Seed: 3}
 	tight, err := ExpectedReports(c, []float64{0.3}, cfg)
 	if err != nil {
@@ -70,7 +65,7 @@ func TestExpectedReportsMonotoneInEpsilon(t *testing.T) {
 
 func TestExpectedReportsTinyNoiseNearZero(t *testing.T) {
 	// Innovations far below ε: almost nothing should be reported.
-	c := noisyConstant(t, 0.01)
+	c := noisyWalk(0.01)
 	m, err := ExpectedReports(c, []float64{1}, Config{Trajectories: 8, Horizon: 50, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +77,7 @@ func TestExpectedReportsTinyNoiseNearZero(t *testing.T) {
 
 func TestExpectedReportsHugeNoiseNearOne(t *testing.T) {
 	// Innovations far above ε: nearly every step must report.
-	c := noisyConstant(t, 10)
+	c := noisyWalk(10)
 	m, err := ExpectedReports(c, []float64{0.1}, Config{Trajectories: 8, Horizon: 50, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -133,50 +128,5 @@ func TestCorrelatedCliqueBeatsIndependent(t *testing.T) {
 	}
 	if mJoint >= 2*mSingle {
 		t.Fatalf("joint model (%v) no better than 2 independents (2×%v)", mJoint, mSingle)
-	}
-}
-
-func TestExpectedStepsToMiss(t *testing.T) {
-	c := noisyConstant(t, 1)
-	cfg := Config{Trajectories: 32, Horizon: 100, Seed: 11}
-	steps, err := ExpectedStepsToMiss(c, 0.5, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A unit-SD random walk against ε = 0.5 misses almost immediately.
-	if steps < 1 || steps > 3 {
-		t.Fatalf("steps to miss = %v, want ~1-2", steps)
-	}
-	stepsLoose, err := ExpectedStepsToMiss(c, 5, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stepsLoose <= steps {
-		t.Fatalf("looser bound should survive longer: %v vs %v", stepsLoose, steps)
-	}
-	// Paper's identity: reduction factor ≈ 1/E[steps to miss].
-	m, err := ExpectedReports(c, []float64{0.5}, Config{Trajectories: 32, Horizon: 100, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inv := 1 / steps; math.Abs(m-inv) > 0.25 {
-		t.Fatalf("m=%v vs 1/E[steps]=%v disagree badly", m, inv)
-	}
-}
-
-func TestExpectedStepsToMissValidation(t *testing.T) {
-	if _, err := ExpectedStepsToMiss(nil, 1, Config{}); err == nil {
-		t.Fatal("expected error for nil model")
-	}
-	two, err := model.NewConstant([]float64{0, 0}, []float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ExpectedStepsToMiss(two, 1, Config{}); err == nil {
-		t.Fatal("expected error for multi-attribute model")
-	}
-	c := noisyConstant(t, 1)
-	if _, err := ExpectedStepsToMiss(c, 0, Config{}); err == nil {
-		t.Fatal("expected error for zero epsilon")
 	}
 }

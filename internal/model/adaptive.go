@@ -148,7 +148,7 @@ func (a *Adaptive) Clone() Model {
 	return cp
 }
 
-// Refits is a diagnostic: how many successful refits have run. Exposed via
-// history length bookkeeping would be ambiguous, so track per call site in
-// tests through behaviour instead; this counter serves logging.
+// Inner returns the wrapped model — the live one, not a copy — so a test can
+// read what a refit left in place (TestAdaptiveRefitKeepsPhase reads its
+// clock).
 func (a *Adaptive) Inner() *LinearGaussian { return a.inner }

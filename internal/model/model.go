@@ -2,15 +2,19 @@
 // Markovian models that are stepped forward by a transition, queried for
 // expected attribute values, and conditioned on observed subsets.
 //
-// Three families are provided, mirroring the paper's examples:
+// One family runs on every deployed path (stream, deploy, core): the
+// LinearGaussian of Example 3.3 and §5.1, a multivariate time-varying
+// Gaussian with a VAR(1) transition and a seasonal (diurnal) mean profile,
+// capturing both temporal and spatial correlations. The paper's simpler
+// examples are its special cases rather than families of their own:
 //
-//   - Constant (Example 3.1): X̂(t+1) = X̂(t), a random-walk model whose
-//     prediction is the last incorporated value.
-//   - Linear (Example 3.2): per-attribute AR(1), X̂(t+1) = α·X̂(t) + β,
-//     equivalent to the single-node dual models of Jain et al.
-//   - LinearGaussian (Example 3.3, §5.1): a multivariate time-varying
-//     Gaussian with a VAR(1) transition and a seasonal (diurnal) mean
-//     profile, capturing both temporal and spatial correlations.
+//   - Example 3.2 (per-attribute AR(1), the single-node dual models of
+//     Jain et al.) is FitLinearGaussian with FitConfig.DiagonalA.
+//   - Example 3.1 (X̂(t+1) = X̂(t), the last incorporated value) is the
+//     approximate-caching baseline, scheme "apc" in internal/core.
+//
+// Adaptive and Switching are §6 wrappers over a LinearGaussian, reached
+// only from kenbench's extensions table (Fig 15) and the root ablations.
 //
 // All models are deterministic replicas: two clones stepped and conditioned
 // identically produce identical predictions, which is the invariant that
@@ -140,15 +144,6 @@ func checkObs(idx []int, vals []float64, dim int) error {
 			return fmt.Errorf("%w: observation %d is %v", gauss.ErrNotFinite, i, v)
 		}
 	}
-	return nil
-}
-
-// copyMean is the MeanInto of families whose state is the mean itself.
-func copyMean(dst, mean []float64) error {
-	if len(dst) != len(mean) {
-		return fmt.Errorf("%w: MeanInto dst %d, model %d", ErrDim, len(dst), len(mean))
-	}
-	copy(dst, mean)
 	return nil
 }
 

@@ -10,192 +10,6 @@ import (
 	"ken/internal/trace"
 )
 
-func TestConstantBasics(t *testing.T) {
-	c, err := NewConstant([]float64{1, 2}, []float64{0.1, 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Dim() != 2 {
-		t.Fatalf("dim = %d", c.Dim())
-	}
-	c.Step()
-	if m := MeanOf(c); m[0] != 1 || m[1] != 2 {
-		t.Fatalf("constant model moved: %v", m)
-	}
-	if err := c.Condition([]int{1}, []float64{7}); err != nil {
-		t.Fatal(err)
-	}
-	if m := MeanOf(c); m[1] != 7 || m[0] != 1 {
-		t.Fatalf("condition wrong: %v", m)
-	}
-	mg, err := c.MeanGiven([]int{0}, []float64{9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mg[0] != 9 || mg[1] != 7 {
-		t.Fatalf("MeanGiven = %v", mg)
-	}
-	// MeanGiven must not mutate.
-	if m := MeanOf(c); m[0] != 1 {
-		t.Fatal("MeanGiven mutated the model")
-	}
-}
-
-func TestConstantValidation(t *testing.T) {
-	if _, err := NewConstant(nil, nil); err == nil {
-		t.Fatal("expected error for empty model")
-	}
-	if _, err := NewConstant([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("expected error for SD length mismatch")
-	}
-	c, _ := NewConstant([]float64{1}, []float64{1})
-	if err := c.Condition([]int{5}, []float64{1}); err == nil {
-		t.Fatal("expected error for out-of-range observation")
-	}
-	if err := c.Condition([]int{0}, []float64{math.NaN()}); !errors.Is(err, gauss.ErrNotFinite) {
-		t.Fatalf("NaN observation: err = %v, want gauss.ErrNotFinite", err)
-	}
-	two, _ := NewConstant([]float64{1, 2}, []float64{1, 1})
-	if err := two.Condition([]int{1, 0}, []float64{3, 4}); err == nil {
-		t.Fatal("expected error for unsorted observation indices")
-	}
-	if err := two.Condition([]int{1, 1}, []float64{3, 4}); err == nil {
-		t.Fatal("expected error for a duplicate observation index")
-	}
-	if err := two.Condition([]int{0, 1}, []float64{3}); err == nil {
-		t.Fatal("expected error for an index/value length mismatch")
-	}
-	if m := MeanOf(two); m[0] != 1 || m[1] != 2 {
-		t.Fatalf("rejected observations mutated the model: %v", m)
-	}
-}
-
-func TestFitConstant(t *testing.T) {
-	data := [][]float64{{0}, {1}, {2}, {3}}
-	c, err := FitConstant(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := MeanOf(c); m[0] != 3 {
-		t.Fatalf("initial = %v, want last row 3", m)
-	}
-	// Steps are exactly +1 each: zero innovation variance around the mean step.
-	if c.stepSD[0] != 0 {
-		t.Fatalf("stepSD = %v, want 0", c.stepSD[0])
-	}
-	if _, err := FitConstant([][]float64{{1}}); err == nil {
-		t.Fatal("expected error for too few rows")
-	}
-}
-
-func TestConstantClone(t *testing.T) {
-	c, _ := NewConstant([]float64{1}, []float64{0.5})
-	cl := c.Clone()
-	if err := cl.Condition([]int{0}, []float64{42}); err != nil {
-		t.Fatal(err)
-	}
-	if MeanOf(c)[0] != 1 {
-		t.Fatal("clone shares state")
-	}
-}
-
-func TestConstantSampler(t *testing.T) {
-	c, _ := NewConstant([]float64{5}, []float64{2})
-	rng := rand.New(rand.NewSource(1))
-	s, err := c.SampleState(rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s[0] != 5 {
-		t.Fatalf("SampleState = %v", s)
-	}
-	var sum, sumSq float64
-	const N = 5000
-	for i := 0; i < N; i++ {
-		nx, err := c.SampleNext([]float64{5}, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += nx[0]
-		sumSq += (nx[0] - 5) * (nx[0] - 5)
-	}
-	if m := sum / N; math.Abs(m-5) > 0.1 {
-		t.Fatalf("sample mean = %v", m)
-	}
-	if v := sumSq / N; math.Abs(v-4) > 0.3 {
-		t.Fatalf("sample var = %v, want ~4", v)
-	}
-	if _, err := c.SampleNext([]float64{1, 2}, rng); err == nil {
-		t.Fatal("expected dim error")
-	}
-}
-
-func TestFitLinearRecoversAR1(t *testing.T) {
-	// Generate AR(1): x(t+1) = 0.8 x(t) + 3 + noise.
-	rng := rand.New(rand.NewSource(2))
-	data := make([][]float64, 600)
-	x := 15.0
-	for i := range data {
-		data[i] = []float64{x}
-		x = 0.8*x + 3 + 0.2*rng.NormFloat64()
-	}
-	l, err := FitLinear(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(l.alpha[0]-0.8) > 0.05 {
-		t.Fatalf("alpha = %v, want ~0.8", l.alpha[0])
-	}
-	if math.Abs(l.beta[0]-3) > 0.8 {
-		t.Fatalf("beta = %v, want ~3", l.beta[0])
-	}
-	if math.Abs(l.resSD[0]-0.2) > 0.05 {
-		t.Fatalf("resSD = %v, want ~0.2", l.resSD[0])
-	}
-}
-
-func TestLinearStepAndCondition(t *testing.T) {
-	l, err := NewLinear([]float64{10}, []float64{0.5}, []float64{1}, []float64{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Step()
-	if m := MeanOf(l); m[0] != 6 {
-		t.Fatalf("step mean = %v, want 0.5*10+1 = 6", m)
-	}
-	if err := l.Condition([]int{0}, []float64{4}); err != nil {
-		t.Fatal(err)
-	}
-	l.Step()
-	if m := MeanOf(l); m[0] != 3 {
-		t.Fatalf("mean = %v, want 0.5*4+1 = 3", m)
-	}
-}
-
-func TestFitLinearDegenerateConstantSeries(t *testing.T) {
-	data := [][]float64{{5}, {5}, {5}, {5}}
-	l, err := FitLinear(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Step()
-	if m := MeanOf(l); m[0] != 5 {
-		t.Fatalf("constant series should stay at 5, got %v", m)
-	}
-}
-
-func TestLinearValidation(t *testing.T) {
-	if _, err := NewLinear(nil, nil, nil, nil); err == nil {
-		t.Fatal("expected error for empty model")
-	}
-	if _, err := NewLinear([]float64{1}, []float64{1, 2}, []float64{0}, []float64{0}); err == nil {
-		t.Fatal("expected error for length mismatch")
-	}
-	if _, err := FitLinear([][]float64{{1}, {2}}); err == nil {
-		t.Fatal("expected error for too few rows")
-	}
-}
-
 func garden2Cols(t *testing.T, steps int) [][]float64 {
 	t.Helper()
 	tr, err := trace.GenerateGarden(31, steps)
@@ -439,5 +253,29 @@ func TestDiagonalAFit(t *testing.T) {
 	// Diagonal entries should be a plausible AR coefficient.
 	if a := lg.a.At(0, 0); a < 0 || a > 1.2 {
 		t.Fatalf("AR coefficient = %v", a)
+	}
+
+	// Example 3.2 lives here: on x(t+1) = 0.8 x(t) + 3 + noise the diagonal
+	// fit with no seasonal profile recovers α as A, the fixed point
+	// β/(1−α) = 15 as the mean and the residual variance as Q.
+	rng := rand.New(rand.NewSource(2))
+	ar := make([][]float64, 600)
+	x := 15.0
+	for i := range ar {
+		ar[i] = []float64{x}
+		x = 0.8*x + 3 + 0.2*rng.NormFloat64()
+	}
+	lg, err = FitLinearGaussian(ar, FitConfig{Period: 1, DiagonalA: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := lg.a.At(0, 0); math.Abs(a-0.8) > 0.05 {
+		t.Fatalf("alpha = %v, want ~0.8", a)
+	}
+	if m := lg.profile[0][0]; math.Abs(m-15) > 0.3 {
+		t.Fatalf("fixed point = %v, want ~15", m)
+	}
+	if sd := math.Sqrt(lg.q.At(0, 0)); math.Abs(sd-0.2) > 0.05 {
+		t.Fatalf("residual SD = %v, want ~0.2", sd)
 	}
 }

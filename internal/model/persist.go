@@ -3,7 +3,6 @@ package model
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"ken/internal/gauss"
 	"ken/internal/mat"
@@ -88,23 +87,6 @@ func (lg *LinearGaussian) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// SaveLinearGaussian writes the model as JSON.
-func SaveLinearGaussian(w io.Writer, lg *LinearGaussian) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(lg)
-}
-
-// LoadLinearGaussian reads a model previously written by
-// SaveLinearGaussian.
-func LoadLinearGaussian(r io.Reader) (*LinearGaussian, error) {
-	var lg LinearGaussian
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&lg); err != nil {
-		return nil, fmt.Errorf("model: load: %w", err)
-	}
-	return &lg, nil
-}
-
 // switchingJSON is the stable wire form of a Switching model.
 type switchingJSON struct {
 	Base    *LinearGaussian `json:"base"`
@@ -159,18 +141,4 @@ func (s *Switching) UnmarshalJSON(data []byte) error {
 	s.probs = w.Probs
 	s.obsSD = w.ObsSD
 	return nil
-}
-
-// SaveSwitching writes the model as JSON.
-func SaveSwitching(w io.Writer, s *Switching) error {
-	return json.NewEncoder(w).Encode(s)
-}
-
-// LoadSwitching reads a model previously written by SaveSwitching.
-func LoadSwitching(r io.Reader) (*Switching, error) {
-	var s Switching
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("model: load: %w", err)
-	}
-	return &s, nil
 }

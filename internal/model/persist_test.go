@@ -1,8 +1,7 @@
 package model
 
 import (
-	"bytes"
-	"strings"
+	"encoding/json"
 	"testing"
 )
 
@@ -18,12 +17,12 @@ func TestLinearGaussianJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var buf bytes.Buffer
-	if err := SaveLinearGaussian(&buf, lg); err != nil {
+	buf, err := json.Marshal(lg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadLinearGaussian(&buf)
-	if err != nil {
+	loaded := new(LinearGaussian)
+	if err := json.Unmarshal(buf, loaded); err != nil {
 		t.Fatal(err)
 	}
 
@@ -61,7 +60,7 @@ func TestLoadLinearGaussianRejectsBadInput(t *testing.T) {
 		"bad state":      `{"n":1,"a":{"rows":[[1]]},"q":{"rows":[[1]]},"profile":[[1]],"period":1,"clock":0,"state_mean":[1,2],"state_cov":{"rows":[[1]]}}`,
 	}
 	for name, in := range cases {
-		if _, err := LoadLinearGaussian(strings.NewReader(in)); err == nil {
+		if err := json.Unmarshal([]byte(in), new(LinearGaussian)); err == nil {
 			t.Errorf("%s: expected load error", name)
 		}
 	}
@@ -73,12 +72,12 @@ func TestSwitchingJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := SaveSwitching(&buf, sw); err != nil {
+	buf, err := json.Marshal(sw)
+	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadSwitching(&buf)
-	if err != nil {
+	loaded := new(Switching)
+	if err := json.Unmarshal(buf, loaded); err != nil {
 		t.Fatal(err)
 	}
 	// Reloaded replica stays in lock-step with the original.
@@ -110,7 +109,7 @@ func TestLoadSwitchingRejectsBadInput(t *testing.T) {
 		"bad offsets":  `{"base":{"n":1,"a":{"rows":[[1]]},"q":{"rows":[[1]]},"profile":[[0]],"period":1,"clock":0,"state_mean":[0],"state_cov":{"rows":[[0]]}},"offsets":[[1,2],[3]],"trans":[[0.5,0.5],[0.5,0.5]],"probs":[0.5,0.5],"obs_sd":[1]}`,
 	}
 	for name, in := range cases {
-		if _, err := LoadSwitching(strings.NewReader(in)); err == nil {
+		if err := json.Unmarshal([]byte(in), new(Switching)); err == nil {
 			t.Errorf("%s: expected load error", name)
 		}
 	}

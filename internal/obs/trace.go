@@ -213,14 +213,6 @@ func (t *Tracer) WithScope(scope string) *Tracer {
 	return &Tracer{scope: scope, c: t.c}
 }
 
-// Scope returns the view's scope path ("" for the root view or nil).
-func (t *Tracer) Scope() string {
-	if t == nil {
-		return ""
-	}
-	return t.scope
-}
-
 // StampWallClock makes the tracer stamp every event with wall-clock
 // nanoseconds (Event.TS). Off by default: deterministic pipelines produce
 // byte-comparable traces, and the auditor derives epoch latency only when
@@ -345,16 +337,8 @@ func (t *Tracer) StartEpoch(e Event) *Span {
 // sanctioned guard for skipping payload construction on the dark path.
 func (s *Span) Active() bool { return s != nil && s.t != nil }
 
-// ID returns this span's own id (0 on nil).
-func (s *Span) ID() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
 // Child allocates a sub-span parented to this one: events emitted through
-// the child carry Parent = s.ID(). Nil-safe.
+// the child carry Parent = this span's id. Nil-safe.
 func (s *Span) Child() *Span {
 	if s == nil {
 		return nil

@@ -10,6 +10,7 @@ import (
 	"ken/internal/alloctest"
 	"ken/internal/gauss"
 	"ken/internal/model"
+	"ken/internal/model/modeltest"
 	"ken/internal/trace"
 )
 
@@ -42,11 +43,7 @@ func gardenModel(t *testing.T, data [][]float64, train int) *model.LinearGaussia
 
 func constantKernel(t *testing.T, initial, eps []float64) *Kernel {
 	t.Helper()
-	c, err := model.NewConstant(initial, make([]float64, len(initial)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, err := New(c, nil, eps)
+	k, err := New(modeltest.NewRandomWalk(initial, make([]float64, len(initial))), nil, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +304,7 @@ func TestCheckReadings(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	c, _ := model.NewConstant([]float64{0, 0}, []float64{0, 0})
+	c := modeltest.NewRandomWalk([]float64{0, 0}, []float64{0, 0})
 	cases := map[string]struct {
 		members []int
 		eps     []float64
@@ -385,7 +382,9 @@ func TestFitProjectsGathersAndScatters(t *testing.T) {
 	if _, err := Fit(data[:100], eps[:4], []int{1, 3}, fit); err == nil {
 		t.Fatal("training rows wider than the bound vector accepted")
 	}
-	wrongDim := func([][]float64) (model.Model, error) { return model.NewConstant([]float64{0}, []float64{0}) }
+	wrongDim := func([][]float64) (model.Model, error) {
+		return modeltest.NewRandomWalk([]float64{0}, []float64{0}), nil
+	}
 	if _, err := Fit(data[:100], eps, []int{1, 3}, wrongDim); err == nil {
 		t.Fatal("model of the wrong dimension accepted")
 	}

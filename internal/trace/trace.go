@@ -95,12 +95,6 @@ func (tr *Trace) Steps() int {
 	return 0
 }
 
-// HasAttribute reports whether the trace carries the attribute.
-func (tr *Trace) HasAttribute(a Attribute) bool {
-	_, ok := tr.Data[a]
-	return ok
-}
-
 // Rows returns the [t][node] matrix for an attribute.
 func (tr *Trace) Rows(a Attribute) ([][]float64, error) {
 	rows, ok := tr.Data[a]
