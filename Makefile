@@ -7,10 +7,12 @@ GO ?= go
 all: build test
 
 # check is the pre-commit gate: formatting, static analysis (vet + the
-# kenlint invariant analyzers) and the race detector in one go. The race
-# run IS the test suite (same tests, more checking), so a plain `go test`
-# pass would only repeat it without the detector.
-check: fmt-check vet lint race
+# kenlint invariant analyzers), the race detector and the allocation
+# budgets in one go. The race run IS the test suite (same tests, more
+# checking), so a plain `go test` pass would only repeat it without the
+# detector; the budgets skip themselves under -race, so alloc-check runs
+# them once more without it.
+check: fmt-check vet lint race alloc-check
 
 build:
 	$(GO) build ./...
@@ -20,8 +22,8 @@ vet:
 	$(GO) vet ./...
 
 # lint runs the custom go/analysis suite (cmd/kenlint): determinism,
-# seeding, wire-error, float-comparison, observability, hot-path
-# allocation and concurrency-discipline invariants.
+# seeding, wire-error, float-comparison, observability and
+# concurrency-discipline invariants.
 # See docs/LINT.md. Ordered after vet in check so the `go vet` build pass
 # has already warmed the build cache kenlint's `go run` compiles from —
 # the two analyses share one compilation of the tree.
@@ -38,10 +40,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# alloc-check pins the hot-path allocation budgets (TestAllocBudget* —
-# zero allocs per steady-state epoch; see docs/LINT.md). Run without
-# -race: the budget tests skip themselves under race instrumentation,
-# whose shadow allocations would drown the counts.
+# alloc-check is the one allocation gate: the TestAllocBudget* tests hold
+# every steady-state branch of the per-epoch path to its committed count
+# (zero almost everywhere; see docs/LINT.md). Run without -race: the
+# budget tests skip themselves under race instrumentation, whose shadow
+# allocations would drown the counts.
 alloc-check:
 	$(GO) test -run TestAllocBudget ./...
 

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	kenlint [-tests] [-list] [packages]
+//	kenlint [-list] [packages]
 //
 // Package patterns are module-relative ("./...", "./cmd/...", "internal/
 // engine"); the default is the whole module.
@@ -23,10 +23,9 @@ import (
 )
 
 func main() {
-	tests := flag.Bool("tests", false, "also analyze in-package _test.go files")
 	list := flag.Bool("list", false, "print the analyzer catalogue and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: kenlint [-tests] [-list] [packages]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: kenlint [-list] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -51,7 +50,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	loader.Tests = *tests
 	pkgs, err := loader.Load(patterns...)
 	if err != nil {
 		fatal(err)

@@ -81,7 +81,6 @@ func Faults(ctx context.Context, eng *engine.Engine, cfg Config) (*Table, error)
 		if err != nil {
 			return nil, err
 		}
-		//lint:ignore obshandle resolved once per cell at construction
 		net.Instrument(cfg.Obs.Scoped(engine.Scope(ctx)).Scoped(label))
 		prog, err := simnet.NewDistributedKenConfig(net, part, exp.Train, exp.Eps, model.FitConfig{Period: 24},
 			simnet.KenNetConfig{HeartbeatEvery: c.v.hb})

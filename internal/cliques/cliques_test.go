@@ -523,7 +523,7 @@ func TestExhaustiveMatchesBruteForce(t *testing.T) {
 }
 
 // TestReplanAfterTopologyChange exercises the §6 dynamic-topology loop:
-// when a link degrades, recomputing path costs and re-running Greedy-k
+// when a link degrades, rebuilding the topology and re-running Greedy-k
 // yields a partition at least as cheap as keeping the stale one under the
 // new costs.
 func TestReplanAfterTopologyChange(t *testing.T) {
@@ -544,7 +544,9 @@ func TestReplanAfterTopologyChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The 3→base link degrades badly.
-	degraded, err := top.UpdateLink(3, 4, 20)
+	degradedLinks := append([]network.Link(nil), links...)
+	degradedLinks[3].Cost = 20
+	degraded, err := network.New(4, degradedLinks)
 	if err != nil {
 		t.Fatal(err)
 	}

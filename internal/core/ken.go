@@ -186,8 +186,6 @@ func (k *Ken) BeginEpoch(sp *obs.Span) { k.span = sp }
 // they hand back or trace: StepStats.Reported on reporting epochs and the
 // events of a traced run (TestAllocBudgetKenReplay pins suppressed epochs
 // at zero).
-//
-//ken:hotpath the per-epoch replay loop
 func (k *Ken) Step(truth []float64) ([]float64, StepStats, error) {
 	if err := k.loop.Check(truth); err != nil {
 		return nil, StepStats{}, err
@@ -213,7 +211,6 @@ func (k *Ken) Step(truth []float64) ([]float64, StepStats, error) {
 	}
 	st.Bytes = obs.WireBytesPerValue * st.ValuesReported
 	if st.ValuesReported > 0 {
-		//lint:ignore hotalloc the reported-attribute list is handed to the caller, who may keep it; suppressed epochs never reach this
 		st.Reported = append([]int(nil), k.loop.Reported...)
 	}
 	k.mValues.Add(int64(st.ValuesReported))

@@ -97,8 +97,6 @@ func (l *LossyKen) Collect(int, []float64) []int { return nil }
 // reproduces the same loss pattern run after run, and none is flipped on a
 // lossless channel or a heartbeat. The lost list feeds the trace's drop event
 // and is only built for one.
-//
-//ken:hotpath filters into the channel's delivery buffers
 func (l *LossyKen) Carry(ci int, idx []int, vals []float64, _ *obs.Span) ([]int, []float64, []int) {
 	if l.rate == 0 || l.heartbeat {
 		return idx, vals, nil
@@ -110,7 +108,6 @@ func (l *LossyKen) Carry(ci int, idx []int, vals []float64, _ *obs.Span) ([]int,
 			l.LostMessages++
 			l.mLostReports.Inc()
 			if l.loop.Tracer != nil {
-				//lint:ignore hotalloc traced epochs hand the lost attributes to the drop event; the untraced path never reaches this
 				lost = append(lost, l.loop.Src[ci].Members()[i])
 			}
 			continue

@@ -215,8 +215,6 @@ func firstError(errs []error) error {
 // bytes — no hash.Hash or []byte conversion allocations — with the same
 // constants and NUL label separator as the hash/fnv implementation it
 // replaces, so historical seeds are unchanged (pinned by the golden test).
-//
-//ken:hotpath inline FNV-64a over label bytes; allocates nothing
 func CellSeed(base int64, labels ...string) int64 {
 	const (
 		offset64 = 14695981039346656037

@@ -77,6 +77,45 @@ func TestAllocBudgetGauss(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	// Nothing observed: ObserveExact is a no-op, the evaluator answers the
+	// prior mean.
+	budget("ObserveExact (nothing observed)", 0, func() {
+		if err := g.ObserveExact(nil, nil, ws); err != nil {
+			t.Fatal(err)
+		}
+	})
+	budget("CondReset+CondMeanInto (nothing observed)", 0, func() {
+		if err := g.CondReset(ws); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.CondMeanInto(dst, ws); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Observing an attribute again before the next predict meets its zero
+	// variance: the rank-1 pivot declines and the batch path, jitter ladder
+	// and all, conditions instead — alone and as part of a pair.
+	budget("Predict+ObserveExact1 twice (rank-1 declines, batch fallback)", 0, func() {
+		if err := g.Predict(a, aT, q, ws); err != nil {
+			t.Fatal(err)
+		}
+		for range 2 {
+			if err := g.ObserveExact(idx[:1], vals[:1], ws); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	budget("Predict+ObserveExact1+ObserveExact (rank-1 declines, batch fallback)", 0, func() {
+		if err := g.Predict(a, aT, q, ws); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.ObserveExact(idx[:1], vals[:1], ws); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.ObserveExact(idx, vals, ws); err != nil {
+			t.Fatal(err)
+		}
+	})
 	// The incremental conditioning evaluator: reset, grow the cached
 	// factor by two indices, answer twice — the shape of one greedy round.
 	budget("CondReset+CondAdd+CondMeanInto", 0, func() {

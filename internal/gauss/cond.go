@@ -30,8 +30,6 @@ var errCondStale = errors.New("gauss: conditioning evaluator stale; CondReset re
 
 // CondReset seeds the workspace's incremental-conditioning evaluator for g
 // with an empty observed set, binding the cache to g's current generation.
-//
-//ken:hotpath resets the evaluator within preallocated capacity
 func (g *Gaussian) CondReset(ws *Workspace) error {
 	if ws.n != len(g.mean) {
 		return fmt.Errorf("gauss: workspace dim %d, distribution dim %d", ws.n, len(g.mean))
@@ -50,8 +48,6 @@ func (g *Gaussian) CondReset(ws *Workspace) error {
 // or duplicate index, non-finite value, stale cache, or a non-positive new
 // pivot — the evaluator has no jitter ladder) the evaluator is unchanged
 // and the caller should fall back to the from-scratch Condition path.
-//
-//ken:hotpath grows the cached observed-block factor in place
 func (g *Gaussian) CondAdd(i int, v float64, ws *Workspace) error {
 	if ws.evalG != g || ws.evalGen != ws.gen {
 		return errCondStale
@@ -92,8 +88,6 @@ func (g *Gaussian) CondAdd(i int, v float64, ws *Workspace) error {
 // hypothesised values, the rest their conditional expectations — the same
 // answer as ConditionalMean on the equivalent map, to numerical tolerance,
 // with no allocation and no refactorization. The Gaussian is not mutated.
-//
-//ken:hotpath answers from the cached factor into the caller's buffer
 func (g *Gaussian) CondMeanInto(dst []float64, ws *Workspace) error {
 	if ws.evalG != g || ws.evalGen != ws.gen {
 		return errCondStale

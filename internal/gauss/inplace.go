@@ -78,8 +78,6 @@ func NewWorkspace(n int) *Workspace {
 func (ws *Workspace) Generation() uint64 { return ws.gen }
 
 // MeanInto copies the mean vector into dst without allocating.
-//
-//ken:hotpath copies into the caller's buffer
 func (g *Gaussian) MeanInto(dst []float64) error {
 	if len(dst) != len(g.mean) {
 		return fmt.Errorf("gauss: MeanInto dst len %d, want %d", len(dst), len(g.mean))
@@ -93,8 +91,6 @@ func (g *Gaussian) MeanInto(dst []float64) error {
 // the hot path does not allocate it). The covariance goes first: with Q
 // n×n it accepts only an n×n A, on which the mean half cannot fail, so an
 // error leaves the belief as it was.
-//
-//ken:hotpath the predict step runs against the workspace
 func (g *Gaussian) Predict(a, aT, q *mat.Dense, ws *Workspace) error {
 	if err := g.PredictCov(a, aT, q, ws); err != nil {
 		return err
@@ -106,8 +102,6 @@ func (g *Gaussian) Predict(a, aT, q *mat.Dense, ws *Workspace) error {
 // advances the generation: no transition can skip it, while a caller whose
 // readers want only the mean may owe the covariance half until something is
 // about to read Σ (model.LinearGaussian does).
-//
-//ken:hotpath the mean half of the predict step
 func (g *Gaussian) PredictMean(a *mat.Dense, ws *Workspace) error {
 	if err := a.MulVecInto(ws.mu, g.mean); err != nil { // holds a, μ and the workspace to one n
 		return err
@@ -123,8 +117,6 @@ func (g *Gaussian) PredictMean(a *mat.Dense, ws *Workspace) error {
 // A nil a is the caller's word that Σ is all zeros and that q is already
 // Symmetrize(0 + Q): both products would be all +0 (MulInto accumulates
 // from +0), so Σ becomes a copy of q — the same bits without the multiplies.
-//
-//ken:hotpath the covariance half of the predict step
 func (g *Gaussian) PredictCov(a, aT, q *mat.Dense, ws *Workspace) error {
 	n := len(g.mean)
 	if ws.n != n || q.Rows() != n || q.Cols() != n {
@@ -168,8 +160,6 @@ func (g *Gaussian) PredictCov(a, aT, q *mat.Dense, ws *Workspace) error {
 // (state, idx, vals), never of cache warmth. A non-positive pivot falls
 // back to the batch path, whose jitter ladder absorbs PSD blocks; a
 // non-PD observed block leaves the distribution unmodified, as before.
-//
-//ken:hotpath conditioning runs against the workspace
 func (g *Gaussian) ObserveExact(idx []int, vals []float64, ws *Workspace) error {
 	n := len(g.mean)
 	if ws.n != n {
@@ -231,8 +221,6 @@ func (g *Gaussian) ObserveExact(idx []int, vals []float64, ws *Workspace) error 
 // pass. Returns false, with nothing mutated, when the pivot d is not
 // strictly positive and finite (deferring to the batch path's jitter
 // ladder). scratch must have length ≥ cov's order.
-//
-//ken:hotpath the single-observation conditioning kernel
 func rank1Condition(cov *mat.Dense, mu []float64, i int, v float64, scratch []float64) bool {
 	n := len(mu)
 	d := cov.At(i, i)

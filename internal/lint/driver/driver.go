@@ -35,13 +35,6 @@ type Analyzer struct {
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
-	// Program indexes every package of the current Run by full import
-	// path, so analyzers that need to look across package boundaries
-	// (hotalloc's direct-callee inspection) can find a function's
-	// defining file. Packages outside the Run (stdlib, unanalyzed
-	// module subtrees) are absent — analyzers must treat a miss as
-	// "body not available".
-	Program map[string]*Package
 
 	diags []Diagnostic
 }
@@ -71,10 +64,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // an inline "//lint:ignore" directive are dropped here, after the
 // analyzers ran.
 func Run(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
-	program := make(map[string]*Package, len(pkgs))
-	for _, pkg := range pkgs {
-		program[pkg.Path] = pkg
-	}
 	var out []Diagnostic
 	for _, pkg := range pkgs {
 		ignores := ignoreIndex(pkg)
@@ -82,7 +71,7 @@ func Run(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
 			if a.Scope != nil && !a.Scope(pkg.ScopePath) {
 				continue
 			}
-			pass := &Pass{Analyzer: a, Pkg: pkg, Program: program}
+			pass := &Pass{Analyzer: a, Pkg: pkg}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s on %s: %w", a.Name, pkg.Path, err)
 			}

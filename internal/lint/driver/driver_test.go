@@ -48,30 +48,11 @@ func TestLoaderTypeChecksAcrossPackages(t *testing.T) {
 	if pkgs[0].ScopePath != "a" {
 		t.Fatalf("scope path = %q, want %q", pkgs[0].ScopePath, "a")
 	}
-	// Test files are excluded by default.
+	// Test files are never loaded.
 	for _, f := range pkgs[1].Files {
 		if pos := pkgs[1].Fset.Position(f.Pos()); filepath.Base(pos.Filename) == "b_test.go" {
-			t.Fatalf("test file loaded without Tests=true")
+			t.Fatalf("test file loaded")
 		}
-	}
-}
-
-func TestLoaderIncludesTestFilesWhenAsked(t *testing.T) {
-	root := writeModule(t, map[string]string{
-		"p/p.go":      "package p\n\nfunc P() {}\n",
-		"p/p_test.go": "package p\n\nfunc helper() { P() }\n",
-	})
-	l, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Tests = true
-	pkg, err := l.LoadDir(filepath.Join(root, "p"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkg.Files) != 2 {
-		t.Fatalf("loaded %d files, want 2", len(pkg.Files))
 	}
 }
 

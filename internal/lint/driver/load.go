@@ -37,10 +37,6 @@ type Package struct {
 // whole thing needs nothing beyond the Go toolchain's own GOROOT — no
 // export data, no network, no golang.org/x/tools.
 type Loader struct {
-	// Tests includes in-package _test.go files of the target packages
-	// (external foo_test packages are not loaded).
-	Tests bool
-
 	fset       *token.FileSet
 	moduleRoot string
 	modulePath string
@@ -183,9 +179,9 @@ func hasGoFiles(dir string) bool {
 	return false
 }
 
-// loadDir parses and type-checks the package in dir (memoized). A dir whose
-// eligible file list is empty (for example a directory holding only
-// external test files) returns (nil, nil).
+// loadDir parses and type-checks the package in dir (memoized), leaving its
+// _test.go files out. A dir whose eligible file list is empty (for example
+// a directory holding only test files) returns (nil, nil).
 func (l *Loader) loadDir(dir string) (*Package, error) {
 	if pkg, ok := l.pkgs[dir]; ok {
 		return pkg, nil
@@ -203,10 +199,8 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 	var names []string
 	for _, e := range ents {
 		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") {
-			continue
-		}
-		if strings.HasSuffix(n, "_test.go") && !l.Tests {
+		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") ||
+			strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") {
 			continue
 		}
 		names = append(names, n)
@@ -221,11 +215,6 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 			return nil, err
 		}
 		name := f.Name.Name
-		// External test packages (package foo_test) type-check against an
-		// already-checked foo; they are out of scope for this driver.
-		if strings.HasSuffix(name, "_test") && strings.HasSuffix(n, "_test.go") {
-			continue
-		}
 		// Files excluded by a //go:build constraint (e.g. the race-tagged
 		// half of a constant pair) would redeclare symbols if both halves
 		// type-checked together; keep only the default-context half.
@@ -332,14 +321,7 @@ func (li *loaderImporter) Import(path string) (*types.Package, error) {
 	l := (*Loader)(li)
 	if path == l.modulePath || strings.HasPrefix(path, l.modulePath+"/") {
 		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.modulePath), "/")
-		// Dependencies reached through an import are loaded without their
-		// _test.go files — test files are not part of a package's
-		// importable API. Memoization is by directory, first load wins.
-		dir := filepath.Join(l.moduleRoot, filepath.FromSlash(rel))
-		saved := l.Tests
-		l.Tests = false
-		pkg, err := l.loadDir(dir)
-		l.Tests = saved
+		pkg, err := l.loadDir(filepath.Join(l.moduleRoot, filepath.FromSlash(rel)))
 		if err != nil {
 			return nil, err
 		}

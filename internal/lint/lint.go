@@ -4,7 +4,7 @@
 // into mechanically enforced rules. The analyzers run on the stdlib-only
 // go/analysis work-alike in internal/lint/driver; cmd/kenlint is the
 // multichecker binary and "make lint" the gate. docs/LINT.md catalogues
-// every analyzer, the invariant behind it, and the
+// every analyzer, the invariant behind it, what it catches, and the
 // "//lint:ignore <analyzer> <reason>" escape hatch.
 package lint
 
@@ -25,7 +25,6 @@ func Analyzers() []*driver.Analyzer {
 		FloatEq,
 		ObsHandle,
 		TraceSink,
-		HotAlloc,
 		GoLeak,
 		LockSafe,
 	}

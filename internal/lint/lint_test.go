@@ -2,7 +2,6 @@ package lint_test
 
 import (
 	"path/filepath"
-	"regexp"
 	"testing"
 
 	"ken/internal/lint"
@@ -46,44 +45,6 @@ func TestTraceSink(t *testing.T) {
 	driver.AnalysisTest(t, lint.TraceSink, fixture("tracesinkuser"))
 }
 
-func TestHotAlloc(t *testing.T) {
-	driver.AnalysisTest(t, lint.HotAlloc, fixture("hotpath"))
-}
-
-// TestHotAllocCrossPackage drives the transitive-callee rule across a
-// package boundary: the annotated caller and the allocating callee live in
-// different packages, resolved through the driver's Program index.
-// AnalysisTest loads a single package, so this test assembles the
-// two-package run by hand.
-func TestHotAllocCrossPackage(t *testing.T) {
-	l, err := driver.NewLoader(fixture("hotpathx"))
-	if err != nil {
-		t.Fatalf("loader: %v", err)
-	}
-	main, err := l.LoadDir(fixture("hotpathx"))
-	if err != nil {
-		t.Fatalf("loading caller fixture: %v", err)
-	}
-	dep, err := l.LoadDir(fixture("hotpathx", "dep"))
-	if err != nil {
-		t.Fatalf("loading callee fixture: %v", err)
-	}
-	diags, err := driver.Run([]*driver.Analyzer{lint.HotAlloc}, []*driver.Package{main, dep})
-	if err != nil {
-		t.Fatalf("running hotalloc: %v", err)
-	}
-	if len(diags) != 1 {
-		t.Fatalf("got %d diagnostics, want exactly 1: %v", len(diags), diags)
-	}
-	want := regexp.MustCompile(`hot path calls Scale, which allocates \(make at dep\.go:\d+\)`)
-	if !want.MatchString(diags[0].Message) {
-		t.Errorf("diagnostic %q does not match %q", diags[0].Message, want)
-	}
-	if base := filepath.Base(diags[0].Pos.Filename); base != "hotpathx.go" {
-		t.Errorf("diagnostic reported in %s, want the caller's file hotpathx.go", base)
-	}
-}
-
 func TestGoLeak(t *testing.T) {
 	driver.AnalysisTest(t, lint.GoLeak, fixture("internal", "sinkd"))
 }
@@ -110,7 +71,7 @@ func TestSuiteShape(t *testing.T) {
 		seen[a.Name] = true
 	}
 	for _, want := range []string{"nondeterminism", "maprange", "errwire", "floateq", "obshandle", "tracesink",
-		"hotalloc", "goleak", "locksafe"} {
+		"goleak", "locksafe"} {
 		if !seen[want] {
 			t.Errorf("suite is missing analyzer %q", want)
 		}
@@ -156,9 +117,6 @@ func TestScopes(t *testing.T) {
 	}
 	if lint.ErrWire.Scope != nil {
 		t.Errorf("errwire should run everywhere (nil scope)")
-	}
-	if lint.HotAlloc.Scope != nil {
-		t.Errorf("hotalloc should run everywhere (nil scope): the //ken:hotpath annotation gates it")
 	}
 	if lint.LockSafe.Scope != nil {
 		t.Errorf("locksafe should run everywhere (nil scope)")

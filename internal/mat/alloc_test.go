@@ -77,9 +77,10 @@ func TestAllocBudgetMat(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	// uv[0] is zero, so the sweeps skip a column as well as rotate.
 	uv := make([]float64, n)
 	for i := range uv {
-		uv[i] = 0.01 * float64(i+1)
+		uv[i] = 0.01 * float64(i)
 	}
 	budget("Cholesky.Update+Downdate", 0, func() {
 		if err := ch.Update(uv); err != nil {
@@ -101,6 +102,22 @@ func TestAllocBudgetMat(t *testing.T) {
 			if err := ch.Extend(cm, a.At(m, m)); err != nil {
 				t.Fatal(err)
 			}
+		}
+	})
+	// A singular matrix fails the plain factorisation and takes the jitter
+	// retry; the zero matrix also scales that jitter by one.
+	ones, zero := NewDense(n, n), NewDense(n, n)
+	for i := range ones.data {
+		ones.data[i] = 1
+	}
+	budget("Cholesky.Factorize (singular, jitter retry)", 0, func() {
+		if err := ch.Factorize(ones); err != nil {
+			t.Fatal(err)
+		}
+	})
+	budget("Cholesky.Factorize (zero, unit-scale jitter)", 0, func() {
+		if err := ch.Factorize(zero); err != nil {
+			t.Fatal(err)
 		}
 	})
 	// Leave the workspace holding a factor of a for any later budgets.

@@ -58,8 +58,6 @@ var errFactorInvalid = fmt.Errorf("%w: factorization invalid (failed or not yet 
 // A failed factorisation leaves the workspace invalid: the factor buffer
 // holds partial writes from the last jitter rung, so every solve returns
 // ErrSingular until the next successful Factorize.
-//
-//ken:hotpath refactorises into the preallocated factor
 func (c *Cholesky) Factorize(a *Dense) error {
 	if a.rows != a.cols {
 		return fmt.Errorf("%w: cholesky of %dx%d", ErrDimension, a.rows, a.cols)
@@ -90,8 +88,6 @@ func (c *Cholesky) Factorize(a *Dense) error {
 
 // Reset makes c the (trivially valid) factor of the empty 0×0 matrix, the
 // seed state for incremental factor construction via Extend.
-//
-//ken:hotpath resets within preallocated capacity
 func (c *Cholesky) Reset() {
 	c.n = 0
 	c.l.reshape(0, 0)
@@ -154,8 +150,6 @@ func (c *Cholesky) SolveVec(b []float64) ([]float64, error) {
 }
 
 // SolveVecInPlace solves A·x = b, overwriting b with x.
-//
-//ken:hotpath solves in place against the caller's buffer
 func (c *Cholesky) SolveVecInPlace(b []float64) error {
 	if !c.valid {
 		return errFactorInvalid

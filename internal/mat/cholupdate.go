@@ -40,8 +40,6 @@ func checkFiniteVec(v []float64) bool {
 // positive-definite A stays positive definite under a rank-1 addition, so
 // with a valid factor and finite v the update cannot fail; a non-finite v
 // is rejected up front with the factor untouched.
-//
-//ken:hotpath rank-1 update in place on the workspace factor
 func (c *Cholesky) Update(v []float64) error {
 	if !c.valid {
 		return errFactorInvalid
@@ -84,8 +82,6 @@ func (c *Cholesky) Update(v []float64) error {
 // pre-check passes but a pivot still collapses in floating point, the
 // factor is invalidated (solves error until the next Factorize), never left
 // silently unusable. v is read, not modified.
-//
-//ken:hotpath rank-1 downdate in place on the workspace factor
 func (c *Cholesky) Downdate(v []float64) error {
 	if !c.valid {
 		return errFactorInvalid
@@ -143,8 +139,6 @@ func (c *Cholesky) Downdate(v []float64) error {
 // the whole block. A non-positive (or non-finite) new pivot returns
 // ErrSingular with the previous factor intact. Seed an empty factor with
 // Reset; the workspace's construction order caps the growth.
-//
-//ken:hotpath grows the cached factor by one index in place
 func (c *Cholesky) Extend(col []float64, diag float64) error {
 	if !c.valid {
 		return errFactorInvalid

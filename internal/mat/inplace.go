@@ -11,8 +11,6 @@ import "fmt"
 // touching element values; callers overwrite every element. It panics when
 // the backing array is too small — workspaces are sized once at
 // construction, so an undersized reuse is a programming error.
-//
-//ken:hotpath resizes within preallocated capacity; allocates nothing
 func (m *Dense) reshape(rows, cols int) {
 	if rows < 0 || cols < 0 || rows*cols > cap(m.data) {
 		panic(fmt.Sprintf("mat: reshape %dx%d exceeds capacity %d", rows, cols, cap(m.data)))
@@ -24,8 +22,6 @@ func (m *Dense) reshape(rows, cols int) {
 // ReuseAs reshapes m to rows×cols within its existing capacity and zeroes
 // the active region. It panics when the backing array is too small (see
 // reshape).
-//
-//ken:hotpath reshapes and zeroes within preallocated capacity
 func (m *Dense) ReuseAs(rows, cols int) {
 	m.reshape(rows, cols)
 	clear(m.data)
@@ -34,8 +30,6 @@ func (m *Dense) ReuseAs(rows, cols int) {
 // MulInto computes a·b into dst, reshaping dst within its capacity. dst
 // must not alias either operand. Exact-zero entries of a are skipped: the
 // terms they would add are signed zeros.
-//
-//ken:hotpath multiplies into the preallocated destination
 func (dst *Dense) MulInto(a, b *Dense) error {
 	if a.cols != b.rows {
 		return fmt.Errorf("%w: mul %dx%d by %dx%d", ErrDimension, a.rows, a.cols, b.rows, b.cols)
@@ -62,8 +56,6 @@ func (dst *Dense) MulInto(a, b *Dense) error {
 
 // CopyFrom copies src into dst element-for-element, reshaping dst within
 // its capacity. The non-allocating counterpart of Clone.
-//
-//ken:hotpath copies into the preallocated destination
 func (dst *Dense) CopyFrom(src *Dense) {
 	dst.reshape(src.rows, src.cols)
 	copy(dst.data, src.data)
@@ -72,8 +64,6 @@ func (dst *Dense) CopyFrom(src *Dense) {
 // RowView returns row i as a mutable view into m's backing storage — the
 // zero-copy counterpart of Row for kernels that stream whole rows. Writes
 // through the view mutate m; the view is invalidated by reshape/ReuseAs.
-//
-//ken:hotpath returns a view, no copy
 func (m *Dense) RowView(i int) []float64 {
 	if i < 0 || i >= m.rows {
 		panic(fmt.Sprintf("mat: row %d out of range %dx%d", i, m.rows, m.cols))
@@ -83,8 +73,6 @@ func (m *Dense) RowView(i int) []float64 {
 
 // MulVecInto computes m·v into dst, which must have length m.Rows() and
 // must not alias v.
-//
-//ken:hotpath multiplies into the caller's vector
 func (m *Dense) MulVecInto(dst, v []float64) error {
 	if m.cols != len(v) {
 		return fmt.Errorf("%w: mulvec %dx%d by len %d", ErrDimension, m.rows, m.cols, len(v))
@@ -106,8 +94,6 @@ func (m *Dense) MulVecInto(dst, v []float64) error {
 // AddInto computes a + b into dst, reshaping dst within its capacity.
 // dst may alias a or b (every element is written exactly once from
 // already-read operands).
-//
-//ken:hotpath adds into the preallocated destination
 func (dst *Dense) AddInto(a, b *Dense) error {
 	if a.rows != b.rows || a.cols != b.cols {
 		return fmt.Errorf("%w: add %dx%d with %dx%d", ErrDimension, a.rows, a.cols, b.rows, b.cols)
@@ -120,8 +106,6 @@ func (dst *Dense) AddInto(a, b *Dense) error {
 }
 
 // SubInPlace subtracts b from m element-wise.
-//
-//ken:hotpath subtracts into the receiver
 func (m *Dense) SubInPlace(b *Dense) error {
 	if m.rows != b.rows || m.cols != b.cols {
 		return fmt.Errorf("%w: sub %dx%d with %dx%d", ErrDimension, m.rows, m.cols, b.rows, b.cols)
@@ -135,8 +119,6 @@ func (m *Dense) SubInPlace(b *Dense) error {
 // SubmatrixInto extracts src restricted to the given row and column index
 // sets into dst, reshaping dst within its capacity. dst must not alias
 // src. Indices may repeat; out-of-range indices panic.
-//
-//ken:hotpath extracts into the preallocated destination
 func (dst *Dense) SubmatrixInto(src *Dense, rowIdx, colIdx []int) error {
 	if dst == src {
 		return fmt.Errorf("%w: SubmatrixInto destination aliases the source", ErrDimension)

@@ -27,6 +27,13 @@ func TestAllocBudgetLinearGaussian(t *testing.T) {
 		}
 	}
 	budget("Step", 0, func() { lg.Step() })
+	// maxOwed steps without a Condition: the last one settles the owed
+	// covariance transitions, so every run settles once.
+	budget("Step×maxOwed (settles)", 0, func() {
+		for range maxOwed {
+			lg.Step()
+		}
+	})
 	budget("MeanInto", 0, func() {
 		if err := lg.MeanInto(dst); err != nil {
 			t.Fatal(err)

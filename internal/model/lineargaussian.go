@@ -271,8 +271,6 @@ const maxOwed = 64
 
 // Step implements Model: clock++, μ ← A·μ in place against the instance
 // workspace, and one more covariance transition owed (see settle).
-//
-//ken:hotpath one mean predict per epoch; steady state allocates nothing
 func (lg *LinearGaussian) Step() {
 	if err := lg.state.PredictMean(lg.a, lg.ws); err != nil {
 		panic(err) // dimensions fixed at construction
@@ -286,8 +284,6 @@ func (lg *LinearGaussian) Step() {
 // settle runs the owed Σ ← A·Σ·Aᵀ + Q transitions: the operations Step
 // deferred, in the order it deferred them, hence the same bits. Everything
 // that reads Σ calls it first.
-//
-//ken:hotpath the deferred covariance half of Step
 func (lg *LinearGaussian) settle() {
 	for ; lg.owed > 0; lg.owed-- {
 		a, aT, q := lg.a, lg.aT, lg.q
@@ -307,8 +303,6 @@ func (lg *LinearGaussian) phaseMean() []float64 {
 
 // MeanInto implements MeanWriter: the belief's residual mean plus the
 // seasonal profile. dst must have length Dim().
-//
-//ken:hotpath writes the mean into the caller's buffer
 func (lg *LinearGaussian) MeanInto(dst []float64) error {
 	if err := lg.state.MeanInto(dst); err != nil {
 		return err
@@ -355,8 +349,6 @@ func (lg *LinearGaussian) Generation() uint64 { return lg.ws.Generation() }
 // CondReset implements IncrementalConditioner: begin a new hypothetical
 // observed set against the current belief state, rebinding the workspace's
 // cached factorization to the current generation.
-//
-//ken:hotpath resets the evaluator within the instance workspace
 func (lg *LinearGaussian) CondReset() error {
 	lg.settle()
 	return lg.state.CondReset(lg.ws)
@@ -368,8 +360,6 @@ func (lg *LinearGaussian) CondReset() error {
 // degenerate pivot (zero-variance attribute) errors with the evaluator
 // unchanged — the caller falls back to the from-scratch search, whose
 // jitter ladder absorbs such blocks.
-//
-//ken:hotpath grows the cached factorization in place
 func (lg *LinearGaussian) CondAdd(i int, v float64) error {
 	if i < 0 || i >= lg.n {
 		return fmt.Errorf("%w: observation index %d out of range %d", ErrDim, i, lg.n)
@@ -383,8 +373,6 @@ func (lg *LinearGaussian) CondAdd(i int, v float64) error {
 // CondMeanInto implements IncrementalConditioner: the same answer as
 // MeanGiven on the equivalent pair (to numerical tolerance), without
 // mutating the model and without refactorizing.
-//
-//ken:hotpath answers from the cached factorization
 func (lg *LinearGaussian) CondMeanInto(dst []float64) error {
 	if err := lg.state.CondMeanInto(dst, lg.ws); err != nil {
 		return err
@@ -400,8 +388,6 @@ func (lg *LinearGaussian) CondMeanInto(dst []float64) error {
 // Observed attributes become exact (zero variance) until the next Step
 // re-inflates uncertainty through Q. The update runs in place against the
 // instance scratch (see gauss.Gaussian.ObserveExact).
-//
-//ken:hotpath conditioning reuses the instance scratch buffers
 func (lg *LinearGaussian) Condition(idx []int, vals []float64) error {
 	if len(idx) == 0 && len(vals) == 0 {
 		return nil

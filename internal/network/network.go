@@ -172,29 +172,6 @@ func (t *Topology) MaxPairCost() float64 {
 	return max
 }
 
-// UpdateLink changes (or adds) the undirected link u-v with the new cost
-// and recomputes all path costs; cost <= 0 removes the link. This supports
-// the dynamic-topology extension (§6): Ken re-plans cliques after calling
-// this.
-func (t *Topology) UpdateLink(u, v int, cost float64) (*Topology, error) {
-	links := make([]Link, 0, len(t.links)+1)
-	replaced := false
-	for _, l := range t.links {
-		if (l.U == u && l.V == v) || (l.U == v && l.V == u) {
-			replaced = true
-			if cost > 0 {
-				links = append(links, Link{U: u, V: v, Cost: cost})
-			}
-			continue
-		}
-		links = append(links, l)
-	}
-	if !replaced && cost > 0 {
-		links = append(links, Link{U: u, V: v, Cost: cost})
-	}
-	return New(t.n, links)
-}
-
 // RoutingTree returns, for every sensor node, its parent on a shortest path
 // toward the base station (parent[i] == Base() for nodes adjacent to it).
 // The tree is what the Average model's in-network aggregation runs over.

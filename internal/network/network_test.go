@@ -91,26 +91,6 @@ func TestMaxPairCost(t *testing.T) {
 	}
 }
 
-func TestUpdateLink(t *testing.T) {
-	top := line3(t)
-	// Add a direct 0-base shortcut.
-	up, err := top.UpdateLink(0, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := up.CommToBase(0); got != 1 {
-		t.Fatalf("after update CommToBase(0) = %v, want 1", got)
-	}
-	// Removing the only 2-base link disconnects unless other paths exist.
-	if _, err := top.UpdateLink(2, 3, 0); err == nil {
-		t.Fatal("expected disconnected error after removing base link")
-	}
-	// Original topology unchanged (immutable update).
-	if got := top.CommToBase(0); got != 3 {
-		t.Fatalf("original mutated: %v", got)
-	}
-}
-
 func TestRoutingTree(t *testing.T) {
 	top := line3(t)
 	parent, err := top.RoutingTree()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ken/internal/alloctest"
 	"ken/internal/obs"
 )
 
@@ -212,11 +213,13 @@ func TestNilObserverAccessors(t *testing.T) {
 	}
 }
 
-// TestNilFastPathAllocatesNothing is the acceptance-criterion proof that
-// instrumentation with no sink attached is free: every handle from a nil
-// registry is nil, and calling the full metric surface plus a nil tracer
-// allocates zero bytes.
-func TestNilFastPathAllocatesNothing(t *testing.T) {
+// TestAllocBudgetNilFastPath is the proof that instrumentation with no sink
+// attached is free: every handle from a nil registry is nil, and calling
+// the full metric surface plus a nil tracer allocates nothing.
+func TestAllocBudgetNilFastPath(t *testing.T) {
+	if alloctest.RaceEnabled {
+		t.Skip("alloc budgets are not meaningful under -race")
+	}
 	var reg *obs.Registry
 	c := reg.Counter("c")
 	g := reg.Gauge("g")
@@ -236,7 +239,7 @@ func TestNilFastPathAllocatesNothing(t *testing.T) {
 		tr.Emit(ev)
 	})
 	if allocs != 0 {
-		t.Fatalf("nil fast path allocates %v bytes/op, want 0", allocs)
+		t.Fatalf("nil fast path: %v allocs/op, budget 0", allocs)
 	}
 	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 {
 		t.Fatal("nil handles accumulated state")

@@ -114,8 +114,6 @@ type Loop struct {
 
 // Check accepts or rejects an epoch's readings before anything moves: the
 // right count, and every one finite (CheckReadings).
-//
-//ken:hotpath one pass over the epoch's readings
 func (l *Loop) Check(truth []float64) error {
 	if len(truth) != l.N {
 		return fmt.Errorf("%w: %d readings, want %d", model.ErrDim, len(truth), l.N)
@@ -127,13 +125,10 @@ func (l *Loop) Check(truth []float64) error {
 // and delivery interleaved clique by clique. truth must have passed Check.
 // step labels the epoch's events and sp, when active, is the span they nest
 // under. An error leaves the cliques before the failing one advanced.
-//
-//ken:hotpath the per-epoch loop
 func (l *Loop) Epoch(step int64, sp *obs.Span, truth []float64) error {
 	l.begin(step, sp)
 	for ci, sink := range l.Sink {
 		sink.Predict()
-		//lint:ignore hotalloc the outcome slices stop growing at one entry per clique and per attribute; what else allocates is the trace, guarded by Tracer == nil
 		if err := l.source(ci, truth, sink); err != nil {
 			return err
 		}
@@ -141,7 +136,6 @@ func (l *Loop) Epoch(step int64, sp *obs.Span, truth []float64) error {
 			return err
 		}
 		if l.Tracer != nil {
-			//lint:ignore hotalloc traced epochs only
 			l.traceArrival(ci)
 		}
 	}
@@ -150,12 +144,9 @@ func (l *Loop) Epoch(step int64, sp *obs.Span, truth []float64) error {
 
 // SourceEpoch is Epoch for a loop without sink replicas: the source half
 // alone, the channel's Carry being all the delivery there is.
-//
-//ken:hotpath the per-epoch loop, source side
 func (l *Loop) SourceEpoch(step int64, sp *obs.Span, truth []float64) error {
 	l.begin(step, sp)
 	for ci, src := range l.Src {
-		//lint:ignore hotalloc as in Epoch
 		if err := l.source(ci, truth, src); err != nil {
 			return err
 		}
@@ -164,8 +155,6 @@ func (l *Loop) SourceEpoch(step int64, sp *obs.Span, truth []float64) error {
 }
 
 // Estimates scatters every sink replica's mean into the answer vector.
-//
-//ken:hotpath scatters through the kernels' scratch
 func (l *Loop) Estimates(est []float64) {
 	for _, sink := range l.Sink {
 		sink.Scatter(est)

@@ -158,8 +158,6 @@ func (k *Kernel) Model() model.Model { return k.m }
 // unchecked it would be suppressed silently, and a rejection after some
 // cliques have advanced would leave the source ahead of a sink that never
 // hears of it.
-//
-//ken:hotpath one pass over the epoch's readings
 func CheckReadings(truth []float64) error {
 	for g, v := range truth {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -170,14 +168,10 @@ func CheckReadings(truth []float64) error {
 }
 
 // Predict advances the replica one step through the model's transition.
-//
-//ken:hotpath one model step
 func (k *Kernel) Predict() { k.m.Step() }
 
 // Mean reads the replica's current mean into the kernel's scratch and
 // returns it, valid until the next call on the kernel.
-//
-//ken:hotpath reads into the kernel's scratch
 func (k *Kernel) Mean() []float64 {
 	if err := k.m.MeanInto(k.mean); err != nil {
 		panic(err) // scratch sized to the model at construction
@@ -187,8 +181,6 @@ func (k *Kernel) Mean() []float64 {
 
 // Scatter writes the replica's current mean into the clique's slots of the
 // global estimate vector.
-//
-//ken:hotpath scatters through the kernel's scratch
 func (k *Kernel) Scatter(est []float64) {
 	for i, v := range k.Mean() {
 		est[k.members[i]] = v
@@ -198,8 +190,6 @@ func (k *Kernel) Scatter(est []float64) {
 // Gather copies the clique's readings out of the global vector into the
 // kernel's scratch and returns them, valid until the next Gather, Choose,
 // Full or Advance.
-//
-//ken:hotpath gathers into the kernel's scratch
 func (k *Kernel) Gather(truth []float64) []float64 {
 	for i, g := range k.members {
 		k.local[i] = truth[g]
@@ -246,9 +236,8 @@ func (k *Kernel) candidates(truth []float64, cand []int) ([]int, error) {
 //
 // The returned slices are the kernel's scratch, valid until its next
 // Choose, Full or Advance; a driver may rewrite the values in place
-// (quantization) before committing them.
-//
-//ken:hotpath the per-clique report decision; no allocation on the evaluator path
+// (quantization) before committing them. The evaluator path allocates
+// nothing; the MeanGiven fallback does.
 func (k *Kernel) Choose(truth []float64, cand []int) (idx []int, vals []float64, err error) {
 	cand, err = k.candidates(truth, cand)
 	if err != nil {
@@ -279,8 +268,6 @@ func (k *Kernel) Choose(truth []float64, cand []int) (idx []int, vals []float64,
 
 // Full is the heartbeat's report (§6): every candidate's reading, whatever
 // the prediction. Same contract as Choose.
-//
-//ken:hotpath fills the kernel's report buffers
 func (k *Kernel) Full(truth []float64, cand []int) (idx []int, vals []float64, err error) {
 	cand, err = k.candidates(truth, cand)
 	if err != nil {
@@ -364,8 +351,6 @@ func (k *Kernel) insert(i int) {
 
 // Commit conditions the replica on a report (§3.2 source step 4(b), sink
 // step 2). The empty report is a no-op.
-//
-//ken:hotpath one model conditioning
 func (k *Kernel) Commit(idx []int, vals []float64) error {
 	return k.m.Condition(idx, vals)
 }

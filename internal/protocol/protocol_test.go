@@ -427,10 +427,12 @@ func TestAdvance(t *testing.T) {
 
 // TestAllocBudgetKernel pins a whole epoch of the kernel on a
 // LinearGaussian clique at zero heap allocations, on suppressed epochs
-// (wide ε: one mean read) and on reporting ones (tight ε: every candidate
+// (wide ε: one mean read), on reporting ones (tight ε: every candidate
 // misses, so the evaluator search runs to the end and Commit conditions on
-// all of them — the whole clique, or half of it when only half is
-// available) — the committed budget table in docs/LINT.md.
+// all of them — the whole clique, half of it when only half is available,
+// or a singleton clique's one attribute) and on heartbeats (Full reports
+// every reading whatever ε says) — the committed budget table in
+// docs/LINT.md.
 func TestAllocBudgetKernel(t *testing.T) {
 	if alloctest.RaceEnabled {
 		t.Skip("alloc budgets are not meaningful under -race")
@@ -438,22 +440,34 @@ func TestAllocBudgetKernel(t *testing.T) {
 	const n = 4
 	data := gardenCols(t, 400, n)
 	for name, tc := range map[string]struct {
-		eps      float64
-		cand     []int
-		reported int
+		width     int
+		eps       float64
+		cand      []int
+		reported  int
+		heartbeat bool
 	}{
-		"suppressed":       {1e6, nil, 0},
-		"reporting":        {1e-9, nil, n},
-		"reporting (half)": {1e-9, []int{0, 2}, 2},
+		"suppressed":                   {n, 1e6, nil, 0, false},
+		"reporting":                    {n, 1e-9, nil, n, false},
+		"reporting (half)":             {n, 1e-9, []int{0, 2}, 2, false},
+		"reporting (singleton clique)": {1, 1e-9, nil, 1, false},
+		"heartbeat":                    {n, 1e6, nil, n, true},
 	} {
-		k, err := New(gardenModel(t, data, 100), nil, uniform(n, tc.eps))
+		rows := make([][]float64, len(data))
+		for i, r := range data {
+			rows[i] = r[:tc.width]
+		}
+		k, err := New(gardenModel(t, rows, 100), nil, uniform(tc.width, tc.eps))
 		if err != nil {
 			t.Fatal(err)
+		}
+		pick := (*Kernel).Choose
+		if tc.heartbeat {
+			pick = (*Kernel).Full
 		}
 		step := 100
 		allocs := testing.AllocsPerRun(200, func() {
 			k.Predict()
-			idx, vals, err := k.Choose(data[step], tc.cand)
+			idx, vals, err := pick(k, rows[step], tc.cand)
 			if err != nil || len(idx) != tc.reported {
 				t.Fatalf("%s: report %v, err %v", name, idx, err)
 			}

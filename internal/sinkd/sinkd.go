@@ -430,8 +430,6 @@ func (d *Daemon) build(p deploy.Params) (*deploy.Deployment, error) {
 // fails to decode or apply fails the tenant, naming the frame by its
 // position in the session; nothing after it is applied, and the connection
 // is closed so a reader parked on an idle socket ends too.
-//
-//ken:hotpath the sink daemon's per-tenant frame-apply loop
 func (d *Daemon) applyLoop(conn net.Conn, tn *tenant, replica *stream.Replica, done chan<- struct{}) {
 	defer d.wg.Done()
 	defer close(done)
@@ -439,7 +437,6 @@ func (d *Daemon) applyLoop(conn net.Conn, tn *tenant, replica *stream.Replica, d
 	n := 0
 	for q := range tn.frames {
 		if err := d.applyFrame(tn, replica, q); err != nil {
-			//lint:ignore hotalloc the failure path formats the terminal state detail once, then the loop exits
 			tn.setState(StateFailed, fmt.Sprintf("applying frame %d: %v", n, err))
 			_ = conn.Close() // wakes the reader; handleConn's own Close is then a no-op
 			// Drain so the reader never blocks on a dead applier.
@@ -458,8 +455,6 @@ func (d *Daemon) applyLoop(conn net.Conn, tn *tenant, replica *stream.Replica, d
 // size, so the apply path keeps its 0-alloc budget
 // (TestAllocBudgetSinkdApply); apart from the two sinkd_* counters it
 // writes nothing another tenant's applier writes.
-//
-//ken:hotpath the sink daemon's per-frame decode and apply
 func (d *Daemon) applyFrame(tn *tenant, replica *stream.Replica, q queued) error {
 	if d.cfg.ApplyDelay > 0 {
 		time.Sleep(d.cfg.ApplyDelay)
@@ -519,8 +514,6 @@ func (d *Daemon) stream(conn net.Conn, br *bufio.Reader, tn *tenant, replica *st
 // applier had already failed the tenant. It never decodes: a parse or an
 // append creeping in here would put per-frame work back on the goroutine
 // that has to keep up with the socket.
-//
-//ken:hotpath the sink daemon's per-connection reader: split, stamp, queue
 func (d *Daemon) readLoop(br *bufio.Reader, tn *tenant) (overflow []byte, err error) {
 	for {
 		body, err := stream.ReadBody(br)

@@ -57,9 +57,7 @@ func (m *Monitor) NewWindow() *Window {
 // replica (st), when the reader queued it and when the applier finished it
 // (UnixNano; their difference is the ingest→apply latency), and the tenant's
 // queue occupancy after it. Every write is local to the window — the
-// monitor's shared series move once a slot, in flush.
-//
-//ken:hotpath the applier's per-frame SLO fold; allocates nothing
+// monitor's shared series move once a slot, in flush — and none allocates.
 func (w *Window) Apply(st *stream.ApplyStats, enqueued, applied int64, queueDepth int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -83,44 +83,62 @@ func TestApplyObservedFlagsWildValue(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetApplyObserved extends the stream budget to reporting
-// frames on the measured apply path: with ε so tight that every clique
-// reports every value every step, validating, routing, measuring and
-// conditioning a frame must still allocate nothing.
+// TestAllocBudgetApplyObserved extends the stream budget to full frames on
+// the measured apply path: with ε so tight that every clique reports every
+// value every step, or with a heartbeat every step, validating, routing,
+// measuring and conditioning a frame must still allocate nothing. build
+// refuses a non-positive ε, so the measurement's skip of an unbounded
+// attribute is reached by zeroing one on the replica by hand.
 func TestAllocBudgetApplyObserved(t *testing.T) {
 	if alloctest.RaceEnabled {
 		t.Skip("alloc budgets are not meaningful under -race")
 	}
-	cfg, test := testConfig(t)
-	for i := range cfg.Eps {
-		cfg.Eps[i] = 1e-6
-	}
-	src, err := NewSource(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := NewReplica(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const runs = 100
-	frames := make([]wire.Frame, runs+1) // AllocsPerRun warms up once
-	for i := range frames {
-		if frames[i], err = src.Collect(test[i]); err != nil {
+	for _, tc := range []struct {
+		name      string
+		eps       float64
+		heartbeat int
+		unbounded bool
+	}{
+		{"reporting", 1e-6, 0, false},
+		{"reporting, one attribute unbounded", 1e-6, 0, true},
+		{"heartbeat", 100, 1, false},
+	} {
+		cfg, test := testConfig(t)
+		for i := range cfg.Eps {
+			cfg.Eps[i] = tc.eps
+		}
+		cfg.HeartbeatEvery = tc.heartbeat
+		src, err := NewSource(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if len(frames[i].Attrs) != len(cfg.Eps) {
-			t.Fatalf("frame %d carries %d of %d values — budget premise broken", i, len(frames[i].Attrs), len(cfg.Eps))
-		}
-	}
-	var st ApplyStats
-	next := 0
-	if got := testing.AllocsPerRun(runs, func() {
-		if err := rep.ApplyObserved(frames[next], &st); err != nil {
+		rep, err := NewReplica(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-		next++
-	}); got != 0 {
-		t.Errorf("reporting ApplyObserved: %v allocs/op, budget 0", got)
+		if tc.unbounded {
+			rep.eps[0] = 0
+		}
+		const runs = 100
+		frames := make([]wire.Frame, runs+1) // AllocsPerRun warms up once
+		for i := range frames {
+			if frames[i], err = src.Collect(test[i]); err != nil {
+				t.Fatal(err)
+			}
+			if len(frames[i].Attrs) != len(cfg.Eps) || (frames[i].Special == wire.KindHeartbeat) != (tc.heartbeat > 0) {
+				t.Fatalf("%s: frame %d carries %d of %d values, kind %v — budget premise broken",
+					tc.name, i, len(frames[i].Attrs), len(cfg.Eps), frames[i].Special)
+			}
+		}
+		var st ApplyStats
+		next := 0
+		if got := testing.AllocsPerRun(runs, func() {
+			if err := rep.ApplyObserved(frames[next], &st); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}); got != 0 {
+			t.Errorf("%s ApplyObserved: %v allocs/op, budget 0", tc.name, got)
+		}
 	}
 }

@@ -267,8 +267,6 @@ type ApplyStats struct {
 // The frame is not retained: its slices are read synchronously, so callers
 // may reuse the frame's backing arrays for the next read (Serve does, via
 // wire.DecodeInto). Frames apply without allocating.
-//
-//ken:hotpath the sink's per-frame apply loop
 func (r *Replica) Apply(f wire.Frame) error {
 	return r.ApplyObserved(f, nil)
 }
@@ -288,8 +286,6 @@ func (r *Replica) Apply(f wire.Frame) error {
 // wire's globally ascending ones satisfy, and duplicates and hand-built
 // unsorted frames do not. A rejected frame leaves the replica exactly as it
 // was.
-//
-//ken:hotpath the sink's per-frame apply loop (measured form)
 func (r *Replica) ApplyObserved(f wire.Frame, st *ApplyStats) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -488,8 +484,6 @@ func WriteFrameBuf(w io.Writer, f wire.Frame, res float64, buf []byte) ([]byte, 
 // for someone else to decode wants (internal/sinkd). The prefix is held to
 // maxFrameBytes before anything is allocated. io.EOF at a frame boundary is
 // returned as io.EOF; a partial frame is an unexpected-EOF error.
-//
-//ken:hotpath the daemon's per-frame read; the body is the one allocation
 func ReadBody(br *bufio.Reader) ([]byte, error) {
 	hdr, err := br.Peek(4)
 	if err != nil {
@@ -506,7 +500,6 @@ func ReadBody(br *bufio.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("stream: frame of %d bytes exceeds limit", size)
 	}
 	_, _ = br.Discard(4) // cannot fail: Peek just buffered these 4 bytes
-	//lint:ignore hotalloc the queued body: exactly the frame's size, owned by whoever dequeues it
 	body := make([]byte, size)
 	if _, err := io.ReadFull(br, body); err != nil {
 		return nil, fmt.Errorf("stream: read frame: %w", err)

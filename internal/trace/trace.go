@@ -107,22 +107,6 @@ func (tr *Trace) Rows(a Attribute) ([][]float64, error) {
 // ErrSplit is returned when a train/test split point is out of range.
 var ErrSplit = errors.New("trace: split point out of range")
 
-// Split divides the trace into a training prefix of trainSteps rows and a
-// test suffix, sharing the underlying row slices (rows are not copied).
-func (tr *Trace) Split(trainSteps int) (train, test *Trace, err error) {
-	total := tr.Steps()
-	if trainSteps <= 0 || trainSteps >= total {
-		return nil, nil, fmt.Errorf("%w: %d of %d", ErrSplit, trainSteps, total)
-	}
-	train = &Trace{Deployment: tr.Deployment, StepMinutes: tr.StepMinutes, Data: map[Attribute][][]float64{}}
-	test = &Trace{Deployment: tr.Deployment, StepMinutes: tr.StepMinutes, Data: map[Attribute][][]float64{}}
-	for a, rows := range tr.Data {
-		train.Data[a] = rows[:trainSteps]
-		test.Data[a] = rows[trainSteps:]
-	}
-	return train, test, nil
-}
-
 // Column extracts the full time series of a single node for an attribute.
 func (tr *Trace) Column(a Attribute, node int) ([]float64, error) {
 	rows, err := tr.Rows(a)
@@ -184,22 +168,4 @@ func (tr *Trace) InjectAnomaly(a Attribute, node, from, to int, delta float64) e
 		rows[t][node] += delta
 	}
 	return nil
-}
-
-// Downsample returns a new trace keeping every k-th step (k >= 1), sharing
-// row storage. The paper samples the deployments at minute granularity but
-// evaluates Ken at hourly granularity; this is that operation.
-func (tr *Trace) Downsample(k int) (*Trace, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("trace: downsample factor %d < 1", k)
-	}
-	out := &Trace{Deployment: tr.Deployment, StepMinutes: tr.StepMinutes * float64(k), Data: map[Attribute][][]float64{}}
-	for a, rows := range tr.Data {
-		kept := make([][]float64, 0, (len(rows)+k-1)/k)
-		for t := 0; t < len(rows); t += k {
-			kept = append(kept, rows[t])
-		}
-		out.Data[a] = kept
-	}
-	return out, nil
 }

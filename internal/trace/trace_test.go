@@ -281,26 +281,6 @@ func meanAbsResidualStep(tr *Trace) float64 {
 	return s / float64(c)
 }
 
-func TestSplit(t *testing.T) {
-	tr, err := GenerateGarden(8, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	train, test, err := tr.Split(30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if train.Steps() != 30 || test.Steps() != 70 {
-		t.Fatalf("split sizes %d/%d", train.Steps(), test.Steps())
-	}
-	if _, _, err := tr.Split(0); err == nil {
-		t.Fatal("expected error for split at 0")
-	}
-	if _, _, err := tr.Split(100); err == nil {
-		t.Fatal("expected error for split at end")
-	}
-}
-
 func TestColumnErrors(t *testing.T) {
 	tr, err := GenerateGarden(9, 10)
 	if err != nil {
@@ -358,31 +338,6 @@ func TestInjectAnomaly(t *testing.T) {
 	}
 	if err := tr.InjectAnomaly(Temperature, 0, 10, 5, 1); err == nil {
 		t.Fatal("expected error for inverted window")
-	}
-}
-
-func TestDownsample(t *testing.T) {
-	tr, err := GenerateGarden(12, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := tr.Downsample(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Steps() != 10 {
-		t.Fatalf("downsampled steps = %d, want 10", ds.Steps())
-	}
-	if ds.StepMinutes != tr.StepMinutes*10 {
-		t.Fatalf("step duration = %v", ds.StepMinutes)
-	}
-	orig, _ := tr.Rows(Temperature)
-	down, _ := ds.Rows(Temperature)
-	if down[1][0] != orig[10][0] {
-		t.Fatal("downsample picked wrong rows")
-	}
-	if _, err := tr.Downsample(0); err == nil {
-		t.Fatal("expected error for factor 0")
 	}
 }
 

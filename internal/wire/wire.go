@@ -141,8 +141,6 @@ func Decode(buf []byte, resolution float64) (Frame, error) {
 // been held against the body: every pair takes at least two bytes, so a
 // count the remaining bytes cannot hold is corrupt and allocates nothing.
 // On any other error f is left in an unspecified state.
-//
-//ken:hotpath decodes into the caller's frame, reusing its backing arrays
 func DecodeInto(f *Frame, buf []byte, resolution float64) error {
 	if resolution <= 0 {
 		return fmt.Errorf("wire: non-positive resolution %v", resolution)
@@ -172,7 +170,6 @@ func DecodeInto(f *Frame, buf []byte, resolution float64) error {
 	f.Step = step
 	f.Special = kind
 	if cap(f.Attrs) < count || cap(f.Values) < count {
-		//lint:ignore hotalloc a frame larger than any this Frame has held sizes both arrays once, from a count the body was just shown to hold
 		f.Attrs, f.Values = make([]int, count), make([]float64, count)
 	}
 	attrs, values := f.Attrs[:count], f.Values[:count]

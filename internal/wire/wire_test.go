@@ -185,7 +185,8 @@ func TestQuickRoundTrip(t *testing.T) {
 var hostileCount = []byte{Magic, byte(KindReport), 0x00, 0x80, 0x80, 0x40, 0x01}
 
 // TestDecodeIntoHostileCount: a count the body cannot hold is corrupt, and
-// turning it away neither grows the caller's arrays nor allocates.
+// turning it away does not grow the caller's arrays (TestAllocBudgetDecodeInto
+// holds it to zero allocations).
 func TestDecodeIntoHostileCount(t *testing.T) {
 	f := Frame{Attrs: make([]int, 0, 4), Values: make([]float64, 0, 4)}
 	if err := DecodeInto(&f, hostileCount, 0.01); !errors.Is(err, ErrCorrupt) {
@@ -203,16 +204,6 @@ func TestDecodeIntoHostileCount(t *testing.T) {
 	over := []byte{Magic, 0, 0, 3, 1, 1, 2, 4}
 	if err := DecodeInto(&f, over, 0.01); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("three pairs in four bytes: got %v, want ErrCorrupt", err)
-	}
-	if alloctest.RaceEnabled {
-		return // AllocsPerRun means nothing under -race
-	}
-	if got := testing.AllocsPerRun(100, func() {
-		if err := DecodeInto(&f, hostileCount, 0.01); err == nil {
-			t.Fatal("hostile count decoded")
-		}
-	}); got != 0 {
-		t.Errorf("rejecting a hostile count: %v allocs/op, want 0", got)
 	}
 }
 
@@ -302,5 +293,43 @@ func TestAllocBudgetAppendEncode(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Errorf("ascending AppendEncode into a warmed buffer: %v allocs/op, budget 0", got)
+	}
+}
+
+// TestAllocBudgetDecodeInto pins the receiver's steady state: a frame that
+// fits the target's arrays decodes without allocating, a larger one sizes
+// both arrays once (the two allocations it is allowed), and a count the
+// body cannot hold is turned away before anything is allocated.
+func TestAllocBudgetDecodeInto(t *testing.T) {
+	if alloctest.RaceEnabled {
+		t.Skip("alloc budgets are not meaningful under -race")
+	}
+	body, err := Encode(Frame{Step: 7, Attrs: []int{0, 3, 4, 17, 40}, Values: []float64{21.5, -4, 19.99, 0, 7}}, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f Frame
+	for _, tc := range []struct {
+		name   string
+		budget float64
+		decode func() error
+	}{
+		{"into a warmed frame", 0, func() error { return DecodeInto(&f, body, 0.01) }},
+		{"into an empty frame", 2, func() error { f = Frame{}; return DecodeInto(&f, body, 0.01) }},
+	} {
+		if got := testing.AllocsPerRun(100, func() {
+			if err := tc.decode(); err != nil || len(f.Attrs) != 5 {
+				t.Fatalf("%s: %v, %+v", tc.name, err, f)
+			}
+		}); got != tc.budget {
+			t.Errorf("DecodeInto %s: %v allocs/op, budget %v", tc.name, got, tc.budget)
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if err := DecodeInto(&f, hostileCount, 0.01); err == nil {
+			t.Fatal("hostile count decoded")
+		}
+	}); got != 0 {
+		t.Errorf("rejecting a hostile count: %v allocs/op, budget 0", got)
 	}
 }
