@@ -169,6 +169,7 @@ fuzz:
 	$(GO) test -fuzz 'FuzzDecodeSession$$' -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzReadCSVMatrix -fuzztime 30s ./internal/trace/
 	$(GO) test -fuzz 'FuzzLinearGaussianSchedule$$' -fuzztime 30s ./internal/model/
+	$(GO) test -fuzz 'FuzzCovKernels$$' -fuzztime 30s ./internal/gauss/
 	$(GO) test -fuzz 'FuzzKen$$' -fuzztime 30s ./internal/oracle/
 
 # clean removes the test cache and exactly what .gitignore lists: root

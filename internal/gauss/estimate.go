@@ -73,10 +73,12 @@ func EstimateCov(data [][]float64, mean []float64, ridge float64) (*mat.Dense, e
 	return cov, nil
 }
 
-// isZero reports exact equality with zero. Degenerate-input guards are the
-// one place exact float comparison is right: any nonzero value, however
-// tiny, is a usable divisor, while a true zero means the computation is
-// undefined and must take the fallback path.
+// isZero reports exact equality with zero (either sign). Degenerate-input
+// guards and the kernels' skip rule are the places exact float comparison
+// is right: any nonzero value, however tiny, is a usable divisor and a
+// product that counts, while a true zero means the computation is undefined
+// and must take the fallback path, or the product is a ±0 that changes no
+// sum (see PredictCov).
 //
-//lint:comparator exact zero sentinel backing ridge-scale guards
+//lint:comparator exact zero sentinel backing ridge-scale guards and the skip rule
 func isZero(v float64) bool { return v == 0 }

@@ -29,6 +29,10 @@ var ErrNotFinite = errors.New("gauss: observation not finite")
 
 // Gaussian is an n-dimensional Gaussian distribution N(mean, cov).
 // The zero value is not usable; construct with New.
+//
+// Invariant: cov holds no −0. New canonicalises it to +0 and no update
+// makes one; the in-place kernels' skip rules rely on it (see
+// rank1Condition).
 type Gaussian struct {
 	mean []float64
 	cov  *mat.Dense
@@ -37,6 +41,7 @@ type Gaussian struct {
 // New constructs a Gaussian from a mean vector and covariance matrix.
 // The inputs are copied. The covariance must be square, symmetric (within
 // floating-point tolerance; it is symmetrised), and match the mean length.
+// A −0 in it becomes +0, the same value.
 func New(mean []float64, cov *mat.Dense) (*Gaussian, error) {
 	n := len(mean)
 	if n == 0 {
@@ -49,6 +54,14 @@ func New(mean []float64, cov *mat.Dense) (*Gaussian, error) {
 	copy(m, mean)
 	c := cov.Clone()
 	c.Symmetrize()
+	for i := 0; i < n; i++ {
+		row := c.RowView(i)
+		for j, v := range row {
+			if isZero(v) {
+				row[j] = 0
+			}
+		}
+	}
 	return &Gaussian{mean: m, cov: c}, nil
 }
 

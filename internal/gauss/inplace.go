@@ -22,10 +22,16 @@ type Workspace struct {
 	bb   *mat.Dense // m×m observed block Σ_bb
 	s    *mat.Dense // n×m cross block Σ_{·,b}
 	sol  *mat.Dense // m×n solved block Σ_bb⁻¹ Σ_{b,·}
-	cov  *mat.Dense // n×n: A·Σ
-	cov2 *mat.Dense // n×n: A·Σ·Aᵀ / conditioning staging
+	cov2 *mat.Dense // n×n: multi-observation staging
 	corr *mat.Dense // n×n: conditioning correction
 	ch   *mat.Cholesky
+
+	// PredictCov's live block (see live): the rows and columns of Σ that
+	// hold a nonzero entry, Σ and A packed to those columns, and T = A·Σ
+	// over them, each packed row-major with stride len(liveCols). The rank-1
+	// sweep borrows liveRows for its own index list.
+	liveRows, liveCols []int
+	sig, ac, t         []float64
 
 	// gen counts state mutations of the Gaussian this workspace serves:
 	// Predict and ObserveExact bump it on success. The evaluator cache
@@ -58,10 +64,14 @@ func NewWorkspace(n int) *Workspace {
 		bb:        mat.NewDense(n, n),
 		s:         mat.NewDense(n, n),
 		sol:       mat.NewDense(n, n),
-		cov:       mat.NewDense(n, n),
 		cov2:      mat.NewDense(n, n),
 		corr:      mat.NewDense(n, n),
 		ch:        mat.NewCholeskyWorkspace(n),
+		liveRows:  make([]int, 0, n),
+		liveCols:  make([]int, 0, n),
+		sig:       make([]float64, n*n),
+		ac:        make([]float64, n*n),
+		t:         make([]float64, n*n),
 		evalIdx:   make([]int, 0, n),
 		evalVals:  make([]float64, 0, n),
 		evalDelta: make([]float64, 0, n),
@@ -87,10 +97,11 @@ func (g *Gaussian) MeanInto(dst []float64) error {
 }
 
 // Predict pushes the belief through the linear transition in place:
-// μ ← A·μ, Σ ← A·Σ·Aᵀ + Q. aT must be the transpose of a (precomputed so
-// the hot path does not allocate it). The covariance goes first: with Q
-// n×n it accepts only an n×n A, on which the mean half cannot fail, so an
-// error leaves the belief as it was.
+// μ ← A·μ, Σ ← A·Σ·Aᵀ + Q. aT, the transpose of a, is no longer read: it
+// stays in the signature only for the benchmark ladder's pinned call
+// (ROADMAP [bench-debts]). The covariance goes first: it accepts only an
+// n×n A and Q, on which the mean half cannot fail, so an error leaves the
+// belief as it was.
 func (g *Gaussian) Predict(a, aT, q *mat.Dense, ws *Workspace) error {
 	if err := g.PredictCov(a, aT, q, ws); err != nil {
 		return err
@@ -111,33 +122,179 @@ func (g *Gaussian) PredictMean(a *mat.Dense, ws *Workspace) error {
 	return nil
 }
 
-// PredictCov is the covariance half of Predict: Σ ← A·Σ·Aᵀ + Q, symmetrised
-// once at the end (Symmetrize is bitwise idempotent). It leaves the
-// generation to PredictMean and unbinds the conditioning evaluator itself.
+// PredictCov is the covariance half of Predict: Σ ← Sym(A·Σ·Aᵀ + Q) in one
+// fused pass over the live block of Σ. It leaves the generation to
+// PredictMean and unbinds the conditioning evaluator itself. aT is not read
+// (see Predict).
+//
+// The result is bit for bit that of the written-out sequence MulInto(A, Σ),
+// MulInto(·, Aᵀ), AddInto(·, Q), Symmetrize. The skip rule: a term may be
+// left out of a sum when it is an exact ±0 product, that is, one factor is
+// ±0 and the other finite. Such a sum starts from +0 and can never hold −0
+// (+0 + −0 = +0, and an exact cancellation rounds to +0), and adding ±0 to
+// anything but −0 changes no bit. So with A finite:
+//
+//   - a dead row k of Σ (all ±0) adds only A_ik·0 terms to A·Σ;
+//   - a dead column c of Σ makes (A·Σ)_ic = +0, whose terms A·Σ·Aᵀ skipped
+//     already;
+//   - zero entries of A are skipped in A·Σ, as MulInto skips them.
+//
+// T = A[:, live rows]·Σ[live rows, live cols] is summed from +0 in ascending
+// k, each Σ′_ij is Σ_c T_ic·A_jc over the live columns c in ascending order
+// plus Q_ij, and each pair is symmetrised as it is made.
+//
 // A nil a is the caller's word that Σ is all zeros and that q is already
-// Symmetrize(0 + Q): both products would be all +0 (MulInto accumulates
-// from +0), so Σ becomes a copy of q — the same bits without the multiplies.
+// Symmetrize(0 + Q): every product would be +0, so Σ becomes a copy of q —
+// the same bits without the multiplies.
 func (g *Gaussian) PredictCov(a, aT, q *mat.Dense, ws *Workspace) error {
 	n := len(g.mean)
 	if ws.n != n || q.Rows() != n || q.Cols() != n {
 		return fmt.Errorf("gauss: workspace dim %d, Q %dx%d, distribution dim %d", ws.n, q.Rows(), q.Cols(), n)
+	}
+	if a != nil && (a.Rows() != n || a.Cols() != n) {
+		return fmt.Errorf("%w: A %dx%d, distribution dim %d", mat.ErrDimension, a.Rows(), a.Cols(), n)
 	}
 	ws.evalG = nil
 	if a == nil {
 		g.cov.CopyFrom(q)
 		return nil
 	}
-	if err := ws.cov.MulInto(a, g.cov); err != nil {
-		return err
+	rows, cols := ws.live(g.cov)
+	nc := len(cols)
+	// Σ and A restricted to the live columns, row k at offset k·nc. With
+	// every column live that is their own storage.
+	sig, ac, t := g.cov.DataView(), a.DataView(), ws.t[:n*nc]
+	if nc < n {
+		sig, ac = ws.sig[:n*nc], ws.ac[:n*nc]
+		for _, k := range rows {
+			pack(sig[k*nc:(k+1)*nc], g.cov.RowView(k), cols)
+		}
+		for j := 0; j < n; j++ {
+			pack(ac[j*nc:(j+1)*nc], a.RowView(j), cols)
+		}
 	}
-	if err := ws.cov2.MulInto(ws.cov, aT); err != nil {
-		return err
+	// T = A[:, rows]·Σ[rows, cols], the terms of A·Σ that are not ±0 in
+	// MulInto's order, four columns (four independent sums) at a time. Σ is
+	// overwritten below, after its last read here.
+	for i := 0; i < n; i++ {
+		ti, ai := t[i*nc:(i+1)*nc], a.RowView(i)
+		c := 0
+		for ; c+4 <= nc; c += 4 {
+			var s0, s1, s2, s3 float64
+			for _, k := range rows {
+				aik := ai[k]
+				if isZero(aik) {
+					continue
+				}
+				sk := sig[k*nc+c : k*nc+c+4]
+				s0 += aik * sk[0]
+				s1 += aik * sk[1]
+				s2 += aik * sk[2]
+				s3 += aik * sk[3]
+			}
+			ti[c], ti[c+1], ti[c+2], ti[c+3] = s0, s1, s2, s3
+		}
+		for ; c+2 <= nc; c += 2 {
+			var s0, s1 float64
+			for _, k := range rows {
+				aik := ai[k]
+				if isZero(aik) {
+					continue
+				}
+				sk := sig[k*nc+c : k*nc+c+2]
+				s0 += aik * sk[0]
+				s1 += aik * sk[1]
+			}
+			ti[c], ti[c+1] = s0, s1
+		}
+		for ; c < nc; c++ {
+			var s float64
+			for _, k := range rows {
+				if aik := ai[k]; !isZero(aik) {
+					s += aik * sig[k*nc+c]
+				}
+			}
+			ti[c] = s
+		}
 	}
-	if err := g.cov.AddInto(ws.cov2, q); err != nil {
-		return err
+	// Σ′ row by row over the upper triangle, two pairs (four independent
+	// sums) at a time so the additions overlap; each pair is Sym(S + Q), the
+	// AddInto and then the Symmetrize of the written-out sequence.
+	cd, qd := g.cov.DataView(), q.DataView()
+	for i := 0; i < n; i++ {
+		ti, aci := t[i*nc:(i+1)*nc], ac[i*nc:(i+1)*nc]
+		aci = aci[:len(ti)]
+		var d float64
+		for c, tic := range ti {
+			d += tic * aci[c]
+		}
+		cd[i*n+i] = d + qd[i*n+i]
+		j := i + 1
+		for ; j+1 < n; j += 2 {
+			t0, a0 := t[j*nc:(j+1)*nc], ac[j*nc:(j+1)*nc]
+			t1, a1 := t[(j+1)*nc:(j+2)*nc], ac[(j+1)*nc:(j+2)*nc]
+			t0, a0, t1, a1 = t0[:len(ti)], a0[:len(ti)], t1[:len(ti)], a1[:len(ti)]
+			var s0, r0, s1, r1 float64
+			for c, tic := range ti {
+				s0 += tic * a0[c]
+				r0 += t0[c] * aci[c]
+				s1 += tic * a1[c]
+				r1 += t1[c] * aci[c]
+			}
+			v0 := ((s0 + qd[i*n+j]) + (r0 + qd[j*n+i])) / 2
+			v1 := ((s1 + qd[i*n+j+1]) + (r1 + qd[(j+1)*n+i])) / 2
+			cd[i*n+j], cd[j*n+i] = v0, v0
+			cd[i*n+j+1], cd[(j+1)*n+i] = v1, v1
+		}
+		if j < n {
+			tj, acj := t[j*nc:(j+1)*nc], ac[j*nc:(j+1)*nc]
+			tj, acj = tj[:len(ti)], acj[:len(ti)]
+			var s, r float64
+			for c, tic := range ti {
+				s += tic * acj[c]
+				r += tj[c] * aci[c]
+			}
+			v := ((s + qd[i*n+j]) + (r + qd[j*n+i])) / 2
+			cd[i*n+j], cd[j*n+i] = v, v
+		}
 	}
-	g.cov.Symmetrize()
 	return nil
+}
+
+// live lists, ascending, the rows of cov that hold a nonzero entry and the
+// columns that do; PredictCov skips the rest. Both are checked, so nothing
+// rests on Σ being symmetric: a nonzero diagonal entry makes its row and
+// its column live in one read, and only a zero one costs a scan of both.
+func (ws *Workspace) live(cov *mat.Dense) (rows, cols []int) {
+	n, d := ws.n, cov.DataView()
+	rows, cols = ws.liveRows[:0], ws.liveCols[:0]
+	for i := 0; i < n; i++ {
+		if !isZero(d[i*n+i]) {
+			rows, cols = append(rows, i), append(cols, i)
+			continue
+		}
+		// A zero diagonal: row i and column i are checked entry by entry.
+		for j := 0; j < n; j++ {
+			if !isZero(d[i*n+j]) {
+				rows = append(rows, i)
+				break
+			}
+		}
+		for j := 0; j < n; j++ {
+			if !isZero(d[j*n+i]) {
+				cols = append(cols, i)
+				break
+			}
+		}
+	}
+	return rows, cols
+}
+
+// pack gathers src at the given columns into dst.
+func pack(dst, src []float64, cols []int) {
+	for c, j := range cols {
+		dst[c] = src[j]
+	}
 }
 
 // ObserveExact collapses the belief on exact observations in place:
@@ -187,7 +344,7 @@ func (g *Gaussian) ObserveExact(idx []int, vals []float64, ws *Workspace) error 
 		// sign, so on success the update runs directly on the
 		// distribution: one O(n²) pass instead of the batch path's
 		// factorize/solve/multiply/subtract/symmetrize sequence.
-		if rank1Condition(g.cov, g.mean, idx[0], vals[0], ws.col) {
+		if rank1Condition(g.cov, g.mean, idx[0], vals[0], ws) {
 			ws.gen++
 			return nil
 		}
@@ -200,7 +357,7 @@ func (g *Gaussian) ObserveExact(idx []int, vals []float64, ws *Workspace) error 
 	mu := ws.mu[:n]
 	copy(mu, g.mean)
 	for k, i := range idx {
-		if !rank1Condition(ws.cov2, mu, i, vals[k], ws.col) {
+		if !rank1Condition(ws.cov2, mu, i, vals[k], ws) {
 			return g.observeExactBatch(idx, vals, ws)
 		}
 	}
@@ -220,8 +377,17 @@ func (g *Gaussian) ObserveExact(idx []int, vals []float64, ws *Workspace) error 
 // and (s,r) — so exact symmetry of cov is preserved without a Symmetrize
 // pass. Returns false, with nothing mutated, when the pivot d is not
 // strictly positive and finite (deferring to the batch path's jitter
-// ladder). scratch must have length ≥ cov's order.
-func rank1Condition(cov *mat.Dense, mu []float64, i int, v float64, scratch []float64) bool {
+// ladder).
+//
+// The sweep touches only rows and columns r, s ≠ i with c_r, c_s ≠ 0: row
+// and column i are zeroed afterwards, and every other term is an exact ±0
+// product. Subtracting ±0 changes no bit of any entry but −0 (−0 − −0 is
+// +0), and Σ holds no −0: New turns it into +0, and no update makes one
+// (every sum here and in PredictCov starts from +0 or from a Σ entry, and
+// x − y rounds an exact cancellation to +0). So a report's exact row and
+// column cost nothing, and the k-th of a multi-attribute sweep costs
+// (n−k)², not n².
+func rank1Condition(cov *mat.Dense, mu []float64, i int, v float64, ws *Workspace) bool {
 	n := len(mu)
 	d := cov.At(i, i)
 	if d <= 0 || math.IsNaN(d) || math.IsInf(d, 0) {
@@ -229,7 +395,7 @@ func rank1Condition(cov *mat.Dense, mu []float64, i int, v float64, scratch []fl
 	}
 	// Snapshot column i before any write; cov is symmetric, so the column
 	// equals row i and can be read contiguously.
-	c := scratch[:n]
+	c := ws.col[:n]
 	copy(c, cov.RowView(i))
 	invd := 1 / d
 	w0 := (v - mu[i]) * invd
@@ -237,17 +403,27 @@ func rank1Condition(cov *mat.Dense, mu []float64, i int, v float64, scratch []fl
 		mu[r] += c[r] * w0
 	}
 	mu[i] = v
-	for r := 0; r < n; r++ {
-		cr := c[r]
-		//lint:ignore floateq exact-zero column entries contribute only signed zeros; skipping them is the same bitwise no-op ObserveExact's batch path relies on
-		if cr == 0 {
-			// Every term of this row (and the mirrored column entries) is
-			// ±0; subtracting a signed zero is a bitwise no-op.
-			continue
+	live := ws.liveRows[:0]
+	for r, cr := range c {
+		if r != i && !isZero(cr) {
+			live = append(live, r)
 		}
-		row := cov.RowView(r)
-		for s, cs := range c {
-			row[s] -= (cr * cs) * invd
+	}
+	if len(live) == n-1 {
+		// Dense: the contiguous sweep over every row and column is the
+		// cheaper one, row and column i included.
+		for r, cr := range c {
+			row := cov.RowView(r)
+			for s, cs := range c {
+				row[s] -= (cr * cs) * invd
+			}
+		}
+	} else {
+		for _, r := range live {
+			cr, row := c[r], cov.RowView(r)
+			for _, s := range live {
+				row[s] -= (cr * c[s]) * invd
+			}
 		}
 	}
 	ri := cov.RowView(i)

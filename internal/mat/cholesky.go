@@ -211,22 +211,32 @@ func (c *Cholesky) backSolve(b []float64) {
 }
 
 // MulLVec returns L·v, used to transform standard normal samples into
-// samples with covariance A.
+// samples with covariance A: MulLVecInto on a fresh destination.
 func (c *Cholesky) MulLVec(v []float64) ([]float64, error) {
+	out := make([]float64, len(v))
+	if err := c.MulLVecInto(out, v); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// MulLVecInto writes L·v into dst. dst may alias v: row i reads v[0..i]
+// only, so the rows are computed from the last up and each overwrites an
+// entry no later row reads. Each row still sums in ascending k.
+func (c *Cholesky) MulLVecInto(dst, v []float64) error {
 	if !c.valid {
-		return nil, errFactorInvalid
+		return errFactorInvalid
 	}
-	if len(v) != c.n {
-		return nil, fmt.Errorf("%w: MulLVec len %d, want %d", ErrDimension, len(v), c.n)
+	if len(v) != c.n || len(dst) != c.n {
+		return fmt.Errorf("%w: MulLVecInto dst len %d, v len %d, want %d", ErrDimension, len(dst), len(v), c.n)
 	}
-	out := make([]float64, c.n)
-	for i := 0; i < c.n; i++ {
+	for i := c.n - 1; i >= 0; i-- {
 		s := 0.0
 		row := c.l.data[i*c.n : i*c.n+i+1]
 		for k, lik := range row {
 			s += lik * v[k]
 		}
-		out[i] = s
+		dst[i] = s
 	}
-	return out, nil
+	return nil
 }

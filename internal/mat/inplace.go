@@ -65,11 +65,18 @@ func (dst *Dense) CopyFrom(src *Dense) {
 // zero-copy counterpart of Row for kernels that stream whole rows. Writes
 // through the view mutate m; the view is invalidated by reshape/ReuseAs.
 func (m *Dense) RowView(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("mat: row %d out of range %dx%d", i, m.rows, m.cols))
+	if uint(i) >= uint(m.rows) {
+		// A constant message keeps RowView small enough to inline into
+		// the kernels that call it once per row.
+		panic("mat: RowView row out of range")
 	}
 	return m.data[i*m.cols : (i+1)*m.cols]
 }
+
+// DataView returns m's row-major backing storage, Rows()·Cols() long, as a
+// mutable view: every RowView at once, for kernels that stride through a
+// whole matrix. It is invalidated by reshape/ReuseAs.
+func (m *Dense) DataView() []float64 { return m.data }
 
 // MulVecInto computes m·v into dst, which must have length m.Rows() and
 // must not alias v.

@@ -110,6 +110,25 @@ func TestShellsMatchKernels(t *testing.T) {
 			if !sameBits(x, y) {
 				t.Fatalf("order %d: SolveVec differs from SolveVecInPlace", s.k)
 			}
+			// MulLVecInto runs its rows bottom-up so it may write over v;
+			// every row still sums in ascending k, as the top-down loop does.
+			lv, err := got.MulLVec(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := append([]float64(nil), v...)
+			if err := want.MulLVecInto(in, in); err != nil {
+				t.Fatal(err)
+			}
+			ref := make([]float64, s.k)
+			for i := range ref {
+				for k := 0; k <= i; k++ {
+					ref[i] += want.l.At(i, k) * v[k]
+				}
+			}
+			if !sameBits(lv, in) || !sameBits(in, ref) {
+				t.Fatalf("order %d: MulLVec, in-place MulLVecInto and the top-down reference disagree", s.k)
+			}
 		})
 	}
 }
@@ -133,5 +152,11 @@ func TestShellsPropagateKernelErrors(t *testing.T) {
 	}
 	if b[0] != 1 || b[1] != 2 || b[2] != 3 {
 		t.Fatalf("SolveVec wrote through to its argument: %v", b)
+	}
+	if out, err := ch.MulLVec(b); !errors.Is(err, ErrDimension) || out != nil {
+		t.Fatalf("MulLVec length mismatch = (%v, %v), want (nil, ErrDimension)", out, err)
+	}
+	if err := ch.MulLVecInto(b[:1], b[:2]); !errors.Is(err, ErrDimension) {
+		t.Fatalf("MulLVecInto short dst = %v, want ErrDimension", err)
 	}
 }

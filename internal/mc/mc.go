@@ -73,35 +73,59 @@ func ExpectedReports(m model.Sampler, eps []float64, cfg Config) (float64, error
 	return float64(totalSent) / float64(totalSteps), nil
 }
 
-// simulate runs one trajectory: the belief replica tracks ground truth the
-// model itself generates, and we count reported values.
+// simulate runs one trajectory and counts the values it reports.
 func simulate(m model.Sampler, eps []float64, horizon int, rng *rand.Rand) (int, error) {
-	belief, ok := m.Clone().(model.Sampler)
-	if !ok {
-		return 0, ErrNoSampler
-	}
-	replica, err := protocol.New(belief, nil, eps)
-	if err != nil {
-		return 0, err
-	}
-	truth, err := belief.SampleState(rng)
+	tr, err := newTrajectory(m, eps, rng)
 	if err != nil {
 		return 0, err
 	}
 	sent := 0
 	for t := 0; t < horizon; t++ {
-		// Draw tomorrow's truth from today's, then advance the belief
-		// through one protocol epoch against it.
-		next, err := belief.SampleNext(truth, rng)
-		if err != nil {
-			return 0, err
-		}
-		reported, err := replica.Advance(next)
+		reported, err := tr.step()
 		if err != nil {
 			return 0, err
 		}
 		sent += reported
-		truth = next
 	}
 	return sent, nil
+}
+
+// trajectory is one simulated run: a belief replica tracking ground truth
+// the model itself generates. Today's and tomorrow's truth take turns in
+// two buffers, so a step allocates nothing.
+type trajectory struct {
+	belief      model.Sampler
+	replica     *protocol.Kernel
+	truth, next []float64
+	rng         *rand.Rand
+}
+
+func newTrajectory(m model.Sampler, eps []float64, rng *rand.Rand) (*trajectory, error) {
+	belief, ok := m.Clone().(model.Sampler)
+	if !ok {
+		return nil, ErrNoSampler
+	}
+	replica, err := protocol.New(belief, nil, eps)
+	if err != nil {
+		return nil, err
+	}
+	truth, err := belief.SampleState(rng)
+	if err != nil {
+		return nil, err
+	}
+	return &trajectory{belief: belief, replica: replica, truth: truth, next: make([]float64, len(truth)), rng: rng}, nil
+}
+
+// step draws tomorrow's truth from today's, then advances the belief
+// through one protocol epoch against it, and returns the values reported.
+func (tr *trajectory) step() (int, error) {
+	if err := tr.belief.SampleNext(tr.next, tr.truth, tr.rng); err != nil {
+		return 0, err
+	}
+	reported, err := tr.replica.Advance(tr.next)
+	if err != nil {
+		return 0, err
+	}
+	tr.truth, tr.next = tr.next, tr.truth
+	return reported, nil
 }

@@ -25,9 +25,9 @@ import (
 type LinearGaussian struct {
 	n       int
 	a       *mat.Dense    // shared, immutable after fit
-	aT      *mat.Dense    // a transposed; shared, immutable after fit
 	q       *mat.Dense    // shared, immutable after fit
-	qChol   *mat.Cholesky // lazily built, shared
+	qChol   *mat.Cholesky // Q = L·Lᵀ for SampleNext, factored once per fit or load; shared, read-only
+	qErr    error         // why Q did not factor; SampleNext returns it
 	profile [][]float64   // period × n seasonal means; shared, immutable
 	period  int
 	clock   int
@@ -44,8 +44,9 @@ type LinearGaussian struct {
 	// Per-instance scratch for the in-place Step/Condition path. Never
 	// shared between clones: replicas mutate their own scratch while
 	// updating, and sharing would break replica independence.
-	ws      *gauss.Workspace
-	valsBuf []float64
+	ws        *gauss.Workspace
+	valsBuf   []float64
+	sampleBuf []float64 // SampleNext's 3n scratch, made on first use
 }
 
 var (
@@ -131,11 +132,13 @@ func FitLinearGaussian(data [][]float64, cfg FitConfig) (*LinearGaussian, error)
 	if err != nil {
 		return nil, err
 	}
+	qChol, qErr := factorQ(q)
 	return &LinearGaussian{
 		n:       n,
 		a:       a,
-		aT:      a.T(),
 		q:       q,
+		qChol:   qChol,
+		qErr:    qErr,
 		q0:      zeroImage(q),
 		zero:    true,
 		profile: profile,
@@ -145,6 +148,16 @@ func FitLinearGaussian(data [][]float64, cfg FitConfig) (*LinearGaussian, error)
 		ws:      gauss.NewWorkspace(n),
 		valsBuf: make([]float64, 0, n),
 	}, nil
+}
+
+// factorQ factors the innovation covariance for SampleNext. A Q that does
+// not factor fails no fit or load, only the sampling that needs it.
+func factorQ(q *mat.Dense) (*mat.Cholesky, error) {
+	ch, err := mat.NewCholesky(q)
+	if err != nil {
+		return nil, fmt.Errorf("model: innovation covariance not PD: %w", err)
+	}
+	return ch, nil
 }
 
 // zeroImage returns Symmetrize(0 + Q): bit for bit what Σ ← A·Σ·Aᵀ + Q makes
@@ -282,11 +295,11 @@ func (lg *LinearGaussian) Step() {
 // that reads Σ calls it first.
 func (lg *LinearGaussian) settle() {
 	for ; lg.owed > 0; lg.owed-- {
-		a, aT, q := lg.a, lg.aT, lg.q
+		a, q := lg.a, lg.q
 		if lg.zero {
-			a, aT, q, lg.zero = nil, nil, lg.q0, false
+			a, q, lg.zero = nil, lg.q0, false
 		}
-		if err := lg.state.PredictCov(a, aT, q, lg.ws); err != nil {
+		if err := lg.state.PredictCov(a, nil, q, lg.ws); err != nil {
 			panic(err) // dimensions fixed at construction
 		}
 	}
@@ -420,6 +433,7 @@ func (lg *LinearGaussian) Clone() Model {
 	cp.state = lg.state.Clone()
 	cp.ws = gauss.NewWorkspace(lg.n)
 	cp.valsBuf = make([]float64, 0, lg.n)
+	cp.sampleBuf = nil
 	return &cp
 }
 
@@ -438,36 +452,37 @@ func (lg *LinearGaussian) SampleState(rng *rand.Rand) ([]float64, error) {
 }
 
 // SampleNext implements Sampler: given ground truth x at the model's
-// current clock, draw x(t+1) from the transition. Call before Step when
-// co-simulating truth and belief.
-func (lg *LinearGaussian) SampleNext(x []float64, rng *rand.Rand) ([]float64, error) {
-	if len(x) != lg.n {
-		return nil, fmt.Errorf("%w: sample input %d, model %d", ErrDim, len(x), lg.n)
+// current clock, draw x(t+1) from the transition into dst. Call before Step
+// when co-simulating truth and belief. After the first call it allocates
+// nothing.
+func (lg *LinearGaussian) SampleNext(dst, x []float64, rng *rand.Rand) error {
+	if len(x) != lg.n || len(dst) != lg.n {
+		return fmt.Errorf("%w: sample input %d, output %d, model %d", ErrDim, len(x), len(dst), lg.n)
 	}
-	if lg.qChol == nil {
-		ch, err := mat.NewCholesky(lg.q)
-		if err != nil {
-			return nil, fmt.Errorf("model: innovation covariance not PD: %w", err)
-		}
-		lg.qChol = ch
+	if lg.qErr != nil {
+		return lg.qErr
 	}
-	r := mat.SubVec(x, lg.phaseMean())
-	ar, err := lg.a.MulVec(r)
-	if err != nil {
-		return nil, err
+	if lg.sampleBuf == nil {
+		lg.sampleBuf = make([]float64, 3*lg.n)
 	}
-	z := make([]float64, lg.n)
-	for i := range z {
-		z[i] = rng.NormFloat64()
+	n := lg.n
+	r, ar, w := lg.sampleBuf[:n], lg.sampleBuf[n:2*n], lg.sampleBuf[2*n:]
+	p := lg.phaseMean()
+	for i := range r {
+		r[i] = x[i] - p[i]
 	}
-	w, err := lg.qChol.MulLVec(z)
-	if err != nil {
-		return nil, err
+	if err := lg.a.MulVecInto(ar, r); err != nil {
+		return err
+	}
+	for i := range w {
+		w[i] = rng.NormFloat64()
+	}
+	if err := lg.qChol.MulLVecInto(w, w); err != nil {
+		return err
 	}
 	next := lg.profile[(lg.clock+1)%lg.period]
-	out := make([]float64, lg.n)
-	for i := range out {
-		out[i] = next[i] + ar[i] + w[i]
+	for i := range dst {
+		dst[i] = next[i] + ar[i] + w[i]
 	}
-	return out, nil
+	return nil
 }

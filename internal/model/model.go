@@ -77,8 +77,9 @@ type Sampler interface {
 	Model
 	// SampleState draws a ground-truth vector from the current state.
 	SampleState(rng *rand.Rand) ([]float64, error)
-	// SampleNext draws x(t+1) given ground truth x(t) from the transition.
-	SampleNext(x []float64, rng *rand.Rand) ([]float64, error)
+	// SampleNext draws x(t+1) given ground truth x(t) from the transition
+	// into dst, which has length Dim() and may alias x.
+	SampleNext(dst, x []float64, rng *rand.Rand) error
 }
 
 // IncrementalConditioner is implemented by models that can answer the

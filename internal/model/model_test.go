@@ -1,12 +1,14 @@
 package model
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"ken/internal/gauss"
+	"ken/internal/mat"
 	"ken/internal/trace"
 )
 
@@ -206,12 +208,9 @@ func TestLinearGaussianSampler(t *testing.T) {
 	if len(x) != 2 {
 		t.Fatalf("sample dim = %d", len(x))
 	}
-	nx, err := lg.SampleNext(x, rng)
-	if err != nil {
+	nx := make([]float64, 2)
+	if err := lg.SampleNext(nx, x, rng); err != nil {
 		t.Fatal(err)
-	}
-	if len(nx) != 2 {
-		t.Fatalf("next dim = %d", len(nx))
 	}
 	// Samples stay in a physically plausible band.
 	for _, v := range nx {
@@ -219,8 +218,54 @@ func TestLinearGaussianSampler(t *testing.T) {
 			t.Fatalf("implausible sampled temperature %v", v)
 		}
 	}
-	if _, err := lg.SampleNext([]float64{1}, rng); err == nil {
+	if err := lg.SampleNext(nx, []float64{1}, rng); err == nil {
 		t.Fatal("expected dim error")
+	}
+	if err := lg.SampleNext(nx[:1], x, rng); err == nil {
+		t.Fatal("expected dim error for a short destination")
+	}
+	// Clones share the fitted factor of Q, and writing over the input
+	// draws what a fresh destination does.
+	cl := lg.Clone().(*LinearGaussian)
+	if cl.qChol != lg.qChol {
+		t.Fatal("the clone refactored Q")
+	}
+	in, fresh := append([]float64(nil), x...), make([]float64, 2)
+	if err := lg.SampleNext(fresh, x, rand.New(rand.NewSource(5))); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.SampleNext(in, in, rand.New(rand.NewSource(5))); err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(in, fresh) {
+		t.Fatalf("in place %v, into a fresh slice %v", in, fresh)
+	}
+}
+
+// A Q that does not factor fails neither the fit nor the load, only the
+// sampling that needs it, on every clone and after a JSON round trip.
+func TestSampleNextReportsAnUnfactorableQ(t *testing.T) {
+	data := garden2Cols(t, 120)
+	lg, err := FitLinearGaussian(data[:100], FitConfig{Period: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg.q = mat.NewDenseFrom([][]float64{{1, 2}, {2, 1}})
+	lg.qChol, lg.qErr = factorQ(lg.q)
+	buf, err := json.Marshal(lg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var loaded LinearGaussian
+	if err := json.Unmarshal(buf, &loaded); err != nil {
+		t.Fatal(err)
+	}
+	x := MeanOf(lg)
+	for name, m := range map[string]*LinearGaussian{"fitted": lg, "clone": lg.Clone().(*LinearGaussian), "loaded": &loaded} {
+		err := m.SampleNext(make([]float64, 2), x, rand.New(rand.NewSource(1)))
+		if !errors.Is(err, mat.ErrSingular) {
+			t.Fatalf("%s: SampleNext err = %v, want ErrSingular", name, err)
+		}
 	}
 }
 

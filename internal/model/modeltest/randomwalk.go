@@ -41,10 +41,9 @@ func (w *RandomWalk) MeanGiven(idx []int, vals []float64) ([]float64, error) {
 	return c.mean, c.Condition(idx, vals)
 }
 func (w *RandomWalk) SampleState(*rand.Rand) ([]float64, error) { return model.MeanOf(w), nil }
-func (w *RandomWalk) SampleNext(x []float64, rng *rand.Rand) ([]float64, error) {
-	out := make([]float64, len(x))
+func (w *RandomWalk) SampleNext(dst, x []float64, rng *rand.Rand) error {
 	for i := range x {
-		out[i] = x[i] + w.sd[i]*rng.NormFloat64()
+		dst[i] = x[i] + w.sd[i]*rng.NormFloat64()
 	}
-	return out, nil
+	return nil
 }

@@ -49,7 +49,7 @@ func newEager(lg *LinearGaussian) *eager {
 }
 
 func (e *eager) step() {
-	if err := e.g.Predict(e.lg.a, e.lg.aT, e.lg.q, e.ws); err != nil {
+	if err := e.g.Predict(e.lg.a, nil, e.lg.q, e.ws); err != nil {
 		panic(err)
 	}
 	e.clock++

@@ -73,17 +73,17 @@ func (lg *LinearGaussian) UnmarshalJSON(data []byte) error {
 	}
 	lg.n = w.N
 	lg.a = w.A
-	lg.aT = w.A.T()
 	lg.q = w.Q
+	lg.qChol, lg.qErr = factorQ(w.Q)
 	lg.q0 = zeroImage(w.Q)
 	lg.owed, lg.zero = 0, w.StateCov.MaxAbs() == 0
-	lg.qChol = nil
 	lg.profile = w.Profile
 	lg.period = w.Period
 	lg.clock = w.Clock
 	lg.state = state
 	lg.ws = gauss.NewWorkspace(w.N)
 	lg.valsBuf = make([]float64, 0, w.N)
+	lg.sampleBuf = nil
 	return nil
 }
 

@@ -191,13 +191,14 @@ func Generate(d *Deployment, cfg GenConfig) (*Trace, error) {
 	// AR(1) spatio-temporal noise fields for temperature and humidity.
 	wTemp := make([]float64, n)
 	wHum := make([]float64, n)
+	z := make([]float64, n) // advanceField's innovation scratch
 	hvacEffect := make([]float64, n)
 
 	stepDays := cfg.StepMinutes / (24 * 60)
 	for t := 0; t < cfg.Steps; t++ {
 		day := float64(t) * stepDays
-		advanceField(wTemp, cfg.ARCoeff, chol, rng)
-		advanceField(wHum, cfg.ARCoeff, chol, rng)
+		advanceField(wTemp, z, cfg.ARCoeff, chol, rng)
+		advanceField(wHum, z, cfg.ARCoeff, chol, rng)
 		hvac.advance(cfg, rng)
 
 		rowT := make([]float64, n)
@@ -277,21 +278,19 @@ func spatialCholesky(d *Deployment, cfg GenConfig) (*mat.Cholesky, error) {
 }
 
 // advanceField steps a unit-variance AR(1) field with spatially correlated
-// innovations: w ← ρ·w + √(1−ρ²)·L·z.
-func advanceField(w []float64, rho float64, chol *mat.Cholesky, rng *rand.Rand) {
-	n := len(w)
-	z := make([]float64, n)
+// innovations: w ← ρ·w + √(1−ρ²)·L·z. z is scratch of w's length; L·z
+// overwrites it in place.
+func advanceField(w, z []float64, rho float64, chol *mat.Cholesky, rng *rand.Rand) {
 	for i := range z {
 		z[i] = rng.NormFloat64()
 	}
-	lz, err := chol.MulLVec(z)
-	if err != nil {
+	if err := chol.MulLVecInto(z, z); err != nil {
 		// Dimensions are fixed by construction; this cannot happen.
 		panic(err)
 	}
 	s := math.Sqrt(1 - rho*rho)
 	for i := range w {
-		w[i] = rho*w[i] + s*lz[i]
+		w[i] = rho*w[i] + s*z[i]
 	}
 }
 
