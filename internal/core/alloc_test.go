@@ -16,8 +16,9 @@ import (
 // allocates exactly the StepStats.Reported list it hands back (the kernel's
 // own reporting work is pinned at zero in internal/protocol), whether it is
 // priced on a topology, timed into a metrics registry, thinned by loss or a
-// heartbeat. Bounds far wider than the signal make every epoch suppress
-// deterministically, bounds far tighter make every epoch report them all.
+// heartbeat, or re-twinning the sink after a loss. Bounds far wider than the
+// signal make every epoch suppress deterministically, bounds far tighter make
+// every epoch report them all.
 func TestAllocBudgetKenReplay(t *testing.T) {
 	if alloctest.RaceEnabled {
 		t.Skip("alloc budgets are not meaningful under -race")
@@ -78,5 +79,22 @@ func TestAllocBudgetKenReplay(t *testing.T) {
 		}); got != tc.budget {
 			t.Errorf("%s epoch: %v allocs/op, budget %v", tc.name, got, tc.budget)
 		}
+	}
+	// The epoch that re-twins a sink: a whole heartbeat after an epoch that
+	// lost values. Every other epoch is a heartbeat, so each call runs the
+	// pair, and the budget is its two Reported lists.
+	l := lossy(config(1e-9), LossyConfig{LossRate: 0.9, HeartbeatEvery: 2, Seed: 1}).(*LossyKen)
+	if got := testing.AllocsPerRun(100, func() {
+		lost, beats := l.LostMessages, l.Heartbeats
+		for range 2 {
+			if _, st, err := l.Step(test[0]); err != nil || st.ValuesReported != n {
+				t.Fatalf("%d values reported, err %v — budget premise broken", st.ValuesReported, err)
+			}
+		}
+		if l.LostMessages == lost || l.Heartbeats != beats+1 {
+			t.Fatalf("%d values lost, %d heartbeats: not a lossy epoch and a heartbeat — budget premise broken", l.LostMessages-lost, l.Heartbeats-beats)
+		}
+	}); got != 2 {
+		t.Errorf("lossy epoch + re-twinning heartbeat: %v allocs/op, budget 2", got)
 	}
 }

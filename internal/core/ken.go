@@ -113,9 +113,10 @@ func newKen(cfg KenConfig, ch protocol.Channel) (*Ken, error) {
 	}
 	k := &Ken{name: name, n: n, part: cfg.Partition, top: cfg.Topology, prob: cfg.Prob, estBuf: make([]float64, n)}
 	k.loop = &protocol.Loop{
-		Src: src, Sink: protocol.Mirror(src), Roots: roots, N: n,
+		Src: src, Roots: roots, N: n,
 		Channel: ch, Choose: (*protocol.Kernel).Choose, Tracer: cfg.Obs.Tracer(),
 	}
+	k.loop.Mirror()
 	reg := cfg.Obs.Registry()
 	k.mValues = reg.Counter("ken_values_reported_total")
 	k.mSuppressed = reg.Counter("ken_values_suppressed_total")

@@ -30,9 +30,13 @@ var ErrNotFinite = errors.New("gauss: observation not finite")
 // Gaussian is an n-dimensional Gaussian distribution N(mean, cov).
 // The zero value is not usable; construct with New.
 //
-// Invariant: cov holds no −0. New canonicalises it to +0 and no update
-// makes one; the in-place kernels' skip rules rely on it (see
-// rank1Condition).
+// Invariant: cov holds no −0; the in-place kernels' skip rules rely on it
+// (see rank1Condition). New canonicalises a −0 to +0, and no update makes
+// one: every sum starts from +0 or from a Σ entry, x − y rounds an exact
+// cancellation to +0 (and a subnormal difference is exact), and the one
+// rounding that can reach −0 — halving a pair sum of −2⁻¹⁰⁷⁴ in
+// Symmetrize or PredictCov — is followed by adding +0, which turns −0
+// into +0 and changes nothing else.
 type Gaussian struct {
 	mean []float64
 	cov  *mat.Dense
@@ -92,6 +96,22 @@ func (g *Gaussian) Cov() *mat.Dense { return g.cov.Clone() }
 // Clone returns a deep copy.
 func (g *Gaussian) Clone() *Gaussian {
 	return &Gaussian{mean: g.Mean(), cov: g.cov.Clone()}
+}
+
+// CopyFrom overwrites g with src's mean and covariance, bit for bit, in g's
+// own storage. It is a mutation like Predict or ObserveExact: ws, g's
+// workspace, advances its generation and unbinds its evaluator. It
+// allocates nothing.
+func (g *Gaussian) CopyFrom(src *Gaussian, ws *Workspace) error {
+	n := len(g.mean)
+	if len(src.mean) != n || ws.n != n {
+		return fmt.Errorf("gauss: copy of dim %d into dim %d, workspace dim %d", len(src.mean), n, ws.n)
+	}
+	copy(g.mean, src.mean)
+	g.cov.CopyFrom(src.cov)
+	ws.evalG = nil
+	ws.gen++
+	return nil
 }
 
 // checkObserved validates an observation set against dimension n: one

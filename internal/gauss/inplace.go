@@ -219,7 +219,8 @@ func (g *Gaussian) PredictCov(a, aT, q *mat.Dense, ws *Workspace) error {
 	}
 	// Σ′ row by row over the upper triangle, two pairs (four independent
 	// sums) at a time so the additions overlap; each pair is Sym(S + Q), the
-	// AddInto and then the Symmetrize of the written-out sequence.
+	// AddInto and then the Symmetrize of the written-out sequence, +0 added
+	// after the halving as Symmetrize adds it (no −0).
 	cd, qd := g.cov.DataView(), q.DataView()
 	for i := 0; i < n; i++ {
 		ti, aci := t[i*nc:(i+1)*nc], ac[i*nc:(i+1)*nc]
@@ -241,8 +242,8 @@ func (g *Gaussian) PredictCov(a, aT, q *mat.Dense, ws *Workspace) error {
 				s1 += tic * a1[c]
 				r1 += t1[c] * aci[c]
 			}
-			v0 := ((s0 + qd[i*n+j]) + (r0 + qd[j*n+i])) / 2
-			v1 := ((s1 + qd[i*n+j+1]) + (r1 + qd[(j+1)*n+i])) / 2
+			v0 := ((s0+qd[i*n+j])+(r0+qd[j*n+i]))/2 + 0
+			v1 := ((s1+qd[i*n+j+1])+(r1+qd[(j+1)*n+i]))/2 + 0
 			cd[i*n+j], cd[j*n+i] = v0, v0
 			cd[i*n+j+1], cd[(j+1)*n+i] = v1, v1
 		}
@@ -254,7 +255,7 @@ func (g *Gaussian) PredictCov(a, aT, q *mat.Dense, ws *Workspace) error {
 				s += tic * acj[c]
 				r += tj[c] * aci[c]
 			}
-			v := ((s + qd[i*n+j]) + (r + qd[j*n+i])) / 2
+			v := ((s+qd[i*n+j])+(r+qd[j*n+i]))/2 + 0
 			cd[i*n+j], cd[j*n+i] = v, v
 		}
 	}
@@ -382,9 +383,7 @@ func (g *Gaussian) ObserveExact(idx []int, vals []float64, ws *Workspace) error 
 // The sweep touches only rows and columns r, s ≠ i with c_r, c_s ≠ 0: row
 // and column i are zeroed afterwards, and every other term is an exact ±0
 // product. Subtracting ±0 changes no bit of any entry but −0 (−0 − −0 is
-// +0), and Σ holds no −0: New turns it into +0, and no update makes one
-// (every sum here and in PredictCov starts from +0 or from a Σ entry, and
-// x − y rounds an exact cancellation to +0). So a report's exact row and
+// +0), and Σ holds no −0 (see Gaussian). So a report's exact row and
 // column cost nothing, and the k-th of a multi-attribute sweep costs
 // (n−k)², not n².
 func rank1Condition(cov *mat.Dense, mu []float64, i int, v float64, ws *Workspace) bool {
@@ -409,21 +408,10 @@ func rank1Condition(cov *mat.Dense, mu []float64, i int, v float64, ws *Workspac
 			live = append(live, r)
 		}
 	}
-	if len(live) == n-1 {
-		// Dense: the contiguous sweep over every row and column is the
-		// cheaper one, row and column i included.
-		for r, cr := range c {
-			row := cov.RowView(r)
-			for s, cs := range c {
-				row[s] -= (cr * cs) * invd
-			}
-		}
-	} else {
-		for _, r := range live {
-			cr, row := c[r], cov.RowView(r)
-			for _, s := range live {
-				row[s] -= (cr * c[s]) * invd
-			}
+	for _, r := range live {
+		cr, row := c[r], cov.RowView(r)
+		for _, s := range live {
+			row[s] -= (cr * c[s]) * invd
 		}
 	}
 	ri := cov.RowView(i)

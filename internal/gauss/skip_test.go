@@ -118,7 +118,9 @@ func (s *byteSrc) mask() uint16 { return uint16(s.next()) | uint16(s.next())<<8 
 // live attributes, so the attributes in the dead mask have an all-zero row
 // and column; flags then kill one more row alone (its column stays live)
 // and one more column alone, and, when negZero, turn Σ's zeros into −0,
-// which only PredictCov may see (New would canonicalise them).
+// which only PredictCov may see (New would canonicalise them). Flag 8
+// plants −2⁻¹⁰⁷⁴ at Q_{0,n−1} and +0 at Q_{n−1,0}: where that pair of
+// A·Σ·Aᵀ is zero, the sum a transition halves there is −2⁻¹⁰⁷⁴.
 func kernelCase(s *byteSrc, negZero bool) (g *Gaussian, a, q *mat.Dense) {
 	n := 1 + int(s.next())%12
 	flags, dead := s.next(), s.mask()
@@ -143,6 +145,10 @@ func kernelCase(s *byteSrc, negZero bool) (g *Gaussian, a, q *mat.Dense) {
 			q.Set(i, j, v)
 			q.Set(j, i, v)
 		}
+	}
+	if flags&8 != 0 {
+		q.Set(0, n-1, -math.SmallestNonzeroFloat64)
+		q.Set(n-1, 0, 0)
 	}
 	if r := int(s.next()) % n; flags&1 != 0 {
 		for j := 0; j < n; j++ {
@@ -287,6 +293,42 @@ func TestNegativeZeroCovFromJSON(t *testing.T) {
 	runKernels(t, g, a, q, &byteSrc{b: []byte{0, 0b001, 0, 40, 0, 0b010, 0, 50, 1, 0, 0b101, 0, 60, 70}})
 }
 
+// halvingCase is n = 3 with Σ all zero (dead mask 0b111) and flag 8: a
+// transition writes Σ = Sym(Q), whose (0, 2) pair sums to −2⁻¹⁰⁷⁴, with
+// Q_01 = 0 and Q_21 < 0. Reporting attribute 1 then gives the full sweep a
+// (c_0·c_2)/d = −0 to subtract at (0, 2), and the sweep skips that column:
+// had the halving left −0 there, the full sweep would turn it into +0 and
+// the sweep that skips would keep it.
+var halvingCase = []byte{
+	2, 8, 0b111, 0, // n = 3, flag 8, every attribute dead
+	40, 40, 40, 40, 40, 40, 40, 40, 40, // A
+	40, 40, 0, 40, 40, 240, // Q_00, Q_11, Q_10 = 0, Q_22, Q_20, Q_21 = −1/32
+	0, 0, // no extra dead row or column
+	40, 40, 40, // μ
+	1,               // PredictCov
+	0, 0b010, 0, 40, // ObserveExact({1})
+}
+
+// TestHalvingLeavesNoNegativeZero: the transition's halving writes +0, not
+// the −0 that round-half-even makes of −2⁻¹⁰⁷⁴/2, and the report after it
+// matches the sweep that skips nothing.
+func TestHalvingLeavesNoNegativeZero(t *testing.T) {
+	g, a, q := kernelCase(&byteSrc{b: halvingCase}, false)
+	if err := g.PredictCov(a, nil, q, NewWorkspace(3)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		for _, v := range g.cov.Row(i) {
+			if isZero(v) && math.Signbit(v) {
+				t.Fatalf("PredictCov wrote −0:\n%v", g.cov)
+			}
+		}
+	}
+	s := &byteSrc{b: halvingCase}
+	g, a, q = kernelCase(s, false)
+	runKernels(t, g, a, q, &byteSrc{b: halvingCase[s.i:]})
+}
+
 // FuzzCovKernels decodes a belief, a transition and a schedule of
 // predictions and reports from bytes and holds PredictCov and ObserveExact
 // to the written-out references.
@@ -294,6 +336,7 @@ func FuzzCovKernels(f *testing.F) {
 	f.Add([]byte{7, 3, 0b101, 0, 9, 200, 17, 33, 1, 0, 0b11, 0, 5, 6, 1, 0, 1, 0, 7})
 	f.Add([]byte{0, 0, 0, 0, 1, 1})
 	f.Add([]byte{11, 7, 0xFF, 0x0F, 3, 5, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(halvingCase)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			data = data[:4096]

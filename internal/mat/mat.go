@@ -4,9 +4,11 @@
 //
 // The package is deliberately small and self-contained (stdlib only).
 // Matrices are row-major dense float64. Dimensions in Ken are tiny —
-// a clique rarely exceeds a dozen attributes — so the implementation
-// favours clarity and numerical robustness (symmetrisation, jitter on
-// near-singular Cholesky) over blocked performance tricks.
+// a clique rarely exceeds a dozen attributes — so there is no blocking or
+// tiling; numerical robustness (symmetrisation, jitter on near-singular
+// Cholesky) comes first. Speed comes from skipping exact zeros and from
+// DataView, which lets gauss's fused, unrolled covariance kernels stream a
+// matrix's storage directly.
 //
 // Every numeric operation has one implementation, the in-place kernel
 // (inplace.go) that hot paths run against preallocated workspaces. The
@@ -156,7 +158,9 @@ func (m *Dense) Submatrix(rowIdx, colIdx []int) *Dense {
 
 // Symmetrize overwrites m with (m + mᵀ)/2. It panics when m is not square.
 // This keeps covariance matrices symmetric through repeated predict/condition
-// cycles despite floating-point drift.
+// cycles despite floating-point drift. It writes no −0 off the diagonal:
+// halving a pair sum of −2⁻¹⁰⁷⁴ rounds to −0, and the +0 added after the
+// halving turns that into +0 and changes no other value.
 func (m *Dense) Symmetrize() {
 	if m.rows != m.cols {
 		panic(fmt.Sprintf("mat: Symmetrize on %dx%d", m.rows, m.cols))
@@ -164,7 +168,7 @@ func (m *Dense) Symmetrize() {
 	n := m.rows
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			v := (m.data[i*n+j] + m.data[j*n+i]) / 2
+			v := (m.data[i*n+j]+m.data[j*n+i])/2 + 0
 			m.data[i*n+j] = v
 			m.data[j*n+i] = v
 		}

@@ -171,6 +171,12 @@ func TestSymmetrize(t *testing.T) {
 	if a.At(0, 1) != 3 || a.At(1, 0) != 3 {
 		t.Fatalf("symmetrized = %v", a)
 	}
+	// Half of −2⁻¹⁰⁷⁴ rounds to −0; Symmetrize writes +0.
+	b := NewDenseFrom([][]float64{{1, -math.SmallestNonzeroFloat64}, {0, 1}})
+	b.Symmetrize()
+	if math.Signbit(b.At(0, 1)) || math.Signbit(b.At(1, 0)) {
+		t.Fatalf("Symmetrize wrote −0:\n%v", b)
+	}
 }
 
 func TestMaxAbs(t *testing.T) {

@@ -47,4 +47,12 @@ func TestAllocBudgetLinearGaussian(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	// A twin sink's epoch: the source steps and the sink copies it.
+	sink := lg.Clone().(*LinearGaussian)
+	budget("Step+CopyStateFrom", 0, func() {
+		lg.Step()
+		if err := sink.CopyStateFrom(lg); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -54,6 +54,7 @@ var (
 	_ MeanWriter             = (*LinearGaussian)(nil)
 	_ Sampler                = (*LinearGaussian)(nil)
 	_ IncrementalConditioner = (*LinearGaussian)(nil)
+	_ StateCopier            = (*LinearGaussian)(nil)
 )
 
 // ridge is the relative ridge regularisation of the VAR solve and the
@@ -435,6 +436,21 @@ func (lg *LinearGaussian) Clone() Model {
 	cp.valsBuf = make([]float64, 0, lg.n)
 	cp.sampleBuf = nil
 	return &cp
+}
+
+// CopyStateFrom implements StateCopier: the belief, the clock, the owed
+// transitions and the zero mark of src, a replica sharing lg's fitted
+// parameters. The debt is copied unsettled, as Clone inherits it.
+func (lg *LinearGaussian) CopyStateFrom(src Model) error {
+	s, ok := src.(*LinearGaussian)
+	if !ok || s.a != lg.a || s.q != lg.q {
+		return fmt.Errorf("model: CopyStateFrom needs a LinearGaussian of the same fit")
+	}
+	if err := lg.state.CopyFrom(s.state, lg.ws); err != nil {
+		return err
+	}
+	lg.clock, lg.owed, lg.zero = s.clock, s.owed, s.zero
+	return nil
 }
 
 // SampleState implements Sampler: draw the residual from the belief and add

@@ -109,6 +109,20 @@ type IncrementalConditioner interface {
 	CondMeanInto(dst []float64) error
 }
 
+// StateCopier is implemented by models whose replicated state can be taken
+// from a twin — a replica of the same fit, Cloned from it or from a common
+// ancestor — by copy. CopyStateFrom overwrites the receiver's state with
+// src's, bit for bit, in the receiver's own storage: the answer it gives
+// afterwards, and every answer after the same moves, is src's. It is a
+// mutation like Step or Condition (cached evaluators unbind), allocates
+// nothing, and fails without touching the receiver when src is not a twin.
+// protocol.Loop uses it to let a sink replica it has proven in lock-step
+// with its source take the source's epoch instead of recomputing it.
+type StateCopier interface {
+	Model
+	CopyStateFrom(src Model) error
+}
+
 // ErrDim is returned when an observation or bound vector has the wrong
 // dimensionality for the model.
 var ErrDim = errors.New("model: dimension mismatch")

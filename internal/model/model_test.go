@@ -129,6 +129,50 @@ func TestLinearGaussianReplicaLockstep(t *testing.T) {
 	}
 }
 
+// CopyStateFrom takes a twin's state only: a replica of another fit is
+// refused, and a copy of a clone that went on alone (its debt owed, its
+// clock ahead) answers as the clone does, bit for bit, through the same
+// moves after it.
+func TestCopyStateFromTwinOnly(t *testing.T) {
+	data := garden2Cols(t, 150)
+	lg, err := FitLinearGaussian(data[:100], FitConfig{Period: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := FitLinearGaussian(data[10:110], FitConfig{Period: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := lg.Clone().(*LinearGaussian)
+	if err := sink.CopyStateFrom(other); err == nil {
+		t.Fatal("copied the state of another fit")
+	}
+	src := lg.Clone()
+	for range 5 {
+		src.Step()
+	}
+	if err := sink.CopyStateFrom(src); err != nil {
+		t.Fatal(err)
+	}
+	for step, row := range data[105:130] {
+		src.Step()
+		sink.Step()
+		idx, vals := []int{step % 2}, []float64{row[step%2]}
+		if err := src.Condition(idx, vals); err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Condition(idx, vals); err != nil {
+			t.Fatal(err)
+		}
+		a, b := MeanOf(src), MeanOf(sink)
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("step %d: the copy answers %v, its twin %v", step, b, a)
+			}
+		}
+	}
+}
+
 func TestLinearGaussianConditionExactAndCorrelated(t *testing.T) {
 	data := garden2Cols(t, 150)
 	lg, err := FitLinearGaussian(data[:100], FitConfig{Period: 24})

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"fmt"
+	"math"
 
 	"ken/internal/model"
 	"ken/internal/obs"
@@ -63,26 +64,27 @@ func (b *Beat) Heartbeat() bool {
 // contract — which is the default policy, (*Kernel).Choose.
 type Policy func(src *Kernel, truth []float64, cand []int) (idx []int, vals []float64, err error)
 
-// Mirror returns an independent replica of every kernel, in the same state:
-// the sink side of a deployment fitted once.
-func Mirror(src []*Kernel) []*Kernel {
-	sink := make([]*Kernel, len(src))
-	for i, k := range src {
-		sink[i] = k.Clone()
-	}
-	return sink
-}
-
 // Loop is the Ken epoch (§3.2), written once: per clique, hear what the
 // channel collected at the root, advance the replicas, let the source choose
 // its report (every reading it holds on a heartbeat), hand the report to the
 // channel, commit the source to what it sent and the sink to what arrived —
 // and trace each of those moves. Drivers fill the exported configuration,
-// call Check and then Epoch (or SourceEpoch) once per sampling period and
-// read the outcome; they make no kernel move of their own.
+// call Mirror when the sink is in-process, then Check and Epoch (or
+// SourceEpoch) once per sampling period, and read the outcome; they make no
+// kernel move of their own.
+//
+// Source and sink run the same deterministic model on the same reports, so
+// while every report arrives as sent their states stay equal bit for bit.
+// The loop keeps, per clique, a twin bit that says so: Mirror sets it, an
+// epoch whose delivery is the report keeps it, an epoch in which both
+// replicas commit a report of every member sets it again (both are then the
+// same point mass), and anything else clears it. On a twin epoch the sink
+// neither predicts nor commits: it copies the source's post-commit state
+// (model.StateCopier), the same bits its own moves would have made.
 type Loop struct {
 	// Src and Sink are each clique's replicas, in partition order. Sink is
-	// empty when the sink lives in another process (SourceEpoch only).
+	// set by Mirror, and empty when the sink lives in another process
+	// (SourceEpoch only).
 	Src, Sink []*Kernel
 	// Roots is each clique's root node, for the trace.
 	Roots []int
@@ -102,13 +104,31 @@ type Loop struct {
 	step int64
 	sp   *obs.Span
 	pick Policy // this epoch's: Choose, or (*Kernel).Full on a heartbeat
+	// twin[ci]: clique ci's sink is bitwise its source (see Loop).
+	twin []bool
 	// d is the current clique's report after the channel: what arrived, what
-	// the channel dropped untraced, and the report's span.
+	// the channel dropped untraced, the report's span, and what the source
+	// committed.
 	d struct {
-		idx   []int
-		vals  []float64
-		lost  []int
-		under *obs.Span
+		idx      []int
+		vals     []float64
+		lost     []int
+		under    *obs.Span
+		sent     []int
+		sentVals []float64
+	}
+}
+
+// Mirror gives every source replica an independent sink replica in the same
+// state — the sink side of a deployment fitted once — and marks each pair
+// whose model family can copy state a twin. A sink the loop did not mirror
+// is never taken for one.
+func (l *Loop) Mirror() {
+	l.Sink = make([]*Kernel, len(l.Src))
+	l.twin = make([]bool, len(l.Src))
+	for ci, k := range l.Src {
+		l.Sink[ci] = k.Clone()
+		l.twin[ci] = l.Sink[ci].sc != nil
 	}
 }
 
@@ -125,21 +145,66 @@ func (l *Loop) Check(truth []float64) error {
 // and delivery interleaved clique by clique. truth must have passed Check.
 // step labels the epoch's events and sp, when active, is the span they nest
 // under. An error leaves the cliques before the failing one advanced.
+//
+// A twin sink makes no move of its own unless the delivery differs from the
+// report: it predicts then (or on an error, as every sink predicts before
+// its source's half), and otherwise copies the source once it has
+// committed. The report is traced against the source's prediction, which is
+// bitwise the sink's, so a traced run takes the same path.
 func (l *Loop) Epoch(step int64, sp *obs.Span, truth []float64) error {
 	l.begin(step, sp)
 	for ci, sink := range l.Sink {
-		sink.Predict()
-		if err := l.source(ci, truth, sink); err != nil {
+		src := l.Src[ci]
+		twin := ci < len(l.twin) && l.twin[ci]
+		view := src
+		if twin {
+			l.twin[ci] = false // until this epoch ends well
+		} else {
+			sink.Predict()
+			view = sink
+		}
+		if err := l.source(ci, truth, view); err != nil {
+			if twin {
+				sink.Predict()
+			}
 			return err
 		}
-		if err := sink.Commit(l.d.idx, l.d.vals); err != nil {
-			return err
+		asSent := l.asSent()
+		if twin && asSent {
+			if err := sink.sc.CopyStateFrom(src.m); err != nil {
+				return err
+			}
+		} else {
+			if twin {
+				sink.Predict()
+			}
+			if err := sink.Commit(l.d.idx, l.d.vals); err != nil {
+				return err
+			}
+		}
+		if asSent && (twin || len(l.d.sent) == src.Dim()) && ci < len(l.twin) {
+			l.twin[ci] = sink.sc != nil
 		}
 		if l.Tracer != nil {
 			l.traceArrival(ci)
 		}
 	}
 	return nil
+}
+
+// asSent reports whether the current clique's delivery is the report the
+// source committed: the same indices and the same value bits.
+func (l *Loop) asSent() bool {
+	d := &l.d
+	if len(d.idx) != len(d.sent) {
+		return false
+	}
+	for j, i := range d.sent {
+		if d.idx[j] != i || math.Float64bits(d.vals[j]) != math.Float64bits(d.sentVals[j]) {
+			return false
+		}
+	}
+	return true
 }
 
 // SourceEpoch is Epoch for a loop without sink replicas: the source half
@@ -201,6 +266,7 @@ func (l *Loop) source(ci int, truth []float64, view *Kernel) error {
 		l.d.under = l.traceReport(ci, idx, vals, pred)
 	}
 	l.d.idx, l.d.vals, l.d.lost = l.Channel.Carry(ci, idx, vals, l.d.under)
+	l.d.sent, l.d.sentVals = idx, vals
 	// The source believes everything it sent; the sink only what arrived.
 	return src.Commit(idx, vals)
 }

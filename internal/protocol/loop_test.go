@@ -1,7 +1,10 @@
 package protocol
 
 import (
+	"bytes"
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"ken/internal/model"
@@ -55,7 +58,7 @@ func gardenLoop(t *testing.T, n int, ch Channel) (*Loop, [][]float64, float64) {
 		}
 		l.Src, l.Roots = append(l.Src, k), append(l.Roots, lo)
 	}
-	l.Sink = Mirror(l.Src)
+	l.Mirror()
 	return l, data[100:], eps
 }
 
@@ -101,5 +104,253 @@ func TestLoopFaultInjection(t *testing.T) {
 	}
 	if ch.drops == 0 || misses == 0 || !diverged {
 		t.Fatalf("%d reports dropped, %d ε misses, diverged %v: the blackout was never felt", ch.drops, misses, diverged)
+	}
+}
+
+// act is what the scripted channel does to one clique in one epoch.
+type act int
+
+const (
+	pass     act = iota // the report arrives as sent
+	dropOne             // its first value is lost
+	dropAll             // all of it is lost
+	deadRoot            // the root heard no member: an empty report, arriving empty
+	partial             // the root heard only its first member (on a heartbeat: a partial heartbeat)
+	quantise            // Carry rounds the values in place: both replicas commit the rounded ones
+	garble              // the same indices arrive with rounded values in a copy: other bits than the source's
+	corrupt             // a NaN arrives: the sink's commit fails
+	refuse              // the report policy errors before anything is sent
+)
+
+// scripted plays a fixed schedule: epoch e is a heartbeat when beats[e],
+// and clique ci's report meets acts[e][ci]. It records which cliques the
+// epoch reached and a copy of what arrived, for the test's computing sinks.
+type scripted struct {
+	beats   []bool
+	acts    [][]act
+	epoch   int
+	cur     int
+	reached []bool
+	arrived [][]float64 // arrived[ci]: nil, or the delivered values beside arrivedIdx[ci]
+	arrIdx  [][]int
+	buf     []float64
+	lost    int // values the schedule dropped or changed, over the run
+}
+
+func (s *scripted) act(ci int) act { return s.acts[s.epoch-1][ci] }
+
+func (s *scripted) Heartbeat() bool {
+	s.epoch++
+	for ci := range s.reached {
+		s.reached[ci], s.arrived[ci], s.arrIdx[ci] = false, nil, nil
+	}
+	return s.beats[s.epoch-1]
+}
+
+func (s *scripted) Collect(ci int, _ []float64) []int {
+	s.cur, s.reached[ci] = ci, true
+	switch s.act(ci) {
+	case deadRoot:
+		return []int{}
+	case partial:
+		return []int{0}
+	}
+	return nil
+}
+
+func (s *scripted) Carry(ci int, idx []int, vals []float64, _ *obs.Span) ([]int, []float64, []int) {
+	dIdx, dVals := idx, vals
+	switch s.act(ci) {
+	case dropOne:
+		if len(idx) > 0 {
+			dIdx, dVals = idx[1:], vals[1:]
+		}
+	case dropAll:
+		dIdx, dVals = nil, nil
+	case quantise:
+		for j, v := range vals {
+			vals[j] = math.Round(v*16) / 16
+		}
+	case garble:
+		s.buf = s.buf[:0]
+		for _, v := range vals {
+			s.buf = append(s.buf, math.Round(v*16)/16)
+		}
+		dVals = s.buf
+	case corrupt:
+		dIdx, dVals = []int{0}, []float64{math.NaN()}
+	}
+	if len(dIdx) != len(idx) || (len(dVals) > 0 && &dVals[0] != &vals[0]) {
+		s.lost++
+	}
+	s.arrIdx[ci] = append([]int(nil), dIdx...)
+	s.arrived[ci] = append([]float64{}, dVals...)
+	return dIdx, dVals, nil
+}
+
+// choose is the scripted report policy: Choose, except where the schedule
+// refuses.
+func (s *scripted) choose(src *Kernel, truth []float64, cand []int) ([]int, []float64, error) {
+	if s.act(s.cur) == refuse {
+		return nil, nil, errors.New("scripted refusal")
+	}
+	return src.Choose(truth, cand)
+}
+
+// twinSchedule is the schedule of TestSinkTwinMatchesComputedSink, over two
+// cliques, repeated: each line says what it takes a twin sink through.
+func twinSchedule(repeats int) (beats []bool, acts [][]act) {
+	base := []struct {
+		hb   bool
+		acts []act
+	}{
+		{false, []act{pass, pass}},
+		{false, []act{pass, dropOne}},     // clique 1 loses a value
+		{false, []act{pass, pass}},        // … and a partial report arrives whole: still no twin
+		{false, []act{dropAll, pass}},     // clique 0 loses its report
+		{true, []act{pass, pass}},         // a whole heartbeat: both twins again
+		{false, []act{deadRoot, pass}},    // a dead root's empty report arrives empty: kept
+		{false, []act{quantise, garble}},  // rounded in place: kept; rounded in a copy: cleared
+		{false, []act{pass, pass}},        //
+		{true, []act{partial, partial}},   // a partial heartbeat keeps a twin, makes none
+		{false, []act{pass, pass}},        //
+		{true, []act{pass, pass}},         // whole heartbeat
+		{false, []act{refuse, pass}},      // clique 0 errs; clique 1 is not reached
+		{false, []act{pass, pass}},        //
+		{true, []act{pass, pass}},         // whole heartbeat
+		{false, []act{pass, corrupt}},     // clique 1's sink fails to commit
+		{false, []act{pass, pass}},        //
+		{true, []act{deadRoot, pass}},     // a heartbeat at a dead root
+		{false, []act{pass, refuse}},      // an error at a clique that is no twin
+		{false, []act{pass, pass}},        //
+		{false, []act{dropOne, quantise}}, //
+	}
+	for range repeats {
+		for _, e := range base {
+			beats, acts = append(beats, e.hb), append(acts, e.acts)
+		}
+	}
+	return beats, acts
+}
+
+// replicaBits is everything of a LinearGaussian replica an answer or a
+// report can depend on, as bits: its mean, its Σ settled (read off a clone,
+// so the replica's own debt is left alone), its clock and its owed count.
+func replicaBits(t *testing.T, k *Kernel) []uint64 {
+	t.Helper()
+	lg := k.Model().(*model.LinearGaussian)
+	var bits []uint64
+	for _, v := range model.MeanOf(lg) {
+		bits = append(bits, math.Float64bits(v))
+	}
+	for _, v := range lg.Clone().(*model.LinearGaussian).Cov().DataView() {
+		bits = append(bits, math.Float64bits(v))
+	}
+	// The debt is unexported; reflection reads it without settling it.
+	owed := reflect.ValueOf(lg).Elem().FieldByName("owed").Int()
+	return append(bits, uint64(lg.Clock()), uint64(owed))
+}
+
+// TestSinkTwinMatchesComputedSink holds the twin rule to the sink it
+// replaces. A scripted channel takes two cliques through loss of a value and
+// of a report, dead roots, whole and partial heartbeats, values quantised
+// in place and rewritten in a copy, and errors at the source and at the
+// sink. After every epoch each sink of the loop — which copies its source
+// whenever it can prove them twins — must be bitwise an independent clone
+// that ran Predict + Commit on exactly what arrived; and a loop whose sinks
+// it did not mirror, so never twins, must write the same trace.
+func TestSinkTwinMatchesComputedSink(t *testing.T) {
+	const n, eps = 6, 0.05
+	data := gardenCols(t, 200, n)
+	var proto []*Kernel
+	for _, members := range [][]int{{0, 1, 2}, {3, 4, 5}} {
+		k, err := Fit(data[:100], uniform(n, eps), members, func(cols [][]float64) (model.Model, error) {
+			return model.FitLinearGaussian(cols, model.FitConfig{Period: 24})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		proto = append(proto, k)
+	}
+	clones := func() []*Kernel {
+		out := make([]*Kernel, len(proto))
+		for ci, k := range proto {
+			out[ci] = k.Clone()
+		}
+		return out
+	}
+	beats, acts := twinSchedule(4)
+	test := data[100 : 100+len(beats)]
+	loop := func(mirror bool, tr *obs.Tracer) (*Loop, *scripted) {
+		ch := &scripted{beats: beats, acts: acts, reached: make([]bool, 2), arrived: make([][]float64, 2), arrIdx: make([][]int, 2)}
+		l := &Loop{Src: clones(), Roots: []int{0, 3}, N: n, Channel: ch, Choose: ch.choose, Tracer: tr}
+		if mirror {
+			l.Mirror()
+		} else {
+			l.Sink = clones()
+		}
+		return l, ch
+	}
+	for _, traced := range []bool{false, true} {
+		var twinTrace, computedTrace bytes.Buffer
+		var twinTr, computedTr *obs.Tracer
+		if traced {
+			twinTr, computedTr = obs.NewTracer(&twinTrace), obs.NewTracer(&computedTrace)
+		}
+		twins, ch := loop(true, twinTr)
+		computing, _ := loop(false, computedTr)
+		ref := clones()
+		copies, retwins, errs := 0, 0, 0
+		for e, truth := range test {
+			before := append([]bool(nil), twins.twin...)
+			err := twins.Epoch(int64(e), nil, truth)
+			cerr := computing.Epoch(int64(e), nil, truth)
+			if (err == nil) != (cerr == nil) {
+				t.Fatalf("epoch %d: twin loop err %v, computing loop err %v", e, err, cerr)
+			}
+			if err != nil {
+				errs++
+			}
+			for ci, r := range ref {
+				if !ch.reached[ci] {
+					continue
+				}
+				r.Predict()
+				if ch.arrived[ci] != nil {
+					_ = r.Commit(ch.arrIdx[ci], ch.arrived[ci]) // fails where the sink's did
+				}
+				switch {
+				case before[ci] && twins.twin[ci]: // kept: the epoch was a copy
+					copies++
+				case !before[ci] && twins.twin[ci]:
+					retwins++
+				}
+			}
+			for ci, sink := range twins.Sink {
+				want := replicaBits(t, ref[ci])
+				if got := replicaBits(t, sink); !reflect.DeepEqual(got, want) {
+					t.Fatalf("traced %v, epoch %d (%v, heartbeat %v), clique %d: the sink differs from a clone that computed what arrived",
+						traced, e, acts[e], beats[e], ci)
+				}
+				if got := replicaBits(t, computing.Sink[ci]); !reflect.DeepEqual(got, want) {
+					t.Fatalf("epoch %d clique %d: the computing loop's sink differs from the clone", e, ci)
+				}
+			}
+		}
+		if copies == 0 || retwins == 0 || errs == 0 || ch.lost == 0 {
+			t.Fatalf("schedule not felt: %d copied epochs, %d re-twins, %d errors, %d changed deliveries", copies, retwins, errs, ch.lost)
+		}
+		if traced {
+			if err := twinTr.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := computedTr.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(twinTrace.Bytes(), computedTrace.Bytes()) {
+				t.Fatal("the twin loop's trace differs from the computing loop's")
+			}
+		}
+		t.Logf("traced %v: %d copied clique-epochs, %d re-twins, %d errors", traced, copies, retwins, errs)
 	}
 }

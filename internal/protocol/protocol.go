@@ -4,9 +4,10 @@
 // replica of one clique's model with the scratch those four moves need; a
 // Loop (loop.go) is the epoch over a source and a sink kernel per clique,
 // which make the same moves on the same report — all that keeps them in
-// lock-step — with a Channel deciding what reaches the sink. mc, the bench
-// replays and the failure-detector calibration advance a lone replica
-// through Advance.
+// lock-step — with a Channel deciding what reaches the sink; while a sink is
+// provably its source's twin, the loop copies the source's epoch into it
+// instead of recomputing it. mc, the bench replays and the failure-detector
+// calibration advance a lone replica through Advance.
 //
 // Reports travel as the sorted pair the models take (see model.Model):
 // clique-local indices, strictly increasing, and one value per index.
@@ -27,6 +28,7 @@ import (
 type Kernel struct {
 	m       model.Model
 	ic      model.IncrementalConditioner // m's cached evaluator; nil when the family has none
+	sc      model.StateCopier            // m's state copy from a twin; nil when the family has none
 	members []int                        // global attribute index of each local one, strictly increasing
 	eps     []float64                    // clique-local bounds, all positive
 	all     []int                        // 0..Dim()-1, the full candidate set
@@ -69,8 +71,9 @@ func New(m model.Model, members []int, eps []float64) (*Kernel, error) {
 		}
 	}
 	ic, _ := m.(model.IncrementalConditioner)
+	sc, _ := m.(model.StateCopier)
 	return &Kernel{
-		m: m, ic: ic, all: all,
+		m: m, ic: ic, sc: sc, all: all,
 		members: append([]int(nil), members...),
 		eps:     append([]float64(nil), eps...),
 		local:   make([]float64, n),

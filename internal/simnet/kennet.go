@@ -168,9 +168,10 @@ func NewDistributedKenConfig(net *Network, part *cliques.Partition, train [][]fl
 		avail:     make([]int, 0, k), dIdx: make([]int, 0, k), dVals: make([]float64, 0, k),
 	}
 	d.loop = &protocol.Loop{
-		Src: src, Sink: protocol.Mirror(src), Roots: roots, N: n,
+		Src: src, Roots: roots, N: n,
 		Channel: d, Choose: (*protocol.Kernel).Choose, Tracer: net.tracer,
 	}
+	d.loop.Mirror()
 	if cfg.FailureAlpha > 0 {
 		for ci, proto := range src {
 			det, err := core.NewFailureDetector(reportRate(proto, train, cfg.HeartbeatEvery), cfg.FailureAlpha)
