@@ -89,10 +89,11 @@ func TestSourceStreamsSpec(t *testing.T) {
 	if replica == nil {
 		t.Fatal("fake sink never finished")
 	}
-	if replica.Steps() != 15 {
-		t.Fatalf("sink applied %d steps, want 15", replica.Steps())
+	frames, _, heartbeats := replica.Counts()
+	if frames != 15 {
+		t.Fatalf("sink applied %d steps, want 15", frames)
 	}
-	if replica.Heartbeats() == 0 {
+	if heartbeats == 0 {
 		t.Fatal("heartbeat frames never arrived")
 	}
 }

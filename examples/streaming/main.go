@@ -102,13 +102,14 @@ func run() error {
 	}
 
 	// Audit the final answer against ground truth.
-	est := sink.Estimates()
+	est := sink.Answer().Estimates
 	worst := 0.0
 	for i, v := range test[len(test)-1] {
 		worst = math.Max(worst, math.Abs(est[i]-v))
 	}
 	naive := testHours * n * 10 // ~10 bytes per (step, attr, float) triple
-	fmt.Printf("frames applied   : %d (heartbeats: %d)\n", sink.Steps(), sink.Heartbeats())
+	frames, _, heartbeats := sink.Counts()
+	fmt.Printf("frames applied   : %d (heartbeats: %d)\n", frames, heartbeats)
 	fmt.Printf("values on wire   : %d of %d readings (%.1f%%)\n",
 		values, testHours*n, 100*float64(values)/float64(testHours*n))
 	fmt.Printf("approx wire bytes: %d (naive streaming ≈ %d, %.1fx reduction)\n",

@@ -64,7 +64,7 @@ func TestBuildDeterministicAcrossProcesses(t *testing.T) {
 		if err := sink.Apply(f); err != nil {
 			t.Fatal(err)
 		}
-		est := sink.Estimates()
+		est := sink.Answer().Estimates
 		for i := range row {
 			if d := est[i] - row[i]; d > 0.5+1e-9 || d < -0.5-1e-9 {
 				t.Fatalf("cross-process replicas violated ε: %v vs %v", est[i], row[i])

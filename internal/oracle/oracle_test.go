@@ -100,7 +100,7 @@ func deliveries(s *schedule) []*delivery {
 			if err == nil {
 				err = rep.Apply(frame)
 			}
-			return outcome{reported: append([]int{}, sent.Attrs...), count: len(sent.Attrs), values: sent.Values, est: rep.Estimates()}, err
+			return outcome{reported: append([]int{}, sent.Attrs...), count: len(sent.Attrs), values: sent.Values, est: rep.Answer().Estimates}, err
 		}})
 }
 

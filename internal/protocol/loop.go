@@ -26,9 +26,12 @@ type Channel interface {
 	// Carry takes clique ci's report (empty ones too) to the sink and returns
 	// what arrived, a sorted pair that may alias the report. It may rewrite
 	// vals in place (quantisation): the source commits what Carry leaves
-	// there. A channel that traces its own traffic does so under the report's
-	// span; lost lists the global attributes of values it dropped without
-	// tracing them, for the loop to trace.
+	// there. It runs after the clique's sink has predicted, unless that sink
+	// is its source's twin; on a sink-only loop (SinkEpoch) the report is nil
+	// and what arrived came from a source in another process. A channel that
+	// traces its own traffic does so under the report's span; lost lists the
+	// global attributes of values it dropped without tracing them, for the
+	// loop to trace.
 	Carry(ci int, idx []int, vals []float64, under *obs.Span) (dIdx []int, dVals []float64, lost []int)
 }
 
@@ -69,9 +72,10 @@ type Policy func(src *Kernel, truth []float64, cand []int) (idx []int, vals []fl
 // its report (every reading it holds on a heartbeat), hand the report to the
 // channel, commit the source to what it sent and the sink to what arrived —
 // and trace each of those moves. Drivers fill the exported configuration,
-// call Mirror when the sink is in-process, then Check and Epoch (or
-// SourceEpoch) once per sampling period, and read the outcome; they make no
-// kernel move of their own.
+// call Mirror when the sink is in-process, then Check and Epoch once per
+// sampling period — SourceEpoch or SinkEpoch when the other half runs in
+// another process — and read the outcome; they make no kernel move of their
+// own.
 //
 // Source and sink run the same deterministic model on the same reports, so
 // while every report arrives as sent their states stay equal bit for bit.
@@ -83,8 +87,9 @@ type Policy func(src *Kernel, truth []float64, cand []int) (idx []int, vals []fl
 // (model.StateCopier), the same bits its own moves would have made.
 type Loop struct {
 	// Src and Sink are each clique's replicas, in partition order. Sink is
-	// set by Mirror, and empty when the sink lives in another process
-	// (SourceEpoch only).
+	// set by Mirror, or directly on a sink-only loop (SinkEpoch), and empty
+	// when the sink lives in another process (SourceEpoch); Src is empty on
+	// a sink-only loop.
 	Src, Sink []*Kernel
 	// Roots is each clique's root node, for the trace.
 	Roots []int
@@ -219,6 +224,27 @@ func (l *Loop) SourceEpoch(step int64, sp *obs.Span, truth []float64) error {
 	return nil
 }
 
+// SinkEpoch is Epoch for a loop without source replicas: the sink half
+// alone (§3.2 sink step 2), for a source in another process. Per clique the
+// sink predicts, the channel's Carry hands it what arrived and it commits
+// that. There are no twins. An error leaves the cliques before the failing
+// one advanced, and the failing one predicted.
+func (l *Loop) SinkEpoch(step int64, sp *obs.Span) error {
+	l.begin(step, sp)
+	for ci, sink := range l.Sink {
+		sink.Predict()
+		idx, vals, lost := l.Channel.Carry(ci, nil, nil, nil)
+		if err := sink.Commit(idx, vals); err != nil {
+			return err
+		}
+		if l.Tracer != nil {
+			l.d.idx, l.d.vals, l.d.lost = idx, vals, lost
+			l.traceArrival(ci)
+		}
+	}
+	return nil
+}
+
 // Estimates scatters every sink replica's mean into the answer vector.
 func (l *Loop) Estimates(est []float64) {
 	for _, sink := range l.Sink {
@@ -311,12 +337,14 @@ func (l *Loop) traceReport(ci int, idx []int, vals, pred []float64) *obs.Span {
 
 // traceArrival emits, under the report's span, the sink's apply of what
 // arrived and the drop of what the channel lost without saying so itself.
+// On a sink-only loop there is no report span: the report was traced in
+// another process.
 func (l *Loop) traceArrival(ci int) {
 	d := &l.d
 	if len(d.idx) > 0 {
 		l.emit(d.under.Child(), obs.Event{
 			Type: obs.EvApply, Clique: ci, Node: -1,
-			Attrs: globalAttrs(l.Src[ci].Members(), d.idx), Values: d.vals, N: len(d.idx),
+			Attrs: globalAttrs(l.Sink[ci].Members(), d.idx), Values: d.vals, N: len(d.idx),
 		})
 	}
 	if len(d.lost) > 0 {

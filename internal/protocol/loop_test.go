@@ -197,6 +197,41 @@ func (s *scripted) choose(src *Kernel, truth []float64, cand []int) ([]int, []fl
 	return src.Choose(truth, cand)
 }
 
+// arrivals replays what a scripted channel delivered to a sink-only loop
+// (SinkEpoch): the epoch's heartbeat flag and, per clique, what arrived. A
+// clique the source refused was reached but sent nothing, so the epoch ends
+// there after the sink's prediction; a report the sink's model refuses
+// before reading anything — an index outside the clique — ends it at the
+// same point.
+type arrivals struct{ *scripted }
+
+func (a arrivals) Heartbeat() bool              { return a.beats[a.epoch-1] }
+func (a arrivals) Collect(int, []float64) []int { return nil }
+func (a arrivals) Carry(ci int, _ []int, _ []float64, _ *obs.Span) ([]int, []float64, []int) {
+	if a.reached[ci] && a.arrived[ci] == nil {
+		return []int{-1}, []float64{0}, nil
+	}
+	return a.arrIdx[ci], a.arrived[ci], nil
+}
+
+// applies returns a trace's sink_apply events with their parent dropped: a
+// sink in another process has no report span to nest under.
+func applies(t *testing.T, trace *bytes.Buffer) []obs.Event {
+	t.Helper()
+	events, err := obs.ReadEvents(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []obs.Event
+	for _, e := range events {
+		if e.Type == obs.EvApply {
+			e.Parent = 0
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 // twinSchedule is the schedule of TestSinkTwinMatchesComputedSink, over two
 // cliques, repeated: each line says what it takes a twin sink through.
 func twinSchedule(repeats int) (beats []bool, acts [][]act) {
@@ -257,8 +292,10 @@ func replicaBits(t *testing.T, k *Kernel) []uint64 {
 // in place and rewritten in a copy, and errors at the source and at the
 // sink. After every epoch each sink of the loop — which copies its source
 // whenever it can prove them twins — must be bitwise an independent clone
-// that ran Predict + Commit on exactly what arrived; and a loop whose sinks
-// it did not mirror, so never twins, must write the same trace.
+// that ran Predict + Commit on exactly what arrived; a loop whose sinks it
+// did not mirror, so never twins, must write the same trace; and a sink-only
+// loop fed each epoch's arrivals through SinkEpoch, the sink half a source in
+// another process drives, must hold the same bits and apply the same events.
 func TestSinkTwinMatchesComputedSink(t *testing.T) {
 	const n, eps = 6, 0.05
 	data := gardenCols(t, 200, n)
@@ -299,6 +336,12 @@ func TestSinkTwinMatchesComputedSink(t *testing.T) {
 		}
 		twins, ch := loop(true, twinTr)
 		computing, _ := loop(false, computedTr)
+		var remoteTrace bytes.Buffer
+		var remoteTr *obs.Tracer
+		if traced {
+			remoteTr = obs.NewTracer(&remoteTrace)
+		}
+		remote := &Loop{Sink: clones(), Channel: arrivals{ch}, Tracer: remoteTr}
 		ref := clones()
 		copies, retwins, errs := 0, 0, 0
 		for e, truth := range test {
@@ -310,6 +353,9 @@ func TestSinkTwinMatchesComputedSink(t *testing.T) {
 			}
 			if err != nil {
 				errs++
+			}
+			if rerr := remote.SinkEpoch(int64(e), nil); (rerr == nil) != (err == nil) {
+				t.Fatalf("epoch %d: twin loop err %v, sink-only loop err %v", e, err, rerr)
 			}
 			for ci, r := range ref {
 				if !ch.reached[ci] {
@@ -335,6 +381,9 @@ func TestSinkTwinMatchesComputedSink(t *testing.T) {
 				if got := replicaBits(t, computing.Sink[ci]); !reflect.DeepEqual(got, want) {
 					t.Fatalf("epoch %d clique %d: the computing loop's sink differs from the clone", e, ci)
 				}
+				if got := replicaBits(t, remote.Sink[ci]); !reflect.DeepEqual(got, want) {
+					t.Fatalf("traced %v, epoch %d clique %d: the sink-only loop differs from the clone", traced, e, ci)
+				}
 			}
 		}
 		if copies == 0 || retwins == 0 || errs == 0 || ch.lost == 0 {
@@ -347,8 +396,15 @@ func TestSinkTwinMatchesComputedSink(t *testing.T) {
 			if err := computedTr.Flush(); err != nil {
 				t.Fatal(err)
 			}
+			if err := remoteTr.Flush(); err != nil {
+				t.Fatal(err)
+			}
 			if !bytes.Equal(twinTrace.Bytes(), computedTrace.Bytes()) {
 				t.Fatal("the twin loop's trace differs from the computing loop's")
+			}
+			want, got := applies(t, &twinTrace), applies(t, &remoteTrace)
+			if len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("the sink-only loop applied %d events unlike the twin loop's %d", len(got), len(want))
 			}
 		}
 		t.Logf("traced %v: %d copied clique-epochs, %d re-twins, %d errors", traced, copies, retwins, errs)

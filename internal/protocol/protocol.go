@@ -4,7 +4,8 @@
 // replica of one clique's model with the scratch those four moves need; a
 // Loop (loop.go) is the epoch over a source and a sink kernel per clique,
 // which make the same moves on the same report — all that keeps them in
-// lock-step — with a Channel deciding what reaches the sink; while a sink is
+// lock-step — with a Channel deciding what reaches the sink, or over either
+// half alone when the other runs in another process; while a sink is
 // provably its source's twin, the loop copies the source's epoch into it
 // instead of recomputing it. mc, the bench replays and the failure-detector
 // calibration advance a lone replica through Advance.

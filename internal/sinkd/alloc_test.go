@@ -89,8 +89,8 @@ func TestAllocBudgetSinkdApply(t *testing.T) {
 	if empty, full := drain(0), drain(perRun); empty != 3 || full != empty {
 		t.Errorf("applyLoop: %v allocs/op on an empty queue (budget 3), %v on %d frames (budget the same)", empty, full, perRun)
 	}
-	if st, detail := tn.snapshot(); st.terminal() || replica.Steps() != next {
-		t.Fatalf("applier left the tenant %s (%s) at step %d, want %d — budget premise broken", st, detail, replica.Steps(), next)
+	if st, detail := tn.snapshot(); st.terminal() || replica.Answer().Step != next {
+		t.Fatalf("applier left the tenant %s (%s) at step %d, want %d — budget premise broken", st, detail, replica.Answer().Step, next)
 	}
 
 	var raw bytes.Buffer

@@ -331,8 +331,8 @@ func TestMonitorSeesApplies(t *testing.T) {
 	if !ok {
 		t.Fatal("daemon does not know tenant mon")
 	}
-	if st.Window.TotalFrames != steps || st.Window.Values != int64(ref.Values()) {
-		t.Fatalf("window frames=%d values=%d, want %d and %d", st.Window.TotalFrames, st.Window.Values, steps, ref.Values())
+	if _, values, _ := ref.Counts(); st.Window.TotalFrames != steps || st.Window.Values != int64(values) {
+		t.Fatalf("window frames=%d values=%d, want %d and %d", st.Window.TotalFrames, st.Window.Values, steps, values)
 	}
 	if st.Window.Heartbeats == 0 {
 		t.Fatal("window saw no heartbeat frames despite HeartbeatEvery=10")

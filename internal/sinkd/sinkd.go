@@ -583,8 +583,7 @@ func (d *Daemon) Tenants() []TenantInfo {
 			Spec: t.params.ReplicaKey(), Remote: t.remote,
 		}
 		if replica := t.built(); replica != nil {
-			info.Step = replica.Steps()
-			info.Heartbeats = replica.Heartbeats()
+			info.Step, _, info.Heartbeats = replica.Counts()
 		}
 		out = append(out, info)
 	}
@@ -623,12 +622,12 @@ func (d *Daemon) Metrics(name string) (obs.Snapshot, bool) {
 	if replica == nil {
 		return obs.Snapshot{}, true
 	}
-	frames := replica.Steps()
+	frames, values, heartbeats := replica.Counts()
 	return obs.Snapshot{
 		Counters: map[string]int64{
 			"stream_frames_applied_total":     int64(frames),
-			"stream_values_applied_total":     int64(replica.Values()),
-			"stream_heartbeats_applied_total": int64(replica.Heartbeats()),
+			"stream_values_applied_total":     int64(values),
+			"stream_heartbeats_applied_total": int64(heartbeats),
 		},
 		// Frames arrive in step order from 0, so the newest applied step is
 		// the count less one.

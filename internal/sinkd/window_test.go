@@ -143,11 +143,58 @@ func wantWindow(t *testing.T, d *Daemon, name string, ref *stream.Replica) {
 	}
 	st, _ := d.SLO(name)
 	w := st.Window
-	if w.TotalFrames != int64(ref.Steps()) || w.Frames != int64(ref.Steps()) ||
-		w.Values != int64(ref.Values()) || w.Heartbeats != int64(ref.Heartbeats()) {
+	frames, values, heartbeats := ref.Counts()
+	if w.TotalFrames != int64(frames) || w.Frames != int64(frames) ||
+		w.Values != int64(values) || w.Heartbeats != int64(heartbeats) {
 		t.Errorf("tenant %s: window total_frames=%d frames=%d values=%d heartbeats=%d, reference applied %d frames, %d values, %d heartbeats",
-			name, w.TotalFrames, w.Frames, w.Values, w.Heartbeats, ref.Steps(), ref.Values(), ref.Heartbeats())
+			name, w.TotalFrames, w.Frames, w.Values, w.Heartbeats, frames, values, heartbeats)
 	}
+}
+
+// TestCountsSnapshotIsWhole: /v1/metrics and the tenant listing read a
+// replica's counts while its applier keeps folding frames in, and each must
+// come from one frame boundary. With a heartbeat every step, every applied
+// frame is a heartbeat, so a snapshot whose heartbeats differ from its
+// frames mixed two frames.
+func TestCountsSnapshotIsWhole(t *testing.T) {
+	const steps = 5000
+	d, addr := newDaemon(t, Config{FrameBudget: steps})
+	p := deploy.Params{Dataset: "garden", Seed: 9, TestSteps: steps, HeartbeatEvery: 1}
+	blob, ref := floodBlob(t, p)
+	conn, _, err := handshake(t, addr, wire.Hello{Tenant: "hb", Spec: p.EncodeSpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(blob); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	tn, ok := d.lookup("hb")
+	if !ok {
+		t.Fatal("the accepted tenant is not registered")
+	}
+	midway := 0
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		st, _ := tn.snapshot()
+		snap, _ := d.Metrics("hb")
+		frames, hb := snap.Counters["stream_frames_applied_total"], snap.Counters["stream_heartbeats_applied_total"]
+		if frames != hb {
+			t.Fatalf("/v1/metrics snapshot: %d frames applied, %d heartbeats", frames, hb)
+		}
+		for _, info := range d.Tenants() {
+			if info.Step != info.Heartbeats {
+				t.Fatalf("tenant listing: step %d, %d heartbeats", info.Step, info.Heartbeats)
+			}
+		}
+		if 0 < frames && frames < steps {
+			midway++
+		}
+		if st == StateClosed || time.Now().After(deadline) {
+			break
+		}
+	}
+	wantWindow(t, d, "hb", ref)
+	t.Logf("%d snapshots taken while the tenant drained", midway)
 }
 
 // TestWindowCountsEveryFrame is the exact-count invariant: a tenant's SLO

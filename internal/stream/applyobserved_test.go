@@ -86,9 +86,7 @@ func TestApplyObservedFlagsWildValue(t *testing.T) {
 // TestAllocBudgetApplyObserved extends the stream budget to full frames on
 // the measured apply path: with ε so tight that every clique reports every
 // value every step, or with a heartbeat every step, validating, routing,
-// measuring and conditioning a frame must still allocate nothing. build
-// refuses a non-positive ε, so the measurement's skip of an unbounded
-// attribute is reached by zeroing one on the replica by hand.
+// measuring and conditioning a frame must still allocate nothing.
 func TestAllocBudgetApplyObserved(t *testing.T) {
 	if alloctest.RaceEnabled {
 		t.Skip("alloc budgets are not meaningful under -race")
@@ -97,11 +95,9 @@ func TestAllocBudgetApplyObserved(t *testing.T) {
 		name      string
 		eps       float64
 		heartbeat int
-		unbounded bool
 	}{
-		{"reporting", 1e-6, 0, false},
-		{"reporting, one attribute unbounded", 1e-6, 0, true},
-		{"heartbeat", 100, 1, false},
+		{"reporting", 1e-6, 0},
+		{"heartbeat", 100, 1},
 	} {
 		cfg, test := testConfig(t)
 		for i := range cfg.Eps {
@@ -115,9 +111,6 @@ func TestAllocBudgetApplyObserved(t *testing.T) {
 		rep, err := NewReplica(cfg)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if tc.unbounded {
-			rep.eps[0] = 0
 		}
 		const runs = 100
 		frames := make([]wire.Frame, runs+1) // AllocsPerRun warms up once

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"ken/internal/cliques"
@@ -73,7 +74,7 @@ func TestEndToEndEpsAtTheWireQuantum(t *testing.T) {
 					if err := sink.Apply(f); err != nil {
 						t.Fatal(err)
 					}
-					for i, est := range sink.Estimates() {
+					for i, est := range sink.Answer().Estimates {
 						if d := math.Abs(est - row[i]); d > cfg.Eps[i] {
 							t.Fatalf("step %d attribute %d: |estimate − truth| = %v exceeds ε %v", step, i, d, cfg.Eps[i])
 						}
@@ -88,6 +89,10 @@ func TestEndToEndEpsAtTheWireQuantum(t *testing.T) {
 // per clique a report (with the clique and its root named) and a suppress
 // beside it, a resync on heartbeat epochs, every event carrying its epoch's
 // step — and the reports account for exactly the values the frames carry.
+// A Replica fed the same frames speaks the sink half of it: per clique with a
+// non-empty share of a frame an apply of exactly that share, a resync per
+// heartbeat frame, nothing nested under a report traced in another process —
+// and tracing leaves its beliefs bitwise an untraced replica's.
 func TestSourceTraceVocabulary(t *testing.T) {
 	cfg, test := chainConfig(t, trace.GenerateGarden, 7, 2, 60)
 	cfg.HeartbeatEvery = 10
@@ -95,9 +100,20 @@ func TestSourceTraceVocabulary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
+	var buf, sinkBuf bytes.Buffer
 	tracer := obs.NewTracer(&buf)
 	src.Instrument(&obs.Observer{Trace: tracer})
+	traced, err := NewReplica(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	untraced, err := NewReplica(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sinkTracer := obs.NewTracer(&sinkBuf)
+	traced.loop.Tracer = sinkTracer
+	var shares []obs.Event // the applies the frames call for, in order
 	sent, heartbeats := 0, 0
 	for _, row := range test {
 		f, err := src.Collect(row)
@@ -108,10 +124,65 @@ func TestSourceTraceVocabulary(t *testing.T) {
 		if f.Special != 0 {
 			heartbeats++
 		}
+		for ci := range cfg.Partition.Cliques {
+			share := obs.Event{Step: int64(f.Step), Clique: ci}
+			for j, a := range f.Attrs {
+				if traced.route[a].clique == ci {
+					share.Attrs, share.Values = append(share.Attrs, a), append(share.Values, f.Values[j])
+				}
+			}
+			if len(share.Attrs) > 0 {
+				shares = append(shares, share)
+			}
+		}
+		if err := traced.Apply(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := untraced.Apply(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(beliefBits(t, traced), beliefBits(t, untraced)) {
+		t.Fatal("tracing moved the replica's beliefs")
 	}
 	if err := tracer.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	if err := sinkTracer.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	sinkEvents, err := obs.ReadEvents(&sinkBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applied, sinkResyncs := 0, 0
+	for _, e := range sinkEvents {
+		if e.Parent != 0 || e.Epoch != 0 {
+			t.Fatalf("replica %s at step %d nested under span %d of epoch %d", e.Type, e.Step, e.Parent, e.Epoch)
+		}
+		switch e.Type {
+		case obs.EvResync:
+			sinkResyncs++
+		case obs.EvApply:
+			if applied == len(shares) {
+				t.Fatalf("more applies than non-empty shares (%d)", len(shares))
+			}
+			want := shares[applied]
+			if e.Step != want.Step || e.Clique != want.Clique || e.N != len(want.Attrs) ||
+				!reflect.DeepEqual(e.Attrs, want.Attrs) || !bitsEqual(e.Values, want.Values) {
+				t.Fatalf("apply %d: step %d clique %d attrs %v values %v, want step %d clique %d attrs %v values %v",
+					applied, e.Step, e.Clique, e.Attrs, e.Values, want.Step, want.Clique, want.Attrs, want.Values)
+			}
+			applied++
+		default:
+			t.Fatalf("a sink-only loop emitted %s", e.Type)
+		}
+	}
+	if applied != len(shares) || sinkResyncs != heartbeats {
+		t.Fatalf("the replica applied %d of %d shares and resynced %d times for %d heartbeat frames",
+			applied, len(shares), sinkResyncs, heartbeats)
+	}
+	t.Logf("%d values sent and applied in %d shares, %d resyncs", sent, applied, sinkResyncs)
 	events, err := obs.ReadEvents(&buf)
 	if err != nil {
 		t.Fatal(err)

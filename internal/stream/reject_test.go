@@ -10,6 +10,7 @@ import (
 	"ken/internal/cliques"
 	"ken/internal/gauss"
 	"ken/internal/model"
+	"ken/internal/protocol"
 	"ken/internal/trace"
 	"ken/internal/wire"
 )
@@ -131,7 +132,7 @@ func TestApplyRejectsBeforeMutating(t *testing.T) {
 func beliefBits(t *testing.T, r *Replica) []uint64 {
 	t.Helper()
 	var out []uint64
-	for _, c := range r.cl {
+	for _, c := range r.loop.Sink {
 		lg := c.Model().Clone().(*model.LinearGaussian)
 		for _, v := range model.MeanOf(lg) {
 			out = append(out, math.Float64bits(v))
@@ -201,6 +202,87 @@ func TestApplyObservedRejectKeepsTheDebt(t *testing.T) {
 	}
 }
 
+// refusing is a LinearGaussian whose Condition refuses a non-empty report
+// while armed: a refusal no frame validation can foresee, as an observed
+// block the Cholesky jitter ladder cannot factor would be.
+type refusing struct {
+	*model.LinearGaussian
+	armed bool
+}
+
+var errPlanted = errors.New("planted refusal")
+
+func (m *refusing) Condition(idx []int, vals []float64) error {
+	if m.armed && len(idx) > 0 {
+		return errPlanted
+	}
+	return m.LinearGaussian.Condition(idx, vals)
+}
+
+// TestApplyFailsClosed: when a clique's model refuses a frame that passed
+// validation, the cliques before it have already moved, so the replica no
+// longer knows its source's state. It must say so for that frame, for a
+// retry of it — which, once the refusal has passed, would otherwise predict
+// the earlier cliques a second time — and for the next frame, and neither
+// its counts nor its beliefs may move after the refusal.
+func TestApplyFailsClosed(t *testing.T) {
+	cfg, rows := chainConfig(t, trace.GenerateLab, 3, 2, 40)
+	cfg.HeartbeatEvery = 5
+	src, err := NewSource(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := NewReplica(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(rep.loop.Sink) - 1
+	k := rep.loop.Sink[last]
+	planted := &refusing{LinearGaussian: k.Model().(*model.LinearGaussian)}
+	if rep.loop.Sink[last], err = protocol.New(planted, k.Members(), k.Eps()); err != nil {
+		t.Fatal(err)
+	}
+	var frames []wire.Frame
+	for _, row := range rows {
+		f, err := src.Collect(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, f)
+	}
+	// The failing frame is the second heartbeat: every clique reports, the
+	// last one last.
+	fail := 2*cfg.HeartbeatEvery - 1
+	if frames[fail].Special != wire.KindHeartbeat {
+		t.Fatalf("frame %d is no heartbeat — test premise broken", fail)
+	}
+	for _, f := range frames[:fail] {
+		if err := rep.Apply(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frames0, values0, heartbeats0 := rep.Counts()
+	planted.armed = true
+	var st ApplyStats
+	first := rep.ApplyObserved(frames[fail], &st)
+	if !errors.Is(first, errPlanted) {
+		t.Fatalf("the planted refusal surfaced as %v", first)
+	}
+	planted.armed = false
+	beliefs := beliefBits(t, rep)
+	for name, f := range map[string]wire.Frame{"retry": frames[fail], "next": frames[fail+1]} {
+		if err := rep.ApplyObserved(f, &st); err != first {
+			t.Fatalf("%s frame: err %v, want the first refusal %v", name, err, first)
+		}
+		if frames, values, heartbeats := rep.Counts(); frames != frames0 || values != values0 || heartbeats != heartbeats0 {
+			t.Fatalf("%s frame: counts moved to %d/%d/%d from %d/%d/%d", name, frames, values, heartbeats, frames0, values0, heartbeats0)
+		}
+		if !reflect.DeepEqual(beliefBits(t, rep), beliefs) {
+			t.Fatalf("%s frame moved the failed replica's beliefs", name)
+		}
+	}
+}
+
 // TestApplyAcceptsWireOrder: the codec lists attributes in ascending global
 // order, Collect in clique-major order; with interleaved cliques the two
 // differ and both must apply, to the same answer.
@@ -247,7 +329,7 @@ func TestApplyAcceptsWireOrder(t *testing.T) {
 		if err := wired.Apply(g); err != nil {
 			t.Fatal(err)
 		}
-		if !bitsEqual(direct.Estimates(), wired.Estimates()) {
+		if !bitsEqual(direct.Answer().Estimates, wired.Answer().Estimates) {
 			t.Fatal("clique-major and wire-order frames led to different answers")
 		}
 	}

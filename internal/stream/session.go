@@ -67,7 +67,7 @@ func ReadHello(rd io.Reader) (wire.Hello, error) {
 
 // ReadSession reads and decodes one length-prefixed session frame.
 func ReadSession(rd io.Reader) (wire.Session, error) {
-	buf, err := readRaw(rd)
+	buf, err := readRawInto(rd, nil)
 	if err != nil {
 		return wire.Session{}, err
 	}

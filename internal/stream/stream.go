@@ -13,14 +13,14 @@
 // bit-exact lock-step, and it runs the protocol at ε − quantum/2, the
 // rounding a reported value may suffer (docs/PROTOCOL.md §5).
 //
-// Both endpoints drive the per-clique protocol kernel (internal/protocol).
-// The Source is the protocol's epoch loop over the framed wire as its
-// channel; the Replica validates a whole frame before any model moves and
-// routes its attributes to their cliques through a table built once. The
-// kernel's report search is read-only and runs on the source alone, so both
-// replicas mutate only through Predict and Commit on identical inputs —
-// internal/oracle holds the frames and the sink's answers to a textbook
-// reference.
+// Both endpoints are the protocol's epoch loop (internal/protocol), one half
+// each. The Source runs the source half over the framed wire as its channel;
+// the Replica validates a whole frame before any model moves, routes its
+// attributes to their cliques through a table built once, and runs the sink
+// half with the frame as its channel. The report search is read-only and
+// runs on the source alone, so both replicas mutate only through the loop's
+// predict and commit on identical inputs — internal/oracle holds the frames
+// and the sink's answers to a textbook reference.
 package stream
 
 import (
@@ -190,22 +190,24 @@ func (s *Source) Collect(truth []float64) (wire.Frame, error) {
 func (s *Source) Resolution() float64 { return s.ch.res }
 
 // Replica is the base-station endpoint: it applies frames and serves
-// estimates. Safe for concurrent Apply/Estimates.
+// estimates. It is the protocol's epoch loop, sink half only, over the frame
+// being applied as its channel; what is its own is the whole-frame
+// validation, the attribute → clique route and the counts. Safe for
+// concurrent Apply/Answer.
 type Replica struct {
 	mu   sync.Mutex
-	cl   []*protocol.Kernel
+	loop *protocol.Loop
+	ch   unframer
 	res  float64
-	n    int
-	eps  []float64 // end-to-end per-attribute bounds (from the config)
-	next uint64    // expected next frame step
 	// frames, values and heartbeats count what has been applied: frames,
 	// the reported values they carried, and the heartbeat frames among them.
 	frames, values, heartbeats int
-	// route maps a global attribute to its clique and its index there;
-	// reports is each clique's share of the frame being applied — Apply's
-	// scratch, guarded by mu.
-	route   []route
-	reports []report
+	// route maps a global attribute to its clique and its index there.
+	route []route
+	// failed is the first refusal of a validated frame by a clique's model;
+	// the replica has diverged from its source and refuses every later frame
+	// with it.
+	failed error
 }
 
 // route places one global attribute: clique index and local index within it.
@@ -217,21 +219,62 @@ type report struct {
 	vals []float64
 }
 
+// unframer is the sink's channel: the frame being applied, split into each
+// clique's share before the loop runs — ApplyObserved's scratch, guarded by
+// the replica's mu. Carry hands a clique its share and, when measuring,
+// scores it against the sink's prediction: st is the frame's ApplyStats,
+// held by value so the caller's record does not escape.
+type unframer struct {
+	sink    []*protocol.Kernel // the loop's Sink, whose predictions Carry scores
+	eps     []float64          // end-to-end per-attribute bounds (from the config)
+	reports []report
+	measure bool
+	st      ApplyStats
+}
+
+// copyTo hands the frame's record to ApplyObserved's caller.
+func (u *unframer) copyTo(st *ApplyStats) { *st = u.st }
+
+// Heartbeat is the frame's kind.
+func (u *unframer) Heartbeat() bool { return u.st.Heartbeat }
+
+func (u *unframer) Collect(int, []float64) []int { return nil }
+
+func (u *unframer) Carry(ci int, _ []int, _ []float64, _ *obs.Span) ([]int, []float64, []int) {
+	o := &u.reports[ci]
+	if u.measure && len(o.idx) > 0 {
+		mean, members := u.sink[ci].Mean(), u.sink[ci].Members()
+		// Locals: a store into u.st per value would make every iteration
+		// reload the slices it reads.
+		devs, maxDev := u.st.Deviations, u.st.MaxDevEps
+		for j, i := range o.idx {
+			dev := math.Abs(mean[i]-o.vals[j]) / u.eps[members[i]]
+			if dev > 1 {
+				devs++
+			}
+			if dev > maxDev {
+				maxDev = dev
+			}
+		}
+		u.st.Deviations, u.st.MaxDevEps = devs, maxDev
+	}
+	return o.idx, o.vals, nil
+}
+
 // NewReplica builds the sink endpoint.
 func NewReplica(cfg Config) (*Replica, error) {
 	cl, _, res, err := build(cfg)
 	if err != nil {
 		return nil, err
 	}
-	r := &Replica{cl: cl, res: res, n: len(cfg.Eps),
-		eps:     append([]float64(nil), cfg.Eps...),
-		route:   make([]route, len(cfg.Eps)),
-		reports: make([]report, len(cl))}
+	r := &Replica{res: res, route: make([]route, len(cfg.Eps))}
+	r.ch = unframer{sink: cl, eps: append([]float64(nil), cfg.Eps...), reports: make([]report, len(cl))}
+	r.loop = &protocol.Loop{Sink: cl, N: len(cfg.Eps), Channel: &r.ch}
 	for ci, c := range cl {
 		for li, g := range c.Members() {
 			r.route[g] = route{ci, li}
 		}
-		r.reports[ci] = report{make([]int, 0, c.Dim()), make([]float64, 0, c.Dim())}
+		r.ch.reports[ci] = report{make([]int, 0, c.Dim()), make([]float64, 0, c.Dim())}
 	}
 	return r, nil
 }
@@ -256,7 +299,7 @@ type ApplyStats struct {
 	// missed the attribute's end-to-end ε.
 	Deviations int
 	// MaxDevEps is the largest |prediction − value| / ε over the frame's
-	// reported values (0 when none, or when ε is unbounded).
+	// reported values (0 when none).
 	MaxDevEps float64
 }
 
@@ -285,32 +328,40 @@ func (r *Replica) Apply(f wire.Frame) error {
 // increasing in frame order — which both Collect's clique-major frames and
 // wire's globally ascending ones satisfy, and duplicates and hand-built
 // unsorted frames do not. A rejected frame leaves the replica exactly as it
-// was.
+// was. A validated frame is applied by the loop's sink half; should a
+// clique's model refuse it all the same, the cliques before it have moved
+// and the replica fails closed: it returns that error for this frame and
+// every later one, and its counts stay where they were.
 func (r *Replica) ApplyObserved(f wire.Frame, st *ApplyStats) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.ch.st = ApplyStats{Step: f.Step, Values: len(f.Attrs), Heartbeat: f.Special == wire.KindHeartbeat}
+	r.ch.measure = st != nil
 	if st != nil {
-		*st = ApplyStats{Step: f.Step, Values: len(f.Attrs), Heartbeat: f.Special == wire.KindHeartbeat}
+		defer r.ch.copyTo(st)
 	}
-	if f.Step != r.next {
-		return fmt.Errorf("stream: frame for step %d, expected %d", f.Step, r.next)
+	if r.failed != nil {
+		return r.failed
+	}
+	if f.Step != uint64(r.frames) {
+		return fmt.Errorf("stream: frame for step %d, expected %d", f.Step, r.frames)
 	}
 	if len(f.Values) != len(f.Attrs) {
 		return fmt.Errorf("stream: frame has %d attributes, %d values", len(f.Attrs), len(f.Values))
 	}
-	for ci := range r.reports {
-		o := &r.reports[ci]
+	for ci := range r.ch.reports {
+		o := &r.ch.reports[ci]
 		o.idx, o.vals = o.idx[:0], o.vals[:0]
 	}
 	for j, a := range f.Attrs {
-		if a < 0 || a >= r.n {
-			return fmt.Errorf("stream: frame attribute %d out of range %d", a, r.n)
+		if a < 0 || a >= r.loop.N {
+			return fmt.Errorf("stream: frame attribute %d out of range %d", a, r.loop.N)
 		}
 		if v := f.Values[j]; math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("stream: %w: frame value %v for attribute %d", gauss.ErrNotFinite, v, a)
 		}
 		at := r.route[a]
-		o := &r.reports[at.clique]
+		o := &r.ch.reports[at.clique]
 		if m := len(o.idx); m > 0 && o.idx[m-1] >= at.local {
 			return fmt.Errorf("stream: frame attribute %d repeated or out of order within its clique", a)
 		}
@@ -319,47 +370,16 @@ func (r *Replica) ApplyObserved(f wire.Frame, st *ApplyStats) error {
 		o.idx = append(o.idx, at.local)
 		o.vals = append(o.vals, f.Values[j])
 	}
-	for ci, c := range r.cl {
-		o := &r.reports[ci]
-		c.Predict()
-		if st != nil && len(o.idx) > 0 {
-			mean, members := c.Mean(), c.Members()
-			for j, i := range o.idx {
-				eps := r.eps[members[i]]
-				if eps <= 0 {
-					continue
-				}
-				dev := math.Abs(mean[i]-o.vals[j]) / eps
-				if dev > 1 {
-					st.Deviations++
-				}
-				if dev > st.MaxDevEps {
-					st.MaxDevEps = dev
-				}
-			}
-		}
-		if err := c.Commit(o.idx, o.vals); err != nil {
-			return err
-		}
+	if err := r.loop.SinkEpoch(int64(f.Step), nil); err != nil {
+		r.failed = fmt.Errorf("stream: replica failed at step %d and refuses further frames: %w", f.Step, err)
+		return r.failed
 	}
-	r.next++
 	r.frames++
 	r.values += len(f.Attrs)
-	if f.Special == wire.KindHeartbeat {
+	if r.ch.st.Heartbeat {
 		r.heartbeats++
 	}
 	return nil
-}
-
-// Estimates returns the replica's current answer vector.
-func (r *Replica) Estimates() []float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]float64, r.n)
-	for _, c := range r.cl {
-		c.Scatter(out)
-	}
-	return out
 }
 
 // Answer is a self-consistent snapshot of the replica's live SELECT *
@@ -382,37 +402,22 @@ type Answer struct {
 func (r *Replica) Answer() Answer {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]float64, r.n)
-	for _, c := range r.cl {
-		c.Scatter(out)
-	}
+	out := make([]float64, r.loop.N)
+	r.loop.Estimates(out)
 	return Answer{
 		Step:       r.frames,
 		Estimates:  out,
-		Eps:        append([]float64(nil), r.eps...),
+		Eps:        append([]float64(nil), r.ch.eps...),
 		Heartbeats: r.heartbeats,
 	}
 }
 
-// Steps returns how many frames have been applied.
-func (r *Replica) Steps() int {
+// Counts returns, from one snapshot, how many frames have been applied, the
+// reported values they carried and the heartbeat frames among them.
+func (r *Replica) Counts() (frames, values, heartbeats int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.frames
-}
-
-// Heartbeats returns how many heartbeat frames arrived.
-func (r *Replica) Heartbeats() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.heartbeats
-}
-
-// Values returns how many reported values the applied frames carried.
-func (r *Replica) Values() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.values
+	return r.frames, r.values, r.heartbeats
 }
 
 // writeRaw length-prefixes one encoded session-frame body and writes it
@@ -426,13 +431,11 @@ func writeRaw(w io.Writer, body []byte) error {
 	return nil
 }
 
-// readRaw reads one length-prefixed frame body. io.EOF at a frame boundary
-// is returned as io.EOF; a partial frame is an unexpected-EOF error.
-func readRaw(rd io.Reader) ([]byte, error) { return readRawInto(rd, nil) }
-
-// readRawInto is readRaw reading into buf's backing array when its
-// capacity suffices, allocating a larger one otherwise. The returned slice
-// (resized to the frame) replaces buf for the next call.
+// readRawInto reads one length-prefixed frame body into buf's backing array
+// when its capacity suffices, allocating a larger one otherwise (nil is fine
+// for a one-off read). The returned slice (resized to the frame) replaces buf
+// for the next call. io.EOF at a frame boundary is returned as io.EOF; a
+// partial frame is an unexpected-EOF error.
 func readRawInto(rd io.Reader, buf []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(rd, hdr[:]); err != nil {
@@ -517,9 +520,6 @@ func ReadBody(br *bufio.Reader) ([]byte, error) {
 func ReadFrameBuf(rd io.Reader, res float64, buf []byte) (wire.Frame, []byte, error) {
 	body, err := readRawInto(rd, buf)
 	if err != nil {
-		if err == io.EOF {
-			return wire.Frame{}, buf, io.EOF
-		}
 		return wire.Frame{}, buf, err
 	}
 	f, err := wire.Decode(body, res)

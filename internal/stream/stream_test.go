@@ -96,7 +96,7 @@ func TestEndToEndGuaranteeOverBuffer(t *testing.T) {
 		if err := sink.Apply(got); err != nil {
 			t.Fatal(err)
 		}
-		est := sink.Estimates()
+		est := sink.Answer().Estimates
 		for i := range row {
 			if d := math.Abs(est[i] - row[i]); d > 0.5+1e-9 {
 				t.Fatalf("step %d attr %d: estimate %v vs truth %v exceeds ε", step, i, est[i], row[i])
@@ -106,8 +106,8 @@ func TestEndToEndGuaranteeOverBuffer(t *testing.T) {
 	if frac := float64(sent) / float64(len(test)*11); frac >= 1 || frac <= 0.05 {
 		t.Fatalf("fraction sent %v out of plausible range", frac)
 	}
-	if sink.Steps() != len(test) {
-		t.Fatalf("sink applied %d frames, want %d", sink.Steps(), len(test))
+	if frames, _, _ := sink.Counts(); frames != len(test) {
+		t.Fatalf("sink applied %d frames, want %d", frames, len(test))
 	}
 }
 
@@ -151,10 +151,11 @@ func TestEndToEndOverTCP(t *testing.T) {
 	if err := <-serveErr; err != nil {
 		t.Fatal(err)
 	}
-	if sink.Steps() != len(test) {
-		t.Fatalf("sink applied %d frames, want %d", sink.Steps(), len(test))
+	ans := sink.Answer()
+	if ans.Step != len(test) {
+		t.Fatalf("sink applied %d frames, want %d", ans.Step, len(test))
 	}
-	est := sink.Estimates()
+	est := ans.Estimates
 	last := test[len(test)-1]
 	for i := range last {
 		if d := math.Abs(est[i] - last[i]); d > 0.5+1e-9 {
@@ -184,7 +185,7 @@ func TestHeartbeatFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if hb := sink.Heartbeats(); hb != 5 {
+	if _, _, hb := sink.Counts(); hb != 5 {
 		t.Fatalf("heartbeats = %d, want 5", hb)
 	}
 }
@@ -252,7 +253,7 @@ func TestSourceCollectValidation(t *testing.T) {
 	}
 }
 
-// TestReplicaConcurrentEstimates hammers Estimates from readers while
+// TestReplicaConcurrentEstimates hammers Answer from readers while
 // frames apply — the sink serves live queries during ingestion, so this
 // must be race-free (run under -race).
 func TestReplicaConcurrentEstimates(t *testing.T) {
@@ -274,13 +275,12 @@ func TestReplicaConcurrentEstimates(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				est := sink.Estimates()
+				est := sink.Answer().Estimates
 				if len(est) != 11 {
 					t.Errorf("estimates dim %d", len(est))
 					return
 				}
-				_ = sink.Steps()
-				_ = sink.Heartbeats()
+				_, _, _ = sink.Counts()
 			}
 		}
 	}()
