@@ -171,6 +171,7 @@ fuzz:
 	$(GO) test -fuzz 'FuzzLinearGaussianSchedule$$' -fuzztime 30s ./internal/model/
 	$(GO) test -fuzz 'FuzzCovKernels$$' -fuzztime 30s ./internal/gauss/
 	$(GO) test -fuzz 'FuzzKen$$' -fuzztime 30s ./internal/oracle/
+	$(GO) test -fuzz 'FuzzGreedy$$' -fuzztime 30s ./internal/cliques/
 
 # clean removes the test cache and exactly what .gitignore lists: root
 # binaries from a bare `go build ./cmd/<name>`, and the benchmark's outputs.

@@ -23,6 +23,7 @@ import (
 	"strconv"
 	"strings"
 
+	"ken/internal/mc"
 	"ken/internal/model"
 	"ken/internal/network"
 	"ken/internal/protocol"
@@ -212,42 +213,80 @@ var ErrEmptyClique = errors.New("cliques: empty clique")
 // BuildClique evaluates a member set: estimates m_C, picks the best root,
 // and fills in the cost decomposition (§4.1).
 func BuildClique(top *network.Topology, eval Evaluator, members []int) (Clique, error) {
+	c, _, err := buildWithin(top, eval, members, nil)
+	return c, err
+}
+
+// buildWithin is BuildClique for a clique that only matters if it does not
+// score strictly worse than board's best so far. When eval is an
+// MCEvaluator, whose estimates can stop early, and board holds a score, the
+// estimate stops once the clique has reported past reportLimit: beaten is
+// then true and the clique is not built. A nil board, or any other
+// evaluator, always builds.
+func buildWithin(top *network.Topology, eval Evaluator, members []int, board *scoreBoard) (c Clique, beaten bool, err error) {
 	if len(members) == 0 {
-		return Clique{}, ErrEmptyClique
+		return Clique{}, false, ErrEmptyClique
 	}
 	ms := append([]int(nil), members...)
 	sort.Ints(ms)
 	for _, i := range ms {
 		if i < 0 || i >= top.N() {
-			return Clique{}, fmt.Errorf("cliques: member %d out of topology range %d", i, top.N())
+			return Clique{}, false, fmt.Errorf("cliques: member %d out of topology range %d", i, top.N())
 		}
 	}
-	m, err := eval.M(ms)
+	intra := intraByRoot(top, ms)
+	var m float64
+	if mce, ok := eval.(*MCEvaluator); ok {
+		limit := mc.NoLimit
+		if best, ok := board.best(); ok {
+			limit = reportLimit(top, ms, intra, mce.mcCfg.Epochs(), best, board.metric)
+		}
+		var complete bool
+		if m, complete, err = mce.mWithin(ms, limit); err == nil && !complete {
+			return Clique{}, true, nil
+		}
+	} else {
+		m, err = eval.M(ms)
+	}
 	if err != nil {
-		return Clique{}, fmt.Errorf("cliques: evaluating %v: %w", ms, err)
+		return Clique{}, false, fmt.Errorf("cliques: evaluating %v: %w", ms, err)
 	}
 	if m < 0 {
-		return Clique{}, fmt.Errorf("cliques: evaluator returned negative m %v for %v", m, ms)
+		return Clique{}, false, fmt.Errorf("cliques: evaluator returned negative m %v for %v", m, ms)
 	}
-	root, intra, sink := bestRoot(top, ms, m)
-	return Clique{Members: ms, Root: root, M: m, Intra: intra, Sink: sink}, nil
+	c = placeRoot(top, ms, intra, m)
+	board.offer(c)
+	return c, false, nil
 }
 
-// bestRoot scans every sensor node as a candidate root; the root need not
-// be a clique member ("we frequently observe otherwise", §4.1).
-func bestRoot(top *network.Topology, members []int, m float64) (root int, intra, sink float64) {
-	bestCost := -1.0
-	for r := 0; r < top.N(); r++ {
-		in := 0.0
+// intraByRoot returns, for every sensor node r as the root, the per-step
+// cost of collecting the members there, Σ_x comm(x, r). It does not depend
+// on m_C, so a clique scored at several m computes it once.
+func intraByRoot(top *network.Topology, members []int) []float64 {
+	intra := make([]float64, top.N())
+	for r := range intra {
 		for _, x := range members {
-			in += top.Comm(x, r)
-		}
-		sk := m * top.CommToBase(r)
-		if c := in + sk; bestCost < 0 || c < bestCost {
-			bestCost, root, intra, sink = c, r, in, sk
+			intra[r] += top.Comm(x, r)
 		}
 	}
-	return root, intra, sink
+	return intra
+}
+
+// placeRoot builds the clique at m_C = m: every sensor node is a candidate
+// root (the root need not be a member, "we frequently observe otherwise",
+// §4.1), and the first with the least intra + m·comm(r, base) wins. The cost
+// is a minimum over roots of sums of non-negative rounded products of m, so
+// it never falls as m grows.
+func placeRoot(top *network.Topology, members []int, intra []float64, m float64) Clique {
+	c := Clique{Members: members, M: m}
+	bestCost := -1.0
+	for r, in := range intra {
+		sk := m * top.CommToBase(r)
+		if cost := in + sk; bestCost < 0 || cost < bestCost {
+			bestCost, c.Root, c.Intra, c.Sink = cost, r, in, sk
+		}
+	}
+	return c
 }
 
 // cliqueKey returns a canonical string key for caching.

@@ -5,22 +5,22 @@ import (
 	"hash/fnv"
 	"sync"
 
+	"ken/internal/mat"
 	"ken/internal/mc"
 	"ken/internal/model"
-	"ken/internal/protocol"
 )
 
 // MCEvaluator estimates m_C by fitting a LinearGaussian model to the
 // clique's training columns and running the Monte Carlo protocol simulation
-// of §4.4. Estimates are cached per clique (the partitioning algorithms
+// of §4.4. The fits share one model.Moments pass over the whole training
+// matrix. Estimates are cached per clique (the partitioning algorithms
 // revisit the same cliques many times, and cost sweeps over different
 // topologies reuse the same m values — m depends only on the data and ε,
-// never on the topology).
+// never on the topology); an estimate mWithin stopped early is not.
 type MCEvaluator struct {
-	train  [][]float64 // [t][attribute]
-	eps    []float64
-	fitCfg model.FitConfig
-	mcCfg  mc.Config
+	moments *model.Moments
+	eps     []float64
+	mcCfg   mc.Config
 
 	mu    sync.Mutex
 	cache map[string]float64
@@ -43,35 +43,43 @@ func NewMCEvaluator(train [][]float64, eps []float64, fitCfg model.FitConfig, mc
 			return nil, fmt.Errorf("cliques: non-positive epsilon %v for attribute %d", e, i)
 		}
 	}
+	moments, err := model.NewMoments(train, fitCfg)
+	if err != nil {
+		return nil, fmt.Errorf("cliques: %w", err)
+	}
 	return &MCEvaluator{
-		train:  train,
-		eps:    eps,
-		fitCfg: fitCfg,
-		mcCfg:  mcCfg,
-		cache:  map[string]float64{},
+		moments: moments,
+		eps:     eps,
+		mcCfg:   mcCfg,
+		cache:   map[string]float64{},
 	}, nil
 }
 
-// M implements Evaluator.
+// M implements Evaluator: mWithin with no limit.
 func (e *MCEvaluator) M(clique []int) (float64, error) {
+	m, _, err := e.mWithin(clique, mc.NoLimit)
+	return m, err
+}
+
+// mWithin estimates m_C unless the clique's Monte Carlo run reports more
+// than limit values over its e.mcCfg.Epochs() epochs, in which case it
+// stops there and complete is false (mc.ExpectedReportsWithin). A cached
+// estimate is complete whatever the limit.
+func (e *MCEvaluator) mWithin(clique []int, limit int) (m float64, complete bool, err error) {
 	if len(clique) == 0 {
-		return 0, ErrEmptyClique
+		return 0, false, ErrEmptyClique
 	}
 	key := cliqueKey(clique)
 	e.mu.Lock()
 	if v, ok := e.cache[key]; ok {
 		e.mu.Unlock()
-		return v, nil
+		return v, true, nil
 	}
 	e.mu.Unlock()
 
-	cols, eps, err := protocol.Project(e.train, e.eps, clique)
+	mdl, err := e.moments.Fit(clique)
 	if err != nil {
-		return 0, fmt.Errorf("cliques: %w", err)
-	}
-	mdl, err := model.FitLinearGaussian(cols, e.fitCfg)
-	if err != nil {
-		return 0, fmt.Errorf("cliques: fitting clique %v: %w", clique, err)
+		return 0, false, fmt.Errorf("cliques: fitting clique %v: %w", clique, err)
 	}
 	cfg := e.mcCfg
 	// Derive a per-clique seed so that estimates are deterministic yet
@@ -79,14 +87,14 @@ func (e *MCEvaluator) M(clique []int) (float64, error) {
 	h := fnv.New64a()
 	h.Write([]byte(key))
 	cfg.Seed = e.mcCfg.Seed ^ int64(h.Sum64())
-	m, err := mc.ExpectedReports(mdl, eps, cfg)
-	if err != nil {
-		return 0, err
+	m, complete, err = mc.ExpectedReportsWithin(mdl, mat.Select(e.eps, clique), cfg, limit)
+	if err != nil || !complete {
+		return 0, false, err
 	}
 	e.mu.Lock()
 	e.cache[key] = m
 	e.mu.Unlock()
-	return m, nil
+	return m, true, nil
 }
 
 // CacheSize returns the number of cached clique estimates (for tests and

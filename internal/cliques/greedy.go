@@ -47,7 +47,11 @@ type GreedyConfig struct {
 	// to GOMAXPROCS. Results are deterministic regardless of the setting:
 	// candidates are scored concurrently but selected in enumeration
 	// order, and each clique's Monte Carlo seed is derived from its
-	// members.
+	// members. The setting only moves how much Monte Carlo work is cut:
+	// a worker stops an estimate once its candidate is strictly worse
+	// than the best one the round has scored in full, and which ones are
+	// scored by then depends on the schedule; the winner and every tie
+	// with it are never stopped.
 	Parallelism int
 }
 
@@ -172,7 +176,9 @@ func nearestUncovered(top *network.Topology, seed int, covered []bool, limit int
 // bestCliqueAround scores every candidate clique {seed} ∪ S, S ⊆ pool,
 // |S| < K, and returns the best. Candidates are enumerated first (with
 // pruning applied), evaluated concurrently, and selected in enumeration
-// order so the result is independent of scheduling. The singleton {seed}
+// order so the result is independent of scheduling. A candidate whose
+// estimate stopped because one already scored beats it strictly drops out
+// of the selection; it could not have been chosen. The singleton {seed}
 // is always a candidate, so the search cannot fail.
 func bestCliqueAround(top *network.Topology, eval Evaluator, seed int, pool []int, cfg GreedyConfig, pruneThreshold float64) (Clique, error) {
 	candidates := enumerateCandidates(top, seed, pool, cfg.K, pruneThreshold)
@@ -189,7 +195,9 @@ func bestCliqueAround(top *network.Topology, eval Evaluator, seed int, pool []in
 	}
 
 	built := make([]Clique, len(candidates))
+	beaten := make([]bool, len(candidates))
 	errs := make([]error, len(candidates))
+	board := &scoreBoard{metric: cfg.Metric}
 	var wg sync.WaitGroup
 	next := int64(-1)
 	for w := 0; w < workers; w++ {
@@ -201,7 +209,7 @@ func bestCliqueAround(top *network.Topology, eval Evaluator, seed int, pool []in
 				if i >= len(candidates) {
 					return
 				}
-				built[i], errs[i] = BuildClique(top, eval, candidates[i])
+				built[i], beaten[i], errs[i] = buildWithin(top, eval, candidates[i], board)
 			}
 		}()
 	}
@@ -214,12 +222,68 @@ func bestCliqueAround(top *network.Topology, eval Evaluator, seed int, pool []in
 		if errs[i] != nil {
 			return Clique{}, errs[i]
 		}
+		if beaten[i] {
+			continue // strictly worse than a candidate scored in full
+		}
 		score := scoreOf(built[i], cfg.Metric)
 		if !have || better(score, bestScore, cfg.Metric) {
 			best, bestScore, have = built[i], score, true
 		}
 	}
 	return best, nil
+}
+
+// scoreBoard is the best score among a round's candidates scored in full,
+// shared by the round's workers. A nil board holds none.
+type scoreBoard struct {
+	metric Metric
+	mu     sync.Mutex
+	score  float64
+	have   bool
+}
+
+// best returns the best score so far, if any.
+func (b *scoreBoard) best() (float64, bool) {
+	if b == nil {
+		return 0, false
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.score, b.have
+}
+
+// offer records a clique scored in full.
+func (b *scoreBoard) offer(c Clique) {
+	if b == nil {
+		return
+	}
+	score := scoreOf(c, b.metric)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.have || better(score, b.score, b.metric) {
+		b.score, b.have = score, true
+	}
+}
+
+// reportLimit returns the most values a clique's Monte Carlo run may report
+// over epochs and still not score strictly worse than best: the largest L
+// whose m_C = L/epochs — the division the estimate makes — gives a clique,
+// placed and scored by the code that scores a built one, that best does not
+// strictly beat. Both scores are monotone in m (placeRoot's cost never falls
+// as m grows; scoreOf divides it, or |C| − m, by |C|), so the clique is
+// beaten from some L on and a binary search finds it. It is -1 when even a
+// run that reports nothing is beaten, and mc.NoLimit when a report of every
+// member at every epoch is not.
+func reportLimit(top *network.Topology, members []int, intra []float64, epochs int, best float64, metric Metric) int {
+	most := epochs * len(members)
+	first := sort.Search(most+1, func(reports int) bool {
+		c := placeRoot(top, members, intra, float64(reports)/float64(epochs))
+		return better(best, scoreOf(c, metric), metric)
+	})
+	if first > most {
+		return mc.NoLimit
+	}
+	return first - 1
 }
 
 // enumerateCandidates lists every unpruned candidate clique containing the

@@ -243,7 +243,7 @@ func TestCholeskyFactorizeFailureInvalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	ax, _ := good.MulVec(x)
-	if maxAbs(SubVec(ax, []float64{1, 2})) > 1e-10 {
+	if maxDiff(ax, []float64{1, 2}) > 1e-10 {
 		t.Fatal("solve after recovery inaccurate")
 	}
 }

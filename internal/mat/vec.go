@@ -14,18 +14,6 @@ func AddVec(a, b []float64) []float64 {
 	return out
 }
 
-// SubVec returns a - b as a new vector.
-func SubVec(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("mat: SubVec len %d vs %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
 // Select returns the elements of a at the given indices, in order.
 func Select(a []float64, idx []int) []float64 {
 	out := make([]float64, len(idx))

@@ -10,9 +10,11 @@ import (
 )
 
 // TestAllocBudgetMCTrajectory pins one simulated Monte Carlo step — draw
-// tomorrow's truth, run the protocol epoch against it — at zero heap
-// allocations on a LinearGaussian clique, with reports and without: the
-// committed budget table in docs/LINT.md.
+// tomorrow's truth, run the protocol epoch against it — and the reset that
+// starts the next trajectory at zero heap allocations on a LinearGaussian
+// clique, with reports and without, and holds a whole estimate to the same
+// count at 8 and at 32 trajectories: the committed budget table in
+// docs/LINT.md.
 func TestAllocBudgetMCTrajectory(t *testing.T) {
 	if alloctest.RaceEnabled {
 		t.Skip("alloc budgets are not meaningful under -race")
@@ -43,6 +45,9 @@ func TestAllocBudgetMCTrajectory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := run.reset(lg); err != nil {
+			t.Fatal(err)
+		}
 		step := func() {
 			if _, err := run.step(); err != nil {
 				t.Fatal(err)
@@ -51,6 +56,27 @@ func TestAllocBudgetMCTrajectory(t *testing.T) {
 		step() // SampleNext makes its scratch on first use
 		if got := testing.AllocsPerRun(200, step); got != 0 {
 			t.Errorf("%s step: %v allocs, budget 0", name, got)
+		}
+		reset := func() {
+			if err := run.reset(lg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := testing.AllocsPerRun(200, reset); got != 0 {
+			t.Errorf("%s reset: %v allocs, budget 0", name, got)
+		}
+
+		// A whole estimate allocates its replica once: the same count at 8
+		// trajectories as at 32.
+		estimate := func(trajectories int) func() {
+			return func() {
+				if _, err := ExpectedReports(lg, eps, Config{Trajectories: trajectories, Horizon: 48, Seed: 5}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if few, many := testing.AllocsPerRun(5, estimate(8)), testing.AllocsPerRun(5, estimate(32)); few != many {
+			t.Errorf("%s estimate: %v allocs at 8 trajectories, %v at 32", name, few, many)
 		}
 	}
 }

@@ -13,6 +13,7 @@ package mc
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"ken/internal/model"
@@ -39,60 +40,77 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Epochs returns the number of simulated epochs an estimate averages over,
+// Trajectories × Horizon after defaults: m_C is the values reported over
+// them divided by this.
+func (c Config) Epochs() int {
+	c = c.withDefaults()
+	return c.Trajectories * c.Horizon
+}
+
+// NoLimit is the report limit of an estimate that always runs to the end.
+const NoLimit = math.MaxInt
+
 // ErrNoSampler is returned when the model cannot generate synthetic data.
 var ErrNoSampler = errors.New("mc: model does not implement model.Sampler")
 
 // ExpectedReports estimates m_C: the mean number of attribute values Ken
 // transmits per time step for a clique governed by the sampler model, with
-// per-attribute error bounds eps.
+// per-attribute error bounds eps. It is ExpectedReportsWithin with no limit.
 func ExpectedReports(m model.Sampler, eps []float64, cfg Config) (float64, error) {
+	est, _, err := ExpectedReportsWithin(m, eps, cfg, NoLimit)
+	return est, err
+}
+
+// ExpectedReportsWithin is the estimate that gives up once more than limit
+// values have been reported: complete is then false and est is not an
+// estimate of anything. The count only grows, so the m_C of the full run
+// would have been above limit / cfg.Epochs(); a caller that needs no more
+// than that bound stops paying for the rest. A complete estimate is the
+// bits of an unlimited one.
+//
+// Trajectories run on one replica of m, cloned once and reset to m's state
+// with CopyStateFrom before each, so m itself is only read and concurrent
+// estimates of one fitted model are safe.
+func ExpectedReportsWithin(m model.Sampler, eps []float64, cfg Config, limit int) (est float64, complete bool, err error) {
 	if m == nil {
-		return 0, ErrNoSampler
+		return 0, false, ErrNoSampler
 	}
 	if len(eps) != m.Dim() {
-		return 0, fmt.Errorf("mc: eps dim %d, model dim %d", len(eps), m.Dim())
+		return 0, false, fmt.Errorf("mc: eps dim %d, model dim %d", len(eps), m.Dim())
 	}
 	for i, e := range eps {
 		if e <= 0 {
-			return 0, fmt.Errorf("mc: non-positive epsilon %v for attribute %d", e, i)
+			return 0, false, fmt.Errorf("mc: non-positive epsilon %v for attribute %d", e, i)
 		}
 	}
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	totalSent := 0
-	totalSteps := 0
-	for run := 0; run < cfg.Trajectories; run++ {
-		sent, err := simulate(m, eps, cfg.Horizon, rng)
-		if err != nil {
-			return 0, err
-		}
-		totalSent += sent
-		totalSteps += cfg.Horizon
-	}
-	return float64(totalSent) / float64(totalSteps), nil
-}
-
-// simulate runs one trajectory and counts the values it reports.
-func simulate(m model.Sampler, eps []float64, horizon int, rng *rand.Rand) (int, error) {
-	tr, err := newTrajectory(m, eps, rng)
+	tr, err := newTrajectory(m, eps, rand.New(rand.NewSource(cfg.Seed)))
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	sent := 0
-	for t := 0; t < horizon; t++ {
-		reported, err := tr.step()
-		if err != nil {
-			return 0, err
+	for run := 0; run < cfg.Trajectories; run++ {
+		if err := tr.reset(m); err != nil {
+			return 0, false, err
 		}
-		sent += reported
+		for t := 0; t < cfg.Horizon; t++ {
+			reported, err := tr.step()
+			if err != nil {
+				return 0, false, err
+			}
+			if sent += reported; sent > limit {
+				return 0, false, nil
+			}
+		}
 	}
-	return sent, nil
+	return float64(sent) / float64(cfg.Epochs()), true, nil
 }
 
-// trajectory is one simulated run: a belief replica tracking ground truth
+// trajectory is the simulated run: a belief replica tracking ground truth
 // the model itself generates. Today's and tomorrow's truth take turns in
-// two buffers, so a step allocates nothing.
+// two buffers, so a step allocates nothing, and reset starts the next run
+// on the same replica and buffers.
 type trajectory struct {
 	belief      model.Sampler
 	replica     *protocol.Kernel
@@ -109,11 +127,17 @@ func newTrajectory(m model.Sampler, eps []float64, rng *rand.Rand) (*trajectory,
 	if err != nil {
 		return nil, err
 	}
-	truth, err := belief.SampleState(rng)
-	if err != nil {
-		return nil, err
+	n := m.Dim()
+	return &trajectory{belief: belief, replica: replica, truth: make([]float64, n), next: make([]float64, n), rng: rng}, nil
+}
+
+// reset puts the belief back in m's state and draws the run's first truth
+// from it.
+func (tr *trajectory) reset(m model.Sampler) error {
+	if err := tr.belief.CopyStateFrom(m); err != nil {
+		return err
 	}
-	return &trajectory{belief: belief, replica: replica, truth: truth, next: make([]float64, len(truth)), rng: rng}, nil
+	return tr.belief.SampleState(tr.truth, tr.rng)
 }
 
 // step draws tomorrow's truth from today's, then advances the belief

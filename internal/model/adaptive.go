@@ -109,7 +109,7 @@ func (a *Adaptive) refit() {
 		}
 		refitted.profile = rot
 	}
-	refitted.clock = clock
+	refitted.clock, refitted.phase = clock, clock%refitted.period
 	// Carry the belief state over: same mean, fresh-fit residual frame.
 	all := make([]int, refitted.n)
 	for i := range all {

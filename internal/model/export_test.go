@@ -11,3 +11,6 @@ var (
 // all-zero one whose next transition is a copy: what the differential tests
 // count settled, copied and dropped transitions from.
 func (lg *LinearGaussian) Debt() (owed int, zero bool) { return lg.owed, lg.zero }
+
+// Phase reports the seasonal phase lg keeps beside its clock.
+func (lg *LinearGaussian) Phase() int { return lg.phase }

@@ -31,6 +31,7 @@ type LinearGaussian struct {
 	profile [][]float64   // period × n seasonal means; shared, immutable
 	period  int
 	clock   int
+	phase   int             // clock % period, kept beside the clock by everything that writes it
 	state   *gauss.Gaussian // belief over the residual r(clock); its Σ is owed transitions behind
 	q0      *mat.Dense      // Symmetrize(0 + Q), what one transition makes of a zero Σ; shared, immutable after fit
 
@@ -78,8 +79,44 @@ type FitConfig struct {
 // FitLinearGaussian learns a LinearGaussian from training rows
 // (data[t][i] = attribute i at step t). The returned model's clock is at
 // the last training row with a point-mass state on it, so the first Step
-// predicts the first post-training step.
+// predicts the first post-training step. It is Moments.Fit over every
+// column.
 func FitLinearGaussian(data [][]float64, cfg FitConfig) (*LinearGaussian, error) {
+	mo, err := NewMoments(data, cfg)
+	if err != nil {
+		return nil, err
+	}
+	all := make([]int, mo.n)
+	for i := range all {
+		all[i] = i
+	}
+	return mo.Fit(all)
+}
+
+// Moments is the pass over a training matrix that every fit of a subset of
+// its columns shares: the seasonal profile, the residuals around it, and
+// the lag-0 and lag-1 sums of the VAR normal equations over all n columns.
+// Each entry of those is a sum over t of a product of two columns, and
+// fitVAR skips the rows where the first column's residual is zero, a rule
+// that reads that column alone; so the entries for a subset of columns are
+// the same bits whether the pass saw n columns or only those. What a subset
+// needs beyond slicing — the k×k solve for A, the innovation covariance Q —
+// Fit computes per call. A Moments is read-only once made; concurrent Fits
+// are safe.
+type Moments struct {
+	cfg     FitConfig
+	n       int
+	profile [][]float64 // period × n seasonal means
+	period  int
+	res     [][]float64 // T × n residuals around the profile
+	// lag0[i*n+j] = Σ r_t[i]·r_t[j] and lag1[i*n+j] = Σ r_t[i]·r_{t+1}[j]
+	// over t < T−1, in t order, skipping the t where r_t[i] == 0.
+	lag0, lag1 []float64
+}
+
+// NewMoments makes the shared pass over training rows (data[t][i] =
+// attribute i at step t).
+func NewMoments(data [][]float64, cfg FitConfig) (*Moments, error) {
 	T := len(data)
 	if T < 4 {
 		return nil, fmt.Errorf("model: FitLinearGaussian needs >= 4 rows, got %d", T)
@@ -96,29 +133,78 @@ func FitLinearGaussian(data [][]float64, cfg FitConfig) (*LinearGaussian, error)
 	profile, period := seasonalProfile(data, cfg.Period)
 
 	// Residuals around the seasonal profile.
+	flat := make([]float64, T*n)
 	res := make([][]float64, T)
 	for t, row := range data {
 		p := profile[t%period]
-		r := make([]float64, n)
+		r := flat[t*n : (t+1)*n : (t+1)*n]
 		for i := range row {
 			r[i] = row[i] - p[i]
 		}
 		res[t] = r
 	}
 
-	a, err := fitVAR(res, cfg.DiagonalA)
+	lag0, lag1 := make([]float64, n*n), make([]float64, n*n)
+	for t := 0; t < T-1; t++ {
+		cur, next := res[t], res[t+1]
+		for i, xi := range cur {
+			if xi == 0 {
+				continue
+			}
+			r0, r1 := lag0[i*n:(i+1)*n], lag1[i*n:(i+1)*n]
+			for j := range r0 {
+				r0[j] += xi * cur[j]
+				r1[j] += xi * next[j]
+			}
+		}
+	}
+	return &Moments{cfg: cfg, n: n, profile: profile, period: period, res: res, lag0: lag0, lag1: lag1}, nil
+}
+
+// Fit fits the LinearGaussian of columns cols, in that order: bit for bit
+// what FitLinearGaussian makes of the training rows projected onto them.
+func (mo *Moments) Fit(cols []int) (*LinearGaussian, error) {
+	k := len(cols)
+	if k == 0 {
+		return nil, fmt.Errorf("model: training rows are empty")
+	}
+	for _, c := range cols {
+		if c < 0 || c >= mo.n {
+			return nil, fmt.Errorf("%w: column %d outside the %d fitted", ErrDim, c, mo.n)
+		}
+	}
+	T := len(mo.res)
+	profile := make([][]float64, mo.period)
+	for p, row := range mo.profile {
+		profile[p] = mat.Select(row, cols)
+	}
+	flat := make([]float64, T*k)
+	res := make([][]float64, T)
+	for t, row := range mo.res {
+		r := flat[t*k : (t+1)*k : (t+1)*k]
+		for a, c := range cols {
+			r[a] = row[c]
+		}
+		res[t] = r
+	}
+
+	a, err := mo.fitVAR(cols)
 	if err != nil {
 		return nil, err
 	}
 
 	// Innovation covariance from one-step fit errors.
-	errs := make([][]float64, 0, T-1)
-	for t := 0; t < T-1; t++ {
-		pred, err := a.MulVec(res[t])
-		if err != nil {
+	errs := make([][]float64, T-1)
+	eflat := make([]float64, (T-1)*k)
+	for t := range errs {
+		e := eflat[t*k : (t+1)*k : (t+1)*k]
+		if err := a.MulVecInto(e, res[t]); err != nil {
 			return nil, err
 		}
-		errs = append(errs, mat.SubVec(res[t+1], pred))
+		for i, v := range res[t+1] {
+			e[i] = v - e[i]
+		}
+		errs[t] = e
 	}
 	mu, err := gauss.EstimateMean(errs)
 	if err != nil {
@@ -129,13 +215,13 @@ func FitLinearGaussian(data [][]float64, cfg FitConfig) (*LinearGaussian, error)
 		return nil, err
 	}
 
-	state, err := gauss.New(res[T-1], mat.NewDense(n, n))
+	state, err := gauss.New(res[T-1], mat.NewDense(k, k))
 	if err != nil {
 		return nil, err
 	}
 	qChol, qErr := factorQ(q)
 	return &LinearGaussian{
-		n:       n,
+		n:       k,
 		a:       a,
 		q:       q,
 		qChol:   qChol,
@@ -143,11 +229,12 @@ func FitLinearGaussian(data [][]float64, cfg FitConfig) (*LinearGaussian, error)
 		q0:      zeroImage(q),
 		zero:    true,
 		profile: profile,
-		period:  period,
+		period:  mo.period,
 		clock:   T - 1,
+		phase:   (T - 1) % mo.period,
 		state:   state,
-		ws:      gauss.NewWorkspace(n),
-		valsBuf: make([]float64, 0, n),
+		ws:      gauss.NewWorkspace(k),
+		valsBuf: make([]float64, 0, k),
 	}, nil
 }
 
@@ -210,18 +297,16 @@ func seasonalProfile(data [][]float64, period int) ([][]float64, int) {
 }
 
 // fitVAR solves the ridge least-squares problem R1 ≈ R0·Aᵀ for the
-// transition matrix A over residual rows.
-func fitVAR(res [][]float64, diagonal bool) (*mat.Dense, error) {
-	T := len(res) - 1
-	n := len(res[0])
-	if diagonal {
-		a := mat.NewDense(n, n)
-		for i := 0; i < n; i++ {
-			var sxx, sxy float64
-			for t := 0; t < T; t++ {
-				sxx += res[t][i] * res[t][i]
-				sxy += res[t][i] * res[t+1][i]
-			}
+// transition matrix A over the residual columns cols, from the moment sums.
+// The diagonal form reads the same sums: the terms they skip are ±0
+// products, which change no bit of a sum of finite terms that starts at +0.
+func (mo *Moments) fitVAR(cols []int) (*mat.Dense, error) {
+	T := len(mo.res) - 1
+	n, k := mo.n, len(cols)
+	if mo.cfg.DiagonalA {
+		a := mat.NewDense(k, k)
+		for i, c := range cols {
+			sxx, sxy := mo.lag0[c*n+c], mo.lag1[c*n+c]
 			den := sxx + ridge*(1+sxx/float64(T))
 			if den == 0 {
 				a.Set(i, i, 0)
@@ -232,22 +317,16 @@ func fitVAR(res [][]float64, diagonal bool) (*mat.Dense, error) {
 		return a, nil
 	}
 	// Normal equations: (R0ᵀR0 + λI)·Aᵀ = R0ᵀR1.
-	xtx := mat.NewDense(n, n)
-	xty := mat.NewDense(n, n)
-	for t := 0; t < T; t++ {
-		for i := 0; i < n; i++ {
-			xi := res[t][i]
-			if xi == 0 {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				xtx.Add(i, j, xi*res[t][j])
-				xty.Add(i, j, xi*res[t+1][j])
-			}
+	xtx := mat.NewDense(k, k)
+	xty := mat.NewDense(k, k)
+	for i, ci := range cols {
+		for j, cj := range cols {
+			xtx.Set(i, j, mo.lag0[ci*n+cj])
+			xty.Set(i, j, mo.lag1[ci*n+cj])
 		}
 	}
-	lambda := ridge * (traceOf(xtx)/float64(n) + 1)
-	for i := 0; i < n; i++ {
+	lambda := ridge * (traceOf(xtx)/float64(k) + 1)
+	for i := 0; i < k; i++ {
 		xtx.Add(i, i, lambda)
 	}
 	ch, err := mat.NewCholesky(xtx)
@@ -286,6 +365,9 @@ func (lg *LinearGaussian) Step() {
 		panic(err) // dimensions fixed at construction
 	}
 	lg.clock++
+	if lg.phase++; lg.phase == lg.period {
+		lg.phase = 0
+	}
 	if lg.owed++; lg.owed == maxOwed {
 		lg.settle()
 	}
@@ -308,7 +390,7 @@ func (lg *LinearGaussian) settle() {
 
 // phaseMean returns the seasonal profile row for the current clock.
 func (lg *LinearGaussian) phaseMean() []float64 {
-	return lg.profile[lg.clock%lg.period]
+	return lg.profile[lg.phase]
 }
 
 // MeanInto implements MeanWriter: the belief's residual mean plus the
@@ -449,22 +531,30 @@ func (lg *LinearGaussian) CopyStateFrom(src Model) error {
 	if err := lg.state.CopyFrom(s.state, lg.ws); err != nil {
 		return err
 	}
-	lg.clock, lg.owed, lg.zero = s.clock, s.owed, s.zero
+	lg.clock, lg.phase, lg.owed, lg.zero = s.clock, s.phase, s.owed, s.zero
 	return nil
 }
 
 // SampleState implements Sampler: draw the residual from the belief and add
-// the seasonal mean. A point-mass belief (zero covariance) returns the mean.
-func (lg *LinearGaussian) SampleState(rng *rand.Rand) ([]float64, error) {
+// the seasonal mean. A point-mass belief (zero covariance) gives the mean,
+// and a fresh fit's or a full report's allocates nothing.
+func (lg *LinearGaussian) SampleState(dst []float64, rng *rand.Rand) error {
+	if len(dst) != lg.n {
+		return fmt.Errorf("%w: sample output %d, model %d", ErrDim, len(dst), lg.n)
+	}
 	lg.settle()
-	if lg.state.Cov().MaxAbs() == 0 {
-		return MeanOf(lg), nil
+	if lg.zero || lg.state.Cov().MaxAbs() == 0 {
+		return lg.MeanInto(dst)
 	}
 	r, err := lg.state.Sample(rng)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return mat.AddVec(r, lg.phaseMean()), nil
+	p := lg.phaseMean()
+	for i := range dst {
+		dst[i] = r[i] + p[i]
+	}
+	return nil
 }
 
 // SampleNext implements Sampler: given ground truth x at the model's
@@ -496,7 +586,10 @@ func (lg *LinearGaussian) SampleNext(dst, x []float64, rng *rand.Rand) error {
 	if err := lg.qChol.MulLVecInto(w, w); err != nil {
 		return err
 	}
-	next := lg.profile[(lg.clock+1)%lg.period]
+	next := lg.profile[0]
+	if lg.phase+1 < lg.period {
+		next = lg.profile[lg.phase+1]
+	}
 	for i := range dst {
 		dst[i] = next[i] + ar[i] + w[i]
 	}

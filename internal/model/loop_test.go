@@ -124,6 +124,9 @@ func TestAdaptiveRefitKeepsPhase(t *testing.T) {
 	if got, want := m.Inner().Clock(), 99+200; got != want {
 		t.Fatalf("clock = %d, want %d", got, want)
 	}
+	if got, want := m.Inner().Phase(), (99+200)%24; got != want {
+		t.Fatalf("phase = %d, want %d", got, want)
+	}
 }
 
 func TestSwitchingBeatsPlainGaussianOnRegimeData(t *testing.T) {

@@ -72,11 +72,14 @@ func MeanOf(m Model) []float64 {
 }
 
 // Sampler is implemented by models that can generate synthetic data from
-// themselves; Monte Carlo data-reduction estimation (§4.4) requires it.
+// themselves; Monte Carlo data-reduction estimation (§4.4) requires it. A
+// sampler is a StateCopier too: the estimate resets one replica to the
+// fitted state before each trajectory instead of cloning a fresh one.
 type Sampler interface {
-	Model
-	// SampleState draws a ground-truth vector from the current state.
-	SampleState(rng *rand.Rand) ([]float64, error)
+	StateCopier
+	// SampleState draws a ground-truth vector from the current state into
+	// dst, which has length Dim().
+	SampleState(dst []float64, rng *rand.Rand) error
 	// SampleNext draws x(t+1) given ground truth x(t) from the transition
 	// into dst, which has length Dim() and may alias x.
 	SampleNext(dst, x []float64, rng *rand.Rand) error

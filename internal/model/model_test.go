@@ -245,12 +245,12 @@ func TestLinearGaussianSampler(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(4))
-	x, err := lg.SampleState(rng)
-	if err != nil {
+	x := make([]float64, 2)
+	if err := lg.SampleState(x, rng); err != nil {
 		t.Fatal(err)
 	}
-	if len(x) != 2 {
-		t.Fatalf("sample dim = %d", len(x))
+	if err := lg.SampleState(x[:1], rng); err == nil {
+		t.Fatal("expected dim error for a short state destination")
 	}
 	nx := make([]float64, 2)
 	if err := lg.SampleNext(nx, x, rng); err != nil {

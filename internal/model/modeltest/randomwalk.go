@@ -3,7 +3,9 @@
 package modeltest
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 
 	"ken/internal/model"
 )
@@ -40,7 +42,17 @@ func (w *RandomWalk) MeanGiven(idx []int, vals []float64) ([]float64, error) {
 	c := NewRandomWalk(w.mean, nil)
 	return c.mean, c.Condition(idx, vals)
 }
-func (w *RandomWalk) SampleState(*rand.Rand) ([]float64, error) { return model.MeanOf(w), nil }
+func (w *RandomWalk) SampleState(dst []float64, _ *rand.Rand) error { return w.MeanInto(dst) }
+
+// CopyStateFrom takes the last values of a walk with the same step SDs.
+func (w *RandomWalk) CopyStateFrom(src model.Model) error {
+	s, ok := src.(*RandomWalk)
+	if !ok || len(s.mean) != len(w.mean) || !slices.Equal(s.sd, w.sd) {
+		return fmt.Errorf("modeltest: CopyStateFrom needs a RandomWalk with the same step SDs")
+	}
+	copy(w.mean, s.mean)
+	return nil
+}
 func (w *RandomWalk) SampleNext(dst, x []float64, rng *rand.Rand) error {
 	for i := range x {
 		dst[i] = x[i] + w.sd[i]*rng.NormFloat64()

@@ -338,6 +338,11 @@ func runSchedule(t testing.TB, base *LinearGaussian, sched []byte) debtTally {
 			if o, z := cp.Debt(); o != owed || z != zero {
 				t.Fatalf("op %d: the clone owes %d, its original %d", at, o, owed)
 			}
+			twin := cp.Clone().(*LinearGaussian)
+			twin.Step()
+			if err := twin.CopyStateFrom(l.LinearGaussian); err != nil || twin.clock != l.clock || twin.phase != l.phase {
+				t.Fatalf("op %d: CopyStateFrom took clock %d phase %d from clock %d phase %d (%v)", at, twin.clock, twin.phase, l.clock, l.phase, err)
+			}
 			join(cp)
 		case opJSON:
 			l := reps[0]
@@ -361,6 +366,9 @@ func runSchedule(t testing.TB, base *LinearGaussian, sched []byte) debtTally {
 			}
 			if l.Clock() != ref.clock {
 				t.Fatalf("op %d: replica %d clock %d, reference %d", at, r, l.Clock(), ref.clock)
+			}
+			if l.phase != l.clock%l.period {
+				t.Fatalf("op %d: replica %d phase %d at clock %d of period %d", at, r, l.phase, l.clock, l.period)
 			}
 		}
 	}

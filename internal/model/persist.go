@@ -56,6 +56,9 @@ func (lg *LinearGaussian) UnmarshalJSON(data []byte) error {
 	if w.A.Rows() != w.N || w.A.Cols() != w.N || w.Q.Rows() != w.N || w.Q.Cols() != w.N {
 		return fmt.Errorf("model: json matrices do not match dimension %d", w.N)
 	}
+	if w.Clock < 0 {
+		return fmt.Errorf("model: json clock %d is negative", w.Clock)
+	}
 	if w.Period <= 0 || len(w.Profile) != w.Period {
 		return fmt.Errorf("model: json profile has %d phases, period %d", len(w.Profile), w.Period)
 	}
@@ -80,6 +83,7 @@ func (lg *LinearGaussian) UnmarshalJSON(data []byte) error {
 	lg.profile = w.Profile
 	lg.period = w.Period
 	lg.clock = w.Clock
+	lg.phase = w.Clock % w.Period
 	lg.state = state
 	lg.ws = gauss.NewWorkspace(w.N)
 	lg.valsBuf = make([]float64, 0, w.N)

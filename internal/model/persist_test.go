@@ -2,6 +2,7 @@ package model
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -58,11 +59,36 @@ func TestLoadLinearGaussianRejectsBadInput(t *testing.T) {
 		"shape mismatch": `{"n":2,"a":{"rows":[[1]]},"q":{"rows":[[1,0],[0,1]]},"profile":[[1,2]],"period":1,"clock":0,"state_mean":[1,2],"state_cov":{"rows":[[1,0],[0,1]]}}`,
 		"bad profile":    `{"n":1,"a":{"rows":[[1]]},"q":{"rows":[[1]]},"profile":[[1],[2]],"period":1,"clock":0,"state_mean":[1],"state_cov":{"rows":[[1]]}}`,
 		"bad state":      `{"n":1,"a":{"rows":[[1]]},"q":{"rows":[[1]]},"profile":[[1]],"period":1,"clock":0,"state_mean":[1,2],"state_cov":{"rows":[[1]]}}`,
+		"negative clock": `{"n":1,"a":{"rows":[[1]]},"q":{"rows":[[1]]},"profile":[[1],[2]],"period":2,"clock":-5,"state_mean":[1],"state_cov":{"rows":[[1]]}}`,
 	}
 	for name, in := range cases {
 		if err := json.Unmarshal([]byte(in), new(LinearGaussian)); err == nil {
 			t.Errorf("%s: expected load error", name)
 		}
+	}
+}
+
+// A negative clock would index the profile at a negative phase on the first
+// read; the load refuses it and leaves its receiver as it was.
+func TestLoadLinearGaussianRejectsNegativeClock(t *testing.T) {
+	lg, err := FitLinearGaussian(garden2Cols(t, 100), FitConfig{Period: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := MeanOf(lg)
+	in := `{"n":1,"a":{"rows":[[1]]},"q":{"rows":[[1]]},"profile":[[1],[2]],"period":2,"clock":-5,"state_mean":[1],"state_cov":{"rows":[[1]]}}`
+	if err := json.Unmarshal([]byte(in), lg); err == nil {
+		t.Fatal("a negative clock loaded")
+	}
+	if lg.Dim() != 2 || lg.Clock() != 99 || !sameBits(MeanOf(lg), before) {
+		t.Fatalf("the refused load changed its receiver: dim %d, clock %d", lg.Dim(), lg.Clock())
+	}
+	ok := new(LinearGaussian)
+	if err := json.Unmarshal([]byte(strings.Replace(in, "-5", "5", 1)), ok); err != nil {
+		t.Fatal(err)
+	}
+	if got := MeanOf(ok); got[0] != 3 {
+		t.Fatalf("clock 5 of period 2 reads phase %v, want the second profile row", got)
 	}
 }
 

@@ -7,8 +7,8 @@
 // link-level description via all-pairs shortest paths, and provides the
 // synthetic topologies used in the evaluation (uniform garden topologies
 // with a base-cost multiplier for Fig 12, geometric lab topologies with
-// east/central/west regions for Fig 13). Topologies are mutable
-// (UpdateLink) to support the dynamic-topology extension of §6.
+// east/central/west regions for Fig 13). A Topology is immutable once New
+// returns; the dynamic-topology extension of §6 builds a new one.
 package network
 
 import (
@@ -35,6 +35,7 @@ type Link struct {
 type Topology struct {
 	n     int
 	links []Link
+	adj   [][]Link    // per vertex, its incident links oriented away from it, in link order
 	cost  [][]float64 // (n+1)×(n+1) path costs; vertex n is the base
 }
 
@@ -63,7 +64,7 @@ func New(n int, links []Link) (*Topology, error) {
 		adj[l.U] = append(adj[l.U], Link{U: l.U, V: l.V, Cost: l.Cost})
 		adj[l.V] = append(adj[l.V], Link{U: l.V, V: l.U, Cost: l.Cost})
 	}
-	t := &Topology{n: n, links: append([]Link(nil), links...)}
+	t := &Topology{n: n, links: append([]Link(nil), links...), adj: adj}
 	t.cost = make([][]float64, v)
 	for src := 0; src < v; src++ {
 		t.cost[src] = dijkstra(adj, src)
@@ -124,21 +125,15 @@ func (t *Topology) N() int { return t.n }
 // Links returns a copy of the underlying undirected link set.
 func (t *Topology) Links() []Link { return append([]Link(nil), t.links...) }
 
-// Neighbors returns the links incident to vertex u (u may be the base).
+// Neighbors returns the links incident to vertex u (u may be the base),
+// each oriented with U == u, in the order of the links New was given. The
+// slice is the topology's own, built once by New: callers must not modify
+// it.
 func (t *Topology) Neighbors(u int) []Link {
 	if u < 0 || u > t.n {
 		panic(fmt.Sprintf("network: Neighbors(%d) out of range [0,%d]", u, t.n))
 	}
-	var out []Link
-	for _, l := range t.links {
-		switch u {
-		case l.U:
-			out = append(out, l)
-		case l.V:
-			out = append(out, Link{U: l.V, V: l.U, Cost: l.Cost})
-		}
-	}
-	return out
+	return t.adj[u]
 }
 
 // Base returns the vertex index of the base station.
@@ -176,17 +171,11 @@ func (t *Topology) MaxPairCost() float64 {
 // toward the base station (parent[i] == Base() for nodes adjacent to it).
 // The tree is what the Average model's in-network aggregation runs over.
 func (t *Topology) RoutingTree() ([]int, error) {
-	v := t.n + 1
-	adj := make([][]Link, v)
-	for _, l := range t.links {
-		adj[l.U] = append(adj[l.U], Link{U: l.U, V: l.V, Cost: l.Cost})
-		adj[l.V] = append(adj[l.V], Link{U: l.V, V: l.U, Cost: l.Cost})
-	}
 	distFromBase := t.cost[t.n]
 	parent := make([]int, t.n)
 	for i := 0; i < t.n; i++ {
 		best, bestCost := -1, math.Inf(1)
-		for _, l := range adj[i] {
+		for _, l := range t.adj[i] {
 			// Parent candidate: neighbour on a shortest path to the base.
 			if c := distFromBase[l.V] + l.Cost; c <= distFromBase[i]+1e-12 && distFromBase[l.V] < bestCost {
 				best, bestCost = l.V, distFromBase[l.V]

@@ -385,3 +385,42 @@ func TestChainAndStar(t *testing.T) {
 		}
 	}
 }
+
+// Neighbors answers from the adjacency New builds once, in the order the
+// scan over the link set it replaced gave: each incident link in link
+// order, oriented away from the vertex.
+func TestNeighborsMatchLinkScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 20; trial++ {
+		n := 2 + rng.Intn(12)
+		var links []Link
+		for i := 0; i < n; i++ {
+			links = append(links, Link{U: i, V: n, Cost: 1 + rng.Float64()}) // keeps every node connected
+		}
+		for e := rng.Intn(3 * n); e > 0; e-- {
+			u, v := rng.Intn(n+1), rng.Intn(n+1)
+			if u != v {
+				links = append(links, Link{U: u, V: v, Cost: 1 + rng.Float64()})
+			}
+		}
+		rng.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
+		top, err := New(n, links)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := 0; u <= n; u++ {
+			var want []Link
+			for _, l := range top.Links() {
+				switch u {
+				case l.U:
+					want = append(want, l)
+				case l.V:
+					want = append(want, Link{U: l.V, V: l.U, Cost: l.Cost})
+				}
+			}
+			if got := top.Neighbors(u); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d vertex %d: %v, the link scan %v", trial, u, got, want)
+			}
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ken/internal/alloctest"
 	"ken/internal/cliques"
 	"ken/internal/core"
 	"ken/internal/gauss"
@@ -623,5 +624,29 @@ func TestRunTotals(t *testing.T) {
 	}
 	if _, err := NewProgram("gossip", nil, nil, nil, nil, model.FitConfig{}, cfg); err == nil {
 		t.Fatal("expected error for an unknown program name")
+	}
+}
+
+// nextHop reads the topology's adjacency in place: a hop allocates nothing
+// (the budget table in docs/LINT.md).
+func TestAllocBudgetNextHop(t *testing.T) {
+	if alloctest.RaceEnabled {
+		t.Skip("alloc budgets are not meaningful under -race")
+	}
+	top, err := network.Uniform(6, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(top, DefaultRadio(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hop := func() {
+		if _, err := s.nextHop(2, top.Base()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(100, hop); got != 0 {
+		t.Errorf("nextHop: %v allocs, want 0", got)
 	}
 }
