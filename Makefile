@@ -6,12 +6,13 @@ GO ?= go
 
 all: build test
 
-# check is the pre-commit gate: formatting, static analysis (vet + the
-# kenlint invariant analyzers), the race detector and the allocation
-# budgets in one go. The race run IS the test suite (same tests, more
-# checking), so a plain `go test` pass would only repeat it without the
-# detector; the budgets skip themselves under -race, so alloc-check runs
-# them once more without it.
+# check is the pre-commit gate: formatting, static analysis (vet + kenlint's
+# maprange, errwire, obshandle and locksafe), the race detector and the
+# allocation budgets in one go. The race run IS the test suite (same tests,
+# more checking), and every package that starts goroutines ends it with the
+# goroutine-leak gate (internal/leaktest), so a plain `go test` pass would
+# only repeat it without the detector; the budgets skip themselves under
+# -race, so alloc-check runs them once more without it.
 check: fmt-check vet lint race alloc-check
 
 build:
@@ -21,9 +22,11 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs the custom go/analysis suite (cmd/kenlint): determinism,
-# seeding, wire-error, float-comparison, observability and
-# concurrency-discipline invariants.
+# lint runs the custom go/analysis suite (cmd/kenlint): the invariants no
+# test catches on every run — map order reaching output (maprange), dropped
+# wire, trace-store and command I/O errors (errwire), metric-handle
+# discipline (obshandle) and locks held across blocking work (locksafe).
+# Goroutine leaks are caught at run time by the leak gate in `make race`.
 # See docs/LINT.md. Ordered after vet in check so the `go vet` build pass
 # has already warmed the build cache kenlint's `go run` compiles from —
 # the two analyses share one compilation of the tree.

@@ -1,9 +1,9 @@
 // Command kenlint is the repository's custom static-analysis gate: it runs
-// the internal/lint analyzer suite — mechanical enforcement of the
-// determinism, seeding, wire-error and observability invariants documented
-// in docs/ENGINE.md, docs/PROTOCOL.md and docs/OBSERVABILITY.md — over the
-// module and exits non-zero when any diagnostic survives. See docs/LINT.md
-// for the analyzer catalogue and the //lint:ignore escape hatch.
+// the internal/lint analyzer suite — the map-order, error-discard,
+// metric-handle and lock-discipline invariants no test catches on every
+// run — over the module and exits non-zero when any diagnostic survives.
+// See docs/LINT.md for the analyzer catalogue and the //lint:ignore escape
+// hatch.
 //
 // Usage:
 //

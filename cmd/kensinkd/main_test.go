@@ -13,10 +13,13 @@ import (
 	"time"
 
 	"ken/internal/deploy"
+	"ken/internal/leaktest"
 	"ken/internal/sinkd"
 	"ken/internal/stream"
 	"ken/internal/wire"
 )
+
+func TestMain(m *testing.M) { leaktest.Main(m) }
 
 func TestRunFlagError(t *testing.T) {
 	var out, errw bytes.Buffer

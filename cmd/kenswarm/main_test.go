@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"ken/internal/leaktest"
 )
+
+func TestMain(m *testing.M) { leaktest.Main(m) }
 
 // TestSwarmSelfhostVerify is the end-to-end acceptance run in miniature:
 // an in-process daemon, concurrent tenants over two specs, and the

@@ -9,11 +9,14 @@ import (
 	"strings"
 	"testing"
 
+	"ken/internal/leaktest"
 	"ken/internal/mc"
 	"ken/internal/model"
 	"ken/internal/network"
 	"ken/internal/trace"
 )
+
+func TestMain(m *testing.M) { leaktest.Main(m) }
 
 // uniformTop builds an n-node uniform topology with given base multiplier.
 func uniformTop(t *testing.T, n int, baseMult float64) *network.Topology {

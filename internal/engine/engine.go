@@ -171,8 +171,8 @@ func Map[T, R any](ctx context.Context, e *Engine, items []T, fn func(ctx contex
 
 // runCell executes one cell with per-cell timing. Clock access lives
 // behind obs.Timer.Start so this package stays free of wall-clock reads
-// (the kenlint nondeterminism invariant); all handles are nil-safe, so a
-// nil engine runs dark at no cost.
+// (docs/ENGINE.md, "Determinism and seeding discipline"); all handles are
+// nil-safe, so a nil engine runs dark at no cost.
 func runCell[T, R any](ctx context.Context, e *Engine, i int, item T, fn func(ctx context.Context, idx int, item T) (R, error)) (R, error) {
 	var tCell *obs.Timer
 	var mCells, mCellErrs *obs.Counter

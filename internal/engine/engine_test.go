@@ -9,8 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"ken/internal/leaktest"
 	"ken/internal/obs"
 )
+
+func TestMain(m *testing.M) { leaktest.Main(m) }
 
 func TestMapPreservesOrder(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {

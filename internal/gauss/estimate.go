@@ -79,6 +79,4 @@ func EstimateCov(data [][]float64, mean []float64, ridge float64) (*mat.Dense, e
 // product that counts, while a true zero means the computation is undefined
 // and must take the fallback path, or the product is a ±0 that changes no
 // sum (see PredictCov).
-//
-//lint:comparator exact zero sentinel backing ridge-scale guards and the skip rule
 func isZero(v float64) bool { return v == 0 }

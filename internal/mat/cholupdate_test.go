@@ -139,6 +139,50 @@ func TestCholDowndateDegenerateLeavesFactorIntact(t *testing.T) {
 	}
 }
 
+// A downdate that leaves A − v·vᵀ positive definite by a hair passes the
+// pre-check, yet rounding in the rotation sweep can still drive a pivot
+// negative — at the last pivot, with no later one to trip over the NaN.
+// Downdate must then fail and invalidate the factor; it must never return a
+// factor holding NaN.
+func TestCholDowndateNearDegenerateFailsClosed(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	midSweep := 0
+	for it := 0; it < 2000; it++ {
+		n := 2 + r.Intn(3)
+		ch, err := NewCholesky(randomSPD(r, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// v = L·u with |u| just below 1, so A − v·vᵀ = L(I − u·uᵀ)Lᵀ.
+		l, u, v := ch.L(), make([]float64, n), make([]float64, n)
+		norm := 0.0
+		for i := range u {
+			u[i] = r.NormFloat64()
+			norm += u[i] * u[i]
+		}
+		scale := (1 - math.Pow(10, -float64(8+r.Intn(9)))) / math.Sqrt(norm)
+		for i := range v {
+			for k := 0; k <= i; k++ {
+				v[i] += l.At(i, k) * u[k] * scale
+			}
+		}
+		if err := ch.Downdate(v); err != nil {
+			if !ch.Valid() {
+				midSweep++
+			}
+			continue
+		}
+		for _, x := range ch.L().data {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				t.Fatalf("case %d: downdate returned a factor holding %v", it, x)
+			}
+		}
+	}
+	if midSweep == 0 {
+		t.Fatal("no downdate failed inside the sweep — test premise broken")
+	}
+}
+
 // Extend must reproduce the factor of the bordered matrix: growing from the
 // empty factor one column at a time matches a from-scratch factorization.
 func TestQuickCholExtendMatchesFactorize(t *testing.T) {

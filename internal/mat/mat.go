@@ -220,6 +220,4 @@ func (m *Dense) String() string {
 // one place exact float comparison is right: any nonzero value, however
 // tiny, is a usable divisor, while a true zero means the computation is
 // undefined and must take the fallback path.
-//
-//lint:comparator exact zero sentinel backing division and pivot guards
 func isZero(v float64) bool { return v == 0 }

@@ -112,7 +112,6 @@ func Serve(addr string, r *Registry) (*http.Server, net.Addr, error) {
 		return nil, nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
 	srv := &http.Server{Handler: Handler(r), ReadHeaderTimeout: 5 * time.Second}
-	//lint:ignore goleak the returned *http.Server is the lifecycle: srv.Shutdown/Close ends Serve and the goroutine exits
 	go func() { _ = srv.Serve(ln) }()
 	return srv, ln.Addr(), nil
 }

@@ -249,8 +249,9 @@ var noopStop = func() {}
 
 // Start reads the wall clock and returns a stop function that records the
 // elapsed time; it keeps clock access inside obs so deterministic packages
-// can time their work without touching time.Now themselves (the kenlint
-// nondeterminism invariant). A nil timer returns a shared no-op stop.
+// can time their work without touching time.Now themselves (docs/ENGINE.md,
+// "Determinism and seeding discipline"). A nil timer returns a shared no-op
+// stop.
 func (t *Timer) Start() func() {
 	if t == nil {
 		return noopStop

@@ -7,8 +7,11 @@ import (
 	"time"
 
 	"ken/internal/alloctest"
+	"ken/internal/leaktest"
 	"ken/internal/obs"
 )
+
+func TestMain(m *testing.M) { leaktest.Main(m) }
 
 func TestCounterGaugeBasics(t *testing.T) {
 	reg := obs.NewRegistry()

@@ -15,11 +15,14 @@ import (
 	"time"
 
 	"ken/internal/deploy"
+	"ken/internal/leaktest"
 	"ken/internal/obs"
 	"ken/internal/query"
 	"ken/internal/stream"
 	"ken/internal/wire"
 )
+
+func TestMain(m *testing.M) { leaktest.Main(m) }
 
 // newDaemon starts a daemon on an ephemeral port and tears it down with
 // the test.

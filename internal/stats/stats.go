@@ -19,8 +19,6 @@ var ErrShort = errors.New("stats: series too short")
 // one place exact float comparison is right: any nonzero value, however
 // tiny, is a usable divisor, while a true zero means the computation is
 // undefined and must take the fallback path.
-//
-//lint:comparator exact zero sentinel backing division guards
 func isZero(v float64) bool { return v == 0 }
 
 // Mean returns the arithmetic mean.

@@ -120,6 +120,21 @@ func TestSeasonalStrength(t *testing.T) {
 	if s > 0.1 {
 		t.Fatalf("noise seasonal strength = %v", s)
 	}
+	// Every phase holding the same values in its own order has none at all:
+	// rounding may leave the residual variance a hair above the total, and
+	// the strength must still not go below zero.
+	permuted := make([]float64, 240)
+	for i := 0; i < 10; i++ {
+		vals := noise[i*10 : i*10+10]
+		for p := 0; p < 24; p++ {
+			for c, j := range rng.Perm(10) {
+				permuted[c*24+p] = vals[j]
+			}
+		}
+		if s, err = SeasonalStrength(permuted, 24); err != nil || s < 0 || s > 1e-12 {
+			t.Fatalf("phase-permuted noise seasonal strength = %v, %v", s, err)
+		}
+	}
 	if _, err := SeasonalStrength(pure, 1); err == nil {
 		t.Fatal("expected error for period 1")
 	}

@@ -2,9 +2,12 @@ package stream
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
+	"reflect"
 	"testing"
 
 	"ken/internal/cliques"
@@ -217,6 +220,53 @@ func TestApplyRejectsOutOfOrderFrames(t *testing.T) {
 	bad := wire.Frame{Step: 1, Attrs: []int{99}, Values: []float64{1}}
 	if err := sink.Apply(bad); err == nil {
 		t.Fatal("expected error for out-of-range attribute")
+	}
+}
+
+// TestServeCorruptFrameAppliesNothing: a body that fails to decode ends
+// Serve with the wire error and moves nothing. Serve decodes in place, so
+// a dropped decode error would apply the previous frame's values again
+// under the corrupt header's step.
+func TestServeCorruptFrameAppliesNothing(t *testing.T) {
+	cfg, test := testConfig(t)
+	src, err := NewSource(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink, err := NewReplica(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewReplica(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f0, err := src.Collect(test[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f0.Attrs) == 0 {
+		t.Fatal("first frame reports nothing — test premise broken")
+	}
+	if err := ref.Apply(f0); err != nil {
+		t.Fatal(err)
+	}
+	var pipe bytes.Buffer
+	if err := WriteFrame(&pipe, f0, src.Resolution()); err != nil {
+		t.Fatal(err)
+	}
+	// Step 1 claiming one value whose attribute varint never ends.
+	if err := writeRaw(&pipe, []byte{wire.Magic, byte(wire.KindReport), 1, 1, 0x80, 0x80}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Serve(&pipe); !errors.Is(err, wire.ErrCorrupt) {
+		t.Fatalf("Serve returned %v, want the wire error", err)
+	}
+	if got, want := fmt.Sprint(sink.Counts()), fmt.Sprint(ref.Counts()); got != want {
+		t.Fatalf("counts %s after the corrupt frame, want %s", got, want)
+	}
+	if got, want := sink.Answer(), ref.Answer(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("answer %+v after the corrupt frame, want %+v", got, want)
 	}
 }
 
