@@ -7,7 +7,7 @@ GO ?= go
 all: build test
 
 # check is the pre-commit gate: formatting, static analysis (vet + kenlint's
-# maprange, errwire, obshandle and locksafe), the race detector and the
+# obshandle and locksafe), the race detector and the
 # allocation budgets in one go. The race run IS the test suite (same tests,
 # more checking), and every package that starts goroutines ends it with the
 # goroutine-leak gate (internal/leaktest), so a plain `go test` pass would
@@ -22,11 +22,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs the custom go/analysis suite (cmd/kenlint): the invariants no
-# test catches on every run — map order reaching output (maprange), dropped
-# wire, trace-store and command I/O errors (errwire), metric-handle
-# discipline (obshandle) and locks held across blocking work (locksafe).
-# Goroutine leaks are caught at run time by the leak gate in `make race`.
+# lint runs the custom go/analysis suite (cmd/kenlint): the two invariants
+# no test catches on every run, because breaking them costs time but
+# changes no result — metric-handle discipline (obshandle) and locks held
+# across blocking work (locksafe). Map order reaching output, dropped wire
+# and trace-store errors and goroutine leaks fail tests instead, the last
+# through the leak gate in `make race`.
 # See docs/LINT.md. Ordered after vet in check so the `go vet` build pass
 # has already warmed the build cache kenlint's `go run` compiles from —
 # the two analyses share one compilation of the tree.

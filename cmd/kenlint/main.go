@@ -1,7 +1,8 @@
 // Command kenlint is the repository's custom static-analysis gate: it runs
-// the internal/lint analyzer suite — the map-order, error-discard,
-// metric-handle and lock-discipline invariants no test catches on every
-// run — over the module and exits non-zero when any diagnostic survives.
+// the internal/lint analyzer suite — obshandle (metric-handle discipline)
+// and locksafe (locks held across blocking work), the two invariants no
+// test catches on every run — over the module and exits non-zero when any
+// diagnostic survives.
 // See docs/LINT.md for the analyzer catalogue and the //lint:ignore escape
 // hatch.
 //

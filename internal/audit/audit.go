@@ -59,9 +59,11 @@
 package audit
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"ken/internal/obs"
@@ -693,7 +695,7 @@ func (st *segState) resolveTail(tail *epochTail) {
 					Detail: fmt.Sprintf("reported attribute %d has neither a sink apply nor a recorded drop", attr)})
 			}
 		}
-		for _, attr := range sortedIntKeys(rr.applied) {
+		for _, attr := range sortedKeys(rr.applied) {
 			if !containsInt(rr.ev.Attrs, attr) {
 				viols = append(viols, Violation{Invariant: InvDivergence,
 					Epoch: rr.epochOrd, Step: rr.ev.Step, Clique: rr.ev.Clique, Node: rr.ev.Node,
@@ -824,12 +826,13 @@ func reportFor(reports map[int64]*reportRec, parentOf map[int64]int64, parent in
 	return nil
 }
 
-func sortedIntKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -937,7 +940,7 @@ func (s *stream) rollupEvent(e *obs.Event) {
 func (s *stream) finishRollup(rep *Report) {
 	rep.LinkBytes = s.linkBytes
 	totalTx, totalRx := 0, 0
-	for _, i := range sortedNodeKeys(s.nodes) {
+	for _, i := range sortedKeys(s.nodes) {
 		n := s.nodes[i]
 		n.EnergyJ = float64(n.TxBytes)*s.radio.TxPerByte + float64(n.RxBytes)*s.radio.RxPerByte
 		totalTx += n.TxBytes
@@ -945,7 +948,7 @@ func (s *stream) finishRollup(rep *Report) {
 		rep.Nodes = append(rep.Nodes, *n)
 	}
 	rep.TotalEnergyJ = float64(totalTx)*s.radio.TxPerByte + float64(totalRx)*s.radio.RxPerByte
-	for _, i := range sortedCliqueKeys(s.cliques) {
+	for _, i := range sortedKeys(s.cliques) {
 		rep.Cliques = append(rep.Cliques, *s.cliques[i])
 	}
 	linkKeys := make([]linkKey, 0, len(s.links))
@@ -961,22 +964,4 @@ func (s *stream) finishRollup(rep *Report) {
 	for _, k := range linkKeys {
 		rep.Links = append(rep.Links, *s.links[k])
 	}
-}
-
-func sortedNodeKeys(m map[int]*NodeStats) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func sortedCliqueKeys(m map[int]*CliqueStats) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

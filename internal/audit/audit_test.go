@@ -3,6 +3,8 @@ package audit
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -240,6 +242,72 @@ func TestAuditApplyWatermarkRegression(t *testing.T) {
 	}
 	if !strings.Contains(rep.Violations[0].Detail, "watermark") {
 		t.Fatalf("violation does not name the watermark: %v", rep.Violations[0])
+	}
+}
+
+// TestAuditReportOrderIgnoresArrival feeds every keyed table of the report
+// its keys in descending order — scopes, nodes, cliques, links, the open
+// epochs left at the segment's end and one report's unreported applied
+// attributes — and requires each in ascending order, as the report's
+// canonical order promises whatever order the trace arrived in.
+func TestAuditReportOrderIgnoresArrival(t *testing.T) {
+	var events []obs.Event
+	for i, s := range []string{"s3", "s2"} {
+		events = append(events, obs.Event{Type: obs.EvSuppress, Scope: s, Step: int64(i), Clique: -1, Node: -1})
+	}
+	// Three epochs that never end, their span ids descending. Each holds a
+	// report of nothing that the sink applies anyway: divergence, emitted
+	// in report order.
+	applied := [][]int{{9, 8, 7}, {6}, {5}}
+	for i, attrs := range applied {
+		epoch := int64(30 - 10*i)
+		clique, node := 5-i, 9-i
+		events = append(events,
+			obs.Event{Type: obs.EvEpochStart, Scope: "s1", Span: epoch, Step: int64(i), Clique: -1, Node: -1},
+			obs.Event{Type: obs.EvReport, Scope: "s1", Span: epoch + 1, Parent: epoch, Epoch: epoch,
+				Step: int64(i), Clique: clique, Node: node},
+			obs.Event{Type: obs.EvApply, Scope: "s1", Span: epoch + 2, Parent: epoch + 1, Epoch: epoch,
+				Step: int64(i), Clique: clique, Node: -1, Attrs: attrs},
+			obs.Event{Type: obs.EvHop, Scope: "s1", Step: int64(i), Clique: -1, Node: node,
+				Payload: &obs.Payload{From: node, To: node - 1, Bytes: 8}},
+		)
+	}
+	rep := Audit(events)
+
+	var scopes []string
+	for _, s := range rep.Scopes {
+		scopes = append(scopes, s.Scope)
+	}
+	var nodes, cliques []int
+	for _, n := range rep.Nodes {
+		nodes = append(nodes, n.Node)
+	}
+	for _, c := range rep.Cliques {
+		cliques = append(cliques, c.Clique)
+	}
+	var links, details []string
+	for _, l := range rep.Links {
+		links = append(links, fmt.Sprintf("%d>%d", l.From, l.To))
+	}
+	for _, v := range rep.Violations {
+		details = append(details, v.Detail)
+	}
+	for _, c := range []struct{ name, got, want string }{
+		{"scopes", fmt.Sprint(scopes), "[s1 s2 s3]"},
+		{"nodes", fmt.Sprint(nodes), "[6 7 8 9]"},
+		{"cliques", fmt.Sprint(cliques), "[3 4 5]"},
+		{"links", fmt.Sprint(links), "[7>6 8>7 9>8]"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s in order %s, want %s", c.name, c.got, c.want)
+		}
+	}
+	var want []string
+	for _, a := range []int{7, 8, 9, 6, 5} {
+		want = append(want, fmt.Sprintf("sink applied attribute %d that was never reported", a))
+	}
+	if !slices.Equal(details, want) {
+		t.Errorf("violations in order\n %q\nwant\n %q", details, want)
 	}
 }
 

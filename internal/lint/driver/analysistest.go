@@ -55,9 +55,7 @@ func parseWantPatterns(tail string) []string {
 // internal/lint/testdata/src/<path>), runs the analyzer over it and
 // compares the diagnostics against the `// want "re"` comments in the
 // fixture sources: every want must be matched by a diagnostic on its line,
-// and every diagnostic must have a want. Scope is honoured — fixtures sit
-// under testdata/src/<scope-path> so the package scopes exactly like the
-// real tree.
+// and every diagnostic must have a want.
 func AnalysisTest(t *testing.T, a *Analyzer, dir string) {
 	t.Helper()
 	l, err := NewLoader(dir)
@@ -67,9 +65,6 @@ func AnalysisTest(t *testing.T, a *Analyzer, dir string) {
 	pkg, err := l.LoadDir(dir)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
-	}
-	if a.Scope != nil && !a.Scope(pkg.ScopePath) {
-		t.Fatalf("fixture %s (scope path %q) is outside analyzer %s's scope", dir, pkg.ScopePath, a.Name)
 	}
 	diags, err := Run([]*Analyzer{a}, []*Package{pkg})
 	if err != nil {

@@ -150,25 +150,13 @@ func (s ignoreSet) suppresses(d Diagnostic) bool {
 	return false
 }
 
-// ScopeIn builds a Scope function matching any of the given
-// module-relative path prefixes: "internal/bench" matches the package
-// itself and everything below it, "cmd" matches every command.
-func ScopeIn(prefixes ...string) func(string) bool {
+// ScopeNot builds a Scope function that runs the analyzer everywhere except
+// the given module-relative subtree: "internal/obs" excludes the package
+// itself and everything below it, but not "internal/observe".
+func ScopeNot(prefix string) func(string) bool {
 	return func(path string) bool {
-		for _, p := range prefixes {
-			if path == p || strings.HasPrefix(path, p+"/") {
-				return true
-			}
-		}
-		return false
+		return path != prefix && !strings.HasPrefix(path, prefix+"/")
 	}
-}
-
-// ScopeNot inverts ScopeIn: the analyzer runs everywhere except the given
-// subtrees.
-func ScopeNot(prefixes ...string) func(string) bool {
-	in := ScopeIn(prefixes...)
-	return func(path string) bool { return !in(path) }
 }
 
 // Inspect walks every file of the pass's package in source order.

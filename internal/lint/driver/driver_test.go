@@ -60,8 +60,6 @@ func TestScopePath(t *testing.T) {
 	cases := []struct{ path, module, want string }{
 		{"ken/internal/bench", "ken", "internal/bench"},
 		{"ken", "ken", "."},
-		{"ken/internal/lint/testdata/src/internal/bench", "ken", "internal/bench"},
-		{"ken/internal/lint/testdata/src/cmd/app", "ken", "cmd/app"},
 	}
 	for _, c := range cases {
 		if got := scopePath(c.path, c.module); got != c.want {
@@ -71,21 +69,16 @@ func TestScopePath(t *testing.T) {
 }
 
 func TestScopeHelpers(t *testing.T) {
-	in := ScopeIn("internal/bench", "cmd")
-	for path, want := range map[string]bool{
-		"internal/bench":     true,
-		"internal/bench/sub": true,
-		"internal/benchmark": false,
-		"cmd/kensim":         true,
-		"internal/core":      false,
-	} {
-		if in(path) != want {
-			t.Errorf("ScopeIn(%q) = %v, want %v", path, in(path), want)
-		}
-	}
 	not := ScopeNot("internal/obs")
-	if not("internal/obs") || !not("internal/core") {
-		t.Errorf("ScopeNot misbehaves")
+	for path, want := range map[string]bool{
+		"internal/obs":     false,
+		"internal/obs/sub": false,
+		"internal/observe": true,
+		"internal/core":    true,
+	} {
+		if not(path) != want {
+			t.Errorf("ScopeNot(%q) = %v, want %v", path, not(path), want)
+		}
 	}
 }
 

@@ -20,10 +20,7 @@ type Package struct {
 	// Path is the full import path ("ken/internal/bench").
 	Path string
 	// ScopePath is the path analyzers match scopes against: Path with the
-	// module prefix stripped, and — for analyzer fixtures — everything up
-	// to and including "testdata/src/" stripped, so a fixture checked out
-	// at internal/lint/testdata/src/internal/bench scopes exactly like the
-	// real internal/bench.
+	// module prefix stripped ("internal/bench").
 	ScopePath string
 	Fset      *token.FileSet
 	Files     []*ast.File
@@ -66,9 +63,6 @@ func NewLoader(dir string) (*Loader, error) {
 		loading:    map[string]bool{},
 	}, nil
 }
-
-// ModuleRoot returns the directory holding go.mod.
-func (l *Loader) ModuleRoot() string { return l.moduleRoot }
 
 // findModule walks up from dir to the nearest go.mod and parses the module
 // path out of it.
@@ -302,14 +296,10 @@ func defaultBuildTag(tag string) bool {
 
 // scopePath derives the path analyzers scope against.
 func scopePath(path, modulePath string) string {
-	p := strings.TrimPrefix(strings.TrimPrefix(path, modulePath), "/")
-	if p == "" {
-		p = "."
+	if p := strings.TrimPrefix(strings.TrimPrefix(path, modulePath), "/"); p != "" {
+		return p
 	}
-	if _, rest, ok := strings.Cut(p, "testdata/src/"); ok {
-		p = rest
-	}
-	return p
+	return "."
 }
 
 // loaderImporter resolves imports during type-checking: module-internal

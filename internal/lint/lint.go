@@ -1,12 +1,12 @@
 // Package lint is kenlint's analyzer suite: custom static checks for the
-// invariants no test catches on every run — map order reaching output, a
-// dropped trace-store or command I/O error, metric-handle discipline and
-// locks held across blocking work (docs/LINT.md; EXPERIMENTS.md "kenlint
-// ledger (PR 39)" is the planted-defect ledger that chose them). The
+// two invariants a test cannot witness, because breaking them costs time
+// but changes no result — metric-handle discipline and locks held across
+// blocking work (docs/LINT.md; the two "kenlint ledger" sections of
+// EXPERIMENTS.md are the planted-defect ledgers that chose them). The
 // analyzers run on the stdlib-only go/analysis work-alike in
 // internal/lint/driver; cmd/kenlint is the multichecker binary and
-// "make lint" the gate. docs/LINT.md catalogues every analyzer, the
-// invariant behind it, what it catches, and the
+// "make lint" the gate. docs/LINT.md catalogues both analyzers, the
+// invariant behind each, what it catches, and the
 // "//lint:ignore <analyzer> <reason>" escape hatch.
 package lint
 
@@ -20,12 +20,7 @@ import (
 
 // Analyzers returns the full kenlint suite in stable order.
 func Analyzers() []*driver.Analyzer {
-	return []*driver.Analyzer{
-		MapRange,
-		ErrWire,
-		ObsHandle,
-		LockSafe,
-	}
+	return []*driver.Analyzer{ObsHandle, LockSafe}
 }
 
 // callee resolves the *types.Func a call invokes (package function or
@@ -65,28 +60,4 @@ func isMethod(fn *types.Func) bool {
 func fromPkg(fn *types.Func, path string) bool {
 	p := funcPkgPath(fn)
 	return p == path || strings.HasSuffix(p, "/"+path)
-}
-
-// returnsError reports whether the last result of fn is the builtin error
-// type.
-func returnsError(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Results().Len() == 0 {
-		return false
-	}
-	last := sig.Results().At(sig.Results().Len() - 1).Type()
-	named, ok := last.(*types.Named)
-	return ok && named.Obj().Pkg() == nil && named.Obj().Name() == "error"
-}
-
-// mentionsObject reports whether any identifier under n resolves to obj.
-func mentionsObject(info *types.Info, n ast.Node, obj types.Object) bool {
-	found := false
-	ast.Inspect(n, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
 }

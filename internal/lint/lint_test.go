@@ -9,20 +9,8 @@ import (
 )
 
 // fixture resolves a testdata package directory.
-func fixture(parts ...string) string {
-	return filepath.Join(append([]string{"testdata", "src"}, parts...)...)
-}
-
-func TestMapRange(t *testing.T) {
-	driver.AnalysisTest(t, lint.MapRange, fixture("maprange"))
-}
-
-func TestErrWireInCmd(t *testing.T) {
-	driver.AnalysisTest(t, lint.ErrWire, fixture("cmd", "app"))
-}
-
-func TestErrWireInLibrary(t *testing.T) {
-	driver.AnalysisTest(t, lint.ErrWire, fixture("lib"))
+func fixture(name string) string {
+	return filepath.Join("testdata", "src", name)
 }
 
 func TestObsHandle(t *testing.T) {
@@ -36,7 +24,7 @@ func TestLockSafe(t *testing.T) {
 // TestSuiteShape pins the suite to the analyzers no test witnesses (docs/LINT.md
 // "What the tests witness"), each named, documented, and with a Run function.
 func TestSuiteShape(t *testing.T) {
-	want := []string{"maprange", "errwire", "obshandle", "locksafe"}
+	want := []string{"obshandle", "locksafe"}
 	as := lint.Analyzers()
 	if len(as) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(as), len(want))
@@ -57,9 +45,7 @@ func TestScopes(t *testing.T) {
 	if lint.ObsHandle.Scope("internal/obs") || !lint.ObsHandle.Scope("internal/core") {
 		t.Errorf("obshandle must skip internal/obs, whose implementation is the nil checks, and patrol the rest")
 	}
-	for _, a := range []*driver.Analyzer{lint.MapRange, lint.ErrWire, lint.LockSafe} {
-		if a.Scope != nil {
-			t.Errorf("%s should run everywhere (nil scope)", a.Name)
-		}
+	if lint.LockSafe.Scope != nil {
+		t.Errorf("locksafe should run everywhere (nil scope)")
 	}
 }

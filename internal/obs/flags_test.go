@@ -3,8 +3,11 @@ package obs
 import (
 	"bytes"
 	"flag"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -166,6 +169,64 @@ func TestSegmentedTraceResumesAfterSignalSeal(t *testing.T) {
 	}
 	if info.Segments != 2 || info.Events != 2 {
 		t.Fatalf("chain info = %+v, want 2 segments / 2 events", info)
+	}
+}
+
+// lockedBuffer is a log destination the signal handler's goroutine can
+// write while the test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestSignalSealFailureIsLogged: a store whose rotation failed cannot seal
+// any more. SIGINT must still be handled, and the seal's failure logged.
+func TestSignalSealFailureIsLogged(t *testing.T) {
+	dir := t.TempDir()
+	w, err := tracestore.Create(dir, tracestore.Options{MaxEvents: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	// Segment 1's path is taken, so the rotation into it fails and the
+	// error sticks.
+	if err := os.Mkdir(tracestore.SegmentPath(dir, 1), 0o777); err != nil {
+		t.Fatal(err)
+	}
+	line := []byte(`{"scope":"s"}`)
+	if err := w.WriteEventLine("s", 0, line); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteEventLine("s", 1, line); err == nil {
+		t.Fatal("rotation into an occupied segment path succeeded")
+	}
+	var logs lockedBuffer
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&logs, nil)))
+	defer slog.SetDefault(prev)
+	stop := sealOnSignal(NewTracerSink(w), w)
+	defer stop()
+	if err := syscall.Kill(syscall.Getpid(), syscall.SIGINT); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !strings.Contains(logs.String(), "trace seal on signal failed") {
+		if time.Now().After(deadline) {
+			t.Fatalf("no seal failure logged 5s after SIGINT; log:\n%s", logs.String())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -3,6 +3,7 @@ package obs_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -48,6 +49,36 @@ h_count 3
 	}
 	if got := buf.String(); got != want {
 		t.Errorf("prometheus output:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestWritePrometheusSortsNames registers the metric kinds against their
+// name order (histogram "a", gauge "b", then twenty counters in descending
+// order): the output must still list every metric by name, however the
+// snapshot's three maps iterate.
+func TestWritePrometheusSortsNames(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Histogram("a").Observe(1)
+	reg.Gauge("b").Set(1)
+	want := []string{"a", "b"}
+	for i := 19; i >= 0; i-- {
+		reg.Counter(fmt.Sprintf("c%02d", i)).Inc()
+	}
+	for i := 0; i < 20; i++ {
+		want = append(want, fmt.Sprintf("c%02d", i))
+	}
+	var buf bytes.Buffer
+	if err := obs.WritePrometheus(&buf, reg.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			got = append(got, strings.Fields(name)[0])
+		}
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("metric order:\n got  %v\n want %v", got, want)
 	}
 }
 

@@ -261,7 +261,6 @@ func (d *Daemon) Close() {
 	d.closed = true
 	conns := make([]net.Conn, 0, len(d.conns))
 	for c := range d.conns {
-		//lint:ignore maprange close order is irrelevant: every connection is closed exactly once and no output depends on the order
 		conns = append(conns, c)
 	}
 	d.mu.Unlock()

@@ -94,7 +94,18 @@ func sameBits(a, b []float64) bool {
 func TestSingleTenantEndToEnd(t *testing.T) {
 	d, addr := newDaemon(t, Config{})
 	p := deploy.Params{Dataset: "garden", Seed: 3, TestSteps: 80, HeartbeatEvery: 10}
-	ref, err := runTenant(addr, "solo", p)
+	dep, err := deploy.Build(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two more sessions of the same spec register first, in descending
+	// name order; the listing must still come out sorted by name.
+	for _, name := range []string{"solo-c", "solo-b"} {
+		if _, err := runTenantWith(addr, name, p, dep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref, err := runTenantWith(addr, "solo", p, dep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,16 +120,22 @@ func TestSingleTenantEndToEnd(t *testing.T) {
 	if ans.Heartbeats != want.Heartbeats || ans.Heartbeats == 0 {
 		t.Fatalf("heartbeats: daemon %d, reference %d", ans.Heartbeats, want.Heartbeats)
 	}
-	tns := d.Tenants()
-	if len(tns) != 1 || tns[0].Name != "solo" || tns[0].Spec != p.ReplicaKey() {
-		t.Fatalf("tenants: %+v", tns)
+	var names []string
+	for _, tn := range d.Tenants() {
+		if tn.Spec != p.ReplicaKey() {
+			t.Fatalf("tenant %s has spec %q, want %q", tn.Name, tn.Spec, p.ReplicaKey())
+		}
+		names = append(names, tn.Name)
+	}
+	if want := []string{"solo", "solo-b", "solo-c"}; !slices.Equal(names, want) {
+		t.Fatalf("tenants listed %v, want %v", names, want)
 	}
 	st, _ := waitForState(d, "solo", StateClosed)
 	if st != StateClosed {
 		t.Fatalf("tenant state %s, want closed", st)
 	}
-	if got := d.mAccepts.Value(); got != 1 {
-		t.Fatalf("sinkd_sessions_accepted_total = %d", got)
+	if got := d.mAccepts.Value(); got != 3 {
+		t.Fatalf("sinkd_sessions_accepted_total = %d, want 3", got)
 	}
 }
 

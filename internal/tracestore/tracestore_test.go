@@ -1,8 +1,13 @@
 package tracestore
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -488,32 +493,163 @@ func TestUnsealedTailReadableButUnverifiable(t *testing.T) {
 	}
 }
 
-func TestWriterStickyError(t *testing.T) {
+// TestIndexEntriesSortedByScope writes three scopes in descending order
+// into every segment: each segment's index entries must still come out
+// sorted by scope.
+func TestIndexEntriesSortedByScope(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Create(dir, Options{})
+	writeStore(t, dir, Options{MaxEvents: 6}, []string{"s3", "s2", "s1"}, 4)
+	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteEventLine("s", 0, []byte(`{"scope":"s"}`)); err != nil {
+	entries, err := st.LoadIndex()
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Force a write failure by closing the file out from under the writer.
+	var got []string
+	for _, e := range entries {
+		got = append(got, fmt.Sprintf("%d:%s", e.Segment, e.Scope))
+	}
+	if want := "0:s1 0:s2 0:s3 1:s1 1:s2 1:s3"; strings.Join(got, " ") != want {
+		t.Fatalf("index entries %v, want %s", got, want)
+	}
+}
+
+// occupy makes the path of segment n a directory, so the writer's
+// exclusive open of that segment fails.
+func occupy(t *testing.T, dir string, n int) {
+	t.Helper()
+	if err := os.Mkdir(SegmentPath(dir, n), 0o777); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// storeWithOneEvent creates a store in a fresh directory and writes one
+// event line to it.
+func storeWithOneEvent(t *testing.T, opts Options) (*Writer, string) {
+	t.Helper()
+	dir := t.TempDir()
+	w, err := Create(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteEventLine("s", 0, []byte(`{"scope":"s","step":0}`)); err != nil {
+		t.Fatal(err)
+	}
+	return w, dir
+}
+
+func TestCreateFailsWhenFirstSegmentCannotOpen(t *testing.T) {
+	dir := t.TempDir()
+	occupy(t, dir, 0)
+	if _, err := Create(dir, Options{}); !errors.Is(err, fs.ErrExist) {
+		t.Fatalf("Create over an occupied segment path = %v, want fs.ErrExist", err)
+	}
+}
+
+// TestRotationFailsWhenNextSegmentCannotOpen: the seal of a full segment
+// succeeds, the open of its successor does not. The write that rolled
+// fails, the failure sticks, and the sealed segment still verifies.
+func TestRotationFailsWhenNextSegmentCannotOpen(t *testing.T) {
+	w, dir := storeWithOneEvent(t, Options{MaxEvents: 1})
+	occupy(t, dir, 1)
+	if err := w.WriteEventLine("s", 1, []byte(`{"scope":"s","step":1}`)); !errors.Is(err, fs.ErrExist) {
+		t.Fatalf("write into an unopenable segment = %v, want fs.ErrExist", err)
+	}
+	if err := w.WriteEventLine("s", 2, []byte(`{"scope":"s","step":2}`)); !errors.Is(err, fs.ErrExist) {
+		t.Fatalf("write after the failure = %v; the error must stick", err)
+	}
+	if err := w.Close(); !errors.Is(err, fs.ErrExist) {
+		t.Fatalf("Close = %v, want the sticky error", err)
+	}
+	if info, err := VerifyChain(dir); err != nil || info.Events != 1 {
+		t.Fatalf("VerifyChain = %+v, %v; want the sealed segment's 1 event", info, err)
+	}
+}
+
+// TestFailedRotationWritesNothing fails the seal a rotation starts at its
+// last step: the segment is a pipe, which takes the seal line but refuses
+// to sync. The write that rolled must fail without its line reaching the
+// segment.
+func TestFailedRotationWritesNothing(t *testing.T) {
+	w, _ := storeWithOneEvent(t, Options{MaxEvents: 2})
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	w.mu.Lock()
+	orig := w.f
+	w.f, w.bw = pw, bufio.NewWriter(pw)
+	w.mu.Unlock()
+	defer orig.Close()
+	if err := w.WriteEventLine("s", 1, []byte(`{"scope":"s","step":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	// Longer than the segment buffer, so a write would reach the pipe.
+	big := fmt.Sprintf(`{"scope":"s","step":2,"pad":%q}`, strings.Repeat("x", 8192))
+	if err := w.WriteEventLine("s", 2, []byte(big)); err == nil {
+		t.Fatal("rotation over a segment that cannot sync succeeded")
+	}
+	if err := pw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := io.ReadAll(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(out, []byte(KindSeal)) || bytes.Contains(out, []byte(`"step":2`)) {
+		t.Fatalf("segment after a failed rotation:\n%s\nwant its seal and not the line that rolled", out)
+	}
+}
+
+// TestSealLineFailureStopsTheSeal sizes the segment buffer so that the
+// index line fills it exactly: the seal line's write is the first to meet
+// the closed file, and Seal reports that write, not a flush after it.
+func TestSealLineFailureStopsTheSeal(t *testing.T) {
+	w, _ := storeWithOneEvent(t, Options{})
+	w.mu.Lock()
+	idx, err := json.Marshal(IndexLine{Kind: KindIndex, Segment: w.seg, Entries: w.indexEntries()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	w.bw = bufio.NewWriterSize(w.f, len(idx)+1)
+	w.f.Close()
+	w.mu.Unlock()
+	err = w.Seal()
+	if !errors.Is(err, os.ErrClosed) || !strings.HasPrefix(err.Error(), "tracestore: segment 0: ") {
+		t.Fatalf("Seal = %v, want the seal line's write error", err)
+	}
+}
+
+// TestCloseReportsTheSealFailure closes both files under the writer:
+// Close must report the seal's failure, the first one, not the index
+// file's.
+func TestCloseReportsTheSealFailure(t *testing.T) {
+	w, _ := storeWithOneEvent(t, Options{})
+	w.mu.Lock()
+	w.f.Close()
+	w.idx.Close()
+	w.mu.Unlock()
+	if err := w.Close(); !errors.Is(err, os.ErrClosed) || !strings.Contains(err.Error(), "seal segment 0") {
+		t.Fatalf("Close = %v, want the seal's failure", err)
+	}
+}
+
+func TestWriterStickyError(t *testing.T) {
+	w, _ := storeWithOneEvent(t, Options{})
+	// Close the file out from under the writer: the seal's flush fails.
 	w.mu.Lock()
 	w.f.Close()
 	w.mu.Unlock()
-	var firstErr error
-	for i := 0; i < 3; i++ {
-		// The bufio layer absorbs small writes; Seal forces a flush + sync
-		// against the closed fd.
-		if err := w.Seal(); err != nil {
-			firstErr = err
-			break
-		}
+	if err := w.Seal(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Seal over a closed segment = %v, want os.ErrClosed", err)
 	}
-	if firstErr == nil {
-		t.Skip("could not provoke a write error on this platform")
-	}
-	if err := w.WriteEventLine("s", 1, []byte(`{"scope":"s"}`)); err == nil {
-		t.Fatal("write after failure succeeded; error must stick")
+	if err := w.WriteEventLine("s", 1, []byte(`{"scope":"s"}`)); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("write after failure = %v; the error must stick", err)
 	}
 }
