@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint fmt-check test race alloc-check cover bench benchmark-smoke audit-smoke faults-smoke sinkd-smoke figures examples fuzz clean
+.PHONY: all check build vet lint fmt-check test race alloc-check cover bench benchmark-smoke figures-golden audit-smoke faults-smoke sinkd-smoke figures examples fuzz clean
 
 all: build test
 
@@ -66,6 +66,17 @@ bench:
 # is the measurement.
 benchmark-smoke:
 	$(GO) run ./benchmark -smoke
+
+# figures-golden runs the benchmark's figures workload at full size
+# (kenbench -all -test 5000 -parallel 2, about 18 s on a 2-core host) and
+# fails unless its result line reads "correct":true, i.e. the figure output
+# still hashes to benchmark/golden/figures-seed1.sha256. The command itself
+# exits 0 on a hash mismatch, hence the check of its result line.
+figures-golden:
+	@out=$$($(GO) run ./benchmark -workload figures) || exit 1; \
+	echo "$$out"; \
+	case "$$out" in *'"correct":true'*) ;; \
+	*) echo "figures-golden: FAIL (figure output differs from benchmark/golden/figures-seed1.sha256)"; exit 1;; esac
 
 # sinkd-smoke proves the multi-tenant daemon end to end with real
 # processes: kensinkd pinned to one deployment, three concurrent kensource

@@ -22,8 +22,6 @@ import (
 	"ken/internal/cliques"
 	"ken/internal/core"
 	"ken/internal/deploy"
-	"ken/internal/gauss"
-	"ken/internal/mat"
 	"ken/internal/mc"
 	"ken/internal/model"
 	"ken/internal/network"
@@ -290,139 +288,6 @@ func BenchmarkAblationPruning(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationConditioning compares the production conditioning path
-// (Cholesky solves, no explicit inverse) against a naive implementation
-// that inverts Σ_bb explicitly.
-func BenchmarkAblationConditioning(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	dims := []int{4, 8, 16}
-	for _, n := range dims {
-		g := randomGaussian(b, rng, n)
-		idx := make([]int, n/2)
-		vals := make([]float64, n/2)
-		for i := range idx {
-			idx[i], vals[i] = i, rng.NormFloat64()
-		}
-		b.Run("cholesky/n="+strconv.Itoa(n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := g.Condition(idx, vals); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("inverse/n="+strconv.Itoa(n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := conditionViaInverse(g, idx, vals); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// scratchSearchModel hides model.IncrementalConditioner, forcing the
-// kernel's search onto the from-scratch MeanGiven reference path.
-type scratchSearchModel struct{ model.Model }
-
-// BenchmarkAblationIncrementalSearch compares the greedy report search
-// through the cached incremental conditioning evaluator (grow one Cholesky
-// factor by a row per round) against the from-scratch reference path
-// (refactorize the observed block every round) on the same clique state.
-// Both arms choose identical report sets; only the evaluation cost
-// differs.
-func BenchmarkAblationIncrementalSearch(b *testing.B) {
-	for _, k := range []int{4, 8} {
-		mdl, _, test, eps := gardenClique(b, k, 200)
-		for i := range eps {
-			eps[i] = 0.05 // tight bounds so the search runs several rounds
-		}
-		mdl.Step()
-		truth := test[0]
-		for _, arm := range []struct {
-			name string
-			m    model.Model
-		}{{"incremental", mdl}, {"scratch", scratchSearchModel{mdl}}} {
-			b.Run(arm.name+"/k="+strconv.Itoa(k), func(b *testing.B) {
-				// The search is read-only, so both arms share the model.
-				replica, err := protocol.New(arm.m, nil, eps)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for i := 0; i < b.N; i++ {
-					obs, _, err := replica.Choose(truth, nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(obs) == 0 {
-						b.Fatal("empty report set — the search was not exercised")
-					}
-				}
-			})
-		}
-	}
-}
-
-func randomGaussian(b *testing.B, rng *rand.Rand, n int) *gauss.Gaussian {
-	b.Helper()
-	m := mat.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			m.Set(i, j, rng.NormFloat64())
-		}
-	}
-	cov, err := m.Mul(m.T())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		cov.Add(i, i, 1)
-	}
-	mean := make([]float64, n)
-	g, err := gauss.New(mean, cov)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return g
-}
-
-// conditionViaInverse is the naive ablation arm: μ_a|b via an explicit
-// Σ_bb⁻¹ (the Cholesky factor solved against the identity).
-func conditionViaInverse(g *gauss.Gaussian, obsIdx []int, vals []float64) error {
-	n := g.Dim()
-	keep := make([]int, 0, n-len(obsIdx))
-	for i, next := 0, 0; i < n; i++ {
-		if next < len(obsIdx) && obsIdx[next] == i {
-			next++
-			continue
-		}
-		keep = append(keep, i)
-	}
-	cov := g.Cov()
-	mean := g.Mean()
-	sigAB := cov.Submatrix(keep, obsIdx)
-	sigBB := cov.Submatrix(obsIdx, obsIdx)
-	ch, err := mat.NewCholesky(sigBB)
-	if err != nil {
-		return err
-	}
-	inv, err := ch.Solve(mat.Identity(len(obsIdx)))
-	if err != nil {
-		return err
-	}
-	delta := make([]float64, len(obsIdx))
-	for k, i := range obsIdx {
-		delta[k] = vals[k] - mean[i]
-	}
-	w, err := inv.MulVec(delta)
-	if err != nil {
-		return err
-	}
-	if _, err := sigAB.MulVec(w); err != nil {
-		return err
-	}
-	return nil
 }
 
 // --- Micro-benchmarks on the hot path ------------------------------------

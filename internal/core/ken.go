@@ -243,7 +243,7 @@ func (k *Ken) chooseProbabilistic(src *protocol.Kernel, truth []float64, _ []int
 
 // chooseExhaustive finds the smallest report (the first in index order among
 // equals) that restores ε-accuracy, by enumerating subsets in order of
-// increasing size against the model's from-scratch MeanGiven. Exponential in
+// increasing size, each answered by the model's evaluator. Exponential in
 // the clique size; for small cliques and for validating the greedy search.
 func chooseExhaustive(src *protocol.Kernel, truth []float64, _ []int) ([]int, []float64, error) {
 	m, local, eps := src.Model(), src.Gather(truth), src.Eps()
@@ -251,6 +251,7 @@ func chooseExhaustive(src *protocol.Kernel, truth []float64, _ []int) ([]int, []
 	if n > 20 {
 		return nil, nil, fmt.Errorf("core: exhaustive subset search infeasible for dim %d", n)
 	}
+	mean := make([]float64, n)
 	for size := 0; size <= n; size++ {
 		idx := make([]int, size)
 		vals := make([]float64, size)
@@ -258,11 +259,16 @@ func chooseExhaustive(src *protocol.Kernel, truth []float64, _ []int) ([]int, []
 			idx[i] = i
 		}
 		for {
+			if err := m.CondReset(); err != nil {
+				return nil, nil, err
+			}
 			for j, i := range idx {
 				vals[j] = local[i]
+				if err := m.CondAdd(i, vals[j]); err != nil {
+					return nil, nil, err
+				}
 			}
-			mean, err := m.MeanGiven(idx, vals)
-			if err != nil {
+			if err := m.CondMeanInto(mean); err != nil {
 				return nil, nil, err
 			}
 			if model.WithinBounds(mean, local, eps) {

@@ -123,7 +123,7 @@ func TestStepRejectsNonFiniteReadingBeforeMoving(t *testing.T) {
 
 // TestChooseExhaustiveMatchesOrBeatsGreedy checks the subset enumeration
 // step by step on a 4-attribute clique: its report restores ε under the
-// model's from-scratch MeanGiven, is never larger than the greedy search's
+// model's evaluator, is never larger than the greedy search's
 // (which must restore ε too), and is truly minimal — no smaller subset, tried
 // here by bitmask rather than by the enumeration's own combination stepping,
 // satisfies the bounds.
@@ -137,8 +137,16 @@ func TestChooseExhaustiveMatchesOrBeatsGreedy(t *testing.T) {
 		t.Fatal(err)
 	}
 	restores := func(k *protocol.Kernel, truth []float64, idx []int, vals []float64) bool {
-		mean, err := k.Model().MeanGiven(idx, vals)
-		if err != nil {
+		m, mean := k.Model(), make([]float64, len(truth))
+		if err := m.CondReset(); err != nil {
+			t.Fatal(err)
+		}
+		for j, i := range idx {
+			if err := m.CondAdd(i, vals[j]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.CondMeanInto(mean); err != nil {
 			t.Fatal(err)
 		}
 		return model.WithinBounds(mean, truth, eps)

@@ -92,10 +92,10 @@ func TestAllocBudgetGauss(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Observing an attribute again before the next predict meets its zero
-	// variance: the rank-1 pivot declines and the batch path, jitter ladder
-	// and all, conditions instead — alone and as part of a pair.
-	budget("Predict+ObserveExact1 twice (rank-1 declines, batch fallback)", 0, func() {
+	// Observing an attribute again before the next predict meets its exact
+	// zero row: the pivot is the exact degenerate one, which only sets μ_i —
+	// alone and as part of a pair.
+	budget("Predict+ObserveExact1 twice (exact degenerate pivot)", 0, func() {
 		if err := g.Predict(a, aT, q, ws); err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestAllocBudgetGauss(t *testing.T) {
 			}
 		}
 	})
-	budget("Predict+ObserveExact1+ObserveExact (rank-1 declines, batch fallback)", 0, func() {
+	budget("Predict+ObserveExact1+ObserveExact (exact degenerate pivot)", 0, func() {
 		if err := g.Predict(a, aT, q, ws); err != nil {
 			t.Fatal(err)
 		}

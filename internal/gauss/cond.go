@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"ken/internal/mat"
 )
 
 // Incremental conditioning evaluator. The greedy report search (model
@@ -18,7 +20,9 @@ import (
 //
 // The cache is keyed on (Gaussian pointer, Workspace generation): any
 // Predict/ObserveExact bumps the generation, so a stale evaluator answers
-// errCondStale rather than serving a factor of dead state. The evaluator
+// errCondStale rather than serving a factor of dead state. There is no
+// fallback behind it: a stale or degenerate evaluator is the caller's
+// error. The evaluator
 // never mutates the Gaussian — hypothesis evaluation must stay side-effect
 // free, because only the source runs the search and replica lock-step
 // requires the sink's state transitions to be independent of it.
@@ -45,9 +49,9 @@ func (g *Gaussian) CondReset(ws *Workspace) error {
 
 // CondAdd grows the hypothetical observed set by attribute i at value v,
 // extending the cached factor by one bordered row. On error (out-of-range
-// or duplicate index, non-finite value, stale cache, or a non-positive new
-// pivot — the evaluator has no jitter ladder) the evaluator is unchanged
-// and the caller should fall back to the from-scratch Condition path.
+// or duplicate index, non-finite value wrapping ErrNotFinite, stale cache,
+// or a new pivot that is not positive wrapping ErrDegenerate) the evaluator
+// is unchanged.
 func (g *Gaussian) CondAdd(i int, v float64, ws *Workspace) error {
 	if ws.evalG != g || ws.evalGen != ws.gen {
 		return errCondStale
@@ -69,6 +73,9 @@ func (g *Gaussian) CondAdd(i int, v float64, ws *Workspace) error {
 		col[k] = g.cov.At(j, i)
 	}
 	if err := ws.evalCh.Extend(col, g.cov.At(i, i)); err != nil {
+		if errors.Is(err, mat.ErrSingular) {
+			return fmt.Errorf("%w: attribute %d: %w", ErrDegenerate, i, err)
+		}
 		return err
 	}
 	// The evaluator slices are preallocated to cap n by NewWorkspace and
@@ -86,7 +93,7 @@ func (g *Gaussian) CondAdd(i int, v float64, ws *Workspace) error {
 // CondMeanInto writes the full-length conditional mean given the
 // evaluator's current observed set into dst: observed positions take their
 // hypothesised values, the rest their conditional expectations — the same
-// answer as ConditionalMean on the equivalent map, to numerical tolerance,
+// answer as ConditionalMean on the equivalent pair, to numerical tolerance,
 // with no allocation and no refactorization. The Gaussian is not mutated.
 func (g *Gaussian) CondMeanInto(dst []float64, ws *Workspace) error {
 	if ws.evalG != g || ws.evalGen != ws.gen {

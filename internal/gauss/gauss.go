@@ -27,6 +27,12 @@ var ErrEmpty = errors.New("gauss: empty input")
 // validated before any state is touched.
 var ErrNotFinite = errors.New("gauss: observation not finite")
 
+// ErrDegenerate is returned when conditioning meets a pivot it cannot take:
+// a variance that is not positive and finite, other than the exact zero of
+// an already exact attribute (see rank1Condition). The belief and the
+// evaluator are left as they were.
+var ErrDegenerate = errors.New("gauss: degenerate pivot")
+
 // Gaussian is an n-dimensional Gaussian distribution N(mean, cov).
 // The zero value is not usable; construct with New.
 //
@@ -140,10 +146,12 @@ func checkObserved(idx []int, vals []float64, n int) error {
 
 // Condition returns the conditional distribution of the remaining variables
 // given that variable idx[k] is observed at vals[k] (idx strictly
-// increasing). This is the model update both Ken replicas apply when a
-// subset of values is reported (paper §3.2, source step 4 / sink step 2);
-// the in-place ObserveExact is the hot-path form, this from-scratch batch
-// form is the reference the hypothesis search falls back to.
+// increasing): the textbook batch formula of the update both Ken replicas
+// apply when a subset of values is reported (paper §3.2, source step 4 /
+// sink step 2). No production code calls it. ObserveExact's rank-1 sweep is
+// the state update and the CondReset/CondAdd/CondMeanInto evaluator the
+// hypothesis search; this is the one reference the gauss, model and oracle
+// tests hold both to.
 //
 // The returned keep slice lists, in order, the original indices of the
 // variables of the conditional distribution. If every variable is observed,
@@ -205,8 +213,9 @@ func (g *Gaussian) Condition(idx []int, vals []float64) (cond *Gaussian, keep []
 
 // ConditionalMean returns only the full-length conditional mean: observed
 // positions take their observed values, unobserved positions take their
-// conditional expectations. This is the sink's post-report answer vector and
-// the quantity the source checks against ε.
+// conditional expectations — the sink's post-report answer vector and the
+// quantity the source checks against ε. Like Condition, it is a test
+// reference that no production code calls.
 func (g *Gaussian) ConditionalMean(idx []int, vals []float64) ([]float64, error) {
 	cond, keep, err := g.Condition(idx, vals)
 	if err != nil {

@@ -15,16 +15,9 @@ import (
 // the other's intermediates).
 type Workspace struct {
 	n    int
-	all  []int      // 0..n-1, the full row index set
-	mu   []float64  // n: predicted mean / conditioning staging
-	w    []float64  // n: solve right-hand side
-	col  []float64  // n: per-column solve / rank-1 column scratch
-	bb   *mat.Dense // m×m observed block Σ_bb
-	s    *mat.Dense // n×m cross block Σ_{·,b}
-	sol  *mat.Dense // m×n solved block Σ_bb⁻¹ Σ_{b,·}
-	cov2 *mat.Dense // n×n: multi-observation staging
-	corr *mat.Dense // n×n: conditioning correction
-	ch   *mat.Cholesky
+	mu   []float64  // n: multi-observation staging of the mean
+	col  []float64  // n: rank-1 column snapshot
+	cov2 *mat.Dense // n×n: multi-observation staging of Σ
 
 	// PredictCov's live block (see live): the rows and columns of Σ that
 	// hold a nonzero entry, Σ and A packed to those columns, and T = A·Σ
@@ -57,16 +50,9 @@ type Workspace struct {
 func NewWorkspace(n int) *Workspace {
 	return &Workspace{
 		n:         n,
-		all:       identityIndex(n),
 		mu:        make([]float64, n),
-		w:         make([]float64, n),
 		col:       make([]float64, n),
-		bb:        mat.NewDense(n, n),
-		s:         mat.NewDense(n, n),
-		sol:       mat.NewDense(n, n),
 		cov2:      mat.NewDense(n, n),
-		corr:      mat.NewDense(n, n),
-		ch:        mat.NewCholeskyWorkspace(n),
 		liveRows:  make([]int, 0, n),
 		liveCols:  make([]int, 0, n),
 		sig:       make([]float64, n*n),
@@ -307,17 +293,16 @@ func pack(dst, src []float64, cols []int) {
 // exact (zero variance); the kept block takes the conditional mean and
 // covariance.
 //
-// Conditioning runs incrementally, one observation at a time: observing
+// Conditioning is the rank-1 sweep, one observation at a time: observing
 // x_i rescales the i-th covariance column into a rank-1 mean shift and
 // covariance correction (O(n²), no factorization), and by the chain rule a
-// sequence of single-variable conditionings equals the joint batch update
-// exactly in real arithmetic. In floating point the incremental and batch
-// paths agree only to tolerance (~1e-12 relative, far inside the audit's
-// 1e-9 slack), so replica lock-step holds because both replicas run this
-// same deterministic path on identical state — a pure function of
-// (state, idx, vals), never of cache warmth. A non-positive pivot falls
-// back to the batch path, whose jitter ladder absorbs PSD blocks; a
-// non-PD observed block leaves the distribution unmodified, as before.
+// sequence of single-variable conditionings equals the joint update of
+// Condition exactly in real arithmetic (in floating point to ~1e-12
+// relative, far inside the audit's 1e-9 slack). It is the only state
+// update, so replica lock-step holds because both replicas run it on
+// identical state — a pure function of (state, idx, vals), never of cache
+// warmth. A pivot the sweep cannot take (see rank1Condition) fails the
+// whole call with ErrDegenerate and leaves the distribution untouched.
 func (g *Gaussian) ObserveExact(idx []int, vals []float64, ws *Workspace) error {
 	n := len(g.mean)
 	if ws.n != n {
@@ -331,9 +316,9 @@ func (g *Gaussian) ObserveExact(idx []int, vals []float64, ws *Workspace) error 
 		return nil
 	}
 	if m == n {
-		// Every variable observed: the posterior is a point mass. No
-		// factorisation — Condition's (nil, nil, nil) case never built one,
-		// so heartbeat-style full observations work on singular covariances.
+		// Every variable observed: the posterior is a point mass, whatever
+		// Σ was — heartbeat-style full observations work on singular
+		// covariances.
 		copy(g.mean, vals)
 		g.cov.ReuseAs(n, n)
 		ws.gen++
@@ -341,25 +326,23 @@ func (g *Gaussian) ObserveExact(idx []int, vals []float64, ws *Workspace) error 
 	}
 	if m == 1 {
 		// Single observation — the paper's common case (one violating
-		// attribute per report). The rank-1 pre-check is just the pivot
-		// sign, so on success the update runs directly on the
-		// distribution: one O(n²) pass instead of the batch path's
-		// factorize/solve/multiply/subtract/symmetrize sequence.
-		if rank1Condition(g.cov, g.mean, idx[0], vals[0], ws) {
-			ws.gen++
-			return nil
+		// attribute per report). rank1Condition checks its pivot before it
+		// writes, so the update runs directly on the distribution.
+		if err := rank1Condition(g.cov, g.mean, idx[0], vals[0], ws); err != nil {
+			return err
 		}
-		return g.observeExactBatch(idx, vals, ws)
+		ws.gen++
+		return nil
 	}
-	// Multiple observations: stage the sequential rank-1 sweep on workspace
-	// copies, committing only if every pivot is positive — a failed pivot
-	// midway must leave the distribution untouched for the batch fallback.
+	// Multiple observations: stage the sweep on workspace copies and commit
+	// only if every pivot is taken — a degenerate pivot midway must leave
+	// the distribution untouched.
 	ws.cov2.CopyFrom(g.cov)
 	mu := ws.mu[:n]
 	copy(mu, g.mean)
 	for k, i := range idx {
-		if !rank1Condition(ws.cov2, mu, i, vals[k], ws) {
-			return g.observeExactBatch(idx, vals, ws)
+		if err := rank1Condition(ws.cov2, mu, i, vals[k], ws); err != nil {
+			return err
 		}
 	}
 	g.cov.CopyFrom(ws.cov2)
@@ -376,9 +359,13 @@ func (g *Gaussian) ObserveExact(idx []int, vals []float64, ws *Workspace) error 
 // then the observed row/column is zeroed and μ_i set exactly. The rank-1
 // term is computed as (c_r·c_s)·d⁻¹ — identical multiply order for (r,s)
 // and (s,r) — so exact symmetry of cov is preserved without a Symmetrize
-// pass. Returns false, with nothing mutated, when the pivot d is not
-// strictly positive and finite (deferring to the batch path's jitter
-// ladder).
+// pass.
+//
+// The pivot d is taken only when it is positive and finite. For a PSD Σ,
+// Σ_ii = 0 forces row i to zero (|Σ_ij|² ≤ Σ_ii Σ_jj): x_i is already
+// exact, so a zero d whose row is exactly zero sets μ_i = v and touches
+// nothing else. Any other pivot returns ErrDegenerate with nothing
+// mutated.
 //
 // The sweep touches only rows and columns r, s ≠ i with c_r, c_s ≠ 0: row
 // and column i are zeroed afterwards, and every other term is an exact ±0
@@ -386,11 +373,15 @@ func (g *Gaussian) ObserveExact(idx []int, vals []float64, ws *Workspace) error 
 // +0), and Σ holds no −0 (see Gaussian). So a report's exact row and
 // column cost nothing, and the k-th of a multi-attribute sweep costs
 // (n−k)², not n².
-func rank1Condition(cov *mat.Dense, mu []float64, i int, v float64, ws *Workspace) bool {
+func rank1Condition(cov *mat.Dense, mu []float64, i int, v float64, ws *Workspace) error {
 	n := len(mu)
 	d := cov.At(i, i)
+	if isZero(d) && zeroRow(cov.RowView(i)) {
+		mu[i] = v
+		return nil
+	}
 	if d <= 0 || math.IsNaN(d) || math.IsInf(d, 0) {
-		return false
+		return fmt.Errorf("%w: pivot %v for attribute %d", ErrDegenerate, d, i)
 	}
 	// Snapshot column i before any write; cov is symmetric, so the column
 	// equals row i and can be read contiguously.
@@ -421,86 +412,15 @@ func rank1Condition(cov *mat.Dense, mu []float64, i int, v float64, ws *Workspac
 	for r := 0; r < n; r++ {
 		cov.RowView(r)[i] = 0
 	}
-	return true
+	return nil
 }
 
-// observeExactBatch is the from-scratch joint conditioning path: factorize
-// the observed block Σ_bb (jitter ladder included), solve for the mean
-// adjustment and correction block, subtract once. It remains both the
-// fallback when a rank-1 pivot is non-positive — its jitter ladder absorbs
-// PSD observed blocks — and the reference implementation the incremental
-// path is cross-checked against in tests and benchmarks. idx and vals are
-// pre-validated by ObserveExact.
-func (g *Gaussian) observeExactBatch(idx []int, vals []float64, ws *Workspace) error {
-	n := len(g.mean)
-	m := len(idx)
-
-	// Factorise Σ_bb before mutating anything: a non-PD observed block must
-	// leave the distribution untouched.
-	if err := ws.bb.SubmatrixInto(g.cov, idx, idx); err != nil {
-		return err
-	}
-	if err := ws.ch.Factorize(ws.bb); err != nil {
-		return fmt.Errorf("gauss: observed block not PD: %w", err)
-	}
-
-	// w = Σ_bb⁻¹ (x_b − μ_b)
-	w := ws.w[:m]
-	for k, i := range idx {
-		w[k] = vals[k] - g.mean[i]
-	}
-	if err := ws.ch.SolveVecInPlace(w); err != nil {
-		return err
-	}
-
-	// s = Σ_{·,b} over all n rows. Kept rows are Σ_ab; observed rows feed
-	// adjustments that are overwritten by the exact values below, so
-	// computing the full column block at once is safe.
-	if err := ws.s.SubmatrixInto(g.cov, ws.all, idx); err != nil {
-		return err
-	}
-	adj := ws.mu
-	if err := ws.s.MulVecInto(adj, w); err != nil {
-		return err
-	}
-	for i := range g.mean {
-		g.mean[i] += adj[i]
-	}
-	for k, i := range idx {
-		g.mean[i] = vals[k]
-	}
-
-	// sol = Σ_bb⁻¹ Σ_{b,·} column by column. Each column's solve is
-	// independent, so the kept columns match Cholesky.Solve against Σ_baᵀ.
-	ws.sol.ReuseAs(m, n)
-	col := ws.col[:m]
-	for j := 0; j < n; j++ {
-		for k := 0; k < m; k++ {
-			col[k] = ws.s.At(j, k)
-		}
-		if err := ws.ch.SolveVecInPlace(col); err != nil {
-			return err
-		}
-		for k := 0; k < m; k++ {
-			ws.sol.Set(k, j, col[k])
+// zeroRow reports whether every entry of row is ±0.
+func zeroRow(row []float64) bool {
+	for _, v := range row {
+		if !isZero(v) {
+			return false
 		}
 	}
-	// corr = Σ_{·,b} Σ_bb⁻¹ Σ_{b,·}; accumulate fully, subtract once —
-	// incremental subtraction would reorder the floating-point sums.
-	if err := ws.corr.MulInto(ws.s, ws.sol); err != nil {
-		return err
-	}
-	if err := g.cov.SubInPlace(ws.corr); err != nil {
-		return err
-	}
-	// Observed variables are exact: zero their rows and columns.
-	for _, i := range idx {
-		for j := 0; j < n; j++ {
-			g.cov.Set(i, j, 0)
-			g.cov.Set(j, i, 0)
-		}
-	}
-	g.cov.Symmetrize()
-	ws.gen++
-	return nil
+	return true
 }

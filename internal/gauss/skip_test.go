@@ -2,10 +2,12 @@ package gauss
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ken/internal/mat"
@@ -34,12 +36,18 @@ func refPredictCov(t testing.TB, cov, a, q *mat.Dense) {
 }
 
 // refRank1 is the rank-1 sweep with nothing skipped: every (r, s) takes
-// its (c_r·c_s)·d⁻¹, then row and column i are zeroed.
-func refRank1(cov *mat.Dense, mu []float64, i int, v float64) bool {
+// its (c_r·c_s)·d⁻¹, then row and column i are zeroed. A zero pivot whose
+// row is zero only sets μ_i; any other pivot that is not positive and
+// finite is refused with nothing touched.
+func refRank1(cov *mat.Dense, mu []float64, i int, v float64) error {
 	n := len(mu)
 	d := cov.At(i, i)
+	if d == 0 && slices.IndexFunc(cov.Row(i), func(x float64) bool { return x != 0 }) < 0 {
+		mu[i] = v
+		return nil
+	}
 	if d <= 0 || math.IsNaN(d) || math.IsInf(d, 0) {
-		return false
+		return ErrDegenerate
 	}
 	c := cov.Row(i)
 	invd := 1 / d
@@ -57,32 +65,30 @@ func refRank1(cov *mat.Dense, mu []float64, i int, v float64) bool {
 		cov.Set(i, j, 0)
 		cov.Set(j, i, 0)
 	}
-	return true
+	return nil
 }
 
 // refObserve is ObserveExact with refRank1 for the sweep: the same
-// dispatch (nothing, everything, one, several staged), and the batch path,
-// which skips nothing, when a pivot declines.
-func refObserve(t testing.TB, g *Gaussian, idx []int, vals []float64) {
+// dispatch (nothing, everything, several staged), g untouched when a pivot
+// is refused.
+func refObserve(g *Gaussian, idx []int, vals []float64) error {
 	n := len(g.mean)
 	switch m := len(idx); {
 	case m == 0:
-		return
+		return nil
 	case m == n:
 		copy(g.mean, vals)
 		g.cov.ReuseAs(n, n)
-		return
+		return nil
 	}
 	cov, mu := g.cov.Clone(), append([]float64(nil), g.mean...)
 	for k, i := range idx {
-		if !refRank1(cov, mu, i, vals[k]) {
-			if err := g.observeExactBatch(idx, vals, NewWorkspace(n)); err != nil {
-				t.Fatal(err)
-			}
-			return
+		if err := refRank1(cov, mu, i, vals[k]); err != nil {
+			return err
 		}
 	}
 	g.cov, g.mean = cov, mu
+	return nil
 }
 
 // byteSrc hands out a fuzz input a byte at a time, then zeros.
@@ -203,16 +209,12 @@ func runKernels(t testing.TB, g *Gaussian, a, q *mat.Dense, ops *byteSrc) {
 				}
 			}
 			what = fmt.Sprintf("ObserveExact(%v)", idx)
-			err := g.ObserveExact(idx, vals, ws)
-			if err != nil {
-				// The batch fallback refuses a non-PD observed block; the
-				// reference must refuse it too, with nothing moved.
-				if berr := ref.Clone().observeExactBatch(idx, vals, NewWorkspace(n)); berr == nil {
-					t.Fatalf("step %d: %s refused (%v), the reference took it", step, what, err)
-				}
-				continue
+			// A refused pivot must be refused by both, ErrDegenerate, with
+			// both beliefs left as they were: the comparison below holds it.
+			err, rerr := g.ObserveExact(idx, vals, ws), refObserve(ref, idx, vals)
+			if (err == nil) != (rerr == nil) || err != nil && !errors.Is(err, ErrDegenerate) {
+				t.Fatalf("step %d: %s = %v, the reference %v", step, what, err, rerr)
 			}
-			refObserve(t, ref, idx, vals)
 		}
 		if got, want := beliefBits(g), beliefBits(ref); !reflect.DeepEqual(got, want) {
 			t.Fatalf("n=%d step %d: %s differs from the written-out reference\nkernel:\n%vreference:\n%v", n, step, what, g.cov, ref.cov)

@@ -124,10 +124,14 @@ func (a *Adaptive) refit() {
 // MeanInto implements MeanWriter.
 func (a *Adaptive) MeanInto(dst []float64) error { return a.inner.MeanInto(dst) }
 
-// MeanGiven implements Model.
-func (a *Adaptive) MeanGiven(idx []int, vals []float64) ([]float64, error) {
-	return a.inner.MeanGiven(idx, vals)
-}
+// CondReset implements Model: the evaluator is the current inner fit's.
+func (a *Adaptive) CondReset() error { return a.inner.CondReset() }
+
+// CondAdd implements Model.
+func (a *Adaptive) CondAdd(i int, v float64) error { return a.inner.CondAdd(i, v) }
+
+// CondMeanInto implements Model.
+func (a *Adaptive) CondMeanInto(dst []float64) error { return a.inner.CondMeanInto(dst) }
 
 // Condition implements Model.
 func (a *Adaptive) Condition(idx []int, vals []float64) error {

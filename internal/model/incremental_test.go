@@ -27,50 +27,93 @@ func gardenCols(t testing.TB, steps, n int) [][]float64 {
 	return out
 }
 
-// The model-level evaluator must match MeanGiven for the same growing
-// observed set without mutating the model.
-func TestLinearGaussianCondEvaluatorMatchesMeanGiven(t *testing.T) {
+// refMeanGiven is the textbook answer to the evaluator's question for lg:
+// gauss.ConditionalMean of the settled belief on the residuals of the pair
+// (idx ascending), back in absolute values.
+func refMeanGiven(t testing.TB, lg *LinearGaussian, idx []int, vals []float64) []float64 {
+	t.Helper()
+	lg.settle()
+	p, res := lg.phaseMean(), make([]float64, len(idx))
+	for k, i := range idx {
+		res[k] = vals[k] - p[i]
+	}
+	cm, err := lg.state.ConditionalMean(idx, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range cm {
+		cm[i] += p[i]
+	}
+	return cm
+}
+
+// evaluatorAnswers grows m's hypothetical set in the given order and calls
+// check with CondMeanInto's answer and the set so far in index order.
+func evaluatorAnswers(t *testing.T, m Model, order []int, vals []float64, check func(got []float64, idx []int, vals []float64)) {
+	t.Helper()
+	if err := m.CondReset(); err != nil {
+		t.Fatal(err)
+	}
+	var idx []int
+	var sorted []float64
+	dst := make([]float64, m.Dim())
+	for k, i := range order {
+		if err := m.CondAdd(i, vals[k]); err != nil {
+			t.Fatal(err)
+		}
+		at := sort.SearchInts(idx, i)
+		idx = append(idx[:at], append([]int{i}, idx[at:]...)...)
+		sorted = append(sorted[:at], append([]float64{vals[k]}, sorted[at:]...)...)
+		if err := m.CondMeanInto(dst); err != nil {
+			t.Fatal(err)
+		}
+		check(dst, idx, sorted)
+	}
+}
+
+// The evaluator of LinearGaussian, and of Adaptive which delegates to its
+// current fit, must match the textbook conditioning for the same growing
+// observed set, to 1e-9, without mutating the model.
+func TestCondEvaluatorMatchesReference(t *testing.T) {
 	const n = 5
-	data := gardenCols(t, 120, n)
+	data := gardenCols(t, 160, n)
 	lg, err := FitLinearGaussian(data[:100], FitConfig{Period: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg.Step()
-	meanBefore := MeanOf(lg)
-	if err := lg.CondReset(); err != nil {
+	ad, err := NewAdaptive(lg.Clone().(*LinearGaussian), AdaptiveConfig{RefitEvery: 24, Fit: FitConfig{Period: 24}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	var idx []int
-	var vals []float64
-	dst := make([]float64, n)
-	rng := rand.New(rand.NewSource(9))
-	for _, i := range []int{3, 0, 4} {
-		v := meanBefore[i] + rng.NormFloat64()
-		if err := lg.CondAdd(i, v); err != nil {
+	for _, row := range data[100:150] { // past two refits
+		ad.Step()
+		if err := ad.Condition([]int{1}, row[1:2]); err != nil {
 			t.Fatal(err)
-		}
-		// The reference takes its observed set in index order.
-		at := sort.SearchInts(idx, i)
-		idx = append(idx[:at], append([]int{i}, idx[at:]...)...)
-		vals = append(vals[:at], append([]float64{v}, vals[at:]...)...)
-		if err := lg.CondMeanInto(dst); err != nil {
-			t.Fatal(err)
-		}
-		want, err := lg.MeanGiven(idx, vals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := range want {
-			if math.Abs(dst[k]-want[k]) > 1e-9*(1+math.Abs(want[k])) {
-				t.Fatalf("CondMeanInto[%d] = %v, MeanGiven = %v", k, dst[k], want[k])
-			}
 		}
 	}
-	after := MeanOf(lg)
-	for i := range after {
-		if after[i] != meanBefore[i] {
-			t.Fatal("evaluator mutated the model state")
+	lg.Step()
+	ad.Step()
+	rng := rand.New(rand.NewSource(9))
+	for name, c := range map[string]struct {
+		m   Model
+		ref *LinearGaussian
+	}{"LinearGaussian": {lg, lg}, "Adaptive": {ad, ad.Inner()}} {
+		meanBefore := MeanOf(c.m)
+		order := []int{3, 0, 4}
+		vals := make([]float64, len(order))
+		for k, i := range order {
+			vals[k] = meanBefore[i] + rng.NormFloat64()
+		}
+		evaluatorAnswers(t, c.m, order, vals, func(got []float64, idx []int, vals []float64) {
+			want := refMeanGiven(t, c.ref, idx, vals)
+			for k := range want {
+				if math.Abs(got[k]-want[k]) > 1e-9*(1+math.Abs(want[k])) {
+					t.Fatalf("%s %v: CondMeanInto[%d] = %v, reference %v", name, idx, k, got[k], want[k])
+				}
+			}
+		})
+		if !sameBits(MeanOf(c.m), meanBefore) {
+			t.Fatalf("%s: evaluator mutated the model state", name)
 		}
 	}
 }
@@ -96,9 +139,6 @@ func TestLinearGaussianGenerationAndStaleness(t *testing.T) {
 	}
 	if lg.Generation() != g0+2 {
 		t.Fatalf("generation after Condition = %d, want %d", lg.Generation(), g0+2)
-	}
-	if _, err := lg.MeanGiven([]int{0}, []float64{19}); err != nil {
-		t.Fatal(err)
 	}
 	if err := lg.CondReset(); err != nil {
 		t.Fatal(err)

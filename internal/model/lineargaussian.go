@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"ken/internal/gauss"
@@ -51,11 +50,10 @@ type LinearGaussian struct {
 }
 
 var (
-	_ Model                  = (*LinearGaussian)(nil)
-	_ MeanWriter             = (*LinearGaussian)(nil)
-	_ Sampler                = (*LinearGaussian)(nil)
-	_ IncrementalConditioner = (*LinearGaussian)(nil)
-	_ StateCopier            = (*LinearGaussian)(nil)
+	_ Model       = (*LinearGaussian)(nil)
+	_ MeanWriter  = (*LinearGaussian)(nil)
+	_ Sampler     = (*LinearGaussian)(nil)
+	_ StateCopier = (*LinearGaussian)(nil)
 )
 
 // ridge is the relative ridge regularisation of the VAR solve and the
@@ -413,58 +411,35 @@ func (lg *LinearGaussian) Cov() *mat.Dense {
 	return lg.state.Cov()
 }
 
-// MeanGiven implements Model using Gaussian conditioning without mutation:
-// the from-scratch reference the cached evaluator below is checked against.
-func (lg *LinearGaussian) MeanGiven(idx []int, vals []float64) ([]float64, error) {
-	if err := checkRange(idx, vals, lg.n); err != nil {
-		return nil, err
-	}
-	lg.settle()
-	p := lg.phaseMean()
-	res := make([]float64, len(vals))
-	for k, i := range idx {
-		res[k] = vals[k] - p[i]
-	}
-	cm, err := lg.state.ConditionalMean(idx, res)
-	if err != nil {
-		return nil, err
-	}
-	return mat.AddVec(cm, p), nil
-}
-
 // Generation returns the model's state mutation counter (bumped by Step
 // and Condition). Cached artifacts derived from the belief state — the
 // incremental conditioning factorization below, sink-side query plans —
 // key on it for invalidation.
 func (lg *LinearGaussian) Generation() uint64 { return lg.ws.Generation() }
 
-// CondReset implements IncrementalConditioner: begin a new hypothetical
-// observed set against the current belief state, rebinding the workspace's
-// cached factorization to the current generation.
+// CondReset implements Model: begin a new hypothetical observed set
+// against the current belief state, rebinding the workspace's cached
+// factorization to the current generation.
 func (lg *LinearGaussian) CondReset() error {
 	lg.settle()
 	return lg.state.CondReset(lg.ws)
 }
 
-// CondAdd implements IncrementalConditioner. The absolute value is
-// converted to residual space (v − seasonal mean), mirroring Condition;
-// the cached observed-block factor grows by one bordered row. A
-// degenerate pivot (zero-variance attribute) errors with the evaluator
-// unchanged — the caller falls back to the from-scratch search, whose
-// jitter ladder absorbs such blocks.
+// CondAdd implements Model. The absolute value is converted to residual
+// space (v − seasonal mean), mirroring Condition; the cached observed-block
+// factor grows by one bordered row. A non-finite v stays non-finite in
+// residual space, so gauss refuses it with ErrNotFinite; a degenerate pivot
+// (zero-variance attribute) is gauss.ErrDegenerate. Either way the
+// evaluator is unchanged.
 func (lg *LinearGaussian) CondAdd(i int, v float64) error {
 	if i < 0 || i >= lg.n {
 		return fmt.Errorf("%w: observation index %d out of range %d", ErrDim, i, lg.n)
 	}
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return fmt.Errorf("model: observation %d is not finite: %v", i, v)
-	}
 	return lg.state.CondAdd(i, v-lg.phaseMean()[i], lg.ws)
 }
 
-// CondMeanInto implements IncrementalConditioner: the same answer as
-// MeanGiven on the equivalent pair (to numerical tolerance), without
-// mutating the model and without refactorizing.
+// CondMeanInto implements Model: the conditional mean given the
+// hypothetical set, without mutating the model and without refactorizing.
 func (lg *LinearGaussian) CondMeanInto(dst []float64) error {
 	if err := lg.state.CondMeanInto(dst, lg.ws); err != nil {
 		return err

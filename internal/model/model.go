@@ -38,17 +38,33 @@ import (
 // idx[k]. Every family accumulates over the pair in index order, so two
 // replicas handed the same report perform the same floating-point
 // operations in the same order and stay bitwise identical.
+//
+// A model also carries the report search's evaluator (see internal/protocol),
+// which answers "what would the mean be if I also reported x_i?" for a
+// hypothetical observed set that grows by one attribute per round:
+// CondReset, then CondAdd per attribute, CondMeanInto as often as needed.
+// The evaluator is a read-only view: none of the three may mutate the
+// replicated state. A caller resets it after every mutation; an
+// implementation that caches against its state fails, rather than answers
+// stale, when the state moved since CondReset. There is no other
+// hypothesis path, so an evaluator error is the caller's error.
 type Model interface {
 	MeanWriter
 	// Dim returns the number of attributes the model covers.
 	Dim() int
 	// Step advances the model one time step through its transition.
 	Step()
-	// MeanGiven returns the expected values after hypothetically observing
-	// (idx, vals), without mutating the model.
-	MeanGiven(idx []int, vals []float64) ([]float64, error)
 	// Condition permanently incorporates the observations.
 	Condition(idx []int, vals []float64) error
+	// CondReset begins a new hypothetical observed set, empty.
+	CondReset() error
+	// CondAdd adds attribute i at value v to the hypothetical set.
+	CondAdd(i int, v float64) error
+	// CondMeanInto writes the full-length conditional mean given the
+	// current hypothetical set into dst (length Dim()): observed positions
+	// take their hypothesised values, the rest their conditional
+	// expectations.
+	CondMeanInto(dst []float64) error
 	// Clone returns an independent deep copy.
 	Clone() Model
 }
@@ -85,32 +101,10 @@ type Sampler interface {
 	SampleNext(dst, x []float64, rng *rand.Rand) error
 }
 
-// IncrementalConditioner is implemented by models that can answer the
-// greedy report search's "what if I also reported x_i?" questions (see
-// internal/protocol) incrementally: the hypothetical observed set grows by
-// one attribute per round, and the model keeps the conditioning factorization cached between
-// rounds instead of refactorizing from scratch on every evaluation
-// (O(m²) per round instead of O(m³) plus allocations).
-//
-// The evaluator is a read-only view: none of the three methods may mutate
-// the model's replicated state. Implementations cache against their
-// current state generation and must fail (rather than answer stale) if the
-// model mutates between calls; callers treat any error from CondAdd or
-// CondMeanInto as "fall back to the from-scratch MeanGiven path", which
-// remains the reference semantics.
-type IncrementalConditioner interface {
-	Model
-	// CondReset begins a new hypothetical observed set, empty.
-	CondReset() error
-	// CondAdd adds attribute i at value v to the hypothetical set.
-	CondAdd(i int, v float64) error
-	// CondMeanInto writes the full-length conditional mean given the
-	// current hypothetical set into dst (length Dim()): observed positions
-	// take their hypothesised values, the rest their conditional
-	// expectations — the same answer as MeanGiven on the equivalent pair,
-	// to numerical tolerance.
-	CondMeanInto(dst []float64) error
-}
+// IncrementalConditioner is Model, whose evaluator every family carries. The
+// name stays only because the benchmark's ladder names it
+// (benchmark/ladder.go).
+type IncrementalConditioner = Model
 
 // StateCopier is implemented by models whose replicated state can be taken
 // from a twin — a replica of the same fit, Cloned from it or from a common

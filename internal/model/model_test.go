@@ -39,9 +39,10 @@ func TestFitLinearGaussianValidation(t *testing.T) {
 }
 
 // TestLinearGaussianRejectsBadObservationsUnchanged: LinearGaussian checks
-// only the pair's shape itself and leaves order and finiteness to gauss, so
-// every malformed pair must still be refused — by MeanGiven and by Condition
-// — with the belief left bit for bit where it was.
+// only the shape of what it is handed and leaves order and finiteness to
+// gauss, so every malformed pair must still be refused by Condition, and
+// every bad attribute one CondAdd at a time by the evaluator, with the
+// belief and the evaluator's next answer left bit for bit where they were.
 func TestLinearGaussianRejectsBadObservationsUnchanged(t *testing.T) {
 	data := garden2Cols(t, 120)
 	lg, err := FitLinearGaussian(data[:100], FitConfig{Period: 24})
@@ -65,18 +66,42 @@ func TestLinearGaussianRejectsBadObservationsUnchanged(t *testing.T) {
 		"NaN":             {[]int{1}, []float64{math.NaN()}, gauss.ErrNotFinite},
 		"Inf":             {[]int{0, 1}, []float64{1, math.Inf(1)}, gauss.ErrNotFinite},
 	} {
-		_, mgErr := lg.MeanGiven(bad.idx, bad.vals)
-		cErr := lg.Condition(bad.idx, bad.vals)
-		for _, err := range []error{mgErr, cErr} {
-			if err == nil || (bad.target != nil && !errors.Is(err, bad.target)) {
-				t.Fatalf("%s: err = %v, want %v", name, err, bad.target)
-			}
+		if err := lg.Condition(bad.idx, bad.vals); err == nil || (bad.target != nil && !errors.Is(err, bad.target)) {
+			t.Fatalf("%s: err = %v, want %v", name, err, bad.target)
 		}
-		after := MeanOf(lg)
-		for i := range before {
-			if math.Float64bits(after[i]) != math.Float64bits(before[i]) {
-				t.Fatalf("%s: a rejected observation moved the mean", name)
-			}
+		if !sameBits(MeanOf(lg), before) {
+			t.Fatalf("%s: a rejected observation moved the mean", name)
+		}
+	}
+	// The evaluator, holding attribute 0, refuses each bad row alone.
+	if err := lg.CondReset(); err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.CondAdd(0, before[0]+1); err != nil {
+		t.Fatal(err)
+	}
+	answer := make([]float64, 2)
+	if err := lg.CondMeanInto(answer); err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]struct {
+		i      int
+		v      float64
+		target error
+	}{
+		"out of range":   {2, 1, ErrDim},
+		"negative index": {-1, 1, ErrDim},
+		"duplicate":      {0, 1, nil},
+		"NaN":            {1, math.NaN(), gauss.ErrNotFinite},
+		"+Inf":           {1, math.Inf(1), gauss.ErrNotFinite},
+		"-Inf":           {1, math.Inf(-1), gauss.ErrNotFinite},
+	} {
+		if err := lg.CondAdd(bad.i, bad.v); err == nil || (bad.target != nil && !errors.Is(err, bad.target)) {
+			t.Fatalf("CondAdd %s: err = %v, want %v", name, err, bad.target)
+		}
+		got := make([]float64, 2)
+		if err := lg.CondMeanInto(got); err != nil || !sameBits(got, answer) || !sameBits(MeanOf(lg), before) {
+			t.Fatalf("CondAdd %s: the evaluator now answers %v %v, before %v", name, got, err, answer)
 		}
 	}
 	// The covariance did not move either: one report and one step later the

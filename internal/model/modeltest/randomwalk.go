@@ -13,13 +13,14 @@ import (
 // RandomWalk predicts, per attribute, the last value conditioned in (the
 // paper's Example 3.1) and samples a Gaussian random walk with the given
 // step SDs. Attributes are independent; observations are not validated.
-type RandomWalk struct{ mean, sd []float64 }
+// Its evaluator answers from a copy of the mean taken at CondReset.
+type RandomWalk struct{ mean, sd, hyp []float64 }
 
 var _ model.Sampler = (*RandomWalk)(nil)
 
 // NewRandomWalk copies initial (the starting prediction) and stepSD.
 func NewRandomWalk(initial, stepSD []float64) *RandomWalk {
-	return &RandomWalk{append([]float64(nil), initial...), append([]float64(nil), stepSD...)}
+	return &RandomWalk{mean: append([]float64(nil), initial...), sd: append([]float64(nil), stepSD...)}
 }
 
 func (w *RandomWalk) Dim() int           { return len(w.mean) }
@@ -38,9 +39,23 @@ func (w *RandomWalk) Condition(idx []int, vals []float64) error {
 	}
 	return nil
 }
-func (w *RandomWalk) MeanGiven(idx []int, vals []float64) ([]float64, error) {
-	c := NewRandomWalk(w.mean, nil)
-	return c.mean, c.Condition(idx, vals)
+func (w *RandomWalk) CondReset() error {
+	w.hyp = append(w.hyp[:0], w.mean...)
+	return nil
+}
+func (w *RandomWalk) CondAdd(i int, v float64) error {
+	if i < 0 || i >= len(w.hyp) {
+		return model.ErrDim
+	}
+	w.hyp[i] = v
+	return nil
+}
+func (w *RandomWalk) CondMeanInto(dst []float64) error {
+	if len(dst) != len(w.hyp) {
+		return model.ErrDim
+	}
+	copy(dst, w.hyp)
+	return nil
 }
 func (w *RandomWalk) SampleState(dst []float64, _ *rand.Rand) error { return w.MeanInto(dst) }
 

@@ -25,7 +25,7 @@ const (
 	opFull             // Step, every attribute reported off the prediction (a 2-of-2 report, a singleton's)
 	opHeartbeat        // Step, every attribute reported on the prediction
 	opReject           // a full-width report the model must refuse (arg: the fault); no Step
-	opMeanGiven        // the from-scratch hypothesis (arg: the observed set)
+	opMeanGiven        // the evaluator, the set inserted in index order (arg: the observed set)
 	opEvaluator        // CondReset, CondAdd…, CondMeanInto (arg: the set and its insertion order)
 	opCov
 	opClone // clone a replica; both continue
@@ -81,14 +81,6 @@ func (e *eager) condition(idx []int, vals []float64) error {
 		return ErrDim
 	}
 	return e.g.ObserveExact(idx, e.residual(idx, vals), e.ws)
-}
-
-func (e *eager) meanGiven(idx []int, vals []float64) ([]float64, error) {
-	cm, err := e.g.ConditionalMean(idx, e.residual(idx, vals))
-	if err != nil {
-		return nil, err
-	}
-	return e.absolute(cm), nil
 }
 
 // evaluate answers the incremental evaluator's question on the reference.
@@ -281,26 +273,15 @@ func runSchedule(t testing.TB, base *LinearGaussian, sched []byte) debtTally {
 					t.Fatalf("op %d: a refused report moved replica %d's debt from %d to %d", at, r, owed, o)
 				}
 			}
-		case opMeanGiven:
-			idx := subset(arg, n)
-			mean, vals := ref.mean(), make([]float64, len(idx))
-			for k, i := range idx {
-				vals[k] = mean[i] + off(i)
+		case opMeanGiven, opEvaluator:
+			// The set subset(arg), inserted in index order for opMeanGiven
+			// and from a rotated start for opEvaluator.
+			start := 0
+			if op == opEvaluator {
+				start = int(arg) % n
 			}
-			want, wantErr := ref.meanGiven(idx, vals)
-			for r, l := range reps {
-				var got []float64
-				var err error
-				l.read(t, func() { got, err = l.MeanGiven(idx, vals) })
-				if (err == nil) != (wantErr == nil) || !sameBits(got, want) {
-					t.Fatalf("op %d: replica %d MeanGiven(%v) = %v %v, reference %v %v", at, r, idx, got, err, want, wantErr)
-				}
-			}
-			checkCov(at, "MeanGiven")
-		case opEvaluator:
-			// The same set as subset(arg), inserted from a rotated start.
 			var order []int
-			for j, start := 0, int(arg)%n; j < n; j++ {
+			for j := 0; j < n; j++ {
 				if i := (start + j) % n; arg>>(i%8)&1 == 1 {
 					order = append(order, i)
 				}

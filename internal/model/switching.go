@@ -3,6 +3,9 @@ package model
 import (
 	"fmt"
 	"math"
+	"slices"
+
+	"ken/internal/gauss"
 )
 
 // Switching is a richer model family from the paper's §6 ("Richer
@@ -27,6 +30,11 @@ type Switching struct {
 	// obsSD approximates the per-attribute innovation scale used in the
 	// regime likelihoods.
 	obsSD []float64
+
+	// The evaluator's hypothetical set, sorted by index: per-instance
+	// scratch that Clone never shares.
+	hypIdx  []int
+	hypVals []float64
 }
 
 var _ Model = (*Switching)(nil)
@@ -302,38 +310,67 @@ func (s *Switching) posteriorGiven(idx []int, vals []float64) []float64 {
 	return post
 }
 
-// MeanGiven implements Model: a posterior-weighted mixture of per-regime
-// conditional means.
-func (s *Switching) MeanGiven(idx []int, vals []float64) ([]float64, error) {
-	if err := checkObs(idx, vals, s.Dim()); err != nil {
-		return nil, err
+// CondReset implements Model: empty the hypothetical set.
+func (s *Switching) CondReset() error {
+	s.hypIdx, s.hypVals = s.hypIdx[:0], s.hypVals[:0]
+	return nil
+}
+
+// CondAdd implements Model: insert (i, v) into the hypothetical set, kept
+// sorted by index.
+func (s *Switching) CondAdd(i int, v float64) error {
+	if i < 0 || i >= s.Dim() {
+		return fmt.Errorf("%w: observation index %d out of range %d", ErrDim, i, s.Dim())
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("%w: observation %d is %v", gauss.ErrNotFinite, i, v)
+	}
+	at, found := slices.BinarySearch(s.hypIdx, i)
+	if found {
+		return fmt.Errorf("model: attribute %d already in the hypothetical set", i)
+	}
+	s.hypIdx, s.hypVals = slices.Insert(s.hypIdx, at, i), slices.Insert(s.hypVals, at, v)
+	return nil
+}
+
+// CondMeanInto implements Model: a posterior-weighted mixture of per-regime
+// conditional means, each its base's evaluator run over the hypothetical
+// set with that regime's offset removed.
+func (s *Switching) CondMeanInto(dst []float64) error {
+	n, idx, vals := s.Dim(), s.hypIdx, s.hypVals
+	if len(dst) != n {
+		return fmt.Errorf("%w: CondMeanInto dst len %d, want %d", ErrDim, len(dst), n)
 	}
 	if len(idx) == 0 {
-		return MeanOf(s), nil
+		return s.MeanInto(dst)
 	}
 	post := s.posteriorGiven(idx, vals)
-	out := make([]float64, s.Dim())
-	shifted := make([]float64, len(vals))
+	clear(dst)
+	cm := make([]float64, n)
 	for r, pr := range post {
 		if pr == 0 {
 			continue
 		}
+		if err := s.base.CondReset(); err != nil {
+			return err
+		}
 		for k, i := range idx {
-			shifted[k] = vals[k] - s.offsets[r][i]
+			if err := s.base.CondAdd(i, vals[k]-s.offsets[r][i]); err != nil {
+				return err
+			}
 		}
-		cm, err := s.base.MeanGiven(idx, shifted)
-		if err != nil {
-			return nil, err
+		if err := s.base.CondMeanInto(cm); err != nil {
+			return err
 		}
-		for i := range out {
-			out[i] += pr * (cm[i] + s.offsets[r][i])
+		for i := range dst {
+			dst[i] += pr * (cm[i] + s.offsets[r][i])
 		}
 	}
 	// Observed attributes are exact regardless of the regime mixture.
 	for k, i := range idx {
-		out[i] = vals[k]
+		dst[i] = vals[k]
 	}
-	return out, nil
+	return nil
 }
 
 // Condition implements Model: update the regime posterior from the

@@ -1,10 +1,13 @@
 package model
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
+
+	"ken/internal/gauss"
 )
 
 // regimeData synthesises a 2-attribute series that flips between two level
@@ -170,23 +173,65 @@ func TestSwitchingReplicasBitwiseLockStep(t *testing.T) {
 	}
 }
 
-func TestSwitchingMeanGivenExactOnObserved(t *testing.T) {
+// TestSwitchingEvaluatorMatchesRegimeMixture: the evaluator's answer is the
+// posterior mixture of per-regime textbook conditionings, to 1e-9, exact on
+// the observed attributes, whatever order the set grows in; it refuses a
+// bad index, a non-finite value and a duplicate with its answer unchanged.
+func TestSwitchingEvaluatorMatchesRegimeMixture(t *testing.T) {
 	data := regimeData(6, 500, 3)
 	s, err := FitSwitching(data, SwitchingConfig{Regimes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := s.Clone()
+	m := s.Clone().(*Switching)
 	m.Step()
-	cm, err := m.MeanGiven([]int{1}, []float64{17.5})
-	if err != nil {
+	mixture := func(idx []int, vals []float64) []float64 {
+		out, shifted := make([]float64, m.Dim()), make([]float64, len(idx))
+		for r, pr := range m.posteriorGiven(idx, vals) {
+			for k, i := range idx {
+				shifted[k] = vals[k] - m.offsets[r][i]
+			}
+			for i, v := range refMeanGiven(t, m.base.Clone().(*LinearGaussian), idx, shifted) {
+				out[i] += pr * (v + m.offsets[r][i])
+			}
+		}
+		for k, i := range idx {
+			out[i] = vals[k]
+		}
+		return out
+	}
+	for _, order := range [][]int{{1, 0}, {0, 1}} {
+		vals := []float64{17.5, 18.25}
+		evaluatorAnswers(t, m, order, vals, func(got []float64, idx []int, vals []float64) {
+			want := mixture(idx, vals)
+			for i := range want {
+				if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
+					t.Fatalf("%v: CondMeanInto[%d] = %v, mixture %v", idx, i, got[i], want[i])
+				}
+			}
+			for k, i := range idx {
+				if got[i] != vals[k] {
+					t.Fatalf("observed attribute %d = %v, want exact %v", i, got[i], vals[k])
+				}
+			}
+		})
+	}
+	before := make([]float64, m.Dim())
+	if err := m.CondMeanInto(before); err != nil {
 		t.Fatal(err)
 	}
-	if cm[1] != 17.5 {
-		t.Fatalf("observed attribute = %v, want exact", cm[1])
-	}
-	if _, err := m.MeanGiven([]int{9}, []float64{1}); err == nil {
-		t.Fatal("expected error for out-of-range observation")
+	for _, bad := range []struct {
+		i      int
+		v      float64
+		target error
+	}{{9, 1, ErrDim}, {-1, 1, ErrDim}, {0, math.NaN(), gauss.ErrNotFinite}, {1, math.Inf(1), gauss.ErrNotFinite}, {0, 17, nil}} {
+		if err := m.CondAdd(bad.i, bad.v); err == nil || bad.target != nil && !errors.Is(err, bad.target) {
+			t.Fatalf("CondAdd(%d, %v) = %v, want %v", bad.i, bad.v, err, bad.target)
+		}
+		got := make([]float64, m.Dim())
+		if err := m.CondMeanInto(got); err != nil || !sameBits(got, before) {
+			t.Fatalf("after the refused CondAdd(%d, %v): %v %v, want %v", bad.i, bad.v, got, err, before)
+		}
 	}
 }
 

@@ -28,11 +28,10 @@ import (
 // not safe for concurrent use.
 type Kernel struct {
 	m       model.Model
-	ic      model.IncrementalConditioner // m's cached evaluator; nil when the family has none
-	sc      model.StateCopier            // m's state copy from a twin; nil when the family has none
-	members []int                        // global attribute index of each local one, strictly increasing
-	eps     []float64                    // clique-local bounds, all positive
-	all     []int                        // 0..Dim()-1, the full candidate set
+	sc      model.StateCopier // m's state copy from a twin; nil when the family has none
+	members []int             // global attribute index of each local one, strictly increasing
+	eps     []float64         // clique-local bounds, all positive
+	all     []int             // 0..Dim()-1, the full candidate set
 
 	local  []float64 // readings gathered by the last Choose/Full
 	mean   []float64 // the last mean read or hypothesised
@@ -71,10 +70,9 @@ func New(m model.Model, members []int, eps []float64) (*Kernel, error) {
 			return nil, fmt.Errorf("protocol: non-positive epsilon %v for attribute %d", eps[i], g)
 		}
 	}
-	ic, _ := m.(model.IncrementalConditioner)
 	sc, _ := m.(model.StateCopier)
 	return &Kernel{
-		m: m, ic: ic, sc: sc, all: all,
+		m: m, sc: sc, all: all,
 		members: append([]int(nil), members...),
 		eps:     append([]float64(nil), eps...),
 		local:   make([]float64, n),
@@ -233,15 +231,14 @@ func (k *Kernel) candidates(truth []float64, cand []int) ([]int, error) {
 // one mean read. Otherwise the search is greedy: add the candidate with the
 // largest normalised miss |x̂_i − x_i|/ε_i (lowest index on ties), re-infer,
 // repeat; reporting every candidate always satisfies the bounds, so it ends
-// within len(cand) rounds. Rounds are answered by the model's cached
-// incremental evaluator when it has one, and rerun on the from-scratch
-// MeanGiven reference when the evaluator declines (stale cache, degenerate
-// pivot). Neither touches the model's replicated state.
+// within len(cand) rounds. Every round is answered by the model's evaluator
+// (model.Model's CondReset/CondAdd/CondMeanInto), which never touches the
+// replicated state; an evaluator error fails the search.
 //
 // The returned slices are the kernel's scratch, valid until its next
 // Choose, Full or Advance; a driver may rewrite the values in place
-// (quantization) before committing them. The evaluator path allocates
-// nothing; the MeanGiven fallback does.
+// (quantization) before committing them. The search allocates nothing of
+// its own.
 func (k *Kernel) Choose(truth []float64, cand []int) (idx []int, vals []float64, err error) {
 	cand, err = k.candidates(truth, cand)
 	if err != nil {
@@ -253,18 +250,12 @@ func (k *Kernel) Choose(truth []float64, cand []int) (idx []int, vals []float64,
 		return k.idx, k.vals, nil
 	}
 	if len(cand) == 1 {
-		// The pick is the whole report on every path below; a singleton's
-		// search has nothing to ask the evaluator, or Σ.
+		// The pick is the whole report; a singleton's search has nothing
+		// to ask the evaluator, or Σ.
 		k.insert(first)
 		return k.idx, k.vals, nil
 	}
-	if k.ic != nil && k.ic.CondReset() == nil {
-		if k.grow(cand, first, true) == nil {
-			return k.idx, k.vals, nil
-		}
-		k.reset() // the evaluator declined midway: start over from scratch
-	}
-	if err := k.grow(cand, first, false); err != nil {
+	if err := k.grow(cand, first); err != nil {
 		return nil, nil, err
 	}
 	return k.idx, k.vals, nil
@@ -309,31 +300,24 @@ func (k *Kernel) worst(cand []int, mean []float64) int {
 }
 
 // grow runs the greedy rounds from the first pick on: report the pick,
-// re-infer the candidates given the report so far — through the cached
-// evaluator or from scratch — and pick again until none misses.
-func (k *Kernel) grow(cand []int, pick int, evaluator bool) error {
+// re-infer the candidates given the report so far through the evaluator,
+// and pick again until none misses.
+func (k *Kernel) grow(cand []int, pick int) error {
+	if err := k.m.CondReset(); err != nil {
+		return err
+	}
 	for {
-		if evaluator {
-			if err := k.ic.CondAdd(pick, k.local[pick]); err != nil {
-				return err
-			}
+		if err := k.m.CondAdd(pick, k.local[pick]); err != nil {
+			return err
 		}
 		k.insert(pick)
 		if len(k.idx) == len(cand) {
 			return nil
 		}
-		mean := k.mean
-		if evaluator {
-			if err := k.ic.CondMeanInto(mean); err != nil {
-				return err
-			}
-		} else {
-			var err error
-			if mean, err = k.m.MeanGiven(k.idx, k.vals); err != nil {
-				return err
-			}
+		if err := k.m.CondMeanInto(k.mean); err != nil {
+			return err
 		}
-		if pick = k.worst(cand, mean); pick < 0 {
+		if pick = k.worst(cand, k.mean); pick < 0 {
 			return nil
 		}
 	}

@@ -203,8 +203,8 @@ func TestApplyObservedRejectKeepsTheDebt(t *testing.T) {
 }
 
 // refusing is a LinearGaussian whose Condition refuses a non-empty report
-// while armed: a refusal no frame validation can foresee, as an observed
-// block the Cholesky jitter ladder cannot factor would be.
+// while armed: a refusal no frame validation can foresee, as a degenerate
+// pivot (gauss.ErrDegenerate) would be.
 type refusing struct {
 	*model.LinearGaussian
 	armed bool
