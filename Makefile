@@ -2,18 +2,19 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint fmt-check test race alloc-check cover bench benchmark-smoke figures-golden audit-smoke faults-smoke sinkd-smoke figures examples fuzz clean
+.PHONY: all check build vet fmt-check test race alloc-check cover bench benchmark-smoke figures-golden audit-smoke faults-smoke sinkd-smoke figures examples fuzz clean
 
 all: build test
 
-# check is the pre-commit gate: formatting, static analysis (vet + kenlint's
-# obshandle and locksafe), the race detector and the
-# allocation budgets in one go. The race run IS the test suite (same tests,
-# more checking), and every package that starts goroutines ends it with the
-# goroutine-leak gate (internal/leaktest), so a plain `go test` pass would
-# only repeat it without the detector; the budgets skip themselves under
-# -race, so alloc-check runs them once more without it.
-check: fmt-check vet lint race alloc-check
+# check is the pre-commit gate: formatting, go vet, the race detector and
+# the allocation budgets in one go. The race run IS the test suite (same
+# tests, more checking): every package that starts goroutines ends it with
+# the goroutine-leak gate (internal/leaktest), and the lock witnesses fail
+# within seconds if a lock is held across blocking work. A plain `go test`
+# pass would only repeat it without the detector; the budgets skip
+# themselves under -race, so alloc-check runs them once more without it.
+# The invariants these tests witness are listed in docs/INVARIANTS.md.
+check: fmt-check vet race alloc-check
 
 build:
 	$(GO) build ./...
@@ -21,18 +22,6 @@ build:
 
 vet:
 	$(GO) vet ./...
-
-# lint runs the custom go/analysis suite (cmd/kenlint): the two invariants
-# no test catches on every run, because breaking them costs time but
-# changes no result — metric-handle discipline (obshandle) and locks held
-# across blocking work (locksafe). Map order reaching output, dropped wire
-# and trace-store errors and goroutine leaks fail tests instead, the last
-# through the leak gate in `make race`.
-# See docs/LINT.md. Ordered after vet in check so the `go vet` build pass
-# has already warmed the build cache kenlint's `go run` compiles from —
-# the two analyses share one compilation of the tree.
-lint:
-	$(GO) run ./cmd/kenlint ./...
 
 fmt-check:
 	@out=$$(gofmt -l cmd internal examples benchmark bench_test.go); \
@@ -46,7 +35,8 @@ race:
 
 # alloc-check is the one allocation gate: the TestAllocBudget* tests hold
 # every steady-state branch of the per-epoch path to its committed count
-# (zero almost everywhere; see docs/LINT.md). Run without -race: the
+# (zero almost everywhere) and, where a metrics registry is attached, to
+# zero handle lookups (see docs/INVARIANTS.md). Run without -race: the
 # budget tests skip themselves under race instrumentation, whose shadow
 # allocations would drown the counts.
 alloc-check:

@@ -38,7 +38,7 @@ func writeCleanStore(t *testing.T, epochs, segEvents int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := obs.NewTracerSink(w).WithScope("sim/net")
+	tr := (&obs.Observer{Trace: obs.NewTracerSink(w)}).Scoped("sim/net").Tracer()
 	for i := 0; i < epochs; i++ {
 		step := int64(i)
 		sp := tr.StartEpoch(obs.Event{Step: step, Clique: 0, Node: -1})
@@ -202,7 +202,7 @@ func TestScopeWindow(t *testing.T) {
 	}
 	tr := obs.NewTracerSink(w)
 	for _, scope := range []string{"cell/a", "cell/b", "other"} {
-		sc := tr.WithScope(scope)
+		sc := (&obs.Observer{Trace: tr}).Scoped(scope).Tracer()
 		sp := sc.StartEpoch(obs.Event{Step: 1, Clique: 0, Node: -1})
 		sp.EndEpoch(obs.Event{Step: 1, Clique: 0, Node: -1, N: 0})
 	}

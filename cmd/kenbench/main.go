@@ -124,7 +124,6 @@ func main() {
 		elapsed := time.Since(start)
 		mFigures.Inc()
 		tFigure.Observe(elapsed)
-		//lint:ignore obshandle per-figure metric family: the name is dynamic and each gauge resolves once per run, off the hot path
 		reg.Gauge(fmt.Sprintf("kenbench_figure_%d_seconds", r.num)).Set(elapsed.Seconds())
 		write := t.WriteTo
 		if *markdown {

@@ -63,14 +63,14 @@ type Engine struct {
 	m   *model.LinearGaussian
 	top *network.Topology // optional acquisition pricing
 
-	// Observability handles (nil and no-op until Instrument is called).
+	// Observability handles (zero and no-op until Instrument is called).
 	tracer        *obs.Tracer
 	queries       int64
-	querySpan     int64          // span id of the in-flight query, 0 when untraced
-	mQueries      *obs.Counter   // pull_queries_total
-	mAcquisitions *obs.Counter   // pull_acquisitions_total
-	gCost         *obs.Gauge     // pull_acquisition_cost_total
-	hPerQuery     *obs.Histogram // pull_acquisitions_per_query
+	querySpan     int64         // span id of the in-flight query, 0 when untraced
+	mQueries      obs.Counter   // pull_queries_total
+	mAcquisitions obs.Counter   // pull_acquisitions_total
+	gCost         obs.Gauge     // pull_acquisition_cost_total
+	hPerQuery     obs.Histogram // pull_acquisitions_per_query
 }
 
 // Instrument attaches metrics and pull-request event tracing to the

@@ -255,7 +255,7 @@ func AuditTrace(r io.Reader) (*Report, error) {
 }
 
 type hists struct {
-	values, bytes, latency *obs.Histogram
+	values, bytes, latency obs.Histogram
 	sawLatency             bool
 }
 

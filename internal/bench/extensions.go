@@ -314,8 +314,9 @@ func extLifetime(ctx context.Context, eng *engine.Engine, cfg Config) ([][]strin
 			return nil, err
 		}
 		// Each program gets its own trace scope so the auditor sees two
-		// separate open segments rather than one interleaved stream.
-		//lint:ignore obshandle two construction-time iterations, each instrumenting a fresh network
+		// separate open segments rather than one interleaved stream. The
+		// loop runs twice, at construction, each time instrumenting a fresh
+		// network.
 		net.Instrument(cfg.Obs.Scoped(engine.Scope(ctx)).Scoped(name))
 		prog, err := simnet.NewProgram(name, net, part, d.train, d.eps, model.FitConfig{Period: 24}, simnet.KenNetConfig{})
 		if err != nil {

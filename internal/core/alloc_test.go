@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"ken/internal/alloctest"
@@ -16,9 +17,10 @@ import (
 // allocates exactly the StepStats.Reported list it hands back (the kernel's
 // own reporting work is pinned at zero in internal/protocol), whether it is
 // priced on a topology, timed into a metrics registry, thinned by loss or a
-// heartbeat, or re-twinning the sink after a loss. Bounds far wider than the
-// signal make every epoch suppress deterministically, bounds far tighter make
-// every epoch report them all.
+// heartbeat, or re-twinning the sink after a loss. With metrics attached an
+// epoch makes no registry lookup, and neither does a replay's epoch loop.
+// Bounds far wider than the signal make every epoch suppress
+// deterministically, bounds far tighter make every epoch report them all.
 func TestAllocBudgetKenReplay(t *testing.T) {
 	if alloctest.RaceEnabled {
 		t.Skip("alloc budgets are not meaningful under -race")
@@ -51,9 +53,14 @@ func TestAllocBudgetKenReplay(t *testing.T) {
 		}
 		return l
 	}
-	costed := config(1e-9)
+	reg := obs.NewRegistry()
+	ob := &obs.Observer{Reg: reg}
+	observed := func(cfg KenConfig) KenConfig {
+		cfg.Obs = ob
+		return cfg
+	}
+	costed := observed(config(1e-9))
 	costed.Topology = chain
-	costed.Obs = &obs.Observer{Reg: obs.NewRegistry()}
 	for _, tc := range []struct {
 		name     string
 		s        Scheme
@@ -61,14 +68,16 @@ func TestAllocBudgetKenReplay(t *testing.T) {
 		budget   float64
 	}{
 		{"suppressed Ken", ken(config(100)), 0, 0},
+		{"suppressed Ken, metrics attached", ken(observed(config(100))), 0, 0},
 		{"suppressed LossyKen", lossy(config(100), LossyConfig{LossRate: 0.2, Seed: 1}), 0, 0},
 		{"reporting Ken", ken(config(1e-9)), n, 1},
 		{"reporting Ken, topology-costed, metrics attached", ken(costed), n, 1},
 		{"reporting LossyKen at 50% loss", lossy(config(1e-9), LossyConfig{LossRate: 0.5, Seed: 1}), n, 1},
+		{"reporting LossyKen at 50% loss, metrics attached", lossy(observed(config(1e-9)), LossyConfig{LossRate: 0.5, Seed: 1}), n, 1},
 		{"heartbeat LossyKen", lossy(config(100), LossyConfig{LossRate: 0.5, HeartbeatEvery: 1, Seed: 1}), n, 1},
 	} {
 		row := test[0]
-		if got := testing.AllocsPerRun(100, func() {
+		if got, lookups := alloctest.Run(100, reg, func() {
 			_, st, err := tc.s.Step(row)
 			if err != nil {
 				t.Fatal(err)
@@ -76,8 +85,25 @@ func TestAllocBudgetKenReplay(t *testing.T) {
 			if st.ValuesReported != tc.reported {
 				t.Fatalf("%s: %d values reported, want %d — budget premise broken", tc.name, st.ValuesReported, tc.reported)
 			}
-		}); got != tc.budget {
-			t.Errorf("%s epoch: %v allocs/op, budget %v", tc.name, got, tc.budget)
+		}); got != tc.budget || lookups != 0 {
+			t.Errorf("%s epoch: %v allocs/op (budget %v), %d registry lookups (budget 0)", tc.name, got, tc.budget, lookups)
+		}
+	}
+	// core.Run resolves its handles and its scoped view once per replay, so
+	// a replay of every test row makes no more lookups than one of two.
+	for _, s := range []Scheme{
+		ken(observed(config(1))),
+		lossy(observed(config(1)), LossyConfig{LossRate: 0.5, HeartbeatEvery: 3, Seed: 1}),
+	} {
+		lookups := func(rows int) int64 {
+			before := reg.Lookups()
+			if _, err := Run(context.Background(), s, test[:rows], RunOptions{Observer: ob, Scope: "cell"}); err != nil {
+				t.Fatal(err)
+			}
+			return reg.Lookups() - before
+		}
+		if few, all := lookups(2), lookups(len(test)); few != all {
+			t.Errorf("core.Run %T: %d registry lookups over 2 epochs, %d over %d", s, few, all, len(test))
 		}
 	}
 	// The epoch that re-twins a sink: a whole heartbeat after an epoch that

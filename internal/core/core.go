@@ -56,7 +56,7 @@ type StepStats struct {
 // under the epoch the replay driver opened. Schemes without it still
 // trace through their own (unspanned) tracer handle.
 type EpochScoped interface {
-	BeginEpoch(sp *obs.Span)
+	BeginEpoch(sp obs.Span)
 }
 
 // Result accumulates a full replay.
@@ -154,8 +154,8 @@ func Run(ctx context.Context, s Scheme, test [][]float64, opts RunOptions) (*Res
 	if eps != nil && len(eps) != n {
 		return nil, fmt.Errorf("core: eps dim %d, scheme dim %d", len(eps), n)
 	}
-	reg := opts.Observer.Registry()
-	tracer := opts.Observer.Tracer().WithScope(opts.Scope)
+	ob := opts.Observer.Scoped(opts.Scope)
+	reg, tracer := ob.Registry(), ob.Tracer()
 	mEpochs := reg.Counter("ken_epochs_total")
 	mRunValues := reg.Counter("ken_run_values_reported_total")
 	mViolations := reg.Counter("ken_epsilon_violations_total")

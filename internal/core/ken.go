@@ -74,19 +74,19 @@ type Ken struct {
 	rng    *rand.Rand
 	estBuf []float64 // Step's returned estimate vector, reused across epochs
 
-	// Observability handles, resolved once in NewKen; all nil (and
+	// Observability handles, resolved once in NewKen; all zero (and
 	// therefore no-ops) when KenConfig.Obs is unset.
-	span          *obs.Span // current epoch span, set by Run via BeginEpoch
+	span          obs.Span // current epoch span, set by Run via BeginEpoch
 	stepN         int64
-	mValues       *obs.Counter // ken_values_reported_total
-	mSuppressed   *obs.Counter // ken_values_suppressed_total
-	mReportMsgs   *obs.Counter // ken_report_messages_total
-	mProbFlips    *obs.Counter // ken_prob_flips_total
-	mProbSuppress *obs.Counter // ken_prob_suppressed_total
-	mStepSeconds  *obs.Timer   // ken_step_seconds
-	mHeartbeats   *obs.Counter // ken_heartbeats_total (lossy channel)
-	mLostReports  *obs.Counter // ken_lost_reports_total (lossy channel)
-	stepObserved  bool         // true when mStepSeconds is live
+	mValues       obs.Counter // ken_values_reported_total
+	mSuppressed   obs.Counter // ken_values_suppressed_total
+	mReportMsgs   obs.Counter // ken_report_messages_total
+	mProbFlips    obs.Counter // ken_prob_flips_total
+	mProbSuppress obs.Counter // ken_prob_suppressed_total
+	mStepSeconds  obs.Timer   // ken_step_seconds
+	mHeartbeats   obs.Counter // ken_heartbeats_total (lossy channel)
+	mLostReports  obs.Counter // ken_lost_reports_total (lossy channel)
+	stepObserved  bool        // true when mStepSeconds is live
 }
 
 var _ Scheme = (*Ken)(nil)
@@ -164,7 +164,7 @@ func (k *Ken) Partition() *cliques.Partition { return k.part }
 
 // BeginEpoch implements EpochScoped: report/suppress/apply events of the
 // next Step nest under the replay driver's epoch span.
-func (k *Ken) BeginEpoch(sp *obs.Span) { k.span = sp }
+func (k *Ken) BeginEpoch(sp obs.Span) { k.span = sp }
 
 // Step implements Scheme: one epoch of the protocol loop (§3.2) over the
 // scheme's channel, then the epoch's message accounting. The readings are

@@ -97,7 +97,7 @@ func (l *LossyKen) Collect(int, []float64) []int { return nil }
 // reproduces the same loss pattern run after run, and none is flipped on a
 // lossless channel or a heartbeat. The lost list feeds the trace's drop event
 // and is only built for one.
-func (l *LossyKen) Carry(ci int, idx []int, vals []float64, _ *obs.Span) ([]int, []float64, []int) {
+func (l *LossyKen) Carry(ci int, idx []int, vals []float64, _ obs.Span) ([]int, []float64, []int) {
 	if l.rate == 0 || l.heartbeat {
 		return idx, vals, nil
 	}

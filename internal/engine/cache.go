@@ -22,8 +22,8 @@ type Cache struct {
 	mu      sync.Mutex
 	flights map[string]*flight
 
-	mHits   *obs.Counter // engine_cache_hits_total
-	mMisses *obs.Counter // engine_cache_misses_total
+	mHits   obs.Counter // engine_cache_hits_total
+	mMisses obs.Counter // engine_cache_misses_total
 }
 
 // flight is one key's build: done closes when val/err are final.

@@ -51,9 +51,9 @@ type Engine struct {
 	sem     chan struct{}
 	cache   *Cache
 
-	mCells    *obs.Counter // engine_cells_total
-	mCellErrs *obs.Counter // engine_cell_errors_total
-	tCell     *obs.Timer   // engine_cell_seconds
+	mCells    obs.Counter // engine_cells_total
+	mCellErrs obs.Counter // engine_cell_errors_total
+	tCell     obs.Timer   // engine_cell_seconds
 }
 
 // New builds an engine. The zero Options give a GOMAXPROCS-wide pool with
@@ -105,7 +105,7 @@ func WithScope(ctx context.Context, label string) context.Context {
 }
 
 // Scope returns the trace scope accumulated on the context ("" when
-// unset). Pass it to core.RunOptions.Scope or obs.Tracer.WithScope.
+// unset). Pass it to core.RunOptions.Scope or obs.Observer.Scoped.
 func Scope(ctx context.Context) string {
 	if ctx == nil {
 		return ""
@@ -171,11 +171,11 @@ func Map[T, R any](ctx context.Context, e *Engine, items []T, fn func(ctx contex
 
 // runCell executes one cell with per-cell timing. Clock access lives
 // behind obs.Timer.Start so this package stays free of wall-clock reads
-// (docs/ENGINE.md, "Determinism and seeding discipline"); all handles are
-// nil-safe, so a nil engine runs dark at no cost.
+// (docs/ENGINE.md, "Determinism and seeding discipline"); a nil engine
+// leaves the handles zero, so it runs dark at no cost.
 func runCell[T, R any](ctx context.Context, e *Engine, i int, item T, fn func(ctx context.Context, idx int, item T) (R, error)) (R, error) {
-	var tCell *obs.Timer
-	var mCells, mCellErrs *obs.Counter
+	var tCell obs.Timer
+	var mCells, mCellErrs obs.Counter
 	if e != nil {
 		tCell, mCells, mCellErrs = e.tCell, e.mCells, e.mCellErrs
 	}

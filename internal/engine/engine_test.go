@@ -206,6 +206,69 @@ func TestCacheMetrics(t *testing.T) {
 	}
 }
 
+// lockDeadline bounds how long a call may block behind another key's
+// build before the lock witnesses below call it a held lock.
+const lockDeadline = 5 * time.Second
+
+// within fails the test unless f returns within lockDeadline.
+func within(t *testing.T, what string, f func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- f() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	case <-time.After(lockDeadline):
+		t.Fatalf("%s: still blocked after %v", what, lockDeadline)
+	}
+}
+
+// TestCacheBuildHoldsNoLock is the witness that a build, and a wait for
+// one, runs outside the cache's lock: while one key's build is blocked and
+// a second caller waits for it, another key's Do finishes, and the waiter
+// then gets the blocked key's value.
+func TestCacheBuildHoldsNoLock(t *testing.T) {
+	c := NewCache(&obs.Observer{Reg: obs.NewRegistry()})
+	started, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock()
+	go func() {
+		_, _ = c.Do("slow", func() (any, error) {
+			close(started)
+			<-release
+			return "slow", nil
+		})
+	}()
+	within(t, "the slow build to start", func() error { <-started; return nil })
+	waited := make(chan any, 1)
+	go func() {
+		v, _ := c.Do("slow", func() (any, error) { return "built twice", nil })
+		waited <- v
+	}()
+	// The waiter counts its hit before it waits; give it a moment to get
+	// there if it counts later.
+	for end := time.Now().Add(100 * time.Millisecond); c.mHits.Value() == 0 && time.Now().Before(end); {
+		time.Sleep(time.Millisecond)
+	}
+	within(t, `Do("fast") while "slow" builds and is waited for`, func() error {
+		v, err := c.Do("fast", func() (any, error) { return "fast", nil })
+		if err == nil && v != "fast" {
+			err = fmt.Errorf("got %v", v)
+		}
+		return err
+	})
+	unblock()
+	within(t, `the waiter on "slow"`, func() error {
+		if v := <-waited; v != "slow" {
+			return fmt.Errorf("got %v, want the blocked build's value", v)
+		}
+		return nil
+	})
+}
+
 func TestCellSeedDeterministic(t *testing.T) {
 	a := CellSeed(1, "fig9", "garden", "DjC3")
 	b := CellSeed(1, "fig9", "garden", "DjC3")

@@ -8,7 +8,7 @@ import (
 )
 
 // TestAllocBudgetGauss pins the workspace-backed belief updates at zero
-// heap allocations per epoch — the committed budget table in docs/LINT.md.
+// heap allocations per epoch — the committed budget table in docs/INVARIANTS.md.
 func TestAllocBudgetGauss(t *testing.T) {
 	if alloctest.RaceEnabled {
 		t.Skip("alloc budgets are not meaningful under -race")

@@ -7,7 +7,7 @@ import (
 )
 
 // TestAllocBudgetMat pins the in-place kernels at zero heap allocations
-// per call — the committed budget table in docs/LINT.md. AllocsPerRun is
+// per call — the committed budget table in docs/INVARIANTS.md. AllocsPerRun is
 // meaningless with race instrumentation, so the budget only runs in the
 // plain suite.
 func TestAllocBudgetMat(t *testing.T) {

@@ -14,7 +14,7 @@ import (
 // starts the next trajectory at zero heap allocations on a LinearGaussian
 // clique, with reports and without, and holds a whole estimate to the same
 // count at 8 and at 32 trajectories: the committed budget table in
-// docs/LINT.md.
+// docs/INVARIANTS.md.
 func TestAllocBudgetMCTrajectory(t *testing.T) {
 	if alloctest.RaceEnabled {
 		t.Skip("alloc budgets are not meaningful under -race")

@@ -7,7 +7,7 @@ import (
 )
 
 // TestAllocBudgetLinearGaussian pins the per-epoch model operations at
-// zero heap allocations — the committed budget table in docs/LINT.md.
+// zero heap allocations — the committed budget table in docs/INVARIANTS.md.
 func TestAllocBudgetLinearGaussian(t *testing.T) {
 	if alloctest.RaceEnabled {
 		t.Skip("alloc budgets are not meaningful under -race")

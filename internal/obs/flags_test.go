@@ -237,7 +237,7 @@ func TestTracerSinkMatchesFlatEncoding(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := NewTracerSink(w)
-	scoped := tr.WithScope("cell")
+	scoped := tr.withScope("cell")
 	sp := scoped.StartEpoch(Event{Step: 3, Clique: 0, Node: -1})
 	sp.Emit(Event{Type: EvReport, Step: 3, Clique: 0, Node: 2, Attrs: []int{1}, Values: []float64{4.5}})
 	sp.EndEpoch(Event{Step: 3, Clique: 0, Node: -1, N: 1})

@@ -12,14 +12,17 @@
 //
 // # Nil fast path
 //
-// Instrumentation must cost nothing when nobody is watching. Every metric
-// handle and the tracer are nil-safe: methods on a nil *Counter, *Gauge,
-// *Histogram, *Timer or *Tracer return immediately, and a nil *Registry
-// hands out nil handles. Instrumented code therefore resolves its handles
-// once at construction time and calls them unconditionally on the hot path
-// — with no observer attached the calls are a nil check and a return,
-// allocating nothing (see TestNilFastPathAllocates nothing and
-// BenchmarkNilFastPath).
+// Instrumentation must cost nothing when nobody is watching. Counter,
+// Gauge, Histogram, Timer and Span are one-pointer value types whose zero
+// value is the off handle, and a nil *Registry hands out zero handles; the
+// methods of a zero handle and of a nil *Tracer return immediately.
+// Instrumented code therefore resolves its handles once at construction
+// time and calls them unconditionally on the hot path — with no observer
+// attached the calls are a nil check and a return, allocating nothing (see
+// TestAllocBudgetNilFastPath and BenchmarkNilFastPath). A handle cannot be
+// compared with nil, so there is no guard to write; Span.Active is the one
+// liveness test. Registry.Lookups counts handle lookups, and the allocation
+// budgets hold it still across steady-state epochs and frames.
 package obs
 
 import (
@@ -31,53 +34,47 @@ import (
 	"time"
 )
 
-// Counter is a monotonically increasing integer metric.
+// Counter is a monotonically increasing integer metric. It is a handle to
+// a registry cell, copied by value; the zero Counter is the off handle.
 type Counter struct {
-	v atomic.Int64
+	v *atomic.Int64
 }
 
-// Inc adds one. No-op on a nil counter.
-func (c *Counter) Inc() {
-	if c == nil {
-		return
-	}
-	c.v.Add(1)
-}
+// Inc adds one. No-op on the zero counter.
+func (c Counter) Inc() { c.Add(1) }
 
 // Add adds n (n must be non-negative for the value to stay monotone; this
-// is not enforced). No-op on a nil counter.
-func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
+// is not enforced). No-op on the zero counter.
+func (c Counter) Add(n int64) {
+	if c.v != nil {
+		c.v.Add(n)
 	}
-	c.v.Add(n)
 }
 
-// Value returns the current count (0 for nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
+// Value returns the current count (0 for the zero counter).
+func (c Counter) Value() int64 {
+	if c.v == nil {
 		return 0
 	}
 	return c.v.Load()
 }
 
 // Gauge is a float metric that can move both ways (alive-node count,
-// remaining energy, current max error).
+// remaining energy, current max error). The zero Gauge is the off handle.
 type Gauge struct {
-	bits atomic.Uint64
+	bits *atomic.Uint64
 }
 
-// Set stores v. No-op on a nil gauge.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
+// Set stores v. No-op on the zero gauge.
+func (g Gauge) Set(v float64) {
+	if g.bits != nil {
+		g.bits.Store(math.Float64bits(v))
 	}
-	g.bits.Store(math.Float64bits(v))
 }
 
-// Add accumulates v with a CAS loop. No-op on a nil gauge.
-func (g *Gauge) Add(v float64) {
-	if g == nil {
+// Add accumulates v with a CAS loop. No-op on the zero gauge.
+func (g Gauge) Add(v float64) {
+	if g.bits == nil {
 		return
 	}
 	for {
@@ -89,9 +86,9 @@ func (g *Gauge) Add(v float64) {
 	}
 }
 
-// Value returns the current value (0 for nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
+// Value returns the current value (0 for the zero gauge).
+func (g Gauge) Value() float64 {
+	if g.bits == nil {
 		return 0
 	}
 	return math.Float64frombits(g.bits.Load())
@@ -126,8 +123,14 @@ func histIndex(v float64) int {
 
 // Histogram is a fixed-memory exponential-bucket histogram. Observations
 // are commutative atomic increments, so snapshots are deterministic for a
-// given multiset of observations regardless of goroutine interleaving.
+// given multiset of observations regardless of goroutine interleaving. The
+// zero Histogram is the off handle.
 type Histogram struct {
+	h *histogram
+}
+
+// histogram is the registry cell behind a Histogram handle.
+type histogram struct {
 	count   atomic.Int64
 	sumBits atomic.Uint64
 	minBits atomic.Uint64 // encMM-encoded; 0 means "no observation yet"
@@ -141,11 +144,14 @@ type Histogram struct {
 func encMM(v float64) uint64 { return math.Float64bits(v) + 1 }
 func decMM(b uint64) float64 { return math.Float64frombits(b - 1) }
 
-// Observe records one value. No-op on a nil histogram.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
+// Observe records one value. No-op on the zero histogram.
+func (h Histogram) Observe(v float64) {
+	if h.h != nil {
+		h.h.observe(v)
 	}
+}
+
+func (h *histogram) observe(v float64) {
 	h.buckets[histIndex(v)].Add(1)
 	for {
 		old := h.sumBits.Load()
@@ -190,11 +196,15 @@ type HistSnapshot struct {
 }
 
 // Snapshot captures count, sum, min/max and interpolated quantiles. The
-// zero snapshot is returned for nil or empty histograms.
-func (h *Histogram) Snapshot() HistSnapshot {
-	if h == nil {
+// zero snapshot is returned for the zero or an empty histogram.
+func (h Histogram) Snapshot() HistSnapshot {
+	if h.h == nil {
 		return HistSnapshot{}
 	}
+	return h.h.snapshot()
+}
+
+func (h *histogram) snapshot() HistSnapshot {
 	n := h.count.Load()
 	if n == 0 {
 		return HistSnapshot{}
@@ -214,7 +224,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 
 // quantile estimates the q-quantile from bucket counts, clamped into the
 // exact observed [min, max] range.
-func (h *Histogram) quantile(n int64, q, lo, hi float64) float64 {
+func (h *histogram) quantile(n int64, q, lo, hi float64) float64 {
 	rank := int64(math.Ceil(q * float64(n)))
 	if rank < 1 {
 		rank = 1
@@ -230,30 +240,26 @@ func (h *Histogram) quantile(n int64, q, lo, hi float64) float64 {
 	return hi
 }
 
-// Timer records durations into a histogram of seconds.
+// Timer records durations into a histogram of seconds. The zero Timer is
+// the off handle.
 type Timer struct {
-	h *Histogram
+	h Histogram
 }
 
-// Observe records one duration. No-op on a nil timer.
-func (t *Timer) Observe(d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.h.Observe(d.Seconds())
-}
+// Observe records one duration. No-op on the zero timer.
+func (t Timer) Observe(d time.Duration) { t.h.Observe(d.Seconds()) }
 
-// noopStop is the shared stop function handed out by nil timers, so the
-// nil fast path stays allocation-free.
+// noopStop is the shared stop function handed out by the zero timer, so
+// the off path stays allocation-free.
 var noopStop = func() {}
 
 // Start reads the wall clock and returns a stop function that records the
 // elapsed time; it keeps clock access inside obs so deterministic packages
 // can time their work without touching time.Now themselves (docs/ENGINE.md,
-// "Determinism and seeding discipline"). A nil timer returns a shared no-op
-// stop.
-func (t *Timer) Start() func() {
-	if t == nil {
+// "Determinism and seeding discipline"). The zero timer returns a shared
+// no-op stop.
+func (t Timer) Start() func() {
+	if t.h.h == nil {
 		return noopStop
 	}
 	start := time.Now()
@@ -261,25 +267,32 @@ func (t *Timer) Start() func() {
 }
 
 // Snapshot exposes the underlying histogram (seconds).
-func (t *Timer) Snapshot() HistSnapshot {
-	if t == nil {
-		return HistSnapshot{}
-	}
-	return t.h.Snapshot()
-}
+func (t Timer) Snapshot() HistSnapshot { return t.h.Snapshot() }
 
 // Registry is a named collection of metrics. The zero value is not usable;
-// call NewRegistry. A nil *Registry is fully usable and hands out nil
+// call NewRegistry. A nil *Registry is fully usable and hands out zero (off)
 // handles, making it the "observability off" mode.
 type Registry struct {
 	mu      sync.Mutex
 	metrics map[string]any
 	help    map[string]string
+	lookups atomic.Int64
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{metrics: map[string]any{}, help: map[string]string{}}
+}
+
+// Lookups counts the handles the registry has handed out and the scoped
+// views built on it (Observer.Scoped). Handles are resolved once, at
+// construction: the allocation budgets assert that a steady-state epoch or
+// frame leaves this count unchanged. 0 on a nil registry.
+func (r *Registry) Lookups() int64 {
+	if r == nil {
+		return 0
+	}
+	return r.lookups.Load()
 }
 
 // Describe attaches a one-line help string to a metric name, emitted as
@@ -297,10 +310,15 @@ func (r *Registry) Describe(name, help string) {
 	r.help[name] = help
 }
 
-// lookup returns the named metric, creating it with mk on first use, and
+// lookup returns the named metric cell, creating it on first use, and
 // panics when the name is already registered with a different type — a
-// programming error, matching Prometheus client behaviour.
-func lookup[T any](r *Registry, name string, mk func() *T) *T {
+// programming error, matching Prometheus client behaviour. A nil registry
+// returns nil, the cell of the off handle.
+func lookup[T any](r *Registry, name string) *T {
+	if r == nil {
+		return nil
+	}
+	r.countLookup()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m, ok := r.metrics[name]; ok {
@@ -310,45 +328,40 @@ func lookup[T any](r *Registry, name string, mk func() *T) *T {
 		}
 		return t
 	}
-	t := mk()
+	t := new(T)
 	r.metrics[name] = t
 	return t
 }
 
-// Counter returns the named counter, creating it on first use. A nil
-// registry returns a nil (no-op) handle.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
+// countLookup records one lookup. No-op on a nil registry.
+func (r *Registry) countLookup() {
+	if r != nil {
+		r.lookups.Add(1)
 	}
-	return lookup(r, name, func() *Counter { return &Counter{} })
+}
+
+// Counter returns the named counter, creating it on first use. A nil
+// registry returns the zero (off) handle.
+func (r *Registry) Counter(name string) Counter {
+	return Counter{lookup[atomic.Int64](r, name)}
 }
 
 // Gauge returns the named gauge, creating it on first use. A nil registry
-// returns a nil handle.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return lookup(r, name, func() *Gauge { return &Gauge{} })
+// returns the zero handle.
+func (r *Registry) Gauge(name string) Gauge {
+	return Gauge{lookup[atomic.Uint64](r, name)}
 }
 
 // Histogram returns the named histogram, creating it on first use. A nil
-// registry returns a nil handle.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return lookup(r, name, func() *Histogram { return &Histogram{} })
+// registry returns the zero handle.
+func (r *Registry) Histogram(name string) Histogram {
+	return Histogram{lookup[histogram](r, name)}
 }
 
 // Timer returns a timer over the named histogram (of seconds). A nil
-// registry returns a nil handle.
-func (r *Registry) Timer(name string) *Timer {
-	if r == nil {
-		return nil
-	}
-	return &Timer{h: r.Histogram(name)}
+// registry returns the zero handle.
+func (r *Registry) Timer(name string) Timer {
+	return Timer{r.Histogram(name)}
 }
 
 // Snapshot is a point-in-time copy of every metric, with deterministic
@@ -371,21 +384,21 @@ func (r *Registry) Snapshot() Snapshot {
 	defer r.mu.Unlock()
 	for name, m := range r.metrics {
 		switch m := m.(type) {
-		case *Counter:
+		case *atomic.Int64:
 			if s.Counters == nil {
 				s.Counters = map[string]int64{}
 			}
-			s.Counters[name] = m.Value()
-		case *Gauge:
+			s.Counters[name] = m.Load()
+		case *atomic.Uint64:
 			if s.Gauges == nil {
 				s.Gauges = map[string]float64{}
 			}
-			s.Gauges[name] = m.Value()
-		case *Histogram:
+			s.Gauges[name] = math.Float64frombits(m.Load())
+		case *histogram:
 			if s.Histograms == nil {
 				s.Histograms = map[string]HistSnapshot{}
 			}
-			s.Histograms[name] = m.Snapshot()
+			s.Histograms[name] = m.snapshot()
 		}
 	}
 	for name, help := range r.help {
@@ -440,10 +453,15 @@ func (o *Observer) Tracer() *Tracer {
 // Scoped returns an Observer whose trace events carry scope (appended to
 // any scope the tracer already has, "/"-separated). Metrics are shared
 // with the receiver. Nil-safe: without a tracer, or with an empty scope,
-// the receiver is returned unchanged.
+// the receiver is returned unchanged. A view is resolved once per run, like
+// a metric handle, and counts as a lookup on the registry (Lookups).
 func (o *Observer) Scoped(scope string) *Observer {
-	if o == nil || o.Trace == nil || scope == "" {
+	if o == nil {
 		return o
 	}
-	return &Observer{Reg: o.Reg, Trace: o.Trace.WithScope(scope)}
+	o.Reg.countLookup()
+	if o.Trace == nil || scope == "" {
+		return o
+	}
+	return &Observer{Reg: o.Reg, Trace: o.Trace.withScope(scope)}
 }

@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"bytes"
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -67,9 +68,9 @@ func TestEmptyHistogramSnapshotIsZero(t *testing.T) {
 	if s := reg.Histogram("h").Snapshot(); s != (obs.HistSnapshot{}) {
 		t.Fatalf("empty snapshot=%+v, want zero", s)
 	}
-	var nilHist *obs.Histogram
-	if s := nilHist.Snapshot(); s != (obs.HistSnapshot{}) {
-		t.Fatalf("nil snapshot=%+v, want zero", s)
+	var off obs.Histogram
+	if s := off.Snapshot(); s != (obs.HistSnapshot{}) {
+		t.Fatalf("zero handle's snapshot=%+v, want zero", s)
 	}
 }
 
@@ -216,9 +217,13 @@ func TestNilObserverAccessors(t *testing.T) {
 	}
 }
 
+// spanSink keeps the spans the budget rows derive observable.
+var spanSink obs.Span
+
 // TestAllocBudgetNilFastPath is the proof that instrumentation with no sink
-// attached is free: every handle from a nil registry is nil, and calling
-// the full metric surface plus a nil tracer allocates nothing.
+// attached is free: the handles of a nil registry, the zero handles, a nil
+// tracer and the zero Span allocate nothing on their full surface. Spans
+// are values, so deriving a live span's child allocates nothing either.
 func TestAllocBudgetNilFastPath(t *testing.T) {
 	if alloctest.RaceEnabled {
 		t.Skip("alloc budgets are not meaningful under -race")
@@ -230,22 +235,82 @@ func TestAllocBudgetNilFastPath(t *testing.T) {
 	tm := reg.Timer("t")
 	var tr *obs.Tracer
 	ev := obs.Event{Type: obs.EvReport, Step: 1, Clique: -1, Node: -1}
+	var zc obs.Counter
+	var zg obs.Gauge
+	var zh obs.Histogram
+	var zt obs.Timer
+	var zs obs.Span
+	live := obs.NewTracer(io.Discard).StartEpoch(ev)
 
-	allocs := testing.AllocsPerRun(1000, func() {
-		c.Inc()
-		c.Add(2)
-		g.Set(1)
-		g.Add(1)
-		h.Observe(3)
-		tm.Observe(time.Millisecond)
-		tm.Start()()
-		tr.Emit(ev)
-	})
-	if allocs != 0 {
-		t.Fatalf("nil fast path: %v allocs/op, budget 0", allocs)
+	for _, tc := range []struct {
+		name string
+		f    func()
+	}{
+		{"nil registry's handles, nil tracer", func() {
+			c.Inc()
+			c.Add(2)
+			g.Set(1)
+			g.Add(1)
+			h.Observe(3)
+			tm.Observe(time.Millisecond)
+			tm.Start()()
+			tr.Emit(ev)
+			spanSink = tr.StartEpoch(ev)
+		}},
+		{"zero Counter/Gauge/Histogram/Timer", func() {
+			zc.Inc()
+			zc.Add(2)
+			zg.Set(1)
+			zg.Add(1)
+			zh.Observe(3)
+			zt.Observe(time.Millisecond)
+			zt.Start()()
+		}},
+		{"zero Span's Child, Emit, EndEpoch", func() {
+			spanSink = zs.Child()
+			zs.Emit(ev)
+			zs.EndEpoch(ev)
+		}},
+		{"live Span's Child", func() { spanSink = live.Child() }},
+	} {
+		if got := testing.AllocsPerRun(1000, tc.f); got != 0 {
+			t.Errorf("%s: %v allocs/op, budget 0", tc.name, got)
+		}
 	}
-	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 {
-		t.Fatal("nil handles accumulated state")
+	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 ||
+		zc.Value() != 0 || zg.Value() != 0 || zh.Snapshot().Count != 0 || zt.Snapshot().Count != 0 {
+		t.Fatal("off handles accumulated state")
+	}
+	if zs.Active() || !live.Active() || !spanSink.Active() {
+		t.Fatal("span liveness: the zero Span must be inactive and a live span's child active")
+	}
+}
+
+// TestRegistryCountsLookups pins what Lookups counts: one per handle handed
+// out (a Timer is one, not two) and one per scoped view, and nothing for
+// using a handle — the count the allocation budgets hold still.
+func TestRegistryCountsLookups(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := reg.Counter("c")
+	reg.Gauge("g")
+	reg.Histogram("h")
+	reg.Timer("t")
+	if got := reg.Lookups(); got != 4 {
+		t.Fatalf("after four lookups: Lookups() = %d", got)
+	}
+	c.Inc()
+	reg.Snapshot()
+	ob := &obs.Observer{Reg: reg}
+	if ob.Scoped("cell") != ob {
+		t.Fatal("Scoped without a tracer built a new observer")
+	}
+	if got := reg.Lookups(); got != 5 {
+		t.Fatalf("after a handle's use, a snapshot and a scoped view: Lookups() = %d, want 5", got)
+	}
+	var nilReg *obs.Registry
+	nilReg.Counter("c")
+	if nilReg.Lookups() != 0 {
+		t.Fatal("a nil registry counted a lookup")
 	}
 }
 
@@ -292,6 +357,6 @@ func TestTimerStartRecordsElapsed(t *testing.T) {
 	if s.Sum < 0.002 {
 		t.Fatalf("sum = %v s, want >= 2ms", s.Sum)
 	}
-	var nilTimer *obs.Timer
-	nilTimer.Start()() // must not panic and must not record anywhere
+	var off obs.Timer
+	off.Start()() // must not panic and must not record anywhere
 }

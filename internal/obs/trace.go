@@ -170,9 +170,9 @@ type tracerCore struct {
 
 // Tracer serialises protocol events as JSON Lines. A nil *Tracer is the
 // "tracing off" mode: Emit returns immediately. Emit is safe for
-// concurrent use. WithScope derives cheap views that label every event
-// with a scope path, so concurrent experiment cells writing one file stay
-// attributable.
+// concurrent use. Observer.Scoped derives cheap views that label every
+// event with a scope path, so concurrent experiment cells writing one file
+// stay attributable.
 type Tracer struct {
 	scope string
 	c     *tracerCore
@@ -198,15 +198,11 @@ func NewTracerSink(s LineSink) *Tracer {
 	return &Tracer{c: &tracerCore{sink: s}}
 }
 
-// WithScope returns a view of the tracer whose events carry the given
+// withScope returns a view of the tracer whose events carry the given
 // scope label, nested under any existing scope with "/". Views share the
-// underlying sink, error state, event count and span id space. Safe on
-// nil; an empty label returns the receiver. Resolve scoped views once per
-// run, not inside hot loops.
-func (t *Tracer) WithScope(scope string) *Tracer {
-	if t == nil || scope == "" {
-		return t
-	}
+// underlying sink, error state, event count and span id space. The caller,
+// Observer.Scoped, handles nil and the empty label.
+func (t *Tracer) withScope(scope string) *Tracer {
 	if t.scope != "" {
 		scope = t.scope + "/" + scope
 	}
@@ -300,19 +296,20 @@ func (t *Tracer) Flush() error {
 		}
 		return t.c.err
 	}
-	//lint:ignore locksafe the tracer serializes writer access behind the lock by design; Flush races Emit otherwise
+	// The flush runs under the lock on purpose: the tracer serializes
+	// writer access behind it, and a Flush outside it would race Emit.
 	if err := t.c.bw.Flush(); err != nil && t.c.err == nil {
 		t.c.err = fmt.Errorf("obs: trace flush: %w", err)
 	}
 	return t.c.err
 }
 
-// Span is a causal epoch context: a handle that stamps every event
+// Span is a causal epoch context: a value that stamps every event
 // emitted through it with the enclosing epoch id, its own span id, and
 // its parent link, so an offline auditor can walk report → hop → apply
-// chains. Spans are nil-safe — every method on a nil *Span is a no-op —
-// so instrumented code holds one handle and calls it unconditionally;
-// guard only payload construction, via Active.
+// chains. The zero Span is inactive — every method on it is a no-op — so
+// instrumented code holds one span and calls it unconditionally; guard
+// only payload construction, via Active.
 type Span struct {
 	t      *Tracer
 	epoch  int64
@@ -322,34 +319,35 @@ type Span struct {
 
 // StartEpoch allocates an epoch span and emits its EvEpochStart event
 // (the passed event's Type/Epoch/Span/Parent are overwritten). Returns
-// nil on a nil tracer.
-func (t *Tracer) StartEpoch(e Event) *Span {
+// the zero Span on a nil tracer.
+func (t *Tracer) StartEpoch(e Event) Span {
 	if t == nil {
-		return nil
+		return Span{}
 	}
 	id := t.NewSpanID()
 	e.Type, e.Epoch, e.Span, e.Parent = EvEpochStart, id, id, 0
 	t.Emit(e)
-	return &Span{t: t, epoch: id, id: id}
+	return Span{t: t, epoch: id, id: id}
 }
 
 // Active reports whether emitting through the span reaches a sink — the
-// sanctioned guard for skipping payload construction on the dark path.
-func (s *Span) Active() bool { return s != nil && s.t != nil }
+// one liveness test, and the guard for skipping payload construction on
+// the dark path.
+func (s Span) Active() bool { return s.t != nil }
 
 // Child allocates a sub-span parented to this one: events emitted through
-// the child carry Parent = this span's id. Nil-safe.
-func (s *Span) Child() *Span {
-	if s == nil {
-		return nil
+// the child carry Parent = this span's id. The zero Span's child is zero.
+func (s Span) Child() Span {
+	if s.t == nil {
+		return Span{}
 	}
-	return &Span{t: s.t, epoch: s.epoch, id: s.t.NewSpanID(), parent: s.id}
+	return Span{t: s.t, epoch: s.epoch, id: s.t.NewSpanID(), parent: s.id}
 }
 
 // Emit stamps the span context (Epoch, Span, Parent) onto the event and
-// emits it. Nil-safe.
-func (s *Span) Emit(e Event) {
-	if s == nil {
+// emits it. No-op on the zero Span.
+func (s Span) Emit(e Event) {
+	if s.t == nil {
 		return
 	}
 	e.Epoch, e.Span, e.Parent = s.epoch, s.id, s.parent
@@ -357,9 +355,10 @@ func (s *Span) Emit(e Event) {
 }
 
 // EndEpoch closes the epoch: emits EvEpochEnd carrying the span context
-// (the passed event's Type/Epoch/Span/Parent are overwritten). Nil-safe.
-func (s *Span) EndEpoch(e Event) {
-	if s == nil {
+// (the passed event's Type/Epoch/Span/Parent are overwritten). No-op on
+// the zero Span.
+func (s Span) EndEpoch(e Event) {
+	if s.t == nil {
 		return
 	}
 	e.Type, e.Epoch, e.Span, e.Parent = EvEpochEnd, s.epoch, s.id, s.parent

@@ -66,7 +66,7 @@ func TestTracerConcurrentEmit(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			view := tr.WithScope(strings.Repeat("w", w+1)) // scoped views share the core
+			view := (&obs.Observer{Trace: tr}).Scoped(strings.Repeat("w", w+1)).Tracer() // scoped views share the core
 			for i := 0; i < perWorker; i++ {
 				sp := view.StartEpoch(obs.Event{Step: int64(i), Clique: -1, Node: w})
 				sp.EndEpoch(obs.Event{Step: int64(i), Clique: -1, Node: w})

@@ -32,7 +32,7 @@ type Channel interface {
 	// traces its own traffic does so under the report's span; lost lists the
 	// global attributes of values it dropped without tracing them, for the
 	// loop to trace.
-	Carry(ci int, idx []int, vals []float64, under *obs.Span) (dIdx []int, dVals []float64, lost []int)
+	Carry(ci int, idx []int, vals []float64, under obs.Span) (dIdx []int, dVals []float64, lost []int)
 }
 
 // Perfect is the channel of §3.2: every root hears every member, every
@@ -41,7 +41,7 @@ type Perfect struct{}
 
 func (Perfect) Heartbeat() bool              { return false }
 func (Perfect) Collect(int, []float64) []int { return nil }
-func (Perfect) Carry(_ int, idx []int, vals []float64, _ *obs.Span) ([]int, []float64, []int) {
+func (Perfect) Carry(_ int, idx []int, vals []float64, _ obs.Span) ([]int, []float64, []int) {
 	return idx, vals, nil
 }
 
@@ -107,7 +107,7 @@ type Loop struct {
 	Sent, Reported []int
 
 	step int64
-	sp   *obs.Span
+	sp   obs.Span
 	pick Policy // this epoch's: Choose, or (*Kernel).Full on a heartbeat
 	// twin[ci]: clique ci's sink is bitwise its source (see Loop).
 	twin []bool
@@ -118,7 +118,7 @@ type Loop struct {
 		idx      []int
 		vals     []float64
 		lost     []int
-		under    *obs.Span
+		under    obs.Span
 		sent     []int
 		sentVals []float64
 	}
@@ -156,7 +156,7 @@ func (l *Loop) Check(truth []float64) error {
 // its source's half), and otherwise copies the source once it has
 // committed. The report is traced against the source's prediction, which is
 // bitwise the sink's, so a traced run takes the same path.
-func (l *Loop) Epoch(step int64, sp *obs.Span, truth []float64) error {
+func (l *Loop) Epoch(step int64, sp obs.Span, truth []float64) error {
 	l.begin(step, sp)
 	for ci, sink := range l.Sink {
 		src := l.Src[ci]
@@ -214,7 +214,7 @@ func (l *Loop) asSent() bool {
 
 // SourceEpoch is Epoch for a loop without sink replicas: the source half
 // alone, the channel's Carry being all the delivery there is.
-func (l *Loop) SourceEpoch(step int64, sp *obs.Span, truth []float64) error {
+func (l *Loop) SourceEpoch(step int64, sp obs.Span, truth []float64) error {
 	l.begin(step, sp)
 	for ci, src := range l.Src {
 		if err := l.source(ci, truth, src); err != nil {
@@ -229,11 +229,11 @@ func (l *Loop) SourceEpoch(step int64, sp *obs.Span, truth []float64) error {
 // sink predicts, the channel's Carry hands it what arrived and it commits
 // that. There are no twins. An error leaves the cliques before the failing
 // one advanced, and the failing one predicted.
-func (l *Loop) SinkEpoch(step int64, sp *obs.Span) error {
+func (l *Loop) SinkEpoch(step int64, sp obs.Span) error {
 	l.begin(step, sp)
 	for ci, sink := range l.Sink {
 		sink.Predict()
-		idx, vals, lost := l.Channel.Carry(ci, nil, nil, nil)
+		idx, vals, lost := l.Channel.Carry(ci, nil, nil, obs.Span{})
 		if err := sink.Commit(idx, vals); err != nil {
 			return err
 		}
@@ -254,7 +254,7 @@ func (l *Loop) Estimates(est []float64) {
 
 // begin opens an epoch: resets the outcome and asks the channel whether it
 // is a heartbeat.
-func (l *Loop) begin(step int64, sp *obs.Span) {
+func (l *Loop) begin(step int64, sp obs.Span) {
 	l.step, l.sp = step, sp
 	l.Sent, l.Reported = l.Sent[:0], l.Reported[:0]
 	l.pick = l.Choose
@@ -287,7 +287,7 @@ func (l *Loop) source(ci int, truth []float64, view *Kernel) error {
 	for _, i := range idx {
 		l.Reported = append(l.Reported, members[i])
 	}
-	l.d.under = nil
+	l.d.under = obs.Span{}
 	if l.Tracer != nil {
 		l.d.under = l.traceReport(ci, idx, vals, pred)
 	}
@@ -300,10 +300,11 @@ func (l *Loop) source(ci int, truth []float64, view *Kernel) error {
 // traceReport emits clique ci's report event, as a child span of the epoch,
 // and the suppress event beside it, and returns the report's span: the sink
 // apply, the channel's own traffic and any loss trace under it, giving the
-// auditor the report → apply causal chain. Nil when nothing was reported.
-func (l *Loop) traceReport(ci int, idx []int, vals, pred []float64) *obs.Span {
+// auditor the report → apply causal chain. The zero Span when nothing was
+// reported.
+func (l *Loop) traceReport(ci int, idx []int, vals, pred []float64) obs.Span {
 	members, eps := l.Src[ci].Members(), l.Src[ci].Eps()
-	var rs *obs.Span
+	var rs obs.Span
 	if len(idx) > 0 {
 		epsR := make([]float64, len(idx))
 		preds := make([]float64, len(idx))
@@ -368,7 +369,7 @@ func globalAttrs(members, idx []int) []int {
 // active span — a replay driver's epoch or a report under it — and through
 // the bare tracer otherwise. Either marshals ev before returning, so events
 // borrow the kernels' scratch.
-func (l *Loop) emit(sp *obs.Span, ev obs.Event) {
+func (l *Loop) emit(sp obs.Span, ev obs.Event) {
 	ev.Step = l.step
 	if sp.Active() {
 		sp.Emit(ev)

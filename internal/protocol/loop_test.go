@@ -30,7 +30,7 @@ func (b *blackout) Heartbeat() bool {
 
 func (b *blackout) Collect(int, []float64) []int { return nil }
 
-func (b *blackout) Carry(ci int, idx []int, vals []float64, _ *obs.Span) ([]int, []float64, []int) {
+func (b *blackout) Carry(ci int, idx []int, vals []float64, _ obs.Span) ([]int, []float64, []int) {
 	if b.heartbeat {
 		b.dropped[ci] = false
 		return idx, vals, nil
@@ -78,7 +78,7 @@ func TestLoopFaultInjection(t *testing.T) {
 		if err := l.Check(truth); err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Epoch(int64(step), nil, truth); err != nil {
+		if err := l.Epoch(int64(step), obs.Span{}, truth); err != nil {
 			t.Fatal(err)
 		}
 		l.Estimates(est)
@@ -158,7 +158,7 @@ func (s *scripted) Collect(ci int, _ []float64) []int {
 	return nil
 }
 
-func (s *scripted) Carry(ci int, idx []int, vals []float64, _ *obs.Span) ([]int, []float64, []int) {
+func (s *scripted) Carry(ci int, idx []int, vals []float64, _ obs.Span) ([]int, []float64, []int) {
 	dIdx, dVals := idx, vals
 	switch s.act(ci) {
 	case dropOne:
@@ -207,7 +207,7 @@ type arrivals struct{ *scripted }
 
 func (a arrivals) Heartbeat() bool              { return a.beats[a.epoch-1] }
 func (a arrivals) Collect(int, []float64) []int { return nil }
-func (a arrivals) Carry(ci int, _ []int, _ []float64, _ *obs.Span) ([]int, []float64, []int) {
+func (a arrivals) Carry(ci int, _ []int, _ []float64, _ obs.Span) ([]int, []float64, []int) {
 	if a.reached[ci] && a.arrived[ci] == nil {
 		return []int{-1}, []float64{0}, nil
 	}
@@ -346,15 +346,15 @@ func TestSinkTwinMatchesComputedSink(t *testing.T) {
 		copies, retwins, errs := 0, 0, 0
 		for e, truth := range test {
 			before := append([]bool(nil), twins.twin...)
-			err := twins.Epoch(int64(e), nil, truth)
-			cerr := computing.Epoch(int64(e), nil, truth)
+			err := twins.Epoch(int64(e), obs.Span{}, truth)
+			cerr := computing.Epoch(int64(e), obs.Span{}, truth)
 			if (err == nil) != (cerr == nil) {
 				t.Fatalf("epoch %d: twin loop err %v, computing loop err %v", e, err, cerr)
 			}
 			if err != nil {
 				errs++
 			}
-			if rerr := remote.SinkEpoch(int64(e), nil); (rerr == nil) != (err == nil) {
+			if rerr := remote.SinkEpoch(int64(e), obs.Span{}); (rerr == nil) != (err == nil) {
 				t.Fatalf("epoch %d: twin loop err %v, sink-only loop err %v", e, err, rerr)
 			}
 			for ci, r := range ref {

@@ -388,7 +388,7 @@ func TestAdvance(t *testing.T) {
 // all of them — the whole clique, half of it when only half is available,
 // or a singleton clique's one attribute) and on heartbeats (Full reports
 // every reading whatever ε says) — the committed budget table in
-// docs/LINT.md.
+// docs/INVARIANTS.md.
 func TestAllocBudgetKernel(t *testing.T) {
 	if alloctest.RaceEnabled {
 		t.Skip("alloc budgets are not meaningful under -race")

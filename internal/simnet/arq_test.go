@@ -139,7 +139,7 @@ func TestSendReliableDeliversThroughLoss(t *testing.T) {
 	arq.BeginEpoch()
 	reliable := 0
 	for i := 0; i < sends; i++ {
-		if arq.SendReliable(msg, nil) {
+		if arq.SendReliable(msg, obs.Span{}) {
 			reliable++
 		}
 	}
@@ -171,7 +171,7 @@ func TestSendReliableRespectsRetryBudget(t *testing.T) {
 
 	net.BeginEpoch()
 	for i := 0; i < 50; i++ {
-		net.SendReliable(msg, nil)
+		net.SendReliable(msg, obs.Span{})
 	}
 	if r := net.Stats().Retransmits; r > 3 {
 		t.Fatalf("%d retransmissions in one epoch, budget allows at most 3 slots", r)
@@ -182,7 +182,7 @@ func TestSendReliableRespectsRetryBudget(t *testing.T) {
 	}
 	net.BeginEpoch()
 	for i := 0; i < 50; i++ {
-		net.SendReliable(msg, nil)
+		net.SendReliable(msg, obs.Span{})
 	}
 	if r := net.Stats().Retransmits; r <= first || r > first+3 {
 		t.Fatalf("second epoch retransmits %d (after %d): budget did not refill to 3", r-first, first)
@@ -199,7 +199,7 @@ func TestSendReliableNoARQIsFireAndForget(t *testing.T) {
 	b.BeginEpoch()
 	msg := Message{From: 0, To: 2, Attrs: []int{0}, Values: []float64{1}}
 	for i := 0; i < 100; i++ {
-		if a.Send(msg) != b.SendReliable(msg, nil) {
+		if a.Send(msg) != b.SendReliable(msg, obs.Span{}) {
 			t.Fatalf("send %d: outcomes diverged with ARQ off", i)
 		}
 	}
@@ -226,7 +226,7 @@ func TestSendReliableTracesRetxAndAcks(t *testing.T) {
 	net.BeginEpoch()
 	msg := Message{From: 0, To: 2, Attrs: []int{0}, Values: []float64{1}}
 	for i := 0; i < 50; i++ {
-		net.SendReliable(msg, nil)
+		net.SendReliable(msg, obs.Span{})
 	}
 	if err := ob.Trace.Flush(); err != nil {
 		t.Fatal(err)

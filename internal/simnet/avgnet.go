@@ -172,9 +172,8 @@ func (d *DistributedAverage) Epoch(truth []float64) (EpochResult, error) {
 			}
 			if len(idx) > 0 {
 				reportBytes += obs.WireBytesPerValue
-				var rs *obs.Span
-				if sp.Active() {
-					rs = sp.Child()
+				rs := sp.Child()
+				if rs.Active() {
 					rs.Emit(obs.Event{
 						Type: obs.EvReport, Step: int64(d.net.stats.Epochs), Clique: -1, Node: i,
 						Attrs: []int{i}, Values: []float64{truth[i]},

@@ -246,7 +246,7 @@ func (d *DistributedKen) Collect(ci int, truth []float64) []int {
 // the way) tracing under the report's span so the auditor can tell a silent
 // divergence from an explained one. The clique's failure detector watches
 // what arrives.
-func (d *DistributedKen) Carry(ci int, idx []int, vals []float64, under *obs.Span) ([]int, []float64, []int) {
+func (d *DistributedKen) Carry(ci int, idx []int, vals []float64, under obs.Span) ([]int, []float64, []int) {
 	root, members := d.loop.Roots[ci], d.loop.Src[ci].Members()
 	dIdx, dVals := d.dIdx[:0], d.dVals[:0]
 	for j, i := range idx {

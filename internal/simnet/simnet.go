@@ -122,21 +122,21 @@ type Network struct {
 	epochBytes0 int // Stats.BytesSent snapshot at epoch start
 	epochRetx0  int // Stats.Retransmits snapshot at epoch start
 
-	// Observability handles (nil and no-op until Instrument is called).
+	// Observability handles (zero and no-op until Instrument is called).
 	tracer     *obs.Tracer
-	span       *obs.Span      // current epoch span, set by BeginEpoch
-	mEpochs    *obs.Counter   // simnet_epochs_total
-	mMsgs      *obs.Counter   // simnet_messages_sent_total
-	mBytes     *obs.Counter   // simnet_bytes_sent_total
-	mDelivered *obs.Counter   // simnet_delivered_total
-	mDropLoss  *obs.Counter   // simnet_dropped_loss_total
-	mDropRoute *obs.Counter   // simnet_dropped_noroute_total
-	mRetx      *obs.Counter   // simnet_retransmits_total
-	mAcks      *obs.Counter   // simnet_acks_total
-	mDeaths    *obs.Counter   // simnet_node_deaths_total
-	gEnergy    *obs.Gauge     // simnet_energy_spent_joules
-	gAlive     *obs.Gauge     // simnet_alive_nodes
-	hMsgBytes  *obs.Histogram // simnet_message_bytes
+	span       obs.Span      // current epoch span, set by BeginEpoch
+	mEpochs    obs.Counter   // simnet_epochs_total
+	mMsgs      obs.Counter   // simnet_messages_sent_total
+	mBytes     obs.Counter   // simnet_bytes_sent_total
+	mDelivered obs.Counter   // simnet_delivered_total
+	mDropLoss  obs.Counter   // simnet_dropped_loss_total
+	mDropRoute obs.Counter   // simnet_dropped_noroute_total
+	mRetx      obs.Counter   // simnet_retransmits_total
+	mAcks      obs.Counter   // simnet_acks_total
+	mDeaths    obs.Counter   // simnet_node_deaths_total
+	gEnergy    obs.Gauge     // simnet_energy_spent_joules
+	gAlive     obs.Gauge     // simnet_alive_nodes
+	hMsgBytes  obs.Histogram // simnet_message_bytes
 }
 
 // ErrNoRoute is returned internally when no live path exists.
@@ -217,10 +217,10 @@ func (s *Network) Stats() Stats { return s.stats }
 
 // BeginEpoch charges idle energy to every live node and advances the epoch
 // counter. Call once per sampling period before sending traffic. It opens
-// the epoch's causal span (nil when untraced) and returns it so the
+// the epoch's causal span (inactive when untraced) and returns it so the
 // distributed programs above can parent their traffic to it and close it
 // with their audit payload.
-func (s *Network) BeginEpoch() *obs.Span {
+func (s *Network) BeginEpoch() obs.Span {
 	s.stats.Epochs++
 	if b := s.radio.ARQ.RetryBudget; b > 0 {
 		s.retxBudget = b
@@ -246,12 +246,12 @@ func (s *Network) BeginEpoch() *obs.Span {
 // openEpoch is the prologue of every program's Epoch: a row of the wrong
 // width or with a non-finite reading is rejected before anything moves
 // (protocol.CheckReadings says why), then the epoch begins.
-func (s *Network) openEpoch(truth []float64) (*obs.Span, error) {
+func (s *Network) openEpoch(truth []float64) (obs.Span, error) {
 	if len(truth) != s.top.N() {
-		return nil, fmt.Errorf("simnet: truth dim %d, want %d", len(truth), s.top.N())
+		return obs.Span{}, fmt.Errorf("simnet: truth dim %d, want %d", len(truth), s.top.N())
 	}
 	if err := protocol.CheckReadings(truth); err != nil {
-		return nil, fmt.Errorf("simnet: %w", err)
+		return obs.Span{}, fmt.Errorf("simnet: %w", err)
 	}
 	return s.BeginEpoch(), nil
 }
@@ -260,7 +260,7 @@ func (s *Network) openEpoch(truth []float64) (*obs.Span, error) {
 // res.Violations and ends the epoch span with the audit payload —
 // reportBytes is the epoch's protocol ledger, the radio ledger is the
 // network's own.
-func (s *Network) closeEpoch(sp *obs.Span, res *EpochResult, truth, eps []float64, reportBytes int) {
+func (s *Network) closeEpoch(sp obs.Span, res *EpochResult, truth, eps []float64, reportBytes int) {
 	for g, est := range res.Estimates {
 		if diff := est - truth[g]; diff > eps[g] || diff < -eps[g] {
 			res.Violations++
@@ -278,9 +278,9 @@ func (s *Network) closeEpoch(sp *obs.Span, res *EpochResult, truth, eps []float6
 	}
 }
 
-// EpochSpan returns the current epoch's span (nil when untraced or before
-// the first BeginEpoch).
-func (s *Network) EpochSpan() *obs.Span { return s.span }
+// EpochSpan returns the current epoch's span (inactive when untraced or
+// before the first BeginEpoch).
+func (s *Network) EpochSpan() obs.Span { return s.span }
 
 // EpochLinkBytes returns the link-level bytes transmitted so far in the
 // current epoch — the radio ledger (every hop of every message, acks
@@ -330,15 +330,15 @@ func (s *Network) liveVertex(v int) bool {
 // progress toward the destination, charging energy per hop. It returns
 // true when the message reaches its destination. A dead source, a lossy
 // hop, or a partitioned network yields false.
-func (s *Network) Send(msg Message) bool { return s.SendSpan(msg, nil) }
+func (s *Network) Send(msg Message) bool { return s.SendSpan(msg, obs.Span{}) }
 
 // SendSpan routes like Send, additionally tracing every link-level
 // transmission (EvHop, with from/to/bytes in the payload) and any message
 // death (EvDrop, Detail "loss", "noroute" or "dead") through a message
 // span parented to cause — typically the report span whose traffic this
-// is. A nil cause falls back to the current epoch span; with no tracer
+// is. An inactive cause falls back to the current epoch span; with no tracer
 // attached SendSpan is exactly Send.
-func (s *Network) SendSpan(msg Message, cause *obs.Span) bool {
+func (s *Network) SendSpan(msg Message, cause obs.Span) bool {
 	return s.route(msg, msg.bytes(s.radio.OverheadBytes), cause, false)
 }
 
@@ -352,13 +352,12 @@ func (s *Network) SendSpan(msg Message, cause *obs.Span) bool {
 // MaxRetries times. Returns whether the payload reached its destination
 // at least once: a lost ack costs a duplicate transmission, never
 // correctness.
-func (s *Network) SendReliable(msg Message, cause *obs.Span) bool {
+func (s *Network) SendReliable(msg Message, cause obs.Span) bool {
 	arq := s.radio.ARQ
 	if arq.MaxRetries <= 0 {
 		return s.SendSpan(msg, cause)
 	}
-	//lint:ignore obshandle nil selects the fallback parent span here; emission below still guards with Active()
-	if cause == nil {
+	if !cause.Active() {
 		cause = s.span
 	}
 	wire := msg.bytes(s.radio.OverheadBytes)
@@ -395,7 +394,7 @@ func (s *Network) SendReliable(msg Message, cause *obs.Span) bool {
 // ackBack routes the link-layer acknowledgement for msg from its
 // destination back to its sender, carrying the acked attrs so trace
 // consumers can correlate ack losses with the data they confirmed.
-func (s *Network) ackBack(msg Message, cause *obs.Span) bool {
+func (s *Network) ackBack(msg Message, cause obs.Span) bool {
 	ack := Message{From: msg.To, To: msg.From, Attrs: msg.Attrs}
 	wire := s.radio.OverheadBytes + s.radio.ARQ.AckBytes
 	s.stats.Acks++
@@ -416,15 +415,11 @@ func (s *Network) ackBack(msg Message, cause *obs.Span) bool {
 // route is the shared hop-by-hop forwarding engine behind SendSpan and
 // the ARQ ack path; wire is the full per-hop byte cost and isAck excludes
 // ack traffic from the end-to-end Delivered count.
-func (s *Network) route(msg Message, wire int, cause *obs.Span, isAck bool) bool {
-	//lint:ignore obshandle nil selects the fallback parent span here; emission below still guards with Active()
-	if cause == nil {
+func (s *Network) route(msg Message, wire int, cause obs.Span, isAck bool) bool {
+	if !cause.Active() {
 		cause = s.span
 	}
-	var ms *obs.Span
-	if cause.Active() {
-		ms = cause.Child()
-	}
+	ms := cause.Child()
 	step := int64(s.stats.Epochs)
 	drop := func(node int, detail string) {
 		if ms.Active() {

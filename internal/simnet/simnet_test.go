@@ -12,6 +12,7 @@ import (
 	"ken/internal/gauss"
 	"ken/internal/model"
 	"ken/internal/network"
+	"ken/internal/obs"
 	"ken/internal/trace"
 )
 
@@ -628,7 +629,7 @@ func TestRunTotals(t *testing.T) {
 }
 
 // nextHop reads the topology's adjacency in place: a hop allocates nothing
-// (the budget table in docs/LINT.md).
+// (the budget table in docs/INVARIANTS.md).
 func TestAllocBudgetNextHop(t *testing.T) {
 	if alloctest.RaceEnabled {
 		t.Skip("alloc budgets are not meaningful under -race")
@@ -648,5 +649,37 @@ func TestAllocBudgetNextHop(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(100, hop); got != 0 {
 		t.Errorf("nextHop: %v allocs, want 0", got)
+	}
+}
+
+// TestAllocBudgetRunLookups holds simnet.Run's epochs to zero registry
+// lookups on every program, through loss, node deaths and, for ken, ARQ
+// retransmissions and heartbeats: the network resolves its handles once,
+// in Instrument.
+func TestAllocBudgetRunLookups(t *testing.T) {
+	radio := DefaultRadio()
+	radio.BatteryJ = 0.004
+	radio.IdlePerEpoch = 1e-5
+	radio.LossRate = 0.15
+	radio.ARQ.MaxRetries = 2
+	for _, name := range []string{"tinydb", "avg", "ken"} {
+		net, train, test, eps := gardenNet(t, radio, 7, true)
+		reg := obs.NewRegistry()
+		net.Instrument(&obs.Observer{Reg: reg})
+		prog, err := NewProgram(name, net, pairsPartition(11), train, eps, model.FitConfig{Period: 24}, KenNetConfig{HeartbeatEvery: 10, FailureAlpha: 0.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := reg.Lookups()
+		tot, err := Run(net, prog, test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lookups := reg.Lookups() - before; lookups != 0 {
+			t.Errorf("%s: %d registry lookups over %d epochs, budget 0", name, lookups, tot.Epochs)
+		}
+		if tot.FirstDeath < 0 || (name == "ken" && reg.Snapshot().Counters["simnet_retransmits_total"] == 0) {
+			t.Fatalf("%s: no death, or ken retransmitted nothing — budget premise broken: %+v", name, tot)
+		}
 	}
 }

@@ -19,7 +19,8 @@ import (
 // step), whether applyFrame is called alone or by the applier loop draining
 // a queue. The reader allocates one body per frame and nothing else, to the
 // end of the stream, into a full queue (the body a shed reports) or for a
-// tenant the applier has already failed.
+// tenant the applier has already failed. None of it makes a registry lookup:
+// the daemon's handles are resolved in New.
 func TestAllocBudgetSinkdApply(t *testing.T) {
 	if alloctest.RaceEnabled {
 		t.Skip("alloc budgets are not meaningful under -race")
@@ -53,14 +54,15 @@ func TestAllocBudgetSinkdApply(t *testing.T) {
 	if err := d.applyFrame(tn, replica, queued{body: bodies[0]}); err != nil {
 		t.Fatal(err)
 	}
+	reg := d.cfg.Obs.Registry()
 	next := 1
-	if got := testing.AllocsPerRun(runs, func() {
+	if got, lookups := alloctest.Run(runs, reg, func() {
 		if err := d.applyFrame(tn, replica, queued{body: bodies[next]}); err != nil {
 			t.Fatal(err)
 		}
 		next++
-	}); got != 0 {
-		t.Errorf("applyFrame: %v allocs/op, budget 0", got)
+	}); got != 0 || lookups != 0 {
+		t.Errorf("applyFrame: %v allocs/op, %d registry lookups (budget 0 and 0)", got, lookups)
 	}
 	if len(tn.frame.Attrs) != len(attrs) {
 		t.Fatalf("decoded frame carries %d of %d values — budget premise broken", len(tn.frame.Attrs), len(attrs))
@@ -74,7 +76,7 @@ func TestAllocBudgetSinkdApply(t *testing.T) {
 	// fresh queue and done channel: an empty queue costs exactly those
 	// three allocations, a queue of perRun frames not one more.
 	drain := func(frames int) float64 {
-		return testing.AllocsPerRun(runs, func() {
+		got, lookups := alloctest.Run(runs, reg, func() {
 			q := make(chan queued, perRun)
 			for range frames {
 				q <- queued{body: bodies[next]}
@@ -85,6 +87,10 @@ func TestAllocBudgetSinkdApply(t *testing.T) {
 			d.wg.Add(1)
 			d.applyLoop(nil, tn, replica, make(chan struct{}))
 		})
+		if lookups != 0 {
+			t.Errorf("applyLoop over %d frames: %d registry lookups, budget 0", frames, lookups)
+		}
+		return got
 	}
 	if empty, full := drain(0), drain(perRun); empty != 3 || full != empty {
 		t.Errorf("applyLoop: %v allocs/op on an empty queue (budget 3), %v on %d frames (budget the same)", empty, full, perRun)
@@ -116,7 +122,7 @@ func TestAllocBudgetSinkdApply(t *testing.T) {
 	} {
 		q := make(chan queued, tc.queue)
 		tc.tn.frames = q
-		if got := testing.AllocsPerRun(runs, func() {
+		if got, lookups := alloctest.Run(runs, reg, func() {
 			rd.Reset(raw.Bytes())
 			br.Reset(rd)
 			if _, err := d.readLoop(br, tc.tn); err != tc.end {
@@ -125,8 +131,8 @@ func TestAllocBudgetSinkdApply(t *testing.T) {
 			for len(q) > 0 {
 				<-q
 			}
-		}); got != tc.budget {
-			t.Errorf("readLoop %s: %v allocs/op, budget %v", tc.name, got, tc.budget)
+		}); got != tc.budget || lookups != 0 {
+			t.Errorf("readLoop %s: %v allocs/op (budget %v), %d registry lookups (budget 0)", tc.name, got, tc.budget, lookups)
 		}
 	}
 }

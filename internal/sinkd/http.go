@@ -89,8 +89,10 @@ func (d *Daemon) withRequestLog(next http.Handler) http.Handler {
 	})
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// writeJSON answers with status and v as indented JSON.
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
@@ -98,7 +100,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 func (d *Daemon) handleTenants(w http.ResponseWriter, _ *http.Request) {
 	d.mQueries.Inc()
-	writeJSON(w, struct {
+	writeJSON(w, http.StatusOK, struct {
 		Tenants []TenantInfo `json:"tenants"`
 	}{d.Tenants()})
 }
@@ -147,14 +149,14 @@ func (d *Daemon) handleQuery(w http.ResponseWriter, r *http.Request) {
 			Value: a.Value, Bound: a.Bound, Count: a.Count,
 		}
 	}
-	writeJSON(w, resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	d.mQueries.Inc()
 	name := r.URL.Query().Get("tenant")
 	if name == "" {
-		writeJSON(w, d.cfg.Obs.Registry().Snapshot())
+		writeJSON(w, http.StatusOK, d.cfg.Obs.Registry().Snapshot())
 		return
 	}
 	snap, ok := d.Metrics(name)
@@ -162,7 +164,7 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown tenant "+strconv.Quote(name), http.StatusNotFound)
 		return
 	}
-	writeJSON(w, snap)
+	writeJSON(w, http.StatusOK, snap)
 }
 
 // handleHealth is the readiness probe: 200 with the full report while
@@ -172,15 +174,11 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (d *Daemon) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	d.mQueries.Inc()
 	rep := d.Health()
+	status := http.StatusOK
 	if rep.Status != "ok" {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(rep)
-		return
+		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, rep)
+	writeJSON(w, status, rep)
 }
 
 func (d *Daemon) handleSLO(w http.ResponseWriter, r *http.Request) {
@@ -195,7 +193,7 @@ func (d *Daemon) handleSLO(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown tenant "+strconv.Quote(name), http.StatusNotFound)
 		return
 	}
-	writeJSON(w, st)
+	writeJSON(w, http.StatusOK, st)
 }
 
 // parseAttrs parses the comma-separated attrs= list; empty means all.

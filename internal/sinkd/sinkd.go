@@ -179,19 +179,19 @@ type Daemon struct {
 
 	// Daemon-wide metrics (the per-tenant stream_* numbers are the
 	// replica's own counts, served via the HTTP API).
-	mSessions *obs.Counter // sinkd_sessions_total
-	mAccepts  *obs.Counter // sinkd_sessions_accepted_total
-	mRejects  *obs.Counter // sinkd_sessions_rejected_total
-	mFrames   *obs.Counter // sinkd_frames_total
-	mValues   *obs.Counter // sinkd_values_total
-	mShed     *obs.Counter // sinkd_tenants_shed_total
-	mQueries  *obs.Counter // sinkd_queries_total
-	gTenants  *obs.Gauge   // sinkd_tenants_registered
-	mHTTP     *obs.Counter // sinkd_http_requests_total
-	tHTTP     *obs.Timer   // sinkd_http_request_seconds
+	mSessions obs.Counter // sinkd_sessions_total
+	mAccepts  obs.Counter // sinkd_sessions_accepted_total
+	mRejects  obs.Counter // sinkd_sessions_rejected_total
+	mFrames   obs.Counter // sinkd_frames_total
+	mValues   obs.Counter // sinkd_values_total
+	mShed     obs.Counter // sinkd_tenants_shed_total
+	mQueries  obs.Counter // sinkd_queries_total
+	gTenants  obs.Gauge   // sinkd_tenants_registered
+	mHTTP     obs.Counter // sinkd_http_requests_total
+	tHTTP     obs.Timer   // sinkd_http_request_seconds
 
 	// gUnhealthy (slo_tenants_unhealthy) is set where it is computed: Health.
-	gUnhealthy *obs.Gauge
+	gUnhealthy obs.Gauge
 }
 
 // New assembles a daemon. Serve starts it; Close tears it down.
@@ -354,7 +354,8 @@ func (d *Daemon) handleConn(conn net.Conn) {
 	d.stream(conn, br, tn, replica)
 }
 
-// register reserves the tenant name (assigning one when empty). A name
+// register reserves the tenant name (assigning an unregistered one when
+// empty). A name
 // whose previous session already ended is replaced — reconnecting with a
 // fresh spec starts a fresh deployment with a fresh SLO window; a live
 // duplicate is rejected.
@@ -362,8 +363,15 @@ func (d *Daemon) register(name string, p deploy.Params, remote string) (*tenant,
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if name == "" {
-		d.seq++
-		name = fmt.Sprintf("t%d", d.seq)
+		// An assigned name skips every registered one, live or ended: a
+		// client may have named itself "t1".
+		for {
+			d.seq++
+			name = fmt.Sprintf("t%d", d.seq)
+			if _, taken := d.tenants[name]; !taken {
+				break
+			}
+		}
 	}
 	if old, ok := d.tenants[name]; ok {
 		if st, _ := old.snapshot(); !st.terminal() {

@@ -359,6 +359,44 @@ func TestEmptyTenantAssigned(t *testing.T) {
 	if acc.Tenant != "t1" {
 		t.Fatalf("assigned tenant %q, want t1", acc.Tenant)
 	}
+
+	// A client may name itself "t1". An anonymous source is then assigned
+	// another name, not refused as t1's duplicate, and both are listed.
+	d2, addr2 := newDaemon(t, Config{})
+	named, _, err := handshake(t, addr2, wire.Hello{Tenant: "t1", Spec: p.EncodeSpec()})
+	defer named.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	anon, acc, err := handshake(t, addr2, wire.Hello{Spec: p.EncodeSpec()})
+	defer anon.Close()
+	if err != nil {
+		t.Fatalf("anonymous source beside a live client-named t1: %v", err)
+	}
+	if acc.Tenant == "t1" {
+		t.Fatal("anonymous source assigned the name of a live client")
+	}
+	got, err := tenantNames(d2)
+	if want := []string{"t1", acc.Tenant}; err != nil || !slices.Equal(got, want) {
+		t.Fatalf("/v1/tenants lists %v (%v), want %v", got, err, want)
+	}
+}
+
+// tenantNames reads the tenant names from d's /v1/tenants.
+func tenantNames(d *Daemon) ([]string, error) {
+	rec := httptest.NewRecorder()
+	d.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/tenants", nil))
+	var body struct {
+		Tenants []TenantInfo `json:"tenants"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, tn := range body.Tenants {
+		names = append(names, tn.Name)
+	}
+	return names, nil
 }
 
 // TestShedSlowTenant exercises the backpressure path: with a one-frame

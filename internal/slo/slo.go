@@ -134,9 +134,9 @@ type Config struct {
 type Monitor struct {
 	cfg Config
 
-	mDeviations *obs.Counter   // slo_eps_deviations_total
-	mViolations *obs.Counter   // slo_eps_violations_total
-	hLatency    *obs.Histogram // slo_apply_latency_seconds
+	mDeviations obs.Counter   // slo_eps_deviations_total
+	mViolations obs.Counter   // slo_eps_violations_total
+	hLatency    obs.Histogram // slo_apply_latency_seconds
 }
 
 // NewMonitor fills in the defaults and registers the shared series.

@@ -92,10 +92,10 @@ type Source struct {
 	ch   *framer
 	step uint64
 
-	// Observability handles (nil and no-op until Instrument is called).
-	mFrames     *obs.Counter // stream_frames_sent_total
-	mValues     *obs.Counter // stream_values_sent_total
-	mHeartbeats *obs.Counter // stream_heartbeats_sent_total
+	// Observability handles (zero and no-op until Instrument is called).
+	mFrames     obs.Counter // stream_frames_sent_total
+	mValues     obs.Counter // stream_values_sent_total
+	mHeartbeats obs.Counter // stream_heartbeats_sent_total
 }
 
 // framer is the wire channel: every root hears all its members, and a report
@@ -119,7 +119,7 @@ func (f *framer) Heartbeat() bool {
 
 func (f *framer) Collect(int, []float64) []int { return nil }
 
-func (f *framer) Carry(ci int, idx []int, vals []float64, _ *obs.Span) ([]int, []float64, []int) {
+func (f *framer) Carry(ci int, idx []int, vals []float64, _ obs.Span) ([]int, []float64, []int) {
 	for j, i := range idx {
 		vals[j] = quantize(vals[j], f.res)
 		f.frame.Attrs = append(f.frame.Attrs, f.cl[ci].Members()[i])
@@ -240,7 +240,7 @@ func (u *unframer) Heartbeat() bool { return u.st.Heartbeat }
 
 func (u *unframer) Collect(int, []float64) []int { return nil }
 
-func (u *unframer) Carry(ci int, _ []int, _ []float64, _ *obs.Span) ([]int, []float64, []int) {
+func (u *unframer) Carry(ci int, _ []int, _ []float64, _ obs.Span) ([]int, []float64, []int) {
 	o := &u.reports[ci]
 	if u.measure && len(o.idx) > 0 {
 		mean, members := u.sink[ci].Mean(), u.sink[ci].Members()
@@ -370,7 +370,7 @@ func (r *Replica) ApplyObserved(f wire.Frame, st *ApplyStats) error {
 		o.idx = append(o.idx, at.local)
 		o.vals = append(o.vals, f.Values[j])
 	}
-	if err := r.loop.SinkEpoch(int64(f.Step), nil); err != nil {
+	if err := r.loop.SinkEpoch(int64(f.Step), obs.Span{}); err != nil {
 		r.failed = fmt.Errorf("stream: replica failed at step %d and refuses further frames: %w", f.Step, err)
 		return r.failed
 	}

@@ -315,7 +315,8 @@ func (w *Writer) Flush() error {
 		return w.err
 	}
 	if w.bw != nil {
-		//lint:ignore locksafe the store serializes segment writes behind the lock by design; Flush must not race WriteEventLine
+		// The flush runs under the lock on purpose: the store serializes
+		// segment writes behind it, and Flush must not race WriteEventLine.
 		if err := w.bw.Flush(); err != nil {
 			return w.setErr(fmt.Errorf("tracestore: flush segment %d: %w", w.seg, err))
 		}
@@ -412,7 +413,8 @@ func (w *Writer) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.idx != nil {
-		//lint:ignore locksafe teardown closes the index file under the lock so a racing Seal cannot resurrect it
+		// Teardown closes the index file under the lock on purpose, so a
+		// racing Seal cannot resurrect it.
 		if err := w.idx.Close(); err != nil && sealErr == nil {
 			sealErr = fmt.Errorf("tracestore: index close: %w", err)
 		}

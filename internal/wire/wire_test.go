@@ -277,7 +277,7 @@ func TestAppendEncodeMatchesEncode(t *testing.T) {
 }
 
 // TestAllocBudgetAppendEncode pins the sender's steady state: an ascending
-// frame encodes into a warmed buffer without allocating (docs/LINT.md).
+// frame encodes into a warmed buffer without allocating (docs/INVARIANTS.md).
 func TestAllocBudgetAppendEncode(t *testing.T) {
 	if alloctest.RaceEnabled {
 		t.Skip("alloc budgets are not meaningful under -race")
