@@ -470,60 +470,66 @@ func beliefBits(g *Gaussian) []uint64 {
 // Predict is its two halves, in either order, and each is the kernel
 // sequence written out here with the allocating mat operations. Only the
 // mean half counts as a mutation; the covariance half unbinds the evaluator.
+// n = 1 and 2 take the written-out small forms, n = 4 the generic loops;
+// either refuses a matrix of the wrong shape with nothing moved.
 func TestPredictIsItsTwoHalves(t *testing.T) {
-	const n = 4
 	r := rand.New(rand.NewSource(77))
-	g := randomSPDGaussian(r, n)
-	q := randomSPDGaussian(r, n).cov
-	a := mat.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			a.Set(i, j, r.NormFloat64()/2)
+	for _, n := range []int{4, 1, 2} {
+		g := randomSPDGaussian(r, n)
+		q := randomSPDGaussian(r, n).cov
+		a := mat.NewDense(n, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				a.Set(i, j, r.NormFloat64()/2)
+			}
 		}
-	}
-	aT := a.T()
+		aT := a.T()
 
-	mu, _ := a.MulVec(g.mean)
-	as, _ := a.Mul(g.cov)
-	cov, _ := as.Mul(aT)
-	if err := cov.AddInto(cov, q); err != nil {
-		t.Fatal(err)
-	}
-	cov.Symmetrize()
-	want := beliefBits(&Gaussian{mean: mu, cov: cov})
+		mu, _ := a.MulVec(g.mean)
+		as, _ := a.Mul(g.cov)
+		cov, _ := as.Mul(aT)
+		if err := cov.AddInto(cov, q); err != nil {
+			t.Fatal(err)
+		}
+		cov.Symmetrize()
+		want := beliefBits(&Gaussian{mean: mu, cov: cov})
 
-	whole, halves := g.Clone(), g.Clone()
-	ws := NewWorkspace(n)
-	if err := whole.Predict(a, aT, q, ws); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(beliefBits(whole), want) || ws.Generation() != 1 {
-		t.Fatalf("Predict differs from the written-out transition (generation %d)", ws.Generation())
-	}
-	ws = NewWorkspace(n)
-	if err := halves.PredictMean(a, ws); err != nil {
-		t.Fatal(err)
-	}
-	if err := halves.CondReset(ws); err != nil {
-		t.Fatal(err)
-	}
-	if err := halves.PredictCov(a, aT, q, ws); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(beliefBits(halves), want) || ws.Generation() != 1 {
-		t.Fatalf("PredictMean then PredictCov differs from Predict (generation %d)", ws.Generation())
-	}
-	if err := halves.CondAdd(0, 1, ws); !errors.Is(err, errCondStale) {
-		t.Fatalf("evaluator seeded before PredictCov answered %v, want stale", err)
-	}
+		whole, halves := g.Clone(), g.Clone()
+		ws := NewWorkspace(n)
+		if err := whole.Predict(a, aT, q, ws); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(beliefBits(whole), want) || ws.Generation() != 1 {
+			t.Fatalf("n=%d: Predict differs from the written-out transition (generation %d)", n, ws.Generation())
+		}
+		ws = NewWorkspace(n)
+		if err := halves.PredictMean(a, ws); err != nil {
+			t.Fatal(err)
+		}
+		if err := halves.CondReset(ws); err != nil {
+			t.Fatal(err)
+		}
+		if err := halves.PredictCov(a, aT, q, ws); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(beliefBits(halves), want) || ws.Generation() != 1 {
+			t.Fatalf("n=%d: PredictMean then PredictCov differs from Predict (generation %d)", n, ws.Generation())
+		}
+		if err := halves.CondAdd(0, 1, ws); !errors.Is(err, errCondStale) {
+			t.Fatalf("n=%d: evaluator seeded before PredictCov answered %v, want stale", n, err)
+		}
 
-	// A Q of the wrong shape is refused with nothing moved.
-	before := beliefBits(whole)
-	if err := whole.Predict(a, aT, mat.NewDense(n-1, n-1), ws); err == nil {
-		t.Fatal("Predict took a Q of the wrong shape")
-	}
-	if !reflect.DeepEqual(beliefBits(whole), before) || ws.Generation() != 1 {
-		t.Fatal("a refused Predict moved the belief")
+		// A Q or an A of the wrong shape is refused with nothing moved.
+		before := beliefBits(whole)
+		if err := whole.Predict(a, aT, mat.NewDense(n+1, n+1), ws); err == nil {
+			t.Fatalf("n=%d: Predict took a Q of the wrong shape", n)
+		}
+		if err := whole.PredictMean(mat.NewDense(n+1, n), ws); err == nil {
+			t.Fatalf("n=%d: PredictMean took an A of the wrong shape", n)
+		}
+		if !reflect.DeepEqual(beliefBits(whole), before) || ws.Generation() != 1 {
+			t.Fatalf("n=%d: a refused transition moved the belief", n)
+		}
 	}
 }
 

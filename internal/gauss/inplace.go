@@ -100,6 +100,11 @@ func (g *Gaussian) Predict(a, aT, q *mat.Dense, ws *Workspace) error {
 // readers want only the mean may owe the covariance half until something is
 // about to read Σ (model.LinearGaussian does).
 func (g *Gaussian) PredictMean(a *mat.Dense, ws *Workspace) error {
+	if n := len(g.mean); n <= 2 && ws.n == n && a.Rows() == n && a.Cols() == n { // MulVecInto's checks, passed
+		predictMeanSmall(a.DataView(), g.mean)
+		ws.gen++
+		return nil
+	}
 	if err := a.MulVecInto(ws.mu, g.mean); err != nil { // holds a, μ and the workspace to one n
 		return err
 	}
@@ -143,6 +148,10 @@ func (g *Gaussian) PredictCov(a, aT, q *mat.Dense, ws *Workspace) error {
 	ws.evalG = nil
 	if a == nil {
 		g.cov.CopyFrom(q)
+		return nil
+	}
+	if n <= 2 {
+		predictCovSmall(g.cov.DataView(), a.DataView(), q.DataView())
 		return nil
 	}
 	rows, cols := ws.live(g.cov)
@@ -382,6 +391,10 @@ func rank1Condition(cov *mat.Dense, mu []float64, i int, v float64, ws *Workspac
 	}
 	if d <= 0 || math.IsNaN(d) || math.IsInf(d, 0) {
 		return fmt.Errorf("%w: pivot %v for attribute %d", ErrDegenerate, d, i)
+	}
+	if n == 2 {
+		rank1Condition2(cov.DataView(), mu, i, v, d)
+		return nil
 	}
 	// Snapshot column i before any write; cov is symmetric, so the column
 	// equals row i and can be read contiguously.

@@ -126,7 +126,9 @@ func (s *byteSrc) mask() uint16 { return uint16(s.next()) | uint16(s.next())<<8 
 // and one more column alone, and, when negZero, turn Σ's zeros into −0,
 // which only PredictCov may see (New would canonicalise them). Flag 8
 // plants −2⁻¹⁰⁷⁴ at Q_{0,n−1} and +0 at Q_{n−1,0}: where that pair of
-// A·Σ·Aᵀ is zero, the sum a transition halves there is −2⁻¹⁰⁷⁴.
+// A·Σ·Aᵀ is zero, the sum a transition halves there is −2⁻¹⁰⁷⁴. Flag 16
+// sets Q_00 to −0: where (A·Σ·Aᵀ)_00 adds only −0 products, a sum started
+// from +0 leaves +0 there and one started from the first product −0.
 func kernelCase(s *byteSrc, negZero bool) (g *Gaussian, a, q *mat.Dense) {
 	n := 1 + int(s.next())%12
 	flags, dead := s.next(), s.mask()
@@ -156,6 +158,9 @@ func kernelCase(s *byteSrc, negZero bool) (g *Gaussian, a, q *mat.Dense) {
 		q.Set(0, n-1, -math.SmallestNonzeroFloat64)
 		q.Set(n-1, 0, 0)
 	}
+	if flags&16 != 0 {
+		q.Set(0, 0, math.Copysign(0, -1))
+	}
 	if r := int(s.next()) % n; flags&1 != 0 {
 		for j := 0; j < n; j++ {
 			cov.Set(r, j, 0)
@@ -183,8 +188,19 @@ func kernelCase(s *byteSrc, negZero bool) (g *Gaussian, a, q *mat.Dense) {
 	return &Gaussian{mean: mean, cov: cov}, a, q
 }
 
+// refPredictMean is PredictMean as the kernel sequence it replaced:
+// MulVecInto(A, μ) into scratch, then a copy.
+func refPredictMean(t testing.TB, mean []float64, a *mat.Dense) {
+	mu := make([]float64, len(mean))
+	if err := a.MulVecInto(mu, mean); err != nil {
+		t.Fatal(err)
+	}
+	copy(mean, mu)
+}
+
 // runKernels replays ops against g and a twin run on the references,
-// failing on the first bit that differs: each op byte predicts (odd) or
+// failing on the first bit that differs: each op byte predicts the
+// covariance (odd, bit 1 clear), predicts the mean (odd, bit 1 set) or
 // observes the attributes of the next two bytes' mask (even), at values
 // decoded from the bytes after.
 func runKernels(t testing.TB, g *Gaussian, a, q *mat.Dense, ops *byteSrc) {
@@ -193,12 +209,22 @@ func runKernels(t testing.TB, g *Gaussian, a, q *mat.Dense, ops *byteSrc) {
 	ref, ws := g.Clone(), NewWorkspace(n)
 	for step := 0; ops.i < len(ops.b) && step < 32; step++ {
 		var what string
-		if ops.next()%2 == 1 {
+		if op := ops.next(); op%2 == 1 && op&2 == 0 {
 			what = "PredictCov"
 			if err := g.PredictCov(a, nil, q, ws); err != nil {
 				t.Fatal(err)
 			}
 			refPredictCov(t, ref.cov, a, q)
+		} else if op%2 == 1 {
+			what = "PredictMean"
+			gen := ws.Generation()
+			if err := g.PredictMean(a, ws); err != nil {
+				t.Fatal(err)
+			}
+			if got := ws.Generation(); got != gen+1 {
+				t.Fatalf("step %d: PredictMean moved the generation %d → %d, want one bump", step, gen, got)
+			}
+			refPredictMean(t, ref.mean, a)
 		} else {
 			m := ops.mask()
 			var idx []int
@@ -224,8 +250,8 @@ func runKernels(t testing.TB, g *Gaussian, a, q *mat.Dense, ops *byteSrc) {
 
 // TestPredictCovSkipsOnlyZeros: dead rows and columns, together and alone
 // (a dead row whose column is live, and the reverse), zeros and −0 in Σ, A
-// and Q, n from 1 to 12 — the fused transition leaves every bit of the
-// sequence it replaced.
+// and Q, n from 1 to 12 — the fused transition, and the mean transition
+// beside it, leave every bit of the sequences they replaced.
 func TestPredictCovSkipsOnlyZeros(t *testing.T) {
 	r := rand.New(rand.NewSource(34))
 	for n := 1; n <= 12; n++ {
@@ -235,7 +261,7 @@ func TestPredictCovSkipsOnlyZeros(t *testing.T) {
 			buf[0], buf[1] = byte(n-1), flags
 			buf[2], buf[3] = byte(r.Intn(1<<min(n, 8))), byte(r.Intn(1<<max(n-8, 0)))
 			g, a, q := kernelCase(&byteSrc{b: buf}, true)
-			runKernels(t, g, a, q, &byteSrc{b: []byte{1, 1, 1}})
+			runKernels(t, g, a, q, &byteSrc{b: []byte{1, 3, 1, 3, 1}})
 		}
 	}
 }
@@ -332,8 +358,11 @@ func TestHalvingLeavesNoNegativeZero(t *testing.T) {
 }
 
 // FuzzCovKernels decodes a belief, a transition and a schedule of
-// predictions and reports from bytes and holds PredictCov and ObserveExact
-// to the written-out references.
+// predictions and reports from bytes and holds PredictCov, PredictMean and
+// ObserveExact to the written-out references. The checked-in corpus
+// (testdata/fuzz/FuzzCovKernels) also holds the 1×1 and 2×2 forms to the
+// cases above: at n = 2 the halving, a dead column alone, a zero and a −0
+// in A and a degenerate pivot; at n = 1 and 2 a −0 in A and Q_00 = −0.
 func FuzzCovKernels(f *testing.F) {
 	f.Add([]byte{7, 3, 0b101, 0, 9, 200, 17, 33, 1, 0, 0b11, 0, 5, 6, 1, 0, 1, 0, 7})
 	f.Add([]byte{0, 0, 0, 0, 1, 1})

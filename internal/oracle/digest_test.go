@@ -1,0 +1,94 @@
+package oracle
+
+import (
+	"context"
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"math"
+	"runtime"
+	"testing"
+
+	"ken/internal/cliques"
+	"ken/internal/core"
+	"ken/internal/stream"
+	"ken/internal/trace"
+	"ken/internal/wire"
+)
+
+// TestStreamBitsPinned pins the bits of the stream path and of core.Run
+// across commits. The sweep above compares deliveries built from the same
+// code, and the figure hash covers rounded tables, so neither notices a
+// kernel change that moves every replica alike. Lab seed 1, 2 000 test
+// steps, heartbeat 24, cliques.Runs(49, k, RootFirst): Source.Collect →
+// AppendEncode → DecodeInto → Replica.ApplyObserved, then core.Run on the
+// same partition. One FNV-64a digest covers every encoded frame, the
+// replica's final answer and every core.Run estimate. A change that means
+// to move these bits says so and re-pins; one that claims the same bits
+// must pass unchanged. Like the figure hash, it is pinned on amd64.
+func TestStreamBitsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests are pinned on amd64; %s may fuse or round differently", runtime.GOARCH)
+	}
+	exp := must(trace.LoadExperiment("lab", 1, 100, 2000, 0))
+	for _, tc := range []struct {
+		k    int
+		want uint64
+	}{
+		{1, 0xe98205b26b2cf009},
+		{2, 0xaa0d6370f23acfc2},
+		{8, 0x0083d1addecc72c6},
+	} {
+		t.Run(fmt.Sprint("k=", tc.k), func(t *testing.T) {
+			t.Parallel()
+			part := must(cliques.Runs(len(exp.Eps), tc.k, cliques.RootFirst))
+			cfg := stream.Config{Partition: part, Train: exp.Train, Eps: exp.Eps, FitCfg: fitCfg, HeartbeatEvery: 24}
+			src, rep := must(stream.NewSource(cfg)), must(stream.NewReplica(cfg))
+			h := fnv.New64a()
+			var buf []byte
+			var frame wire.Frame
+			reported := 0
+			for e, truth := range exp.Test {
+				sent, err := src.Collect(truth)
+				if err == nil {
+					buf, err = wire.AppendEncode(buf[:0], sent, src.Resolution())
+				}
+				if err == nil {
+					err = wire.DecodeInto(&frame, buf, src.Resolution())
+				}
+				if err == nil {
+					err = rep.ApplyObserved(frame, nil)
+				}
+				if err != nil {
+					t.Fatalf("epoch %d: %v", e, err)
+				}
+				h.Write(buf)
+				if sent.Special != wire.KindHeartbeat {
+					reported += len(sent.Attrs)
+				}
+			}
+			if reported == 0 {
+				t.Fatal("nothing reported between heartbeats: the search was never exercised")
+			}
+			writeBits(h, rep.Answer().Estimates)
+			s := must(core.Build(core.SchemeSpec{Scheme: fmt.Sprint("DjC", tc.k), Eps: exp.Eps, Train: exp.Train, FitCfg: fitCfg, Partition: part}))
+			res := must(core.Run(context.Background(), s, exp.Test, core.RunOptions{Eps: exp.Eps}))
+			for _, est := range res.Estimates {
+				writeBits(h, est)
+			}
+			if got := h.Sum64(); got != tc.want {
+				t.Errorf("digest %#016x, pinned %#016x", got, tc.want)
+			}
+		})
+	}
+}
+
+// writeBits feeds the bits of vs to h, little-endian.
+func writeBits(h hash.Hash, vs []float64) {
+	var b [8]byte
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+}

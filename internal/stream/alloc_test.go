@@ -12,10 +12,11 @@ import (
 // source epochs and empty sink frames — at zero heap allocations per step
 // (the committed budget table in docs/INVARIANTS.md). A source step with
 // metrics attached makes no registry lookup, suppressed or reporting every
-// value; a reporting step allocates the frame it hands back, whose Attrs
-// and Values grow by append from empty (five growths each for the ten
-// values here). Bounds far wider than the signal make every step suppress
-// deterministically, bounds far tighter make every step report.
+// value; a reporting step allocates only the frame it hands back: its Attrs
+// and Values, one exact-length copy each of the scratch the frame was built
+// in, two allocations however many values it carries. Bounds far wider
+// than the signal make every step suppress deterministically, bounds far
+// tighter make every step report.
 func TestAllocBudgetStream(t *testing.T) {
 	if alloctest.RaceEnabled {
 		t.Skip("alloc budgets are not meaningful under -race")
@@ -29,7 +30,7 @@ func TestAllocBudgetStream(t *testing.T) {
 	}{
 		{"suppressed", 100, nil, 0},
 		{"suppressed, metrics attached", 100, &obs.Observer{Reg: reg}, 0},
-		{"reporting, metrics attached", 1e-6, &obs.Observer{Reg: reg}, 10},
+		{"reporting, metrics attached", 1e-6, &obs.Observer{Reg: reg}, 2},
 	} {
 		cfg, test := testConfig(t)
 		for i := range cfg.Eps {

@@ -30,6 +30,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"sync"
 
 	"ken/internal/cliques"
@@ -101,7 +102,9 @@ type Source struct {
 // framer is the wire channel: every root hears all its members, and a report
 // is quantised in place onto the frame under construction, clique by clique
 // — the reliable transport below delivers it whole to a sink this process
-// never sees. Heartbeat epochs mark the frame.
+// never sees. Heartbeat epochs mark the frame. The frame under construction
+// keeps its Attrs and Values arrays, made once with room for every
+// attribute, from step to step; Collect hands back copies.
 type framer struct {
 	protocol.Beat
 	cl    []*protocol.Kernel // for each clique's global attributes
@@ -144,7 +147,9 @@ func NewSource(cfg Config) (*Source, error) {
 	if err != nil {
 		return nil, err
 	}
-	ch := &framer{Beat: protocol.Beat{Every: cfg.HeartbeatEvery}, cl: cl, res: res}
+	n := len(cfg.Eps)
+	ch := &framer{Beat: protocol.Beat{Every: cfg.HeartbeatEvery}, cl: cl, res: res,
+		frame: wire.Frame{Attrs: make([]int, 0, n), Values: make([]float64, 0, n)}}
 	return &Source{ch: ch, loop: &protocol.Loop{
 		Src: cl, Roots: roots, N: len(cfg.Eps), Channel: ch, Choose: (*protocol.Kernel).Choose,
 	}}, nil
@@ -162,17 +167,22 @@ func quantize(v, res float64) float64 {
 // partition order, ascending within a clique; the source has conditioned on
 // exactly the quantized values the frame carries. A reading that is NaN or
 // ±Inf is rejected (wrapping gauss.ErrNotFinite) before anything moves.
-// Untraced, an epoch allocates only the frame it hands back.
+// The caller owns the frame. Untraced, an epoch allocates only that frame's
+// Attrs and Values, exact-length copies of the scratch it was built in, and
+// a step that reports nothing leaves both nil and allocates nothing.
 func (s *Source) Collect(truth []float64) (wire.Frame, error) {
 	if err := s.loop.Check(truth); err != nil {
 		return wire.Frame{}, fmt.Errorf("stream: %w", err)
 	}
 	sp := s.loop.Tracer.StartEpoch(obs.Event{Step: int64(s.step), Clique: -1, Node: -1, Detail: "stream"})
-	s.ch.frame = wire.Frame{Step: s.step}
+	s.ch.frame = wire.Frame{Step: s.step, Attrs: s.ch.frame.Attrs[:0], Values: s.ch.frame.Values[:0]}
 	if err := s.loop.SourceEpoch(int64(s.step), sp, truth); err != nil {
 		return wire.Frame{}, err
 	}
-	frame := s.ch.frame
+	frame := wire.Frame{Step: s.step, Special: s.ch.frame.Special}
+	if built := s.ch.frame; len(built.Attrs) > 0 {
+		frame.Attrs, frame.Values = slices.Clone(built.Attrs), slices.Clone(built.Values)
+	}
 	s.mFrames.Inc()
 	s.mValues.Add(int64(len(frame.Attrs)))
 	if frame.Special == wire.KindHeartbeat {
