@@ -13,21 +13,25 @@ func TestAllocBudgetGauss(t *testing.T) {
 	if alloctest.RaceEnabled {
 		t.Skip("alloc budgets are not meaningful under -race")
 	}
-	const n = 5
-	mean := make([]float64, n)
-	cov := mat.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		mean[i] = float64(i)
-		for j := 0; j < n; j++ {
-			d := i - j
-			if d < 0 {
-				d = -d
+	// band is a belief of dimension n with a banded, diagonally dominant Σ.
+	band := func(n int) *Gaussian {
+		mean := make([]float64, n)
+		cov := mat.NewDense(n, n)
+		for i := 0; i < n; i++ {
+			mean[i] = float64(i)
+			for j := 0; j < n; j++ {
+				d := i - j
+				if d < 0 {
+					d = -d
+				}
+				cov.Set(i, j, 1/float64(1+d))
 			}
-			cov.Set(i, j, 1/float64(1+d))
+			cov.Add(i, i, 2)
 		}
-		cov.Add(i, i, 2)
+		return MustNew(mean, cov)
 	}
-	g := MustNew(mean, cov)
+	const n = 5
+	g := band(n)
 	a := mat.NewDense(n, n)
 	q := mat.NewDense(n, n)
 	for i := 0; i < n; i++ {
@@ -135,6 +139,38 @@ func TestAllocBudgetGauss(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := g.CondMeanInto(dst, ws); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The written-out first two rounds: a two-attribute clique's search
+	// answers once and ends when its second pick completes the report.
+	g2, ws2, dst2 := band(2), NewWorkspace(2), make([]float64, 2)
+	budget("two-pick search, n = 2", 0, func() {
+		if err := g2.CondReset(ws2); err != nil {
+			t.Fatal(err)
+		}
+		if err := g2.CondAdd(1, 0.5, ws2); err != nil {
+			t.Fatal(err)
+		}
+		if err := g2.CondMeanInto(dst2, ws2); err != nil {
+			t.Fatal(err)
+		}
+		if err := g2.CondAdd(0, -0.25, ws2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The third add replays the two held rows into the generic factor.
+	g4, ws4, dst4 := band(4), NewWorkspace(4), make([]float64, 4)
+	budget("three adds, n = 4", 0, func() {
+		if err := g4.CondReset(ws4); err != nil {
+			t.Fatal(err)
+		}
+		for k, i := range []int{2, 0, 3} {
+			if err := g4.CondAdd(i, vals[k%2], ws4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := g4.CondMeanInto(dst4, ws4); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -524,10 +524,20 @@ func TestPredictIsItsTwoHalves(t *testing.T) {
 		if err := whole.Predict(a, aT, mat.NewDense(n+1, n+1), ws); err == nil {
 			t.Fatalf("n=%d: Predict took a Q of the wrong shape", n)
 		}
-		if err := whole.PredictMean(mat.NewDense(n+1, n), ws); err == nil {
-			t.Fatalf("n=%d: PredictMean took an A of the wrong shape", n)
+		if err := whole.PredictMean(mat.NewDense(n+1, n), ws); !errors.Is(err, mat.ErrDimension) {
+			t.Fatalf("n=%d: PredictMean took an A of the wrong shape (%v)", n, err)
 		}
-		if !reflect.DeepEqual(beliefBits(whole), before) || ws.Generation() != 1 {
+		// A workspace of another dimension is refused too, whatever A's
+		// shape: an (n+1)×n A against an (n+1)-dim workspace would
+		// otherwise pass MulVecInto's checks and keep n rows of A·μ.
+		wide := NewWorkspace(n + 1)
+		if err := whole.PredictMean(a, wide); !errors.Is(err, mat.ErrDimension) {
+			t.Fatalf("n=%d: PredictMean took a workspace of dim %d (%v)", n, n+1, err)
+		}
+		if err := whole.PredictMean(mat.NewDense(n+1, n), wide); !errors.Is(err, mat.ErrDimension) {
+			t.Fatalf("n=%d: PredictMean took an (n+1)×n A with an (n+1)-dim workspace (%v)", n, err)
+		}
+		if !reflect.DeepEqual(beliefBits(whole), before) || ws.Generation() != 1 || wide.Generation() != 0 {
 			t.Fatalf("n=%d: a refused transition moved the belief", n)
 		}
 	}

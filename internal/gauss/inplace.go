@@ -34,16 +34,18 @@ type Workspace struct {
 
 	// Incremental-conditioning evaluator cache: the observed index set in
 	// insertion order, the observed values and mean residuals, and the
-	// Cholesky factor of the observed block grown one index at a time via
-	// Extend. See CondReset/CondAdd/CondMeanInto.
-	evalG     *Gaussian
-	evalGen   uint64
-	evalIdx   []int
-	evalVals  []float64
-	evalDelta []float64
-	evalW     []float64
-	evalCol   []float64
-	evalCh    *mat.Cholesky
+	// Cholesky factor of the observed block: its first two rows in l00,
+	// l10 and l11, and from the third index on all of it in evalCh, grown
+	// one index at a time via Extend. See CondReset/CondAdd/CondMeanInto.
+	evalG         *Gaussian
+	evalGen       uint64
+	evalIdx       []int
+	evalVals      []float64
+	evalDelta     []float64
+	evalW         []float64
+	evalCol       []float64
+	evalCh        *mat.Cholesky
+	l00, l10, l11 float64
 }
 
 // NewWorkspace allocates scratch for Gaussians of dimension n.
@@ -100,12 +102,16 @@ func (g *Gaussian) Predict(a, aT, q *mat.Dense, ws *Workspace) error {
 // readers want only the mean may owe the covariance half until something is
 // about to read Σ (model.LinearGaussian does).
 func (g *Gaussian) PredictMean(a *mat.Dense, ws *Workspace) error {
-	if n := len(g.mean); n <= 2 && ws.n == n && a.Rows() == n && a.Cols() == n { // MulVecInto's checks, passed
+	n := len(g.mean)
+	if ws.n != n || a.Rows() != n || a.Cols() != n {
+		return fmt.Errorf("%w: workspace dim %d, A %dx%d, distribution dim %d", mat.ErrDimension, ws.n, a.Rows(), a.Cols(), n)
+	}
+	if n <= 2 {
 		predictMeanSmall(a.DataView(), g.mean)
 		ws.gen++
 		return nil
 	}
-	if err := a.MulVecInto(ws.mu, g.mean); err != nil { // holds a, μ and the workspace to one n
+	if err := a.MulVecInto(ws.mu, g.mean); err != nil {
 		return err
 	}
 	copy(g.mean, ws.mu)

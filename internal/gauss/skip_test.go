@@ -129,6 +129,7 @@ func (s *byteSrc) mask() uint16 { return uint16(s.next()) | uint16(s.next())<<8 
 // A·Σ·Aᵀ is zero, the sum a transition halves there is −2⁻¹⁰⁷⁴. Flag 16
 // sets Q_00 to −0: where (A·Σ·Aᵀ)_00 adds only −0 products, a sum started
 // from +0 leaves +0 there and one started from the first product −0.
+// Flag 32 only tells FuzzCovKernels to run hypothesis ops (runKernels).
 func kernelCase(s *byteSrc, negZero bool) (g *Gaussian, a, q *mat.Dense) {
 	n := 1 + int(s.next())%12
 	flags, dead := s.next(), s.mask()
@@ -198,15 +199,164 @@ func refPredictMean(t testing.TB, mean []float64, a *mat.Dense) {
 	copy(mean, mu)
 }
 
+// refEval is the conditioning evaluator with no written-out rounds: a fresh
+// mat.Cholesky grown by Extend, answered by SolveVecInPlace and an At loop. It models the binding too: any move of
+// the belief unbinds it, and an unbound evaluator answers errCondStale.
+type refEval struct {
+	bound     bool
+	ch        *mat.Cholesky
+	idx       []int
+	vals, dlt []float64
+	col, w    []float64
+}
+
+func (r *refEval) reset(n int) {
+	r.bound = true
+	r.ch = mat.NewCholeskyWorkspace(n)
+	r.ch.Reset()
+	r.idx, r.vals, r.dlt = r.idx[:0], r.vals[:0], r.dlt[:0]
+}
+
+func (r *refEval) add(g *Gaussian, i int, v float64) error {
+	if !r.bound {
+		return errCondStale
+	}
+	if i < 0 || i >= len(g.mean) {
+		return fmt.Errorf("gauss: condition index %d out of range %d", i, len(g.mean))
+	}
+	if slices.Contains(r.idx, i) {
+		return fmt.Errorf("gauss: attribute %d already in the observed set", i)
+	}
+	r.col = r.col[:0]
+	for _, j := range r.idx {
+		r.col = append(r.col, g.cov.At(j, i))
+	}
+	if err := r.ch.Extend(r.col, g.cov.At(i, i)); err != nil {
+		if errors.Is(err, mat.ErrSingular) {
+			return fmt.Errorf("%w: attribute %d: %w", ErrDegenerate, i, err)
+		}
+		return err
+	}
+	r.idx, r.vals, r.dlt = append(r.idx, i), append(r.vals, v), append(r.dlt, v-g.mean[i])
+	return nil
+}
+
+func (r *refEval) mean(g *Gaussian, dst []float64) error {
+	if !r.bound {
+		return errCondStale
+	}
+	n, m := len(g.mean), len(r.idx)
+	if m == 0 {
+		copy(dst, g.mean)
+		return nil
+	}
+	r.w = append(r.w[:0], r.dlt...)
+	if err := r.ch.SolveVecInPlace(r.w); err != nil {
+		return err
+	}
+	for row := 0; row < n; row++ {
+		s := g.mean[row]
+		for k, j := range r.idx {
+			s += g.cov.At(row, j) * r.w[k]
+		}
+		dst[row] = s
+	}
+	for k, j := range r.idx {
+		dst[j] = r.vals[k]
+	}
+	return nil
+}
+
+// spellZeros rewrites every ±0 entry of cov as z.
+func spellZeros(cov *mat.Dense, z float64) {
+	d := cov.DataView()
+	for k, v := range d {
+		if isZero(v) {
+			d[k] = z
+		}
+	}
+}
+
+// runHypothesis is the hypothesis op: with bit 2 of op clear it resets
+// both evaluators, with it set it carries on with them as they stand, stale
+// if the belief moved since their reset. The next byte counts the adds
+// (one to n+1, so the last may repeat an attribute), each an attribute
+// byte (modulo n+1, so n is out of range) and a value byte, taken in byte
+// order. After each add both answer. Every add and answer must match the
+// reference: the same error text, or bit for bit the same answer, and an
+// add both refuse leaves the answer as it was. Bit 3 of a resetting op
+// spells Σ's zeros −0 for the op's length (on both sides), then restores
+// them and unbinds both.
+func runHypothesis(t testing.TB, g, ref *Gaussian, ws *Workspace, re *refEval, op byte, ops *byteSrc) string {
+	t.Helper()
+	n := len(g.mean)
+	what := "CondAdd"
+	if op&4 == 0 {
+		what = "CondReset+CondAdd"
+		if op&8 != 0 {
+			what = "CondReset+CondAdd (Σ's zeros −0)"
+			spellZeros(g.cov, math.Copysign(0, -1))
+			spellZeros(ref.cov, math.Copysign(0, -1))
+			defer func() {
+				spellZeros(g.cov, 0)
+				spellZeros(ref.cov, 0)
+				ws.evalG, re.bound = nil, false
+			}()
+		}
+		if err := g.CondReset(ws); err != nil {
+			t.Fatal(err)
+		}
+		re.reset(n)
+	}
+	got, want := make([]float64, n), make([]float64, n)
+	var last []uint64 // the last answer, nil before the first
+	for range 1 + int(ops.next())%(n+1) {
+		i, v := int(ops.next())%(n+1), ops.value()
+		err, rerr := g.CondAdd(i, v, ws), re.add(ref, i, v)
+		if fmt.Sprint(err) != fmt.Sprint(rerr) || errors.Is(err, ErrDegenerate) != errors.Is(rerr, ErrDegenerate) {
+			t.Fatalf("%s(%d, %v) = %v, the reference %v", what, i, v, err, rerr)
+		}
+		refused := err != nil
+		err, rerr = g.CondMeanInto(got, ws), re.mean(ref, want)
+		if fmt.Sprint(err) != fmt.Sprint(rerr) {
+			t.Fatalf("CondMeanInto after %s(%d, %v) = %v, the reference %v", what, i, v, err, rerr)
+		}
+		if err != nil {
+			last = nil
+			continue
+		}
+		bits := bitsOf(got)
+		if !slices.Equal(bits, bitsOf(want)) {
+			t.Fatalf("CondMeanInto after %s(%d, %v) = %v, the reference %v", what, i, v, got, want)
+		}
+		if refused && last != nil && !slices.Equal(bits, last) {
+			t.Fatalf("a refused %s(%d, %v) moved the answer", what, i, v)
+		}
+		last = bits
+	}
+	return what
+}
+
+// bitsOf returns the bits of vs.
+func bitsOf(vs []float64) []uint64 {
+	out := make([]uint64, len(vs))
+	for k, v := range vs {
+		out[k] = math.Float64bits(v)
+	}
+	return out
+}
+
 // runKernels replays ops against g and a twin run on the references,
 // failing on the first bit that differs: each op byte predicts the
 // covariance (odd, bit 1 clear), predicts the mean (odd, bit 1 set) or
 // observes the attributes of the next two bytes' mask (even), at values
-// decoded from the bytes after.
-func runKernels(t testing.TB, g *Gaussian, a, q *mat.Dense, ops *byteSrc) {
+// decoded from the bytes after. With hyp, an even op byte with bit 1 set
+// is a hypothesis (runHypothesis) instead, held to refEval.
+func runKernels(t testing.TB, g *Gaussian, a, q *mat.Dense, ops *byteSrc, hyp bool) {
 	t.Helper()
 	n := len(g.mean)
 	ref, ws := g.Clone(), NewWorkspace(n)
+	var re refEval
 	for step := 0; ops.i < len(ops.b) && step < 32; step++ {
 		var what string
 		if op := ops.next(); op%2 == 1 && op&2 == 0 {
@@ -215,6 +365,7 @@ func runKernels(t testing.TB, g *Gaussian, a, q *mat.Dense, ops *byteSrc) {
 				t.Fatal(err)
 			}
 			refPredictCov(t, ref.cov, a, q)
+			re.bound = false
 		} else if op%2 == 1 {
 			what = "PredictMean"
 			gen := ws.Generation()
@@ -225,6 +376,9 @@ func runKernels(t testing.TB, g *Gaussian, a, q *mat.Dense, ops *byteSrc) {
 				t.Fatalf("step %d: PredictMean moved the generation %d → %d, want one bump", step, gen, got)
 			}
 			refPredictMean(t, ref.mean, a)
+			re.bound = false
+		} else if hyp && op&2 != 0 {
+			what = runHypothesis(t, g, ref, ws, &re, op, ops)
 		} else {
 			m := ops.mask()
 			var idx []int
@@ -240,6 +394,9 @@ func runKernels(t testing.TB, g *Gaussian, a, q *mat.Dense, ops *byteSrc) {
 			err, rerr := g.ObserveExact(idx, vals, ws), refObserve(ref, idx, vals)
 			if (err == nil) != (rerr == nil) || err != nil && !errors.Is(err, ErrDegenerate) {
 				t.Fatalf("step %d: %s = %v, the reference %v", step, what, err, rerr)
+			}
+			if err == nil && len(idx) > 0 {
+				re.bound = false
 			}
 		}
 		if got, want := beliefBits(g), beliefBits(ref); !reflect.DeepEqual(got, want) {
@@ -261,7 +418,7 @@ func TestPredictCovSkipsOnlyZeros(t *testing.T) {
 			buf[0], buf[1] = byte(n-1), flags
 			buf[2], buf[3] = byte(r.Intn(1<<min(n, 8))), byte(r.Intn(1<<max(n-8, 0)))
 			g, a, q := kernelCase(&byteSrc{b: buf}, true)
-			runKernels(t, g, a, q, &byteSrc{b: []byte{1, 3, 1, 3, 1}})
+			runKernels(t, g, a, q, &byteSrc{b: []byte{1, 3, 1, 3, 1}}, false)
 		}
 	}
 }
@@ -287,7 +444,7 @@ func TestObserveExactSkipsOnlyZeros(t *testing.T) {
 				}
 				ops = append(ops, 0, byte(m), byte(m>>8), byte(r.Intn(256)), byte(r.Intn(256)), 1)
 			}
-			runKernels(t, g, a, q, &byteSrc{b: ops})
+			runKernels(t, g, a, q, &byteSrc{b: ops}, false)
 		}
 	}
 }
@@ -318,7 +475,7 @@ func TestNegativeZeroCovFromJSON(t *testing.T) {
 	q := mat.NewDenseFrom([][]float64{{0.1, 0, 0}, {0, 0.2, 0}, {0, 0, 0.3}})
 	// Observe 0, whose column has a zero, then 1 with row and column 0
 	// dead, predict, observe 0 and 2 together.
-	runKernels(t, g, a, q, &byteSrc{b: []byte{0, 0b001, 0, 40, 0, 0b010, 0, 50, 1, 0, 0b101, 0, 60, 70}})
+	runKernels(t, g, a, q, &byteSrc{b: []byte{0, 0b001, 0, 40, 0, 0b010, 0, 50, 1, 0, 0b101, 0, 60, 70}}, false)
 }
 
 // halvingCase is n = 3 with Σ all zero (dead mask 0b111) and flag 8: a
@@ -354,15 +511,22 @@ func TestHalvingLeavesNoNegativeZero(t *testing.T) {
 	}
 	s := &byteSrc{b: halvingCase}
 	g, a, q = kernelCase(s, false)
-	runKernels(t, g, a, q, &byteSrc{b: halvingCase[s.i:]})
+	runKernels(t, g, a, q, &byteSrc{b: halvingCase[s.i:]}, false)
 }
 
 // FuzzCovKernels decodes a belief, a transition and a schedule of
-// predictions and reports from bytes and holds PredictCov, PredictMean and
-// ObserveExact to the written-out references. The checked-in corpus
+// predictions, reports and (with flag 32) hypothesis searches from bytes and
+// holds PredictCov, PredictMean, ObserveExact and the conditioning evaluator
+// to the written-out references. The checked-in corpus
 // (testdata/fuzz/FuzzCovKernels) also holds the 1×1 and 2×2 forms to the
 // cases above: at n = 2 the halving, a dead column alone, a zero and a −0
-// in A and a degenerate pivot; at n = 1 and 2 a −0 in A and Q_00 = −0.
+// in A and a degenerate pivot; at n = 1 and 2 a −0 in A and Q_00 = −0. Its
+// cond-* seeds hold the evaluator's written-out first two rounds to the
+// generic factor: a refused pivot at m = 0, 1 and 2, the crossing to the
+// generic factor at n = 3, 4 and 8 (also after a refusal at m = 1), Σ's
+// zeros spelled −0, and a search carried on after a transition unbound it.
+// Flag 32 gates the hypothesis op so that a seed without it keeps its
+// schedule's meaning.
 func FuzzCovKernels(f *testing.F) {
 	f.Add([]byte{7, 3, 0b101, 0, 9, 200, 17, 33, 1, 0, 0b11, 0, 5, 6, 1, 0, 1, 0, 7})
 	f.Add([]byte{0, 0, 0, 0, 1, 1})
@@ -374,6 +538,6 @@ func FuzzCovKernels(f *testing.F) {
 		}
 		s := &byteSrc{b: data}
 		g, a, q := kernelCase(s, false)
-		runKernels(t, g, a, q, &byteSrc{b: data[s.i:]})
+		runKernels(t, g, a, q, &byteSrc{b: data[s.i:]}, len(data) > 1 && data[1]&32 != 0)
 	})
 }

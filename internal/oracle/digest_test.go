@@ -6,12 +6,15 @@ import (
 	"fmt"
 	"hash"
 	"hash/fnv"
+	"io"
 	"math"
 	"runtime"
 	"testing"
 
 	"ken/internal/cliques"
 	"ken/internal/core"
+	"ken/internal/model"
+	"ken/internal/protocol"
 	"ken/internal/stream"
 	"ken/internal/trace"
 	"ken/internal/wire"
@@ -82,6 +85,94 @@ func TestStreamBitsPinned(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSearchBitsPinned pins the bits of every answer the report search's
+// evaluator gives. A frame records only which way each ε comparison went,
+// so an ulp moved in a hypothesised mean passes TestStreamBitsPinned unless
+// it flips a pick; this digest sees the ulp. Lab seed 1, 2 000 test steps,
+// cliques.Runs(49, k, RootFirst), one lone replica per clique stepped by
+// protocol.Kernel.Advance: every CondMeanInto answer's bits and every
+// evaluator error string go into one FNV-64a, with each epoch's report
+// size. k = 3 makes the search cross from two held attributes to three.
+// Pinned on amd64, like its sibling.
+func TestSearchBitsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests are pinned on amd64; %s may fuse or round differently", runtime.GOARCH)
+	}
+	exp := must(trace.LoadExperiment("lab", 1, 100, 2000, 0))
+	for _, tc := range []struct {
+		k    int
+		want uint64
+	}{
+		{2, 0xc107eead519708ae},
+		{3, 0x80c77d2193ee257d},
+		{8, 0x58b14157dc4511dd},
+	} {
+		t.Run(fmt.Sprint("k=", tc.k), func(t *testing.T) {
+			t.Parallel()
+			part := must(cliques.Runs(len(exp.Eps), tc.k, cliques.RootFirst))
+			h := fnv.New64a()
+			kernels := make([]*protocol.Kernel, len(part.Cliques))
+			for ci, c := range part.Cliques {
+				cols, local, err := protocol.Project(exp.Train, exp.Eps, c.Members)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lg := must(model.FitLinearGaussian(cols, fitCfg))
+				kernels[ci] = must(protocol.New(hashingModel{lg, h}, c.Members, local))
+			}
+			reported := 0
+			var b [8]byte
+			for _, truth := range exp.Test {
+				for _, k := range kernels {
+					// A failed search is part of the pin: its error string
+					// is in the digest, and the epoch reports nothing.
+					n, err := k.Advance(truth)
+					if err != nil {
+						io.WriteString(h, err.Error())
+					}
+					binary.LittleEndian.PutUint64(b[:], uint64(n))
+					h.Write(b[:])
+					reported += n
+				}
+			}
+			if reported == 0 {
+				t.Fatal("nothing reported: the search was never exercised")
+			}
+			if got := h.Sum64(); got != tc.want {
+				t.Errorf("digest %#016x, pinned %#016x", got, tc.want)
+			}
+		})
+	}
+}
+
+// hashingModel is a LinearGaussian whose evaluator feeds every answer's
+// bits and every error string to h.
+type hashingModel struct {
+	*model.LinearGaussian
+	h hash.Hash
+}
+
+func (m hashingModel) CondReset() error { return m.sum(m.LinearGaussian.CondReset()) }
+
+func (m hashingModel) CondAdd(i int, v float64) error {
+	return m.sum(m.LinearGaussian.CondAdd(i, v))
+}
+
+func (m hashingModel) CondMeanInto(dst []float64) error {
+	err := m.LinearGaussian.CondMeanInto(dst)
+	if err == nil {
+		writeBits(m.h, dst)
+	}
+	return m.sum(err)
+}
+
+func (m hashingModel) sum(err error) error {
+	if err != nil {
+		io.WriteString(m.h, err.Error())
+	}
+	return err
 }
 
 // writeBits feeds the bits of vs to h, little-endian.
