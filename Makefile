@@ -113,6 +113,10 @@ sinkd-smoke:
 # replayed through kenaudit -strict (ε bound, no silent divergence, byte
 # accounting). The two kenbench audit reports must be byte-identical —
 # parallel scheduling may reorder trace lines but never the audited facts.
+# One kensim run written both as a flat file and as a segmented store must
+# give cmp-equal kenaudit -json reports, whole and under an -epochs window
+# (the store's index seek reads the same events a flat scan filters), and
+# the store directory must hold nothing but seg-*.jsonl.
 # The last leg exercises the tamper evidence of the segmented store: the
 # same kensim run written as a hash-chained store must pass
 # kenaudit -verify-chain, and must fail it (exit 1) after a single flipped
@@ -132,12 +136,22 @@ audit-smoke:
 	$(GO) run ./cmd/kenaudit -trace "$$tmp/seq.jsonl" -strict -q -json "$$tmp/seq.json" && \
 	$(GO) run ./cmd/kenaudit -trace "$$tmp/par.jsonl" -strict -q -json "$$tmp/par.json" && \
 	cmp "$$tmp/seq.json" "$$tmp/par.json" && \
+	$(GO) run ./cmd/kensim -dataset lab -scheme all -parallel 1 -test 300 -trace-out "$$tmp/one.jsonl" >/dev/null && \
+	$(GO) run ./cmd/kensim -dataset lab -scheme all -parallel 1 -test 300 -trace-out "$$tmp/one/" -trace-segment-events 5000 >/dev/null && \
+	if ls "$$tmp/one" | grep -qv '^seg-[0-9]*\.jsonl$$'; then \
+		echo "audit-smoke: FAIL (store holds files other than seg-*.jsonl)"; ls "$$tmp/one"; exit 1; fi && \
+	$(GO) run ./cmd/kenaudit -trace "$$tmp/one.jsonl" -strict -q -json "$$tmp/one-flat.json" && \
+	$(GO) run ./cmd/kenaudit -trace "$$tmp/one" -strict -q -json "$$tmp/one-store.json" && \
+	cmp "$$tmp/one-flat.json" "$$tmp/one-store.json" && \
+	$(GO) run ./cmd/kenaudit -trace "$$tmp/one.jsonl" -epochs 100:200 -q -json "$$tmp/win-flat.json" && \
+	$(GO) run ./cmd/kenaudit -trace "$$tmp/one" -epochs 100:200 -q -json "$$tmp/win-store.json" && \
+	cmp "$$tmp/win-flat.json" "$$tmp/win-store.json" && \
 	$(GO) run ./cmd/kensim -dataset lab -scheme djc -parallel 1 -test 200 -trace-out "$$tmp/store/" -trace-segment-events 500 >/dev/null && \
 	$(GO) run ./cmd/kenaudit -trace "$$tmp/store" -verify-chain -strict -q 2>/dev/null && \
 	printf 'X' | dd of="$$tmp/store/seg-00000000.jsonl" bs=1 seek=100 count=1 conv=notrunc 2>/dev/null && \
 	if $(GO) run ./cmd/kenaudit -trace "$$tmp/store" -verify-chain -q 2>/dev/null; then \
 		echo "audit-smoke: FAIL (verify-chain accepted a corrupted store)"; exit 1; fi && \
-	echo "audit-smoke: PASS (traces audit clean; parallel == sequential; corruption detected)"
+	echo "audit-smoke: PASS (traces audit clean; parallel == sequential; flat == store, whole and windowed; corruption detected)"
 
 # faults-smoke proves the reliability layer under fire: the §6 lossy
 # protocol (kensim, 20% report loss with heartbeats) and the full packet

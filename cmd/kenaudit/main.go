@@ -17,7 +17,7 @@
 //	kenaudit -trace run.jsonl                 # markdown summary to stdout
 //	kenaudit -trace run.jsonl -json report.json
 //	kenaudit -trace run.jsonl -strict         # exit 1 on any violation
-//	kenbench ... -trace-out - | kenaudit -trace -   # read stdin
+//	kenaudit -trace - < run.jsonl             # read stdin
 //	kenaudit -trace runs/ -verify-chain       # tamper check, then audit
 //	kenaudit -trace runs/ -scope sim/net -epochs 100:200
 //
@@ -44,28 +44,15 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
 
-// window is the optional -scope/-epochs restriction of an audit.
-type window struct {
-	scope    string
-	hasSteps bool
-	minStep  int64
-	maxStep  int64
-}
-
-func (w window) active() bool { return w.scope != "" || w.hasSteps }
-
-// match mirrors tracestore.Filter semantics exactly, so the index-driven
-// segment selection is a superset of what this admits.
-func (w window) match(e *obs.Event) bool {
-	f := tracestore.Filter{Scope: w.scope, HasSteps: w.hasSteps, MinStep: w.minStep, MaxStep: w.maxStep}
-	if !f.MatchScope(e.Scope) || !f.MatchStep(e.Step) {
-		return false
-	}
+// inWindow reports whether an event passes the -scope/-epochs window f.
+// Its scope and step tests are the ones the store index plans a seek with,
+// so the segments the index selects hold every event admitted here.
+func inWindow(f tracestore.Filter, e *obs.Event) bool {
 	// A windowed audit sees only a slice of each run, so the run_end
 	// declarations (total steps/values/bytes, ε-miss reconciliation)
 	// cannot hold over it; auditing the window against them would only
 	// manufacture false violations.
-	return !(w.hasSteps && e.Type == obs.EvRunEnd)
+	return f.MatchScope(e.Scope) && f.MatchStep(e.Step) && !(f.HasSteps && e.Type == obs.EvRunEnd)
 }
 
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
@@ -87,14 +74,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	win := window{scope: *scope}
+	win := tracestore.Filter{Scope: *scope}
 	if *epochsFlag != "" {
 		lo, hi, err := parseEpochs(*epochsFlag)
 		if err != nil {
 			fmt.Fprintf(stderr, "kenaudit: %v\n", err)
 			return 2
 		}
-		win.hasSteps, win.minStep, win.maxStep = true, lo, hi
+		win.HasSteps, win.MinStep, win.MaxStep = true, lo, hi
 	}
 
 	isDir := *tracePath != "-" && isDirTrace(*tracePath)
@@ -102,50 +89,35 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "kenaudit: -verify-chain needs a segmented trace store directory")
 		return 2
 	}
-
-	var rep *audit.Report
-	switch {
-	case isDir:
-		if *verify {
-			info, err := tracestore.VerifyChain(*tracePath)
-			if err != nil {
-				fmt.Fprintf(stderr, "kenaudit: %v\n", err)
-				var ce *tracestore.ChainError
-				if errors.As(err, &ce) {
-					return 1
-				}
-				return 2
-			}
-			fmt.Fprintf(stderr, "kenaudit: chain OK: %d segments, %d events, head %s\n",
-				info.Segments, info.Events, info.Head)
-		}
-		var err error
-		rep, err = auditStore(*tracePath, win)
+	if *verify {
+		info, err := tracestore.VerifyChain(*tracePath)
 		if err != nil {
 			fmt.Fprintf(stderr, "kenaudit: %v\n", err)
-			return 2
-		}
-	default:
-		in := stdin
-		if *tracePath != "-" {
-			f, err := os.Open(*tracePath)
-			if err != nil {
-				fmt.Fprintf(stderr, "kenaudit: %v\n", err)
-				return 2
+			var ce *tracestore.ChainError
+			if errors.As(err, &ce) {
+				return 1
 			}
-			defer f.Close()
-			in = f
-		}
-		var err error
-		rep, err = auditFlat(in, win)
-		if err != nil {
-			fmt.Fprintf(stderr, "kenaudit: %v\n", err)
 			return 2
 		}
+		fmt.Fprintf(stderr, "kenaudit: chain OK: %d segments, %d events, head %s\n",
+			info.Segments, info.Events, info.Head)
 	}
 
+	var a audit.Auditor
+	err := eachEvent(*tracePath, isDir, stdin, win, func(e obs.Event) error {
+		if inWindow(win, &e) {
+			a.Feed(e)
+		}
+		return nil
+	})
+	if err != nil {
+		fmt.Fprintf(stderr, "kenaudit: %v\n", err)
+		return 2
+	}
+	rep := a.Finish()
+
 	if rep.Events == 0 {
-		if win.active() {
+		if win.Scope != "" || win.HasSteps {
 			fmt.Fprintln(stderr, "kenaudit: no events matched the -scope/-epochs window")
 		} else {
 			fmt.Fprintln(stderr, "kenaudit: no events in trace")
@@ -215,53 +187,39 @@ func parseEpochs(s string) (lo, hi int64, err error) {
 	return lo, hi, nil
 }
 
-// auditFlat streams a flat JSONL trace (or stdin) through the auditor,
-// applying the window event by event.
-func auditFlat(in io.Reader, win window) (*audit.Report, error) {
-	var a audit.Auditor
-	if err := obs.StreamEvents(in, func(e obs.Event) error {
-		if win.match(&e) {
-			a.Feed(e)
+// eachEvent hands fn the events of a flat file, stdin ("-") or store
+// directory in trace order. For a store the per-segment index turns the
+// window into a seek: segments, and scope runs within them, that cannot
+// hold a matching event are never read. The caller still applies the
+// window event by event, since the index only rules segments out.
+func eachEvent(path string, isDir bool, stdin io.Reader, win tracestore.Filter, fn func(obs.Event) error) error {
+	if !isDir {
+		in := stdin
+		if path != "-" {
+			f, err := os.Open(path)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			in = f
 		}
-		return nil
-	}); err != nil {
-		return nil, err
+		return obs.StreamEvents(in, fn)
 	}
-	return a.Finish(), nil
-}
-
-// auditStore audits a segmented trace store. The per-segment index turns
-// a -scope/-epochs window into a seek: segments (and scope runs within
-// them) that cannot contain matching events are never read.
-func auditStore(dir string, win window) (*audit.Report, error) {
-	st, err := tracestore.Open(dir)
+	st, err := tracestore.Open(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	sel, err := st.Select(tracestore.Filter{
-		Scope: win.scope, HasSteps: win.hasSteps, MinStep: win.minStep, MaxStep: win.maxStep,
-	})
+	sel, err := st.Select(win)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var a audit.Auditor
 	n := 0
-	err = st.ScanSelection(sel, func(line []byte) error {
+	return st.ScanSelection(sel, func(line []byte) error {
 		var e obs.Event
 		if err := json.Unmarshal(line, &e); err != nil {
 			return fmt.Errorf("decoding trace event %d: %w", n, err)
 		}
 		n++
-		// The index narrows to candidate segments; the window decides
-		// event by event (an offset run can still contain steps or
-		// sub-scopes outside it).
-		if win.match(&e) {
-			a.Feed(e)
-		}
-		return nil
+		return fn(e)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return a.Finish(), nil
 }

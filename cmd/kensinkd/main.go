@@ -85,14 +85,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	o.ob = &obs.Observer{Reg: obs.NewRegistry()}
-	if *obsAddr != "" {
-		_, bound, err := obs.Serve(*obsAddr, o.ob.Reg)
-		if err != nil {
-			slog.Error("observability endpoint", "err", err)
-			return 1
-		}
-		slog.Info("observability endpoint up", "addr", bound.String(),
-			"paths", "/metrics /debug/vars /debug/pprof/")
+	if err := obs.StartEndpoint(*obsAddr, o.ob.Reg); err != nil {
+		slog.Error("observability endpoint", "err", err)
+		return 1
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -2,11 +2,11 @@
 //
 // A real deployment trace arrives as a CSV full of holes (radio loss,
 // reboots). This example: (1) writes such a CSV, complete with NaN gaps;
-// (2) loads and repairs it with trace.FromCSV + trace.FillGaps; (3) runs
-// Ken collection over it; (4) answers the exploratory windowed aggregates
-// the paper's biologists wanted — daily means, weekly extremes — from the
-// sink's answer stream alone, each with an error bar provably derived
-// from the collection contract.
+// (2) loads and repairs it with trace.ReadCSVMatrix, trace.FillGaps and
+// trace.FromMatrix; (3) runs Ken collection over it; (4) answers the
+// exploratory windowed aggregates the paper's biologists wanted — daily
+// means, weekly extremes — from the sink's answer stream alone, each with
+// an error bar provably derived from the collection contract.
 //
 //	go run ./examples/analysis
 package main

@@ -184,25 +184,15 @@ type Report struct {
 // Clean reports whether no invariant was violated.
 func (r *Report) Clean() bool { return len(r.Violations) == 0 }
 
-// Auditor verifies a trace. The zero value prices energy with
-// simnet.DefaultRadio().
+// Auditor verifies a trace; the zero value is ready to use. The
+// first-order energy estimate of the per-node rollup is priced with
+// simnet.DefaultRadio() (Joules = TxPerByte·tx + RxPerByte·rx).
 //
 // Two ways to drive it: hand Audit a decoded slice, or stream with
 // Feed + Finish when the trace is too large to hold — both run the same
 // state machine and produce byte-identical reports.
 type Auditor struct {
-	// Radio prices the first-order energy estimate of the per-node rollup
-	// (Joules = TxPerByte·tx + RxPerByte·rx). Nil uses simnet.DefaultRadio().
-	Radio *simnet.Radio
-
 	st *stream
-}
-
-func (a *Auditor) radio() simnet.Radio {
-	if a.Radio != nil {
-		return *a.Radio
-	}
-	return simnet.DefaultRadio()
 }
 
 // Feed streams one event into the auditor. State accumulates until
@@ -210,7 +200,7 @@ func (a *Auditor) radio() simnet.Radio {
 // bookkeeping is dropped as each epoch ends.
 func (a *Auditor) Feed(e obs.Event) {
 	if a.st == nil {
-		a.st = newStream(a.radio())
+		a.st = newStream()
 	}
 	a.st.feed(&e)
 }
@@ -219,7 +209,7 @@ func (a *Auditor) Feed(e obs.Event) {
 // auditor for the next trace.
 func (a *Auditor) Finish() *Report {
 	if a.st == nil {
-		a.st = newStream(a.radio())
+		a.st = newStream()
 	}
 	rep := a.st.finish()
 	a.st = nil
@@ -230,7 +220,7 @@ func (a *Auditor) Finish() *Report {
 // the rollups. It never fails — problems become Violations in the report.
 // Independent of any Feed stream in flight.
 func (a *Auditor) Audit(events []obs.Event) *Report {
-	s := newStream(a.radio())
+	s := newStream()
 	for i := range events {
 		s.feed(&events[i])
 	}
@@ -266,7 +256,6 @@ type hists struct {
 // updates, so any interleaving of the same per-scope streams produces a
 // byte-identical report.
 type stream struct {
-	radio  simnet.Radio
 	events int
 	scopes map[string]*scopeState
 	h      *hists
@@ -280,10 +269,9 @@ type stream struct {
 
 type linkKey struct{ from, to int }
 
-func newStream(radio simnet.Radio) *stream {
+func newStream() *stream {
 	reg := obs.NewRegistry()
 	return &stream{
-		radio:  radio,
 		scopes: map[string]*scopeState{},
 		h: &hists{
 			values:  reg.Histogram("epoch_values"),
@@ -939,15 +927,16 @@ func (s *stream) rollupEvent(e *obs.Event) {
 // finishRollup prices energy and emits the sorted rollup tables.
 func (s *stream) finishRollup(rep *Report) {
 	rep.LinkBytes = s.linkBytes
+	radio := simnet.DefaultRadio()
 	totalTx, totalRx := 0, 0
 	for _, i := range sortedKeys(s.nodes) {
 		n := s.nodes[i]
-		n.EnergyJ = float64(n.TxBytes)*s.radio.TxPerByte + float64(n.RxBytes)*s.radio.RxPerByte
+		n.EnergyJ = float64(n.TxBytes)*radio.TxPerByte + float64(n.RxBytes)*radio.RxPerByte
 		totalTx += n.TxBytes
 		totalRx += n.RxBytes
 		rep.Nodes = append(rep.Nodes, *n)
 	}
-	rep.TotalEnergyJ = float64(totalTx)*s.radio.TxPerByte + float64(totalRx)*s.radio.RxPerByte
+	rep.TotalEnergyJ = float64(totalTx)*radio.TxPerByte + float64(totalRx)*radio.RxPerByte
 	for _, i := range sortedKeys(s.cliques) {
 		rep.Cliques = append(rep.Cliques, *s.cliques[i])
 	}

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"ken/internal/network"
 )
@@ -91,34 +88,17 @@ func buildAtoms(top *network.Topology, eval Evaluator, maxCliqueSize int, asCliq
 			masks = append(masks, s)
 		}
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(masks) {
-		workers = len(masks)
-	}
 	errs := make([]error, len(masks))
-	var wg sync.WaitGroup
-	next := int64(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(masks) {
-					return
-				}
-				s := masks[i]
-				c, err := BuildClique(top, eval, bitsOf(s))
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				asClique[s] = c
-				built[s] = true
-			}
-		}()
-	}
-	wg.Wait()
+	forEach(len(masks), 0, func(i int) {
+		s := masks[i]
+		c, err := BuildClique(top, eval, bitsOf(s))
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		asClique[s] = c
+		built[s] = true
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err

@@ -186,34 +186,13 @@ func bestCliqueAround(top *network.Topology, eval Evaluator, seed int, pool []in
 		return Clique{}, fmt.Errorf("cliques: no candidate clique for seed %d", seed)
 	}
 
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(candidates) {
-		workers = len(candidates)
-	}
-
 	built := make([]Clique, len(candidates))
 	beaten := make([]bool, len(candidates))
 	errs := make([]error, len(candidates))
 	board := &scoreBoard{metric: cfg.Metric}
-	var wg sync.WaitGroup
-	next := int64(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(candidates) {
-					return
-				}
-				built[i], beaten[i], errs[i] = buildWithin(top, eval, candidates[i], board)
-			}
-		}()
-	}
-	wg.Wait()
+	forEach(len(candidates), cfg.Parallelism, func(i int) {
+		built[i], beaten[i], errs[i] = buildWithin(top, eval, candidates[i], board)
+	})
 
 	var best Clique
 	bestScore := 0.0
@@ -231,6 +210,35 @@ func bestCliqueAround(top *network.Topology, eval Evaluator, seed int, pool []in
 		}
 	}
 	return best, nil
+}
+
+// forEach calls f(i) for every i in [0, n) on up to workers goroutines
+// (GOMAXPROCS when workers <= 0) and returns once every call has. Callers
+// write each result into slot i, so the outcome does not depend on which
+// worker ran which index.
+func forEach(n, workers int, f func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	var wg sync.WaitGroup
+	var next atomic.Int64
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // scoreBoard is the best score among a round's candidates scored in full,

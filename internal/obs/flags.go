@@ -68,75 +68,63 @@ func (c CmdFlags) Setup() (*Observer, func(), error) {
 	}
 	ob := &Observer{Reg: NewRegistry()}
 	cleanup := func() {}
-	switch {
-	case c.TraceOut != "" && c.traceIsDir():
-		w, err := tracestore.Create(c.TraceOut, tracestore.Options{
-			MaxEvents: c.SegmentEvents, MaxBytes: c.SegmentBytes,
-		})
+	if c.TraceOut != "" {
+		sink, seal, closeSink, err := c.openTraceSink()
 		if err != nil {
 			return nil, nil, err
 		}
-		ob.Trace = NewTracerSink(w)
+		ob.Trace = NewTracerSink(sink)
 		if c.Timestamps {
 			ob.Trace.StampWallClock()
 		}
-		stop := sealOnSignal(ob.Trace, w)
-		dir := c.TraceOut
+		stop := sealOnSignal(ob.Trace, seal)
 		cleanup = func() {
 			stop()
 			if err := ob.Trace.Flush(); err != nil {
 				slog.Warn("trace flush failed", "err", err)
 			}
-			segments := w.Segments()
-			if err := w.Close(); err != nil {
-				slog.Warn("trace store close failed", "err", err)
-			}
-			slog.Info("segmented protocol trace written", "dir", dir,
-				"segments", segments, "events", ob.Trace.Events())
-		}
-	case c.TraceOut != "":
-		f, err := os.Create(c.TraceOut)
-		if err != nil {
-			return nil, nil, err
-		}
-		ob.Trace = NewTracer(f)
-		if c.Timestamps {
-			ob.Trace.StampWallClock()
-		}
-		stop := sealOnSignal(ob.Trace, nil)
-		path := c.TraceOut
-		cleanup = func() {
-			stop()
-			if err := ob.Trace.Flush(); err != nil {
-				slog.Warn("trace flush failed", "err", err)
-			}
-			if err := f.Close(); err != nil {
+			if err := closeSink(); err != nil {
 				slog.Warn("trace close failed", "err", err)
 			}
-			slog.Info("protocol trace written", "path", path, "events", ob.Trace.Events())
+			slog.Info("protocol trace written", "path", c.TraceOut, "events", ob.Trace.Events())
 		}
 	}
-	if c.Addr != "" {
-		_, bound, err := Serve(c.Addr, ob.Reg)
-		if err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-		slog.Info("observability endpoint up", "addr", bound.String(),
-			"paths", "/metrics /debug/vars /debug/pprof/")
+	if err := StartEndpoint(c.Addr, ob.Reg); err != nil {
+		cleanup()
+		return nil, nil, err
 	}
 	return ob, cleanup, nil
 }
 
-// sealOnSignal installs a handler that flushes the tracer — and seals
-// the segmented store, when one is behind it — on SIGINT/SIGTERM, so an
-// interrupted run still leaves an auditable trace. The tracer keeps
+// openTraceSink opens what -trace-out names: a segmented store for a
+// directory path, else a flat file. seal is the store's Seal (nil for a
+// file); closeSink seals and closes the store, or closes the file.
+func (c CmdFlags) openTraceSink() (sink LineSink, seal, closeSink func() error, err error) {
+	if c.traceIsDir() {
+		w, err := tracestore.Create(c.TraceOut, tracestore.Options{
+			MaxEvents: c.SegmentEvents, MaxBytes: c.SegmentBytes,
+		})
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		return w, w.Seal, w.Close, nil
+	}
+	f, err := os.Create(c.TraceOut)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return newFlatSink(f), nil, f.Close, nil
+}
+
+// sealOnSignal installs a handler that flushes the tracer — and calls
+// seal, the segmented store's Seal (nil for a flat file) — on
+// SIGINT/SIGTERM, so an interrupted run still leaves an auditable trace. The tracer keeps
 // working after a seal (the next event opens the successor segment), so
 // binaries with their own signal.NotifyContext drain gracefully and
 // re-flush on exit; a second signal force-exits with status 130 after a
 // final flush+seal, covering binaries without one. The returned stop
 // function unregisters the handler; it is idempotent.
-func sealOnSignal(t *Tracer, w *tracestore.Writer) func() {
+func sealOnSignal(t *Tracer, seal func() error) func() {
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	done := make(chan struct{})
@@ -145,8 +133,8 @@ func sealOnSignal(t *Tracer, w *tracestore.Writer) func() {
 		if err := t.Flush(); err != nil {
 			slog.Warn("trace flush on signal failed", "err", err)
 		}
-		if w != nil {
-			if err := w.Seal(); err != nil {
+		if seal != nil {
+			if err := seal(); err != nil {
 				slog.Warn("trace seal on signal failed", "err", err)
 			}
 		}
@@ -160,7 +148,7 @@ func sealOnSignal(t *Tracer, w *tracestore.Writer) func() {
 				seen++
 				flushSeal()
 				if seen == 1 {
-					slog.Info("trace flushed and sealed on signal; interrupt again to force exit")
+					slog.Info("trace flushed on signal; interrupt again to force exit", "sealed", seal != nil)
 					continue
 				}
 				os.Exit(130)

@@ -216,7 +216,7 @@ func TestSignalSealFailureIsLogged(t *testing.T) {
 	prev := slog.Default()
 	slog.SetDefault(slog.New(slog.NewTextHandler(&logs, nil)))
 	defer slog.SetDefault(prev)
-	stop := sealOnSignal(NewTracerSink(w), w)
+	stop := sealOnSignal(NewTracerSink(w), w.Seal)
 	defer stop()
 	if err := syscall.Kill(syscall.Getpid(), syscall.SIGINT); err != nil {
 		t.Fatal(err)
@@ -230,20 +230,28 @@ func TestSignalSealFailureIsLogged(t *testing.T) {
 	}
 }
 
+// TestTracerSinkMatchesFlatEncoding writes one event sequence both ways:
+// the store's event lines must be the flat trace's lines after its header,
+// byte for byte, and decode with their scope and span context intact.
 func TestTracerSinkMatchesFlatEncoding(t *testing.T) {
+	emit := func(tr *Tracer) {
+		scoped := tr.withScope("cell")
+		sp := scoped.StartEpoch(Event{Step: 3, Clique: 0, Node: -1})
+		sp.Emit(Event{Type: EvReport, Step: 3, Clique: 0, Node: 2, Attrs: []int{1}, Values: []float64{4.5}})
+		sp.EndEpoch(Event{Step: 3, Clique: 0, Node: -1, N: 1})
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var flat bytes.Buffer
+	emit(NewTracer(&flat))
 	dir := t.TempDir()
 	w, err := tracestore.Create(dir, tracestore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := NewTracerSink(w)
-	scoped := tr.withScope("cell")
-	sp := scoped.StartEpoch(Event{Step: 3, Clique: 0, Node: -1})
-	sp.Emit(Event{Type: EvReport, Step: 3, Clique: 0, Node: 2, Attrs: []int{1}, Values: []float64{4.5}})
-	sp.EndEpoch(Event{Step: 3, Clique: 0, Node: -1, N: 1})
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	emit(tr)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -251,13 +259,24 @@ func TestTracerSinkMatchesFlatEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []Event
-	if err := st.Scan(func(line []byte) error {
-		return StreamEvents(bytes.NewReader(line), func(e Event) error {
-			got = append(got, e)
-			return nil
-		})
+	sel, err := st.Select(tracestore.Filter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored bytes.Buffer
+	if err := st.ScanSelection(sel, func(line []byte) error {
+		stored.Write(line)
+		stored.WriteByte('\n')
+		return nil
 	}); err != nil {
+		t.Fatal(err)
+	}
+	_, flatEvents, _ := bytes.Cut(flat.Bytes(), []byte{'\n'})
+	if !bytes.Equal(stored.Bytes(), flatEvents) {
+		t.Fatalf("store lines differ from the flat trace's:\nstore:\n%s\nflat:\n%s", stored.Bytes(), flatEvents)
+	}
+	got, err := ReadEvents(&stored)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 {

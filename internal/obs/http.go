@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -114,4 +115,19 @@ func Serve(addr string, r *Registry) (*http.Server, net.Addr, error) {
 	srv := &http.Server{Handler: Handler(r), ReadHeaderTimeout: 5 * time.Second}
 	go func() { _ = srv.Serve(ln) }()
 	return srv, ln.Addr(), nil
+}
+
+// StartEndpoint is the -obs-addr leg every binary shares: when addr is set
+// it starts Serve and logs the bound address; an empty addr is a no-op.
+func StartEndpoint(addr string, r *Registry) error {
+	if addr == "" {
+		return nil
+	}
+	_, bound, err := Serve(addr, r)
+	if err != nil {
+		return err
+	}
+	slog.Info("observability endpoint up", "addr", bound.String(),
+		"paths", "/metrics /debug/vars /debug/pprof/")
+	return nil
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -143,25 +144,49 @@ type TraceHeader struct {
 	Schema int    `json:"schema"`
 }
 
-// LineSink receives encoded event lines instead of a flat byte stream —
-// the seam between the tracer and a segmented store. The scope and step
-// ride alongside the line so the sink can index without decoding it;
-// the line is the exact JSON the flat tracer would have written, sans
-// newline. tracestore.Writer satisfies this structurally, keeping the
-// dependency arrow pointing obs → tracestore.
+// LineSink receives encoded event lines — the seam between the tracer and
+// where its lines land: a flat file (NewTracer) or a segmented store
+// (NewTracerSink with a tracestore.Writer). The scope and step ride
+// alongside the line so a store can index without decoding it; the line
+// is the event's JSON, sans newline, and is only valid during the call.
+// tracestore.Writer satisfies this structurally, keeping the dependency
+// arrow pointing obs → tracestore.
 type LineSink interface {
 	WriteEventLine(scope string, step int64, line []byte) error
 	Flush() error
 }
 
-// tracerCore is the shared sink behind every scoped Tracer view. Exactly
-// one of (bw, enc) or sink is set: flat-file mode encodes straight into
-// the buffered writer; sink mode hands each encoded line to a LineSink.
+// flatSink is the flat-file LineSink: the schema-2 header line, then one
+// line per event, through one buffered writer.
+type flatSink struct{ bw *bufio.Writer }
+
+func newFlatSink(w io.Writer) flatSink {
+	s := flatSink{bufio.NewWriter(w)}
+	// Neither call can fail here: the header is a fixed two-field struct,
+	// and a line this short only lands in the empty buffer. A failing w
+	// shows at the first flush, which bufio reports and the tracer keeps.
+	hdr, _ := json.Marshal(TraceHeader{Kind: TraceKind, Schema: TraceSchema})
+	_ = s.WriteEventLine("", 0, hdr)
+	return s
+}
+
+func (s flatSink) WriteEventLine(_ string, _ int64, line []byte) error {
+	if _, err := s.bw.Write(line); err != nil {
+		return err
+	}
+	return s.bw.WriteByte('\n')
+}
+
+func (s flatSink) Flush() error { return s.bw.Flush() }
+
+// tracerCore is the shared sink behind every scoped Tracer view. Each
+// event is encoded into line, reused across events, so a traced run does
+// not allocate a copy of every line.
 type tracerCore struct {
 	mu     sync.Mutex
-	bw     *bufio.Writer
-	enc    *json.Encoder
 	sink   LineSink
+	line   bytes.Buffer
+	enc    *json.Encoder // encodes into line
 	err    error
 	events int64
 	spans  atomic.Int64
@@ -178,24 +203,19 @@ type Tracer struct {
 	c     *tracerCore
 }
 
-// NewTracer wraps the writer (typically an *os.File) in a buffered JSONL
-// encoder and writes the schema header line. Call Flush (or Close the
-// underlying file after Flush) when done.
+// NewTracer writes a flat trace to w (typically an *os.File): the schema
+// header line, then one JSON line per event, buffered. Call Flush (or
+// Close the underlying file after Flush) when done.
 func NewTracer(w io.Writer) *Tracer {
-	bw := bufio.NewWriter(w)
-	t := &Tracer{c: &tracerCore{bw: bw, enc: json.NewEncoder(bw)}}
-	if err := t.c.enc.Encode(TraceHeader{Kind: TraceKind, Schema: TraceSchema}); err != nil {
-		t.c.err = fmt.Errorf("obs: trace header: %w", err)
-	}
-	return t
+	return NewTracerSink(newFlatSink(w))
 }
 
-// NewTracerSink routes events to a LineSink (a segmented trace store)
-// instead of a flat file. No schema-2 header is written — the sink owns
-// its own framing. Everything else (scoped views, spans, wall-clock
-// stamping, sticky errors) behaves identically to NewTracer.
+// NewTracerSink routes events to a LineSink. Scoped views, spans,
+// wall-clock stamping and sticky errors behave the same whatever the sink.
 func NewTracerSink(s LineSink) *Tracer {
-	return &Tracer{c: &tracerCore{sink: s}}
+	c := &tracerCore{sink: s}
+	c.enc = json.NewEncoder(&c.line)
+	return &Tracer{c: c}
 }
 
 // withScope returns a view of the tracer whose events carry the given
@@ -251,20 +271,13 @@ func (t *Tracer) Emit(e Event) {
 	if c.stamp && e.TS == 0 {
 		e.TS = time.Now().UnixNano()
 	}
-	if c.sink != nil {
-		line, err := json.Marshal(e)
-		if err != nil {
-			c.err = fmt.Errorf("obs: trace emit: %w", err)
-			return
-		}
-		if err := c.sink.WriteEventLine(e.Scope, e.Step, line); err != nil {
-			c.err = fmt.Errorf("obs: trace emit: %w", err)
-			return
-		}
-		c.events++
-		return
+	c.line.Reset()
+	err := c.enc.Encode(e)
+	if err == nil {
+		line := c.line.Bytes()
+		err = c.sink.WriteEventLine(e.Scope, e.Step, line[:len(line)-1]) // sans Encode's newline
 	}
-	if err := c.enc.Encode(e); err != nil {
+	if err != nil {
 		c.err = fmt.Errorf("obs: trace emit: %w", err)
 		return
 	}
@@ -290,15 +303,9 @@ func (t *Tracer) Flush() error {
 	}
 	t.c.mu.Lock()
 	defer t.c.mu.Unlock()
-	if t.c.sink != nil {
-		if err := t.c.sink.Flush(); err != nil && t.c.err == nil {
-			t.c.err = fmt.Errorf("obs: trace flush: %w", err)
-		}
-		return t.c.err
-	}
 	// The flush runs under the lock on purpose: the tracer serializes
-	// writer access behind it, and a Flush outside it would race Emit.
-	if err := t.c.bw.Flush(); err != nil && t.c.err == nil {
+	// sink access behind it, and a Flush outside it would race Emit.
+	if err := t.c.sink.Flush(); err != nil && t.c.err == nil {
 		t.c.err = fmt.Errorf("obs: trace flush: %w", err)
 	}
 	return t.c.err

@@ -41,10 +41,6 @@ type Config struct {
 	// (default 256). A source that overruns it is shed with
 	// wire.RejectSlowTenant.
 	FrameBudget int
-	// HandshakeTimeout bounds how long a connection may sit between
-	// accept and a complete HELLO (default 10s) so half-open dials
-	// cannot pin goroutines.
-	HandshakeTimeout time.Duration
 	// Pin, when non-nil, restricts admission to specs that build the
 	// same replica (deploy.Params.ReplicaKey); others are rejected with
 	// wire.RejectSpecMismatch. TestSteps/HeartbeatEvery may still differ.
@@ -68,9 +64,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FrameBudget <= 0 {
 		c.FrameBudget = 256
-	}
-	if c.HandshakeTimeout <= 0 {
-		c.HandshakeTimeout = 10 * time.Second
 	}
 	return c
 }
@@ -100,6 +93,10 @@ func (s TenantState) terminal() bool {
 // source's 80-byte frames arrive hundreds per read(2) instead of two
 // read(2) calls each.
 const readBufBytes = 64 << 10
+
+// handshakeTimeout bounds how long a connection may sit between accept and
+// a complete HELLO, so half-open dials cannot pin goroutines.
+const handshakeTimeout = 10 * time.Second
 
 // queued is one frame as it came off the wire — the encoded body, exactly
 // its size — stamped at enqueue time, so the applier can measure
@@ -290,7 +287,7 @@ func (d *Daemon) handleConn(conn net.Conn) {
 	}()
 
 	d.mSessions.Inc()
-	_ = conn.SetReadDeadline(time.Now().Add(d.cfg.HandshakeTimeout))
+	_ = conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	// One buffered reader from the first byte: a source that sends HELLO
 	// and its frames in one segment strands nothing between two readers.
 	br := bufio.NewReaderSize(conn, readBufBytes)

@@ -2,6 +2,7 @@ package tracestore
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -168,7 +169,7 @@ func tailLines(f *os.File, n int) ([][]byte, error) {
 			return nil, err
 		}
 		buf = append(b, buf...)
-		if countByte(buf, '\n') > n || off == 0 {
+		if bytes.Count(buf, []byte{'\n'}) > n || off == 0 {
 			break
 		}
 		if int64(len(buf)) > int64(n)*maxLine {
@@ -177,11 +178,9 @@ func tailLines(f *os.File, n int) ([][]byte, error) {
 	}
 	var lines [][]byte
 	for len(buf) > 0 {
-		i := lastIndexByte(buf[:len(buf)-boolToInt(buf[len(buf)-1] == '\n')], '\n')
-		line := buf[i+1:]
-		if len(line) > 0 && line[len(line)-1] == '\n' {
-			line = line[:len(line)-1]
-		}
+		line := bytes.TrimSuffix(buf, []byte{'\n'})
+		i := bytes.LastIndexByte(line, '\n')
+		line = line[i+1:]
 		lines = append([][]byte{line}, lines...)
 		if i < 0 || len(lines) == n {
 			break
@@ -189,45 +188,6 @@ func tailLines(f *os.File, n int) ([][]byte, error) {
 		buf = buf[:i+1]
 	}
 	return lines, nil
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func countByte(b []byte, c byte) int {
-	n := 0
-	for _, x := range b {
-		if x == c {
-			n++
-		}
-	}
-	return n
-}
-
-func lastIndexByte(b []byte, c byte) int {
-	for i := len(b) - 1; i >= 0; i-- {
-		if b[i] == c {
-			return i
-		}
-	}
-	return -1
-}
-
-// LoadIndex returns the store's index entries in (segment, scope) order,
-// straight from the segments' own index lines (tamper-covered by the
-// chain) rather than the index.jsonl mirror — which is only a cache for
-// external tools. A crash between a seal and its index.jsonl append
-// therefore loses nothing: the sealed segment still carries its entries.
-func (st *Store) LoadIndex() ([]IndexEntry, error) {
-	var out []IndexEntry
-	for _, seg := range st.Segments {
-		out = append(out, seg.Index...)
-	}
-	return out, nil
 }
 
 // Selection is one (segment, starting offset) pair a filtered scan
@@ -323,17 +283,6 @@ func scanSegment(path string, offset int64, fn func(line []byte) error) error {
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("tracestore: %s: %w", filepath.Base(path), err)
-	}
-	return nil
-}
-
-// Scan streams every event line of the store in segment order (the
-// unsealed tail included). fn's line slice is only valid during the call.
-func (st *Store) Scan(fn func(line []byte) error) error {
-	for _, seg := range st.Segments {
-		if err := scanSegment(seg.Path, 0, fn); err != nil {
-			return err
-		}
 	}
 	return nil
 }

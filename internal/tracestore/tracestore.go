@@ -26,10 +26,8 @@
 //   - Compact index: each sealed segment carries its per-scope index
 //     (scope → first byte offset, step range, event count) as the line
 //     right before the seal — inside the sealed content, so the index
-//     itself is tamper-evident — and the same entries are mirrored into
-//     index.jsonl for one-read lookup. The mirror is a pure cache: if a
-//     crash lands between a seal and its index append, LoadIndex
-//     rebuilds the missing entries from the segments.
+//     itself is tamper-evident. Open reads it from each segment's tail,
+//     and Select turns it into a seek.
 //
 // The package is deliberately stdlib-only and line-oriented: it never
 // decodes event JSON. The tracer hands it (scope, step, line) triples —
@@ -39,6 +37,7 @@ package tracestore
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -62,8 +61,6 @@ const (
 	// headerless JSONL file, schema 2 a single JSONL file with a header
 	// line; schema 3 adds segmenting, hash chaining and sealing.
 	Schema = 3
-	// IndexFile is the per-directory index mirror.
-	IndexFile = "index.jsonl"
 	// segPrefix/segSuffix frame segment file names: seg-00000000.jsonl.
 	segPrefix = "seg-"
 	segSuffix = ".jsonl"
@@ -90,8 +87,7 @@ type Header struct {
 // IndexEntry locates one scope's events inside one segment: the byte
 // offset of the scope's first event line, the inclusive step range its
 // events span, and how many there are. Entries are written in the
-// segment's index line (authoritative, covered by the seal's content
-// hash) and mirrored into index.jsonl (cache).
+// segment's index line, covered by the seal's content hash.
 type IndexEntry struct {
 	Segment int    `json:"segment"`
 	Scope   string `json:"scope"`
@@ -132,22 +128,10 @@ var (
 )
 
 // IsSealLine reports whether a raw segment line is a seal.
-func IsSealLine(line []byte) bool { return hasBytePrefix(line, sealPrefix) }
+func IsSealLine(line []byte) bool { return bytes.HasPrefix(line, sealPrefix) }
 
 // IsIndexLine reports whether a raw segment line is an index line.
-func IsIndexLine(line []byte) bool { return hasBytePrefix(line, indexPrefix) }
-
-func hasBytePrefix(line, prefix []byte) bool {
-	if len(line) < len(prefix) {
-		return false
-	}
-	for i, b := range prefix {
-		if line[i] != b {
-			return false
-		}
-	}
-	return true
-}
+func IsIndexLine(line []byte) bool { return bytes.HasPrefix(line, indexPrefix) }
 
 // SegmentPath returns the file name of segment n inside dir.
 func SegmentPath(dir string, n int) string {
@@ -196,8 +180,7 @@ type Writer struct {
 	size   int64     // bytes written to the open segment
 	prev   string    // full-file hash of the previous segment
 	scopes map[string]*scopeIdx
-	idx    *os.File // index.jsonl, append-only
-	err    error    // first write error; sticks
+	err    error // first write error; sticks
 }
 
 // Create initialises a store in dir (created if missing). The directory
@@ -212,13 +195,8 @@ func Create(dir string, opts Options) (*Writer, error) {
 	} else if len(segs) > 0 {
 		return nil, fmt.Errorf("tracestore: %s already holds %d segment(s); a chained store cannot be resumed", dir, len(segs))
 	}
-	idx, err := os.OpenFile(filepath.Join(dir, IndexFile), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o666)
-	if err != nil {
-		return nil, fmt.Errorf("tracestore: %w", err)
-	}
-	w := &Writer{dir: dir, opts: opts.withDefaults(), idx: idx}
+	w := &Writer{dir: dir, opts: opts.withDefaults()}
 	if err := w.openSegment(); err != nil {
-		_ = idx.Close() // surfacing the openSegment error; the close error adds nothing
 		return nil, err
 	}
 	return w, nil
@@ -371,20 +349,6 @@ func (w *Writer) sealLocked() error {
 	}
 	w.prev = hex.EncodeToString(w.h.Sum(nil)) // now includes the seal line
 	w.f, w.bw, w.h = nil, nil, nil
-	// Mirror the entries into index.jsonl. The seal already landed, so a
-	// crash from here on loses only the cache copy — LoadIndex recovers.
-	for _, e := range entries {
-		line, err := json.Marshal(e)
-		if err != nil {
-			return w.setErr(fmt.Errorf("tracestore: index entry: %w", err))
-		}
-		if _, err := w.idx.Write(append(line, '\n')); err != nil {
-			return w.setErr(fmt.Errorf("tracestore: index append: %w", err))
-		}
-	}
-	if err := w.idx.Sync(); err != nil {
-		return w.setErr(fmt.Errorf("tracestore: index sync: %w", err))
-	}
 	w.seg++
 	return nil
 }
@@ -406,34 +370,9 @@ func (w *Writer) indexEntries() []IndexEntry {
 	return out
 }
 
-// Close seals the open segment and releases the index file. The Writer is
-// unusable afterwards.
+// Close seals the open segment. It is Seal under the io.Closer name: a
+// store holds no file open between segments, so there is nothing else to
+// release.
 func (w *Writer) Close() error {
-	sealErr := w.Seal()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.idx != nil {
-		// Teardown closes the index file under the lock on purpose, so a
-		// racing Seal cannot resurrect it.
-		if err := w.idx.Close(); err != nil && sealErr == nil {
-			sealErr = fmt.Errorf("tracestore: index close: %w", err)
-		}
-		w.idx = nil
-	}
-	if sealErr == nil {
-		sealErr = w.err
-	}
-	return sealErr
-}
-
-// Segments returns how many segments have been sealed plus the open one,
-// and Events the event count of the open segment — observability for
-// logs and tests.
-func (w *Writer) Segments() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f != nil {
-		return w.seg + 1
-	}
-	return w.seg
+	return w.Seal()
 }

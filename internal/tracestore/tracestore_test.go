@@ -39,6 +39,19 @@ func writeStore(t *testing.T, dir string, opts Options, scopes []string, perScop
 	return lines
 }
 
+// scanAll streams every event line of the store through the read path
+// kenaudit uses: the zero Filter's selection, which is every segment.
+func scanAll(t *testing.T, st *Store, fn func(line []byte) error) {
+	t.Helper()
+	sel, err := st.Select(Filter{})
+	if err != nil {
+		t.Fatalf("Select: %v", err)
+	}
+	if err := st.ScanSelection(sel, fn); err != nil {
+		t.Fatalf("ScanSelection: %v", err)
+	}
+}
+
 func readBack(t *testing.T, dir string) []string {
 	t.Helper()
 	st, err := Open(dir)
@@ -46,12 +59,10 @@ func readBack(t *testing.T, dir string) []string {
 		t.Fatalf("Open: %v", err)
 	}
 	var got []string
-	if err := st.Scan(func(line []byte) error {
+	scanAll(t, st, func(line []byte) error {
 		got = append(got, string(line))
 		return nil
-	}); err != nil {
-		t.Fatalf("Scan: %v", err)
-	}
+	})
 	return got
 }
 
@@ -66,6 +77,14 @@ func TestRoundTripSingleSegment(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("line %d: got %s want %s", i, got[i], want[i])
 		}
+	}
+	// The segments are the whole store: nothing else lands in it.
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "seg-00000000.jsonl" {
+		t.Fatalf("store holds %v, want only seg-00000000.jsonl", ents)
 	}
 	info, err := VerifyChain(dir)
 	if err != nil {
@@ -182,7 +201,7 @@ func TestSealIdempotentAndRollAfterSeal(t *testing.T) {
 
 func TestIndexSeekMatchesFullScan(t *testing.T) {
 	dir := t.TempDir()
-	writeStore(t, dir, Options{MaxEvents: 10}, []string{"fig9", "fig9/sub", "fig12"}, 20)
+	all := writeStore(t, dir, Options{MaxEvents: 10}, []string{"fig9", "fig9/sub", "fig12"}, 20)
 	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -196,18 +215,15 @@ func TestIndexSeekMatchesFullScan(t *testing.T) {
 	}
 	for _, f := range cases {
 		var want []string
-		if err := st.Scan(func(line []byte) error {
+		for _, line := range all {
 			var ev struct {
 				Scope string `json:"scope"`
 				Step  int64  `json:"step"`
 			}
-			mustUnmarshal(t, line, &ev)
+			mustUnmarshal(t, []byte(line), &ev)
 			if f.MatchScope(ev.Scope) && f.MatchStep(ev.Step) {
-				want = append(want, string(line))
+				want = append(want, line)
 			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
 		}
 		sel, err := st.Select(f)
 		if err != nil {
@@ -277,49 +293,6 @@ func mustUnmarshal(t *testing.T, line []byte, v interface{}) {
 	t.Helper()
 	if err := json.Unmarshal(line, v); err != nil {
 		t.Fatalf("unmarshal %s: %v", line, err)
-	}
-}
-
-// TestCrashBetweenSealAndIndexWrite simulates the torn state the mirror
-// cache exists for: seals landed, index.jsonl lost. LoadIndex must
-// recover every entry from the seals.
-func TestCrashBetweenSealAndIndexWrite(t *testing.T) {
-	dir := t.TempDir()
-	writeStore(t, dir, Options{MaxEvents: 10}, []string{"a", "b"}, 20)
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := st.LoadIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 {
-		t.Fatal("store produced no index entries")
-	}
-	// "Crash": the cache mirror never made it to disk.
-	if err := os.Remove(filepath.Join(dir, IndexFile)); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open without index mirror: %v", err)
-	}
-	got, err := st2.LoadIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("recovered %d entries, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("entry %d: got %+v want %+v", i, got[i], want[i])
-		}
-	}
-	// And the chain is still whole: the mirror is pure cache.
-	if _, err := VerifyChain(dir); err != nil {
-		t.Fatalf("VerifyChain after index loss: %v", err)
 	}
 }
 
@@ -503,13 +476,11 @@ func TestIndexEntriesSortedByScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err := st.LoadIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var got []string
-	for _, e := range entries {
-		got = append(got, fmt.Sprintf("%d:%s", e.Segment, e.Scope))
+	for _, seg := range st.Segments {
+		for _, e := range seg.Index {
+			got = append(got, fmt.Sprintf("%d:%s", e.Segment, e.Scope))
+		}
 	}
 	if want := "0:s1 0:s2 0:s3 1:s1 1:s2 1:s3"; strings.Join(got, " ") != want {
 		t.Fatalf("index entries %v, want %s", got, want)
@@ -626,14 +597,12 @@ func TestSealLineFailureStopsTheSeal(t *testing.T) {
 	}
 }
 
-// TestCloseReportsTheSealFailure closes both files under the writer:
-// Close must report the seal's failure, the first one, not the index
-// file's.
+// TestCloseReportsTheSealFailure closes the segment file under the
+// writer: Close must report the seal's failure.
 func TestCloseReportsTheSealFailure(t *testing.T) {
 	w, _ := storeWithOneEvent(t, Options{})
 	w.mu.Lock()
 	w.f.Close()
-	w.idx.Close()
 	w.mu.Unlock()
 	if err := w.Close(); !errors.Is(err, os.ErrClosed) || !strings.Contains(err.Error(), "seal segment 0") {
 		t.Fatalf("Close = %v, want the seal's failure", err)
