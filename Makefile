@@ -154,18 +154,24 @@ audit-smoke:
 	echo "audit-smoke: PASS (traces audit clean; parallel == sequential; flat == store, whole and windowed; corruption detected)"
 
 # faults-smoke proves the reliability layer under fire: the §6 lossy
-# protocol (kensim, 20% report loss with heartbeats) and the full packet
+# protocol (kensim, 20% report loss with heartbeats), the full packet
 # simulator (kennet, 20% per-hop loss with ARQ, heartbeats and base-side
-# failure detection), each trace replayed through kenaudit -strict — the
-# auditor must excuse every ε miss by a traced, unrepaired drop and agree
-# with both byte ledgers and the retransmission counts.
+# failure detection) and its avg and tinydb programs at 20% loss — all three
+# programs close their epochs through the same ledger — each trace replayed
+# through kenaudit -strict: the auditor must excuse every ε miss by a
+# traced, unrepaired drop and agree with both byte ledgers and the
+# retransmission counts.
 faults-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/kensim -dataset garden -scheme djc -test 400 -loss 0.2 -heartbeat 10 -trace-out "$$tmp/lossy.jsonl" >/dev/null && \
 	$(GO) run ./cmd/kenaudit -trace "$$tmp/lossy.jsonl" -strict -q && \
 	$(GO) run ./cmd/kennet -program ken -steps 200 -loss 0.2 -arq-retries 3 -heartbeat 10 -failure-alpha 0.01 -trace-out "$$tmp/arq.jsonl" >/dev/null && \
 	$(GO) run ./cmd/kenaudit -trace "$$tmp/arq.jsonl" -strict -q && \
-	echo "faults-smoke: PASS (lossy + ARQ traces audit clean at 20% loss)"
+	$(GO) run ./cmd/kennet -program avg -steps 200 -loss 0.2 -trace-out "$$tmp/avg.jsonl" >/dev/null && \
+	$(GO) run ./cmd/kenaudit -trace "$$tmp/avg.jsonl" -strict -q && \
+	$(GO) run ./cmd/kennet -program tinydb -steps 200 -loss 0.2 -trace-out "$$tmp/tinydb.jsonl" >/dev/null && \
+	$(GO) run ./cmd/kenaudit -trace "$$tmp/tinydb.jsonl" -strict -q && \
+	echo "faults-smoke: PASS (lossy, ARQ, avg and tinydb traces audit clean at 20% loss)"
 
 # Regenerate every figure of the paper plus the extension/sweep tables.
 figures:

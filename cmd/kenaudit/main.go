@@ -209,12 +209,8 @@ func eachEvent(path string, isDir bool, stdin io.Reader, win tracestore.Filter, 
 	if err != nil {
 		return err
 	}
-	sel, err := st.Select(win)
-	if err != nil {
-		return err
-	}
 	n := 0
-	return st.ScanSelection(sel, func(line []byte) error {
+	return st.ScanSelection(st.Select(win), func(line []byte) error {
 		var e obs.Event
 		if err := json.Unmarshal(line, &e); err != nil {
 			return fmt.Errorf("decoding trace event %d: %w", n, err)

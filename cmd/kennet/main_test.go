@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -56,5 +59,34 @@ func TestBadFlags(t *testing.T) {
 	var out, errw bytes.Buffer
 	if code := run([]string{"-bogus"}, &out, &errw); code != 2 {
 		t.Fatalf("-bogus: exit %d, want 2", code)
+	}
+}
+
+// TestARQBatteryTracePinned pins the SHA-256 of the -trace-out file of an
+// ARQ run with heartbeats, failure detection and batteries small enough to
+// kill 9 of 11 nodes, captured before the network published its epoch
+// ledger once per epoch: every hop, retransmission, ack, node failure and
+// epoch_end payload, byte for byte. Float bits in the trace are pinned on
+// amd64 only.
+func TestARQBatteryTracePinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("trace float bits are pinned on amd64")
+	}
+	path := filepath.Join(t.TempDir(), "arq.jsonl")
+	args := strings.Fields("-program ken -topology star -loss 0.2 -arq-retries 3 -heartbeat 10 -failure-alpha 0.01 -steps 150 -battery 0.02 -trace-out " + path)
+	var out, errw bytes.Buffer
+	if code := run(args, &out, &errw); code != 0 {
+		t.Fatalf("exit %d: %s", code, errw.String())
+	}
+	if !strings.Contains(out.String(), "alive at end   2/11") {
+		t.Fatalf("the battery no longer kills 9 nodes:\n%s", out.String())
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "2a910ccf92f6e6bc2ed79b2470a8e7f1f8a8753c92cdea9de67fdb8e9a6569f8"
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+		t.Fatalf("trace sha256 %s, want %s", got, want)
 	}
 }

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -54,5 +57,29 @@ func TestBadFlags(t *testing.T) {
 	var out, errw bytes.Buffer
 	if code := run([]string{"-bogus"}, &out, &errw); code != 2 {
 		t.Fatalf("-bogus: exit %d, want 2", code)
+	}
+}
+
+// TestLossyTracePinned pins the SHA-256 of the -trace-out file of a lossy
+// run with heartbeats, captured before the loop kept the epoch's heartbeat
+// bit and lost-value count itself: every report, drop and resync event,
+// byte for byte. Float bits in the trace are pinned on amd64 only.
+func TestLossyTracePinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("trace float bits are pinned on amd64")
+	}
+	path := filepath.Join(t.TempDir(), "lossy.jsonl")
+	args := []string{"-dataset", "garden", "-scheme", "djc", "-test", "400", "-loss", "0.2", "-heartbeat", "10", "-trace-out", path}
+	var out, errw bytes.Buffer
+	if code := run(args, &out, &errw); code != 0 {
+		t.Fatalf("exit %d: %s", code, errw.String())
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "c06b19d9590c82d9f638492d55c2c7df6cf8cdee362e669a6fd58822060c4079"
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+		t.Fatalf("trace sha256 %s, want %s", got, want)
 	}
 }

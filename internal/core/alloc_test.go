@@ -111,14 +111,18 @@ func TestAllocBudgetKenReplay(t *testing.T) {
 	// pair, and the budget is its two Reported lists.
 	l := lossy(config(1e-9), LossyConfig{LossRate: 0.9, HeartbeatEvery: 2, Seed: 1}).(*LossyKen)
 	if got := testing.AllocsPerRun(100, func() {
-		lost, beats := l.LostMessages, l.Heartbeats
+		lost, beats := 0, 0
 		for range 2 {
 			if _, st, err := l.Step(test[0]); err != nil || st.ValuesReported != n {
 				t.Fatalf("%d values reported, err %v — budget premise broken", st.ValuesReported, err)
 			}
+			lost += l.loop.Lost
+			if l.loop.Heartbeat {
+				beats++
+			}
 		}
-		if l.LostMessages == lost || l.Heartbeats != beats+1 {
-			t.Fatalf("%d values lost, %d heartbeats: not a lossy epoch and a heartbeat — budget premise broken", l.LostMessages-lost, l.Heartbeats-beats)
+		if lost == 0 || beats != 1 {
+			t.Fatalf("%d values lost, %d heartbeats: not a lossy epoch and a heartbeat — budget premise broken", lost, beats)
 		}
 	}); got != 2 {
 		t.Errorf("lossy epoch + re-twinning heartbeat: %v allocs/op, budget 2", got)

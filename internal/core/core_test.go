@@ -8,6 +8,7 @@ import (
 	"ken/internal/cliques"
 	"ken/internal/model"
 	"ken/internal/network"
+	"ken/internal/obs"
 	"ken/internal/trace"
 )
 
@@ -418,8 +419,16 @@ func TestLossyKenDivergesAndHeartbeatsHeal(t *testing.T) {
 		Partition: runs(4, 2), Train: train, Eps: eps,
 		FitCfg: model.FitConfig{Period: 24},
 	}
+	// observed gives a scheme its own registry, where Step publishes the
+	// lost values and heartbeats of the loop's record.
+	observed := func() (KenConfig, *obs.Registry) {
+		cfg, reg := base, obs.NewRegistry()
+		cfg.Obs = &obs.Observer{Reg: reg}
+		return cfg, reg
+	}
 	// Heavy loss, no heartbeats: violations accumulate.
-	noHB, err := NewLossyKen(base, LossyConfig{LossRate: 0.5, Seed: 9})
+	noHBCfg, noHBReg := observed()
+	noHB, err := NewLossyKen(noHBCfg, LossyConfig{LossRate: 0.5, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,11 +439,12 @@ func TestLossyKenDivergesAndHeartbeatsHeal(t *testing.T) {
 	if resNoHB.BoundViolations == 0 {
 		t.Fatal("50% loss without heartbeats should violate bounds")
 	}
-	if noHB.LostMessages == 0 {
+	if noHBReg.Counter("ken_lost_reports_total").Value() == 0 {
 		t.Fatal("loss injector dropped nothing")
 	}
 	// Same loss with frequent heartbeats: strictly fewer violations.
-	hb, err := NewLossyKen(base, LossyConfig{LossRate: 0.5, HeartbeatEvery: 5, Seed: 9})
+	hbCfg, hbReg := observed()
+	hb, err := NewLossyKen(hbCfg, LossyConfig{LossRate: 0.5, HeartbeatEvery: 5, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +452,7 @@ func TestLossyKenDivergesAndHeartbeatsHeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hb.Heartbeats == 0 {
+	if hbReg.Counter("ken_heartbeats_total").Value() == 0 {
 		t.Fatal("no heartbeats issued")
 	}
 	if resHB.BoundViolations >= resNoHB.BoundViolations {

@@ -84,8 +84,8 @@ type Ken struct {
 	mProbFlips    obs.Counter // ken_prob_flips_total
 	mProbSuppress obs.Counter // ken_prob_suppressed_total
 	mStepSeconds  obs.Timer   // ken_step_seconds
-	mHeartbeats   obs.Counter // ken_heartbeats_total (lossy channel)
-	mLostReports  obs.Counter // ken_lost_reports_total (lossy channel)
+	mHeartbeats   obs.Counter // ken_heartbeats_total (loop record)
+	mLostReports  obs.Counter // ken_lost_reports_total (loop record)
 	stepObserved  bool        // true when mStepSeconds is live
 }
 
@@ -167,7 +167,8 @@ func (k *Ken) Partition() *cliques.Partition { return k.part }
 func (k *Ken) BeginEpoch(sp obs.Span) { k.span = sp }
 
 // Step implements Scheme: one epoch of the protocol loop (§3.2) over the
-// scheme's channel, then the epoch's message accounting. The readings are
+// scheme's channel, then the epoch's message accounting, read from the
+// loop's record; an epoch that fails publishes none of it. The readings are
 // checked before the channel's schedule or any replica moves.
 //
 // The returned estimate slice is reused across calls — callers that retain
@@ -204,6 +205,10 @@ func (k *Ken) Step(truth []float64) ([]float64, StepStats, error) {
 	}
 	k.mValues.Add(int64(st.ValuesReported))
 	k.mSuppressed.Add(int64(k.n - st.ValuesReported))
+	if k.loop.Heartbeat {
+		k.mHeartbeats.Inc()
+	}
+	k.mLostReports.Add(int64(k.loop.Lost))
 	k.loop.Estimates(k.estBuf)
 	k.stepN++
 	if k.stepObserved {

@@ -13,6 +13,7 @@ import (
 
 	"ken/internal/gauss"
 	"ken/internal/model"
+	"ken/internal/obs"
 	"ken/internal/protocol"
 )
 
@@ -75,18 +76,25 @@ func TestStepRejectsNonFiniteReadingBeforeMoving(t *testing.T) {
 		}
 		return s
 	}
-	build := map[string]func() Scheme{
-		"Ken": func() Scheme { return scheme(NewKen(cfg)) },
-		"LossyKen": func() Scheme {
-			return scheme(NewLossyKen(cfg, LossyConfig{LossRate: 0.3, HeartbeatEvery: 4, Seed: 9}))
+	// observed is cfg publishing to its own registry, one per scheme built.
+	observed := func(reg *obs.Registry) KenConfig {
+		c := cfg
+		c.Obs = &obs.Observer{Reg: reg}
+		return c
+	}
+	build := map[string]func(reg *obs.Registry) Scheme{
+		"Ken": func(reg *obs.Registry) Scheme { return scheme(NewKen(observed(reg))) },
+		"LossyKen": func(reg *obs.Registry) Scheme {
+			return scheme(NewLossyKen(observed(reg), LossyConfig{LossRate: 0.3, HeartbeatEvery: 4, Seed: 9}))
 		},
-		"Avg":    func() Scheme { return scheme(NewAverage(train, eps, cfg.FitCfg, nil)) },
-		"ApC":    func() Scheme { return scheme(NewCache(eps, nil)) },
-		"TinyDB": func() Scheme { return scheme(NewTinyDB(len(eps), nil)) },
+		"Avg":    func(*obs.Registry) Scheme { return scheme(NewAverage(train, eps, cfg.FitCfg, nil)) },
+		"ApC":    func(*obs.Registry) Scheme { return scheme(NewCache(eps, nil)) },
+		"TinyDB": func(*obs.Registry) Scheme { return scheme(NewTinyDB(len(eps), nil)) },
 	}
 	for name, mk := range build {
 		t.Run(name, func(t *testing.T) {
-			got, ref := mk(), mk()
+			gotReg, refReg := obs.NewRegistry(), obs.NewRegistry()
+			got, ref := mk(gotReg), mk(refReg)
 			for step, row := range test {
 				// Offer a poisoned copy of every epoch first — step 3, 7, … are
 				// LossyKen's heartbeats. The bad value sits in the last clique.
@@ -110,11 +118,12 @@ func TestStepRejectsNonFiniteReadingBeforeMoving(t *testing.T) {
 					t.Fatalf("%s step %d: a rejected epoch changed what followed", name, step)
 				}
 			}
-			if l, ok := got.(*LossyKen); ok {
-				r := ref.(*LossyKen)
-				if l.Heartbeats != r.Heartbeats || l.LostMessages != r.LostMessages || l.Heartbeats == 0 {
-					t.Fatalf("counters moved on rejected epochs: %d/%d heartbeats, %d/%d lost",
-						l.Heartbeats, r.Heartbeats, l.LostMessages, r.LostMessages)
+			if _, ok := got.(*LossyKen); ok {
+				beats, lost := "ken_heartbeats_total", "ken_lost_reports_total"
+				gb, rb := gotReg.Counter(beats).Value(), refReg.Counter(beats).Value()
+				gl, rl := gotReg.Counter(lost).Value(), refReg.Counter(lost).Value()
+				if gb != rb || gl != rl || gb == 0 {
+					t.Fatalf("counters moved on rejected epochs: %d/%d heartbeats, %d/%d lost", gb, rb, gl, rl)
 				}
 			}
 		})

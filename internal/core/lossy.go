@@ -34,19 +34,16 @@ type LossyConfig struct {
 // NewLossyKen refuses KenConfig.Prob: the two relaxations are not combined.
 type LossyKen struct {
 	*Ken
-	// Beat is the heartbeat schedule; its Heartbeats counts the rounds issued.
+	// Beat is the heartbeat schedule and the channel's Heartbeat; the loop
+	// records each epoch's bit and lost values, and Step publishes them.
 	protocol.Beat
-	heartbeat bool // the current epoch is one
-	rate      float64
-	rng       *rand.Rand
+	rate float64
+	rng  *rand.Rand
 
 	// dIdx/dVals hold the delivered part of one clique's report between
 	// Carry and the sink's commit; they stop growing at the largest clique.
 	dIdx  []int
 	dVals []float64
-
-	// LostMessages counts dropped report values.
-	LostMessages int
 }
 
 var _ Scheme = (*LossyKen)(nil)
@@ -77,16 +74,6 @@ func NewLossyKen(kcfg KenConfig, lcfg LossyConfig) (*LossyKen, error) {
 // Name implements Scheme.
 func (l *LossyKen) Name() string { return l.name + "-lossy" }
 
-// Heartbeat implements protocol.Channel on the embedded schedule. Heartbeats
-// carry every clique value and are delivered reliably (acked end-to-end).
-func (l *LossyKen) Heartbeat() bool {
-	l.heartbeat = l.Beat.Heartbeat()
-	if l.heartbeat {
-		l.mHeartbeats.Inc()
-	}
-	return l.heartbeat
-}
-
 // Collect implements protocol.Channel: loss strikes reports only, every root
 // hears all its members.
 func (l *LossyKen) Collect(int, []float64) []int { return nil }
@@ -95,18 +82,17 @@ func (l *LossyKen) Collect(int, []float64) []int { return nil }
 // clique's report: each reported value is dropped independently with the
 // loss rate; coins are flipped in ascending attribute order so a fixed seed
 // reproduces the same loss pattern run after run, and none is flipped on a
-// lossless channel or a heartbeat. The lost list feeds the trace's drop event
-// and is only built for one.
+// lossless channel or a heartbeat — heartbeats carry every clique value and
+// are delivered reliably (acked end-to-end). The lost list feeds the trace's
+// drop event and is only built for one.
 func (l *LossyKen) Carry(ci int, idx []int, vals []float64, _ obs.Span) ([]int, []float64, []int) {
-	if l.rate == 0 || l.heartbeat {
+	if l.rate == 0 || l.loop.Heartbeat {
 		return idx, vals, nil
 	}
 	dIdx, dVals := l.dIdx[:0], l.dVals[:0]
 	var lost []int
 	for j, i := range idx {
 		if l.rng.Float64() < l.rate {
-			l.LostMessages++
-			l.mLostReports.Inc()
 			if l.loop.Tracer != nil {
 				lost = append(lost, l.loop.Src[ci].Members()[i])
 			}

@@ -68,14 +68,18 @@ func TestLossyKenHeartbeatTiming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	beats := 0
 	for i, row := range test {
 		if _, _, err := lk.Step(row); err != nil {
 			t.Fatal(err)
 		}
+		if lk.loop.Heartbeat {
+			beats++
+		}
 		step := i + 1
 		want := step / 5 // 0 through step 4, 1 through step 9, ...
-		if lk.Heartbeats != want {
-			t.Fatalf("after step %d: %d heartbeats, want %d", step, lk.Heartbeats, want)
+		if beats != want {
+			t.Fatalf("after step %d: %d heartbeats, want %d", step, beats, want)
 		}
 	}
 }
@@ -104,10 +108,13 @@ func TestLossyKenHeartbeatResyncsReplicas(t *testing.T) {
 		}
 		return true
 	}
-	diverged := false
+	diverged, beats := false, 0
 	for i, row := range test {
 		if _, _, err := lk.Step(row); err != nil {
 			t.Fatal(err)
+		}
+		if lk.loop.Heartbeat {
+			beats++
 		}
 		if (i+1)%5 == 0 {
 			if !identical() {
@@ -117,7 +124,7 @@ func TestLossyKenHeartbeatResyncsReplicas(t *testing.T) {
 			diverged = true
 		}
 	}
-	if lk.Heartbeats == 0 {
+	if beats == 0 {
 		t.Fatal("no heartbeats issued")
 	}
 	if !diverged {
@@ -126,11 +133,11 @@ func TestLossyKenHeartbeatResyncsReplicas(t *testing.T) {
 }
 
 // TestLossyKenCountersMatchTrace replays a traced lossy run and checks
-// the scheme's counters against the protocol trace: LostMessages equals
-// the values carried by EvDrop("loss") events, Heartbeats equals the
-// EvResync count — and every resync carries the step of the epoch it is
-// emitted in, like the epoch's other events (it used to carry the heartbeat
-// schedule's one-based count, one past its epoch_start).
+// the scheme's counters against the protocol trace: ken_lost_reports_total
+// equals the values carried by EvDrop("loss") events, ken_heartbeats_total
+// equals the EvResync count — and every resync carries the step of the
+// epoch it is emitted in, like the epoch's other events (it used to carry
+// the heartbeat schedule's one-based count, one past its epoch_start).
 func TestLossyKenCountersMatchTrace(t *testing.T) {
 	train, test, eps := gardenData(t, 4, 100, 80)
 	var buf bytes.Buffer
@@ -169,13 +176,15 @@ func TestLossyKenCountersMatchTrace(t *testing.T) {
 			}
 		}
 	}
-	if lk.LostMessages == 0 {
+	lost := int(ob.Reg.Counter("ken_lost_reports_total").Value())
+	beats := int(ob.Reg.Counter("ken_heartbeats_total").Value())
+	if lost == 0 {
 		t.Fatal("loss injector dropped nothing")
 	}
-	if lostValues != lk.LostMessages {
-		t.Fatalf("trace carries %d lost values, scheme counted %d", lostValues, lk.LostMessages)
+	if lostValues != lost {
+		t.Fatalf("trace carries %d lost values, scheme counted %d", lostValues, lost)
 	}
-	if resyncs != lk.Heartbeats {
-		t.Fatalf("trace carries %d resyncs, scheme counted %d", resyncs, lk.Heartbeats)
+	if resyncs != beats {
+		t.Fatalf("trace carries %d resyncs, scheme counted %d", resyncs, beats)
 	}
 }

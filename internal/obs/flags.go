@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"errors"
 	"flag"
 	"log/slog"
 	"os"
@@ -100,6 +101,9 @@ func (c CmdFlags) Setup() (*Observer, func(), error) {
 // directory path, else a flat file. seal is the store's Seal (nil for a
 // file); closeSink seals and closes the store, or closes the file.
 func (c CmdFlags) openTraceSink() (sink LineSink, seal, closeSink func() error, err error) {
+	if c.TraceOut == "-" {
+		return nil, nil, nil, errors.New("-trace-out -: stdout is not a trace sink (the binaries print their tables there); name a file or a directory")
+	}
 	if c.traceIsDir() {
 		w, err := tracestore.Create(c.TraceOut, tracestore.Options{
 			MaxEvents: c.SegmentEvents, MaxBytes: c.SegmentBytes,

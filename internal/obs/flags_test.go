@@ -52,6 +52,32 @@ func TestSetupFlatFileTrace(t *testing.T) {
 	}
 }
 
+// TestSetupRefusesStdoutTrace: "-" is not a trace sink — the binaries print
+// their tables on stdout — so Setup refuses it with one line naming the flag
+// instead of creating a file called "-".
+func TestSetupRefusesStdoutTrace(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	ob, cleanup, err := CmdFlags{TraceOut: "-"}.Setup()
+	if err == nil {
+		cleanup()
+		t.Fatalf("Setup accepted -trace-out - (observer %v)", ob)
+	}
+	if msg := err.Error(); !strings.HasPrefix(msg, "-trace-out -: ") || !strings.Contains(msg, "stdout") || strings.Contains(msg, "\n") {
+		t.Fatalf("error %q: want one line naming -trace-out and stdout", msg)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "-")); !os.IsNotExist(err) {
+		t.Fatalf("a file named - was left behind (stat: %v)", err)
+	}
+}
+
 func TestSetupSegmentedTraceByTrailingSlash(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "trace") + "/"
 	ob, cleanup := setupWith(t, dir, "-trace-segment-events", "3")
@@ -259,12 +285,8 @@ func TestTracerSinkMatchesFlatEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := st.Select(tracestore.Filter{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var stored bytes.Buffer
-	if err := st.ScanSelection(sel, func(line []byte) error {
+	if err := st.ScanSelection(st.Select(tracestore.Filter{}), func(line []byte) error {
 		stored.Write(line)
 		stored.WriteByte('\n')
 		return nil

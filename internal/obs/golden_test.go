@@ -28,7 +28,7 @@ func TestFlatTraceGolden(t *testing.T) {
 	rep.Emit(obs.Event{Type: obs.EvReport, Step: 7, Clique: 1, Node: 3,
 		Attrs: []int{2, 3}, Values: []float64{19.5, 0.1},
 		Payload: &obs.Payload{Predicted: []float64{19.25, 1e21}, Observed: []float64{19.5, 1e-7},
-			Eps: []float64{0.5, 0.5}, Bytes: 8, Chunk: 1}})
+			Eps: []float64{0.5, 0.5}, Bytes: 8}})
 	ep.Emit(obs.Event{Type: obs.EvSuppress, Step: 7, Clique: 0, Node: 0, Attrs: []int{0, 1}})
 	apply := rep.Child()
 	apply.Emit(obs.Event{Type: obs.EvApply, Step: 7, Clique: 1, Node: -1, N: 2})

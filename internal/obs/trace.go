@@ -77,9 +77,6 @@ type Payload struct {
 	Predicted []float64 `json:"pred,omitempty"`
 	Observed  []float64 `json:"obs,omitempty"`
 	Eps       []float64 `json:"eps,omitempty"`
-	// Chunk sequences messages/frames within their epoch (stream frame
-	// index, simnet send sequence).
-	Chunk int `json:"chunk,omitempty"`
 	// Bytes is the payload size on the wire.
 	Bytes int `json:"bytes,omitempty"`
 	// From/To name the endpoints of a link-level transmission (EvHop).

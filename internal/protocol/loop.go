@@ -47,20 +47,16 @@ func (Perfect) Carry(_ int, idx []int, vals []float64, _ obs.Span) ([]int, []flo
 
 // Beat is the heartbeat schedule (§6) the lossy channels embed: every
 // Every-th epoch, counted from the first, is a heartbeat; 0 means never.
+// The loop records each epoch's bit (Loop.Heartbeat).
 type Beat struct {
-	Every      int
-	Heartbeats int // heartbeat epochs so far
-	epochs     int
+	Every  int
+	epochs int
 }
 
 // Heartbeat implements Channel.
 func (b *Beat) Heartbeat() bool {
 	b.epochs++
-	if b.Every <= 0 || b.epochs%b.Every != 0 {
-		return false
-	}
-	b.Heartbeats++
-	return true
+	return b.Every > 0 && b.epochs%b.Every == 0
 }
 
 // Policy picks a clique's report on an ordinary epoch, under Kernel.Choose's
@@ -101,10 +97,16 @@ type Loop struct {
 	// events; untraced epochs allocate nothing.
 	Tracer *obs.Tracer
 
-	// Sent is the size of each clique's report in the last epoch, and
-	// Reported the global attributes reported, clique by clique and ascending
-	// within one. Both are reused by the next epoch.
+	// The last epoch's record, the one place its counts are kept: Sent is
+	// the size of each clique's report, and Reported the global attributes
+	// reported, clique by clique and ascending within one (both reused by
+	// the next epoch); Heartbeat is whether the epoch was one, and Lost how
+	// many reported values the channel dropped — summed over the cliques as
+	// each report's size minus what Carry delivered. A sink-only loop
+	// (SinkEpoch) never sees the reports, so its Lost stays 0.
 	Sent, Reported []int
+	Heartbeat      bool
+	Lost           int
 
 	step int64
 	sp   obs.Span
@@ -256,9 +258,10 @@ func (l *Loop) Estimates(est []float64) {
 // is a heartbeat.
 func (l *Loop) begin(step int64, sp obs.Span) {
 	l.step, l.sp = step, sp
-	l.Sent, l.Reported = l.Sent[:0], l.Reported[:0]
+	l.Sent, l.Reported, l.Lost = l.Sent[:0], l.Reported[:0], 0
 	l.pick = l.Choose
-	if l.Channel.Heartbeat() {
+	l.Heartbeat = l.Channel.Heartbeat()
+	if l.Heartbeat {
 		l.pick = (*Kernel).Full
 		if l.Tracer != nil {
 			l.emit(sp, obs.Event{Type: obs.EvResync, Clique: -1, Node: -1})
@@ -293,6 +296,7 @@ func (l *Loop) source(ci int, truth []float64, view *Kernel) error {
 	}
 	l.d.idx, l.d.vals, l.d.lost = l.Channel.Carry(ci, idx, vals, l.d.under)
 	l.d.sent, l.d.sentVals = idx, vals
+	l.Lost += len(idx) - len(l.d.idx)
 	// The source believes everything it sent; the sink only what arrived.
 	return src.Commit(idx, vals)
 }

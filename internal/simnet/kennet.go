@@ -35,8 +35,6 @@ type EpochResult struct {
 	// silently serving possibly-dead sources. Nil when failure detection
 	// is disabled (KenNetConfig.FailureAlpha == 0).
 	Stale []bool
-	// SuspectedCliques counts cliques currently under suspicion.
-	SuspectedCliques int
 }
 
 // NewProgram installs on net the node program the binaries' -program flags
@@ -128,10 +126,9 @@ type DistributedKen struct {
 	protocol.Beat
 	det []*core.FailureDetector // one per clique at the base; nil when detection is off
 
-	// Epoch state: values that reached the base, the cliques the detectors
-	// suspect, and one clique's scratch — the local attributes whose readings
-	// reached the root and the part of the report that reached the base.
-	delivered int
+	// Epoch state: the cliques the detectors suspect, and one clique's
+	// scratch — the local attributes whose readings reached the root and the
+	// part of the report that reached the base.
 	suspected []bool
 	avail     []int
 	dIdx      []int
@@ -255,7 +252,6 @@ func (d *DistributedKen) Carry(ci int, idx []int, vals []float64, under obs.Span
 			dVals = append(dVals, vals[j])
 		}
 	}
-	d.delivered += len(dIdx)
 	if d.det != nil {
 		d.suspected[ci] = d.det[ci].Observe(len(dIdx) > 0)
 	}
@@ -272,17 +268,15 @@ func (d *DistributedKen) Epoch(truth []float64) (EpochResult, error) {
 	if err != nil {
 		return EpochResult{}, err
 	}
-	d.delivered = 0
 	if err := d.loop.Epoch(int64(d.net.stats.Epochs), sp, truth); err != nil {
 		return EpochResult{}, err
 	}
-	res := EpochResult{Estimates: make([]float64, len(d.eps)), ValuesDelivered: d.delivered}
+	res := EpochResult{Estimates: make([]float64, len(d.eps)), ValuesDelivered: len(d.loop.Reported) - d.loop.Lost}
 	d.loop.Estimates(res.Estimates)
 	if d.det != nil {
 		res.Stale = make([]bool, len(d.eps))
 		for ci, suspected := range d.suspected {
 			if suspected {
-				res.SuspectedCliques++
 				for _, g := range d.loop.Src[ci].Members() {
 					res.Stale[g] = true
 				}

@@ -117,12 +117,17 @@ type Network struct {
 	alive  []bool
 	stats  Stats
 
-	// Per-epoch reliability state, reset by BeginEpoch.
-	retxBudget  int // backoff slots left this epoch (-1 = unlimited)
-	epochBytes0 int // Stats.BytesSent snapshot at epoch start
-	epochRetx0  int // Stats.Retransmits snapshot at epoch start
+	// Per-epoch state, reset by BeginEpoch: the backoff slots left (-1 =
+	// unlimited), and Stats and the alive count as the epoch opened, which
+	// closeEpoch subtracts to publish the epoch's ledger once.
+	retxBudget int
+	epoch0     Stats
+	alive0     int
 
 	// Observability handles (zero and no-op until Instrument is called).
+	// The integer counters and the alive gauge advance once per epoch, in
+	// closeEpoch; the energy gauge and the message-size histogram per charge
+	// and per message.
 	tracer     *obs.Tracer
 	span       obs.Span      // current epoch span, set by BeginEpoch
 	mEpochs    obs.Counter   // simnet_epochs_total
@@ -221,21 +226,18 @@ func (s *Network) Stats() Stats { return s.stats }
 // distributed programs above can parent their traffic to it and close it
 // with their audit payload.
 func (s *Network) BeginEpoch() obs.Span {
+	s.epoch0, s.alive0 = s.stats, s.AliveCount()
 	s.stats.Epochs++
 	if b := s.radio.ARQ.RetryBudget; b > 0 {
 		s.retxBudget = b
 	} else {
 		s.retxBudget = -1
 	}
-	s.epochBytes0 = s.stats.BytesSent
-	s.epochRetx0 = s.stats.Retransmits
 	for i := range s.energy {
 		if s.alive[i] {
 			s.spend(i, s.radio.IdlePerEpoch)
 		}
 	}
-	s.mEpochs.Inc()
-	s.gAlive.Set(float64(s.AliveCount()))
 	s.span = s.tracer.StartEpoch(obs.Event{
 		Step: int64(s.stats.Epochs), Clique: -1, Node: -1,
 		N: s.AliveCount(), Detail: "simnet",
@@ -257,22 +259,36 @@ func (s *Network) openEpoch(truth []float64) (obs.Span, error) {
 }
 
 // closeEpoch is the epilogue: it adds the estimates that missed ε to
-// res.Violations and ends the epoch span with the audit payload —
-// reportBytes is the epoch's protocol ledger, the radio ledger is the
-// network's own.
+// res.Violations, publishes the epoch's ledger — what Stats and the alive
+// count moved by since BeginEpoch — to the metrics, and ends the epoch span
+// with the audit payload: reportBytes is the epoch's protocol ledger, the
+// radio ledger (link bytes, every hop of every message, acks included; see
+// docs/OBSERVABILITY.md, "Two byte ledgers") is the network's own. An epoch
+// whose program fails never gets here, and publishes nothing.
 func (s *Network) closeEpoch(sp obs.Span, res *EpochResult, truth, eps []float64, reportBytes int) {
 	for g, est := range res.Estimates {
 		if diff := est - truth[g]; diff > eps[g] || diff < -eps[g] {
 			res.Violations++
 		}
 	}
+	now, was, alive := s.stats, s.epoch0, s.AliveCount()
+	s.mEpochs.Add(int64(now.Epochs - was.Epochs))
+	s.mMsgs.Add(int64(now.MessagesSent - was.MessagesSent))
+	s.mBytes.Add(int64(now.BytesSent - was.BytesSent))
+	s.mDelivered.Add(int64(now.Delivered - was.Delivered))
+	s.mDropLoss.Add(int64(now.DroppedLoss - was.DroppedLoss))
+	s.mDropRoute.Add(int64(now.DroppedNoPath - was.DroppedNoPath))
+	s.mRetx.Add(int64(now.Retransmits - was.Retransmits))
+	s.mAcks.Add(int64(now.Acks - was.Acks))
+	s.mDeaths.Add(int64(s.alive0 - alive))
+	s.gAlive.Set(float64(alive))
 	if sp.Active() {
 		sp.EndEpoch(obs.Event{
 			Step: int64(s.stats.Epochs), Clique: -1, Node: -1, N: res.ValuesDelivered,
 			Payload: &obs.Payload{
 				Predicted: res.Estimates, Observed: truth, Eps: eps,
 				Bytes:     reportBytes,
-				LinkBytes: s.EpochLinkBytes(), Retx: s.EpochRetransmits(),
+				LinkBytes: now.BytesSent - was.BytesSent, Retx: now.Retransmits - was.Retransmits,
 			},
 		})
 	}
@@ -281,16 +297,6 @@ func (s *Network) closeEpoch(sp obs.Span, res *EpochResult, truth, eps []float64
 // EpochSpan returns the current epoch's span (inactive when untraced or
 // before the first BeginEpoch).
 func (s *Network) EpochSpan() obs.Span { return s.span }
-
-// EpochLinkBytes returns the link-level bytes transmitted so far in the
-// current epoch — the radio ledger (every hop of every message, acks
-// included), distinct from the protocol ledger of EvReport payloads. See
-// docs/OBSERVABILITY.md, "Two byte ledgers".
-func (s *Network) EpochLinkBytes() int { return s.stats.BytesSent - s.epochBytes0 }
-
-// EpochRetransmits returns the ARQ retransmissions issued so far in the
-// current epoch.
-func (s *Network) EpochRetransmits() int { return s.stats.Retransmits - s.epochRetx0 }
 
 // spend drains energy from node i, flipping it dead at zero. The charge
 // is clamped to the remaining battery: a node cannot deliver energy it
@@ -308,8 +314,6 @@ func (s *Network) spend(i int, j float64) {
 	if s.energy[i] <= 0 {
 		s.energy[i] = 0
 		s.alive[i] = false
-		s.mDeaths.Inc()
-		s.gAlive.Set(float64(s.AliveCount()))
 		if s.tracer != nil {
 			s.tracer.Emit(obs.Event{
 				Type: obs.EvNodeFailure, Step: int64(s.stats.Epochs), Clique: -1, Node: i,
@@ -380,7 +384,6 @@ func (s *Network) SendReliable(msg Message, cause obs.Span) bool {
 			s.retxBudget -= slots
 		}
 		s.stats.Retransmits++
-		s.mRetx.Inc()
 		if cause.Active() {
 			cause.Child().Emit(obs.Event{
 				Type: obs.EvRetx, Step: int64(s.stats.Epochs), Clique: -1, Node: msg.From,
@@ -398,7 +401,6 @@ func (s *Network) ackBack(msg Message, cause obs.Span) bool {
 	ack := Message{From: msg.To, To: msg.From, Attrs: msg.Attrs}
 	wire := s.radio.OverheadBytes + s.radio.ARQ.AckBytes
 	s.stats.Acks++
-	s.mAcks.Inc()
 	if !s.route(ack, wire, cause, true) {
 		return false
 	}
@@ -432,7 +434,6 @@ func (s *Network) route(msg Message, wire int, cause obs.Span, isAck bool) bool 
 	}
 	if !s.liveVertex(msg.From) {
 		s.stats.DroppedNoPath++
-		s.mDropRoute.Inc()
 		drop(msg.From, "dead")
 		return false
 	}
@@ -443,15 +444,12 @@ func (s *Network) route(msg Message, wire int, cause obs.Span, isAck bool) bool 
 		next, err := s.nextHop(cur, msg.To)
 		if err != nil {
 			s.stats.DroppedNoPath++
-			s.mDropRoute.Inc()
 			drop(cur, "noroute")
 			return false
 		}
 		// Transmit.
 		s.stats.MessagesSent++
 		s.stats.BytesSent += bytes
-		s.mMsgs.Inc()
-		s.mBytes.Add(int64(bytes))
 		s.spend(cur, s.radio.TxPerByte*float64(bytes))
 		if ms.Active() {
 			ms.Emit(obs.Event{
@@ -462,7 +460,6 @@ func (s *Network) route(msg Message, wire int, cause obs.Span, isAck bool) bool 
 		// Per-hop loss: energy already spent, message gone.
 		if s.radio.LossRate > 0 && s.rng.Float64() < s.radio.LossRate {
 			s.stats.DroppedLoss++
-			s.mDropLoss.Inc()
 			drop(cur, "loss")
 			return false
 		}
@@ -471,7 +468,6 @@ func (s *Network) route(msg Message, wire int, cause obs.Span, isAck bool) bool 
 		if !s.liveVertex(next) {
 			// Receiver died mid-receive; the message is lost.
 			s.stats.DroppedNoPath++
-			s.mDropRoute.Inc()
 			drop(next, "dead")
 			return false
 		}
@@ -479,7 +475,6 @@ func (s *Network) route(msg Message, wire int, cause obs.Span, isAck bool) bool 
 	}
 	if !isAck {
 		s.stats.Delivered++
-		s.mDelivered.Inc()
 	}
 	return true
 }

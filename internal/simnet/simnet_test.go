@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"reflect"
@@ -681,5 +682,89 @@ func TestAllocBudgetRunLookups(t *testing.T) {
 		if tot.FirstDeath < 0 || (name == "ken" && reg.Snapshot().Counters["simnet_retransmits_total"] == 0) {
 			t.Fatalf("%s: no death, or ken retransmitted nothing — budget premise broken: %+v", name, tot)
 		}
+	}
+}
+
+// TestEpochLedgerIsTheStats replays kennet's ARQ run with batteries small
+// enough to kill 9 of its 11 nodes (-program ken -topology star -loss 0.2
+// -arq-retries 3 -heartbeat 10 -failure-alpha 0.01 -steps 150 -battery
+// 0.02), traced and instrumented. The network publishes one ledger per
+// epoch, so what the registry and the epoch_end events add up to must be
+// the network's own Stats: every integer simnet_* counter its field, the
+// deaths n − AliveCount(), and the epoch_end link_bytes and retx sums
+// Stats.BytesSent and Stats.Retransmits.
+func TestEpochLedgerIsTheStats(t *testing.T) {
+	exp, err := trace.LoadExperiment("garden", 1, 100, 150, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(exp.Eps)
+	top, err := network.Uniform(n, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	radio := DefaultRadio()
+	radio.BatteryJ = 0.02
+	radio.IdlePerEpoch = 2e-5
+	radio.LossRate = 0.2
+	radio.ARQ.MaxRetries = 3
+	net, err := New(top, radio, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	ob := &obs.Observer{Reg: obs.NewRegistry(), Trace: obs.NewTracer(&buf)}
+	net.Instrument(ob)
+	part, err := cliques.Runs(n, 2, cliques.RootLast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := NewProgram("ken", net, part, exp.Train, exp.Eps, model.FitConfig{Period: 24}, KenNetConfig{HeartbeatEvery: 10, FailureAlpha: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(net, prog, exp.Test); err != nil {
+		t.Fatal(err)
+	}
+	if err := ob.Trace.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st, snap := net.Stats(), ob.Reg.Snapshot()
+	if n-net.AliveCount() != 9 || st.Retransmits == 0 {
+		t.Fatalf("%d deaths, %d retransmissions: not the death-and-ARQ run", n-net.AliveCount(), st.Retransmits)
+	}
+	for name, want := range map[string]int{
+		"simnet_epochs_total":          st.Epochs,
+		"simnet_messages_sent_total":   st.MessagesSent,
+		"simnet_bytes_sent_total":      st.BytesSent,
+		"simnet_delivered_total":       st.Delivered,
+		"simnet_dropped_loss_total":    st.DroppedLoss,
+		"simnet_dropped_noroute_total": st.DroppedNoPath,
+		"simnet_retransmits_total":     st.Retransmits,
+		"simnet_acks_total":            st.Acks,
+		"simnet_node_deaths_total":     n - net.AliveCount(),
+	} {
+		if got := snap.Counters[name]; got != int64(want) {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if got := snap.Gauges["simnet_alive_nodes"]; got != float64(net.AliveCount()) {
+		t.Errorf("simnet_alive_nodes = %v, want %d", got, net.AliveCount())
+	}
+	events, err := obs.ReadEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends, linkBytes, retx := 0, 0, 0
+	for _, e := range events {
+		if e.Type == obs.EvEpochEnd {
+			ends++
+			linkBytes += e.Payload.LinkBytes
+			retx += e.Payload.Retx
+		}
+	}
+	if ends != st.Epochs || linkBytes != st.BytesSent || retx != st.Retransmits {
+		t.Fatalf("%d epoch_end events carry %d link bytes and %d retransmissions; Stats: %d epochs, %d bytes, %d retransmissions",
+			ends, linkBytes, retx, st.Epochs, st.BytesSent, st.Retransmits)
 	}
 }

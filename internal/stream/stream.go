@@ -102,22 +102,16 @@ type Source struct {
 // framer is the wire channel: every root hears all its members, and a report
 // is quantised in place onto the frame under construction, clique by clique
 // — the reliable transport below delivers it whole to a sink this process
-// never sees. Heartbeat epochs mark the frame. The frame under construction
-// keeps its Attrs and Values arrays, made once with room for every
-// attribute, from step to step; Collect hands back copies.
+// never sees. Its Beat is the heartbeat schedule; Collect marks a heartbeat
+// epoch's frame from the loop's record. The attributes and values under
+// construction keep their arrays, made once with room for every attribute,
+// from step to step; Collect hands back copies.
 type framer struct {
 	protocol.Beat
 	cl    []*protocol.Kernel // for each clique's global attributes
 	res   float64
-	frame wire.Frame
-}
-
-func (f *framer) Heartbeat() bool {
-	hb := f.Beat.Heartbeat()
-	if hb {
-		f.frame.Special = wire.KindHeartbeat
-	}
-	return hb
+	attrs []int
+	vals  []float64
 }
 
 func (f *framer) Collect(int, []float64) []int { return nil }
@@ -125,8 +119,8 @@ func (f *framer) Collect(int, []float64) []int { return nil }
 func (f *framer) Carry(ci int, idx []int, vals []float64, _ obs.Span) ([]int, []float64, []int) {
 	for j, i := range idx {
 		vals[j] = quantize(vals[j], f.res)
-		f.frame.Attrs = append(f.frame.Attrs, f.cl[ci].Members()[i])
-		f.frame.Values = append(f.frame.Values, vals[j])
+		f.attrs = append(f.attrs, f.cl[ci].Members()[i])
+		f.vals = append(f.vals, vals[j])
 	}
 	return idx, vals, nil
 }
@@ -149,7 +143,7 @@ func NewSource(cfg Config) (*Source, error) {
 	}
 	n := len(cfg.Eps)
 	ch := &framer{Beat: protocol.Beat{Every: cfg.HeartbeatEvery}, cl: cl, res: res,
-		frame: wire.Frame{Attrs: make([]int, 0, n), Values: make([]float64, 0, n)}}
+		attrs: make([]int, 0, n), vals: make([]float64, 0, n)}
 	return &Source{ch: ch, loop: &protocol.Loop{
 		Src: cl, Roots: roots, N: len(cfg.Eps), Channel: ch, Choose: (*protocol.Kernel).Choose,
 	}}, nil
@@ -175,19 +169,20 @@ func (s *Source) Collect(truth []float64) (wire.Frame, error) {
 		return wire.Frame{}, fmt.Errorf("stream: %w", err)
 	}
 	sp := s.loop.Tracer.StartEpoch(obs.Event{Step: int64(s.step), Clique: -1, Node: -1, Detail: "stream"})
-	s.ch.frame = wire.Frame{Step: s.step, Attrs: s.ch.frame.Attrs[:0], Values: s.ch.frame.Values[:0]}
+	s.ch.attrs, s.ch.vals = s.ch.attrs[:0], s.ch.vals[:0]
 	if err := s.loop.SourceEpoch(int64(s.step), sp, truth); err != nil {
 		return wire.Frame{}, err
 	}
-	frame := wire.Frame{Step: s.step, Special: s.ch.frame.Special}
-	if built := s.ch.frame; len(built.Attrs) > 0 {
-		frame.Attrs, frame.Values = slices.Clone(built.Attrs), slices.Clone(built.Values)
+	frame := wire.Frame{Step: s.step}
+	if s.loop.Heartbeat {
+		frame.Special = wire.KindHeartbeat
+		s.mHeartbeats.Inc()
+	}
+	if len(s.ch.attrs) > 0 {
+		frame.Attrs, frame.Values = slices.Clone(s.ch.attrs), slices.Clone(s.ch.vals)
 	}
 	s.mFrames.Inc()
 	s.mValues.Add(int64(len(frame.Attrs)))
-	if frame.Special == wire.KindHeartbeat {
-		s.mHeartbeats.Inc()
-	}
 	if sp.Active() {
 		sp.EndEpoch(obs.Event{Step: int64(s.step), Clique: -1, Node: -1, N: len(frame.Attrs),
 			Payload: &obs.Payload{Bytes: obs.WireBytesPerValue * len(frame.Attrs)}})

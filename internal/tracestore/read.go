@@ -224,7 +224,7 @@ func (f Filter) MatchStep(step int64) bool {
 // matching event can live at. Unsealed segments (no index yet) are
 // always selected in full. This is the seek-not-scan path: segments the
 // index rules out are never opened.
-func (st *Store) Select(f Filter) ([]Selection, error) {
+func (st *Store) Select(f Filter) []Selection {
 	var out []Selection
 	for _, seg := range st.Segments {
 		if seg.Seal == nil {
@@ -247,7 +247,7 @@ func (st *Store) Select(f Filter) ([]Selection, error) {
 			out = append(out, Selection{Path: seg.Path, Num: seg.Num, Offset: offset})
 		}
 	}
-	return out, nil
+	return out
 }
 
 // scanSegment streams the event lines of one segment from the given

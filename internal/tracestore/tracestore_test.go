@@ -43,11 +43,7 @@ func writeStore(t *testing.T, dir string, opts Options, scopes []string, perScop
 // kenaudit uses: the zero Filter's selection, which is every segment.
 func scanAll(t *testing.T, st *Store, fn func(line []byte) error) {
 	t.Helper()
-	sel, err := st.Select(Filter{})
-	if err != nil {
-		t.Fatalf("Select: %v", err)
-	}
-	if err := st.ScanSelection(sel, fn); err != nil {
+	if err := st.ScanSelection(st.Select(Filter{}), fn); err != nil {
 		t.Fatalf("ScanSelection: %v", err)
 	}
 }
@@ -225,12 +221,8 @@ func TestIndexSeekMatchesFullScan(t *testing.T) {
 				want = append(want, line)
 			}
 		}
-		sel, err := st.Select(f)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var got []string
-		if err := st.ScanSelection(sel, func(line []byte) error {
+		if err := st.ScanSelection(st.Select(f), func(line []byte) error {
 			var ev struct {
 				Scope string `json:"scope"`
 				Step  int64  `json:"step"`
@@ -273,17 +265,11 @@ func TestSelectSkipsRuledOutSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := st.Select(Filter{Scope: "late"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sel := st.Select(Filter{Scope: "late"})
 	if len(sel) != 1 || sel[0].Num != 1 {
 		t.Fatalf("Select(scope=late) = %+v, want only segment 1", sel)
 	}
-	sel, err = st.Select(Filter{HasSteps: true, MinStep: 0, MaxStep: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sel = st.Select(Filter{HasSteps: true, MinStep: 0, MaxStep: 10})
 	if len(sel) != 1 || sel[0].Num != 0 {
 		t.Fatalf("Select(steps 0-10) = %+v, want only segment 0", sel)
 	}
