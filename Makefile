@@ -179,15 +179,19 @@ figures:
 	$(GO) run ./cmd/kenbench -fig 15 -test 900
 	$(GO) run ./cmd/kenbench -fig 16 -test 1500
 
+# examples runs all eight examples and holds each one's stdout to its
+# golden, examples/testdata/<name>.golden. Every example prints the same
+# bytes run to run but for the ephemeral port the streaming example's sink
+# listens on, which is masked as 127.0.0.1:PORT before the comparison.
+EXAMPLES = quickstart redwood anomaly lossy lifetime streaming pullquery analysis
+
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/redwood
-	$(GO) run ./examples/anomaly
-	$(GO) run ./examples/lossy
-	$(GO) run ./examples/lifetime
-	$(GO) run ./examples/streaming
-	$(GO) run ./examples/pullquery
-	$(GO) run ./examples/analysis
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for e in $(EXAMPLES); do \
+		$(GO) run ./examples/$$e >"$$tmp/$$e.out" || exit 1; \
+		sed -E 's/127\.0\.0\.1:[0-9]+/127.0.0.1:PORT/g' "$$tmp/$$e.out" | diff -u examples/testdata/$$e.golden - || \
+			{ echo "examples: FAIL ($$e stdout differs from examples/testdata/$$e.golden)"; exit 1; }; \
+	done && echo "examples: PASS (all eight match their stdout goldens)"
 
 fuzz:
 	$(GO) test -fuzz 'FuzzDecode$$' -fuzztime 30s ./internal/wire/

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	kenbench -fig 9              # one figure (7, 8, 9, 10, 11, 12, 13, 14)
+//	kenbench -fig 9              # one figure (7-14; 15 extensions, 16 sweeps, 17 reliability)
 //	kenbench -all                # every figure
 //	kenbench -all -test 5000     # paper-scale test window (5000 hours)
 //	kenbench -fig 9 -quick       # tiny configuration for smoke tests
@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"os/signal"
@@ -59,23 +60,40 @@ var runners = []struct {
 }
 
 func main() {
-	fig := flag.Int("fig", 0, "figure number to regenerate (7-14; 15 = extensions, 16 = sweeps, 17 = reliability)")
-	all := flag.Bool("all", false, "regenerate every figure")
-	quick := flag.Bool("quick", false, "use the tiny smoke-test configuration")
-	markdown := flag.Bool("markdown", false, "emit GitHub-flavoured markdown tables")
-	seed := flag.Int64("seed", 1, "trace generation seed")
-	train := flag.Int("train", 100, "training steps (hours)")
-	test := flag.Int("test", 1500, "test steps (hours); the paper uses 5000")
-	parallel := flag.Int("parallel", 0, "worker pool width for experiment cells (0 = GOMAXPROCS, 1 = sequential)")
-	metricsOut := flag.String("metrics-out", "", "write a final metrics snapshot JSON to this file ('-' for stdout)")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("kenbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.Int("fig", 0, "figure number to regenerate (7-14; 15 = extensions, 16 = sweeps, 17 = reliability)")
+	all := fs.Bool("all", false, "regenerate every figure")
+	quick := fs.Bool("quick", false, "use the tiny smoke-test configuration")
+	markdown := fs.Bool("markdown", false, "emit GitHub-flavoured markdown tables")
+	seed := fs.Int64("seed", 1, "trace generation seed")
+	train := fs.Int("train", 100, "training steps (hours)")
+	test := fs.Int("test", 1500, "test steps (hours); the paper uses 5000")
+	parallel := fs.Int("parallel", 0, "worker pool width for experiment cells (0 = GOMAXPROCS, 1 = sequential)")
+	metricsOut := fs.String("metrics-out", "", "write a final metrics snapshot JSON to this file ('-' for stdout)")
 	var of obs.CmdFlags
-	of.Register(flag.CommandLine)
-	flag.Parse()
+	of.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if !*all && *fig == 0 {
+		fmt.Fprintln(stderr, "kenbench: pass -fig N or -all")
+		fs.Usage()
+		return 2
+	}
+	if !*all && (*fig < 7 || *fig > 17) {
+		fmt.Fprintf(stderr, "kenbench: unknown figure %d (have 7-17)\n", *fig)
+		return 2
+	}
 
 	ob, cleanup, err := of.Setup()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "kenbench: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "kenbench: %v\n", err)
+		return 2
 	}
 	defer cleanup()
 
@@ -91,12 +109,6 @@ func main() {
 	}
 	cfg.Obs = ob
 
-	if !*all && *fig == 0 {
-		fmt.Fprintln(os.Stderr, "kenbench: pass -fig N or -all")
-		flag.Usage()
-		os.Exit(2)
-	}
-
 	// One engine for the whole invocation: artifacts (traces, evaluators,
 	// partitions) deduplicate across figures, not just within one.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -107,19 +119,16 @@ func main() {
 	})
 	slog.Debug("engine configured", "workers", eng.Workers())
 
-	ran := false
 	for _, r := range runners {
 		if !*all && r.num != *fig {
 			continue
 		}
-		ran = true
 		start := time.Now()
 		t, err := r.fn(ctx, eng, cfg)
 		if err != nil {
 			mErrors.Inc()
-			slog.Error("figure regeneration failed", "figure", r.num, "err", err)
-			cleanup()
-			os.Exit(1)
+			fmt.Fprintf(stderr, "kenbench: figure %d: %v\n", r.num, err)
+			return 1
 		}
 		elapsed := time.Since(start)
 		mFigures.Inc()
@@ -129,29 +138,24 @@ func main() {
 		if *markdown {
 			write = t.WriteMarkdown
 		}
-		if _, err := write(os.Stdout); err != nil {
-			slog.Error("writing table failed", "err", err)
-			cleanup()
-			os.Exit(1)
+		if _, err := write(stdout); err != nil {
+			fmt.Fprintf(stderr, "kenbench: writing table: %v\n", err)
+			return 1
 		}
-		fmt.Printf("(figure %d regenerated in %v)\n\n", r.num, elapsed.Round(time.Millisecond))
-	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "kenbench: unknown figure %d (have 7-17)\n", *fig)
-		os.Exit(2)
+		fmt.Fprintf(stdout, "(figure %d regenerated in %v)\n\n", r.num, elapsed.Round(time.Millisecond))
 	}
 	if *metricsOut != "" {
-		if err := writeSnapshot(*metricsOut, reg); err != nil {
-			slog.Error("writing metrics snapshot failed", "err", err)
-			cleanup()
-			os.Exit(1)
+		if err := writeSnapshot(*metricsOut, stdout, reg); err != nil {
+			fmt.Fprintf(stderr, "kenbench: -metrics-out %s: %v\n", *metricsOut, err)
+			return 1
 		}
 	}
+	return 0
 }
 
 // writeSnapshot dumps the registry as indented JSON to path ('-' = stdout).
-func writeSnapshot(path string, reg *obs.Registry) error {
-	w := os.Stdout
+func writeSnapshot(path string, stdout io.Writer, reg *obs.Registry) error {
+	w := stdout
 	if path != "-" {
 		f, err := os.Create(path)
 		if err != nil {

@@ -18,6 +18,7 @@ import (
 	"log"
 	"math"
 	"math/rand"
+	"slices"
 
 	"ken/internal/cliques"
 	"ken/internal/core"
@@ -92,7 +93,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	res, err := core.Run(context.Background(), ken, test, core.RunOptions{Eps: eps})
+	rec := &recorder{Scheme: ken}
+	res, err := core.Run(context.Background(), rec, test, core.RunOptions{Eps: eps})
 	if err != nil {
 		return err
 	}
@@ -107,7 +109,7 @@ func run() error {
 	fmt.Println("daily network-wide temperature means (answered from estimates only):")
 	for day := 0; day < 5; day++ {
 		w := query.Window{Agg: query.Avg, Attrs: allAttrs, From: day * 24, To: (day + 1) * 24}
-		ans, err := query.Eval(res.Estimates, eps, w)
+		ans, err := query.Eval(rec.est, eps, w)
 		if err != nil {
 			return err
 		}
@@ -120,7 +122,7 @@ func run() error {
 	}
 	for _, agg := range []query.Aggregate{query.Min, query.Max} {
 		w := query.Window{Agg: agg, Attrs: allAttrs, From: 0, To: 24 * 7}
-		ans, err := query.Eval(res.Estimates, eps, w)
+		ans, err := query.Eval(rec.est, eps, w)
 		if err != nil {
 			return err
 		}
@@ -132,4 +134,20 @@ func run() error {
 	}
 	fmt.Println("\nevery error bar is a theorem, not a heuristic: it follows from the ±ε collection contract")
 	return nil
+}
+
+// recorder keeps the sink's answer stream the queries run over: core.Run
+// keeps totals only, and a step's estimate is the scheme's view until its
+// next step, so it is copied here.
+type recorder struct {
+	core.Scheme
+	est [][]float64
+}
+
+func (r *recorder) Step(truth []float64) ([]float64, core.StepStats, error) {
+	est, st, err := r.Scheme.Step(truth)
+	if err == nil {
+		r.est = append(r.est, slices.Clone(est))
+	}
+	return est, st, err
 }

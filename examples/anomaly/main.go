@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"slices"
 
 	"ken/examples/anomaly/events"
 	"ken/internal/cliques"
@@ -69,7 +70,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	res, err := core.Run(context.Background(), ken, test, core.RunOptions{Eps: eps})
+	rec := &recorder{Scheme: ken}
+	res, err := core.Run(context.Background(), rec, test, core.RunOptions{Eps: eps})
 	if err != nil {
 		return err
 	}
@@ -81,15 +83,15 @@ func run() error {
 
 	// The sink sees the spike the hour it happens: its estimate tracks the
 	// anomalous truth within ε because the node pushed the reading.
-	estBefore := res.Estimates[spikeHour-1][spikeNode]
-	estDuring := res.Estimates[spikeHour][spikeNode]
+	estBefore := rec.est[spikeHour-1][spikeNode]
+	estDuring := rec.est[spikeHour][spikeNode]
 	truthDuring := test[spikeHour][spikeNode]
 	fmt.Printf("node %d estimate: %.2f°C the hour before, %.2f°C during the spike (truth %.2f°C)\n",
 		spikeNode, estBefore, estDuring, truthDuring)
 	if diff := estDuring - truthDuring; diff < -0.5 || diff > 0.5 {
 		return fmt.Errorf("sink missed the anomaly: estimate %v, truth %v", estDuring, truthDuring)
 	}
-	if !res.ReportedAt(spikeHour, spikeNode) {
+	if !slices.Contains(rec.reported[spikeHour], spikeNode) {
 		return fmt.Errorf("spiking node did not report at the spike hour")
 	}
 	fmt.Printf("anomaly visible at the base station with zero detection latency ✓\n\n")
@@ -104,11 +106,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	alerts, err := alarm.Scan(res.Estimates)
+	alerts, err := alarm.Scan(rec.est)
 	if err != nil {
 		return err
 	}
-	if _, _, err := alarm.Audit(res.Estimates, test); err != nil {
+	if _, _, err := alarm.Audit(rec.est, test); err != nil {
 		return fmt.Errorf("detection guarantee audit: %w", err)
 	}
 	fmt.Printf("fire alarm at 33°C: %d alerts fired, audit confirms zero missed crossings\n", len(alerts))
@@ -146,7 +148,7 @@ func run() error {
 	// the node dying (pure silence).
 	died := -1
 	for t := 0; t < len(test); t++ {
-		reported := res.ReportedAt(t, 0)
+		reported := slices.Contains(rec.reported[t], 0)
 		if t >= 300 {
 			reported = false // node dies at step 300
 		}
@@ -160,4 +162,22 @@ func run() error {
 	fmt.Printf("node 0 died at step 300; detector flagged it at step %d (%d steps of silence)\n",
 		died, died-300+1)
 	return nil
+}
+
+// recorder keeps what the event detectors read back per step: core.Run keeps
+// totals only, and a step's estimate and report list are the scheme's views
+// until its next step, so they are copied here.
+type recorder struct {
+	core.Scheme
+	est      [][]float64
+	reported [][]int
+}
+
+func (r *recorder) Step(truth []float64) ([]float64, core.StepStats, error) {
+	est, st, err := r.Scheme.Step(truth)
+	if err == nil {
+		r.est = append(r.est, slices.Clone(est))
+		r.reported = append(r.reported, slices.Clone(st.Reported))
+	}
+	return est, st, err
 }

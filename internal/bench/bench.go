@@ -8,6 +8,10 @@
 //	Fig 13    — total messaging cost on Lab east/central/west regions
 //	Fig 14    — multi-attribute compression on a single node
 //
+// and three tables beyond the paper, numbered on from it: 15 the extension
+// results of EXPERIMENTS.md (Extensions), 16 the §5.1 ε and sampling-rate
+// sweeps (Sweeps), 17 the loss × ARQ/heartbeat reliability sweep (Faults).
+//
 // Each runner decomposes its figure into independent cells — one table row
 // or row group per cell — and submits them to an engine.Engine, which runs
 // them across a worker pool and deduplicates shared artifacts (generated

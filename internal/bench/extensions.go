@@ -462,7 +462,7 @@ func extJointMultiAttr(ctx context.Context, eng *engine.Engine, cfg Config) ([][
 	}
 
 	// Joint collection over the logical topology.
-	phys, err := uniformTopology(n, 5)
+	phys, err := network.Uniform(n, 1, 5)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 
 	"ken/internal/cliques"
 	"ken/internal/engine"
+	"ken/internal/network"
 )
 
 // Fig11 reproduces "Comparing Greedy-k and Exhaustive-k for various k": on
@@ -30,7 +31,7 @@ func fig11On(ctx context.Context, eng *engine.Engine, name string, kmax int, cfg
 	}
 	// The paper's cost study uses the uniform garden topology with an
 	// elevated base cost, where clique choice genuinely matters.
-	top, err := uniformTopology(d.dep.N(), 5)
+	top, err := network.Uniform(d.dep.N(), 1, 5)
 	if err != nil {
 		return nil, err
 	}

@@ -11,12 +11,6 @@ import (
 	"ken/internal/network"
 )
 
-// uniformTopology builds the paper's synthetic garden topology: equivalent
-// unit path costs between every pair of nodes and baseMult to the base.
-func uniformTopology(n int, baseMult float64) (*network.Topology, error) {
-	return network.Uniform(n, 1, baseMult)
-}
-
 // costCell is one Fig 12/13 row: a scheme replayed on a dataset under a
 // priced topology. k = 0 means Approximate Caching; k >= 1 means DjC<k>
 // with a cached Greedy-k partition.
@@ -47,7 +41,7 @@ func Fig12(ctx context.Context, eng *engine.Engine, cfg Config) (*Table, error) 
 	}
 	var cells []costCell
 	for _, mult := range []float64{2, 5, 10} {
-		top, err := uniformTopology(d.dep.N(), mult)
+		top, err := network.Uniform(d.dep.N(), 1, mult)
 		if err != nil {
 			return nil, err
 		}
@@ -85,7 +79,7 @@ func Fig13(ctx context.Context, eng *engine.Engine, cfg Config) (*Table, error) 
 	var cells []costCell
 	for _, reg := range regions {
 		sub := d.subset(reg.Nodes)
-		top, err := uniformTopology(len(reg.Nodes), reg.BaseMultiplier)
+		top, err := network.Uniform(len(reg.Nodes), 1, reg.BaseMultiplier)
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"ken/internal/model"
@@ -32,33 +33,47 @@ func labData(t testing.TB, n, trainSteps, testSteps int) (train, test [][]float6
 	return all[:trainSteps], all[trainSteps:], eps
 }
 
-// checkAccounting enforces the Result bookkeeping invariants that every
-// consumer (bench tables, event detection, FractionReported) relies on:
+// recorder is a Scheme that keeps a copy of every step's estimate, report
+// count and report list the wrapped scheme hands back — Run keeps totals
+// only, and the estimate and list are views until the next step.
+type recorder struct {
+	Scheme
+	est      [][]float64
+	values   []int
+	reported [][]int
+}
+
+func (r *recorder) Step(truth []float64) ([]float64, StepStats, error) {
+	est, st, err := r.Scheme.Step(truth)
+	if err == nil {
+		r.est = append(r.est, slices.Clone(est))
+		r.values = append(r.values, st.ValuesReported)
+		r.reported = append(r.reported, slices.Clone(st.Reported))
+	}
+	return est, st, err
+}
+
+// checkAccounting enforces the bookkeeping invariants that every consumer
+// (bench tables, event detection, FractionReported) relies on, between the
+// steps rec saw and Run's totals:
 //
-//   - per-step slices all have Steps entries,
-//   - ValuesReported equals the PerStepReported sum,
+//   - every step was recorded,
+//   - ValuesReported equals the sum of the steps' counts,
 //   - each step's count equals the number of attribute indices it lists,
-//   - listed indices are in-range and unique within a step,
-//   - ReportCounts redistributes exactly ValuesReported.
-func checkAccounting(t *testing.T, res *Result) {
+//   - listed indices are in-range and unique within a step.
+func checkAccounting(t *testing.T, res *Result, rec *recorder) {
 	t.Helper()
-	if len(res.PerStepReported) != res.Steps {
-		t.Fatalf("%s: PerStepReported has %d entries, want %d", res.Scheme, len(res.PerStepReported), res.Steps)
-	}
-	if len(res.ReportedAttrs) != res.Steps {
-		t.Fatalf("%s: ReportedAttrs has %d entries, want %d", res.Scheme, len(res.ReportedAttrs), res.Steps)
-	}
-	if len(res.Estimates) != res.Steps {
-		t.Fatalf("%s: Estimates has %d entries, want %d", res.Scheme, len(res.Estimates), res.Steps)
+	if len(rec.est) != res.Steps || len(rec.reported) != res.Steps {
+		t.Fatalf("%s: %d estimates and %d report lists recorded, want %d", res.Scheme, len(rec.est), len(rec.reported), res.Steps)
 	}
 	sum := 0
-	for t2, c := range res.PerStepReported {
+	for t2, c := range rec.values {
 		sum += c
-		if got := len(res.ReportedAttrs[t2]); got != c {
+		if got := len(rec.reported[t2]); got != c {
 			t.Fatalf("%s: step %d reports %d values but lists %d attrs", res.Scheme, t2, c, got)
 		}
 		seen := map[int]bool{}
-		for _, a := range res.ReportedAttrs[t2] {
+		for _, a := range rec.reported[t2] {
 			if a < 0 || a >= res.Dim {
 				t.Fatalf("%s: step %d reported attr %d out of range [0,%d)", res.Scheme, t2, a, res.Dim)
 			}
@@ -69,21 +84,13 @@ func checkAccounting(t *testing.T, res *Result) {
 		}
 	}
 	if sum != res.ValuesReported {
-		t.Fatalf("%s: ValuesReported=%d but PerStepReported sums to %d", res.Scheme, res.ValuesReported, sum)
-	}
-	counts := res.ReportCounts()
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != res.ValuesReported {
-		t.Fatalf("%s: ReportCounts sums to %d, want ValuesReported=%d", res.Scheme, total, res.ValuesReported)
+		t.Fatalf("%s: ValuesReported=%d but the steps' counts sum to %d", res.Scheme, res.ValuesReported, sum)
 	}
 }
 
 // TestAccountingConsistencyAcrossSchemes replays every scheme over the same
-// seeded Lab window and cross-checks the three report tallies (ValuesReported,
-// PerStepReported, ReportedAttrs) against one another.
+// seeded Lab window and cross-checks the three report tallies (Run's
+// ValuesReported, each step's count and each step's list) against one another.
 func TestAccountingConsistencyAcrossSchemes(t *testing.T) {
 	const n, trainN, testN = 6, 100, 150
 	train, test, eps := labData(t, n, trainN, testN)
@@ -129,14 +136,15 @@ func TestAccountingConsistencyAcrossSchemes(t *testing.T) {
 			if sc.name == "djc2-prob" || sc.name == "djc2-lossy" {
 				auditEps = nil
 			}
-			res, err := Run(context.Background(), s, test, RunOptions{Eps: auditEps})
+			rec := &recorder{Scheme: s}
+			res, err := Run(context.Background(), rec, test, RunOptions{Eps: auditEps})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Steps != testN || res.Dim != n {
 				t.Fatalf("res has Steps=%d Dim=%d, want %d/%d", res.Steps, res.Dim, testN, n)
 			}
-			checkAccounting(t, res)
+			checkAccounting(t, res, rec)
 		})
 	}
 }
@@ -156,11 +164,12 @@ func TestRunObserverMetricsMatchResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(context.Background(), s, test, RunOptions{Eps: eps, Observer: ob})
+	rec := &recorder{Scheme: s}
+	res, err := Run(context.Background(), rec, test, RunOptions{Eps: eps, Observer: ob})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAccounting(t, res)
+	checkAccounting(t, res, rec)
 
 	if got := reg.Counter("ken_epochs_total").Value(); got != int64(res.Steps) {
 		t.Errorf("ken_epochs_total=%d, want %d", got, res.Steps)

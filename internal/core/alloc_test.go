@@ -11,16 +11,20 @@ import (
 )
 
 // TestAllocBudgetKenReplay pins one epoch of Ken and LossyKen — they share
-// one loop, so they share the budget. A suppressed epoch, the steady state
-// the paper's savings come from, allocates nothing: prediction, bound check
-// and sink update all run against the kernels' scratch. A reporting epoch
-// allocates exactly the StepStats.Reported list it hands back (the kernel's
-// own reporting work is pinned at zero in internal/protocol), whether it is
-// priced on a topology, timed into a metrics registry, thinned by loss or a
-// heartbeat, or re-twinning the sink after a loss. With metrics attached an
-// epoch makes no registry lookup, and neither does a replay's epoch loop.
-// Bounds far wider than the signal make every epoch suppress
-// deterministically, bounds far tighter make every epoch report them all.
+// one loop, so they share the budget — and of the baselines at zero. A
+// suppressed epoch, the steady state the paper's savings come from, runs
+// prediction, bound check and sink update against the kernels' scratch; a
+// reporting epoch hands back the loop's own record as StepStats.Reported
+// (the kernel's reporting work is pinned at zero in internal/protocol),
+// whether it is priced on a topology, timed into a metrics registry, thinned
+// by loss or a heartbeat, re-twinning the sink after a loss or picked by
+// §6's coin flips. TinyDB, ApC and Avg reuse one estimate buffer and one
+// report list. With metrics
+// attached an epoch makes no registry lookup, and neither does a replay's
+// epoch loop; and a replay keeps totals only, so it allocates as much over
+// every test row as over two. Bounds far wider than the signal make every
+// epoch suppress deterministically, bounds far tighter make every epoch
+// report them all.
 func TestAllocBudgetKenReplay(t *testing.T) {
 	if alloctest.RaceEnabled {
 		t.Skip("alloc budgets are not meaningful under -race")
@@ -61,32 +65,62 @@ func TestAllocBudgetKenReplay(t *testing.T) {
 	}
 	costed := observed(config(1e-9))
 	costed.Topology = chain
+	probable := config(1e-9)
+	probable.Prob = &ProbConfig{Steepness: 1e9, Seed: 1} // every violation's coin lands "report"
+	tight := []float64{1e-9, 1e-9, 1e-9, 1e-9}
+	tinydb, err := NewTinyDB(n, chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apc, err := NewCache(tight, chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	avg, err := NewAverage(train, tight, model.FitConfig{Period: 24}, chain)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name     string
 		s        Scheme
 		reported int
-		budget   float64
 	}{
-		{"suppressed Ken", ken(config(100)), 0, 0},
-		{"suppressed Ken, metrics attached", ken(observed(config(100))), 0, 0},
-		{"suppressed LossyKen", lossy(config(100), LossyConfig{LossRate: 0.2, Seed: 1}), 0, 0},
-		{"reporting Ken", ken(config(1e-9)), n, 1},
-		{"reporting Ken, topology-costed, metrics attached", ken(costed), n, 1},
-		{"reporting LossyKen at 50% loss", lossy(config(1e-9), LossyConfig{LossRate: 0.5, Seed: 1}), n, 1},
-		{"reporting LossyKen at 50% loss, metrics attached", lossy(observed(config(1e-9)), LossyConfig{LossRate: 0.5, Seed: 1}), n, 1},
-		{"heartbeat LossyKen", lossy(config(100), LossyConfig{LossRate: 0.5, HeartbeatEvery: 1, Seed: 1}), n, 1},
+		{"suppressed Ken", ken(config(100)), 0},
+		{"suppressed Ken, metrics attached", ken(observed(config(100))), 0},
+		{"suppressed LossyKen", lossy(config(100), LossyConfig{LossRate: 0.2, Seed: 1}), 0},
+		{"reporting Ken", ken(config(1e-9)), n},
+		{"reporting Ken, topology-costed, metrics attached", ken(costed), n},
+		{"reporting LossyKen at 50% loss", lossy(config(1e-9), LossyConfig{LossRate: 0.5, Seed: 1}), n},
+		{"reporting LossyKen at 50% loss, metrics attached", lossy(observed(config(1e-9)), LossyConfig{LossRate: 0.5, Seed: 1}), n},
+		{"heartbeat LossyKen", lossy(config(100), LossyConfig{LossRate: 0.5, HeartbeatEvery: 1, Seed: 1}), n},
+		{"probabilistic Ken", ken(probable), n},
+		{"TinyDB", tinydb, n},
+		{"reporting ApC", apc, n},
+		{"reporting Avg", avg, n},
 	} {
-		row := test[0]
+		// Alternating rows keep ApC's readings drifting past its cache.
+		step := 0
 		if got, lookups := alloctest.Run(100, reg, func() {
-			_, st, err := tc.s.Step(row)
+			_, st, err := tc.s.Step(test[step%2])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.ValuesReported != tc.reported {
-				t.Fatalf("%s: %d values reported, want %d — budget premise broken", tc.name, st.ValuesReported, tc.reported)
+			step++
+			if st.ValuesReported != tc.reported || len(st.Reported) != tc.reported {
+				t.Fatalf("%s: %d values reported, %d listed, want %d — budget premise broken", tc.name, st.ValuesReported, len(st.Reported), tc.reported)
 			}
-		}); got != tc.budget || lookups != 0 {
-			t.Errorf("%s epoch: %v allocs/op (budget %v), %d registry lookups (budget 0)", tc.name, got, tc.budget, lookups)
+		}); got != 0 || lookups != 0 {
+			t.Errorf("%s epoch: %v allocs/op, %d registry lookups (budget 0 and 0)", tc.name, got, lookups)
+		}
+		allocs := func(rows int) float64 {
+			return testing.AllocsPerRun(10, func() {
+				if _, err := Run(context.Background(), tc.s, test[:rows], RunOptions{}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if few, all := allocs(2), allocs(len(test)); few != all {
+			t.Errorf("core.Run %s: %v allocs over 2 epochs, %v over %d", tc.name, few, all, len(test))
 		}
 	}
 	// core.Run resolves its handles and its scoped view once per replay, so
@@ -108,7 +142,7 @@ func TestAllocBudgetKenReplay(t *testing.T) {
 	}
 	// The epoch that re-twins a sink: a whole heartbeat after an epoch that
 	// lost values. Every other epoch is a heartbeat, so each call runs the
-	// pair, and the budget is its two Reported lists.
+	// pair.
 	l := lossy(config(1e-9), LossyConfig{LossRate: 0.9, HeartbeatEvery: 2, Seed: 1}).(*LossyKen)
 	if got := testing.AllocsPerRun(100, func() {
 		lost, beats := 0, 0
@@ -124,7 +158,7 @@ func TestAllocBudgetKenReplay(t *testing.T) {
 		if lost == 0 || beats != 1 {
 			t.Fatalf("%d values lost, %d heartbeats: not a lossy epoch and a heartbeat — budget premise broken", lost, beats)
 		}
-	}); got != 2 {
-		t.Errorf("lossy epoch + re-twinning heartbeat: %v allocs/op, budget 2", got)
+	}); got != 0 {
+		t.Errorf("lossy epoch + re-twinning heartbeat: %v allocs/op, budget 0", got)
 	}
 }

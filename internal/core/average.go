@@ -33,6 +33,8 @@ type Average struct {
 	aggCost float64
 	// prevAvg is the last disseminated average.
 	prevAvg float64
+	est     []float64 // Step's estimate view
+	sent    []int     // Step's report view
 }
 
 var _ Scheme = (*Average)(nil)
@@ -124,7 +126,7 @@ func NewAverage(train [][]float64, eps []float64, fitCfg model.FitConfig, top *n
 	if top != nil && top.N() != len(nodes) {
 		return nil, fmt.Errorf("core: topology has %d nodes, data has %d", top.N(), len(nodes))
 	}
-	a := &Average{nodes: nodes, top: top, prevAvg: lastAvg}
+	a := &Average{nodes: nodes, top: top, prevAvg: lastAvg, est: make([]float64, len(nodes))}
 	if top != nil {
 		tree, err := top.TreeMessageCost()
 		if err != nil {
@@ -149,8 +151,7 @@ func (a *Average) Step(truth []float64) ([]float64, StepStats, error) {
 	if err := protocol.CheckReadings(truth); err != nil {
 		return nil, StepStats{}, err
 	}
-	est := make([]float64, len(a.nodes))
-	st := StepStats{IntraCost: a.aggCost}
+	st := StepStats{IntraCost: a.aggCost, Reported: a.sent[:0]}
 	for i := range a.nodes {
 		nd := &a.nodes[i]
 		// Both replicas know the average disseminated last round.
@@ -176,8 +177,9 @@ func (a *Average) Step(truth []float64) ([]float64, StepStats, error) {
 				st.SinkCost += a.top.CommToBase(i)
 			}
 		}
-		est[i] = nd.Sink.Mean()[0]
+		a.est[i] = nd.Sink.Mean()[0]
 	}
+	a.sent = st.Reported
 	st.Bytes = obs.WireBytesPerValue * st.ValuesReported
 	// Aggregate this step's readings for dissemination next round.
 	sum := 0.0
@@ -185,5 +187,5 @@ func (a *Average) Step(truth []float64) ([]float64, StepStats, error) {
 		sum += v
 	}
 	a.prevAvg = sum / float64(len(a.nodes))
-	return est, st, nil
+	return a.est, st, nil
 }

@@ -14,6 +14,8 @@ import (
 type TinyDB struct {
 	n   int
 	top *network.Topology // nil → unit cost per reported value
+	est []float64         // Step's estimate view
+	all []int             // Step's report view: 0…n−1, every step
 }
 
 var _ Scheme = (*TinyDB)(nil)
@@ -27,7 +29,11 @@ func NewTinyDB(n int, top *network.Topology) (*TinyDB, error) {
 	if top != nil && top.N() != n {
 		return nil, fmt.Errorf("core: topology has %d nodes, scheme has %d", top.N(), n)
 	}
-	return &TinyDB{n: n, top: top}, nil
+	s := &TinyDB{n: n, top: top, est: make([]float64, n), all: make([]int, n)}
+	for i := range s.all {
+		s.all[i] = i
+	}
+	return s, nil
 }
 
 // Name implements Scheme.
@@ -44,12 +50,8 @@ func (s *TinyDB) Step(truth []float64) ([]float64, StepStats, error) {
 	if err := protocol.CheckReadings(truth); err != nil {
 		return nil, StepStats{}, err
 	}
-	est := make([]float64, s.n)
-	copy(est, truth)
-	st := StepStats{ValuesReported: s.n, Reported: make([]int, s.n)}
-	for i := 0; i < s.n; i++ {
-		st.Reported[i] = i
-	}
+	copy(s.est, truth)
+	st := StepStats{ValuesReported: s.n, Reported: s.all}
 	st.Bytes = obs.WireBytesPerValue * s.n
 	if s.top == nil {
 		st.SinkCost = float64(s.n)
@@ -58,7 +60,7 @@ func (s *TinyDB) Step(truth []float64) ([]float64, StepStats, error) {
 			st.SinkCost += s.top.CommToBase(i)
 		}
 	}
-	return est, st, nil
+	return s.est, st, nil
 }
 
 // Cache is Approximate Caching (Olston et al., §5.2): source and sink both
@@ -71,6 +73,8 @@ type Cache struct {
 	cached []float64
 	primed bool
 	top    *network.Topology
+	est    []float64 // Step's estimate view
+	sent   []int     // Step's report view
 }
 
 var _ Scheme = (*Cache)(nil)
@@ -94,6 +98,7 @@ func NewCache(eps []float64, top *network.Topology) (*Cache, error) {
 		eps:    append([]float64(nil), eps...),
 		cached: make([]float64, len(eps)),
 		top:    top,
+		est:    make([]float64, len(eps)),
 	}, nil
 }
 
@@ -112,7 +117,7 @@ func (s *Cache) Step(truth []float64) ([]float64, StepStats, error) {
 	if err := protocol.CheckReadings(truth); err != nil {
 		return nil, StepStats{}, err
 	}
-	var st StepStats
+	st := StepStats{Reported: s.sent[:0]}
 	for i, v := range truth {
 		d := v - s.cached[i]
 		if !s.primed || d > s.eps[i] || d < -s.eps[i] {
@@ -126,9 +131,8 @@ func (s *Cache) Step(truth []float64) ([]float64, StepStats, error) {
 			}
 		}
 	}
-	s.primed = true
+	s.primed, s.sent = true, st.Reported
 	st.Bytes = obs.WireBytesPerValue * st.ValuesReported
-	est := make([]float64, s.n)
-	copy(est, s.cached)
-	return est, st, nil
+	copy(s.est, s.cached)
+	return s.est, st, nil
 }

@@ -27,7 +27,10 @@ type Scheme interface {
 	// Dim returns the number of collected attributes.
 	Dim() int
 	// Step consumes the ground truth for one time step and returns the
-	// sink-side estimate along with the step's message accounting.
+	// sink-side estimate along with the step's message accounting. The
+	// estimate and StepStats.Reported are views the scheme owns: they stay
+	// valid until the next Step, must not be written, and a caller that
+	// keeps them past that copies them — so an epoch need allocate nothing.
 	Step(truth []float64) ([]float64, StepStats, error)
 }
 
@@ -37,8 +40,8 @@ type StepStats struct {
 	ValuesReported int
 	// Reported lists the global attribute indices transmitted this step,
 	// clique by clique in partition order and ascending within a clique —
-	// the same list every run. Event-detection consumers use it to see
-	// exactly which nodes spoke up.
+	// the same list every run (a view, see Scheme.Step). Event-detection
+	// consumers use it to see exactly which nodes spoke up.
 	Reported []int
 	// IntraCost is the intra-source communication cost (collecting clique
 	// members at roots, or aggregation/dissemination for the Average model).
@@ -59,7 +62,9 @@ type EpochScoped interface {
 	BeginEpoch(sp obs.Span)
 }
 
-// Result accumulates a full replay.
+// Result accumulates a full replay: totals only. A caller that wants a
+// step's estimate or report list reads it from Step — through a Scheme
+// that wraps the replayed one, say — while it is valid.
 type Result struct {
 	Scheme string
 	Steps  int
@@ -80,28 +85,6 @@ type Result struct {
 	BoundViolations int
 	// MeanAbsError is the average |estimate − truth| over all readings.
 	MeanAbsError float64
-
-	// PerStepReported records the number of values reported at each step
-	// (used by event-detection analyses).
-	PerStepReported []int
-	// ReportedAttrs records which attribute indices were reported at each
-	// step.
-	ReportedAttrs [][]int
-	// Estimates are the sink's answer vectors, one per step.
-	Estimates [][]float64
-}
-
-// ReportedAt reports whether attribute i was transmitted at step t.
-func (r *Result) ReportedAt(t, i int) bool {
-	if t < 0 || t >= len(r.ReportedAttrs) {
-		return false
-	}
-	for _, a := range r.ReportedAttrs[t] {
-		if a == i {
-			return true
-		}
-	}
-	return false
 }
 
 // FractionReported returns reported values / total readings — the y-axis of
@@ -160,13 +143,7 @@ func Run(ctx context.Context, s Scheme, test [][]float64, opts RunOptions) (*Res
 	mRunValues := reg.Counter("ken_run_values_reported_total")
 	mViolations := reg.Counter("ken_epsilon_violations_total")
 	gMaxErr := reg.Gauge("ken_max_abs_error")
-	res := &Result{
-		Scheme:          s.Name(),
-		Steps:           len(test),
-		Dim:             n,
-		PerStepReported: make([]int, 0, len(test)),
-		Estimates:       make([][]float64, 0, len(test)),
-	}
+	res := &Result{Scheme: s.Name(), Steps: len(test), Dim: n}
 	scoped, _ := s.(EpochScoped)
 	var absErrSum float64
 	for t, truth := range test {
@@ -176,7 +153,7 @@ func Run(ctx context.Context, s Scheme, test [][]float64, opts RunOptions) (*Res
 		if len(truth) != n {
 			return nil, fmt.Errorf("core: test row %d has dim %d, want %d", t, len(truth), n)
 		}
-		sp := tracer.StartEpoch(obs.Event{Step: int64(t), Clique: -1, Node: -1, Detail: s.Name()})
+		sp := tracer.StartEpoch(obs.Event{Step: int64(t), Clique: -1, Node: -1, Detail: res.Scheme})
 		if scoped != nil {
 			scoped.BeginEpoch(sp)
 		}
@@ -191,11 +168,6 @@ func Run(ctx context.Context, s Scheme, test [][]float64, opts RunOptions) (*Res
 		res.IntraCost += st.IntraCost
 		res.SinkCost += st.SinkCost
 		res.WireBytes += st.Bytes
-		res.PerStepReported = append(res.PerStepReported, st.ValuesReported)
-		res.ReportedAttrs = append(res.ReportedAttrs, st.Reported)
-		// Schemes may reuse the returned estimate slice across steps (Ken
-		// does); retaining it requires a copy.
-		res.Estimates = append(res.Estimates, append([]float64(nil), est...))
 		stepViolations := 0
 		for i := range truth {
 			d := math.Abs(est[i] - truth[i])
@@ -219,25 +191,8 @@ func Run(ctx context.Context, s Scheme, test [][]float64, opts RunOptions) (*Res
 	}
 	res.MeanAbsError = absErrSum / float64(res.Steps*n)
 	if tracer != nil {
-		tracer.Emit(obs.Event{Type: obs.EvRunEnd, Step: int64(res.Steps), Clique: -1, Node: -1, Detail: s.Name(),
+		tracer.Emit(obs.Event{Type: obs.EvRunEnd, Step: int64(res.Steps), Clique: -1, Node: -1, Detail: res.Scheme,
 			Payload: &obs.Payload{Steps: res.Steps, Values: res.ValuesReported, Violations: res.BoundViolations, Bytes: res.WireBytes}})
 	}
 	return res, nil
-}
-
-// ReportCounts returns how many times each attribute was reported over the
-// run. The paper observes that Ken "often has the opportunity to select and
-// report those few nodes which serve to strongly indicate the readings of
-// other nodes" (§5.3) — in multi-node cliques this shows up as a skewed
-// per-attribute report distribution.
-func (r *Result) ReportCounts() []int {
-	counts := make([]int, r.Dim)
-	for _, attrs := range r.ReportedAttrs {
-		for _, a := range attrs {
-			if a >= 0 && a < r.Dim {
-				counts[a]++
-			}
-		}
-	}
-	return counts
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"ken/internal/cliques"
@@ -534,19 +535,20 @@ func TestKenAnomalyPushedImmediately(t *testing.T) {
 	}
 	// Inject a 25-degree spike at step 50, node 2.
 	test[50][2] += 25
-	res, err := Run(context.Background(), s, test, RunOptions{Eps: eps})
+	rec := &recorder{Scheme: s}
+	res, err := Run(context.Background(), rec, test, RunOptions{Eps: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.BoundViolations != 0 {
 		t.Fatal("guarantee violated")
 	}
-	if math.Abs(res.Estimates[50][2]-test[50][2]) > 0.5+1e-9 {
+	if math.Abs(rec.est[50][2]-test[50][2]) > 0.5+1e-9 {
 		t.Fatalf("anomaly not visible at sink: est %v truth %v",
-			res.Estimates[50][2], test[50][2])
+			rec.est[50][2], test[50][2])
 	}
-	if res.PerStepReported[50] == 0 {
-		t.Fatal("anomalous step sent no report")
+	if !slices.Contains(rec.reported[50], 2) {
+		t.Fatal("anomalous node sent no report at the anomalous step")
 	}
 }
 
@@ -564,17 +566,23 @@ func TestReportCountsSkewInCliques(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(context.Background(), s, test, RunOptions{Eps: eps})
-	if err != nil {
-		t.Fatal(err)
+	// How many times each attribute was reported over the run, counted off
+	// each step's list while it is valid.
+	counts := make([]int, s.Dim())
+	listed, reported := 0, 0
+	for _, row := range test {
+		_, st, err := s.Step(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range st.Reported {
+			counts[a]++
+			listed++
+		}
+		reported += st.ValuesReported
 	}
-	counts := res.ReportCounts()
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != res.ValuesReported {
-		t.Fatalf("counts sum %d, values reported %d", total, res.ValuesReported)
+	if listed != reported {
+		t.Fatalf("counts sum %d, values reported %d", listed, reported)
 	}
 	// The minimal-subset selection concentrates reports: the most-reported
 	// attribute in each clique carries disproportionately more than the
@@ -595,15 +603,5 @@ func TestReportCountsSkewInCliques(t *testing.T) {
 		if float64(max) < 1.2*float64(min) {
 			t.Logf("clique %v counts fairly even (min %d max %d) — acceptable but unusual", members, min, max)
 		}
-	}
-}
-
-func TestReportedAtBounds(t *testing.T) {
-	r := &Result{Dim: 2, ReportedAttrs: [][]int{{1}}}
-	if !r.ReportedAt(0, 1) {
-		t.Fatal("reported attribute not found")
-	}
-	if r.ReportedAt(0, 0) || r.ReportedAt(5, 1) || r.ReportedAt(-1, 1) {
-		t.Fatal("out-of-range lookups must be false")
 	}
 }

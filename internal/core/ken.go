@@ -73,6 +73,10 @@ type Ken struct {
 	prob   *ProbConfig
 	rng    *rand.Rand
 	estBuf []float64 // Step's returned estimate vector, reused across epochs
+	// chooseProbabilistic's report, reused clique by clique like the
+	// kernel's scratch.
+	probIdx  []int
+	probVals []float64
 
 	// Observability handles, resolved once in NewKen; all zero (and
 	// therefore no-ops) when KenConfig.Obs is unset.
@@ -171,11 +175,10 @@ func (k *Ken) BeginEpoch(sp obs.Span) { k.span = sp }
 // loop's record; an epoch that fails publishes none of it. The readings are
 // checked before the channel's schedule or any replica moves.
 //
-// The returned estimate slice is reused across calls — callers that retain
-// it past the next step must copy (Run does). Epochs allocate only what
-// they hand back or trace: StepStats.Reported on reporting epochs and the
-// events of a traced run (TestAllocBudgetKenReplay pins suppressed epochs
-// at zero).
+// The estimate and StepStats.Reported are views (see Scheme.Step): the
+// scheme's estimate buffer and the loop's own record. An epoch allocates
+// only the events of a traced run (TestAllocBudgetKenReplay pins every
+// untraced epoch at zero).
 func (k *Ken) Step(truth []float64) ([]float64, StepStats, error) {
 	if err := k.loop.Check(truth); err != nil {
 		return nil, StepStats{}, err
@@ -200,9 +203,7 @@ func (k *Ken) Step(truth []float64) ([]float64, StepStats, error) {
 		}
 	}
 	st.Bytes = obs.WireBytesPerValue * st.ValuesReported
-	if st.ValuesReported > 0 {
-		st.Reported = append([]int(nil), k.loop.Reported...)
-	}
+	st.Reported = k.loop.Reported
 	k.mValues.Add(int64(st.ValuesReported))
 	k.mSuppressed.Add(int64(k.n - st.ValuesReported))
 	if k.loop.Heartbeat {
@@ -225,8 +226,7 @@ func (k *Ken) Step(truth []float64) ([]float64, StepStats, error) {
 // policy for fully informed roots and ignores the candidate set.
 func (k *Ken) chooseProbabilistic(src *protocol.Kernel, truth []float64, _ []int) ([]int, []float64, error) {
 	mean, local, eps := src.Mean(), src.Gather(truth), src.Eps()
-	var idx []int
-	var vals []float64
+	idx, vals := k.probIdx[:0], k.probVals[:0]
 	for i := range local {
 		ratio := math.Abs(mean[i]-local[i]) / eps[i]
 		if ratio <= 1 {
@@ -243,6 +243,7 @@ func (k *Ken) chooseProbabilistic(src *protocol.Kernel, truth []float64, _ []int
 			k.mProbSuppress.Inc()
 		}
 	}
+	k.probIdx, k.probVals = idx, vals
 	return idx, vals, nil
 }
 

@@ -22,28 +22,28 @@ func sameBits(a, b []float64) bool {
 }
 
 // TestRunReportedAttrsAreDeterministic: two runs of one configuration list
-// the reported attributes in Result.ReportedAttrs in the same order — clique
+// the reported attributes in StepStats.Reported in the same order — clique
 // by clique, ascending within a clique — where map iteration used to shuffle
-// them. The oracle holds Step's report sets; this holds Run's copy of them.
+// them. The oracle holds Step's report sets; this holds them through Run.
 func TestRunReportedAttrsAreDeterministic(t *testing.T) {
 	train, test, eps := labData(t, 49, 100, 300)
-	run := func() *Result {
+	run := func() [][]int {
 		s, err := NewKen(KenConfig{Partition: runs(49, 8), Train: train, Eps: eps, FitCfg: model.FitConfig{Period: 24}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(context.Background(), s, test, RunOptions{Eps: eps})
-		if err != nil {
+		rec := &recorder{Scheme: s}
+		if _, err := Run(context.Background(), rec, test, RunOptions{Eps: eps}); err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return rec.reported
 	}
 	a, b := run(), run()
-	if !reflect.DeepEqual(a.ReportedAttrs, b.ReportedAttrs) {
+	if !reflect.DeepEqual(a, b) {
 		t.Fatal("two identical runs listed their reported attributes in different orders")
 	}
 	multi := 0
-	for step, attrs := range a.ReportedAttrs {
+	for step, attrs := range a {
 		for j := 1; j < len(attrs); j++ {
 			if attrs[j] <= attrs[j-1] {
 				t.Fatalf("step %d: reported %v, want ascending (consecutive cliques)", step, attrs)

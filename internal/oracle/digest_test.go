@@ -76,10 +76,7 @@ func TestStreamBitsPinned(t *testing.T) {
 			}
 			writeBits(h, rep.Answer().Estimates)
 			s := must(core.Build(core.SchemeSpec{Scheme: fmt.Sprint("DjC", tc.k), Eps: exp.Eps, Train: exp.Train, FitCfg: fitCfg, Partition: part}))
-			res := must(core.Run(context.Background(), s, exp.Test, core.RunOptions{Eps: exp.Eps}))
-			for _, est := range res.Estimates {
-				writeBits(h, est)
-			}
+			must(core.Run(context.Background(), hashing{s, h}, exp.Test, core.RunOptions{Eps: exp.Eps}))
 			if got := h.Sum64(); got != tc.want {
 				t.Errorf("digest %#016x, pinned %#016x", got, tc.want)
 			}
@@ -176,6 +173,22 @@ func (m hashingModel) sum(err error) error {
 }
 
 // writeBits feeds the bits of vs to h, little-endian.
+// hashing is a Scheme that writes every estimate it hands back into h, in
+// step order: core.Run keeps totals only, and an estimate is a view that
+// the next step overwrites.
+type hashing struct {
+	core.Scheme
+	h hash.Hash
+}
+
+func (s hashing) Step(truth []float64) ([]float64, core.StepStats, error) {
+	est, st, err := s.Scheme.Step(truth)
+	if err == nil {
+		writeBits(s.h, est)
+	}
+	return est, st, err
+}
+
 func writeBits(h hash.Hash, vs []float64) {
 	var b [8]byte
 	for _, v := range vs {

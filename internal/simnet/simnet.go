@@ -140,7 +140,6 @@ type Network struct {
 	mAcks      obs.Counter   // simnet_acks_total
 	mDeaths    obs.Counter   // simnet_node_deaths_total
 	gEnergy    obs.Gauge     // simnet_energy_spent_joules
-	gAlive     obs.Gauge     // simnet_alive_nodes
 	hMsgBytes  obs.Histogram // simnet_message_bytes
 }
 
@@ -192,9 +191,7 @@ func (s *Network) Instrument(ob *obs.Observer) {
 	s.mAcks = reg.Counter("simnet_acks_total")
 	s.mDeaths = reg.Counter("simnet_node_deaths_total")
 	s.gEnergy = reg.Gauge("simnet_energy_spent_joules")
-	s.gAlive = reg.Gauge("simnet_alive_nodes")
 	s.hMsgBytes = reg.Histogram("simnet_message_bytes")
-	s.gAlive.Set(float64(s.AliveCount()))
 }
 
 // Base returns the base station vertex.
@@ -271,7 +268,7 @@ func (s *Network) closeEpoch(sp obs.Span, res *EpochResult, truth, eps []float64
 			res.Violations++
 		}
 	}
-	now, was, alive := s.stats, s.epoch0, s.AliveCount()
+	now, was := s.stats, s.epoch0
 	s.mEpochs.Add(int64(now.Epochs - was.Epochs))
 	s.mMsgs.Add(int64(now.MessagesSent - was.MessagesSent))
 	s.mBytes.Add(int64(now.BytesSent - was.BytesSent))
@@ -280,8 +277,7 @@ func (s *Network) closeEpoch(sp obs.Span, res *EpochResult, truth, eps []float64
 	s.mDropRoute.Add(int64(now.DroppedNoPath - was.DroppedNoPath))
 	s.mRetx.Add(int64(now.Retransmits - was.Retransmits))
 	s.mAcks.Add(int64(now.Acks - was.Acks))
-	s.mDeaths.Add(int64(s.alive0 - alive))
-	s.gAlive.Set(float64(alive))
+	s.mDeaths.Add(int64(s.alive0 - s.AliveCount()))
 	if sp.Active() {
 		sp.EndEpoch(obs.Event{
 			Step: int64(s.stats.Epochs), Clique: -1, Node: -1, N: res.ValuesDelivered,
