@@ -196,6 +196,7 @@ examples:
 fuzz:
 	$(GO) test -fuzz 'FuzzDecode$$' -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeSession$$' -fuzztime 30s ./internal/wire/
+	$(GO) test -fuzz 'FuzzDecodeSpec$$' -fuzztime 30s ./internal/deploy/
 	$(GO) test -fuzz FuzzReadCSVMatrix -fuzztime 30s ./internal/trace/
 	$(GO) test -fuzz 'FuzzLinearGaussianSchedule$$' -fuzztime 30s ./internal/model/
 	$(GO) test -fuzz 'FuzzCovKernels$$' -fuzztime 30s ./internal/gauss/

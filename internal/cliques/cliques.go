@@ -23,6 +23,7 @@ import (
 	"strconv"
 	"strings"
 
+	"ken/internal/mat"
 	"ken/internal/mc"
 	"ken/internal/model"
 	"ken/internal/network"
@@ -127,10 +128,12 @@ func (p *Partition) Validate(n int) error {
 }
 
 // Fit checks the partition against the training matrix and the bounds and
-// fits one protocol kernel per clique through fit, in partition order —
-// the replicas every endpoint of a deployment starts from — returning each
-// clique's root beside them.
-func (p *Partition) Fit(train [][]float64, eps []float64, fit func(cols [][]float64) (model.Model, error)) (kernels []*protocol.Kernel, roots []int, err error) {
+// fits one protocol kernel per clique, in partition order — the replicas
+// every endpoint of a deployment starts from — returning each clique's root
+// beside them. Every clique's model is sliced from one model.Moments pass
+// over train, as MCEvaluator slices the candidates it scores, with the
+// clique's attributes in ascending order whatever order Members lists them.
+func (p *Partition) Fit(train [][]float64, eps []float64, cfg model.FitConfig) (kernels []*protocol.Kernel, roots []int, err error) {
 	if p == nil {
 		return nil, nil, errors.New("cliques: no partition")
 	}
@@ -144,8 +147,18 @@ func (p *Partition) Fit(train [][]float64, eps []float64, fit func(cols [][]floa
 	if err := p.Validate(n); err != nil {
 		return nil, nil, err
 	}
+	mo, err := model.NewMoments(train, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
 	for _, c := range p.Cliques {
-		k, err := protocol.Fit(train, eps, c.Members, fit)
+		members := append([]int(nil), c.Members...)
+		sort.Ints(members)
+		m, err := mo.Fit(members)
+		if err != nil {
+			return nil, nil, fmt.Errorf("cliques: fitting clique %v: %w", members, err)
+		}
+		k, err := protocol.New(m, members, mat.Select(eps, members))
 		if err != nil {
 			return nil, nil, err
 		}

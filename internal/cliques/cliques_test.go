@@ -1,7 +1,6 @@
 package cliques
 
 import (
-	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -10,6 +9,7 @@ import (
 	"testing"
 
 	"ken/internal/leaktest"
+	"ken/internal/mat"
 	"ken/internal/mc"
 	"ken/internal/model"
 	"ken/internal/network"
@@ -390,48 +390,113 @@ func TestGreedyWithinFactorOfExhaustive(t *testing.T) {
 	}
 }
 
-func TestPartitionJSONRoundTrip(t *testing.T) {
-	p := &Partition{Cliques: []Clique{
-		{Members: []int{0, 2}, Root: 1, M: 0.4, Intra: 2, Sink: 1.2},
-		{Members: []int{1}, Root: 1, M: 0.3, Intra: 0, Sink: 0.9},
-	}}
-	buf, err := json.Marshal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := new(Partition)
-	if err := json.Unmarshal(buf, got); err != nil {
-		t.Fatal(err)
-	}
-	if err := got.Validate(3); err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != p.String() {
-		t.Fatalf("round trip: %s vs %s", got, p)
-	}
-	if got.TotalCost() != p.TotalCost() {
-		t.Fatalf("costs differ: %v vs %v", got.TotalCost(), p.TotalCost())
-	}
-}
-
-// A loaded partition is json.Unmarshal, which rejects what cannot be a
-// partition at all, then Validate against the attribute count.
+// A partition is checked against the attribute count before anything is
+// fitted on it: a clique set that does not cover every attribute is refused.
 func TestLoadPartitionValidates(t *testing.T) {
-	var p Partition
-	if err := json.Unmarshal([]byte("junk"), &p); err == nil {
-		t.Fatal("expected parse error")
-	}
-	// Valid JSON but wrong coverage.
-	if err := json.Unmarshal([]byte(`{"cliques":[{"members":[0],"root":0}]}`), &p); err != nil {
-		t.Fatal(err)
-	}
+	p := Partition{Cliques: []Clique{{Members: []int{0}, Root: 0}}}
 	if err := p.Validate(2); err == nil {
 		t.Fatal("expected coverage error")
 	}
-	// Empty clique.
-	if err := json.Unmarshal([]byte(`{"cliques":[{"members":[],"root":0}]}`), &p); err == nil {
-		t.Fatal("expected empty-clique error")
+	if err := p.Validate(1); err != nil {
+		t.Fatal(err)
 	}
+}
+
+// Partition.Fit slices every clique's model from one Moments pass: each
+// kernel's model is bit for bit FitLinearGaussian of its columns (the JSON
+// form carries A, Q, the profile, the clock and the state, every float in
+// its shortest exact form), with the clique's bounds and root beside it.
+// Members are taken ascending whatever order the clique lists them in.
+func TestPartitionFit(t *testing.T) {
+	const n = 5
+	train := make([][]float64, 100)
+	for i, r := range datasetRows(t, "garden")[:len(train)] {
+		train[i] = r[:n]
+	}
+	eps := []float64{0.1, 0.2, 0.3, 0.4, 0.5}
+	fitCfg := model.FitConfig{Period: 24}
+	direct := func(cols []int) string {
+		proj := make([][]float64, len(train))
+		for i, row := range train {
+			proj[i] = mat.Select(row, cols)
+		}
+		lg, err := model.FitLinearGaussian(proj, fitCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return jsonOf(t, lg)
+	}
+	part := &Partition{Cliques: []Clique{
+		{Members: []int{3, 1}, Root: 2},
+		{Members: []int{0, 2, 4}, Root: 0},
+	}}
+	kernels, roots, err := part.Fit(train, eps, fitCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(roots, []int{2, 0}) || len(kernels) != 2 {
+		t.Fatalf("roots %v, %d kernels", roots, len(kernels))
+	}
+	for ci, want := range []struct {
+		members []int
+		eps     []float64
+	}{
+		{[]int{1, 3}, []float64{0.2, 0.4}},
+		{[]int{0, 2, 4}, []float64{0.1, 0.3, 0.5}},
+	} {
+		k := kernels[ci]
+		if !reflect.DeepEqual(k.Members(), want.members) || !reflect.DeepEqual(k.Eps(), want.eps) {
+			t.Fatalf("clique %d: members %v eps %v, want %v %v", ci, k.Members(), k.Eps(), want.members, want.eps)
+		}
+		if got, want := jsonOf(t, k.Model()), direct(want.members); got != want {
+			t.Fatalf("clique %d: sliced fit\n%s\ndirect fit\n%s", ci, got, want)
+		}
+	}
+	if !reflect.DeepEqual(part.Cliques[0].Members, []int{3, 1}) {
+		t.Fatalf("Fit reordered the partition's members: %v", part.Cliques[0].Members)
+	}
+	// [3 1] and [1 3] are one clique.
+	sorted := &Partition{Cliques: []Clique{{Members: []int{1, 3}, Root: 2}, part.Cliques[1]}}
+	again, _, err := sorted.Fit(train, eps, fitCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jsonOf(t, again[0].Model()) != jsonOf(t, kernels[0].Model()) {
+		t.Fatal("members listed [3 1] and [1 3] fit different kernels")
+	}
+
+	for name, tc := range map[string]struct {
+		p   *Partition
+		eps []float64
+	}{
+		"nil partition":      {nil, eps},
+		"eps length":         {part, eps[:4]},
+		"out-of-range":       {&Partition{Cliques: []Clique{{Members: []int{1, 7}}, {Members: []int{0, 2, 3, 4}}}}, eps},
+		"uncovered":          {&Partition{Cliques: []Clique{{Members: []int{1, 3}}}}, eps},
+		"empty clique":       {&Partition{Cliques: []Clique{{}, {Members: []int{0, 1, 2, 3, 4}}}}, eps},
+		"non-positive bound": {part, []float64{0.1, 0, 0.3, 0.4, 0.5}},
+	} {
+		if _, _, err := tc.p.Fit(train, tc.eps, fitCfg); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, _, err := part.Fit(nil, eps, fitCfg); err == nil {
+		t.Error("no training data: accepted")
+	}
+}
+
+// jsonOf returns a fitted LinearGaussian's JSON form.
+func jsonOf(t *testing.T, m model.Model) string {
+	t.Helper()
+	lg, ok := m.(*model.LinearGaussian)
+	if !ok {
+		t.Fatalf("%T is not a LinearGaussian", m)
+	}
+	b, err := lg.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // bruteForceBest enumerates every partition of {0..n-1} (by recursive

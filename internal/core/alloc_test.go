@@ -17,8 +17,9 @@ import (
 // reporting epoch hands back the loop's own record as StepStats.Reported
 // (the kernel's reporting work is pinned at zero in internal/protocol),
 // whether it is priced on a topology, timed into a metrics registry, thinned
-// by loss or a heartbeat, re-twinning the sink after a loss or picked by
-// §6's coin flips. TinyDB, ApC and Avg reuse one estimate buffer and one
+// by loss or a heartbeat, re-twinning the sink after a loss, picked by §6's
+// coin flips or by the exact subset enumeration, which tries every smaller
+// subset first. TinyDB, ApC and Avg reuse one estimate buffer and one
 // report list. With metrics
 // attached an epoch makes no registry lookup, and neither does a replay's
 // epoch loop; and a replay keeps totals only, so it allocates as much over
@@ -67,6 +68,8 @@ func TestAllocBudgetKenReplay(t *testing.T) {
 	costed.Topology = chain
 	probable := config(1e-9)
 	probable.Prob = &ProbConfig{Steepness: 1e9, Seed: 1} // every violation's coin lands "report"
+	exhaustive := config(1e-9)
+	exhaustive.Exhaustive = true
 	tight := []float64{1e-9, 1e-9, 1e-9, 1e-9}
 	tinydb, err := NewTinyDB(n, chain)
 	if err != nil {
@@ -94,6 +97,7 @@ func TestAllocBudgetKenReplay(t *testing.T) {
 		{"reporting LossyKen at 50% loss, metrics attached", lossy(observed(config(1e-9)), LossyConfig{LossRate: 0.5, Seed: 1}), n},
 		{"heartbeat LossyKen", lossy(config(100), LossyConfig{LossRate: 0.5, HeartbeatEvery: 1, Seed: 1}), n},
 		{"probabilistic Ken", ken(probable), n},
+		{"exhaustive Ken", ken(exhaustive), n},
 		{"TinyDB", tinydb, n},
 		{"reporting ApC", apc, n},
 		{"reporting Avg", avg, n},

@@ -56,7 +56,9 @@ var (
 
 // FitAveragePairs fits every node's (X_i, lagged X̄) pair model from the
 // training rows and returns the replica pairs together with the last
-// training average, which primes the first test step. core.Average and
+// training average, which primes the first test step. The rows
+// (x(t), X̄(t−1)) are built once and every node's model is sliced from one
+// model.Moments pass over them, as columns i and n. core.Average and
 // simnet.DistributedAverage both run on its result.
 func FitAveragePairs(train [][]float64, eps []float64, fitCfg model.FitConfig) ([]AveragePair, float64, error) {
 	if len(train) < 2 {
@@ -74,14 +76,18 @@ func FitAveragePairs(train [][]float64, eps []float64, fitCfg model.FitConfig) (
 		}
 		avg[t] = s / float64(n)
 	}
+	// Pair the readings at t with the average disseminated from t−1.
+	rows := make([][]float64, len(train)-1)
+	for t := range rows {
+		rows[t] = append(append(make([]float64, 0, n+1), train[t+1]...), avg[t])
+	}
+	mo, err := model.NewMoments(rows, fitCfg)
+	if err != nil {
+		return nil, 0, fmt.Errorf("core: fitting average models: %w", err)
+	}
 	nodes := make([]AveragePair, n)
 	for i := range nodes {
-		// Pair the reading at t with the average disseminated from t−1.
-		cols := make([][]float64, 0, len(train)-1)
-		for t := 1; t < len(train); t++ {
-			cols = append(cols, []float64{train[t][i], avg[t-1]})
-		}
-		mdl, err := model.FitLinearGaussian(cols, fitCfg)
+		mdl, err := mo.Fit([]int{i, n})
 		if err != nil {
 			return nil, 0, fmt.Errorf("core: fitting average model for node %d: %w", i, err)
 		}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"slices"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"ken/internal/model"
 	"ken/internal/network"
 	"ken/internal/obs"
+	"ken/internal/protocol"
 	"ken/internal/trace"
 )
 
@@ -395,6 +398,66 @@ func TestAverageValidation(t *testing.T) {
 	}
 	if _, err := NewAverage(train, []float64{1, 0}, model.FitConfig{}, nil); err == nil {
 		t.Fatal("expected error for zero epsilon")
+	}
+}
+
+// FitAveragePairs slices every node's pair model from one Moments pass: each
+// is bit for bit FitLinearGaussian over the hand-built columns
+// (x_i(t), X̄(t−1)), compared through the JSON form, which carries every
+// float of the fit in its shortest exact form.
+func TestFitAveragePairsIsThePairFit(t *testing.T) {
+	fitCfg := model.FitConfig{Period: 24}
+	for _, name := range []string{"garden", "lab"} {
+		tr, err := trace.GenerateNamed(name, 3, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		train, err := tr.Rows(trace.Temperature)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(train[0])
+		eps := make([]float64, n)
+		for i := range eps {
+			eps[i] = 0.5
+		}
+		nodes, lastAvg, err := FitAveragePairs(train, eps, fitCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		avg := make([]float64, len(train))
+		for step, row := range train {
+			for _, v := range row {
+				avg[step] += v
+			}
+			avg[step] /= float64(n)
+		}
+		if len(nodes) != n || lastAvg != avg[len(avg)-1] {
+			t.Fatalf("%s: %d nodes, last average %v, want %d and %v", name, len(nodes), lastAvg, n, avg[len(avg)-1])
+		}
+		for i, p := range nodes {
+			cols := make([][]float64, len(train)-1)
+			for step := range cols {
+				cols[step] = []float64{train[step+1][i], avg[step]}
+			}
+			want, err := model.FitLinearGaussian(cols, fitCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for side, k := range []*protocol.Kernel{p.Src, p.Sink} {
+				got, err := json.Marshal(k.Model())
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantJSON, err := json.Marshal(want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, wantJSON) {
+					t.Fatalf("%s node %d replica %d: sliced fit\n%s\nhand-built fit\n%s", name, i, side, got, wantJSON)
+				}
+			}
+		}
 	}
 }
 

@@ -77,6 +77,11 @@ type Ken struct {
 	// kernel's scratch.
 	probIdx  []int
 	probVals []float64
+	// chooseExhaustive's subset, its readings and the hypothesised mean,
+	// grown to the largest clique and reused the same way.
+	exIdx  []int
+	exVals []float64
+	exMean []float64
 
 	// Observability handles, resolved once in NewKen; all zero (and
 	// therefore no-ops) when KenConfig.Obs is unset.
@@ -101,9 +106,7 @@ func NewKen(cfg KenConfig) (*Ken, error) { return newKen(cfg, protocol.Perfect{}
 
 // newKen builds Ken's loop over the given channel.
 func newKen(cfg KenConfig, ch protocol.Channel) (*Ken, error) {
-	src, roots, err := cfg.Partition.Fit(cfg.Train, cfg.Eps, func(cols [][]float64) (model.Model, error) {
-		return model.FitLinearGaussian(cols, cfg.FitCfg)
-	})
+	src, roots, err := cfg.Partition.Fit(cfg.Train, cfg.Eps, cfg.FitCfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -142,7 +145,7 @@ func newKen(cfg KenConfig, ch protocol.Channel) (*Ken, error) {
 		k.rng = rand.New(rand.NewSource(cfg.Prob.Seed))
 		k.loop.Choose = k.chooseProbabilistic
 	case cfg.Exhaustive:
-		k.loop.Choose = chooseExhaustive
+		k.loop.Choose = k.chooseExhaustive
 	}
 	if cfg.Topology != nil {
 		for _, c := range cfg.Partition.Cliques {
@@ -251,16 +254,20 @@ func (k *Ken) chooseProbabilistic(src *protocol.Kernel, truth []float64, _ []int
 // equals) that restores ε-accuracy, by enumerating subsets in order of
 // increasing size, each answered by the model's evaluator. Exponential in
 // the clique size; for small cliques and for validating the greedy search.
-func chooseExhaustive(src *protocol.Kernel, truth []float64, _ []int) ([]int, []float64, error) {
+// The report is the scheme's scratch, valid until the next search, like the
+// kernel's own.
+func (k *Ken) chooseExhaustive(src *protocol.Kernel, truth []float64, _ []int) ([]int, []float64, error) {
 	m, local, eps := src.Model(), src.Gather(truth), src.Eps()
 	n := len(local)
 	if n > 20 {
 		return nil, nil, fmt.Errorf("core: exhaustive subset search infeasible for dim %d", n)
 	}
-	mean := make([]float64, n)
+	if len(k.exMean) < n {
+		k.exIdx, k.exVals, k.exMean = make([]int, n), make([]float64, n), make([]float64, n)
+	}
+	mean := k.exMean[:n]
 	for size := 0; size <= n; size++ {
-		idx := make([]int, size)
-		vals := make([]float64, size)
+		idx, vals := k.exIdx[:size], k.exVals[:size]
 		for i := range idx {
 			idx[i] = i
 		}

@@ -50,6 +50,9 @@ func (p Params) withDefaults() Params {
 	if p.K <= 0 {
 		p.K = 2
 	}
+	if p.Epsilon == 0 {
+		p.Epsilon = 0 // −0 builds what +0 builds, so it encodes as +0
+	}
 	return p
 }
 

@@ -154,3 +154,63 @@ func TestReplicaKey(t *testing.T) {
 		t.Fatal("key is not default-normalized")
 	}
 }
+
+// TestSpecNegativeZeroEpsilon: ε = −0 is no override, exactly as +0 is, so
+// both build the same deployment and must encode to the same bytes and key —
+// or a pinned sink would refuse `-eps -0` and the build cache would build
+// the one deployment twice.
+func TestSpecNegativeZeroEpsilon(t *testing.T) {
+	pos, neg := Params{Epsilon: 0}, Params{Epsilon: math.Copysign(0, -1)}
+	if err := neg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := pos.EncodeSpec(), neg.EncodeSpec(); !bytes.Equal(a, b) {
+		t.Fatalf("+0 encodes %#v, −0 %#v", a, b)
+	}
+	if a, b := pos.ReplicaKey(), neg.ReplicaKey(); a != b {
+		t.Fatalf("+0 keys %q, −0 %q", a, b)
+	}
+	back, err := DecodeSpec(neg.EncodeSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Signbit(back.Epsilon) {
+		t.Fatal("−0 survived the round trip")
+	}
+}
+
+// FuzzDecodeSpec feeds the HELLO spec decoder arbitrary bytes, as a hostile
+// source may: it never panics, and whatever it accepts re-encodes to bytes
+// that decode again, encode to themselves and name the same replica; a zero
+// ε encodes alike whatever its sign.
+func FuzzDecodeSpec(f *testing.F) {
+	f.Add(Params{
+		Dataset: "garden", Seed: 1, TrainSteps: 100, TestSteps: 500,
+		K: 2, Epsilon: 0.5, HeartbeatEvery: 24,
+	}.EncodeSpec())
+	f.Add(Params{Dataset: "lab", Seed: -7, K: 8, Epsilon: math.Copysign(0, -1)}.EncodeSpec())
+	f.Add(Params{}.EncodeSpec())
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		p, err := DecodeSpec(buf)
+		if err != nil {
+			return
+		}
+		enc := p.EncodeSpec()
+		back, err := DecodeSpec(enc)
+		if err != nil {
+			t.Fatalf("%+v encodes to %#v, which does not decode: %v", p, enc, err)
+		}
+		if again := back.EncodeSpec(); !bytes.Equal(again, enc) {
+			t.Fatalf("%+v encodes to %#v, its round trip to %#v", p, enc, again)
+		}
+		if a, b := p.ReplicaKey(), back.ReplicaKey(); a != b {
+			t.Fatalf("%+v keys %q, its round trip %q", p, a, b)
+		}
+		if flip := p; p.Epsilon == 0 {
+			flip.Epsilon = -p.Epsilon
+			if !bytes.Equal(flip.EncodeSpec(), enc) {
+				t.Fatalf("ε %v and %v encode differently", p.Epsilon, flip.Epsilon)
+			}
+		}
+	})
+}

@@ -10,8 +10,9 @@ import (
 
 // Fitted models must survive deployment: the base station fits once on
 // training data and ships the parameters to the motes, after which both
-// sides instantiate identical replicas. This file provides the JSON wire
-// format for LinearGaussian (the deployable workhorse model).
+// sides instantiate identical replicas. This file provides the JSON form of
+// LinearGaussian, the one model family with an encoded form: the oracle
+// reads fits back through it and the benchmark's ladder reads its a/q keys.
 
 // linearGaussianJSON is the stable wire form of a LinearGaussian.
 type linearGaussianJSON struct {
@@ -88,61 +89,5 @@ func (lg *LinearGaussian) UnmarshalJSON(data []byte) error {
 	lg.ws = gauss.NewWorkspace(w.N)
 	lg.valsBuf = make([]float64, 0, w.N)
 	lg.sampleBuf = nil
-	return nil
-}
-
-// switchingJSON is the stable wire form of a Switching model.
-type switchingJSON struct {
-	Base    *LinearGaussian `json:"base"`
-	Offsets [][]float64     `json:"offsets"`
-	Trans   [][]float64     `json:"trans"`
-	Probs   []float64       `json:"probs"`
-	ObsSD   []float64       `json:"obs_sd"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (s *Switching) MarshalJSON() ([]byte, error) {
-	return json.Marshal(switchingJSON{
-		Base:    s.base,
-		Offsets: s.offsets,
-		Trans:   s.trans,
-		Probs:   s.probs,
-		ObsSD:   s.obsSD,
-	})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (s *Switching) UnmarshalJSON(data []byte) error {
-	var w switchingJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return fmt.Errorf("model: %w", err)
-	}
-	if w.Base == nil {
-		return fmt.Errorf("model: json switching model missing base")
-	}
-	r := len(w.Offsets)
-	if r < 2 || len(w.Trans) != r || len(w.Probs) != r {
-		return fmt.Errorf("model: json switching model regime shapes inconsistent (%d offsets, %d trans, %d probs)",
-			r, len(w.Trans), len(w.Probs))
-	}
-	n := w.Base.Dim()
-	for i, o := range w.Offsets {
-		if len(o) != n {
-			return fmt.Errorf("model: json switching offset %d has dim %d, want %d", i, len(o), n)
-		}
-	}
-	for i, row := range w.Trans {
-		if len(row) != r {
-			return fmt.Errorf("model: json switching transition row %d has %d cols, want %d", i, len(row), r)
-		}
-	}
-	if len(w.ObsSD) != n {
-		return fmt.Errorf("model: json switching obsSD dim %d, want %d", len(w.ObsSD), n)
-	}
-	s.base = w.Base
-	s.offsets = w.Offsets
-	s.trans = w.Trans
-	s.probs = w.Probs
-	s.obsSD = w.ObsSD
 	return nil
 }

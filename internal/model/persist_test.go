@@ -91,52 +91,3 @@ func TestLoadLinearGaussianRejectsNegativeClock(t *testing.T) {
 		t.Fatalf("clock 5 of period 2 reads phase %v, want the second profile row", got)
 	}
 }
-
-func TestSwitchingJSONRoundTrip(t *testing.T) {
-	data := regimeData(21, 600, 3)
-	sw, err := FitSwitching(data, SwitchingConfig{Regimes: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf, err := json.Marshal(sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded := new(Switching)
-	if err := json.Unmarshal(buf, loaded); err != nil {
-		t.Fatal(err)
-	}
-	// Reloaded replica stays in lock-step with the original.
-	a, b := sw.Clone(), loaded.Clone()
-	for step := 0; step < 15; step++ {
-		a.Step()
-		b.Step()
-		idx, vals := []int{step % 2}, []float64{18 + float64(step%5)}
-		if err := a.Condition(idx, vals); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Condition(idx, vals); err != nil {
-			t.Fatal(err)
-		}
-		ma, mb := MeanOf(a), MeanOf(b)
-		for i := range ma {
-			if d := ma[i] - mb[i]; d > 1e-9 || d < -1e-9 {
-				t.Fatalf("switching replicas diverged after reload: %v vs %v", ma, mb)
-			}
-		}
-	}
-}
-
-func TestLoadSwitchingRejectsBadInput(t *testing.T) {
-	cases := map[string]string{
-		"garbage":      "not json",
-		"missing base": `{"offsets":[[1],[2]],"trans":[[1,0],[0,1]],"probs":[0.5,0.5],"obs_sd":[1]}`,
-		"one regime":   `{"base":{"n":1,"a":{"rows":[[1]]},"q":{"rows":[[1]]},"profile":[[0]],"period":1,"clock":0,"state_mean":[0],"state_cov":{"rows":[[0]]}},"offsets":[[1]],"trans":[[1]],"probs":[1],"obs_sd":[1]}`,
-		"bad offsets":  `{"base":{"n":1,"a":{"rows":[[1]]},"q":{"rows":[[1]]},"profile":[[0]],"period":1,"clock":0,"state_mean":[0],"state_cov":{"rows":[[0]]}},"offsets":[[1,2],[3]],"trans":[[0.5,0.5],[0.5,0.5]],"probs":[0.5,0.5],"obs_sd":[1]}`,
-	}
-	for name, in := range cases {
-		if err := json.Unmarshal([]byte(in), new(Switching)); err == nil {
-			t.Errorf("%s: expected load error", name)
-		}
-	}
-}

@@ -13,6 +13,7 @@ import (
 
 	"ken/internal/cliques"
 	"ken/internal/core"
+	"ken/internal/mat"
 	"ken/internal/model"
 	"ken/internal/protocol"
 	"ken/internal/stream"
@@ -110,14 +111,11 @@ func TestSearchBitsPinned(t *testing.T) {
 			t.Parallel()
 			part := must(cliques.Runs(len(exp.Eps), tc.k, cliques.RootFirst))
 			h := fnv.New64a()
+			mo := must(model.NewMoments(exp.Train, fitCfg))
 			kernels := make([]*protocol.Kernel, len(part.Cliques))
 			for ci, c := range part.Cliques {
-				cols, local, err := protocol.Project(exp.Train, exp.Eps, c.Members)
-				if err != nil {
-					t.Fatal(err)
-				}
-				lg := must(model.FitLinearGaussian(cols, fitCfg))
-				kernels[ci] = must(protocol.New(hashingModel{lg, h}, c.Members, local))
+				lg := must(mo.Fit(c.Members))
+				kernels[ci] = must(protocol.New(hashingModel{lg, h}, c.Members, mat.Select(exp.Eps, c.Members)))
 			}
 			reported := 0
 			var b [8]byte

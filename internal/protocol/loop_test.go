@@ -49,13 +49,9 @@ func gardenLoop(t *testing.T, n int, ch Channel) (*Loop, [][]float64, float64) {
 	const eps = 0.5
 	data := gardenCols(t, 400, n)
 	l := &Loop{N: n, Channel: ch, Choose: (*Kernel).Choose}
+	mo := moments(t, data[:100])
 	for lo := 0; lo < n; lo += 2 {
-		k, err := Fit(data[:100], uniform(n, eps), []int{lo, lo + 1}, func(cols [][]float64) (model.Model, error) {
-			return model.FitLinearGaussian(cols, model.FitConfig{Period: 24})
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		k := fitKernel(t, mo, uniform(n, eps), []int{lo, lo + 1})
 		l.Src, l.Roots = append(l.Src, k), append(l.Roots, lo)
 	}
 	l.Mirror()
@@ -300,14 +296,9 @@ func TestSinkTwinMatchesComputedSink(t *testing.T) {
 	const n, eps = 6, 0.05
 	data := gardenCols(t, 200, n)
 	var proto []*Kernel
+	mo := moments(t, data[:100])
 	for _, members := range [][]int{{0, 1, 2}, {3, 4, 5}} {
-		k, err := Fit(data[:100], uniform(n, eps), members, func(cols [][]float64) (model.Model, error) {
-			return model.FitLinearGaussian(cols, model.FitConfig{Period: 24})
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		proto = append(proto, k)
+		proto = append(proto, fitKernel(t, mo, uniform(n, eps), members))
 	}
 	clones := func() []*Kernel {
 		out := make([]*Kernel, len(proto))

@@ -8,7 +8,9 @@
 // half alone when the other runs in another process; while a sink is
 // provably its source's twin, the loop copies the source's epoch into it
 // instead of recomputing it. mc, the bench replays and the failure-detector
-// calibration advance a lone replica through Advance.
+// calibration advance a lone replica through Advance. The package fits
+// nothing: New wraps a model fitted elsewhere, and cliques.Partition.Fit
+// fits a deployment's replicas.
 //
 // Reports travel as the sorted pair the models take (see model.Model):
 // clique-local indices, strictly increasing, and one value per index.
@@ -17,7 +19,6 @@ package protocol
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"ken/internal/gauss"
 	"ken/internal/model"
@@ -81,54 +82,6 @@ func New(m model.Model, members []int, eps []float64) (*Kernel, error) {
 		vals:    make([]float64, 0, n),
 		picked:  make([]bool, n),
 	}, nil
-}
-
-// Project extracts a clique's columns of the training matrix and its entries
-// of the global bound vector. Every row must cover every member.
-func Project(train [][]float64, eps []float64, members []int) (cols [][]float64, local []float64, err error) {
-	if len(members) == 0 {
-		return nil, nil, fmt.Errorf("protocol: empty clique")
-	}
-	local = make([]float64, len(members))
-	for k, g := range members {
-		if g < 0 || g >= len(eps) {
-			return nil, nil, fmt.Errorf("%w: clique member %d outside the %d attributes", model.ErrDim, g, len(eps))
-		}
-		local[k] = eps[g]
-	}
-	cols = make([][]float64, len(train))
-	for t, row := range train {
-		if len(row) != len(eps) {
-			return nil, nil, fmt.Errorf("%w: training row %d has %d attributes, want %d", model.ErrDim, t, len(row), len(eps))
-		}
-		r := make([]float64, len(members))
-		for k, g := range members {
-			r[k] = row[g]
-		}
-		cols[t] = r
-	}
-	return cols, local, nil
-}
-
-// Fit projects the training matrix and the global bounds onto a clique,
-// fits the clique's model through fit and returns the replica every endpoint
-// of the deployment clones its own from. The clique's attributes are taken
-// in ascending order whatever order members lists them in.
-func Fit(train [][]float64, eps []float64, members []int, fit func(cols [][]float64) (model.Model, error)) (*Kernel, error) {
-	members = append([]int(nil), members...)
-	sort.Ints(members)
-	cols, local, err := Project(train, eps, members)
-	if err != nil {
-		return nil, err
-	}
-	m, err := fit(cols)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: fitting clique %v: %w", members, err)
-	}
-	if m == nil || m.Dim() != len(members) {
-		return nil, fmt.Errorf("protocol: model for clique %v has the wrong dimension", members)
-	}
-	return New(m, members, local)
 }
 
 // Clone returns an independent replica in the same state.

@@ -9,6 +9,7 @@ import (
 
 	"ken/internal/alloctest"
 	"ken/internal/gauss"
+	"ken/internal/mat"
 	"ken/internal/model"
 	"ken/internal/model/modeltest"
 	"ken/internal/trace"
@@ -39,6 +40,32 @@ func gardenModel(t *testing.T, data [][]float64, train int) *model.LinearGaussia
 		t.Fatal(err)
 	}
 	return lg
+}
+
+// moments makes the one training pass every kernel of a test is sliced
+// from, as cliques.Partition.Fit does.
+func moments(t *testing.T, train [][]float64) *model.Moments {
+	t.Helper()
+	mo, err := model.NewMoments(train, model.FitConfig{Period: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mo
+}
+
+// fitKernel fits the replica of a clique (members strictly increasing) from
+// mo, with the clique's entries of the global bounds.
+func fitKernel(t *testing.T, mo *model.Moments, eps []float64, members []int) *Kernel {
+	t.Helper()
+	m, err := mo.Fit(members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := New(m, members, mat.Select(eps, members))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
 }
 
 func constantKernel(t *testing.T, initial, eps []float64) *Kernel {
@@ -283,66 +310,31 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestFitProjectsGathersAndScatters(t *testing.T) {
+// TestKernelGathersAndScatters: a kernel over clique {1, 3} reads and
+// writes only its members' slots of the global vectors, and a clone is an
+// independent replica in the same state.
+func TestKernelGathersAndScatters(t *testing.T) {
 	data := gardenCols(t, 120, 5)
-	eps := []float64{0.1, 0.2, 0.3, 0.4, 0.5}
-	fit := func(cols [][]float64) (model.Model, error) {
-		return model.FitLinearGaussian(cols, model.FitConfig{Period: 24})
-	}
-	k, err := Fit(data[:100], eps, []int{1, 3}, fit)
-	if err != nil {
-		t.Fatal(err)
-	}
+	k := fitKernel(t, moments(t, data[:100]), []float64{0.1, 0.2, 0.3, 0.4, 0.5}, []int{1, 3})
 	if !reflect.DeepEqual(k.Eps(), []float64{0.2, 0.4}) || !reflect.DeepEqual(k.Members(), []int{1, 3}) {
 		t.Fatalf("eps %v members %v", k.Eps(), k.Members())
 	}
-	// The same model as fitting the projected columns by hand.
-	cols := make([][]float64, 100)
-	for i, r := range data[:100] {
-		cols[i] = []float64{r[1], r[3]}
-	}
-	want := model.MeanOf(gardenModel(t, cols, 100))
-	if got := model.MeanOf(k.Model()); !reflect.DeepEqual(got, want) {
-		t.Fatalf("fitted mean %v, want %v", got, want)
-	}
+	want := model.MeanOf(k.Model())
 	if got := k.Gather([]float64{10, 11, 12, 13, 14}); !reflect.DeepEqual(got, []float64{11, 13}) {
 		t.Fatalf("Gather = %v", got)
 	}
 	est := uniform(5, -1)
 	k.Scatter(est)
 	if est[0] != -1 || est[2] != -1 || est[4] != -1 || est[1] != want[0] || est[3] != want[1] {
-		t.Fatalf("Scatter wrote %v", est)
+		t.Fatalf("Scatter wrote %v, mean %v", est, want)
 	}
-	// A clique listed out of order is the same clique: attributes are taken
-	// ascending, so wire order maps onto ascending local indices.
-	rev, err := Fit(data[:100], eps, []int{3, 1}, fit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rev.Members(), []int{1, 3}) || !reflect.DeepEqual(model.MeanOf(rev.Model()), want) {
-		t.Fatalf("Fit([3 1]): members %v mean %v, want [1 3] %v", rev.Members(), model.MeanOf(rev.Model()), want)
-	}
-	// A clone is independent and starts in the same state.
 	cl := k.Clone()
+	if !reflect.DeepEqual(model.MeanOf(cl.Model()), want) {
+		t.Fatal("the clone starts in another state")
+	}
 	cl.Predict()
 	if reflect.DeepEqual(model.MeanOf(cl.Model()), model.MeanOf(k.Model())) {
 		t.Fatal("stepping the clone moved the original")
-	}
-
-	if _, err := Fit(data[:100], eps, []int{1, 7}, fit); err == nil {
-		t.Fatal("out-of-range member accepted")
-	}
-	if _, err := Fit(data[:100], eps, nil, fit); err == nil {
-		t.Fatal("empty clique accepted")
-	}
-	if _, err := Fit(data[:100], eps[:4], []int{1, 3}, fit); err == nil {
-		t.Fatal("training rows wider than the bound vector accepted")
-	}
-	wrongDim := func([][]float64) (model.Model, error) {
-		return modeltest.NewRandomWalk([]float64{0}, []float64{0}), nil
-	}
-	if _, err := Fit(data[:100], eps, []int{1, 3}, wrongDim); err == nil {
-		t.Fatal("model of the wrong dimension accepted")
 	}
 }
 

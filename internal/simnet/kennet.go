@@ -151,7 +151,7 @@ func NewDistributedKenConfig(net *Network, part *cliques.Partition, train [][]fl
 	if cfg.FailureAlpha < 0 || cfg.FailureAlpha >= 1 {
 		return nil, fmt.Errorf("simnet: failure alpha %v outside [0,1)", cfg.FailureAlpha)
 	}
-	src, roots, err := part.Fit(train, eps, func(cols [][]float64) (model.Model, error) { return model.FitLinearGaussian(cols, fitCfg) })
+	src, roots, err := part.Fit(train, eps, fitCfg)
 	if err != nil {
 		return nil, fmt.Errorf("simnet: %w", err)
 	}

@@ -76,9 +76,7 @@ func build(cfg Config) (cl []*protocol.Kernel, roots []int, res float64, err err
 	for i, e := range cfg.Eps {
 		eff[i] = e - res/2
 	}
-	cl, roots, err = cfg.Partition.Fit(cfg.Train, eff, func(cols [][]float64) (model.Model, error) {
-		return model.FitLinearGaussian(cols, cfg.FitCfg)
-	})
+	cl, roots, err = cfg.Partition.Fit(cfg.Train, eff, cfg.FitCfg)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("stream: %w", err)
 	}
