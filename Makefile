@@ -109,7 +109,9 @@ sinkd-smoke:
 # audit-smoke proves the protocol invariants on real traces: a kensim lab
 # comparison, the clean packet-level simulator (kennet's ken, avg and tinydb
 # programs with nothing lost — faults-smoke only audits it at 20% loss) and
-# the quick benchmark suite at pool widths 1 and 8, each
+# the quick benchmark suite at pool widths 1 and 8 — the kensim and
+# kenbench traces carry the per-clique report, suppress and apply events of
+# both loop schemes, Ken and Avg — each
 # replayed through kenaudit -strict (ε bound, no silent divergence, byte
 # accounting). The two kenbench audit reports must be byte-identical —
 # parallel scheduling may reorder trace lines but never the audited facts.

@@ -19,8 +19,9 @@ import (
 // whether it is priced on a topology, timed into a metrics registry, thinned
 // by loss or a heartbeat, re-twinning the sink after a loss, picked by §6's
 // coin flips or by the exact subset enumeration, which tries every smaller
-// subset first. TinyDB, ApC and Avg reuse one estimate buffer and one
-// report list. With metrics
+// subset first. TinyDB and ApC reuse one estimate buffer and one report
+// list; Avg runs the same loop as Ken, its sinks copying their sources
+// whether the epoch suppresses or reports. With metrics
 // attached an epoch makes no registry lookup, and neither does a replay's
 // epoch loop; and a replay keeps totals only, so it allocates as much over
 // every test row as over two. Bounds far wider than the signal make every
@@ -79,9 +80,12 @@ func TestAllocBudgetKenReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	avg, err := NewAverage(train, tight, model.FitConfig{Period: 24}, chain)
-	if err != nil {
-		t.Fatal(err)
+	average := func(eps float64) Scheme {
+		a, err := NewAverage(train, []float64{eps, eps, eps, eps}, model.FitConfig{Period: 24}, chain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
 	}
 	for _, tc := range []struct {
 		name     string
@@ -100,7 +104,8 @@ func TestAllocBudgetKenReplay(t *testing.T) {
 		{"exhaustive Ken", ken(exhaustive), n},
 		{"TinyDB", tinydb, n},
 		{"reporting ApC", apc, n},
-		{"reporting Avg", avg, n},
+		{"suppressed Avg", average(100), 0},
+		{"reporting Avg", average(1e-9), n},
 	} {
 		// Alternating rows keep ApC's readings drifting past its cache.
 		step := 0

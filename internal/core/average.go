@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"ken/internal/model"
 	"ken/internal/network"
@@ -23,44 +22,44 @@ import (
 // available at step t is the one aggregated at t−1. The per-node model is
 // therefore fit over the pair (X_i(t), X̄(t−1)) — its second variable IS the
 // lagged average, keeping conditioning exact.
+//
+// It is the protocol loop over n one-member cliques with the average as
+// evidence (see protocol.New): every sink stays its source's twin.
 type Average struct {
-	nodes []AveragePair
-	top   *network.Topology
+	loop *protocol.Loop
+	ch   *disseminated
+	top  *network.Topology
 	// aggCost is the fixed per-step cost of computing and disseminating the
 	// average (2 tree sweeps, O(n) messages). Zero under topology-free
 	// accounting, matching the paper's Fig 9/10 which plot reported values
 	// only.
 	aggCost float64
-	// prevAvg is the last disseminated average.
-	prevAvg float64
 	est     []float64 // Step's estimate view
-	sent    []int     // Step's report view
+	span    obs.Span  // current epoch span, set by Run via BeginEpoch
+	stepN   int64
 }
 
-var _ Scheme = (*Average)(nil)
-
-// AveragePair is one node of the Average model: the source and sink
-// replicas of its two-variable model over [x_i(t), X̄(t−1)], run through the
-// protocol kernel like any clique. The average's slot carries an infinite
-// bound, so it is never checked and never a candidate for the report.
-type AveragePair struct {
-	Src, Sink *protocol.Kernel
-	pair      [2]float64 // the readings vector Choose gathers from; only slot 0 is read
-}
-
-// The pair model's two variables, as observation index sets.
 var (
-	pairOwn = []int{0} // the node's own reading x_i(t)
-	pairAvg = []int{1} // the lagged network average X̄(t−1)
+	_ EpochScoped              = (*Average)(nil)
+	_ protocol.EvidenceChannel = (*disseminated)(nil)
 )
 
+// disseminated is Average's channel: §3.2's perfect one, with the average
+// disseminated last round as both sides' evidence.
+type disseminated struct {
+	protocol.Perfect
+	avg [1]float64
+}
+
+func (c *disseminated) Evidence(int) (src, sink []float64) { return c.avg[:], c.avg[:] }
+
 // FitAveragePairs fits every node's (X_i, lagged X̄) pair model from the
-// training rows and returns the replica pairs together with the last
-// training average, which primes the first test step. The rows
-// (x(t), X̄(t−1)) are built once and every node's model is sliced from one
-// model.Moments pass over them, as columns i and n. core.Average and
-// simnet.DistributedAverage both run on its result.
-func FitAveragePairs(train [][]float64, eps []float64, fitCfg model.FitConfig) ([]AveragePair, float64, error) {
+// training rows and returns one source kernel per node, the average its
+// evidence slot, with the last training average, which primes the first
+// test step. The rows (x(t), X̄(t−1)) are built once and every node's model
+// is sliced from one model.Moments pass over them, as columns i and n.
+// core.Average and simnet.DistributedAverage both run on its result.
+func FitAveragePairs(train [][]float64, eps []float64, fitCfg model.FitConfig) ([]*protocol.Kernel, float64, error) {
 	if len(train) < 2 {
 		return nil, 0, fmt.Errorf("core: Average needs at least 2 training rows, got %d", len(train))
 	}
@@ -85,41 +84,17 @@ func FitAveragePairs(train [][]float64, eps []float64, fitCfg model.FitConfig) (
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: fitting average models: %w", err)
 	}
-	nodes := make([]AveragePair, n)
+	nodes := make([]*protocol.Kernel, n)
 	for i := range nodes {
 		mdl, err := mo.Fit([]int{i, n})
 		if err != nil {
 			return nil, 0, fmt.Errorf("core: fitting average model for node %d: %w", i, err)
 		}
-		proto, err := protocol.New(mdl, nil, []float64{eps[i], math.Inf(1)})
-		if err != nil {
+		if nodes[i], err = protocol.New(mdl, []int{i}, eps[i:i+1]); err != nil {
 			return nil, 0, fmt.Errorf("core: average model for node %d: %w", i, err)
 		}
-		nodes[i] = AveragePair{Src: proto, Sink: proto.Clone()}
 	}
 	return nodes, avg[len(avg)-1], nil
-}
-
-// Predict advances both replicas one step and conditions each on the
-// average its side holds: what the node last received and what the base
-// last disseminated. They are the same number unless the node is cut off.
-func (p *AveragePair) Predict(nodeAvg, baseAvg float64) error {
-	p.Src.Predict()
-	p.Sink.Predict()
-	p.pair[1] = nodeAvg
-	if err := p.Src.Commit(pairAvg, p.pair[1:]); err != nil {
-		return err
-	}
-	p.pair[1] = baseAvg
-	return p.Sink.Commit(pairAvg, p.pair[1:])
-}
-
-// Choose is the node's decision: its own reading when the prediction given
-// the average misses it by more than ε, the empty report otherwise. The
-// returned pair is the source kernel's scratch (see protocol.Kernel.Choose).
-func (p *AveragePair) Choose(reading float64) (idx []int, vals []float64, err error) {
-	p.pair[0] = reading
-	return p.Src.Choose(p.pair[:], pairOwn)
 }
 
 // NewAverage fits the per-node (X_i, lagged X̄) models from training data.
@@ -129,10 +104,17 @@ func NewAverage(train [][]float64, eps []float64, fitCfg model.FitConfig, top *n
 	if err != nil {
 		return nil, err
 	}
-	if top != nil && top.N() != len(nodes) {
-		return nil, fmt.Errorf("core: topology has %d nodes, data has %d", top.N(), len(nodes))
+	n := len(nodes)
+	if top != nil && top.N() != n {
+		return nil, fmt.Errorf("core: topology has %d nodes, data has %d", top.N(), n)
 	}
-	a := &Average{nodes: nodes, top: top, prevAvg: lastAvg, est: make([]float64, len(nodes))}
+	roots := make([]int, n)
+	for i := range roots {
+		roots[i] = i
+	}
+	a := &Average{ch: &disseminated{avg: [1]float64{lastAvg}}, top: top, est: make([]float64, n)}
+	a.loop = &protocol.Loop{Src: nodes, Roots: roots, N: n, Channel: a.ch, Choose: (*protocol.Kernel).Choose}
+	a.loop.Mirror()
 	if top != nil {
 		tree, err := top.TreeMessageCost()
 		if err != nil {
@@ -147,51 +129,36 @@ func NewAverage(train [][]float64, eps []float64, fitCfg model.FitConfig, top *n
 func (a *Average) Name() string { return "Avg" }
 
 // Dim implements Scheme.
-func (a *Average) Dim() int { return len(a.nodes) }
+func (a *Average) Dim() int { return len(a.est) }
 
-// Step implements Scheme.
+// BeginEpoch implements EpochScoped: the loop's events of the next Step nest
+// under the replay driver's epoch span.
+func (a *Average) BeginEpoch(sp obs.Span) { a.span = sp }
+
+// Step implements Scheme: one epoch of the protocol loop, its accounting
+// from the loop's record, and this step's aggregate for the next.
 func (a *Average) Step(truth []float64) ([]float64, StepStats, error) {
-	if len(truth) != len(a.nodes) {
-		return nil, StepStats{}, fmt.Errorf("core: truth dim %d, want %d", len(truth), len(a.nodes))
-	}
-	if err := protocol.CheckReadings(truth); err != nil {
+	if err := a.loop.Check(truth); err != nil {
 		return nil, StepStats{}, err
 	}
-	st := StepStats{IntraCost: a.aggCost, Reported: a.sent[:0]}
-	for i := range a.nodes {
-		nd := &a.nodes[i]
-		// Both replicas know the average disseminated last round.
-		if err := nd.Predict(a.prevAvg, a.prevAvg); err != nil {
-			return nil, StepStats{}, err
-		}
-		idx, vals, err := nd.Choose(truth[i])
-		if err != nil {
-			return nil, StepStats{}, err
-		}
-		if err := nd.Src.Commit(idx, vals); err != nil {
-			return nil, StepStats{}, err
-		}
-		if err := nd.Sink.Commit(idx, vals); err != nil {
-			return nil, StepStats{}, err
-		}
-		if len(idx) > 0 {
-			st.ValuesReported++
-			st.Reported = append(st.Reported, i)
-			if a.top == nil {
-				st.SinkCost++
-			} else {
-				st.SinkCost += a.top.CommToBase(i)
-			}
-		}
-		a.est[i] = nd.Sink.Mean()[0]
+	if err := a.loop.Epoch(a.stepN, a.span, truth); err != nil {
+		return nil, StepStats{}, err
 	}
-	a.sent = st.Reported
+	st := StepStats{IntraCost: a.aggCost, ValuesReported: len(a.loop.Reported), Reported: a.loop.Reported}
+	for _, i := range a.loop.Reported {
+		if a.top == nil {
+			st.SinkCost++
+		} else {
+			st.SinkCost += a.top.CommToBase(i)
+		}
+	}
 	st.Bytes = obs.WireBytesPerValue * st.ValuesReported
-	// Aggregate this step's readings for dissemination next round.
+	a.loop.Estimates(a.est)
+	a.stepN++
 	sum := 0.0
 	for _, v := range truth {
 		sum += v
 	}
-	a.prevAvg = sum / float64(len(a.nodes))
+	a.ch.avg[0] = sum / float64(len(truth))
 	return a.est, st, nil
 }

@@ -87,7 +87,13 @@ func Build(spec SchemeSpec) (Scheme, error) {
 	case "approxcache", "apc", "cache":
 		return NewCache(spec.Eps, spec.Topology)
 	case "average", "avg":
-		return NewAverage(spec.Train, spec.Eps, spec.FitCfg, spec.Topology)
+		a, err := NewAverage(spec.Train, spec.Eps, spec.FitCfg, spec.Topology)
+		if err != nil {
+			return nil, err
+		}
+		// Events only: Avg feeds no ken_* series, which count Ken's values.
+		a.loop.Tracer = spec.Obs.Tracer()
+		return a, nil
 	case "ken", "djc":
 		return buildKen(spec)
 	default:

@@ -12,7 +12,6 @@ import (
 	"ken/internal/model"
 	"ken/internal/network"
 	"ken/internal/obs"
-	"ken/internal/protocol"
 	"ken/internal/trace"
 )
 
@@ -435,7 +434,10 @@ func TestFitAveragePairsIsThePairFit(t *testing.T) {
 		if len(nodes) != n || lastAvg != avg[len(avg)-1] {
 			t.Fatalf("%s: %d nodes, last average %v, want %d and %v", name, len(nodes), lastAvg, n, avg[len(avg)-1])
 		}
-		for i, p := range nodes {
+		for i, k := range nodes {
+			if !slices.Equal(k.Members(), []int{i}) || !slices.Equal(k.Eps(), eps[i:i+1]) {
+				t.Fatalf("%s node %d: members %v, bounds %v — want the node alone, the average as evidence", name, i, k.Members(), k.Eps())
+			}
 			cols := make([][]float64, len(train)-1)
 			for step := range cols {
 				cols[step] = []float64{train[step+1][i], avg[step]}
@@ -444,18 +446,16 @@ func TestFitAveragePairsIsThePairFit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for side, k := range []*protocol.Kernel{p.Src, p.Sink} {
-				got, err := json.Marshal(k.Model())
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantJSON, err := json.Marshal(want)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, wantJSON) {
-					t.Fatalf("%s node %d replica %d: sliced fit\n%s\nhand-built fit\n%s", name, i, side, got, wantJSON)
-				}
+			got, err := json.Marshal(k.Model())
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantJSON, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, wantJSON) {
+				t.Fatalf("%s node %d: sliced fit\n%s\nhand-built fit\n%s", name, i, got, wantJSON)
 			}
 		}
 	}

@@ -15,7 +15,9 @@ import (
 	"ken/internal/core"
 	"ken/internal/mat"
 	"ken/internal/model"
+	"ken/internal/network"
 	"ken/internal/protocol"
+	"ken/internal/simnet"
 	"ken/internal/stream"
 	"ken/internal/trace"
 	"ken/internal/wire"
@@ -140,6 +142,66 @@ func TestSearchBitsPinned(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestAverageBitsPinned pins the bits of the Average model (Example 3.5) on
+// both of its drivers, which the figure hash sees only rounded and the
+// kennet golden only as totals. Lab seed 1, 2 000 test steps: every
+// estimate core.Run gets from the avg scheme, then every EpochResult of a
+// simnet avg replay on the chain at 20 % per-hop loss, whose batteries run
+// out partway — orphans condition on a stale average, reports are lost and
+// dead nodes fall silent. One FNV-64a digest each. Pinned on amd64, like
+// its siblings.
+func TestAverageBitsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests are pinned on amd64; %s may fuse or round differently", runtime.GOARCH)
+	}
+	exp := must(trace.LoadExperiment("lab", 1, 100, 2000, 0))
+	n := len(exp.Eps)
+	t.Run("core", func(t *testing.T) {
+		t.Parallel()
+		h := fnv.New64a()
+		s := must(core.Build(core.SchemeSpec{Scheme: "avg", Eps: exp.Eps, Train: exp.Train, FitCfg: fitCfg}))
+		res := must(core.Run(context.Background(), hashing{s, h}, exp.Test, core.RunOptions{Eps: exp.Eps}))
+		if res.ValuesReported == 0 || res.ValuesReported == res.Steps*n {
+			t.Fatalf("%d of %d values reported: the search was not exercised both ways", res.ValuesReported, res.Steps*n)
+		}
+		if got, want := h.Sum64(), uint64(0x6205d7867020919b); got != want {
+			t.Errorf("digest %#016x, pinned %#016x", got, want)
+		}
+	})
+	t.Run("simnet", func(t *testing.T) {
+		t.Parallel()
+		radio := simnet.DefaultRadio()
+		radio.LossRate = 0.2
+		radio.BatteryJ = 1
+		net := must(simnet.New(must(network.Chain(n)), radio, 1))
+		prog := must(simnet.NewDistributedAverage(net, exp.Train, exp.Eps, fitCfg))
+		h := fnv.New64a()
+		var b [8]byte
+		delivered, violations := 0, 0
+		for e, truth := range exp.Test {
+			res, err := prog.Epoch(truth)
+			if err != nil {
+				t.Fatalf("epoch %d: %v", e, err)
+			}
+			writeBits(h, res.Estimates)
+			binary.LittleEndian.PutUint64(b[:], uint64(res.ValuesDelivered))
+			h.Write(b[:])
+			binary.LittleEndian.PutUint64(b[:], uint64(res.Violations))
+			h.Write(b[:])
+			delivered += res.ValuesDelivered
+			violations += res.Violations
+		}
+		st := net.Stats()
+		if delivered == 0 || violations == 0 || st.DroppedLoss == 0 || net.AliveCount() == n || net.AliveCount() == 0 {
+			t.Fatalf("%d delivered, %d violations, %d lost, %d of %d alive: the replay misses a failure mode",
+				delivered, violations, st.DroppedLoss, net.AliveCount(), n)
+		}
+		if got, want := h.Sum64(), uint64(0xdf99d5ba6c10de98); got != want {
+			t.Errorf("digest %#016x, pinned %#016x", got, want)
+		}
+	})
 }
 
 // hashingModel is a LinearGaussian whose evaluator feeds every answer's

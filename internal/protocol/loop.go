@@ -10,10 +10,10 @@ import (
 
 // Channel is everything that differs between Ken's deployments (§6): not the
 // epoch, only what reaches the clique roots and what reaches the sink. The
-// loop asks it three questions per epoch and never which channel it is:
-// Perfect is §3.2's, core.LossyKen flips seeded coins, simnet.DistributedKen
-// sends packets through a lossy radio, stream.Source quantises onto a wire
-// frame for a sink in another process.
+// loop asks it three questions per epoch (an EvidenceChannel a fourth) and
+// never which channel it is: Perfect is §3.2's, core.LossyKen flips seeded
+// coins, simnet.DistributedKen sends packets through a lossy radio,
+// stream.Source quantises onto a wire frame for a sink in another process.
 type Channel interface {
 	// Heartbeat opens an epoch whose readings have been accepted and reports
 	// whether it is a heartbeat: every reading a root holds is reported,
@@ -33,6 +33,16 @@ type Channel interface {
 	// global attributes of values it dropped without tracing them, for the
 	// loop to trace.
 	Carry(ci int, idx []int, vals []float64, under obs.Span) (dIdx []int, dVals []float64, lost []int)
+}
+
+// EvidenceChannel is a Channel for cliques with evidence slots (see New):
+// Evidence returns clique ci's evidence values, one per slot, as the source
+// and as the sink hold them — they differ for a node cut off from what the
+// base disseminated. Epoch conditions each replica on its side's right after
+// Predict; the split halves (SourceEpoch, SinkEpoch) carry no evidence.
+type EvidenceChannel interface {
+	Channel
+	Evidence(ci int) (src, sink []float64)
 }
 
 // Perfect is the channel of §3.2: every root hears every member, every
@@ -76,11 +86,13 @@ type Policy func(src *Kernel, truth []float64, cand []int) (idx []int, vals []fl
 // Source and sink run the same deterministic model on the same reports, so
 // while every report arrives as sent their states stay equal bit for bit.
 // The loop keeps, per clique, a twin bit that says so: Mirror sets it, an
-// epoch whose delivery is the report keeps it, an epoch in which both
-// replicas commit a report of every member sets it again (both are then the
-// same point mass), and anything else clears it. On a twin epoch the sink
-// neither predicts nor commits: it copies the source's post-commit state
-// (model.StateCopier), the same bits its own moves would have made.
+// epoch whose delivery is the report and whose evidence (EvidenceChannel)
+// is the same on both sides keeps it, an epoch in which both replicas
+// commit a report of every member on the same evidence sets it again (both
+// are then the same point mass), and anything else clears it. On a twin
+// epoch the sink neither predicts nor commits: it copies the source's
+// post-commit state (model.StateCopier), the same bits its own moves would
+// have made.
 type Loop struct {
 	// Src and Sink are each clique's replicas, in partition order. Sink is
 	// set by Mirror, or directly on a sink-only loop (SinkEpoch), and empty
@@ -110,19 +122,21 @@ type Loop struct {
 
 	step int64
 	sp   obs.Span
-	pick Policy // this epoch's: Choose, or (*Kernel).Full on a heartbeat
+	pick Policy          // this epoch's: Choose, or (*Kernel).Full on a heartbeat
+	ev   EvidenceChannel // Channel's evidence, resolved once per Epoch; nil if none
 	// twin[ci]: clique ci's sink is bitwise its source (see Loop).
 	twin []bool
-	// d is the current clique's report after the channel: what arrived, what
-	// the channel dropped untraced, the report's span, and what the source
-	// committed.
+	// d is the current clique's evidence, each side's, and its report after
+	// the channel: what arrived, what the channel dropped untraced, the
+	// report's span, and what the source committed.
 	d struct {
-		idx      []int
-		vals     []float64
-		lost     []int
-		under    obs.Span
-		sent     []int
-		sentVals []float64
+		srcEv, sinkEv []float64
+		idx           []int
+		vals          []float64
+		lost          []int
+		under         obs.Span
+		sent          []int
+		sentVals      []float64
 	}
 }
 
@@ -157,22 +171,35 @@ func (l *Loop) Check(truth []float64) error {
 // report: it predicts then (or on an error, as every sink predicts before
 // its source's half), and otherwise copies the source once it has
 // committed. The report is traced against the source's prediction, which is
-// bitwise the sink's, so a traced run takes the same path.
+// bitwise the sink's, so a traced run takes the same path. A clique whose
+// two sides hold different evidence is no twin for the epoch.
 func (l *Loop) Epoch(step int64, sp obs.Span, truth []float64) error {
 	l.begin(step, sp)
+	l.ev, _ = l.Channel.(EvidenceChannel)
 	for ci, sink := range l.Sink {
 		src := l.Src[ci]
+		same := true
+		if l.ev != nil {
+			l.d.srcEv, l.d.sinkEv = l.ev.Evidence(ci)
+			same = sameBits(l.d.srcEv, l.d.sinkEv)
+		}
 		twin := ci < len(l.twin) && l.twin[ci]
 		view := src
 		if twin {
 			l.twin[ci] = false // until this epoch ends well
-		} else {
+			twin = same
+		}
+		if !twin {
 			sink.Predict()
+			if err := sink.observe(l.d.sinkEv); err != nil {
+				return err
+			}
 			view = sink
 		}
 		if err := l.source(ci, truth, view); err != nil {
 			if twin {
 				sink.Predict()
+				_ = sink.observe(l.d.sinkEv) // the source's error is the epoch's
 			}
 			return err
 		}
@@ -184,12 +211,15 @@ func (l *Loop) Epoch(step int64, sp obs.Span, truth []float64) error {
 		} else {
 			if twin {
 				sink.Predict()
+				if err := sink.observe(l.d.sinkEv); err != nil {
+					return err
+				}
 			}
 			if err := sink.Commit(l.d.idx, l.d.vals); err != nil {
 				return err
 			}
 		}
-		if asSent && (twin || len(l.d.sent) == src.Dim()) && ci < len(l.twin) {
+		if asSent && same && (twin || len(l.d.sent) == src.Dim()) && ci < len(l.twin) {
 			l.twin[ci] = sink.sc != nil
 		}
 		if l.Tracer != nil {
@@ -208,6 +238,19 @@ func (l *Loop) asSent() bool {
 	}
 	for j, i := range d.sent {
 		if d.idx[j] != i || math.Float64bits(d.vals[j]) != math.Float64bits(d.sentVals[j]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameBits reports whether a and b hold the same values bit for bit.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for j, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[j]) {
 			return false
 		}
 	}
@@ -277,6 +320,9 @@ func (l *Loop) source(ci int, truth []float64, view *Kernel) error {
 	src := l.Src[ci]
 	cand := l.Channel.Collect(ci, truth)
 	src.Predict()
+	if err := src.observe(l.d.srcEv); err != nil {
+		return err
+	}
 	var pred []float64
 	if l.Tracer != nil {
 		pred = append([]float64(nil), view.Mean()...)

@@ -184,6 +184,29 @@ func (s *scripted) Carry(ci int, idx []int, vals []float64, _ obs.Span) ([]int, 
 	return dIdx, dVals, nil
 }
 
+// witnessed is the scripted channel for cliques with one evidence slot:
+// each epoch the source's evidence is the reading of the clique's evidence
+// attribute, and the sink's is the same, or off by a quarter where the
+// schedule skews it — a node cut off from the disseminated average. It
+// records each clique's sink evidence for the test's computing sinks.
+type witnessed struct {
+	*scripted
+	rows   [][]float64
+	attr   []int    // attr[ci]: the global attribute clique ci's evidence reads
+	skew   [][]bool // skew[e][ci]: the sink's evidence differs in epoch e
+	sinkEv [][]float64
+}
+
+func (w *witnessed) Evidence(ci int) (src, sink []float64) {
+	v := w.rows[w.epoch-1][w.attr[ci]]
+	src, sink = []float64{v}, []float64{v}
+	if w.skew[w.epoch-1][ci] {
+		sink[0] += 0.25
+	}
+	w.sinkEv[ci] = sink
+	return src, sink
+}
+
 // choose is the scripted report policy: Choose, except where the schedule
 // refuses.
 func (s *scripted) choose(src *Kernel, truth []float64, cand []int) ([]int, []float64, error) {
@@ -229,8 +252,10 @@ func applies(t *testing.T, trace *bytes.Buffer) []obs.Event {
 }
 
 // twinSchedule is the schedule of TestSinkTwinMatchesComputedSink, over two
-// cliques, repeated: each line says what it takes a twin sink through.
-func twinSchedule(repeats int) (beats []bool, acts [][]act) {
+// cliques, repeated: each line says what it takes a twin sink through. skew
+// says, for cliques with evidence, whose sink holds other evidence than its
+// source (witnessed).
+func twinSchedule(repeats int) (beats []bool, acts [][]act, skew [][]bool) {
 	base := []struct {
 		hb   bool
 		acts []act
@@ -256,12 +281,29 @@ func twinSchedule(repeats int) (beats []bool, acts [][]act) {
 		{false, []act{pass, pass}},        //
 		{false, []act{dropOne, quantise}}, //
 	}
+	// The lines of base on which a clique's evidence differs between the
+	// sides, and which cliques.
+	skewed := map[int][]bool{
+		2:  {true, false}, // clique 0 orphaned on an epoch that passes: no twin
+		3:  {true, false}, // … and its report lost besides
+		4:  {false, true}, // a whole heartbeat: clique 0 agrees again right after and re-twins; clique 1 differs and makes none
+		7:  {true, true},  // both orphaned on an epoch that passes
+		9:  {false, true}, //
+		10: {true, false}, // a whole heartbeat on differing evidence: no re-twin
+		11: {false, true}, // clique 0 errs, so clique 1's skew is never read
+		18: {true, false}, //
+	}
 	for range repeats {
-		for _, e := range base {
+		for line, e := range base {
 			beats, acts = append(beats, e.hb), append(acts, e.acts)
+			sk := skewed[line]
+			if sk == nil {
+				sk = []bool{false, false}
+			}
+			skew = append(skew, sk)
 		}
 	}
-	return beats, acts
+	return beats, acts, skew
 }
 
 // replicaBits is everything of a LinearGaussian replica an answer or a
@@ -292,112 +334,160 @@ func replicaBits(t *testing.T, k *Kernel) []uint64 {
 // did not mirror, so never twins, must write the same trace; and a sink-only
 // loop fed each epoch's arrivals through SinkEpoch, the sink half a source in
 // another process drives, must hold the same bits and apply the same events.
+// The same schedule runs again on cliques with an evidence slot over a
+// channel that also supplies evidence (witnessed): agreeing on most epochs,
+// differing on some, and a whole heartbeat right after a difference; there
+// the clone also conditions on the sink's evidence after each Predict.
 func TestSinkTwinMatchesComputedSink(t *testing.T) {
 	const n, eps = 6, 0.05
 	data := gardenCols(t, 200, n)
-	var proto []*Kernel
 	mo := moments(t, data[:100])
-	for _, members := range [][]int{{0, 1, 2}, {3, 4, 5}} {
-		proto = append(proto, fitKernel(t, mo, uniform(n, eps), members))
-	}
-	clones := func() []*Kernel {
-		out := make([]*Kernel, len(proto))
-		for ci, k := range proto {
-			out[ci] = k.Clone()
-		}
-		return out
-	}
-	beats, acts := twinSchedule(4)
+	beats, acts, skew := twinSchedule(4)
 	test := data[100 : 100+len(beats)]
-	loop := func(mirror bool, tr *obs.Tracer) (*Loop, *scripted) {
-		ch := &scripted{beats: beats, acts: acts, reached: make([]bool, 2), arrived: make([][]float64, 2), arrIdx: make([][]int, 2)}
-		l := &Loop{Src: clones(), Roots: []int{0, 3}, N: n, Channel: ch, Choose: ch.choose, Tracer: tr}
-		if mirror {
-			l.Mirror()
+	for _, evidence := range []bool{false, true} {
+		var proto []*Kernel
+		if evidence {
+			// Cliques {0, 1} and {3, 4}, each model's third slot the
+			// evidence read off attribute 2 or 5.
+			for _, cols := range [][]int{{0, 1, 2}, {3, 4, 5}} {
+				m, err := mo.Fit(cols)
+				if err != nil {
+					t.Fatal(err)
+				}
+				k, err := New(m, cols[:2], uniform(2, eps))
+				if err != nil {
+					t.Fatal(err)
+				}
+				proto = append(proto, k)
+			}
 		} else {
-			l.Sink = clones()
-		}
-		return l, ch
-	}
-	for _, traced := range []bool{false, true} {
-		var twinTrace, computedTrace bytes.Buffer
-		var twinTr, computedTr *obs.Tracer
-		if traced {
-			twinTr, computedTr = obs.NewTracer(&twinTrace), obs.NewTracer(&computedTrace)
-		}
-		twins, ch := loop(true, twinTr)
-		computing, _ := loop(false, computedTr)
-		var remoteTrace bytes.Buffer
-		var remoteTr *obs.Tracer
-		if traced {
-			remoteTr = obs.NewTracer(&remoteTrace)
-		}
-		remote := &Loop{Sink: clones(), Channel: arrivals{ch}, Tracer: remoteTr}
-		ref := clones()
-		copies, retwins, errs := 0, 0, 0
-		for e, truth := range test {
-			before := append([]bool(nil), twins.twin...)
-			err := twins.Epoch(int64(e), obs.Span{}, truth)
-			cerr := computing.Epoch(int64(e), obs.Span{}, truth)
-			if (err == nil) != (cerr == nil) {
-				t.Fatalf("epoch %d: twin loop err %v, computing loop err %v", e, err, cerr)
-			}
-			if err != nil {
-				errs++
-			}
-			if rerr := remote.SinkEpoch(int64(e), obs.Span{}); (rerr == nil) != (err == nil) {
-				t.Fatalf("epoch %d: twin loop err %v, sink-only loop err %v", e, err, rerr)
-			}
-			for ci, r := range ref {
-				if !ch.reached[ci] {
-					continue
-				}
-				r.Predict()
-				if ch.arrived[ci] != nil {
-					_ = r.Commit(ch.arrIdx[ci], ch.arrived[ci]) // fails where the sink's did
-				}
-				switch {
-				case before[ci] && twins.twin[ci]: // kept: the epoch was a copy
-					copies++
-				case !before[ci] && twins.twin[ci]:
-					retwins++
-				}
-			}
-			for ci, sink := range twins.Sink {
-				want := replicaBits(t, ref[ci])
-				if got := replicaBits(t, sink); !reflect.DeepEqual(got, want) {
-					t.Fatalf("traced %v, epoch %d (%v, heartbeat %v), clique %d: the sink differs from a clone that computed what arrived",
-						traced, e, acts[e], beats[e], ci)
-				}
-				if got := replicaBits(t, computing.Sink[ci]); !reflect.DeepEqual(got, want) {
-					t.Fatalf("epoch %d clique %d: the computing loop's sink differs from the clone", e, ci)
-				}
-				if got := replicaBits(t, remote.Sink[ci]); !reflect.DeepEqual(got, want) {
-					t.Fatalf("traced %v, epoch %d clique %d: the sink-only loop differs from the clone", traced, e, ci)
-				}
+			for _, members := range [][]int{{0, 1, 2}, {3, 4, 5}} {
+				proto = append(proto, fitKernel(t, mo, uniform(n, eps), members))
 			}
 		}
-		if copies == 0 || retwins == 0 || errs == 0 || ch.lost == 0 {
-			t.Fatalf("schedule not felt: %d copied epochs, %d re-twins, %d errors, %d changed deliveries", copies, retwins, errs, ch.lost)
+		clones := func() []*Kernel {
+			out := make([]*Kernel, len(proto))
+			for ci, k := range proto {
+				out[ci] = k.Clone()
+			}
+			return out
 		}
-		if traced {
-			if err := twinTr.Flush(); err != nil {
-				t.Fatal(err)
+		loop := func(mirror bool, tr *obs.Tracer) (*Loop, *scripted, *witnessed) {
+			ch := &scripted{beats: beats, acts: acts, reached: make([]bool, 2), arrived: make([][]float64, 2), arrIdx: make([][]int, 2)}
+			l := &Loop{Src: clones(), Roots: []int{0, 3}, N: n, Channel: ch, Choose: ch.choose, Tracer: tr}
+			var w *witnessed
+			if evidence {
+				w = &witnessed{scripted: ch, rows: test, attr: []int{2, 5}, skew: skew, sinkEv: make([][]float64, 2)}
+				l.Channel = w
 			}
-			if err := computedTr.Flush(); err != nil {
-				t.Fatal(err)
+			if mirror {
+				l.Mirror()
+			} else {
+				l.Sink = clones()
 			}
-			if err := remoteTr.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(twinTrace.Bytes(), computedTrace.Bytes()) {
-				t.Fatal("the twin loop's trace differs from the computing loop's")
-			}
-			want, got := applies(t, &twinTrace), applies(t, &remoteTrace)
-			if len(want) == 0 || !reflect.DeepEqual(got, want) {
-				t.Fatalf("the sink-only loop applied %d events unlike the twin loop's %d", len(got), len(want))
-			}
+			return l, ch, w
 		}
-		t.Logf("traced %v: %d copied clique-epochs, %d re-twins, %d errors", traced, copies, retwins, errs)
+		for _, traced := range []bool{false, true} {
+			var twinTrace, computedTrace bytes.Buffer
+			var twinTr, computedTr *obs.Tracer
+			if traced {
+				twinTr, computedTr = obs.NewTracer(&twinTrace), obs.NewTracer(&computedTrace)
+			}
+			twins, ch, w := loop(true, twinTr)
+			computing, _, _ := loop(false, computedTr)
+			var remoteTrace bytes.Buffer
+			var remoteTr *obs.Tracer
+			if traced {
+				remoteTr = obs.NewTracer(&remoteTrace)
+			}
+			// The sink-only loop carries no evidence: it runs on ordinary
+			// cliques only.
+			remote := &Loop{Sink: clones(), Channel: arrivals{ch}, Tracer: remoteTr}
+			ref := clones()
+			copies, retwins, errs, differs := 0, 0, 0, 0
+			for e, truth := range test {
+				before := append([]bool(nil), twins.twin...)
+				err := twins.Epoch(int64(e), obs.Span{}, truth)
+				cerr := computing.Epoch(int64(e), obs.Span{}, truth)
+				if (err == nil) != (cerr == nil) {
+					t.Fatalf("epoch %d: twin loop err %v, computing loop err %v", e, err, cerr)
+				}
+				if err != nil {
+					errs++
+				}
+				if !evidence {
+					if rerr := remote.SinkEpoch(int64(e), obs.Span{}); (rerr == nil) != (err == nil) {
+						t.Fatalf("epoch %d: twin loop err %v, sink-only loop err %v", e, err, rerr)
+					}
+				}
+				for ci, r := range ref {
+					if !ch.reached[ci] {
+						continue
+					}
+					var ev []float64
+					if evidence {
+						ev = w.sinkEv[ci]
+						if skew[e][ci] {
+							differs++
+						}
+					}
+					r.Predict()
+					if err := r.observe(ev); err != nil {
+						t.Fatal(err)
+					}
+					if ch.arrived[ci] != nil {
+						_ = r.Commit(ch.arrIdx[ci], ch.arrived[ci]) // fails where the sink's did
+					}
+					switch {
+					case before[ci] && twins.twin[ci]: // kept: the epoch was a copy
+						copies++
+					case !before[ci] && twins.twin[ci]:
+						retwins++
+					}
+				}
+				for ci, sink := range twins.Sink {
+					want := replicaBits(t, ref[ci])
+					if got := replicaBits(t, sink); !reflect.DeepEqual(got, want) {
+						t.Fatalf("evidence %v, traced %v, epoch %d (%v, heartbeat %v, skew %v), clique %d: the sink differs from a clone that computed what arrived",
+							evidence, traced, e, acts[e], beats[e], skew[e], ci)
+					}
+					if got := replicaBits(t, computing.Sink[ci]); !reflect.DeepEqual(got, want) {
+						t.Fatalf("evidence %v, epoch %d clique %d: the computing loop's sink differs from the clone", evidence, e, ci)
+					}
+					if evidence {
+						continue
+					}
+					if got := replicaBits(t, remote.Sink[ci]); !reflect.DeepEqual(got, want) {
+						t.Fatalf("traced %v, epoch %d clique %d: the sink-only loop differs from the clone", traced, e, ci)
+					}
+				}
+			}
+			if copies == 0 || retwins == 0 || errs == 0 || ch.lost == 0 || (evidence && differs == 0) {
+				t.Fatalf("evidence %v: schedule not felt: %d copied epochs, %d re-twins, %d errors, %d changed deliveries, %d differing evidence",
+					evidence, copies, retwins, errs, ch.lost, differs)
+			}
+			if traced {
+				if err := twinTr.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if err := computedTr.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if err := remoteTr.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(twinTrace.Bytes(), computedTrace.Bytes()) {
+					t.Fatalf("evidence %v: the twin loop's trace differs from the computing loop's", evidence)
+				}
+				if !evidence {
+					want, got := applies(t, &twinTrace), applies(t, &remoteTrace)
+					if len(want) == 0 || !reflect.DeepEqual(got, want) {
+						t.Fatalf("the sink-only loop applied %d events unlike the twin loop's %d", len(got), len(want))
+					}
+				}
+			}
+			t.Logf("evidence %v, traced %v: %d copied clique-epochs, %d re-twins, %d errors, %d differing evidence",
+				evidence, traced, copies, retwins, errs, differs)
+		}
 	}
 }

@@ -30,37 +30,41 @@ import (
 type Kernel struct {
 	m       model.Model
 	sc      model.StateCopier // m's state copy from a twin; nil when the family has none
-	members []int             // global attribute index of each local one, strictly increasing
-	eps     []float64         // clique-local bounds, all positive
+	members []int             // global attribute index of each member slot, strictly increasing
+	eps     []float64         // the members' bounds, all positive
 	all     []int             // 0..Dim()-1, the full candidate set
+	ev      []int             // the evidence slots, Dim()..m.Dim()-1; empty for an ordinary clique
 
 	local  []float64 // readings gathered by the last Choose/Full
-	mean   []float64 // the last mean read or hypothesised
+	mean   []float64 // the last mean read or hypothesised, evidence slots included
 	idx    []int     // the report being built, strictly increasing
 	vals   []float64
 	picked []bool // picked[i]: local attribute i is in the report being built
 }
 
 // New wraps a fitted model as a clique replica. members maps the model's
-// local attributes to global indices and must be strictly increasing — wire
+// leading slots to global indices and must be strictly increasing — wire
 // frames list attributes in ascending order, and a sorted clique turns that
 // into ascending local indices with no per-frame sort; nil means the model
-// covers the whole vector (members[i] = i). eps are the clique-local bounds.
-// The kernel takes ownership of m.
+// covers the whole vector (members[i] = i). eps are the members' bounds.
+// Slots past the members are evidence: they have no global attribute and no
+// bound, the replica is conditioned on them after each Predict (the Loop
+// asks its channel for their values, see EvidenceChannel), and they are
+// never gathered, chosen or scattered. The kernel takes ownership of m.
 func New(m model.Model, members []int, eps []float64) (*Kernel, error) {
 	if m == nil {
 		return nil, fmt.Errorf("protocol: nil model")
 	}
 	n := m.Dim()
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
+	slots := make([]int, n)
+	for i := range slots {
+		slots[i] = i
 	}
 	if members == nil {
-		members = all
+		members = slots
 	}
-	if len(members) != n || len(eps) != n {
-		return nil, fmt.Errorf("%w: model covers %d attributes, clique has %d members and %d bounds",
+	if len(members) == 0 || len(members) > n || len(eps) != len(members) {
+		return nil, fmt.Errorf("%w: model has %d slots, clique has %d members and %d bounds",
 			model.ErrDim, n, len(members), len(eps))
 	}
 	for i, g := range members {
@@ -72,15 +76,16 @@ func New(m model.Model, members []int, eps []float64) (*Kernel, error) {
 		}
 	}
 	sc, _ := m.(model.StateCopier)
+	k := len(members)
 	return &Kernel{
-		m: m, sc: sc, all: all,
+		m: m, sc: sc, all: slots[:k:k], ev: slots[k:],
 		members: append([]int(nil), members...),
 		eps:     append([]float64(nil), eps...),
-		local:   make([]float64, n),
+		local:   make([]float64, k),
 		mean:    make([]float64, n),
-		idx:     make([]int, 0, n),
-		vals:    make([]float64, 0, n),
-		picked:  make([]bool, n),
+		idx:     make([]int, 0, k),
+		vals:    make([]float64, 0, k),
+		picked:  make([]bool, k),
 	}, nil
 }
 
@@ -93,7 +98,7 @@ func (k *Kernel) Clone() *Kernel {
 	return cp
 }
 
-// Dim returns the clique size.
+// Dim returns the clique size: its members, not its evidence slots.
 func (k *Kernel) Dim() int { return len(k.members) }
 
 // Members returns the clique's global attribute indices (read-only).
@@ -125,6 +130,15 @@ func CheckReadings(truth []float64) error {
 // Predict advances the replica one step through the model's transition.
 func (k *Kernel) Predict() { k.m.Step() }
 
+// observe conditions the replica, right after Predict, on its evidence
+// slots' values, one per slot (see New); nil evidence is none.
+func (k *Kernel) observe(evidence []float64) error {
+	if evidence == nil {
+		return nil
+	}
+	return k.m.Condition(k.ev, evidence)
+}
+
 // Mean reads the replica's current mean into the kernel's scratch and
 // returns it, valid until the next call on the kernel.
 func (k *Kernel) Mean() []float64 {
@@ -137,7 +151,7 @@ func (k *Kernel) Mean() []float64 {
 // Scatter writes the replica's current mean into the clique's slots of the
 // global estimate vector.
 func (k *Kernel) Scatter(est []float64) {
-	for i, v := range k.Mean() {
+	for i, v := range k.Mean()[:len(k.members)] {
 		est[k.members[i]] = v
 	}
 }
@@ -297,7 +311,8 @@ func (k *Kernel) Commit(idx []int, vals []float64) error {
 }
 
 // Advance runs one whole epoch on a lone replica that hears every report:
-// check the readings, predict, choose over all attributes, commit. It
+// check the readings, predict, choose over all attributes, commit (no
+// evidence: for cliques without evidence slots). It
 // returns the number of values reported — what mc's trajectories, the bench
 // replays and the failure-detector calibration count.
 func (k *Kernel) Advance(truth []float64) (int, error) {

@@ -296,6 +296,8 @@ func TestNewValidation(t *testing.T) {
 		"zero eps":          {nil, []float64{1, 0}},
 		"NaN eps":           {nil, []float64{1, math.NaN()}},
 		"members length":    {[]int{0}, []float64{1, 1}},
+		"no members":        {[]int{}, []float64{}},
+		"more than slots":   {[]int{0, 1, 2}, []float64{1, 1, 1}},
 		"unsorted members":  {[]int{3, 1}, []float64{1, 1}},
 		"duplicate members": {[]int{2, 2}, []float64{1, 1}},
 		"negative member":   {[]int{-1, 2}, []float64{1, 1}},
@@ -335,6 +337,45 @@ func TestKernelGathersAndScatters(t *testing.T) {
 	cl.Predict()
 	if reflect.DeepEqual(model.MeanOf(cl.Model()), model.MeanOf(k.Model())) {
 		t.Fatal("stepping the clone moved the original")
+	}
+}
+
+// TestEvidenceSlot: a kernel over clique {1, 3} whose model has a third
+// slot holds that slot as evidence — it is no member, has no bound, is never
+// gathered, chosen or scattered, survives Clone, and observe pins it to the
+// value it is handed.
+func TestEvidenceSlot(t *testing.T) {
+	data := gardenCols(t, 120, 5)
+	m, err := moments(t, data[:100]).Fit([]int{1, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := New(m, []int{1, 3}, []float64{1e-9, 1e-9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cl := k.Clone(); k.Dim() != 2 || cl.Dim() != 2 || !reflect.DeepEqual(cl.ev, []int{2}) {
+		t.Fatalf("Dim %d, clone's Dim %d and evidence %v: want 2 members, slot 2 evidence", k.Dim(), cl.Dim(), cl.ev)
+	}
+	k.Predict()
+	if err := k.observe([]float64{42}); err != nil {
+		t.Fatal(err)
+	}
+	if mean := k.Mean(); len(mean) != 3 || math.Abs(mean[2]-42) > 1e-9 {
+		t.Fatalf("mean %v after predict given evidence 42", mean)
+	}
+	truth := []float64{10, 11, 12, 13, 14}
+	if got := k.Gather(truth); !reflect.DeepEqual(got, []float64{11, 13}) {
+		t.Fatalf("Gather = %v", got)
+	}
+	idx, vals, err := k.Choose(truth, nil)
+	if err != nil || !reflect.DeepEqual(idx, []int{0, 1}) || !reflect.DeepEqual(vals, []float64{11, 13}) {
+		t.Fatalf("Choose at ε = 1e-9: %v %v, err %v — want both members and nothing else", idx, vals, err)
+	}
+	est := uniform(5, -1)
+	k.Scatter(est)
+	if est[4] != -1 || est[0] != -1 || est[2] != -1 || est[1] == -1 || est[3] == -1 {
+		t.Fatalf("Scatter wrote %v", est)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"ken/internal/core"
 	"ken/internal/model"
 	"ken/internal/obs"
+	"ken/internal/protocol"
 )
 
 // DistributedAverage runs the paper's Average model (Example 3.5, Figure 4)
@@ -19,22 +20,23 @@ import (
 // subtree from the aggregate (the average is computed over whatever
 // reached the base), and dissemination does not cross dead nodes, so
 // orphaned nodes keep predicting with a stale average.
+//
+// The per-node part is the protocol loop over one-member cliques with the
+// average as evidence (core.FitAveragePairs), the program its channel.
 type DistributedAverage struct {
-	net   *Network
-	n     int
-	eps   []float64
-	nodes []core.AveragePair // per node, over [x_i(t), avg(t−1)]
-	// parent is the aggregation/dissemination tree.
-	parent   []int
+	protocol.Perfect // for its Heartbeat: the Average model has none
+	net              *Network
+	loop             *protocol.Loop
+	eps              []float64
+	// children is the aggregation/dissemination tree, the base at index n.
 	children [][]int
-	order    []int // leaves-first traversal for aggregation
 	// prevAvg is the base's last computed average; per-node lastAvg is what
 	// each node most recently received (stale for orphans).
-	prevAvg float64
+	prevAvg [1]float64
 	lastAvg []float64
 }
 
-var _ Program = (*DistributedAverage)(nil)
+var _ protocol.EvidenceChannel = (*DistributedAverage)(nil)
 
 // NewDistributedAverage fits the per-node models and builds the tree.
 func NewDistributedAverage(net *Network, train [][]float64, eps []float64, fitCfg model.FitConfig) (*DistributedAverage, error) {
@@ -55,43 +57,52 @@ func NewDistributedAverage(net *Network, train [][]float64, eps []float64, fitCf
 	}
 	d := &DistributedAverage{
 		net:     net,
-		n:       n,
 		eps:     append([]float64(nil), eps...),
-		nodes:   nodes,
-		parent:  parent,
-		prevAvg: lastAvg,
+		prevAvg: [1]float64{lastAvg},
 		lastAvg: make([]float64, n),
 	}
-	d.children = make([][]int, n+1) // index n = base
+	roots := make([]int, n)
+	for i := range roots {
+		roots[i], d.lastAvg[i] = i, lastAvg
+	}
+	d.loop = &protocol.Loop{
+		Src: nodes, Roots: roots, N: n,
+		Channel: d, Choose: (*protocol.Kernel).Choose, Tracer: net.tracer,
+	}
+	d.loop.Mirror()
+	d.children = make([][]int, n+1)
 	for i, p := range parent {
 		d.children[p] = append(d.children[p], i)
-	}
-	d.order = postOrder(d.children, net.top.Base())
-
-	for i := range d.lastAvg {
-		d.lastAvg[i] = d.prevAvg
 	}
 	return d, nil
 }
 
-// postOrder returns the sensor nodes in leaves-first order under the base.
-func postOrder(children [][]int, base int) []int {
-	var out []int
-	var walk func(v int)
-	walk = func(v int) {
-		for _, c := range children[v] {
-			walk(c)
-		}
-		if v != base {
-			out = append(out, v)
-		}
-	}
-	walk(base)
-	return out
-}
-
 // Name implements Program.
 func (d *DistributedAverage) Name() string { return "avg" }
+
+// Collect implements protocol.Channel: a live node holds its own reading, a
+// dead one nothing — the empty, never nil, set.
+func (d *DistributedAverage) Collect(i int, _ []float64) []int {
+	if d.net.Alive(i) {
+		return nil
+	}
+	return []int{}
+}
+
+// Carry implements protocol.Channel: a node unicasts a non-empty report to
+// the base; it assumes delivery (no acks), so its replica commits anyway.
+func (d *DistributedAverage) Carry(i int, idx []int, vals []float64, under obs.Span) ([]int, []float64, []int) {
+	if len(idx) == 0 || d.net.SendSpan(Message{From: i, To: d.net.Base(), Attrs: d.loop.Src[i].Members(), Values: vals}, under) {
+		return idx, vals, nil
+	}
+	return nil, nil, nil
+}
+
+// Evidence implements protocol.EvidenceChannel: the average node i last
+// received at the node, the one the base disseminated at the base.
+func (d *DistributedAverage) Evidence(i int) (src, sink []float64) {
+	return d.lastAvg[i : i+1], d.prevAvg[:]
+}
 
 // Epoch implements Program.
 func (d *DistributedAverage) Epoch(truth []float64) (EpochResult, error) {
@@ -99,34 +110,32 @@ func (d *DistributedAverage) Epoch(truth []float64) (EpochResult, error) {
 	if err != nil {
 		return EpochResult{}, err
 	}
-	res := EpochResult{Estimates: make([]float64, d.n)}
+	n := len(d.lastAvg)
 
 	// Phase 1 — aggregate partial (sum, count) pairs up the tree. Each
 	// live node sends exactly one two-value message to its parent;
 	// delivery failures drop the subtree's contribution.
-	sums := make([]float64, d.n+1)
-	counts := make([]float64, d.n+1)
-	for i := 0; i < d.n; i++ {
+	sums := make([]float64, n+1)
+	counts := make([]float64, n+1)
+	for i := 0; i < n; i++ {
 		if d.net.Alive(i) {
 			sums[i] += truth[i]
 			counts[i]++
 		}
 	}
-	for _, i := range d.order { // leaves first: children already folded in
-		if counts[i] == 0 {
-			continue
-		}
-		if !d.net.Alive(i) {
-			continue
-		}
-		ok := d.net.SendSpan(Message{From: i, To: d.parent[i],
-			Values: []float64{sums[i], counts[i]}}, sp)
-		if ok {
-			sums[d.parent[i]] += sums[i]
-			counts[d.parent[i]] += counts[i]
+	var gather func(v int)
+	gather = func(v int) {
+		for _, c := range d.children[v] {
+			gather(c) // leaves first: c's subtree is folded into c
+			if counts[c] > 0 && d.net.Alive(c) &&
+				d.net.SendSpan(Message{From: c, To: v, Values: []float64{sums[c], counts[c]}}, sp) {
+				sums[v] += sums[c]
+				counts[v] += counts[c]
+			}
 		}
 	}
 	base := d.net.top.Base()
+	gather(base)
 
 	// Phase 2 — disseminate the PREVIOUS epoch's average down the tree:
 	// aggregating and disseminating takes a communication round (paper
@@ -142,66 +151,20 @@ func (d *DistributedAverage) Epoch(truth []float64) (EpochResult, error) {
 			spread(c, avg)
 		}
 	}
-	spread(base, d.prevAvg)
-	// This epoch's aggregate becomes next epoch's dissemination.
-	defer func() {
-		if counts[base] > 0 {
-			d.prevAvg = sums[base] / counts[base]
-		}
-	}()
+	spread(base, d.prevAvg[0])
 
-	// Phase 3 — per-node prediction and reporting.
-	reportBytes := 0
-	for i := range d.nodes {
-		nd := &d.nodes[i]
-		// The node conditions on the average it actually holds; the base's
-		// sink replica conditions on what it disseminated. These agree
-		// unless the node is orphaned — in which case its reports stopped
-		// flowing anyway and divergence shows up as violations.
-		if err := nd.Predict(d.lastAvg[i], d.prevAvg); err != nil {
-			return EpochResult{}, err
-		}
-		if d.net.Alive(i) {
-			var pred float64
-			if sp.Active() {
-				pred = nd.Src.Mean()[0]
-			}
-			idx, vals, err := nd.Choose(truth[i])
-			if err != nil {
-				return EpochResult{}, err
-			}
-			if len(idx) > 0 {
-				reportBytes += obs.WireBytesPerValue
-				rs := sp.Child()
-				if rs.Active() {
-					rs.Emit(obs.Event{
-						Type: obs.EvReport, Step: int64(d.net.stats.Epochs), Clique: -1, Node: i,
-						Attrs: []int{i}, Values: []float64{truth[i]},
-						Payload: &obs.Payload{
-							Predicted: []float64{pred}, Observed: []float64{truth[i]},
-							Eps: []float64{d.eps[i]}, Bytes: obs.WireBytesPerValue,
-						},
-					})
-				}
-				if d.net.SendSpan(Message{From: i, To: base, Attrs: []int{i}, Values: []float64{truth[i]}}, rs) {
-					if err := nd.Sink.Commit(idx, vals); err != nil {
-						return EpochResult{}, err
-					}
-					res.ValuesDelivered++
-					rs.Child().Emit(obs.Event{
-						Type: obs.EvApply, Step: int64(d.net.stats.Epochs), Clique: -1, Node: base,
-						Attrs: []int{i}, Values: []float64{truth[i]}, N: 1,
-					})
-				}
-			}
-			// The node assumes delivery (no acks): its own replica
-			// conditions regardless.
-			if err := nd.Src.Commit(idx, vals); err != nil {
-				return EpochResult{}, err
-			}
-		}
-		res.Estimates[i] = nd.Sink.Mean()[0]
+	// Phase 3 — the protocol loop: per node, predict given the average,
+	// report on a miss.
+	err = d.loop.Epoch(int64(d.net.stats.Epochs), sp, truth)
+	// This epoch's aggregate becomes next epoch's dissemination.
+	if counts[base] > 0 {
+		d.prevAvg[0] = sums[base] / counts[base]
 	}
-	d.net.closeEpoch(sp, &res, truth, d.eps, reportBytes)
+	if err != nil {
+		return EpochResult{}, err
+	}
+	res := EpochResult{Estimates: make([]float64, n), ValuesDelivered: len(d.loop.Reported) - d.loop.Lost}
+	d.loop.Estimates(res.Estimates)
+	d.net.closeEpoch(sp, &res, truth, d.eps, obs.WireBytesPerValue*len(d.loop.Reported))
 	return res, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ken/internal/alloctest"
@@ -535,8 +536,9 @@ func TestEpochRejectsNonFiniteReadingBeforeMoving(t *testing.T) {
 
 // TestDistributedAverageMatchesCoreEngine: on a loss-free network the
 // packet-level Average program and the idealised core.Average scheme run
-// the identical protocol (lagged disseminated average, same models), so
-// their reports and estimates must agree step for step.
+// the identical protocol loop (lagged disseminated average, same models),
+// so the nodes they report and the bits of their estimates must agree step
+// for step.
 func TestDistributedAverageMatchesCoreEngine(t *testing.T) {
 	net, train, test, eps := gardenNet(t, DefaultRadio(), 16, false)
 	prog, err := NewDistributedAverage(net, train, eps, model.FitConfig{Period: 24})
@@ -547,6 +549,7 @@ func TestDistributedAverageMatchesCoreEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reported := 0
 	for step, row := range test[:150] {
 		dres, err := prog.Epoch(row)
 		if err != nil {
@@ -556,16 +559,20 @@ func TestDistributedAverageMatchesCoreEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dres.ValuesDelivered != ist.ValuesReported {
-			t.Fatalf("step %d: distributed delivered %d, core reported %d",
-				step, dres.ValuesDelivered, ist.ValuesReported)
+		if dres.ValuesDelivered != ist.ValuesReported || !slices.Equal(prog.loop.Reported, ist.Reported) {
+			t.Fatalf("step %d: distributed delivered %d of nodes %v, core reported %d of nodes %v",
+				step, dres.ValuesDelivered, prog.loop.Reported, ist.ValuesReported, ist.Reported)
 		}
 		for i := range iest {
-			if diff := dres.Estimates[i] - iest[i]; diff > 1e-9 || diff < -1e-9 {
+			if math.Float64bits(dres.Estimates[i]) != math.Float64bits(iest[i]) {
 				t.Fatalf("step %d attr %d: estimates diverged %v vs %v",
 					step, i, dres.Estimates[i], iest[i])
 			}
 		}
+		reported += ist.ValuesReported
+	}
+	if reported == 0 {
+		t.Fatal("nothing reported: the report path was never compared")
 	}
 }
 
