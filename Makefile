@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet fmt-check test race alloc-check cover bench benchmark-smoke figures-golden audit-smoke faults-smoke sinkd-smoke figures examples fuzz clean
+.PHONY: all check build vet fmt-check test race alloc-check bits-check cover bench benchmark-smoke figures-golden audit-smoke faults-smoke sinkd-smoke figures examples fuzz clean
 
 all: build test
 
@@ -13,8 +13,9 @@ all: build test
 # within seconds if a lock is held across blocking work. A plain `go test`
 # pass would only repeat it without the detector; the budgets skip
 # themselves under -race, so alloc-check runs them once more without it.
+# bits-check runs the pinned digests under one, two and four procs.
 # The invariants these tests witness are listed in docs/INVARIANTS.md.
-check: fmt-check vet race alloc-check
+check: fmt-check vet race alloc-check bits-check
 
 build:
 	$(GO) build ./...
@@ -41,6 +42,13 @@ race:
 # allocations would drown the counts.
 alloc-check:
 	$(GO) test -run TestAllocBudget ./...
+
+# bits-check runs every *BitsPinned digest — the synthetic traces and the
+# stream, search and Average paths (amd64) — at GOMAXPROCS 1, 2 and 4: the
+# generator computes the RNG-free part of each temperature reading on a
+# worker goroutine beside its RNG loop, and no schedule may move a bit.
+bits-check:
+	$(GO) test -count=1 -cpu 1,2,4 -run 'BitsPinned' ./internal/trace/ ./internal/oracle/
 
 cover:
 	$(GO) test -cover ./internal/...

@@ -223,6 +223,11 @@ func (c *Cholesky) MulLVec(v []float64) ([]float64, error) {
 // MulLVecInto writes L·v into dst. dst may alias v: row i reads v[0..i]
 // only, so the rows are computed from the last up and each overwrites an
 // entry no later row reads. Each row still sums in ascending k.
+//
+// Rows go four at a time, i−3..i: one pass over v[0..i−3] feeds four
+// independent accumulators, each row then adds its own last few terms, and
+// the four are written only after all of them have read v. The one-row
+// loop takes the n mod 4 rows left at the top.
 func (c *Cholesky) MulLVecInto(dst, v []float64) error {
 	if !c.valid {
 		return errFactorInvalid
@@ -230,9 +235,33 @@ func (c *Cholesky) MulLVecInto(dst, v []float64) error {
 	if len(v) != c.n || len(dst) != c.n {
 		return fmt.Errorf("%w: MulLVecInto dst len %d, v len %d, want %d", ErrDimension, len(dst), len(v), c.n)
 	}
-	for i := c.n - 1; i >= 0; i-- {
+	n, l := c.n, c.l.data
+	i := n - 1
+	for ; i >= 3; i -= 4 {
+		shared := v[:i-2] // columns 0..i−3, read by all four rows
+		r0 := l[(i-3)*n:][:len(shared)]
+		r1 := l[(i-2)*n:][:len(shared)]
+		r2 := l[(i-1)*n:][:len(shared)]
+		r3 := l[i*n:][:len(shared)]
+		var s0, s1, s2, s3 float64
+		for k, vk := range shared {
+			s0 += r0[k] * vk
+			s1 += r1[k] * vk
+			s2 += r2[k] * vk
+			s3 += r3[k] * vk
+		}
+		u0, u1, u2 := v[i-2], v[i-1], v[i]
+		s1 += l[(i-2)*n+i-2] * u0
+		s2 += l[(i-1)*n+i-2] * u0
+		s2 += l[(i-1)*n+i-1] * u1
+		s3 += l[i*n+i-2] * u0
+		s3 += l[i*n+i-1] * u1
+		s3 += l[i*n+i] * u2
+		dst[i-3], dst[i-2], dst[i-1], dst[i] = s0, s1, s2, s3
+	}
+	for ; i >= 0; i-- {
 		s := 0.0
-		row := c.l.data[i*c.n : i*c.n+i+1]
+		row := l[i*n : i*n+i+1]
 		for k, lik := range row {
 			s += lik * v[k]
 		}

@@ -32,10 +32,12 @@ func sameBits(a, b []float64) bool {
 // destination and nothing else. The 70×70 case is the operand size the
 // removed tiled multiply used to serve; there MulInto is also held to a
 // plain ascending-k triple loop, the accumulation order every replica
-// depends on.
+// depends on. The inner orders k give MulLVecInto's four-row blocks every
+// remainder: 4 is one block alone, 49 (Lab's spatial factor) twelve blocks
+// and one row, 1 and 3 no block at all.
 func TestShellsMatchKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	shapes := []struct{ m, k, n int }{{1, 1, 1}, {2, 3, 4}, {8, 8, 8}, {5, 9, 2}, {70, 70, 70}}
+	shapes := []struct{ m, k, n int }{{1, 1, 1}, {2, 3, 4}, {3, 4, 6}, {8, 8, 8}, {5, 9, 2}, {49, 49, 49}, {70, 70, 70}}
 	for _, s := range shapes {
 		a, b := randomDense(rng, s.m, s.k), randomDense(rng, s.k, s.n)
 		v := randomDense(rng, 1, s.k).data

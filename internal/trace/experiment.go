@@ -12,13 +12,23 @@ var ErrUnknownDataset = errors.New("trace: unknown dataset")
 // GenerateNamed generates the synthetic deployment the binaries' -dataset
 // flags name: "garden" or "lab".
 func GenerateNamed(name string, seed int64, steps int) (*Trace, error) {
+	d, cfg, err := named(name, seed, steps)
+	if err != nil {
+		return nil, err
+	}
+	return Generate(d, cfg)
+}
+
+// named is the one dataset name switch: the deployment and preset config a
+// -dataset name stands for.
+func named(name string, seed int64, steps int) (*Deployment, GenConfig, error) {
 	switch name {
 	case "garden":
-		return GenerateGarden(seed, steps)
+		return GardenDeployment(), GardenConfig(seed, steps), nil
 	case "lab":
-		return GenerateLab(seed, steps)
+		return LabDeployment(), LabConfig(seed, steps), nil
 	default:
-		return nil, fmt.Errorf("%w %q (garden or lab)", ErrUnknownDataset, name)
+		return nil, GenConfig{}, fmt.Errorf("%w %q (garden or lab)", ErrUnknownDataset, name)
 	}
 }
 
@@ -54,9 +64,19 @@ func (tr *Trace) Experiment(trainSteps int, eps float64) (Experiment, error) {
 }
 
 // LoadExperiment generates the named dataset with trainSteps+testSteps rows
-// and splits it.
+// and splits it. Only the temperature rows are built; they are the bits
+// GenerateNamed's temperature rows hold.
 func LoadExperiment(name string, seed int64, trainSteps, testSteps int, eps float64) (Experiment, error) {
-	tr, err := GenerateNamed(name, seed, trainSteps+testSteps)
+	d, cfg, err := named(name, seed, trainSteps+testSteps)
+	if err != nil {
+		return Experiment{}, err
+	}
+	return loadExperiment(d, cfg, trainSteps, eps)
+}
+
+// loadExperiment is LoadExperiment on any deployment and config.
+func loadExperiment(d *Deployment, cfg GenConfig, trainSteps int, eps float64) (Experiment, error) {
+	tr, err := generate(d, cfg, temperatureOnly)
 	if err != nil {
 		return Experiment{}, err
 	}

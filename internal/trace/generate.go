@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"ken/internal/mat"
 )
@@ -74,13 +75,22 @@ func GardenDeployment() *Deployment {
 // LabDeployment returns the 49-node Lab layout: a 7×7 grid over a
 // ~36 m × 30 m office floor, matching the Intel lab's mote count.
 func LabDeployment() *Deployment {
-	nodes := make([]Node, 0, 49)
-	for r := 0; r < 7; r++ {
-		for c := 0; c < 7; c++ {
+	d := GridDeployment(7)
+	d.Name = "lab"
+	return d
+}
+
+// GridDeployment returns side×side motes on the Lab's 6 m × 5 m pitch,
+// numbered row by row: the Lab layout at other sizes, for measuring what a
+// deployment costs beyond 49 nodes. GridDeployment(7) has the Lab's nodes.
+func GridDeployment(side int) *Deployment {
+	nodes := make([]Node, 0, side*side)
+	for r := 0; r < side; r++ {
+		for c := 0; c < side; c++ {
 			nodes = append(nodes, Node{ID: len(nodes), X: float64(c) * 6, Y: float64(r) * 5})
 		}
 	}
-	return &Deployment{Name: "lab", Nodes: nodes}
+	return &Deployment{Name: fmt.Sprintf("grid%d", side), Nodes: nodes}
 }
 
 // GardenConfig returns the preset generator settings for the Garden
@@ -153,6 +163,29 @@ func LabConfig(seed int64, steps int) GenConfig {
 
 // Generate synthesises a full multi-attribute trace for the deployment.
 func Generate(d *Deployment, cfg GenConfig) (*Trace, error) {
+	return generate(d, cfg, everyAttribute)
+}
+
+// attrSet is the set of attributes one generate call builds rows for.
+type attrSet uint8
+
+const (
+	temperatureOnly attrSet = 1 << Temperature
+	everyAttribute  attrSet = 1<<Temperature | 1<<Humidity | 1<<Voltage
+)
+
+func (s attrSet) has(a Attribute) bool { return s&(1<<a) != 0 }
+
+// baseChunk is how many steps of RNG-free temperature the base worker hands
+// the RNG loop at a time.
+const baseChunk = 128
+
+// generate builds the rows of the attributes in want, which holds
+// Temperature: humidity and voltage are read off it. Every variate is drawn
+// whatever want holds, in one fixed order (the package doc's contract), so
+// a kept attribute's bits do not depend on what else is kept. An attribute
+// left out costs its draws and nothing else.
+func generate(d *Deployment, cfg GenConfig, want attrSet) (*Trace, error) {
 	n := d.N()
 	if n == 0 {
 		return nil, fmt.Errorf("trace: deployment %q has no nodes", d.Name)
@@ -173,67 +206,119 @@ func Generate(d *Deployment, cfg GenConfig) (*Trace, error) {
 	}
 
 	// Per-node fixed calibration offsets and diurnal phase jitter.
-	offset := make([]float64, n)
-	phase := make([]float64, n)
-	ampScale := make([]float64, n)
+	nb := nodeBase{offset: make([]float64, n), phase: make([]float64, n), ampScale: make([]float64, n)}
 	for i := 0; i < n; i++ {
-		offset[i] = rng.NormFloat64() * cfg.NodeOffsetSD
-		phase[i] = rng.NormFloat64() * cfg.PhaseJitter
-		ampScale[i] = 1 + 0.08*rng.NormFloat64()
+		nb.offset[i] = rng.NormFloat64() * cfg.NodeOffsetSD
+		nb.phase[i] = rng.NormFloat64() * cfg.PhaseJitter
+		nb.ampScale[i] = 1 + 0.08*rng.NormFloat64()
 	}
 
 	hvac := newHVACState(d, cfg, rng)
 
-	temp := make([][]float64, cfg.Steps)
-	hum := make([][]float64, cfg.Steps)
-	volt := make([][]float64, cfg.Steps)
+	data := map[Attribute][][]float64{}
+	for _, a := range Attributes {
+		if want.has(a) {
+			data[a] = slabRows(cfg.Steps, n)
+		}
+	}
+	temp, hum, volt := data[Temperature], data[Humidity], data[Voltage]
+
+	// The RNG-free part of every temperature reading is filled in beside
+	// the RNG loop, a chunk of steps at a time; ready carries how many
+	// steps are done. It has room for every chunk's send, so the worker
+	// never blocks and always runs to the end, whatever the loop does.
+	ready := make(chan int, (cfg.Steps+baseChunk-1)/baseChunk)
+	var worker sync.WaitGroup
+	worker.Add(1)
+	go func() {
+		defer worker.Done()
+		for from := 0; from < cfg.Steps; from += baseChunk {
+			to := min(from+baseChunk, cfg.Steps)
+			nb.fill(temp, from, to, cfg)
+			ready <- to
+		}
+	}()
+	defer worker.Wait()
 
 	// AR(1) spatio-temporal noise fields for temperature and humidity.
 	wTemp := make([]float64, n)
 	wHum := make([]float64, n)
-	z := make([]float64, n) // advanceField's innovation scratch
+	z := make([]float64, n) // the innovations; L·z overwrites them
 	hvacEffect := make([]float64, n)
 
-	stepDays := cfg.StepMinutes / (24 * 60)
+	based := 0
 	for t := 0; t < cfg.Steps; t++ {
-		day := float64(t) * stepDays
-		advanceField(wTemp, z, cfg.ARCoeff, chol, rng)
-		advanceField(wHum, z, cfg.ARCoeff, chol, rng)
+		drawNormals(z, rng)
+		advanceField(wTemp, z, cfg.ARCoeff, chol)
+		drawNormals(z, rng)
+		if hum != nil {
+			advanceField(wHum, z, cfg.ARCoeff, chol)
+		}
 		hvac.advance(cfg, rng)
 
-		rowT := make([]float64, n)
-		rowH := make([]float64, n)
-		rowV := make([]float64, n)
-		trend := cfg.TempTrendAmp * math.Sin(2*math.Pi*day/5.3) // slow weather drift
-		for i := 0; i < n; i++ {
-			diurnal := cfg.TempDiurnalAmp * ampScale[i] *
-				math.Sin(2*math.Pi*(day+phase[i])-math.Pi/2) // coldest pre-dawn
+		if t == based {
+			based = <-ready
+		}
+		rowT := temp[t]
+		for i := range rowT {
 			target := 0.0
 			if cfg.HVAC {
 				target = hvac.effect(i) * cfg.HVACAmp
 			}
 			// First-order response of room temperature to the AC state.
 			hvacEffect[i] += (target - hvacEffect[i]) * cfg.HVACResponseLag
-			rowT[i] = cfg.TempBase + trend + diurnal + offset[i] +
-				cfg.TempNoiseSD*wTemp[i] + hvacEffect[i]
-			rowH[i] = cfg.HumBase - cfg.HumTempCoupling*(rowT[i]-cfg.TempBase) +
-				cfg.HumNoiseSD*wHum[i]
-			rowV[i] = cfg.VoltStart - cfg.VoltDrainPerStep*float64(t) +
-				cfg.VoltTempCoeff*(rowT[i]-cfg.TempBase) +
-				cfg.VoltNoiseSD*rng.NormFloat64()
+			rowT[i] = rowT[i] + cfg.TempNoiseSD*wTemp[i] + hvacEffect[i]
 		}
-		temp[t], hum[t], volt[t] = rowT, rowH, rowV
+		if hum != nil {
+			rowH := hum[t]
+			for i := range rowH {
+				rowH[i] = cfg.HumBase - cfg.HumTempCoupling*(rowT[i]-cfg.TempBase) +
+					cfg.HumNoiseSD*wHum[i]
+			}
+		}
+		for i := range rowT {
+			e := rng.NormFloat64()
+			if volt != nil {
+				volt[t][i] = cfg.VoltStart - cfg.VoltDrainPerStep*float64(t) +
+					cfg.VoltTempCoeff*(rowT[i]-cfg.TempBase) +
+					cfg.VoltNoiseSD*e
+			}
+		}
 	}
 
-	return &Trace{
-		Deployment:  d,
-		StepMinutes: cfg.StepMinutes,
-		Data: map[Attribute][][]float64{
-			Temperature: temp,
-			Humidity:    hum,
-			Voltage:     volt,
-		},
-	}, nil
+	return &Trace{Deployment: d, StepMinutes: cfg.StepMinutes, Data: data}, nil
+}
+
+// slabRows returns steps rows of n zeros, views into one allocation.
+func slabRows(steps, n int) [][]float64 {
+	slab := make([]float64, steps*n)
+	rows := make([][]float64, steps)
+	for t := range rows {
+		rows[t] = slab[t*n : (t+1)*n : (t+1)*n]
+	}
+	return rows
+}
+
+// nodeBase holds the per-node constants drawn before the RNG loop: the
+// calibration offset and the diurnal phase jitter and amplitude scale.
+type nodeBase struct {
+	offset, phase, ampScale []float64
+}
+
+// fill writes the RNG-free part of temperature rows [from, to):
+// ((TempBase + trend) + diurnal) + offset, the prefix of the reading's sum.
+func (nb nodeBase) fill(temp [][]float64, from, to int, cfg GenConfig) {
+	stepDays := cfg.StepMinutes / (24 * 60)
+	for t := from; t < to; t++ {
+		day := float64(t) * stepDays
+		trend := cfg.TempTrendAmp * math.Sin(2*math.Pi*day/5.3) // slow weather drift
+		row := temp[t]
+		for i := range row {
+			diurnal := cfg.TempDiurnalAmp * nb.ampScale[i] *
+				math.Sin(2*math.Pi*(day+nb.phase[i])-math.Pi/2) // coldest pre-dawn
+			row[i] = cfg.TempBase + trend + diurnal + nb.offset[i]
+		}
+	}
 }
 
 // spatialCholesky factors the deployment's two-scale spatial kernel.
@@ -277,13 +362,17 @@ func spatialCholesky(d *Deployment, cfg GenConfig) (*mat.Cholesky, error) {
 	return ch, nil
 }
 
-// advanceField steps a unit-variance AR(1) field with spatially correlated
-// innovations: w ← ρ·w + √(1−ρ²)·L·z. z is scratch of w's length; L·z
-// overwrites it in place.
-func advanceField(w, z []float64, rho float64, chol *mat.Cholesky, rng *rand.Rand) {
+// drawNormals fills z with standard normal variates.
+func drawNormals(z []float64, rng *rand.Rand) {
 	for i := range z {
 		z[i] = rng.NormFloat64()
 	}
+}
+
+// advanceField steps a unit-variance AR(1) field with spatially correlated
+// innovations: w ← ρ·w + √(1−ρ²)·L·z. z holds the standard normal draws;
+// L·z overwrites it in place.
+func advanceField(w, z []float64, rho float64, chol *mat.Cholesky) {
 	if err := chol.MulLVecInto(z, z); err != nil {
 		// Dimensions are fixed by construction; this cannot happen.
 		panic(err)

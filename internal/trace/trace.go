@@ -8,6 +8,18 @@
 // statistical structure the paper's conclusions rest on: diurnal cycles,
 // distance-decaying spatial correlation, attribute cross-correlation
 // (temperature/humidity/voltage) and, for Lab, abrupt HVAC disturbances.
+//
+// The generator draws every variate from one math/rand stream seeded by
+// GenConfig.Seed, in one fixed order whatever rows it builds: per node the
+// calibration offset, phase jitter and amplitude scale; each HVAC zone's
+// first holding time; then per step the temperature field's n innovations,
+// the humidity field's n, the holding times the step ends, and one voltage
+// noise per node. LoadExperiment builds the temperature rows alone; it
+// draws the same variates and skips only the other attributes' arithmetic,
+// so its rows are GenerateNamed's temperature rows bit for bit. The terms
+// that draw nothing — base, trend, diurnal swing and offset — may be
+// computed beside the RNG loop, which then adds the rest of each reading in
+// the same order.
 package trace
 
 import (

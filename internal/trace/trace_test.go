@@ -6,7 +6,13 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"ken/internal/leaktest"
 )
+
+// TestMain ends the package with the goroutine-leak gate: Generate starts a
+// worker and must join it before it returns.
+func TestMain(m *testing.M) { leaktest.Main(m) }
 
 func TestAttributeString(t *testing.T) {
 	cases := map[Attribute]string{
@@ -57,6 +63,16 @@ func TestDeployments(t *testing.T) {
 			t.Fatalf("duplicate node ID %d", nd.ID)
 		}
 		seen[nd.ID] = true
+	}
+	if grid := GridDeployment(7); !reflect.DeepEqual(grid.Nodes, l.Nodes) {
+		t.Fatal("GridDeployment(7) is not the Lab layout")
+	}
+	grid := GridDeployment(16)
+	if grid.N() != 256 || grid.Nodes[255] != (Node{ID: 255, X: 90, Y: 75}) {
+		t.Fatalf("GridDeployment(16): %d nodes, last %+v", grid.N(), grid.Nodes[grid.N()-1])
+	}
+	if n := GridDeployment(0).N(); n != 0 {
+		t.Fatalf("GridDeployment(0) has %d nodes", n)
 	}
 }
 
