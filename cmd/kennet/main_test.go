@@ -12,13 +12,18 @@ import (
 )
 
 // TestStdoutGoldens pins stdout byte for byte against captures taken at
-// b6c8851, before the experiment assembly moved into shared constructors.
+// b6c8851, before the experiment assembly moved into shared constructors;
+// the tinydb and avg ARQ runs were captured when their programs first sent
+// through ARQ. Every program runs ARQ when -arq-retries asks for it, so
+// each ARQ run's reliability line must count retransmissions and acks.
 func TestStdoutGoldens(t *testing.T) {
 	for golden, args := range map[string]string{
-		"ken_chain":    "-program ken -topology chain -steps 150",
-		"tinydb_chain": "-program tinydb -topology chain -steps 150",
-		"avg_chain":    "-program avg -topology chain -steps 150",
-		"ken_star_arq": "-program ken -topology star -loss 0.2 -arq-retries 3 -heartbeat 10 -failure-alpha 0.01 -steps 150",
+		"ken_chain":        "-program ken -topology chain -steps 150",
+		"tinydb_chain":     "-program tinydb -topology chain -steps 150",
+		"avg_chain":        "-program avg -topology chain -steps 150",
+		"ken_star_arq":     "-program ken -topology star -loss 0.2 -arq-retries 3 -heartbeat 10 -failure-alpha 0.01 -steps 150",
+		"tinydb_chain_arq": "-program tinydb -topology chain -loss 0.2 -arq-retries 3 -steps 150",
+		"avg_chain_arq":    "-program avg -topology chain -loss 0.2 -arq-retries 3 -steps 150",
 	} {
 		t.Run(golden, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", golden+".golden"))
@@ -31,6 +36,9 @@ func TestStdoutGoldens(t *testing.T) {
 			}
 			if !bytes.Equal(out.Bytes(), want) {
 				t.Fatalf("stdout changed:\n%s\nwant:\n%s", out.Bytes(), want)
+			}
+			if strings.Contains(args, "-arq-retries") && bytes.Contains(out.Bytes(), []byte(" 0 retransmissions, 0 acks")) {
+				t.Fatalf("-arq-retries ran no ARQ:\n%s", out.Bytes())
 			}
 		})
 	}

@@ -122,11 +122,7 @@ func run() error {
 	// Failure detection (§6): estimate node 0's report rate with Monte
 	// Carlo, then watch its report stream. A healthy silent patch is fine;
 	// a dead node trips the detector.
-	col := make([][]float64, trainHours)
-	for t := range col {
-		col[t] = []float64{train[t][0]}
-	}
-	mdl, err := model.FitLinearGaussian(col, model.FitConfig{Period: 24})
+	mdl, err := model.FitColumns(train, []int{0}, model.FitConfig{Period: 24})
 	if err != nil {
 		return err
 	}

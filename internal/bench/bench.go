@@ -31,6 +31,7 @@ import (
 	"ken/internal/cliques"
 	"ken/internal/core"
 	"ken/internal/engine"
+	"ken/internal/mat"
 	"ken/internal/mc"
 	"ken/internal/model"
 	"ken/internal/network"
@@ -303,28 +304,13 @@ func cachedGreedy(eng *engine.Engine, eval *cliques.MCEvaluator, evalKey string,
 
 // subset restricts the dataset to the given node indices.
 func (d *dataset) subset(nodes []int) *dataset {
-	pick := func(rows [][]float64) [][]float64 {
-		out := make([][]float64, len(rows))
-		for t, row := range rows {
-			r := make([]float64, len(nodes))
-			for k, i := range nodes {
-				r[k] = row[i]
-			}
-			out[t] = r
-		}
-		return out
-	}
-	eps := make([]float64, len(nodes))
-	for k, i := range nodes {
-		eps[k] = d.eps[i]
-	}
 	return &dataset{
 		name:  d.name,
 		key:   fmt.Sprintf("%s:sub=%v", d.key, nodes),
 		dep:   d.dep,
-		train: pick(d.train),
-		test:  pick(d.test),
-		eps:   eps,
+		train: mat.SelectCols(d.train, nodes),
+		test:  mat.SelectCols(d.test, nodes),
+		eps:   mat.Select(d.eps, nodes),
 		full:  d.full,
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"ken/internal/cliques"
 	"ken/internal/core"
 	"ken/internal/engine"
+	"ken/internal/mat"
 	"ken/internal/mc"
 	"ken/internal/model"
 	"ken/internal/network"
@@ -76,15 +77,7 @@ func extSwitching(ctx context.Context, eng *engine.Engine, cfg Config) ([][]stri
 		return nil, err
 	}
 	// Nodes 0,1,7 share the west HVAC zone and sit close together.
-	members := []int{0, 1, 7}
-	cols := make([][]float64, len(rows))
-	for i, r := range rows {
-		c := make([]float64, len(members))
-		for k, g := range members {
-			c[k] = r[g]
-		}
-		cols[i] = c
-	}
+	cols := mat.SelectCols(rows, []int{0, 1, 7})
 	train, test := cols[:cfg.TrainSteps], cols[cfg.TrainSteps:]
 	eps := []float64{0.5, 0.5, 0.5}
 
@@ -187,14 +180,8 @@ func extAdaptive(ctx context.Context, eng *engine.Engine, cfg Config) ([][]strin
 	if err != nil {
 		return nil, err
 	}
-	pick := func(rows [][]float64) [][]float64 {
-		out := make([][]float64, len(rows))
-		for i, r := range rows {
-			out[i] = []float64{r[0], r[1], r[2]}
-		}
-		return out
-	}
-	all := append(pick(ra), pick(rb)...)
+	first3 := []int{0, 1, 2}
+	all := append(mat.SelectCols(ra, first3), mat.SelectCols(rb, first3)...)
 	train, test := all[:cfg.TrainSteps], all[cfg.TrainSteps:]
 	eps := []float64{0.5, 0.5, 0.5}
 

@@ -130,9 +130,9 @@ func (p *Partition) Validate(n int) error {
 // Fit checks the partition against the training matrix and the bounds and
 // fits one protocol kernel per clique, in partition order — the replicas
 // every endpoint of a deployment starts from — returning each clique's root
-// beside them. Every clique's model is sliced from one model.Moments pass
-// over train, as MCEvaluator slices the candidates it scores, with the
-// clique's attributes in ascending order whatever order Members lists them.
+// beside them. Every clique's model is model.FitColumns of its own columns
+// of train, as MCEvaluator fits the candidates it scores, with the clique's
+// attributes in ascending order whatever order Members lists them.
 func (p *Partition) Fit(train [][]float64, eps []float64, cfg model.FitConfig) (kernels []*protocol.Kernel, roots []int, err error) {
 	if p == nil {
 		return nil, nil, errors.New("cliques: no partition")
@@ -147,14 +147,10 @@ func (p *Partition) Fit(train [][]float64, eps []float64, cfg model.FitConfig) (
 	if err := p.Validate(n); err != nil {
 		return nil, nil, err
 	}
-	mo, err := model.NewMoments(train, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
 	for _, c := range p.Cliques {
 		members := append([]int(nil), c.Members...)
 		sort.Ints(members)
-		m, err := mo.Fit(members)
+		m, err := model.FitColumns(train, members, cfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("cliques: fitting clique %v: %w", members, err)
 		}

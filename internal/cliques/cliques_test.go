@@ -320,6 +320,36 @@ func TestMCEvaluatorValidation(t *testing.T) {
 	}
 }
 
+// A training matrix no fit can read is refused by the first estimate, with
+// model.ErrDim from its fit, before any Monte Carlo runs: nothing is cached,
+// and Greedy over the evaluator fails with the same error.
+func TestMCEvaluatorRefusesUnfittableTraining(t *testing.T) {
+	rows := func(widths ...int) [][]float64 {
+		out := make([][]float64, len(widths))
+		for i, w := range widths {
+			out[i] = make([]float64, w)
+		}
+		return out
+	}
+	for name, train := range map[string][][]float64{
+		"three rows":      rows(2, 2, 2),
+		"short last row":  rows(2, 2, 2, 2, 1),
+		"short first row": rows(1, 2, 2, 2, 2),
+	} {
+		n := len(train[0])
+		eval, err := NewMCEvaluator(train, []float64{1, 1}[:n], model.FitConfig{}, mc.Config{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if m, err := eval.M([]int{0}); !errors.Is(err, model.ErrDim) || eval.CacheSize() != 0 {
+			t.Errorf("%s: m = %v, err = %v, %d cached; want model.ErrDim and nothing cached", name, m, err, eval.CacheSize())
+		}
+		if _, err := Greedy(uniformTop(t, n, 5), eval, GreedyConfig{K: 2, Parallelism: 2}); !errors.Is(err, model.ErrDim) {
+			t.Errorf("%s: Greedy err = %v, want model.ErrDim", name, err)
+		}
+	}
+}
+
 func TestMCEvaluatorCachingAndDeterminism(t *testing.T) {
 	eval, _ := gardenEvaluator(t, 4)
 	a, err := eval.M([]int{0, 1})
@@ -402,7 +432,7 @@ func TestLoadPartitionValidates(t *testing.T) {
 	}
 }
 
-// Partition.Fit slices every clique's model from one Moments pass: each
+// Partition.Fit fits every clique's model from its own columns: each
 // kernel's model is bit for bit FitLinearGaussian of its columns (the JSON
 // form carries A, Q, the profile, the clock and the state, every float in
 // its shortest exact form), with the clique's bounds and root beside it.

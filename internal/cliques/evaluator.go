@@ -12,15 +12,16 @@ import (
 
 // MCEvaluator estimates m_C by fitting a LinearGaussian model to the
 // clique's training columns and running the Monte Carlo protocol simulation
-// of §4.4. The fits share one model.Moments pass over the whole training
-// matrix. Estimates are cached per clique (the partitioning algorithms
-// revisit the same cliques many times, and cost sweeps over different
-// topologies reuse the same m values — m depends only on the data and ε,
-// never on the topology); an estimate mWithin stopped early is not.
+// of §4.4. Each fit is model.FitColumns of the clique's own columns of the
+// training matrix. Estimates are cached per clique (the partitioning
+// algorithms revisit the same cliques many times, and cost sweeps over
+// different topologies reuse the same m values — m depends only on the data
+// and ε, never on the topology); an estimate mWithin stopped early is not.
 type MCEvaluator struct {
-	moments *model.Moments
-	eps     []float64
-	mcCfg   mc.Config
+	train  [][]float64
+	fitCfg model.FitConfig
+	eps    []float64
+	mcCfg  mc.Config
 
 	mu    sync.Mutex
 	cache map[string]float64
@@ -29,7 +30,9 @@ type MCEvaluator struct {
 var _ Evaluator = (*MCEvaluator)(nil)
 
 // NewMCEvaluator builds an evaluator over the full training matrix
-// (train[t][i] = attribute i at step t) with per-attribute error bounds.
+// (train[t][i] = attribute i at step t) with per-attribute error bounds. A
+// training matrix no fit can read is refused by the first estimate, whose
+// fit fails before any Monte Carlo runs.
 func NewMCEvaluator(train [][]float64, eps []float64, fitCfg model.FitConfig, mcCfg mc.Config) (*MCEvaluator, error) {
 	if len(train) == 0 {
 		return nil, fmt.Errorf("cliques: empty training data")
@@ -43,15 +46,12 @@ func NewMCEvaluator(train [][]float64, eps []float64, fitCfg model.FitConfig, mc
 			return nil, fmt.Errorf("cliques: non-positive epsilon %v for attribute %d", e, i)
 		}
 	}
-	moments, err := model.NewMoments(train, fitCfg)
-	if err != nil {
-		return nil, fmt.Errorf("cliques: %w", err)
-	}
 	return &MCEvaluator{
-		moments: moments,
-		eps:     eps,
-		mcCfg:   mcCfg,
-		cache:   map[string]float64{},
+		train:  train,
+		fitCfg: fitCfg,
+		eps:    eps,
+		mcCfg:  mcCfg,
+		cache:  map[string]float64{},
 	}, nil
 }
 
@@ -77,7 +77,7 @@ func (e *MCEvaluator) mWithin(clique []int, limit int) (m float64, complete bool
 	}
 	e.mu.Unlock()
 
-	mdl, err := e.moments.Fit(clique)
+	mdl, err := model.FitColumns(e.train, clique, e.fitCfg)
 	if err != nil {
 		return 0, false, fmt.Errorf("cliques: fitting clique %v: %w", clique, err)
 	}

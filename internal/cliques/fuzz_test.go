@@ -28,7 +28,7 @@ type greedyCase struct {
 	top      string // the topology's name
 	topology *network.Topology
 	greedy   GreedyConfig
-	fitCols  []int // a column subset, in fit order, for the moment check
+	fitCols  []int // a column subset, in fit order, for the fit check
 }
 
 func (c *greedyCase) String() string {
@@ -110,35 +110,42 @@ func decodeGreedy(t testing.TB, data []byte) *greedyCase {
 			c.fitCols[i], c.fitCols[j] = c.fitCols[j], c.fitCols[i]
 		}
 	}
+	// Zero one fitted column, +0 and −0 by turns, so its residuals are
+	// exact zeros of both signs: the rows the fit's lag sums skip.
+	if z := next(); z&1 == 1 {
+		col := c.fitCols[(z>>1)%len(c.fitCols)]
+		for t, row := range c.train {
+			row[col] = 0
+			if t>>(z>>5)&1 == 1 {
+				row[col] = math.Copysign(0, -1)
+			}
+		}
+	}
 	return c
 }
 
-// checkGreedy runs the case's two checks: the moment-sliced fit against
+// checkGreedy runs the case's two checks: FitColumns against
 // FitLinearGaussian on the projected columns, and Greedy with the cut-off
 // against Greedy over full estimates. It reports whether the cut-off
 // stopped any estimate.
 func checkGreedy(t *testing.T, c *greedyCase) (stopped bool) {
 	t.Helper()
-	mo, err := model.NewMoments(c.train, c.fit)
-	if err != nil {
-		t.Fatalf("%v: %v", c, err)
-	}
-	sliced, errSliced := mo.Fit(c.fitCols)
+	cols, errCols := model.FitColumns(c.train, c.fitCols, c.fit)
 	proj := make([][]float64, len(c.train))
 	for i, row := range c.train {
 		proj[i] = mat.Select(row, c.fitCols)
 	}
 	direct, errDirect := model.FitLinearGaussian(proj, c.fit)
-	if (errSliced == nil) != (errDirect == nil) {
-		t.Fatalf("%v: columns %v: sliced fit %v, direct fit %v", c, c.fitCols, errSliced, errDirect)
+	if (errCols == nil) != (errDirect == nil) {
+		t.Fatalf("%v: columns %v: FitColumns %v, direct fit %v", c, c.fitCols, errCols, errDirect)
 	}
-	if errSliced == nil {
+	if errCols == nil {
 		// The wire form carries A, Q, the profile, the clock and the state,
 		// every float in its shortest exact form.
-		a, errA := sliced.MarshalJSON()
+		a, errA := cols.MarshalJSON()
 		b, errB := direct.MarshalJSON()
 		if fmt.Sprint(errA) != fmt.Sprint(errB) || string(a) != string(b) {
-			t.Fatalf("%v: columns %v: sliced fit\n%s\ndirect fit\n%s", c, c.fitCols, a, b)
+			t.Fatalf("%v: columns %v: FitColumns\n%s\ndirect fit\n%s", c, c.fitCols, a, b)
 		}
 	}
 
@@ -190,8 +197,8 @@ func mOf(p *Partition) []float64 {
 }
 
 // FuzzGreedy holds the two halves of partition selection's fast path to
-// their plain forms: a fit sliced from the shared moment pass is the fit of
-// the projected columns, and Greedy whose estimates stop once their
+// their plain forms: FitColumns of a column subset is the fit of the
+// projected columns, and Greedy whose estimates stop once their
 // candidate is beaten selects what it selects from full estimates.
 func FuzzGreedy(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { checkGreedy(t, decodeGreedy(t, data)) })

@@ -57,7 +57,7 @@ func (c *disseminated) Evidence(int) (src, sink []float64) { return c.avg[:], c.
 // training rows and returns one source kernel per node, the average its
 // evidence slot, with the last training average, which primes the first
 // test step. The rows (x(t), X̄(t−1)) are built once and every node's model
-// is sliced from one model.Moments pass over them, as columns i and n.
+// is model.FitColumns of them, as columns i and n.
 // core.Average and simnet.DistributedAverage both run on its result.
 func FitAveragePairs(train [][]float64, eps []float64, fitCfg model.FitConfig) ([]*protocol.Kernel, float64, error) {
 	if len(train) < 2 {
@@ -80,13 +80,9 @@ func FitAveragePairs(train [][]float64, eps []float64, fitCfg model.FitConfig) (
 	for t := range rows {
 		rows[t] = append(append(make([]float64, 0, n+1), train[t+1]...), avg[t])
 	}
-	mo, err := model.NewMoments(rows, fitCfg)
-	if err != nil {
-		return nil, 0, fmt.Errorf("core: fitting average models: %w", err)
-	}
 	nodes := make([]*protocol.Kernel, n)
 	for i := range nodes {
-		mdl, err := mo.Fit([]int{i, n})
+		mdl, err := model.FitColumns(rows, []int{i, n}, fitCfg)
 		if err != nil {
 			return nil, 0, fmt.Errorf("core: fitting average model for node %d: %w", i, err)
 		}

@@ -400,7 +400,7 @@ func TestAverageValidation(t *testing.T) {
 	}
 }
 
-// FitAveragePairs slices every node's pair model from one Moments pass: each
+// FitAveragePairs fits every node's pair model from its two columns: each
 // is bit for bit FitLinearGaussian over the hand-built columns
 // (x_i(t), X̄(t−1)), compared through the JSON form, which carries every
 // float of the fit in its shortest exact form.

@@ -139,11 +139,7 @@ func TestStepRejectsNonFiniteReadingBeforeMoving(t *testing.T) {
 func TestChooseExhaustiveMatchesOrBeatsGreedy(t *testing.T) {
 	const n = 4
 	train, _, eps := gardenData(t, n, 180, 1)
-	mo, err := model.NewMoments(train, model.FitConfig{Period: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := mo.Fit([]int{0, 1, 2, 3})
+	m, err := model.FitColumns(train, []int{0, 1, 2, 3}, model.FitConfig{Period: 24})
 	if err != nil {
 		t.Fatal(err)
 	}

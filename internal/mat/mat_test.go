@@ -297,6 +297,13 @@ func TestVecHelpers(t *testing.T) {
 	if got := Select(b, []int{2, 0}); got[0] != 6 || got[1] != 4 {
 		t.Fatalf("Select = %v", got)
 	}
+	rows := SelectCols([][]float64{a, b}, []int{2, 0})
+	if len(rows) != 2 || rows[0][0] != 3 || rows[0][1] != 1 || rows[1][0] != 6 || rows[1][1] != 4 {
+		t.Fatalf("SelectCols = %v", rows)
+	}
+	if rows[0] = append(rows[0], 7); rows[1][0] != 6 {
+		t.Fatalf("an append to one row wrote into the next: %v", rows)
+	}
 }
 
 // maxAbs returns the largest absolute element of v.

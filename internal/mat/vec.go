@@ -22,3 +22,20 @@ func Select(a []float64, idx []int) []float64 {
 	}
 	return out
 }
+
+// SelectCols returns the rows restricted to the given columns, in order:
+// Select of every row, made in one slab, each row capped at its own length
+// so an append to one cannot write into the next.
+func SelectCols(rows [][]float64, cols []int) [][]float64 {
+	k := len(cols)
+	flat := make([]float64, len(rows)*k)
+	out := make([][]float64, len(rows))
+	for t, row := range rows {
+		r := flat[t*k : (t+1)*k : (t+1)*k]
+		for j, c := range cols {
+			r[j] = row[c]
+		}
+		out[t] = r
+	}
+	return out
+}

@@ -77,116 +77,58 @@ type FitConfig struct {
 // FitLinearGaussian learns a LinearGaussian from training rows
 // (data[t][i] = attribute i at step t). The returned model's clock is at
 // the last training row with a point-mass state on it, so the first Step
-// predicts the first post-training step. It is Moments.Fit over every
+// predicts the first post-training step. It is FitColumns over every
 // column.
 func FitLinearGaussian(data [][]float64, cfg FitConfig) (*LinearGaussian, error) {
-	mo, err := NewMoments(data, cfg)
-	if err != nil {
-		return nil, err
+	var all []int
+	if len(data) > 0 {
+		all = make([]int, len(data[0]))
+		for i := range all {
+			all[i] = i
+		}
 	}
-	all := make([]int, mo.n)
-	for i := range all {
-		all[i] = i
-	}
-	return mo.Fit(all)
+	return FitColumns(data, all, cfg)
 }
 
-// Moments is the pass over a training matrix that every fit of a subset of
-// its columns shares: the seasonal profile, the residuals around it, and
-// the lag-0 and lag-1 sums of the VAR normal equations over all n columns.
-// Each entry of those is a sum over t of a product of two columns, and
-// fitVAR skips the rows where the first column's residual is zero, a rule
-// that reads that column alone; so the entries for a subset of columns are
-// the same bits whether the pass saw n columns or only those. What a subset
-// needs beyond slicing — the k×k solve for A, the innovation covariance Q —
-// Fit computes per call. A Moments is read-only once made; concurrent Fits
-// are safe.
-type Moments struct {
-	cfg     FitConfig
-	n       int
-	profile [][]float64 // period × n seasonal means
-	period  int
-	res     [][]float64 // T × n residuals around the profile
-	// lag0[i*n+j] = Σ r_t[i]·r_t[j] and lag1[i*n+j] = Σ r_t[i]·r_{t+1}[j]
-	// over t < T−1, in t order, skipping the t where r_t[i] == 0.
-	lag0, lag1 []float64
-}
-
-// NewMoments makes the shared pass over training rows (data[t][i] =
-// attribute i at step t).
-func NewMoments(data [][]float64, cfg FitConfig) (*Moments, error) {
+// FitColumns fits the LinearGaussian of the training rows' columns cols, in
+// that order. It reads those columns alone: the seasonal profile, the
+// residuals around it and the lag-0/lag-1 sums of the VAR normal equations
+// are each per column or per pair of columns, so the fit is bit for bit
+// FitLinearGaussian of the rows projected onto cols. Input that no fit can
+// read — fewer than 4 rows, rows of unequal width, an empty cols, a column
+// out of range — is refused with ErrDim before any row is read.
+func FitColumns(data [][]float64, cols []int, cfg FitConfig) (*LinearGaussian, error) {
 	T := len(data)
 	if T < 4 {
-		return nil, fmt.Errorf("model: FitLinearGaussian needs >= 4 rows, got %d", T)
+		return nil, fmt.Errorf("%w: fitting needs >= 4 training rows, got %d", ErrDim, T)
 	}
-	n := len(data[0])
-	if n == 0 {
-		return nil, fmt.Errorf("model: training rows are empty")
-	}
+	k, n := len(cols), len(data[0])
 	for t, row := range data {
 		if len(row) != n {
-			return nil, fmt.Errorf("%w: row %d has %d attributes, want %d", ErrDim, t, len(row), n)
+			return nil, fmt.Errorf("%w: training row %d has %d attributes, want %d", ErrDim, t, len(row), n)
 		}
 	}
-	profile, period := seasonalProfile(data, cfg.Period)
-
-	// Residuals around the seasonal profile.
-	flat := make([]float64, T*n)
-	res := make([][]float64, T)
-	for t, row := range data {
-		p := profile[t%period]
-		r := flat[t*n : (t+1)*n : (t+1)*n]
-		for i := range row {
-			r[i] = row[i] - p[i]
-		}
-		res[t] = r
-	}
-
-	lag0, lag1 := make([]float64, n*n), make([]float64, n*n)
-	for t := 0; t < T-1; t++ {
-		cur, next := res[t], res[t+1]
-		for i, xi := range cur {
-			if xi == 0 {
-				continue
-			}
-			r0, r1 := lag0[i*n:(i+1)*n], lag1[i*n:(i+1)*n]
-			for j := range r0 {
-				r0[j] += xi * cur[j]
-				r1[j] += xi * next[j]
-			}
-		}
-	}
-	return &Moments{cfg: cfg, n: n, profile: profile, period: period, res: res, lag0: lag0, lag1: lag1}, nil
-}
-
-// Fit fits the LinearGaussian of columns cols, in that order: bit for bit
-// what FitLinearGaussian makes of the training rows projected onto them.
-func (mo *Moments) Fit(cols []int) (*LinearGaussian, error) {
-	k := len(cols)
 	if k == 0 {
-		return nil, fmt.Errorf("model: training rows are empty")
+		return nil, fmt.Errorf("%w: no columns to fit", ErrDim)
 	}
 	for _, c := range cols {
-		if c < 0 || c >= mo.n {
-			return nil, fmt.Errorf("%w: column %d outside the %d fitted", ErrDim, c, mo.n)
+		if c < 0 || c >= n {
+			return nil, fmt.Errorf("%w: column %d outside the %d trained", ErrDim, c, n)
 		}
-	}
-	T := len(mo.res)
-	profile := make([][]float64, mo.period)
-	for p, row := range mo.profile {
-		profile[p] = mat.Select(row, cols)
-	}
-	flat := make([]float64, T*k)
-	res := make([][]float64, T)
-	for t, row := range mo.res {
-		r := flat[t*k : (t+1)*k : (t+1)*k]
-		for a, c := range cols {
-			r[a] = row[c]
-		}
-		res[t] = r
 	}
 
-	a, err := mo.fitVAR(cols)
+	// The residuals around the seasonal profile, made in place in one copy
+	// of the columns.
+	res := mat.SelectCols(data, cols)
+	profile, period := seasonalProfile(res, cfg.Period)
+	for t, r := range res {
+		p := profile[t%period]
+		for i := range r {
+			r[i] -= p[i]
+		}
+	}
+
+	a, err := fitVAR(res, cfg.DiagonalA)
 	if err != nil {
 		return nil, err
 	}
@@ -227,9 +169,9 @@ func (mo *Moments) Fit(cols []int) (*LinearGaussian, error) {
 		q0:      zeroImage(q),
 		zero:    true,
 		profile: profile,
-		period:  mo.period,
+		period:  period,
 		clock:   T - 1,
-		phase:   (T - 1) % mo.period,
+		phase:   (T - 1) % period,
 		state:   state,
 		ws:      gauss.NewWorkspace(k),
 		valsBuf: make([]float64, 0, k),
@@ -275,36 +217,55 @@ func seasonalProfile(data [][]float64, period int) ([][]float64, int) {
 		return [][]float64{mean}, 1
 	}
 	profile := make([][]float64, period)
-	counts := make([]int, period)
+	flat := make([]float64, period*n)
 	for p := range profile {
-		profile[p] = make([]float64, n)
+		profile[p] = flat[p*n : (p+1)*n : (p+1)*n]
 	}
 	for t, row := range data {
-		p := t % period
-		counts[p]++
+		p := profile[t%period]
 		for i, v := range row {
-			profile[p][i] += v
+			p[i] += v
 		}
 	}
-	for p := range profile {
-		for i := range profile[p] {
-			profile[p][i] /= float64(counts[p])
+	for p, row := range profile {
+		count := T / period // the rows t with t mod period == p
+		if p < T%period {
+			count++
+		}
+		for i := range row {
+			row[i] /= float64(count)
 		}
 	}
 	return profile, period
 }
 
 // fitVAR solves the ridge least-squares problem R1 ≈ R0·Aᵀ for the
-// transition matrix A over the residual columns cols, from the moment sums.
-// The diagonal form reads the same sums: the terms they skip are ±0
-// products, which change no bit of a sum of finite terms that starts at +0.
-func (mo *Moments) fitVAR(cols []int) (*mat.Dense, error) {
-	T := len(mo.res) - 1
-	n, k := mo.n, len(cols)
-	if mo.cfg.DiagonalA {
+// transition matrix A over the residual rows res. Its sums run in t order,
+// and row i of them skips the t where r_t[i] is zero, a rule that reads
+// column i alone. The diagonal form reads the diagonal of the same sums.
+func fitVAR(res [][]float64, diagonal bool) (*mat.Dense, error) {
+	T, k := len(res)-1, len(res[0])
+	// xtx[i][j] = Σ r_t[i]·r_t[j] and xty[i][j] = Σ r_t[i]·r_{t+1}[j] over
+	// t < T.
+	xtx, xty := mat.NewDense(k, k), mat.NewDense(k, k)
+	lag0, lag1 := xtx.DataView(), xty.DataView()
+	for t := 0; t < T; t++ {
+		cur, next := res[t], res[t+1]
+		for i, xi := range cur {
+			if xi == 0 {
+				continue
+			}
+			r0, r1 := lag0[i*k:(i+1)*k], lag1[i*k:(i+1)*k]
+			for j := range r0 {
+				r0[j] += xi * cur[j]
+				r1[j] += xi * next[j]
+			}
+		}
+	}
+	if diagonal {
 		a := mat.NewDense(k, k)
-		for i, c := range cols {
-			sxx, sxy := mo.lag0[c*n+c], mo.lag1[c*n+c]
+		for i := 0; i < k; i++ {
+			sxx, sxy := xtx.At(i, i), xty.At(i, i)
 			den := sxx + ridge*(1+sxx/float64(T))
 			if den == 0 {
 				a.Set(i, i, 0)
@@ -315,14 +276,6 @@ func (mo *Moments) fitVAR(cols []int) (*mat.Dense, error) {
 		return a, nil
 	}
 	// Normal equations: (R0ᵀR0 + λI)·Aᵀ = R0ᵀR1.
-	xtx := mat.NewDense(k, k)
-	xty := mat.NewDense(k, k)
-	for i, ci := range cols {
-		for j, cj := range cols {
-			xtx.Set(i, j, mo.lag0[ci*n+cj])
-			xty.Set(i, j, mo.lag1[ci*n+cj])
-		}
-	}
 	lambda := ridge * (traceOf(xtx)/float64(k) + 1)
 	for i := 0; i < k; i++ {
 		xtx.Add(i, i, lambda)

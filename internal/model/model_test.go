@@ -338,6 +338,33 @@ func TestSampleNextReportsAnUnfactorableQ(t *testing.T) {
 	}
 }
 
+// FitColumns refuses input no fit can read with ErrDim, before it reads a
+// row: never an index panic.
+func TestFitColumnsRefuses(t *testing.T) {
+	data := garden2Cols(t, 60)
+	ragged := append(append([][]float64(nil), data[:59]...), data[59][:1])
+	for name, tc := range map[string]struct {
+		data [][]float64
+		cols []int
+	}{
+		"no rows":          {nil, []int{0}},
+		"three rows":       {data[:3], []int{0}},
+		"ragged row":       {ragged, []int{1}},
+		"ragged first row": {append([][]float64{{1}}, data[1:]...), []int{0}},
+		"no columns":       {data, nil},
+		"negative column":  {data, []int{0, -1}},
+		"column past rows": {data, []int{2}},
+	} {
+		lg, err := FitColumns(tc.data, tc.cols, FitConfig{Period: 24})
+		if !errors.Is(err, ErrDim) || lg != nil {
+			t.Errorf("%s: model %v, err = %v, want ErrDim", name, lg, err)
+		}
+	}
+	if _, err := FitLinearGaussian(data[:3], FitConfig{}); !errors.Is(err, ErrDim) {
+		t.Errorf("FitLinearGaussian of three rows: err = %v, want ErrDim", err)
+	}
+}
+
 func TestSeasonalProfileFallback(t *testing.T) {
 	// 10 rows with period 24: cannot cover two cycles, must fall back to a
 	// single global phase.

@@ -113,10 +113,9 @@ func TestSearchBitsPinned(t *testing.T) {
 			t.Parallel()
 			part := must(cliques.Runs(len(exp.Eps), tc.k, cliques.RootFirst))
 			h := fnv.New64a()
-			mo := must(model.NewMoments(exp.Train, fitCfg))
 			kernels := make([]*protocol.Kernel, len(part.Cliques))
 			for ci, c := range part.Cliques {
-				lg := must(mo.Fit(c.Members))
+				lg := must(model.FitColumns(exp.Train, c.Members, fitCfg))
 				kernels[ci] = must(protocol.New(hashingModel{lg, h}, c.Members, mat.Select(exp.Eps, c.Members)))
 			}
 			reported := 0

@@ -49,9 +49,9 @@ func gardenLoop(t *testing.T, n int, ch Channel) (*Loop, [][]float64, float64) {
 	const eps = 0.5
 	data := gardenCols(t, 400, n)
 	l := &Loop{N: n, Channel: ch, Choose: (*Kernel).Choose}
-	mo := moments(t, data[:100])
+	train := data[:100]
 	for lo := 0; lo < n; lo += 2 {
-		k := fitKernel(t, mo, uniform(n, eps), []int{lo, lo + 1})
+		k := fitKernel(t, train, uniform(n, eps), []int{lo, lo + 1})
 		l.Src, l.Roots = append(l.Src, k), append(l.Roots, lo)
 	}
 	l.Mirror()
@@ -341,7 +341,7 @@ func replicaBits(t *testing.T, k *Kernel) []uint64 {
 func TestSinkTwinMatchesComputedSink(t *testing.T) {
 	const n, eps = 6, 0.05
 	data := gardenCols(t, 200, n)
-	mo := moments(t, data[:100])
+	train := data[:100]
 	beats, acts, skew := twinSchedule(4)
 	test := data[100 : 100+len(beats)]
 	for _, evidence := range []bool{false, true} {
@@ -350,7 +350,7 @@ func TestSinkTwinMatchesComputedSink(t *testing.T) {
 			// Cliques {0, 1} and {3, 4}, each model's third slot the
 			// evidence read off attribute 2 or 5.
 			for _, cols := range [][]int{{0, 1, 2}, {3, 4, 5}} {
-				m, err := mo.Fit(cols)
+				m, err := model.FitColumns(train, cols, model.FitConfig{Period: 24})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -362,7 +362,7 @@ func TestSinkTwinMatchesComputedSink(t *testing.T) {
 			}
 		} else {
 			for _, members := range [][]int{{0, 1, 2}, {3, 4, 5}} {
-				proto = append(proto, fitKernel(t, mo, uniform(n, eps), members))
+				proto = append(proto, fitKernel(t, train, uniform(n, eps), members))
 			}
 		}
 		clones := func() []*Kernel {

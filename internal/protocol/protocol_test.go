@@ -42,22 +42,12 @@ func gardenModel(t *testing.T, data [][]float64, train int) *model.LinearGaussia
 	return lg
 }
 
-// moments makes the one training pass every kernel of a test is sliced
-// from, as cliques.Partition.Fit does.
-func moments(t *testing.T, train [][]float64) *model.Moments {
-	t.Helper()
-	mo, err := model.NewMoments(train, model.FitConfig{Period: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mo
-}
-
 // fitKernel fits the replica of a clique (members strictly increasing) from
-// mo, with the clique's entries of the global bounds.
-func fitKernel(t *testing.T, mo *model.Moments, eps []float64, members []int) *Kernel {
+// its columns of train, with the clique's entries of the global bounds, as
+// cliques.Partition.Fit does.
+func fitKernel(t *testing.T, train [][]float64, eps []float64, members []int) *Kernel {
 	t.Helper()
-	m, err := mo.Fit(members)
+	m, err := model.FitColumns(train, members, model.FitConfig{Period: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +307,7 @@ func TestNewValidation(t *testing.T) {
 // independent replica in the same state.
 func TestKernelGathersAndScatters(t *testing.T) {
 	data := gardenCols(t, 120, 5)
-	k := fitKernel(t, moments(t, data[:100]), []float64{0.1, 0.2, 0.3, 0.4, 0.5}, []int{1, 3})
+	k := fitKernel(t, data[:100], []float64{0.1, 0.2, 0.3, 0.4, 0.5}, []int{1, 3})
 	if !reflect.DeepEqual(k.Eps(), []float64{0.2, 0.4}) || !reflect.DeepEqual(k.Members(), []int{1, 3}) {
 		t.Fatalf("eps %v members %v", k.Eps(), k.Members())
 	}
@@ -346,7 +336,7 @@ func TestKernelGathersAndScatters(t *testing.T) {
 // value it is handed.
 func TestEvidenceSlot(t *testing.T) {
 	data := gardenCols(t, 120, 5)
-	m, err := moments(t, data[:100]).Fit([]int{1, 3, 4})
+	m, err := model.FitColumns(data[:100], []int{1, 3, 4}, model.FitConfig{Period: 24})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func TestSendToDeadDestinationBurnsTxEnergy(t *testing.T) {
 	}
 	e0 := net.Energy(0)
 	msg := Message{From: 0, To: 1, Attrs: []int{0}, Values: []float64{1}}
-	if net.Send(msg) {
+	if net.Send(msg, obs.Span{}) {
 		t.Fatal("delivery to a dead destination should fail")
 	}
 	st := net.Stats()
@@ -129,7 +129,7 @@ func TestSendReliableDeliversThroughLoss(t *testing.T) {
 	plainNet.BeginEpoch()
 	plain := 0
 	for i := 0; i < sends; i++ {
-		if plainNet.Send(msg) {
+		if plainNet.Send(msg, obs.Span{}) {
 			plain++
 		}
 	}
@@ -139,7 +139,7 @@ func TestSendReliableDeliversThroughLoss(t *testing.T) {
 	arq.BeginEpoch()
 	reliable := 0
 	for i := 0; i < sends; i++ {
-		if arq.SendReliable(msg, obs.Span{}) {
+		if arq.Send(msg, obs.Span{}) {
 			reliable++
 		}
 	}
@@ -171,7 +171,7 @@ func TestSendReliableRespectsRetryBudget(t *testing.T) {
 
 	net.BeginEpoch()
 	for i := 0; i < 50; i++ {
-		net.SendReliable(msg, obs.Span{})
+		net.Send(msg, obs.Span{})
 	}
 	if r := net.Stats().Retransmits; r > 3 {
 		t.Fatalf("%d retransmissions in one epoch, budget allows at most 3 slots", r)
@@ -182,15 +182,16 @@ func TestSendReliableRespectsRetryBudget(t *testing.T) {
 	}
 	net.BeginEpoch()
 	for i := 0; i < 50; i++ {
-		net.SendReliable(msg, obs.Span{})
+		net.Send(msg, obs.Span{})
 	}
 	if r := net.Stats().Retransmits; r <= first || r > first+3 {
 		t.Fatalf("second epoch retransmits %d (after %d): budget did not refill to 3", r-first, first)
 	}
 }
 
-// TestSendReliableNoARQIsFireAndForget: MaxRetries 0 must behave exactly
-// like Send — no acks, no retransmissions, identical rng consumption.
+// TestSendReliableNoARQIsFireAndForget: with MaxRetries 0 a Send must be
+// exactly one routing attempt — no acks, no retransmissions, identical rng
+// consumption.
 func TestSendReliableNoARQIsFireAndForget(t *testing.T) {
 	radio := DefaultRadio()
 	radio.LossRate = 0.3
@@ -199,7 +200,7 @@ func TestSendReliableNoARQIsFireAndForget(t *testing.T) {
 	b.BeginEpoch()
 	msg := Message{From: 0, To: 2, Attrs: []int{0}, Values: []float64{1}}
 	for i := 0; i < 100; i++ {
-		if a.Send(msg) != b.SendReliable(msg, obs.Span{}) {
+		if a.route(msg, msg.bytes(radio.OverheadBytes), obs.Span{}, false) != b.Send(msg, obs.Span{}) {
 			t.Fatalf("send %d: outcomes diverged with ARQ off", i)
 		}
 	}
@@ -226,7 +227,7 @@ func TestSendReliableTracesRetxAndAcks(t *testing.T) {
 	net.BeginEpoch()
 	msg := Message{From: 0, To: 2, Attrs: []int{0}, Values: []float64{1}}
 	for i := 0; i < 50; i++ {
-		net.SendReliable(msg, obs.Span{})
+		net.Send(msg, obs.Span{})
 	}
 	if err := ob.Trace.Flush(); err != nil {
 		t.Fatal(err)

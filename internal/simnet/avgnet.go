@@ -92,7 +92,7 @@ func (d *DistributedAverage) Collect(i int, _ []float64) []int {
 // Carry implements protocol.Channel: a node unicasts a non-empty report to
 // the base; it assumes delivery (no acks), so its replica commits anyway.
 func (d *DistributedAverage) Carry(i int, idx []int, vals []float64, under obs.Span) ([]int, []float64, []int) {
-	if len(idx) == 0 || d.net.SendSpan(Message{From: i, To: d.net.Base(), Attrs: d.loop.Src[i].Members(), Values: vals}, under) {
+	if len(idx) == 0 || d.net.Send(Message{From: i, To: d.net.Base(), Attrs: d.loop.Src[i].Members(), Values: vals}, under) {
 		return idx, vals, nil
 	}
 	return nil, nil, nil
@@ -128,7 +128,7 @@ func (d *DistributedAverage) Epoch(truth []float64) (EpochResult, error) {
 		for _, c := range d.children[v] {
 			gather(c) // leaves first: c's subtree is folded into c
 			if counts[c] > 0 && d.net.Alive(c) &&
-				d.net.SendSpan(Message{From: c, To: v, Values: []float64{sums[c], counts[c]}}, sp) {
+				d.net.Send(Message{From: c, To: v, Values: []float64{sums[c], counts[c]}}, sp) {
 				sums[v] += sums[c]
 				counts[v] += counts[c]
 			}
@@ -144,7 +144,7 @@ func (d *DistributedAverage) Epoch(truth []float64) (EpochResult, error) {
 	var spread func(v int, avg float64)
 	spread = func(v int, avg float64) {
 		for _, c := range d.children[v] {
-			if !d.net.SendSpan(Message{From: v, To: c, Values: []float64{avg}}, sp) {
+			if !d.net.Send(Message{From: v, To: c, Values: []float64{avg}}, sp) {
 				continue
 			}
 			d.lastAvg[c] = avg

@@ -115,7 +115,7 @@ type KenNetConfig struct {
 // the replicas, and dead roots silence whole cliques. It is the same epoch
 // loop over the packet radio as its channel: the root's candidate set is
 // whatever its members' unicasts delivered, the sink commits whatever of the
-// report SendReliable gets through, and the base watches each clique's
+// report Send gets through, and the base watches each clique's
 // arrivals with a failure detector.
 type DistributedKen struct {
 	net  *Network
@@ -231,7 +231,7 @@ func (d *DistributedKen) Collect(ci int, truth []float64) []int {
 			}
 			continue
 		}
-		if d.net.SendReliable(Message{From: g, To: root, Attrs: []int{g}, Values: []float64{truth[g]}}, sp) {
+		if d.net.Send(Message{From: g, To: root, Attrs: []int{g}, Values: []float64{truth[g]}}, sp) {
 			avail = append(avail, i)
 		}
 	}
@@ -247,7 +247,7 @@ func (d *DistributedKen) Carry(ci int, idx []int, vals []float64, under obs.Span
 	root, members := d.loop.Roots[ci], d.loop.Src[ci].Members()
 	dIdx, dVals := d.dIdx[:0], d.dVals[:0]
 	for j, i := range idx {
-		if d.net.SendReliable(Message{From: root, To: d.net.Base(), Attrs: []int{members[i]}, Values: []float64{vals[j]}}, under) {
+		if d.net.Send(Message{From: root, To: d.net.Base(), Attrs: []int{members[i]}, Values: []float64{vals[j]}}, under) {
 			dIdx = append(dIdx, i)
 			dVals = append(dVals, vals[j])
 		}
@@ -329,7 +329,7 @@ func (d *DistributedTinyDB) Epoch(truth []float64) (EpochResult, error) {
 	res := EpochResult{Estimates: make([]float64, d.n)}
 	for i := 0; i < d.n; i++ {
 		if d.net.Alive(i) &&
-			d.net.SendSpan(Message{From: i, To: d.net.Base(), Attrs: []int{i}, Values: []float64{truth[i]}}, sp) {
+			d.net.Send(Message{From: i, To: d.net.Base(), Attrs: []int{i}, Values: []float64{truth[i]}}, sp) {
 			d.last[i] = truth[i]
 			d.seen[i] = true
 			res.ValuesDelivered++

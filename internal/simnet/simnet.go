@@ -46,14 +46,14 @@ type Radio struct {
 	BatteryJ float64
 	// LossRate is the independent per-hop probability of losing a message.
 	LossRate float64
-	// ARQ configures link/transport-layer reliability for SendReliable.
+	// ARQ configures link/transport-layer reliability for Send.
 	ARQ ARQConfig
 }
 
-// ARQConfig parameterises stop-and-wait ARQ: after a SendReliable the
-// destination routes a small ack back (full per-hop energy both ways);
-// on silence the sender backs off and retransmits. MaxRetries == 0
-// disables ARQ entirely, making SendReliable identical to Send.
+// ARQConfig parameterises stop-and-wait ARQ: after a Send the destination
+// routes a small ack back (full per-hop energy both ways); on silence the
+// sender backs off and retransmits. MaxRetries == 0 disables ARQ entirely,
+// making a Send one attempt.
 type ARQConfig struct {
 	// MaxRetries bounds retransmissions per message (0 = ARQ off).
 	MaxRetries int
@@ -328,39 +328,31 @@ func (s *Network) liveVertex(v int) bool {
 
 // Send routes the message hop-by-hop along live neighbours that make
 // progress toward the destination, charging energy per hop. It returns
-// true when the message reaches its destination. A dead source, a lossy
-// hop, or a partitioned network yields false.
-func (s *Network) Send(msg Message) bool { return s.SendSpan(msg, obs.Span{}) }
-
-// SendSpan routes like Send, additionally tracing every link-level
-// transmission (EvHop, with from/to/bytes in the payload) and any message
-// death (EvDrop, Detail "loss", "noroute" or "dead") through a message
-// span parented to cause — typically the report span whose traffic this
-// is. An inactive cause falls back to the current epoch span; with no tracer
-// attached SendSpan is exactly Send.
-func (s *Network) SendSpan(msg Message, cause obs.Span) bool {
-	return s.route(msg, msg.bytes(s.radio.OverheadBytes), cause, false)
-}
-
-// SendReliable routes like SendSpan and, when the radio's ARQ is enabled
-// (MaxRetries > 0), runs stop-and-wait ARQ on top: after each delivery
-// the destination routes an ack back (paying per-hop energy in both
-// directions); on silence — the data or its ack lost — the sender draws a
-// binary-exponential backoff from the deterministic network rng (motes
-// have no wall clock, and replays must not either), charges the slots
-// against the epoch's retry budget, traces EvRetx, and retransmits, up to
-// MaxRetries times. Returns whether the payload reached its destination
-// at least once: a lost ack costs a duplicate transmission, never
-// correctness.
-func (s *Network) SendReliable(msg Message, cause obs.Span) bool {
-	arq := s.radio.ARQ
+// true when the payload reaches its destination at least once. A dead
+// source, a lossy hop, or a partitioned network fails an attempt. Every
+// link-level transmission (EvHop, with from/to/bytes in the payload) and
+// any message death (EvDrop, Detail "loss", "noroute" or "dead") is traced
+// through a message span parented to cause — typically the report span
+// whose traffic this is; an inactive cause falls back to the current epoch
+// span.
+//
+// When the radio's ARQ is enabled (MaxRetries > 0), Send runs stop-and-wait
+// ARQ: after each delivery the destination routes an ack back (paying
+// per-hop energy in both directions); on silence — the data or its ack
+// lost — the sender draws a binary-exponential backoff from the
+// deterministic network rng (motes have no wall clock, and replays must
+// not either), charges the slots against the epoch's retry budget, traces
+// EvRetx, and retransmits, up to MaxRetries times. A lost ack costs a
+// duplicate transmission, never correctness. With ARQ off a send is one
+// attempt.
+func (s *Network) Send(msg Message, cause obs.Span) bool {
+	arq, wire := s.radio.ARQ, msg.bytes(s.radio.OverheadBytes)
 	if arq.MaxRetries <= 0 {
-		return s.SendSpan(msg, cause)
+		return s.route(msg, wire, cause, false)
 	}
 	if !cause.Active() {
 		cause = s.span
 	}
-	wire := msg.bytes(s.radio.OverheadBytes)
 	delivered := false
 	for attempt := 0; ; attempt++ {
 		if s.route(msg, wire, cause, false) {
@@ -410,8 +402,8 @@ func (s *Network) ackBack(msg Message, cause obs.Span) bool {
 	return true
 }
 
-// route is the shared hop-by-hop forwarding engine behind SendSpan and
-// the ARQ ack path; wire is the full per-hop byte cost and isAck excludes
+// route is the shared hop-by-hop forwarding engine behind Send and the
+// ARQ ack path; wire is the full per-hop byte cost and isAck excludes
 // ack traffic from the end-to-end Delivered count.
 func (s *Network) route(msg Message, wire int, cause obs.Span, isAck bool) bool {
 	if !cause.Active() {

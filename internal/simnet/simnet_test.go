@@ -57,7 +57,7 @@ func TestSendDeliversAndCharges(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := Message{From: 0, To: top.Base(), Attrs: []int{0}, Values: []float64{20}}
-	if !net.Send(msg) {
+	if !net.Send(msg, obs.Span{}) {
 		t.Fatal("delivery failed on a clean chain")
 	}
 	st := net.Stats()
@@ -112,7 +112,7 @@ func TestDeadNodeKillsRelay(t *testing.T) {
 	if net.AliveCount() != 0 {
 		t.Fatalf("tiny batteries should all be dead, alive = %d", net.AliveCount())
 	}
-	if net.Send(Message{From: 0, To: top.Base()}) {
+	if net.Send(Message{From: 0, To: top.Base()}, obs.Span{}) {
 		t.Fatal("dead source should not send")
 	}
 }
@@ -139,7 +139,7 @@ func TestRouteRepairAroundDeadNode(t *testing.T) {
 	if net.Alive(1) {
 		t.Fatal("node 1 should be dead")
 	}
-	if !net.Send(Message{From: 0, To: top.Base(), Values: []float64{1}}) {
+	if !net.Send(Message{From: 0, To: top.Base(), Values: []float64{1}}, obs.Span{}) {
 		t.Fatal("route repair via node 2 failed")
 	}
 }
@@ -154,7 +154,7 @@ func TestLossDropsMessages(t *testing.T) {
 	}
 	delivered := 0
 	for i := 0; i < 200; i++ {
-		if net.Send(Message{From: 0, To: top.Base(), Values: []float64{1}}) {
+		if net.Send(Message{From: 0, To: top.Base(), Values: []float64{1}}, obs.Span{}) {
 			delivered++
 		}
 	}
